@@ -1,6 +1,8 @@
 """Run every workload with tracing off and on, and write one results file.
 
-    python3 perfbench/record.py --seed 1 --seconds 20 --out perfbench/results/baseline.json
+    python3 perfbench/record.py --seed 1 --out perfbench/results/baseline.json
+
+Each run lasts BENCHMARK.json's `run_seconds`, as in the benchmark itself.
 
 The file holds, per workload, the environment, the end-to-end and per-layer
 metrics, the run details (samples, output hash, failures), and for `sweep`
@@ -41,16 +43,16 @@ ROADMAP_SWEEP_TABLE = (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", required=True, help="results JSON to write")
     args = parser.parse_args(argv)
 
     spec = run.load_spec()
+    seconds = spec["run_seconds"]
     results = {}
     for name, workload in run.WORKLOADS.items():
         entry = {}
         for trace, key in ((False, "end_to_end"), (True, "per_layer")):
-            result = run.run_workload(workload, args.seed, args.seconds, trace)
+            result = run.run_workload(workload, args.seed, seconds, trace)
             run.report(workload, args.seed, trace, result, spec[key])
             entry[key] = result.pop("metrics")
             entry["traced" if trace else "untraced"] = result
@@ -70,7 +72,7 @@ def main(argv=None) -> int:
     payload = {
         "command": " ".join(["python3", "perfbench/record.py", *(argv or sys.argv[1:])]),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": results,
         "roadmap_sweep_table": table,
     }

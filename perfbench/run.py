@@ -3,7 +3,7 @@
     python3 perfbench/run.py --workload sweep --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout that holds `src/semkv` and `BENCHMARK.json`.
-Each run sets up the workload's input three times (each set-up in a fresh
+Each run sets up the workload's input five times (each set-up in a fresh
 process), then runs the measured command in a closed loop, one process per
 command, until `--seconds` have passed. Every command's outputs are checked
 after it returns, outside the timed region. With `--trace 1` each command
@@ -39,7 +39,7 @@ ROOT = HERE.parent
 WORK_ROOT = ROOT / ".perfbench_tmp"
 STATE_ROOT = ROOT / ".perfbench_state"
 
-SETUP_RUNS = 3
+SETUP_RUNS = 5
 CHILD_TIMEOUT_S = 170
 # One BLAS thread keeps runs steady on a shared machine; it is at or below
 # nproc everywhere and is recorded with every result.
