@@ -348,44 +348,81 @@ class CompressedCache:
         return self.entries[layer][head]
 
 
+def _check_groups(groups, seq_len: int, where: str) -> None:
+    """Groups must be non-empty, sorted, non-overlapping and inside [0, N)."""
+    prev_stop = 0
+    for a, b in groups:
+        if not 0 <= a < b <= seq_len:
+            raise CacheConsistencyError(f"{where}: group [{a}, {b}) out of range")
+        if a < prev_stop:
+            raise CacheConsistencyError(f"{where}: group [{a}, {b}) unsorted or overlapping")
+        prev_stop = b
+
+
+def _group_means(rows: np.ndarray, groups) -> np.ndarray:
+    """Mean row of each checked [start, stop) group of C-contiguous `rows`.
+
+    Groups of one length are gathered into a (groups, length, d) block and
+    reduced over its middle axis, which adds in the order that
+    `rows[a:b].mean(axis=0)` uses for every head_dim (row by row, or
+    pairwise when d == 1), so the two agree bit for bit. np.add.reduceat
+    and cumsum differences add in other orders and round differently on
+    float64 data. Plans from `_middle_groups` have at most two lengths.
+    """
+    bounds = np.asarray(groups, dtype=np.intp)
+    starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    means = np.empty((len(bounds), rows.shape[1]))
+    for length in np.unique(lengths):
+        pick = lengths == length
+        block = rows[starts[pick, None] + np.arange(length)]
+        means[pick] = np.add.reduce(block, axis=1) / length
+    return means
+
+
 def build_compressed_cache(trace: AttentionTrace, plans) -> CompressedCache:
-    """Copy retained K/V rows (plus synthetic group means) out of the trace."""
+    """Retained K/V rows (plus synthetic group means) out of the trace.
+
+    A head that keeps every position holds read-only views of the trace's
+    rows; other heads hold copies of the rows they keep.
+    """
     plans = list(plans)
     if len(plans) != trace.num_layers:
         raise CacheConsistencyError(
             f"{len(plans)} plans for {trace.num_layers} layers"
         )
-    cache = CompressedCache(
-        trace.num_layers, trace.num_heads, trace.seq_len, trace.head_dim
-    )
+    n_seq, n_heads = trace.seq_len, trace.num_heads
+    everything = np.arange(n_seq)
+    cache = CompressedCache(trace.num_layers, n_heads, n_seq, trace.head_dim)
     for r, plan in enumerate(plans):
-        layer_entries = []
-        for h in range(trace.num_heads):
-            idx = np.asarray(plan.per_head_retained[h], dtype=int)
-            if idx.size and (idx.min() < 0 or idx.max() >= trace.seq_len):
+        per_head_groups = plan.per_head_groups
+        for what, per_head in (("retained", plan.per_head_retained), ("groups", per_head_groups)):
+            if per_head is not None and len(per_head) != n_heads:
                 raise CacheConsistencyError(
-                    f"layer {r} head {h}: retained index outside [0, {trace.seq_len})"
+                    f"layer {r}: plan {what} cover {len(per_head)} heads, trace has {n_heads}"
                 )
-            k_rows = trace.data[r, h, 1][idx]
-            v_rows = trace.data[r, h, 2][idx]
-            positions = idx.astype(int)
+        layer_entries = []
+        for h in range(n_heads):
+            where = f"layer {r} head {h}"
+            idx = np.asarray(plan.per_head_retained[h], dtype=int)
+            if idx.size and (idx.min() < 0 or idx.max() >= n_seq):
+                raise CacheConsistencyError(
+                    f"{where}: retained index outside [0, {n_seq})"
+                )
+            groups = [] if per_head_groups is None else per_head_groups[h]
+            _check_groups(groups, n_seq, where)
+            keys, values = trace.data[r, h, 1], trace.data[r, h, 2]
             synthetic = np.zeros(idx.size, dtype=bool)
-            if plan.per_head_groups is not None and plan.per_head_groups[h]:
-                syn_k, syn_v, syn_pos = [], [], []
-                for a, b in plan.per_head_groups[h]:
-                    if not 0 <= a < b <= trace.seq_len:
-                        raise CacheConsistencyError(
-                            f"layer {r} head {h}: group [{a}, {b}) out of range"
-                        )
-                    syn_k.append(trace.data[r, h, 1][a:b].mean(axis=0))
-                    syn_v.append(trace.data[r, h, 2][a:b].mean(axis=0))
-                    syn_pos.append(a)
-                k_rows = np.concatenate([k_rows, np.asarray(syn_k)])
-                v_rows = np.concatenate([v_rows, np.asarray(syn_v)])
-                positions = np.concatenate([positions, np.asarray(syn_pos, dtype=int)])
-                synthetic = np.concatenate(
-                    [synthetic, np.ones(len(syn_pos), dtype=bool)]
+            if not groups and np.array_equal(idx, everything):
+                layer_entries.append(CacheEntry(keys, values, idx, synthetic))
+                continue
+            k_rows, v_rows, positions = keys[idx], values[idx], idx
+            if groups:
+                k_rows = np.concatenate([k_rows, _group_means(keys, groups)])
+                v_rows = np.concatenate([v_rows, _group_means(values, groups)])
+                positions = np.concatenate(
+                    [positions, np.asarray([a for a, _ in groups], dtype=int)]
                 )
+                synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
                 order = np.argsort(positions, kind="stable")
                 k_rows, v_rows = k_rows[order], v_rows[order]
                 positions, synthetic = positions[order], synthetic[order]

@@ -218,9 +218,9 @@ def _plan_filename(policy: str, ratio: float) -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # compact, one line: json.dumps runs the C encoder, json.dump(indent=...) does not
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(payload) + "\n")
 
 
 def _cmd_gen(args) -> int:

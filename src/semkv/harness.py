@@ -28,7 +28,7 @@ from .allocator import (
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import ParameterError, SemkvError
-from .linalg import CausalMask, attention_weights, masked_softmax, pca_2d
+from .linalg import masked_softmax, pca_2d
 from .separator import (
     HeadProfile,
     HeterogeneitySchedule,
@@ -194,21 +194,13 @@ def fidelity_eval(
     decode_queries: int,
 ) -> FidelityReport:
     """Decode-attention reconstruction error of a compressed cache vs the full one."""
-    n_seq = trace.seq_len
-    if not 1 <= decode_queries <= n_seq:
-        raise ParameterError(f"decode_queries {decode_queries} outside [1, {n_seq}]")
-    first_row = n_seq - decode_queries
+    full = trace.full_decode_outputs(decode_queries)  # validates decode_queries
+    first_row = trace.seq_len - decode_queries
     l2 = np.empty((trace.num_layers, trace.num_heads))
     cos = np.empty((trace.num_layers, trace.num_heads))
     for r in range(trace.num_layers):
-        for h in range(trace.num_heads):
-            inputs = trace.head_inputs(r, h)
-            full_w = attention_weights(
-                inputs,
-                CausalMask.window(decode_queries, n_seq),
-                query_rows=range(first_row, n_seq),
-            )
-            full_out = full_w @ inputs.values
+        for h, inputs in enumerate(trace.layer_heads(r)):
+            full_out = full[r, h]
             entry = cache.entry(r, h)
             q = inputs.queries[first_row:]
             scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))

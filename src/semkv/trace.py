@@ -37,7 +37,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs
+from .linalg import AttentionInputs, CausalMask, attention_weights
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -97,10 +97,16 @@ class AttentionTrace:
     """Per-layer, per-head Q/K/V tensors; the unit of input.
 
     `data` has shape (R, n, 3, N, d) float64 where axis 2 orders Q, K, V.
+    It is a read-only view, so everything derived from it (the per-head
+    `AttentionInputs` views and the full-cache decode outputs) is computed
+    once, on first use, and shared by every caller. It is C-contiguous, so
+    results depend on the values alone, not on the caller's memory layout.
+    A C-contiguous float64 array passed in is not copied, and its owner
+    must therefore leave it unchanged.
     """
 
     def __init__(self, header: TraceHeader, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64)
+        data = np.ascontiguousarray(data, dtype=np.float64).view()
         expected = (
             header.num_layers,
             header.num_heads,
@@ -112,8 +118,11 @@ class AttentionTrace:
             raise TraceFormatError(f"trace data shape {data.shape} != {expected}")
         if not np.all(np.isfinite(data)):
             raise TraceFormatError("trace contains NaN/Inf entries")
+        data.flags.writeable = False
         self.header = header
         self.data = data
+        self._layer_heads: list[tuple[AttentionInputs, ...] | None] = [None] * len(data)
+        self._decode_outputs: dict[int, np.ndarray] = {}
 
     @property
     def num_layers(self) -> int:
@@ -132,11 +141,36 @@ class AttentionTrace:
         return self.header.head_dim
 
     def head_inputs(self, layer: int, head: int) -> AttentionInputs:
-        q, k, v = self.data[layer, head]
-        return AttentionInputs(queries=q, keys=k, values=v)
+        return self.layer_heads(layer)[head]
 
     def layer_heads(self, layer: int) -> list[AttentionInputs]:
-        return [self.head_inputs(layer, h) for h in range(self.num_heads)]
+        """The layer's per-head Q/K/V views, built and validated once."""
+        heads = self._layer_heads[layer]
+        if heads is None:
+            heads = tuple(
+                AttentionInputs(queries=q, keys=k, values=v) for q, k, v in self.data[layer]
+            )
+            self._layer_heads[layer] = heads
+        return list(heads)
+
+    def full_decode_outputs(self, decode_queries: int) -> np.ndarray:
+        """Attention outputs of the last `decode_queries` query rows over every
+        key, shape (R, n, decode_queries, d); computed once per count."""
+        out = self._decode_outputs.get(decode_queries)
+        if out is not None:
+            return out
+        n_seq = self.seq_len
+        if not 1 <= decode_queries <= n_seq:
+            raise ParameterError(f"decode_queries {decode_queries} outside [1, {n_seq}]")
+        mask = CausalMask.window(decode_queries, n_seq)
+        rows = range(n_seq - decode_queries, n_seq)
+        out = np.empty((self.num_layers, self.num_heads, decode_queries, self.head_dim))
+        for r in range(self.num_layers):
+            for h, inputs in enumerate(self.layer_heads(r)):
+                out[r, h] = attention_weights(inputs, mask, query_rows=rows) @ inputs.values
+        out.flags.writeable = False
+        self._decode_outputs[decode_queries] = out
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):

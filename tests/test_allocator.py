@@ -20,7 +20,13 @@ from semkv.errors import (
     ParameterError,
 )
 from semkv.separator import HeadClass
-from semkv.trace import SyntheticProfile, clustered_planted_heads, gen_synthetic_trace
+from semkv.trace import (
+    AttentionTrace,
+    SyntheticProfile,
+    TraceHeader,
+    clustered_planted_heads,
+    gen_synthetic_trace,
+)
 
 
 def classes_with_het(n, het):
@@ -327,6 +333,166 @@ class TestCompressedCacheBuild:
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
         with pytest.raises(CacheConsistencyError):
             build_compressed_cache(trace, [plan])
+
+    def test_full_keep_entries_share_trace_rows(self):
+        trace = small_trace(seed=46)
+        plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.5)
+        cache = build_compressed_cache(trace, [plan])
+        full_keep, partial = cache.entry(0, 0), cache.entry(0, 1)
+        assert len(full_keep.positions) == 48 and len(partial.positions) < 48
+        for arr in (full_keep.keys, full_keep.values):
+            assert np.shares_memory(arr, trace.data)
+            assert not arr.flags.writeable
+        for arr in (partial.keys, partial.values):
+            assert not np.shares_memory(arr, trace.data)
+
+    def test_sinks_plus_recents_covering_sequence_share_rows(self):
+        trace = small_trace(seed=47, shape=(1, 4, 10, 6))
+        plan = plan_for(
+            trace, classes_with_het(4, set()), PolicyKind.TASK_KV, 0.5, sinks=6, recents=6
+        )
+        cache = build_compressed_cache(trace, [plan])
+        for h in range(4):
+            assert np.shares_memory(cache.entry(0, h).keys, trace.data)
+
+
+def _plan_with(retained, groups=None):
+    n = len(retained)
+    return BudgetPlan(
+        0, PolicyKind.COMPRESSED_CACHE, 0, 0, 0, 0, False,
+        classes_with_het(n, set()), [np.asarray(r, dtype=int) for r in retained], groups,
+    )
+
+
+class TestGroupMeans:
+    """Synthetic rows equal the per-group `.mean(axis=0)` loop bit for bit.
+
+    The traces are float64 with a wide magnitude spread, so a sum taken in
+    any other order than row by row rounds differently and shows up here.
+    """
+
+    N = 40
+    CASES = {
+        "adjacent-long": [(2, 9), (9, 17), (17, 30)],
+        "gapped-long": [(1, 4), (10, 19), (25, 26), (31, 35)],
+        "ends-at-n-long": [(3, 20), (20, 40)],
+        "whole": [(0, 40)],
+        "adjacent-short": [(2, 4), (4, 6), (6, 9), (9, 11), (11, 12)],
+        "gapped-short": [(0, 2), (5, 7), (9, 10), (12, 15), (20, 22), (30, 31)],
+        "one-row": [(0, 1), (5, 6), (6, 7), (39, 40)],
+        "ends-at-n-short": [(31, 34), (34, 36), (36, 38), (38, 40)],
+        # more groups than rows per group, several of 9+ rows (pairwise
+        # summation when head_dim == 1)
+        "many-long": [(0, 9), (9, 18), (18, 28), (28, 37), (37, 40)],
+    }
+
+    @staticmethod
+    def oracle(rows, groups):
+        return np.asarray([rows[a:b].mean(axis=0) for a, b in groups])
+
+    @staticmethod
+    def float64_trace(seed, shape, order="C"):
+        rng = np.random.default_rng(seed)
+        r, n, seq_len, d = shape
+        size = (r, n, 3, seq_len, d)
+        data = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6, size)
+        return AttentionTrace(TraceHeader(r, n, seq_len, d), np.asarray(data, order=order))
+
+    def assert_means(self, trace, groups, heads):
+        plan = _plan_with([[]] * heads, [groups] * heads)
+        cache = build_compressed_cache(trace, [plan])
+        for h in range(heads):
+            entry = cache.entry(0, h)
+            assert entry.synthetic.all()
+            np.testing.assert_array_equal(entry.positions, [a for a, _ in groups])
+            assert np.array_equal(entry.keys, self.oracle(trace.data[0, h, 1], groups))
+            assert np.array_equal(entry.values, self.oracle(trace.data[0, h, 2], groups))
+
+    @pytest.mark.parametrize("head_dim", [1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_per_group_mean(self, case, seed, head_dim):
+        trace = self.float64_trace(70 + seed, (1, 2, self.N, head_dim))
+        self.assert_means(trace, self.CASES[case], heads=2)
+
+    @pytest.mark.parametrize("head_dim", [1, 2, 5])
+    def test_long_groups_in_many_groups(self, head_dim):
+        # 40 groups of 9-16 rows over N=600
+        bounds = np.cumsum([0] + [9 + (i * 7) % 8 for i in range(40)])
+        groups = [(int(a) + 3, int(b) + 3) for a, b in zip(bounds[:-1], bounds[1:])]
+        trace = self.float64_trace(75, (1, 2, 600, head_dim))
+        self.assert_means(trace, groups, heads=2)
+
+    @pytest.mark.parametrize("head_dim", [1, 5])
+    def test_fortran_ordered_input(self, head_dim):
+        # the trace keeps a C-contiguous copy, so the means match the
+        # per-group loop over its rows whatever the caller's layout was
+        trace = self.float64_trace(76, (1, 2, self.N, head_dim), order="F")
+        assert trace.data.flags.c_contiguous
+        self.assert_means(trace, self.CASES["many-long"], heads=2)
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9])
+    def test_policy_groups_equal_per_group_mean(self, ratio):
+        trace = self.float64_trace(74, (1, 4, 300, 6))
+        plan = plan_for(
+            trace, classes_with_het(4, {0}), PolicyKind.COMPRESSED_CACHE, ratio,
+            sinks=4, recents=8,
+        )
+        cache = build_compressed_cache(trace, [plan])
+        for h in (1, 2, 3):
+            groups = plan.per_head_groups[h]
+            entry = cache.entry(0, h)
+            assert np.array_equal(
+                entry.keys[entry.synthetic], self.oracle(trace.data[0, h, 1], groups)
+            )
+            assert np.array_equal(
+                entry.values[entry.synthetic], self.oracle(trace.data[0, h, 2], groups)
+            )
+
+    def test_interleaves_with_retained_rows(self):
+        trace = small_trace(seed=73, shape=(1, 1, self.N, 5))
+        groups = self.CASES["gapped-long"]
+        plan = _plan_with([[0, 5, 20, 39]], [groups])
+        entry = build_compressed_cache(trace, [plan]).entry(0, 0)
+        np.testing.assert_array_equal(entry.positions, [0, 1, 5, 10, 20, 25, 31, 39])
+        expected = dict(zip([a for a, _ in groups], self.oracle(trace.data[0, 0, 1], groups)))
+        for row, pos in enumerate(entry.positions):
+            want = expected[pos] if entry.synthetic[row] else trace.data[0, 0, 1, pos]
+            assert np.array_equal(entry.keys[row], want)
+
+
+class TestPlanConsistency:
+    @pytest.mark.parametrize(
+        "retained, groups",
+        [
+            ([[0, 1]] * 3, None),  # fewer heads than the trace
+            ([[0, 1]] * 5, None),  # more heads than the trace
+            ([[0, 1]] * 4, [[]] * 3),  # groups cover fewer heads
+        ],
+    )
+    def test_head_count_mismatch_rejected(self, retained, groups):
+        trace = small_trace(seed=80)
+        with pytest.raises(CacheConsistencyError, match="heads"):
+            build_compressed_cache(trace, [_plan_with(retained, groups)])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(10, 20), (5, 8)],  # unsorted
+            [(5, 12), (11, 20)],  # overlapping
+            [(5, 12), (5, 12)],  # repeated
+            [(-1, 3)],
+            [(40, 49)],
+            [(7, 7)],  # empty
+            [(9, 3)],
+        ],
+    )
+    def test_bad_groups_rejected(self, bad):
+        trace = small_trace(seed=81)
+        groups = [[], bad, [], []]
+        with pytest.raises(CacheConsistencyError, match="layer 0 head 1: group"):
+            build_compressed_cache(trace, [_plan_with([[0]] * 4, groups)])
+
 
 
 class TestMemoryFootprint:

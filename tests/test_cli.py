@@ -81,6 +81,14 @@ class TestCompress:
         for row in memory["memory"]:
             assert row["ratio_vs_full"] <= 0.5 + 1e-9
 
+    def test_plans_file_is_one_line_of_json(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        for name in ("plans_task-kv_0.5.json", "memory.json"):
+            text = (out / name).read_text()
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert json.loads(text)
+
 
 class TestEval:
     def test_replays_saved_plans(self, trace_file, tmp_path, capsys):
@@ -100,6 +108,20 @@ class TestEval:
         assert row["policy"] == "task-kv"
         assert row["mean_l2"] >= 0.0
         assert len(row["per_head_l2"][0]) == 8
+
+    def test_short_plans_file_fails_with_json_error(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        plans_path = out / "plans_task-kv_0.5.json"
+        payload = json.loads(plans_path.read_text())
+        payload["layers"][0]["per_head_retained"].pop()
+        plans_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_file), "--plans", str(plans_path),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "CacheConsistencyError"
 
 
 class TestContrib:

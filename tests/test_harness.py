@@ -138,6 +138,27 @@ class TestFidelityEval:
         assert np.isfinite(fid.per_head_l2).all()
         assert (fid.per_head_cosine <= 1 + 1e-12).all()
 
+    def test_result_independent_of_call_order(self):
+        cfg = clustered_config(
+            seed=17,
+            policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING, PolicyKind.COMPRESSED_CACHE),
+        )
+        key = ("task-kv", 0.6)
+        others = [("streaming", 0.6), ("compressed-cache", 0.6)]
+
+        def evaluate(before):
+            trace = load_trace_for(cfg)
+            result = compress_run(cfg, trace)
+            for other, dq in before:
+                fidelity_eval(trace, result.caches[other], result.plans[other], dq)
+            return fidelity_eval(trace, result.caches[key], result.plans[key], 8)
+
+        first = evaluate([])
+        for before in ([(k, 8) for k in others], [(key, 5)], [(others[0], 12)]):
+            again = evaluate(before)
+            assert np.array_equal(again.per_head_l2, first.per_head_l2)
+            assert np.array_equal(again.per_head_cosine, first.per_head_cosine)
+
 
 class TestEvalReport:
     def make_report(self, seed=11):

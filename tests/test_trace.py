@@ -11,6 +11,7 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
+from semkv.linalg import CausalMask, attention_weights
 from semkv.separator import head_distances, semantic_vector_full, window_column_scores
 from semkv.trace import (
     HEADER_BYTES,
@@ -179,3 +180,56 @@ class TestAttentionTraceContainer:
         data[0, 0, 0, 0, 0] = np.nan
         with pytest.raises(TraceFormatError):
             AttentionTrace(header, data)
+
+
+class TestSharedDerivedData:
+    def make(self):
+        return gen_synthetic_trace(SyntheticProfile("uniform-random", seed=13), (2, 3, 20, 4))
+
+    def test_data_is_read_only(self):
+        trace = self.make()
+        assert trace.data.flags.writeable is False
+        with pytest.raises(ValueError):
+            trace.data[0, 0, 0, 0, 0] = 1.0
+
+    def test_caller_array_stays_writeable(self):
+        data = np.zeros((1, 1, 3, 2, 2))
+        AttentionTrace(TraceHeader(1, 1, 2, 2), data)
+        assert data.flags.writeable
+
+    def test_c_contiguous_input_is_shared_other_layouts_copied(self):
+        data = np.arange(24.0).reshape(1, 1, 3, 4, 2)
+        assert np.shares_memory(AttentionTrace(TraceHeader(1, 1, 4, 2), data).data, data)
+        fortran = np.asfortranarray(data)
+        trace = AttentionTrace(TraceHeader(1, 1, 4, 2), fortran)
+        assert trace.data.flags.c_contiguous
+        assert not np.shares_memory(trace.data, fortran)
+        np.testing.assert_array_equal(trace.data, data)
+
+    def test_layer_heads_are_built_once(self):
+        trace = self.make()
+        first, again = trace.layer_heads(1), trace.layer_heads(1)
+        assert len(first) == 3
+        assert all(a is b for a, b in zip(first, again))
+        assert trace.head_inputs(1, 2) is first[2]
+        assert trace.layer_heads(0)[0] is not first[0]
+        for h, inputs in enumerate(first):
+            assert np.shares_memory(inputs.keys, trace.data)
+            np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
+
+    def test_full_decode_outputs_match_per_head_attention(self):
+        trace = self.make()
+        out = trace.full_decode_outputs(5)
+        assert out.shape == (2, 3, 5, 4)
+        assert out.flags.writeable is False
+        assert trace.full_decode_outputs(5) is out
+        for r in range(2):
+            for h in range(3):
+                inputs = trace.head_inputs(r, h)
+                w = attention_weights(inputs, CausalMask.window(5, 20), range(15, 20))
+                assert np.array_equal(out[r, h], w @ inputs.values)
+
+    @pytest.mark.parametrize("count", [0, 21])
+    def test_full_decode_outputs_validate_count(self, count):
+        with pytest.raises(ParameterError):
+            self.make().full_decode_outputs(count)
