@@ -15,8 +15,12 @@ from .allocator import (
     PolicyKind,
     apply_policy,
     build_compressed_cache,
+    build_head_entry,
+    check_plans,
+    keeps_every_position,
     memory_footprint,
     middle_activation_count,
+    plans_footprint,
     pool_scores,
     select_retained_indices,
 )
@@ -35,6 +39,7 @@ from .errors import (
     EmptyInputError,
     InfeasibleBudgetError,
     ParameterError,
+    PlanFormatError,
     SemkvError,
     TraceFormatError,
     TraceTruncationError,

@@ -28,6 +28,7 @@ from .errors import (
     CacheConsistencyError,
     InfeasibleBudgetError,
     ParameterError,
+    PlanFormatError,
 )
 from .separator import HeadClass, WindowScores, top_t_indices, window_column_scores
 from .trace import AttentionTrace
@@ -133,11 +134,13 @@ class BudgetPlan:
     per_head_retained: list[np.ndarray]
     per_head_groups: list[list[tuple[int, int]]] | None = None
 
+    def head_tokens(self, head: int) -> int:
+        """Cache rows head `head` holds: its retained positions plus its groups."""
+        groups = 0 if self.per_head_groups is None else len(self.per_head_groups[head])
+        return len(self.per_head_retained[head]) + groups
+
     def retained_tokens(self) -> int:
-        total = sum(len(r) for r in self.per_head_retained)
-        if self.per_head_groups is not None:
-            total += sum(len(g) for g in self.per_head_groups)
-        return total
+        return sum(self.head_tokens(h) for h in range(len(self.per_head_retained)))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -159,21 +162,27 @@ class BudgetPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BudgetPlan":
-        groups = d.get("per_head_groups")
-        return cls(
-            layer=d["layer"],
-            policy=PolicyKind(d["policy"]),
-            total_budget=d["total_budget"],
-            sinks=d["sinks"],
-            recents=d["recents"],
-            middle_k=d["middle_k"],
-            clamped=d["clamped"],
-            head_classes=[HeadClass(c) for c in d["head_classes"]],
-            per_head_retained=[np.asarray(r, dtype=int) for r in d["per_head_retained"]],
-            per_head_groups=None
-            if groups is None
-            else [[(int(a), int(b)) for a, b in g] for g in groups],
-        )
+        """Inverse of `to_json_dict`; malformed input raises PlanFormatError."""
+        try:
+            groups = d.get("per_head_groups")
+            return cls(
+                layer=d["layer"],
+                policy=PolicyKind(d["policy"]),
+                total_budget=d["total_budget"],
+                sinks=d["sinks"],
+                recents=d["recents"],
+                middle_k=d["middle_k"],
+                clamped=d["clamped"],
+                head_classes=[HeadClass(c) for c in d["head_classes"]],
+                per_head_retained=[np.asarray(r, dtype=int) for r in d["per_head_retained"]],
+                per_head_groups=None
+                if groups is None
+                else [[(int(a), int(b)) for a, b in g] for g in groups],
+            )
+        except KeyError as exc:
+            raise PlanFormatError(f"plan is missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise PlanFormatError(f"bad plan: {exc}") from exc
 
 
 def _pooled_scores(heads, window_len: int, kernel: int, scores) -> list[np.ndarray]:
@@ -379,55 +388,68 @@ def _group_means(rows: np.ndarray, groups) -> np.ndarray:
     return means
 
 
-def build_compressed_cache(trace: AttentionTrace, plans) -> CompressedCache:
-    """Retained K/V rows (plus synthetic group means) out of the trace.
-
-    A head that keeps every position holds read-only views of the trace's
-    rows; other heads hold copies of the rows they keep.
-    """
+def check_plans(trace: AttentionTrace, plans) -> list[BudgetPlan]:
+    """The plans as a list, one per trace layer, each covering every head."""
     plans = list(plans)
     if len(plans) != trace.num_layers:
-        raise CacheConsistencyError(
-            f"{len(plans)} plans for {trace.num_layers} layers"
-        )
-    n_seq, n_heads = trace.seq_len, trace.num_heads
-    everything = np.arange(n_seq)
-    cache = CompressedCache(trace.num_layers, n_heads, n_seq, trace.head_dim)
+        raise CacheConsistencyError(f"{len(plans)} plans for {trace.num_layers} layers")
+    n_heads = trace.num_heads
     for r, plan in enumerate(plans):
-        per_head_groups = plan.per_head_groups
-        for what, per_head in (("retained", plan.per_head_retained), ("groups", per_head_groups)):
+        covered = (("retained", plan.per_head_retained), ("groups", plan.per_head_groups))
+        for what, per_head in covered:
             if per_head is not None and len(per_head) != n_heads:
                 raise CacheConsistencyError(
                     f"layer {r}: plan {what} cover {len(per_head)} heads, trace has {n_heads}"
                 )
-        layer_entries = []
-        for h in range(n_heads):
-            where = f"layer {r} head {h}"
-            idx = np.asarray(plan.per_head_retained[h], dtype=int)
-            if idx.size and (idx.min() < 0 or idx.max() >= n_seq):
-                raise CacheConsistencyError(
-                    f"{where}: retained index outside [0, {n_seq})"
-                )
-            groups = [] if per_head_groups is None else per_head_groups[h]
-            _check_groups(groups, n_seq, where)
-            keys, values = trace.data[r, h, 1], trace.data[r, h, 2]
-            synthetic = np.zeros(idx.size, dtype=bool)
-            if not groups and np.array_equal(idx, everything):
-                layer_entries.append(CacheEntry(keys, values, idx, synthetic))
-                continue
-            k_rows, v_rows, positions = keys[idx], values[idx], idx
-            if groups:
-                k_rows = np.concatenate([k_rows, _group_means(keys, groups)])
-                v_rows = np.concatenate([v_rows, _group_means(values, groups)])
-                positions = np.concatenate(
-                    [positions, np.asarray([a for a, _ in groups], dtype=int)]
-                )
-                synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
-                order = np.argsort(positions, kind="stable")
-                k_rows, v_rows = k_rows[order], v_rows[order]
-                positions, synthetic = positions[order], synthetic[order]
-            layer_entries.append(CacheEntry(k_rows, v_rows, positions, synthetic))
-        cache.entries.append(layer_entries)
+    return plans
+
+
+def keeps_every_position(plan: BudgetPlan, head: int, seq_len: int) -> bool:
+    """Whether the head's cache is the whole sequence and nothing else."""
+    groups = None if plan.per_head_groups is None else plan.per_head_groups[head]
+    return not groups and np.array_equal(plan.per_head_retained[head], np.arange(seq_len))
+
+
+def build_head_entry(
+    trace: AttentionTrace, plan: BudgetPlan, layer: int, head: int
+) -> CacheEntry:
+    """One head's retained K/V rows (plus synthetic group means) out of the trace.
+
+    `plan` is layer `layer`'s plan, already passed through `check_plans`. A
+    head that keeps every position holds read-only views of the trace's
+    rows; other heads hold copies of the rows they keep.
+    """
+    n_seq = trace.seq_len
+    where = f"layer {layer} head {head}"
+    idx = np.asarray(plan.per_head_retained[head], dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_seq):
+        raise CacheConsistencyError(f"{where}: retained index outside [0, {n_seq})")
+    groups = [] if plan.per_head_groups is None else plan.per_head_groups[head]
+    _check_groups(groups, n_seq, where)
+    keys, values = trace.data[layer, head, 1], trace.data[layer, head, 2]
+    synthetic = np.zeros(idx.size, dtype=bool)
+    if keeps_every_position(plan, head, n_seq):
+        return CacheEntry(keys, values, idx, synthetic)
+    k_rows, v_rows, positions = keys[idx], values[idx], idx
+    if groups:
+        k_rows = np.concatenate([k_rows, _group_means(keys, groups)])
+        v_rows = np.concatenate([v_rows, _group_means(values, groups)])
+        positions = np.concatenate([positions, np.asarray([a for a, _ in groups], dtype=int)])
+        synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
+        order = np.argsort(positions, kind="stable")
+        k_rows, v_rows = k_rows[order], v_rows[order]
+        positions, synthetic = positions[order], synthetic[order]
+    return CacheEntry(k_rows, v_rows, positions, synthetic)
+
+
+def build_compressed_cache(trace: AttentionTrace, plans) -> CompressedCache:
+    """Every head's `build_head_entry` at once, for callers that keep a whole cache."""
+    plans = check_plans(trace, plans)
+    cache = CompressedCache(trace.num_layers, trace.num_heads, trace.seq_len, trace.head_dim)
+    cache.entries = [
+        [build_head_entry(trace, plan, r, h) for h in range(trace.num_heads)]
+        for r, plan in enumerate(plans)
+    ]
     return cache
 
 
@@ -437,11 +459,19 @@ class MemoryFootprint(NamedTuple):
     ratio_vs_full: float
 
 
+def _footprint(tokens: int, num_layers: int, num_heads: int, seq_len: int, head_dim: int):
+    full = num_layers * num_heads * seq_len
+    return MemoryFootprint(tokens, tokens * 2 * head_dim * 4, tokens / full)
+
+
 def memory_footprint(cache: CompressedCache) -> MemoryFootprint:
-    """Token, byte (K+V float32), and fraction-of-full accounting for a cache."""
-    tokens = sum(
-        len(entry.positions) for layer in cache.entries for entry in layer
-    )
-    nbytes = tokens * 2 * cache.head_dim * 4
-    full = cache.num_layers * cache.num_heads * cache.seq_len
-    return MemoryFootprint(tokens, nbytes, tokens / full)
+    """Token, byte (K+V float32), and fraction-of-full accounting for a built cache."""
+    tokens = sum(len(entry.positions) for layer in cache.entries for entry in layer)
+    return _footprint(tokens, cache.num_layers, cache.num_heads, cache.seq_len, cache.head_dim)
+
+
+def plans_footprint(trace: AttentionTrace, plans) -> MemoryFootprint:
+    """`memory_footprint` of the cache the plans would build, without building it."""
+    plans = check_plans(trace, plans)
+    tokens = sum(plan.retained_tokens() for plan in plans)
+    return _footprint(tokens, trace.num_layers, trace.num_heads, trace.seq_len, trace.head_dim)

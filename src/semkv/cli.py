@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
-from .allocator import BudgetPlan, PolicyKind, build_compressed_cache, memory_footprint
+from .allocator import BudgetPlan, PolicyKind, plans_footprint
 from .contribution import verify_bound_suite
-from .errors import ParameterError, SemkvError
+from .errors import ParameterError, PlanFormatError, SemkvError
 from .harness import (
     RunConfig,
     compress_run,
@@ -233,7 +233,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _plans_payload(cfg: RunConfig, trace, policy: str, ratio: float, layer_plans) -> dict:
+def _plans_payload(trace, policy: str, ratio: float, layer_plans) -> dict:
     return {
         "policy": policy,
         "budget_ratio": ratio,
@@ -256,9 +256,9 @@ def _cmd_compress(args) -> int:
     for (policy, ratio), layer_plans in sorted(result.plans.items()):
         _write_json(
             os.path.join(out, _plan_filename(policy, ratio)),
-            _plans_payload(cfg, trace, policy, ratio, layer_plans),
+            _plans_payload(trace, policy, ratio, layer_plans),
         )
-        mem = memory_footprint(result.caches[(policy, ratio)])
+        mem = plans_footprint(trace, layer_plans)
         memory_rows.append(
             {
                 "policy": policy,
@@ -281,15 +281,18 @@ def _cmd_eval(args) -> int:
     for plans_path in args.plans:
         with open(plans_path) as f:
             payload = json.load(f)
-        layer_plans = [BudgetPlan.from_json_dict(d) for d in payload["layers"]]
-        cache = build_compressed_cache(trace, layer_plans)
+        try:
+            policy, ratio, layers = payload["policy"], payload["budget_ratio"], payload["layers"]
+        except (KeyError, TypeError) as exc:
+            raise PlanFormatError(f"{plans_path}: not a plans file ({exc!r})") from exc
+        layer_plans = [BudgetPlan.from_json_dict(d) for d in layers]
         dq = min(cfg.resolved_decode_queries(), trace.seq_len)
-        fid = fidelity_eval(trace, cache, layer_plans, dq)
+        fid = fidelity_eval(trace, layer_plans, dq)
         fidelity_rows.append(
             {
                 "plans": os.path.basename(plans_path),
-                "policy": payload["policy"],
-                "budget_ratio": payload["budget_ratio"],
+                "policy": policy,
+                "budget_ratio": ratio,
                 "decode_queries": fid.decode_queries,
                 "mean_l2": fid.mean_l2,
                 "mean_cosine": fid.mean_cosine,
@@ -343,7 +346,7 @@ def _cmd_all(args) -> int:
     for (policy, ratio), layer_plans in sorted(result.plans.items()):
         _write_json(
             os.path.join(out, _plan_filename(policy, ratio)),
-            _plans_payload(cfg, trace, policy, ratio, layer_plans),
+            _plans_payload(trace, policy, ratio, layer_plans),
         )
     export_report(report, "json", os.path.join(out, "report.json"))
     export_report(report, "csv", os.path.join(out, "report.csv"))

@@ -44,3 +44,7 @@ class AllHeadsHeterogeneousError(SemkvError, ValueError):
 
 class CacheConsistencyError(SemkvError, RuntimeError):
     """A plan referenced positions that do not exist in the trace."""
+
+
+class PlanFormatError(SemkvError, ValueError):
+    """A saved plan lacks a field or names an unknown policy or head class."""

@@ -19,12 +19,13 @@ import numpy as np
 
 from .allocator import (
     BudgetPlan,
-    CompressedCache,
     MemoryFootprint,
     PolicyKind,
     apply_policy,
-    build_compressed_cache,
-    memory_footprint,
+    build_head_entry,
+    check_plans,
+    keeps_every_position,
+    plans_footprint,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import ParameterError, SemkvError
@@ -111,11 +112,10 @@ class RunResult:
     profiles: list[list[HeadProfile]]
     window_scores: list[list[WindowScores]]
     plans: dict[tuple[str, float], list[BudgetPlan]]
-    caches: dict[tuple[str, float], CompressedCache]
 
 
 def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
-    """Window scores -> semantic vectors -> classification -> plans -> caches."""
+    """Window scores -> semantic vectors -> classification -> plans."""
     n = trace.num_heads
     schedule = heterogeneous_schedule(n, config.beta, config.top_m, trace.num_layers)
     profiles: list[list[HeadProfile]] = []
@@ -136,7 +136,6 @@ def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
         all_scores.append(scores)
 
     plans: dict[tuple[str, float], list[BudgetPlan]] = {}
-    caches: dict[tuple[str, float], CompressedCache] = {}
     for policy in config.policies:
         for ratio in config.budget_ratios:
             layer_plans = []
@@ -156,10 +155,8 @@ def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
                         scores=all_scores[r],
                     )
                 )
-            key = (PolicyKind(policy).value, ratio)
-            plans[key] = layer_plans
-            caches[key] = build_compressed_cache(trace, layer_plans)
-    return RunResult(schedule, profiles, all_scores, plans, caches)
+            plans[(PolicyKind(policy).value, ratio)] = layer_plans
+    return RunResult(schedule, profiles, all_scores, plans)
 
 
 @dataclass
@@ -188,20 +185,29 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fidelity_eval(
-    trace: AttentionTrace,
-    cache: CompressedCache,
-    plans: list[BudgetPlan],
-    decode_queries: int,
+    trace: AttentionTrace, plans: list[BudgetPlan], decode_queries: int
 ) -> FidelityReport:
-    """Decode-attention reconstruction error of a compressed cache vs the full one."""
+    """Decode-attention reconstruction error of the plans' cache vs the full one.
+
+    Each head's cache entry is built, scored and dropped before the next, so
+    at most one head's entry is alive at a time. A head that keeps every
+    position attends exactly like the full cache, so its scores come from
+    the memoized full outputs without building its entry.
+    """
+    plans = check_plans(trace, plans)
     full = trace.full_decode_outputs(decode_queries)  # validates decode_queries
     first_row = trace.seq_len - decode_queries
     l2 = np.empty((trace.num_layers, trace.num_heads))
     cos = np.empty((trace.num_layers, trace.num_heads))
-    for r in range(trace.num_layers):
+    for r, plan in enumerate(plans):
         for h, inputs in enumerate(trace.layer_heads(r)):
             full_out = full[r, h]
-            entry = cache.entry(r, h)
+            if keeps_every_position(plan, h, trace.seq_len):
+                l2[r, h] = 0.0
+                # the self-cosine of a row is not always exactly 1
+                cos[r, h] = float(_rows_cosine(full_out, full_out).mean())
+                continue
+            entry = build_head_entry(trace, plan, r, h)
             q = inputs.queries[first_row:]
             scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
             visible = (
@@ -315,14 +321,7 @@ def build_eval_report(
         per_head = [
             [
                 {
-                    "retained_tokens": int(
-                        len(plans[r].per_head_retained[h])
-                        + (
-                            len(plans[r].per_head_groups[h])
-                            if plans[r].per_head_groups is not None
-                            else 0
-                        )
-                    ),
+                    "retained_tokens": plans[r].head_tokens(h),
                     "l2_error": float(fid.per_head_l2[r, h]),
                     "cosine_similarity": float(fid.per_head_cosine[r, h]),
                 }
@@ -421,11 +420,8 @@ def run_all(config: RunConfig, trace: AttentionTrace, return_result: bool = Fals
     """The full pipeline over one trace, including the optional bound suite."""
     result = compress_run(config, trace)
     dq = min(config.resolved_decode_queries(), trace.seq_len)
-    fidelity = {
-        key: fidelity_eval(trace, cache, result.plans[key], dq)
-        for key, cache in result.caches.items()
-    }
-    memory = {key: memory_footprint(cache) for key, cache in result.caches.items()}
+    fidelity = {key: fidelity_eval(trace, plans, dq) for key, plans in result.plans.items()}
+    memory = {key: plans_footprint(trace, plans) for key, plans in result.plans.items()}
     contrib = None
     if config.contrib_trials > 0:
         contrib = verify_bound_suite(config.seed, config.contrib_trials)

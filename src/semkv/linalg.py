@@ -242,7 +242,7 @@ def pca_2d(points) -> np.ndarray:
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value, via power iteration on W^T W.
+    """Largest singular value, from LAPACK's SVD (np.linalg.norm(w, 2)).
 
     An all-zero matrix returns 0.0.
     """
@@ -250,8 +250,4 @@ def spectral_norm(matrix) -> float:
     if w.size == 0:
         raise EmptyInputError("spectral_norm needs a non-empty matrix")
     _require_finite(w, "matrix")
-    if not w.any():
-        return 0.0
-    gram = w.T @ w
-    lam, _ = _dominant_eigpair(gram)
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(w, 2))

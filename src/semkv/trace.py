@@ -116,7 +116,8 @@ class AttentionTrace:
         )
         if data.shape != expected:
             raise TraceFormatError(f"trace data shape {data.shape} != {expected}")
-        if not np.all(np.isfinite(data)):
+        # one head block at a time keeps the check's mask small
+        if not all(np.isfinite(block).all() for block in _head_blocks(data)):
             raise TraceFormatError("trace contains NaN/Inf entries")
         data.flags.writeable = False
         self.header = header
@@ -237,23 +238,25 @@ def clustered_planted_heads(
     ]
 
 
-def _gen_clustered_layer(
-    rng: np.random.Generator,
-    planted: list[int],
-    num_heads: int,
-    seq_len: int,
-    head_dim: int,
-    spread: float,
-) -> np.ndarray:
+def _head_blocks(data: np.ndarray) -> np.ndarray:
+    """(R * n, 3, N, d) view of C-contiguous (R, n, 3, N, d) trace data."""
+    return data.reshape(-1, *data.shape[2:])
+
+
+def _fill_clustered_layer(
+    rng: np.random.Generator, planted: list[int], spread: float, out: np.ndarray
+) -> None:
+    """Draw one layer into `out`, a C-contiguous (n, 3, N, d) float64 array."""
+    num_heads, _, seq_len, head_dim = out.shape
     if head_dim < len(planted) + 1:
         raise ParameterError(
             f"clustered-heads needs head_dim >= planted + 1, got d={head_dim}"
         )
-    out = np.empty((num_heads, 3, seq_len, head_dim))
     rank = {h: i for i, h in enumerate(planted)}
     for h in range(num_heads):
-        q = rng.standard_normal((seq_len, head_dim))
-        k = rng.standard_normal((seq_len, head_dim))
+        q, k, v = out[h]
+        rng.standard_normal(out=q)
+        rng.standard_normal(out=k)
         if h in rank:
             direction = np.zeros(head_dim)
             direction[1 + rank[h]] = 1.0
@@ -263,64 +266,59 @@ def _gen_clustered_layer(
             direction[0] = 1.0
             amp = _CLUSTER_AMP_COMMON
         mags = _CLUSTER_BASE + amp * rng.uniform(-1.0, 1.0, size=seq_len)
-        v = mags[:, None] * direction[None, :]
+        np.multiply(mags[:, None], direction[None, :], out=v)
         if spread > 0:
-            v = v + spread * rng.standard_normal((seq_len, head_dim))
-        out[h, 0], out[h, 1], out[h, 2] = q, k, v
-    return out
+            v += spread * rng.standard_normal((seq_len, head_dim))
 
 
-def _gen_needle_layer(
-    rng: np.random.Generator,
-    profile: SyntheticProfile,
-    num_heads: int,
-    seq_len: int,
-    head_dim: int,
-) -> np.ndarray:
+def _fill_needle_layer(
+    rng: np.random.Generator, profile: SyntheticProfile, out: np.ndarray
+) -> None:
+    """Draw one layer into `out`, a C-contiguous (n, 3, N, d) float64 array."""
+    num_heads, _, seq_len, head_dim = out.shape
     tail = min(profile.tail_len, seq_len)
     if profile.needle_position > seq_len - tail:
         raise ParameterError(
             f"needle at {profile.needle_position} not visible to all of the "
             f"last {tail} rows of a length-{seq_len} sequence"
         )
-    out = np.empty((num_heads, 3, seq_len, head_dim))
     for h in range(num_heads):
-        q = rng.standard_normal((seq_len, head_dim))
-        k = rng.standard_normal((seq_len, head_dim))
-        v = rng.standard_normal((seq_len, head_dim))
+        q, k, v = out[h]
+        rng.standard_normal(out=q)
+        rng.standard_normal(out=k)
+        rng.standard_normal(out=v)
         axis = rng.standard_normal(head_dim)
         axis /= np.linalg.norm(axis)
         q[seq_len - tail :] = np.sqrt(head_dim) * axis
         k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
-        out[h, 0], out[h, 1], out[h, 2] = q, k, v
-    return out
 
 
 def gen_synthetic_trace(
     profile: SyntheticProfile, shape: tuple[int, int, int, int]
 ) -> AttentionTrace:
-    """Build a seeded synthetic trace of shape (R, n, N, d)."""
+    """Build a seeded synthetic trace of shape (R, n, N, d).
+
+    Layers are drawn straight into one preallocated float64 array, so the
+    peak is that array plus one head block.
+    """
     num_layers, num_heads, seq_len, head_dim = shape
     header = TraceHeader(num_layers, num_heads, seq_len, head_dim)
     if profile.kind == "clustered-heads" and profile.planted >= num_heads:
         raise ParameterError("clustered-heads needs planted < num_heads")
     rng = _rng(profile.seed, _STREAM_DATA)
-    layers = []
     if profile.kind == "clustered-heads":
         planted_per_layer = clustered_planted_heads(profile, num_layers, num_heads)
-    for r in range(num_layers):
+    data = np.empty((num_layers, num_heads, 3, seq_len, head_dim))
+    for r, layer in enumerate(data):
         if profile.kind == "uniform-random":
-            layer = rng.standard_normal((num_heads, 3, seq_len, head_dim))
+            rng.standard_normal(out=layer)
         elif profile.kind == "clustered-heads":
-            layer = _gen_clustered_layer(
-                rng, planted_per_layer[r], num_heads, seq_len, head_dim, profile.spread
-            )
+            _fill_clustered_layer(rng, planted_per_layer[r], profile.spread, layer)
         else:
-            layer = _gen_needle_layer(rng, profile, num_heads, seq_len, head_dim)
-        layers.append(layer)
-    data = np.stack(layers, axis=0)
-    # quantize once so in-memory floats are exactly the stored float32 values
-    data = data.astype(np.float32).astype(np.float64)
+            _fill_needle_layer(rng, profile, layer)
+        # quantize so in-memory floats are exactly the stored float32 values
+        for block in layer:
+            block[...] = block.astype(np.float32)
     return AttentionTrace(header, data)
 
 
@@ -335,8 +333,8 @@ def write_trace(trace: AttentionTrace, destination) -> int:
     sink, owned = _open_sink(destination)
     try:
         written = sink.write(trace.header.pack())
-        payload = np.ascontiguousarray(trace.data, dtype="<f4")
-        written += sink.write(payload.tobytes())
+        for block in _head_blocks(trace.data):
+            written += sink.write(block.astype("<f4").tobytes())
     finally:
         if owned:
             sink.close()
@@ -358,9 +356,10 @@ def read_trace(source) -> AttentionTrace:
 
 
 def _read_stream(stream) -> AttentionTrace:
-    raw = stream.read(HEADER_BYTES)
-    if len(raw) < HEADER_BYTES:
-        raise TraceTruncationError(HEADER_BYTES, len(raw), what="header")
+    raw = bytearray(HEADER_BYTES)
+    got = _read_into(stream, raw)
+    if got < HEADER_BYTES:
+        raise TraceTruncationError(HEADER_BYTES, got, what="header")
     magic, version, layers, heads, seq_len, head_dim, dtype_code = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -370,9 +369,40 @@ def _read_stream(stream) -> AttentionTrace:
         header = TraceHeader(layers, heads, seq_len, head_dim, version, dtype_code)
     except ParameterError as exc:
         raise TraceFormatError(str(exc)) from exc
-    payload = stream.read(header.payload_bytes)
-    if len(payload) < header.payload_bytes:
-        raise TraceTruncationError(header.payload_bytes, len(payload))
-    flat = np.frombuffer(payload, dtype="<f4")
-    data = flat.reshape(layers, heads, 3, seq_len, head_dim).astype(np.float64)
+    left = _bytes_left(stream)
+    if left is not None and left < header.payload_bytes:
+        # fail before allocating room for a payload that is not there
+        raise TraceTruncationError(header.payload_bytes, left)
+    # widen one head's float32 Q/K/V block at a time into the float64 array
+    data = np.empty((layers, heads, 3, seq_len, head_dim))
+    block = np.empty((3, seq_len, head_dim), dtype="<f4")
+    received = 0
+    for out in _head_blocks(data):
+        got = _read_into(stream, block)
+        received += got
+        if got < block.nbytes:
+            raise TraceTruncationError(header.payload_bytes, received)
+        out[...] = block
     return AttentionTrace(header, data)
+
+
+def _bytes_left(stream) -> int | None:
+    """Bytes from the stream's position to its end, or None if it cannot seek."""
+    if not stream.seekable():
+        return None
+    here = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(here)
+    return end - here
+
+
+def _read_into(stream, buffer) -> int:
+    """Fill `buffer` from `stream`; returns the bytes read, short only at end of stream."""
+    view = memoryview(buffer).cast("B")
+    got = 0
+    while got < len(view):
+        n = stream.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got

@@ -13,6 +13,7 @@ import pytest
 from semkv.allocator import (
     PolicyKind,
     apply_policy,
+    build_compressed_cache,
     middle_activation_count,
 )
 from semkv.cli import main as cli_main
@@ -187,7 +188,7 @@ def test_criterion_07_heterogeneous_exactness():
     """Heterogeneous heads under task-kv reproduce decode outputs exactly."""
     config, trace, result = _clustered_run(seed=4000, planted=2, budget_ratios=(0.4,))
     key = ("task-kv", 0.4)
-    fid = fidelity_eval(trace, result.caches[key], result.plans[key], 32)
+    fid = fidelity_eval(trace, result.plans[key], 32)
     het_errors = []
     for layer in result.profiles:
         for p in layer:
@@ -207,7 +208,7 @@ def test_criterion_08_monotone_fidelity():
     errors = []
     for ratio in budgets:
         key = ("task-kv", ratio)
-        fid = fidelity_eval(trace, result.caches[key], result.plans[key], 32)
+        fid = fidelity_eval(trace, result.plans[key], 32)
         errors.append(fid.mean_l2)
     for a, b in zip(errors, errors[1:]):
         assert b <= a + 1e-12
@@ -223,12 +224,8 @@ def test_criterion_09_comparative_dominance():
         config, trace, result = _clustered_run(
             seed=4200 + seed, planted=2, budget_ratios=(0.4,)
         )
-        task = fidelity_eval(
-            trace, result.caches[("task-kv", 0.4)], result.plans[("task-kv", 0.4)], 32
-        ).mean_l2
-        stream = fidelity_eval(
-            trace, result.caches[("streaming", 0.4)], result.plans[("streaming", 0.4)], 32
-        ).mean_l2
+        task = fidelity_eval(trace, result.plans[("task-kv", 0.4)], 32).mean_l2
+        stream = fidelity_eval(trace, result.plans[("streaming", 0.4)], 32).mean_l2
         assert task < stream
         wins.append((task, stream))
     announce(9, "task-kv < streaming mean decode error, 10/10 seeds "
@@ -256,17 +253,13 @@ def test_criterion_10_selective_beats_compressed():
         )
         trace = load_trace_for(config)
         result = compress_run(config, trace)
-        selective = result.caches[("task-kv", 0.4)]
-        compressed = result.caches[("compressed-cache", 0.4)]
+        selective = build_compressed_cache(trace, result.plans[("task-kv", 0.4)])
+        compressed = build_compressed_cache(trace, result.plans[("compressed-cache", 0.4)])
         sel_tokens = sum(len(e.positions) for layer in selective.entries for e in layer)
         comp_tokens = sum(len(e.positions) for layer in compressed.entries for e in layer)
         assert sel_tokens == comp_tokens  # budget-matched comparison
-        sel = fidelity_eval(
-            trace, selective, result.plans[("task-kv", 0.4)], 32
-        ).mean_l2
-        comp = fidelity_eval(
-            trace, compressed, result.plans[("compressed-cache", 0.4)], 32
-        ).mean_l2
+        sel = fidelity_eval(trace, result.plans[("task-kv", 0.4)], 32).mean_l2
+        comp = fidelity_eval(trace, result.plans[("compressed-cache", 0.4)], 32).mean_l2
         assert sel <= comp
     announce(10, "selective middle activations <= compressed group means, 10/10 seeds")
 

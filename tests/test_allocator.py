@@ -10,6 +10,7 @@ from semkv.allocator import (
     build_compressed_cache,
     memory_footprint,
     middle_activation_count,
+    plans_footprint,
     pool_scores,
     select_retained_indices,
 )
@@ -18,6 +19,7 @@ from semkv.errors import (
     CacheConsistencyError,
     InfeasibleBudgetError,
     ParameterError,
+    PlanFormatError,
 )
 from semkv.separator import HeadClass
 from semkv.trace import (
@@ -528,6 +530,21 @@ class TestMemoryFootprint:
         assert mem.ratio_vs_full <= 0.4 + 8 / (128 * 8)
 
 
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_plan_accounting_equals_built_cache_rows(self, policy):
+        trace = small_trace(seed=53, shape=(2, 8, 128, 8), kind="clustered-heads", planted=2)
+        classes = classes_with_het(8, {0, 1})
+        plans = [
+            apply_policy(r, trace.layer_heads(r), classes, policy, 0.5, 2, 4, 8, 3)
+            for r in range(2)
+        ]
+        cache = build_compressed_cache(trace, plans)
+        assert plans_footprint(trace, plans) == memory_footprint(cache)
+        for r, plan in enumerate(plans):
+            for h in range(8):
+                assert plan.head_tokens(h) == len(cache.entry(r, h).positions)
+
+
 class TestPlanSerialization:
     def test_json_round_trip(self):
         trace = small_trace(seed=60)
@@ -542,3 +559,21 @@ class TestPlanSerialization:
                 assert clone.per_head_groups is None
             else:
                 assert clone.per_head_groups == plan.per_head_groups
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda d: d.update(policy="magic"), "magic"),
+            (lambda d: d["head_classes"].__setitem__(0, "chaotic"), "chaotic"),
+            (lambda d: d.pop("middle_k"), "middle_k"),
+            (lambda d: d.update(per_head_groups=[[[1]]] * 4), "bad plan"),
+        ],
+        ids=["policy", "head-class", "missing-key", "group-shape"],
+    )
+    def test_malformed_plan_raises_plan_format_error(self, edit, needle):
+        trace = small_trace(seed=61)
+        plan = plan_for(trace, classes_with_het(4, {1}), PolicyKind.COMPRESSED_CACHE, 0.5)
+        d = plan.to_json_dict()
+        edit(d)
+        with pytest.raises(PlanFormatError, match=needle):
+            BudgetPlan.from_json_dict(d)

@@ -123,6 +123,44 @@ class TestEval:
         assert code == 1
         assert json.loads(err)["error"] == "CacheConsistencyError"
 
+    def eval_edited_plans(self, trace_file, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        plans_path = out / "plans_task-kv_0.5.json"
+        payload = json.loads(plans_path.read_text())
+        edit(payload["layers"][0])
+        plans_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_file), "--plans", str(plans_path),
+            "--out", str(out),
+        )
+        assert code == 1
+        return json.loads(err)
+
+    def test_unknown_policy_in_plans_fails_with_json_error(self, trace_file, tmp_path, capsys):
+        error = self.eval_edited_plans(
+            trace_file, tmp_path, capsys, lambda layer: layer.update(policy="magic")
+        )
+        assert error["error"] == "PlanFormatError"
+        assert "magic" in error["message"]
+
+    def test_unknown_head_class_in_plans_fails_with_json_error(
+        self, trace_file, tmp_path, capsys
+    ):
+        def edit(layer):
+            layer["head_classes"][0] = "chaotic"
+
+        error = self.eval_edited_plans(trace_file, tmp_path, capsys, edit)
+        assert error["error"] == "PlanFormatError"
+        assert "chaotic" in error["message"]
+
+    def test_missing_plan_key_fails_with_json_error(self, trace_file, tmp_path, capsys):
+        error = self.eval_edited_plans(
+            trace_file, tmp_path, capsys, lambda layer: layer.pop("sinks")
+        )
+        assert error["error"] == "PlanFormatError"
+        assert "sinks" in error["message"]
+
 
 class TestContrib:
     def test_writes_bound_report(self, tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Pipeline orchestration, fidelity metrics, and report export."""
 
+import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from semkv.allocator import PolicyKind, build_compressed_cache, memory_footprint
-from semkv.errors import ParameterError
+from semkv.errors import CacheConsistencyError, ParameterError
 from semkv.harness import (
     EvalReport,
     RunConfig,
@@ -17,11 +19,21 @@ from semkv.harness import (
     export_pca_csv,
     export_report,
     fidelity_eval,
+    _rows_cosine,
     load_trace_for,
     run_all,
 )
+from semkv.linalg import masked_softmax
 from semkv.separator import HeadClass
-from semkv.trace import SyntheticProfile, clustered_planted_heads, gen_synthetic_trace
+from semkv.trace import (
+    AttentionTrace,
+    SyntheticProfile,
+    TraceHeader,
+    clustered_planted_heads,
+    gen_synthetic_trace,
+)
+
+ALL_POLICIES = tuple(PolicyKind)
 
 
 def clustered_config(seed=0, planted=2, shape=(2, 8, 128, 8), **overrides):
@@ -87,8 +99,7 @@ class TestFidelityEval:
         cfg = clustered_config(seed=6, policies=(PolicyKind.FULL,), budget_ratios=(1.0,))
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
-        fid = fidelity_eval(trace, result.caches[("full", 1.0)],
-                            result.plans[("full", 1.0)], 8)
+        fid = fidelity_eval(trace, result.plans[("full", 1.0)], 8)
         assert fid.mean_l2 == 0.0
         assert fid.mean_cosine == 1.0
 
@@ -96,8 +107,7 @@ class TestFidelityEval:
         cfg = clustered_config(seed=7, policies=(PolicyKind.TASK_KV,), budget_ratios=(0.6,))
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
-        fid = fidelity_eval(trace, result.caches[("task-kv", 0.6)],
-                            result.plans[("task-kv", 0.6)], 8)
+        fid = fidelity_eval(trace, result.plans[("task-kv", 0.6)], 8)
         for r, layer in enumerate(result.profiles):
             for p in layer:
                 if p.head_class == HeadClass.HETEROGENEOUS:
@@ -114,8 +124,7 @@ class TestFidelityEval:
         result = compress_run(cfg, trace)
         errors = []
         for ratio in cfg.budget_ratios:
-            fid = fidelity_eval(trace, result.caches[("task-kv", ratio)],
-                                result.plans[("task-kv", ratio)], 8)
+            fid = fidelity_eval(trace, result.plans[("task-kv", ratio)], 8)
             errors.append(fid.mean_l2)
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
@@ -125,7 +134,7 @@ class TestFidelityEval:
         result = compress_run(cfg, trace)
         key = ("task-kv", 0.6)
         with pytest.raises(ParameterError):
-            fidelity_eval(trace, result.caches[key], result.plans[key], 65)
+            fidelity_eval(trace, result.plans[key], 65)
 
     def test_compressed_cache_attends_synthetic_rows(self):
         cfg = clustered_config(
@@ -133,8 +142,7 @@ class TestFidelityEval:
         )
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
-        fid = fidelity_eval(trace, result.caches[("compressed-cache", 0.6)],
-                            result.plans[("compressed-cache", 0.6)], 8)
+        fid = fidelity_eval(trace, result.plans[("compressed-cache", 0.6)], 8)
         assert np.isfinite(fid.per_head_l2).all()
         assert (fid.per_head_cosine <= 1 + 1e-12).all()
 
@@ -150,14 +158,129 @@ class TestFidelityEval:
             trace = load_trace_for(cfg)
             result = compress_run(cfg, trace)
             for other, dq in before:
-                fidelity_eval(trace, result.caches[other], result.plans[other], dq)
-            return fidelity_eval(trace, result.caches[key], result.plans[key], 8)
+                fidelity_eval(trace, result.plans[other], dq)
+            return fidelity_eval(trace, result.plans[key], 8)
 
         first = evaluate([])
         for before in ([(k, 8) for k in others], [(key, 5)], [(others[0], 12)]):
             again = evaluate(before)
             assert np.array_equal(again.per_head_l2, first.per_head_l2)
             assert np.array_equal(again.per_head_cosine, first.per_head_cosine)
+
+
+def cache_oracle_fidelity(trace, plans, decode_queries):
+    """Reference fidelity: build the whole cache, then score every head's entry."""
+    cache = build_compressed_cache(trace, plans)
+    full = trace.full_decode_outputs(decode_queries)
+    first_row = trace.seq_len - decode_queries
+    l2 = np.empty((trace.num_layers, trace.num_heads))
+    cos = np.empty((trace.num_layers, trace.num_heads))
+    for r in range(trace.num_layers):
+        for h, inputs in enumerate(trace.layer_heads(r)):
+            entry = cache.entry(r, h)
+            q = inputs.queries[first_row:]
+            scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
+            visible = (
+                entry.positions[None, :] <= (first_row + np.arange(decode_queries))[:, None]
+            )
+            retained_out = masked_softmax(scores, visible) @ entry.values
+            diff = full[r, h] - retained_out
+            l2[r, h] = float(np.linalg.norm(diff, axis=1).mean())
+            cos[r, h] = float(_rows_cosine(full[r, h], retained_out).mean())
+    return l2, cos
+
+
+def fortran_float64_trace(seed, shape):
+    """Fortran-ordered float64 trace with magnitudes spread over six decades."""
+    rng = np.random.default_rng(seed)
+    r, n, seq_len, d = shape
+    size = (r, n, 3, seq_len, d)
+    data = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+    return AttentionTrace(TraceHeader(r, n, seq_len, d), np.asfortranarray(data))
+
+
+class TestFidelityFromPlans:
+    TRACES = {
+        "clustered": lambda: gen_synthetic_trace(
+            SyntheticProfile("clustered-heads", seed=20, planted=2), (2, 8, 128, 8)
+        ),
+        "head-dim-1": lambda: gen_synthetic_trace(
+            SyntheticProfile("uniform-random", seed=21), (2, 8, 128, 1)
+        ),
+        "fortran-float64": lambda: fortran_float64_trace(22, (2, 8, 128, 6)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_equals_whole_cache_oracle_bit_for_bit(self, name):
+        trace = self.TRACES[name]()
+        cfg = clustered_config(policies=ALL_POLICIES, budget_ratios=(0.4, 0.7, 1.0))
+        result = compress_run(cfg, trace)
+        assert len(result.plans) == 18
+        for plans in result.plans.values():
+            fid = fidelity_eval(trace, plans, 8)
+            l2, cos = cache_oracle_fidelity(trace, plans, 8)
+            assert np.array_equal(fid.per_head_l2, l2)
+            assert np.array_equal(fid.per_head_cosine, cos)
+
+    def test_layer_count_mismatch_rejected(self):
+        cfg = clustered_config(seed=23)
+        trace = load_trace_for(cfg)
+        plans = compress_run(cfg, trace).plans[("task-kv", 0.6)]
+        with pytest.raises(CacheConsistencyError):
+            fidelity_eval(trace, plans[:1], 8)
+
+
+class TestPlanMemory:
+    def test_memory_tokens_equal_built_cache_rows(self):
+        cfg = clustered_config(
+            seed=24, policies=ALL_POLICIES, budget_ratios=(0.4, 0.7, 1.0)
+        )
+        trace = load_trace_for(cfg)
+        report, result = run_all(cfg, trace, return_result=True)
+        assert len(report.policies) == 18
+        for entry in report.policies:
+            plans = result.plans[(entry["policy"], entry["budget_ratio"])]
+            cache = build_compressed_cache(trace, plans)
+            mem = memory_footprint(cache)
+            assert entry["memory"] == {
+                "tokens_retained": mem.tokens_retained,
+                "bytes": mem.bytes,
+                "ratio_vs_full": mem.ratio_vs_full,
+            }
+            for r, layer in enumerate(entry["fidelity"]["per_head"]):
+                rows = [len(cache.entry(r, h).positions) for h in range(trace.num_heads)]
+                assert [cell["retained_tokens"] for cell in layer] == rows
+
+    def test_run_all_holds_one_head_entry_at_a_time(self):
+        shape = (2, 16, 256, 128)
+        cfg = clustered_config(
+            seed=25, shape=shape, policies=ALL_POLICIES, budget_ratios=(0.5, 0.7),
+            beta=3 / 16, top_t=256,
+        )
+        # a small run first, so modules numpy imports on first use are not counted
+        small = dataclasses.replace(cfg, shape=(2, 16, 64, 8), top_t=64)
+        run_all(small, load_trace_for(small))
+        trace = load_trace_for(cfg)
+        tracemalloc.start()
+        try:
+            kept = run_all(cfg, trace, return_result=True)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # above what the run keeps (plans, report, memoized full outputs), the
+        # peak is one head's entry with its gather and sort temporaries
+        head_kv_bytes = 2 * shape[2] * shape[3] * 8
+        allowance = 4 * head_kv_bytes
+        assert peak - held <= allowance
+        # and far below the rows any single cell other than full copies
+        for (policy, _), plans in kept[1].plans.items():
+            entries = [e for layer in build_compressed_cache(trace, plans).entries for e in layer]
+            owned = sum(
+                e.keys.nbytes + e.values.nbytes
+                for e in entries
+                if not np.shares_memory(e.keys, trace.data)
+            )
+            assert policy == "full" or allowance < owned / 2
 
 
 class TestEvalReport:

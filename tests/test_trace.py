@@ -1,6 +1,8 @@
 """Trace format round-trips, corruption handling, synthetic ground truths."""
 
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,19 @@ def trace_bytes(trace):
     buf = io.BytesIO()
     write_trace(trace, buf)
     return buf.getvalue()
+
+
+class TrickleStream(io.RawIOBase):
+    """Non-seekable stream that returns at most 7 bytes per read, like a pipe."""
+
+    def __init__(self, data):
+        self._source = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._source.readinto(memoryview(buffer)[:7])
 
 
 class TestFileFormat:
@@ -87,6 +102,32 @@ class TestFileFormat:
         assert str(1 * 1 * 3 * 2 * 2 * 4) in str(err.value)
         assert str(1 * 1 * 3 * 2 * 2 * 4 - 4) in str(err.value)
 
+    def test_non_seekable_stream_with_short_reads(self):
+        trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=9), (2, 3, 4, 3))
+        assert read_trace(TrickleStream(trace_bytes(trace))) == trace
+
+    @pytest.mark.parametrize("cut", [1, 10, 500])
+    @pytest.mark.parametrize("wrap", [bytes, TrickleStream], ids=["bytes", "trickle"])
+    def test_truncation_past_the_first_head_block_counts_every_byte(self, cut, wrap):
+        data = trace_bytes(
+            gen_synthetic_trace(SyntheticProfile("uniform-random", seed=7), (2, 3, 4, 3))
+        )
+        payload = len(data) - HEADER_BYTES
+        with pytest.raises(TraceTruncationError) as err:
+            read_trace(wrap(data[:-cut]))
+        assert (err.value.expected, err.value.actual) == (payload, payload - cut)
+        assert f"expected {payload} bytes, got {payload - cut}" in str(err.value)
+
+    def test_header_claiming_more_than_the_stream_holds(self, tmp_path):
+        # 12 TB of declared payload fails as truncation, before any allocation
+        header = TraceHeader(1000, 1000, 1000, 1000).pack()
+        path = tmp_path / "t.tkv"
+        path.write_bytes(header + bytes(64))
+        for source in (header + bytes(64), path):
+            with pytest.raises(TraceTruncationError) as err:
+                read_trace(source)
+            assert (err.value.expected, err.value.actual) == (12 * 10**12, 64)
+
     def test_truncated_header(self):
         with pytest.raises(TraceTruncationError):
             read_trace(b"TKV1\x01")
@@ -114,6 +155,67 @@ class TestSyntheticDeterminism:
         a = trace_bytes(gen_synthetic_trace(SyntheticProfile("uniform-random", seed=1), shape))
         b = trace_bytes(gen_synthetic_trace(SyntheticProfile("uniform-random", seed=2), shape))
         assert a != b
+
+
+class TestFrozenBytes:
+    """Generator output is fixed: these digests were taken from an earlier
+    generator that drew each layer separately and quantized the stacked
+    array at the end."""
+
+    CASES = [
+        ("uniform-random", dict(seed=21), (2, 3, 40, 5),
+         "8df6446d38b6e9bf6dd50ba960569a7730e1eb0aa4a600fcb14911bdb0bc0cd2"),
+        ("uniform-random", dict(seed=22), (1, 2, 9, 1),
+         "35ac3936af86e16293ede4fa37c898c3779ade29202e043ffdeec03ced251710"),
+        ("clustered-heads", dict(seed=23, planted=2), (2, 4, 40, 5),
+         "76c23e102c3410ae7236a410fb6915053e857bcd99661784dc964da09fe0d4fe"),
+        ("clustered-heads", dict(seed=24, planted=1, spread=0.1), (2, 4, 40, 5),
+         "ab23791610f44400f81bbc556641692019ab6e4376a5e27436d14bb7ccc85601"),
+        ("planted-needle", dict(seed=25, needle_position=5, tail_len=8), (2, 3, 40, 5),
+         "0a7813153e196e6c8d66bba35daec67a91a36538855790b40dd4f996c94351ab"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, fields, shape, digest", CASES,
+        ids=["uniform", "uniform-d1", "clustered", "clustered-spread", "needle"],
+    )
+    def test_written_bytes_match_frozen_digest(self, kind, fields, shape, digest):
+        data = trace_bytes(gen_synthetic_trace(SyntheticProfile(kind, **fields), shape))
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    SHAPE = (2, 8, 256, 16)
+    # one head's Q/K/V block in float64
+    HEAD_BLOCK = 3 * 256 * 16 * 8
+
+    @pytest.mark.parametrize("kind", ["uniform-random", "clustered-heads", "planted-needle"])
+    def test_generator_peak_is_data_plus_one_head_block(self, kind):
+        profile = SyntheticProfile(kind, seed=3, spread=0.1, tail_len=16)
+        trace, peak = traced_peak(gen_synthetic_trace, profile, self.SHAPE)
+        assert peak <= trace.data.nbytes + self.HEAD_BLOCK
+
+    def test_writer_peak_is_one_head_block(self, tmp_path):
+        trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=4), self.SHAPE)
+        # a float32 copy of one head block plus its bytes, and file buffering
+        _, peak = traced_peak(write_trace, trace, tmp_path / "t.tkv")
+        assert peak <= 2 * self.HEAD_BLOCK
+
+    def test_reader_peak_is_data_plus_one_head_block(self, tmp_path):
+        path = tmp_path / "t.tkv"
+        trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=5), self.SHAPE)
+        write_trace(trace, path)
+        trace, peak = traced_peak(read_trace, path)
+        assert peak <= trace.data.nbytes + self.HEAD_BLOCK
 
 
 class TestClusteredHeads:
