@@ -205,15 +205,16 @@ def apply_policy(
 ) -> BudgetPlan:
     """Build the retained-index plan for one layer.
 
-    `heads` is the layer's per-head AttentionInputs; `scores` may carry
-    precomputed window scores to avoid recomputation.
+    `scores` carries the layer's per-head window scores; without them they
+    are computed from `heads`, the layer's per-head AttentionInputs, which
+    may be None when `scores` is given.
     """
     try:
         policy = PolicyKind(policy)
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
-    n = len(heads)
-    seq_len = heads[0].seq_len
+    given = heads if scores is None else scores
+    n, seq_len = len(given), given[0].seq_len
     if not 0 < budget_ratio <= 1:
         raise ParameterError(f"budget_ratio {budget_ratio} outside (0, 1]")
     budget = int(np.floor(budget_ratio * seq_len * n))
@@ -369,21 +370,23 @@ def _check_groups(groups, seq_len: int, where: str) -> None:
 
 
 def _group_means(rows: np.ndarray, groups) -> np.ndarray:
-    """Mean row of each checked [start, stop) group of C-contiguous `rows`.
+    """Float64 mean row of each checked [start, stop) group of C-contiguous `rows`.
 
-    Groups of one length are gathered into a (groups, length, d) block and
-    reduced over its middle axis, which adds in the order that
-    `rows[a:b].mean(axis=0)` uses for every head_dim (row by row, or
-    pairwise when d == 1), so the two agree bit for bit. np.add.reduceat
-    and cumsum differences add in other orders and round differently on
-    float64 data. Plans from `_middle_groups` have at most two lengths.
+    Groups of one length are gathered into a (groups, length, d) block,
+    widened to float64 and reduced over its middle axis, which adds in the
+    order that `rows[a:b].mean(axis=0)` uses on float64 rows for every
+    head_dim (row by row, or pairwise when d == 1), so the two agree bit
+    for bit, and float32 rows give the bits of the same values in float64.
+    np.add.reduceat and cumsum differences add in other orders and round
+    differently on float64 data. Plans from `_middle_groups` have at most
+    two lengths.
     """
     bounds = np.asarray(groups, dtype=np.intp)
     starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     means = np.empty((len(bounds), rows.shape[1]))
     for length in np.unique(lengths):
         pick = lengths == length
-        block = rows[starts[pick, None] + np.arange(length)]
+        block = np.asarray(rows[starts[pick, None] + np.arange(length)], dtype=np.float64)
         means[pick] = np.add.reduce(block, axis=1) / length
     return means
 
@@ -417,7 +420,8 @@ def build_head_entry(
 
     `plan` is layer `layer`'s plan, already passed through `check_plans`. A
     head that keeps every position holds read-only views of the trace's
-    rows; other heads hold copies of the rows they keep.
+    rows, in the trace's dtype; other heads hold float64 copies of the rows
+    they keep, gathered from the trace and then widened.
     """
     n_seq = trace.seq_len
     where = f"layer {layer} head {head}"
@@ -430,7 +434,9 @@ def build_head_entry(
     synthetic = np.zeros(idx.size, dtype=bool)
     if keeps_every_position(plan, head, n_seq):
         return CacheEntry(keys, values, idx, synthetic)
-    k_rows, v_rows, positions = keys[idx], values[idx], idx
+    k_rows = np.asarray(keys[idx], dtype=np.float64)
+    v_rows = np.asarray(values[idx], dtype=np.float64)
+    positions = idx
     if groups:
         k_rows = np.concatenate([k_rows, _group_means(keys, groups)])
         v_rows = np.concatenate([v_rows, _group_means(values, groups)])

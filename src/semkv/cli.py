@@ -157,11 +157,31 @@ def _profile_from(args, file_cfg: dict) -> SyntheticProfile | None:
     return SyntheticProfile(kind=kind, **merged)
 
 
+# a config file holds what `RunConfig.to_json_dict` writes, and nothing else
+_FILE_KEYS = frozenset(RunConfig().to_json_dict())
+_PROFILE_KEYS = frozenset(
+    RunConfig(profile=SyntheticProfile("uniform-random")).to_json_dict()["profile"]
+)
+
+
+def _read_config_file(path: str) -> dict:
+    with open(path) as f:
+        file_cfg = json.load(f)
+    if not isinstance(file_cfg, dict):
+        raise ParameterError(f"config {path}: expected a JSON object")
+    unknown = sorted(set(file_cfg) - _FILE_KEYS)
+    profile = file_cfg.get("profile")
+    if isinstance(profile, dict):
+        unknown += sorted(f"profile.{k}" for k in set(profile) - _PROFILE_KEYS)
+    if unknown:
+        raise ParameterError(f"config {path}: unknown key(s) {', '.join(unknown)}")
+    return file_cfg
+
+
 def _config_from(args) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            file_cfg = json.load(f)
+        file_cfg = _read_config_file(args.config)
     cfg = RunConfig()
     for key in _CONFIG_KEYS:
         if file_cfg.get(key) is not None:

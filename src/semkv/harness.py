@@ -29,14 +29,16 @@ from .allocator import (
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import ParameterError, SemkvError
-from .linalg import masked_softmax, pca_2d
+from .linalg import AttentionInputs, masked_softmax, pca_2d
 from .separator import (
     HeadProfile,
     HeterogeneitySchedule,
+    SemanticVector,
     WindowScores,
+    approx_semantic_vector,
     build_layer_profiles,
     heterogeneous_schedule,
-    window_column_scores,
+    window_weights,
 )
 from .trace import AttentionTrace, SyntheticProfile, gen_synthetic_trace, read_trace
 
@@ -114,48 +116,75 @@ class RunResult:
     plans: dict[tuple[str, float], list[BudgetPlan]]
 
 
+def _window_pass(
+    inputs: AttentionInputs, window_len: int, top_t: int, decode_out: np.ndarray | None
+) -> tuple[WindowScores, SemanticVector]:
+    """One head's window scores and top-t semantic vector; with `decode_out`,
+    also the window rows' attention outputs, written into it. The widened
+    inputs die with the call, so one head's float64 copy is alive at a time."""
+    weights = window_weights(inputs, window_len)
+    scores = WindowScores.from_weights(weights)
+    if decode_out is not None:
+        decode_out[...] = weights @ inputs.values
+    return scores, approx_semantic_vector(scores, inputs.values, top_t)
+
+
 def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
-    """Window scores -> semantic vectors -> classification -> plans."""
+    """Window scores -> semantic vectors -> classification -> plans.
+
+    One pass over the heads widens each head's Q/K/V once and takes, from
+    one masked softmax over its observation window, the window scores, the
+    top-t semantic vector and, when the decode rows are the window rows (the
+    default), the head's full-cache decode output, which the trace keeps for
+    `fidelity_eval`. The policies then plan every (policy, budget) cell from
+    the window scores alone.
+    """
     n = trace.num_heads
     schedule = heterogeneous_schedule(n, config.beta, config.top_m, trace.num_layers)
+    window_len = min(config.window_len, trace.seq_len)
+    decode = None
+    if min(config.resolved_decode_queries(), trace.seq_len) == window_len >= 1:
+        decode = np.empty((trace.num_layers, n, window_len, trace.head_dim))
     profiles: list[list[HeadProfile]] = []
     all_scores = []
-    window_len = min(config.window_len, trace.seq_len)
     for r in range(trace.num_layers):
-        heads = trace.layer_heads(r)
+        scores, vectors = [], []
         try:
-            scores = [window_column_scores(h, window_len) for h in heads]
-            profiles.append(
-                build_layer_profiles(
-                    r, heads, window_len, config.top_t,
-                    schedule.count_for_layer(r), scores=scores,
+            for h in range(n):
+                # no local name holds the widened inputs past the call
+                score, vector = _window_pass(
+                    trace.head_inputs(r, h),
+                    window_len,
+                    config.top_t,
+                    None if decode is None else decode[r, h],
                 )
-            )
+                scores.append(score)
+                vectors.append(vector)
+            profiles.append(build_layer_profiles(r, vectors, schedule.count_for_layer(r)))
         except SemkvError as exc:
             raise type(exc)(f"layer {r}: {exc}") from exc
         all_scores.append(scores)
+    if decode is not None:
+        trace.keep_decode_outputs(window_len, decode)
 
     plans: dict[tuple[str, float], list[BudgetPlan]] = {}
     for policy in config.policies:
         for ratio in config.budget_ratios:
-            layer_plans = []
-            for r in range(trace.num_layers):
-                classes = [p.head_class for p in profiles[r]]
-                layer_plans.append(
-                    apply_policy(
-                        r,
-                        trace.layer_heads(r),
-                        classes,
-                        policy,
-                        ratio,
-                        config.sinks,
-                        config.recents,
-                        window_len,
-                        config.kernel,
-                        scores=all_scores[r],
-                    )
+            plans[(PolicyKind(policy).value, ratio)] = [
+                apply_policy(
+                    r,
+                    None,
+                    [p.head_class for p in profiles[r]],
+                    policy,
+                    ratio,
+                    config.sinks,
+                    config.recents,
+                    window_len,
+                    config.kernel,
+                    scores=all_scores[r],
                 )
-            plans[(PolicyKind(policy).value, ratio)] = layer_plans
+                for r in range(trace.num_layers)
+            ]
     return RunResult(schedule, profiles, all_scores, plans)
 
 
@@ -190,9 +219,10 @@ def fidelity_eval(
     """Decode-attention reconstruction error of the plans' cache vs the full one.
 
     Each head's cache entry is built, scored and dropped before the next, so
-    at most one head's entry is alive at a time. A head that keeps every
-    position attends exactly like the full cache, so its scores come from
-    the memoized full outputs without building its entry.
+    at most one head's entry is alive at a time; its rows and the decode
+    queries are gathered from the trace and widened to float64. A head that
+    keeps every position attends exactly like the full cache, so its scores
+    come from the memoized full outputs without building its entry.
     """
     plans = check_plans(trace, plans)
     full = trace.full_decode_outputs(decode_queries)  # validates decode_queries
@@ -200,7 +230,7 @@ def fidelity_eval(
     l2 = np.empty((trace.num_layers, trace.num_heads))
     cos = np.empty((trace.num_layers, trace.num_heads))
     for r, plan in enumerate(plans):
-        for h, inputs in enumerate(trace.layer_heads(r)):
+        for h in range(trace.num_heads):
             full_out = full[r, h]
             if keeps_every_position(plan, h, trace.seq_len):
                 l2[r, h] = 0.0
@@ -208,7 +238,7 @@ def fidelity_eval(
                 cos[r, h] = float(_rows_cosine(full_out, full_out).mean())
                 continue
             entry = build_head_entry(trace, plan, r, h)
-            q = inputs.queries[first_row:]
+            q = np.asarray(trace.data[r, h, 0, first_row:], dtype=np.float64)
             scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
             visible = (
                 entry.positions[None, :]

@@ -27,14 +27,20 @@ class WindowScores:
     """Column-mean attention mass from the last `window_len` query rows.
 
     `column_means` sums to at most 1 (each averaged row sums to 1; columns
-    blocked for every window row contribute 0). `selected` is filled by the
-    top-t step, None until then.
+    blocked for every window row contribute 0).
     """
 
     window_len: int
     column_means: np.ndarray
-    top_t: int | None = None
-    selected: np.ndarray | None = None
+
+    @classmethod
+    def from_weights(cls, weights: np.ndarray) -> "WindowScores":
+        """Scores of a (window_len, N) block of window attention weights."""
+        return cls(window_len=weights.shape[0], column_means=weights.mean(axis=0))
+
+    @property
+    def seq_len(self) -> int:
+        return self.column_means.shape[0]
 
 
 @dataclass(frozen=True)
@@ -76,17 +82,21 @@ def semantic_vector_full(inputs: AttentionInputs) -> SemanticVector:
     return SemanticVector(values=col_means @ inputs.values, source="exact")
 
 
-def window_column_scores(inputs: AttentionInputs, window_len: int) -> WindowScores:
-    """Per-key attention mass averaged over the last `window_len` query rows."""
+def window_weights(inputs: AttentionInputs, window_len: int) -> np.ndarray:
+    """Attention of the last `window_len` query rows over every key, (window_len, N)."""
     n = inputs.seq_len
     if not 1 <= window_len <= n:
         raise ParameterError(f"window_len {window_len} outside [1, {n}]")
-    weights = attention_weights(
+    return attention_weights(
         inputs,
         CausalMask.window(window_len, n),
         query_rows=range(n - window_len, n),
     )
-    return WindowScores(window_len=window_len, column_means=weights.mean(axis=0))
+
+
+def window_column_scores(inputs: AttentionInputs, window_len: int) -> WindowScores:
+    """Per-key attention mass averaged over the last `window_len` query rows."""
+    return WindowScores.from_weights(window_weights(inputs, window_len))
 
 
 def top_t_indices(values: np.ndarray, t: int) -> np.ndarray:
@@ -113,16 +123,6 @@ def approx_semantic_vector(
     selected = top_t_indices(scores.column_means, t)
     vec = scores.column_means[selected] @ values[selected]
     return SemanticVector(values=vec, source="approximated")
-
-
-def select_top_t(scores: WindowScores, t: int) -> WindowScores:
-    """Copy of `scores` with the top-t selection filled in."""
-    return WindowScores(
-        window_len=scores.window_len,
-        column_means=scores.column_means,
-        top_t=t,
-        selected=top_t_indices(scores.column_means, t),
-    )
 
 
 def head_distances(vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -193,26 +193,16 @@ def classify_heads(distances: np.ndarray, f_r: int) -> list[HeadClass]:
 
 
 def build_layer_profiles(
-    layer: int,
-    heads,
-    window_len: int,
-    top_t: int,
-    f_r: int,
-    scores=None,
+    layer: int, vectors: list[SemanticVector], f_r: int
 ) -> list[HeadProfile]:
-    """Approximated semantic vectors -> distances -> classification for one layer.
+    """Distances to the layer's semantic center -> classification for one layer.
 
-    `scores` may carry precomputed window scores; f_r == 0 marks every head
-    non-heterogeneous without invoking the ranking rule.
+    f_r == 0 marks every head non-heterogeneous without invoking the
+    ranking rule.
     """
-    if scores is None:
-        scores = [window_column_scores(h, window_len) for h in heads]
-    vectors = [
-        approx_semantic_vector(s, h.values, top_t) for s, h in zip(scores, heads)
-    ]
     _, distances = head_distances(vectors)
     if f_r == 0:
-        classes = [HeadClass.NON_HETEROGENEOUS] * len(heads)
+        classes = [HeadClass.NON_HETEROGENEOUS] * len(vectors)
     else:
         classes = classify_heads(distances, f_r)
     return [
@@ -223,5 +213,5 @@ def build_layer_profiles(
             distance_to_center=float(distances[h]),
             head_class=classes[h],
         )
-        for h in range(len(heads))
+        for h in range(len(vectors))
     ]

@@ -13,9 +13,11 @@ File layout (all little-endian):
     24      ...   payload: for each layer, for each head: Q then K then V,
                   each an N x d row-major float32 block
 
-Payload size is exactly R * n * 3 * N * d * 4 bytes. Tensors are widened
-to float64 in memory for computation; synthetic generators quantize to
-float32 at generation time so write -> read round-trips are bit-exact.
+Payload size is exactly R * n * 3 * N * d * 4 bytes. Traces read from files
+or drawn by the generators hold the float32 values at rest; each head's
+Q/K/V is widened to float64 (exactly) only when that head is computed on.
+Generators draw in float64 and quantize to float32 at generation time, so
+write -> read round-trips are bit-exact.
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -96,17 +98,22 @@ class TraceHeader:
 class AttentionTrace:
     """Per-layer, per-head Q/K/V tensors; the unit of input.
 
-    `data` has shape (R, n, 3, N, d) float64 where axis 2 orders Q, K, V.
-    It is a read-only view, so everything derived from it (the per-head
-    `AttentionInputs` views and the full-cache decode outputs) is computed
-    once, on first use, and shared by every caller. It is C-contiguous, so
-    results depend on the values alone, not on the caller's memory layout.
-    A C-contiguous float64 array passed in is not copied, and its owner
-    must therefore leave it unchanged.
+    `data` has shape (R, n, 3, N, d) where axis 2 orders Q, K, V. float32
+    input stays float32 (the at-rest form of every file and generator
+    trace); any other dtype is widened to float64. `head_inputs` widens one
+    head to float64 for computation, which is exact, so every result is the
+    same as on a float64 trace of the same values. `data` is a read-only,
+    C-contiguous view, so results depend on the values alone, not on the
+    caller's memory layout. A C-contiguous float32 or float64 array passed
+    in is not copied, and its owner must therefore leave it unchanged. The
+    full-cache decode outputs are computed once per query count and shared
+    by every caller.
     """
 
     def __init__(self, header: TraceHeader, data: np.ndarray):
-        data = np.ascontiguousarray(data, dtype=np.float64).view()
+        data = np.asarray(data)
+        dtype = np.float32 if data.dtype == np.float32 else np.float64
+        data = np.ascontiguousarray(data, dtype=dtype).view()
         expected = (
             header.num_layers,
             header.num_heads,
@@ -116,13 +123,13 @@ class AttentionTrace:
         )
         if data.shape != expected:
             raise TraceFormatError(f"trace data shape {data.shape} != {expected}")
-        # one head block at a time keeps the check's mask small
-        if not all(np.isfinite(block).all() for block in _head_blocks(data)):
+        # NaN propagates through min/max and an infinity is one of them, so
+        # this needs no mask as large as the data
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise TraceFormatError("trace contains NaN/Inf entries")
         data.flags.writeable = False
         self.header = header
         self.data = data
-        self._layer_heads: list[tuple[AttentionInputs, ...] | None] = [None] * len(data)
         self._decode_outputs: dict[int, np.ndarray] = {}
 
     @property
@@ -142,17 +149,13 @@ class AttentionTrace:
         return self.header.head_dim
 
     def head_inputs(self, layer: int, head: int) -> AttentionInputs:
-        return self.layer_heads(layer)[head]
+        """One head's Q/K/V in float64: fresh copies of float32 data, views of float64."""
+        q, k, v = self.data[layer, head]
+        return AttentionInputs(queries=q, keys=k, values=v)
 
     def layer_heads(self, layer: int) -> list[AttentionInputs]:
-        """The layer's per-head Q/K/V views, built and validated once."""
-        heads = self._layer_heads[layer]
-        if heads is None:
-            heads = tuple(
-                AttentionInputs(queries=q, keys=k, values=v) for q, k, v in self.data[layer]
-            )
-            self._layer_heads[layer] = heads
-        return list(heads)
+        """Every head of a layer through `head_inputs`, all widened at once."""
+        return [self.head_inputs(layer, h) for h in range(self.num_heads)]
 
     def full_decode_outputs(self, decode_queries: int) -> np.ndarray:
         """Attention outputs of the last `decode_queries` query rows over every
@@ -167,16 +170,26 @@ class AttentionTrace:
         rows = range(n_seq - decode_queries, n_seq)
         out = np.empty((self.num_layers, self.num_heads, decode_queries, self.head_dim))
         for r in range(self.num_layers):
-            for h, inputs in enumerate(self.layer_heads(r)):
-                out[r, h] = attention_weights(inputs, mask, query_rows=rows) @ inputs.values
+            for h in range(self.num_heads):
+                out[r, h] = _decode_output(self.head_inputs(r, h), mask, rows)
+        return self.keep_decode_outputs(decode_queries, out)
+
+    def keep_decode_outputs(self, decode_queries: int, out: np.ndarray) -> np.ndarray:
+        """Memoize decode outputs that a caller's own pass over the heads
+        computed the way `full_decode_outputs` does; returns the memoized array."""
         out.flags.writeable = False
-        self._decode_outputs[decode_queries] = out
-        return out
+        return self._decode_outputs.setdefault(decode_queries, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
         return self.header == other.header and np.array_equal(self.data, other.data)
+
+
+def _decode_output(inputs: AttentionInputs, mask: CausalMask, rows: range) -> np.ndarray:
+    """Attention outputs of query `rows` over every key; the head's widened
+    inputs die with the call."""
+    return attention_weights(inputs, mask, query_rows=rows) @ inputs.values
 
 
 @dataclass(frozen=True)
@@ -243,82 +256,91 @@ def _head_blocks(data: np.ndarray) -> np.ndarray:
     return data.reshape(-1, *data.shape[2:])
 
 
-def _fill_clustered_layer(
-    rng: np.random.Generator, planted: list[int], spread: float, out: np.ndarray
-) -> None:
-    """Draw one layer into `out`, a C-contiguous (n, 3, N, d) float64 array."""
-    num_heads, _, seq_len, head_dim = out.shape
-    if head_dim < len(planted) + 1:
-        raise ParameterError(
-            f"clustered-heads needs head_dim >= planted + 1, got d={head_dim}"
-        )
-    rank = {h: i for i, h in enumerate(planted)}
-    for h in range(num_heads):
-        q, k, v = out[h]
-        rng.standard_normal(out=q)
-        rng.standard_normal(out=k)
-        if h in rank:
-            direction = np.zeros(head_dim)
-            direction[1 + rank[h]] = 1.0
-            amp = _CLUSTER_AMP_PLANTED
-        else:
-            direction = np.zeros(head_dim)
-            direction[0] = 1.0
-            amp = _CLUSTER_AMP_COMMON
-        mags = _CLUSTER_BASE + amp * rng.uniform(-1.0, 1.0, size=seq_len)
-        np.multiply(mags[:, None], direction[None, :], out=v)
-        if spread > 0:
-            v += spread * rng.standard_normal((seq_len, head_dim))
+def _draw(rng: np.random.Generator, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Draw standard normals into the float64 `scratch` and store them in `out`."""
+    rng.standard_normal(out=scratch)
+    out[...] = scratch
 
 
-def _fill_needle_layer(
-    rng: np.random.Generator, profile: SyntheticProfile, out: np.ndarray
+def _fill_clustered_head(
+    rng: np.random.Generator,
+    scratch: np.ndarray,
+    out: np.ndarray,
+    axis: int,
+    amp: float,
+    spread: float,
 ) -> None:
-    """Draw one layer into `out`, a C-contiguous (n, 3, N, d) float64 array."""
-    num_heads, _, seq_len, head_dim = out.shape
-    tail = min(profile.tail_len, seq_len)
-    if profile.needle_position > seq_len - tail:
-        raise ParameterError(
-            f"needle at {profile.needle_position} not visible to all of the "
-            f"last {tail} rows of a length-{seq_len} sequence"
-        )
-    for h in range(num_heads):
-        q, k, v = out[h]
-        rng.standard_normal(out=q)
-        rng.standard_normal(out=k)
-        rng.standard_normal(out=v)
-        axis = rng.standard_normal(head_dim)
-        axis /= np.linalg.norm(axis)
-        q[seq_len - tail :] = np.sqrt(head_dim) * axis
-        k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
+    """Draw one head into `out`, a float32 (3, N, d) block; `scratch` is (2, N, d)."""
+    q, k, v = out
+    draw, noise = scratch
+    seq_len = draw.shape[0]
+    _draw(rng, draw, q)
+    _draw(rng, draw, k)
+    # V rows are mags[i] times the unit vector along `axis`
+    mags = _CLUSTER_BASE + amp * rng.uniform(-1.0, 1.0, size=seq_len)
+    draw.fill(0.0)
+    draw[:, axis] = mags
+    if spread > 0:
+        rng.standard_normal(out=noise)
+        noise *= spread
+        draw += noise
+    v[...] = draw
+
+
+def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticProfile) -> None:
+    """Align the tail queries and the needle key of a drawn (3, N, d) head block."""
+    q, k, _ = out
+    seq_len, head_dim = q.shape
+    axis = rng.standard_normal(head_dim)
+    axis /= np.linalg.norm(axis)
+    q[seq_len - min(profile.tail_len, seq_len) :] = np.sqrt(head_dim) * axis
+    k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
 
 
 def gen_synthetic_trace(
     profile: SyntheticProfile, shape: tuple[int, int, int, int]
 ) -> AttentionTrace:
-    """Build a seeded synthetic trace of shape (R, n, N, d).
+    """Build a seeded synthetic trace of shape (R, n, N, d), held in float32.
 
-    Layers are drawn straight into one preallocated float64 array, so the
-    peak is that array plus one head block.
+    Each Q, K or V block is drawn into a float64 scratch block and stored
+    as float32, so the peak is the float32 trace plus two N x d float64
+    blocks.
     """
     num_layers, num_heads, seq_len, head_dim = shape
     header = TraceHeader(num_layers, num_heads, seq_len, head_dim)
-    if profile.kind == "clustered-heads" and profile.planted >= num_heads:
-        raise ParameterError("clustered-heads needs planted < num_heads")
-    rng = _rng(profile.seed, _STREAM_DATA)
     if profile.kind == "clustered-heads":
+        if profile.planted >= num_heads:
+            raise ParameterError("clustered-heads needs planted < num_heads")
+        if head_dim < profile.planted + 1:
+            raise ParameterError(
+                f"clustered-heads needs head_dim >= planted + 1, got d={head_dim}"
+            )
         planted_per_layer = clustered_planted_heads(profile, num_layers, num_heads)
-    data = np.empty((num_layers, num_heads, 3, seq_len, head_dim))
+    if profile.kind == "planted-needle":
+        tail = min(profile.tail_len, seq_len)
+        if profile.needle_position > seq_len - tail:
+            raise ParameterError(
+                f"needle at {profile.needle_position} not visible to all of the "
+                f"last {tail} rows of a length-{seq_len} sequence"
+            )
+    rng = _rng(profile.seed, _STREAM_DATA)
+    data = np.empty((num_layers, num_heads, 3, seq_len, head_dim), dtype=np.float32)
+    scratch = np.empty((2, seq_len, head_dim))
     for r, layer in enumerate(data):
-        if profile.kind == "uniform-random":
-            rng.standard_normal(out=layer)
-        elif profile.kind == "clustered-heads":
-            _fill_clustered_layer(rng, planted_per_layer[r], profile.spread, layer)
-        else:
-            _fill_needle_layer(rng, profile, layer)
-        # quantize so in-memory floats are exactly the stored float32 values
-        for block in layer:
-            block[...] = block.astype(np.float32)
+        if profile.kind == "clustered-heads":
+            rank = {h: i for i, h in enumerate(planted_per_layer[r])}
+        for h, out in enumerate(layer):
+            if profile.kind == "clustered-heads":
+                if h in rank:
+                    axis, amp = 1 + rank[h], _CLUSTER_AMP_PLANTED
+                else:
+                    axis, amp = 0, _CLUSTER_AMP_COMMON
+                _fill_clustered_head(rng, scratch, out, axis, amp, profile.spread)
+                continue
+            for tensor in out:
+                _draw(rng, scratch[0], tensor)
+            if profile.kind == "planted-needle":
+                _plant_needle(rng, out, profile)
     return AttentionTrace(header, data)
 
 
@@ -329,12 +351,16 @@ def _open_sink(destination):
 
 
 def write_trace(trace: AttentionTrace, destination) -> int:
-    """Write a trace to a path or binary sink; returns the byte count."""
+    """Write a trace to a path or binary sink; returns the byte count.
+
+    float32 data is written straight from the trace; float64 data is
+    narrowed one head block at a time.
+    """
     sink, owned = _open_sink(destination)
     try:
         written = sink.write(trace.header.pack())
         for block in _head_blocks(trace.data):
-            written += sink.write(block.astype("<f4").tobytes())
+            written += sink.write(np.asarray(block, dtype="<f4").view(np.uint8))
     finally:
         if owned:
             sink.close()
@@ -346,13 +372,17 @@ def write_trace(trace: AttentionTrace, destination) -> int:
 
 
 def read_trace(source) -> AttentionTrace:
-    """Read a trace from a path, binary stream, or bytes."""
+    """Read a trace from a path, binary stream, or bytes; the data stays float32."""
     if isinstance(source, (bytes, bytearray)):
         return _read_stream(io.BytesIO(source))
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as f:
             return _read_stream(f)
     return _read_stream(source)
+
+
+# bytes read from a non-seekable stream at a time while its payload arrives
+_STREAM_CHUNK = 1 << 20
 
 
 def _read_stream(stream) -> AttentionTrace:
@@ -363,26 +393,37 @@ def _read_stream(stream) -> AttentionTrace:
     magic, version, layers, heads, seq_len, head_dim, dtype_code = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise TraceFormatError(f"unsupported trace version {version}, expected {VERSION}")
     if dtype_code != DTYPE_FLOAT32:
         raise UnsupportedDtypeError(f"unsupported dtype code {dtype_code}")
     try:
         header = TraceHeader(layers, heads, seq_len, head_dim, version, dtype_code)
     except ParameterError as exc:
         raise TraceFormatError(str(exc)) from exc
+    expected = header.payload_bytes
+    shape = (layers, heads, 3, seq_len, head_dim)
     left = _bytes_left(stream)
-    if left is not None and left < header.payload_bytes:
-        # fail before allocating room for a payload that is not there
-        raise TraceTruncationError(header.payload_bytes, left)
-    # widen one head's float32 Q/K/V block at a time into the float64 array
-    data = np.empty((layers, heads, 3, seq_len, head_dim))
-    block = np.empty((3, seq_len, head_dim), dtype="<f4")
-    received = 0
-    for out in _head_blocks(data):
-        got = _read_into(stream, block)
-        received += got
-        if got < block.nbytes:
-            raise TraceTruncationError(header.payload_bytes, received)
-        out[...] = block
+    if left is None:
+        # the size is unknown: hold only the bytes that actually arrive
+        payload = bytearray()
+        chunk = memoryview(bytearray(min(_STREAM_CHUNK, expected)))
+        while len(payload) < expected:
+            got = _read_into(stream, chunk[: expected - len(payload)])
+            if not got:
+                break
+            payload += chunk[:got]
+        if len(payload) < expected:
+            raise TraceTruncationError(expected, len(payload))
+        data = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    else:
+        if left < expected:
+            # fail before allocating room for a payload that is not there
+            raise TraceTruncationError(expected, left)
+        data = np.empty(shape, dtype="<f4")
+        received = _read_into(stream, data)
+        if received < expected:
+            raise TraceTruncationError(expected, received)
     return AttentionTrace(header, data)
 
 

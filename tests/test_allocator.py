@@ -310,15 +310,16 @@ class TestCompressedCacheBuild:
         entry = cache.entry(0, 1)
         assert entry.synthetic.sum() == len(plan.per_head_groups[1])
         groups = iter(plan.per_head_groups[1])
+        wide = trace.data.astype(np.float64)
         for row in range(len(entry.positions)):
             if entry.synthetic[row]:
                 a, b = next(groups)
                 assert entry.positions[row] == a
                 np.testing.assert_allclose(
-                    entry.keys[row], trace.data[0, 1, 1, a:b].mean(axis=0), rtol=1e-12
+                    entry.keys[row], wide[0, 1, 1, a:b].mean(axis=0), rtol=1e-12
                 )
                 np.testing.assert_allclose(
-                    entry.values[row], trace.data[0, 1, 2, a:b].mean(axis=0), rtol=1e-12
+                    entry.values[row], wide[0, 1, 2, a:b].mean(axis=0), rtol=1e-12
                 )
 
     def test_positions_strictly_increasing(self):
@@ -457,7 +458,8 @@ class TestGroupMeans:
         plan = _plan_with([[0, 5, 20, 39]], [groups])
         entry = build_compressed_cache(trace, [plan]).entry(0, 0)
         np.testing.assert_array_equal(entry.positions, [0, 1, 5, 10, 20, 25, 31, 39])
-        expected = dict(zip([a for a, _ in groups], self.oracle(trace.data[0, 0, 1], groups)))
+        wide_keys = trace.data[0, 0, 1].astype(np.float64)
+        expected = dict(zip([a for a, _ in groups], self.oracle(wide_keys, groups)))
         for row, pos in enumerate(entry.positions):
             want = expected[pos] if entry.synthetic[row] else trace.data[0, 0, 1, pos]
             assert np.array_equal(entry.keys[row], want)

@@ -257,6 +257,47 @@ class TestConfigFile:
         assert not (out / "plans_streaming_0.5.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "extra, bad",
+        [({"windw_len": 16}, "windw_len"), ({"profile": {"kind": "uniform-random", "sed": 1}},
+                                             "profile.sed")],
+    )
+    def test_unknown_key_is_a_json_error(self, trace_file, tmp_path, capsys, extra, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trace_path": str(trace_file), **extra}))
+        code, _, err = run_cli(
+            capsys, "compress", "--config", str(cfg_path), "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert bad in payload["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_non_object_config_is_a_json_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "compress", "--config", str(cfg_path))
+        assert code == 1
+        assert json.loads(err)["error"] == "ParameterError"
+
+    def test_report_config_block_is_a_valid_config(self, tmp_path, capsys):
+        out = tmp_path / "first"
+        code, _, err = run_cli(
+            capsys, "all", "--profile", "clustered-heads", "--shape", "1,8,96,8",
+            "--planted", "2", "--seed", "5", *PIPE_ARGS, "--out", str(out),
+        )
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(report["config"]))
+        again = tmp_path / "again"
+        code, _, err = run_cli(capsys, "all", "--config", str(cfg_path), "--out", str(again))
+        assert code == 0, err
+        assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
 class TestErrorReporting:
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -285,3 +326,17 @@ class TestErrorReporting:
         )
         assert code == 1
         assert json.loads(err)["error"] == "InfeasibleBudgetError"
+
+    def test_unknown_trace_version_is_a_json_error(self, trace_file, tmp_path, capsys):
+        data = bytearray(trace_file.read_bytes())
+        data[4:6] = (9).to_bytes(2, "little")
+        bad = tmp_path / "v9.tkv"
+        bad.write_bytes(bytes(data))
+        code, _, err = run_cli(
+            capsys, "all", "--trace", str(bad), *PIPE_ARGS, "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "TraceFormatError"
+        assert "version 9" in payload["message"]

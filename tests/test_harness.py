@@ -283,6 +283,99 @@ class TestPlanMemory:
             assert policy == "full" or allowance < owned / 2
 
 
+class TestFloat32Storage:
+    """A float32 trace and the same values held in float64 run alike."""
+
+    @staticmethod
+    def widened(trace):
+        return AttentionTrace(trace.header, trace.data.astype(np.float64))
+
+    def test_report_bytes_equal_float64_copy(self):
+        cfg = clustered_config(seed=30, policies=ALL_POLICIES, budget_ratios=(0.4, 0.7))
+        single = load_trace_for(cfg)
+        assert single.data.dtype == np.float32
+        reports = []
+        for trace in (single, self.widened(single)):
+            buf = io.BytesIO()
+            export_report(run_all(cfg, trace), "json", buf)
+            reports.append(buf.getvalue())
+        assert reports[0] == reports[1]
+
+    @staticmethod
+    def count_attention(monkeypatch):
+        import semkv.linalg
+        import semkv.separator
+        import semkv.trace
+
+        calls = []
+        original = semkv.linalg.attention_weights
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (semkv.separator, semkv.trace):
+            monkeypatch.setattr(module, "attention_weights", counted)
+        return calls
+
+    @pytest.mark.parametrize("decode_queries", [16, 5])
+    def test_fused_decode_outputs_equal_standalone(self, decode_queries, monkeypatch):
+        cfg = clustered_config(seed=31, decode_queries=decode_queries)
+        assert cfg.window_len == 16
+        trace = load_trace_for(cfg)
+        calls = self.count_attention(monkeypatch)
+        run_all(cfg, trace)
+        heads = trace.num_layers * trace.num_heads
+        # one masked softmax per head when the decode rows are the window rows
+        assert len(calls) == (heads if decode_queries == 16 else 2 * heads)
+        fresh = load_trace_for(cfg)
+        for dq in {decode_queries, 16}:
+            assert np.array_equal(trace.full_decode_outputs(dq), fresh.full_decode_outputs(dq))
+
+    def test_fused_outputs_match_float64_trace(self):
+        cfg = clustered_config(seed=32)
+        single = load_trace_for(cfg)
+        compress_run(cfg, single)
+        wide = self.widened(single)
+        assert np.array_equal(single.full_decode_outputs(16), wide.full_decode_outputs(16))
+
+    def test_compress_run_widens_one_head_at_a_time(self):
+        shape = (1, 4, 2048, 64)
+        cfg = clustered_config(seed=33, planted=1, shape=shape, top_t=256)
+        small = dataclasses.replace(cfg, shape=(1, 4, 64, 8))
+        compress_run(small, load_trace_for(small))
+        trace = load_trace_for(cfg)
+        tracemalloc.start()
+        try:
+            compress_run(cfg, trace)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one head's float64 Q/K/V plus the window softmax's temporaries;
+        # a second widened head alive at once would exceed it
+        head_block = 3 * shape[2] * shape[3] * 8
+        softmax_temps = 8 * cfg.window_len * shape[2] * 8
+        assert peak - held <= head_block + softmax_temps
+
+    def test_run_all_holds_one_head_entry_on_float64_values(self):
+        shape = (2, 16, 256, 128)
+        cfg = clustered_config(
+            seed=25, shape=shape, policies=ALL_POLICIES, budget_ratios=(0.5, 0.7),
+            beta=3 / 16, top_t=256,
+        )
+        small = dataclasses.replace(cfg, shape=(2, 16, 64, 8), top_t=64)
+        run_all(small, load_trace_for(small))
+        trace = self.widened(load_trace_for(cfg))
+        tracemalloc.start()
+        try:
+            run_all(cfg, trace)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the same allowance as on the float32 trace: one head's entry
+        assert peak - held <= 4 * (2 * shape[2] * shape[3] * 8)
+
+
 class TestEvalReport:
     def make_report(self, seed=11):
         cfg = clustered_config(seed=seed)

@@ -81,9 +81,14 @@ class TestFileFormat:
         assert trace_bytes(again) == trace_bytes(trace)
 
     def test_read_widens_to_float64(self):
+        # the trace holds the file's float32 values; head inputs widen them
         trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=5), (1, 1, 3, 2))
         again = read_trace(trace_bytes(trace))
-        assert again.data.dtype == np.float64
+        assert again.data.dtype == np.float32
+        inputs = again.head_inputs(0, 0)
+        for i, tensor in enumerate((inputs.queries, inputs.keys, inputs.values)):
+            assert tensor.dtype == np.float64
+            assert np.array_equal(tensor, again.data[0, 0, i])
 
     def test_bad_magic(self):
         data = bytearray(
@@ -127,6 +132,24 @@ class TestFileFormat:
             with pytest.raises(TraceTruncationError) as err:
                 read_trace(source)
             assert (err.value.expected, err.value.actual) == (12 * 10**12, 64)
+
+    def test_non_seekable_header_claiming_more_than_arrives(self):
+        # the stream's size is unknown, so nothing is allocated for the
+        # 12 TB the header declares; the 64 bytes that arrive are counted
+        header = TraceHeader(1000, 1000, 1000, 1000).pack()
+        with pytest.raises(TraceTruncationError) as err:
+            read_trace(TrickleStream(header + bytes(64)))
+        assert (err.value.expected, err.value.actual) == (12 * 10**12, 64)
+        assert f"expected {12 * 10**12} bytes, got 64" in str(err.value)
+
+    @pytest.mark.parametrize("version", [0, 2, 9])
+    def test_unknown_version_rejected(self, version):
+        data = bytearray(
+            trace_bytes(gen_synthetic_trace(SyntheticProfile("uniform-random", seed=8), (1, 1, 2, 2)))
+        )
+        data[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(TraceFormatError, match=f"version {version}"):
+            read_trace(bytes(data))
 
     def test_truncated_header(self):
         with pytest.raises(TraceTruncationError):
@@ -308,15 +331,17 @@ class TestSharedDerivedData:
         assert not np.shares_memory(trace.data, fortran)
         np.testing.assert_array_equal(trace.data, data)
 
-    def test_layer_heads_are_built_once(self):
+    def test_layer_heads_widen_float32_and_share_float64(self):
         trace = self.make()
-        first, again = trace.layer_heads(1), trace.layer_heads(1)
-        assert len(first) == 3
-        assert all(a is b for a, b in zip(first, again))
-        assert trace.head_inputs(1, 2) is first[2]
-        assert trace.layer_heads(0)[0] is not first[0]
-        for h, inputs in enumerate(first):
-            assert np.shares_memory(inputs.keys, trace.data)
+        heads = trace.layer_heads(1)
+        assert len(heads) == 3
+        for h, inputs in enumerate(heads):
+            assert inputs.keys.dtype == np.float64
+            assert not np.shares_memory(inputs.keys, trace.data)
+            np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
+        wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
+        for h, inputs in enumerate(wide.layer_heads(1)):
+            assert np.shares_memory(inputs.keys, wide.data)
             np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
 
     def test_full_decode_outputs_match_per_head_attention(self):
@@ -335,3 +360,69 @@ class TestSharedDerivedData:
     def test_full_decode_outputs_validate_count(self, count):
         with pytest.raises(ParameterError):
             self.make().full_decode_outputs(count)
+
+
+class TestFloat32AtRest:
+    """Files and generators keep float32 values; heads widen them exactly."""
+
+    @staticmethod
+    def assert_heads_widen(trace):
+        assert trace.data.dtype == np.float32
+        for r in range(trace.num_layers):
+            for h in range(trace.num_heads):
+                inputs = trace.head_inputs(r, h)
+                for i, tensor in enumerate((inputs.queries, inputs.keys, inputs.values)):
+                    assert tensor.dtype == np.float64
+                    assert np.array_equal(tensor, trace.data[r, h, i])
+
+    @pytest.mark.parametrize("kind", ["uniform-random", "clustered-heads", "planted-needle"])
+    def test_generator_stores_float32(self, kind):
+        profile = SyntheticProfile(kind, seed=41, spread=0.1, tail_len=8)
+        self.assert_heads_widen(gen_synthetic_trace(profile, (2, 3, 24, 4)))
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, TrickleStream, "path"])
+    def test_reader_stores_float32(self, wrap, tmp_path):
+        trace = gen_synthetic_trace(SyntheticProfile("clustered-heads", seed=42), (2, 4, 24, 4))
+        data = trace_bytes(trace)
+        if wrap == "path":
+            source = tmp_path / "t.tkv"
+            source.write_bytes(data)
+        else:
+            source = wrap(data)
+        again = read_trace(source)
+        self.assert_heads_widen(again)
+        assert again == trace
+
+    def test_float32_shared_other_dtypes_widened(self):
+        header = TraceHeader(1, 1, 4, 2)
+        values = np.arange(24).reshape(1, 1, 3, 4, 2)
+        single = values.astype(np.float32)
+        assert np.shares_memory(AttentionTrace(header, single).data, single)
+        for other in (values, values.astype(np.float16), single.astype(">f4")):
+            trace = AttentionTrace(header, other)
+            assert trace.data.dtype == np.float64
+            np.testing.assert_array_equal(trace.data, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_float32_rejected(self, bad):
+        data = np.zeros((1, 2, 3, 4, 2), dtype=np.float32)
+        data[0, 1, 2, 3, 1] = bad
+        with pytest.raises(TraceFormatError):
+            AttentionTrace(TraceHeader(1, 2, 4, 2), data)
+
+    # one head's Q/K/V block is 768 KiB in float32 and 1.5 MiB in float64
+    SHAPE = (1, 2, 4096, 16)
+    SLACK = 64 * 1024
+
+    def test_reader_peak_is_the_float32_data(self, tmp_path):
+        path = tmp_path / "t.tkv"
+        profile = SyntheticProfile("uniform-random", seed=43)
+        write_trace(gen_synthetic_trace(profile, self.SHAPE), path)
+        trace, peak = traced_peak(read_trace, path)
+        assert trace.data.dtype == np.float32
+        assert peak <= trace.data.nbytes + self.SLACK
+
+    def test_writer_copies_no_float32_block(self, tmp_path):
+        trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=44), self.SHAPE)
+        _, peak = traced_peak(write_trace, trace, tmp_path / "t.tkv")
+        assert peak <= self.SLACK
