@@ -17,6 +17,8 @@ from semkv import (
     gen_synthetic_trace,
     memory_footprint,
     middle_activation_count,
+    pool_scores,
+    window_column_scores,
 )
 
 print("middle activations at the reference point "
@@ -32,8 +34,11 @@ classes = [
     HeadClass.HETEROGENEOUS if h in planted else HeadClass.NON_HETEROGENEOUS
     for h in range(8)
 ]
-heads = trace.layer_heads(0)
 sinks, recents, window, kernel = 4, 16, 16, 7
+pooled = [
+    pool_scores(window_column_scores(h, window).column_means, kernel)
+    for h in trace.layer_heads(0)
+]
 budget = int(np.floor(0.4 * 256 * 8))
 print(f"one layer, n=8, N=256, planted heads {sorted(planted)} heterogeneous, "
       f"budget 40% -> B={budget}\n")
@@ -51,9 +56,7 @@ def describe(idx, groups=None):
 
 
 for policy in PolicyKind:
-    plan = apply_policy(
-        0, heads, classes, policy, 0.4, sinks, recents, window, kernel
-    )
+    plan = apply_policy(0, classes, policy, 0.4, sinks, recents, window, pooled)
     cache = build_compressed_cache(trace, [plan])
     mem = memory_footprint(cache)
     print(f"== {policy.value} (retained {mem.tokens_retained} tokens, "

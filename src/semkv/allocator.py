@@ -1,18 +1,10 @@
 """Per-head retained-token selection under the head-aware policy and baselines.
 
-Policies:
-
-  full              every head keeps every position.
-  task-kv           heterogeneous heads keep everything; the rest keep sinks,
-                    recents, and the k highest pooled-score middle positions.
-  no-cache          like task-kv but the k middle slots extend the recents.
-  compressed-cache  like task-kv but the k middle slots hold synthetic
-                    group-mean K/V entries built from contiguous middle groups.
-  streaming         every head keeps the first s1 and last (B/n - s1) positions.
-  uniform-topk      every head keeps its observation window plus its own
-                    top-(B/n - L) pooled positions outside the window.
-
-The layer budget is B = floor(budget_ratio * N * n) tokens.
+`POLICIES` holds one planning function per `PolicyKind`, row for row the
+README's policy table: heterogeneous heads keep everything under the
+head-aware policies (task-kv, no-cache, compressed-cache), and the other
+heads keep sinks, recents and k middle slots. The layer budget is
+B = floor(budget_ratio * N * n) tokens.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from .errors import (
     ParameterError,
     PlanFormatError,
 )
-from .separator import HeadClass, WindowScores, top_t_indices, window_column_scores
+from .separator import HeadClass, top_t_indices
 from .trace import AttentionTrace
 
 
@@ -55,16 +47,18 @@ def middle_activation_count(
 
     k = floor((B - N * f_r) / (n - f_r)) - s1 - s2, clamped at 0; the clamp
     flag lets callers warn that the budget degraded to sinks+recents only.
+    This is the one budget feasibility check: B < N * f_r raises
+    InfeasibleBudgetError before f_r == n raises AllHeadsHeterogeneousError.
     """
     if min(budget, seq_len, sinks, recents) < 0 or f_r < 0:
         raise ParameterError("budget arithmetic needs non-negative inputs")
+    if budget < seq_len * f_r:
+        raise InfeasibleBudgetError(
+            f"budget {budget} < {seq_len * f_r} needed by {f_r} heterogeneous heads"
+        )
     if f_r >= n:
         raise AllHeadsHeterogeneousError(
             f"f_r={f_r} with n={n}: no non-heterogeneous heads to allocate for"
-        )
-    if budget < seq_len * f_r:
-        raise InfeasibleBudgetError(
-            f"budget {budget} < {seq_len * f_r} needed by {f_r} full-cache heads"
         )
     raw = (budget - seq_len * f_r) // (n - f_r) - sinks - recents
     return MiddleCount(k=max(raw, 0), clamped=raw < 0)
@@ -185,140 +179,137 @@ class BudgetPlan:
             raise PlanFormatError(f"bad plan: {exc}") from exc
 
 
-def _pooled_scores(heads, window_len: int, kernel: int, scores) -> list[np.ndarray]:
-    if scores is None:
-        scores = [window_column_scores(h, window_len) for h in heads]
-    return [pool_scores(s.column_means, kernel) for s in scores]
+class PolicyKeep(NamedTuple):
+    """What a policy keeps in one layer: positions and groups per head, k, clamp."""
+
+    retained: list[np.ndarray]
+    groups: list[list[tuple[int, int]]] | None
+    k: int
+    clamped: bool
+
+
+def _everything(n: int, seq_len: int) -> PolicyKeep:
+    return PolicyKeep([np.arange(seq_len) for _ in range(n)], None, 0, False)
+
+
+def _full(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
+    return _everything(len(pooled), len(pooled[0]))
+
+
+def _sinks_then_recents(scores, per_head, sinks, window_len):
+    seq_len = len(scores)
+    s = min(sinks, per_head)
+    return np.concatenate([np.arange(s), np.arange(seq_len - (per_head - s), seq_len)])
+
+
+def _window_then_top(scores, per_head, sinks, window_len):
+    seq_len = len(scores)
+    w = min(window_len, per_head)
+    window = np.arange(seq_len - w, seq_len)
+    if per_head <= w:
+        return window
+    before = scores[: seq_len - window_len]
+    picks = top_t_indices(before, min(per_head - w, before.shape[0]))
+    return np.sort(np.concatenate([picks, window]))
+
+
+def _uniform(keep):
+    """streaming and uniform-topk: every head, whatever its class, keeps
+    `keep` of its B // n positions, or everything when B // n covers N."""
+
+    def plan(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
+        n, seq_len = len(pooled), len(pooled[0])
+        per_head = budget // n
+        if per_head >= seq_len:
+            return _everything(n, seq_len)
+        return PolicyKeep([keep(p, per_head, sinks, window_len) for p in pooled], None, 0, False)
+
+    return plan
+
+
+def _top_k_slots(head_class, scores, seq_len, sinks, recents, k):
+    """task-kv: the k highest pooled middle scores."""
+    return select_retained_indices(head_class, scores, seq_len, sinks, recents, k), None
+
+
+def _recent_slots(head_class, scores, seq_len, sinks, recents, k):
+    """no-cache: k more recents."""
+    return select_retained_indices(head_class, scores, seq_len, sinks, recents + k, 0), None
+
+
+def _group_mean_slots(head_class, scores, seq_len, sinks, recents, k):
+    """compressed-cache: up to k synthetic group means over the middle."""
+    kept = select_retained_indices(head_class, scores, seq_len, sinks, recents, 0)
+    if head_class == HeadClass.HETEROGENEOUS:
+        return kept, []
+    return kept, _middle_groups(seq_len, sinks, recents, k)
+
+
+def _head_aware(slots):
+    """task-kv and its compensation variants, which differ only in `slots`:
+    what a head does with the k middle slots it gets beyond sinks and recents."""
+
+    def plan(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
+        n, seq_len = len(pooled), len(pooled[0])
+        f_r = sum(1 for c in head_classes if c == HeadClass.HETEROGENEOUS)
+        try:
+            k, clamped = middle_activation_count(budget, seq_len, f_r, n, sinks, recents)
+        except AllHeadsHeterogeneousError:
+            return _everything(n, seq_len)
+        kept = [slots(c, p, seq_len, sinks, recents, k) for c, p in zip(head_classes, pooled)]
+        groups = [g for _, g in kept]  # every head's are lists, or every head's None
+        return PolicyKeep([r for r, _ in kept], None if groups[0] is None else groups, k, clamped)
+
+    return plan
+
+
+# One entry per row of the README's policy table. Each maps (head classes,
+# per-head pooled window scores, layer budget B, sinks, recents, window) to
+# what the layer keeps.
+POLICIES = {
+    PolicyKind.FULL: _full,
+    PolicyKind.TASK_KV: _head_aware(_top_k_slots),
+    PolicyKind.NO_CACHE: _head_aware(_recent_slots),
+    PolicyKind.COMPRESSED_CACHE: _head_aware(_group_mean_slots),
+    PolicyKind.STREAMING: _uniform(_sinks_then_recents),
+    PolicyKind.UNIFORM_TOPK: _uniform(_window_then_top),
+}
 
 
 def apply_policy(
     layer: int,
-    heads,
     head_classes: list[HeadClass],
     policy: PolicyKind,
     budget_ratio: float,
     sinks: int,
     recents: int,
     window_len: int,
-    kernel: int,
-    scores: list[WindowScores] | None = None,
+    pooled: list[np.ndarray],
 ) -> BudgetPlan:
-    """Build the retained-index plan for one layer.
-
-    `scores` carries the layer's per-head window scores; without them they
-    are computed from `heads`, the layer's per-head AttentionInputs, which
-    may be None when `scores` is given.
-    """
+    """Plan one layer under `policy` from its heads' pooled window scores."""
     try:
         policy = PolicyKind(policy)
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
-    given = heads if scores is None else scores
-    n, seq_len = len(given), given[0].seq_len
     if not 0 < budget_ratio <= 1:
         raise ParameterError(f"budget_ratio {budget_ratio} outside (0, 1]")
+    n, seq_len = len(pooled), len(pooled[0])
     budget = int(np.floor(budget_ratio * seq_len * n))
-    everything = [np.arange(seq_len) for _ in range(n)]
-
-    if policy == PolicyKind.FULL:
-        return BudgetPlan(
-            layer, policy, budget, sinks, recents, 0, False, list(head_classes), everything
-        )
-
-    if policy in (PolicyKind.STREAMING, PolicyKind.UNIFORM_TOPK):
-        per_head = budget // n
-        retained = []
-        if policy == PolicyKind.STREAMING:
-            for _ in range(n):
-                if per_head >= seq_len:
-                    retained.append(np.arange(seq_len))
-                    continue
-                s = min(sinks, per_head)
-                retained.append(
-                    np.concatenate(
-                        [np.arange(s), np.arange(seq_len - (per_head - s), seq_len)]
-                    )
-                )
-        else:
-            pooled = _pooled_scores(heads, window_len, kernel, scores)
-            for h in range(n):
-                if per_head >= seq_len:
-                    retained.append(np.arange(seq_len))
-                    continue
-                w = min(window_len, per_head)
-                window = np.arange(seq_len - w, seq_len)
-                extra = per_head - w
-                if extra > 0:
-                    before = pooled[h][: seq_len - window_len]
-                    picks = top_t_indices(before, min(extra, before.shape[0]))
-                    retained.append(np.sort(np.concatenate([picks, window])))
-                else:
-                    retained.append(window)
-        return BudgetPlan(
-            layer, policy, budget, sinks, recents, 0, False, list(head_classes), retained
-        )
-
-    # head-aware family: task-kv and its information-compensation variants
-    f_r = sum(1 for c in head_classes if c == HeadClass.HETEROGENEOUS)
-    if budget < seq_len * f_r:
-        raise InfeasibleBudgetError(
-            f"layer {layer}: budget {budget} < {seq_len * f_r} needed by "
-            f"{f_r} heterogeneous heads"
-        )
-    if f_r == n:
-        return BudgetPlan(
-            layer, policy, budget, sinks, recents, 0, False, list(head_classes), everything
-        )
-    k, clamped = middle_activation_count(budget, seq_len, f_r, n, sinks, recents)
-
-    retained: list[np.ndarray] = []
-    groups: list[list[tuple[int, int]]] | None = None
-    if policy == PolicyKind.TASK_KV:
-        pooled = _pooled_scores(heads, window_len, kernel, scores)
-        for h in range(n):
-            retained.append(
-                select_retained_indices(
-                    head_classes[h], pooled[h], seq_len, sinks, recents, k
-                )
-            )
-    elif policy == PolicyKind.NO_CACHE:
-        for h in range(n):
-            # middle slots are spent on extra recents instead
-            retained.append(
-                select_retained_indices(
-                    head_classes[h], np.zeros(seq_len), seq_len, sinks, recents + k, 0
-                )
-            )
-    elif policy == PolicyKind.COMPRESSED_CACHE:
-        groups = []
-        for h in range(n):
-            if head_classes[h] == HeadClass.HETEROGENEOUS:
-                retained.append(np.arange(seq_len))
-                groups.append([])
-            else:
-                retained.append(
-                    select_retained_indices(
-                        head_classes[h], np.zeros(seq_len), seq_len, sinks, recents, 0
-                    )
-                )
-                if sinks + recents >= seq_len:
-                    groups.append([])
-                else:
-                    groups.append(_middle_groups(seq_len, sinks, recents, k))
-    else:
-        raise ParameterError(f"unknown policy {policy}")
-
+    try:
+        keep = POLICIES[policy](head_classes, pooled, budget, sinks, recents, window_len)
+    except InfeasibleBudgetError as exc:
+        raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
     return BudgetPlan(
         layer,
         policy,
         budget,
         sinks,
         recents,
-        k,
-        clamped,
+        keep.k,
+        keep.clamped,
         list(head_classes),
-        retained,
-        groups,
+        keep.retained,
+        keep.groups,
     )
 
 

@@ -64,7 +64,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--decode-queries", type=int, dest="decode_queries")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output file or directory")
-    parser.add_argument("--format", choices=["json", "csv"], help="report format")
 
 
 def _add_profile_flags(parser: argparse.ArgumentParser):
@@ -267,6 +266,11 @@ def _plans_payload(trace, policy: str, ratio: float, layer_plans) -> dict:
     }
 
 
+def _infeasible_note(result, listed_in: str) -> str:
+    n = len(result.infeasible)
+    return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
+
+
 def _cmd_compress(args) -> int:
     cfg = _config_from(args)
     trace = load_trace_for(cfg)
@@ -288,8 +292,12 @@ def _cmd_compress(args) -> int:
                 "ratio_vs_full": mem.ratio_vs_full,
             }
         )
-    _write_json(os.path.join(out, "memory.json"), {"memory": memory_rows})
-    print(f"wrote {len(memory_rows)} plan file(s) and memory.json to {out}")
+    payload = {"memory": memory_rows}
+    if result.infeasible:
+        payload["infeasible"] = result.infeasible
+    _write_json(os.path.join(out, "memory.json"), payload)
+    print(f"wrote {len(memory_rows)} plan file(s) and memory.json to {out}"
+          + _infeasible_note(result, "memory.json"))
     return 0
 
 
@@ -371,9 +379,8 @@ def _cmd_all(args) -> int:
     export_report(report, "json", os.path.join(out, "report.json"))
     export_report(report, "csv", os.path.join(out, "report.csv"))
     export_pca_csv(report, os.path.join(out, "pca.csv"))
-    fmt = getattr(args, "format", None)
     print(f"wrote report.json, report.csv, pca.csv and plans to {out}"
-          + (f" (primary format: {fmt})" if fmt else ""))
+          + _infeasible_note(result, "report.json"))
     return 0
 
 

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from .allocator import (
     check_plans,
     keeps_every_position,
     plans_footprint,
+    pool_scores,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
-from .errors import ParameterError, SemkvError
+from .errors import InfeasibleBudgetError, ParameterError, SemkvError
 from .linalg import AttentionInputs, masked_softmax, pca_2d
 from .separator import (
     HeadProfile,
@@ -112,8 +113,10 @@ def load_trace_for(config: RunConfig) -> AttentionTrace:
 class RunResult:
     schedule: HeterogeneitySchedule
     profiles: list[list[HeadProfile]]
-    window_scores: list[list[WindowScores]]
     plans: dict[tuple[str, float], list[BudgetPlan]]
+    # one {"policy", "budget_ratio", "message"} entry per cell left unplanned
+    # because its budget cannot hold the heterogeneous heads
+    infeasible: list[dict] = field(default_factory=list)
 
 
 def _window_pass(
@@ -133,11 +136,14 @@ def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
     """Window scores -> semantic vectors -> classification -> plans.
 
     One pass over the heads widens each head's Q/K/V once and takes, from
-    one masked softmax over its observation window, the window scores, the
-    top-t semantic vector and, when the decode rows are the window rows (the
-    default), the head's full-cache decode output, which the trace keeps for
-    `fidelity_eval`. The policies then plan every (policy, budget) cell from
-    the window scores alone.
+    one masked softmax over its observation window, the pooled window
+    scores, the top-t semantic vector and, when the decode rows are the
+    window rows (the default), the head's full-cache decode output, which
+    the trace keeps for `fidelity_eval`. The policies then plan every
+    (policy, budget) cell from the pooled scores alone. A cell whose budget
+    cannot hold its heterogeneous heads is recorded in `infeasible` and the
+    other cells are planned; when no cell is feasible the first cell's
+    error is raised.
     """
     n = trace.num_heads
     schedule = heterogeneous_schedule(n, config.beta, config.top_m, trace.num_layers)
@@ -146,9 +152,9 @@ def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
     if min(config.resolved_decode_queries(), trace.seq_len) == window_len >= 1:
         decode = np.empty((trace.num_layers, n, window_len, trace.head_dim))
     profiles: list[list[HeadProfile]] = []
-    all_scores = []
+    pooled = []
     for r in range(trace.num_layers):
-        scores, vectors = [], []
+        layer_pooled, vectors = [], []
         try:
             for h in range(n):
                 # no local name holds the widened inputs past the call
@@ -158,34 +164,40 @@ def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
                     config.top_t,
                     None if decode is None else decode[r, h],
                 )
-                scores.append(score)
+                layer_pooled.append(pool_scores(score.column_means, config.kernel))
                 vectors.append(vector)
             profiles.append(build_layer_profiles(r, vectors, schedule.count_for_layer(r)))
         except SemkvError as exc:
             raise type(exc)(f"layer {r}: {exc}") from exc
-        all_scores.append(scores)
+        pooled.append(layer_pooled)
     if decode is not None:
         trace.keep_decode_outputs(window_len, decode)
 
-    plans: dict[tuple[str, float], list[BudgetPlan]] = {}
+    result = RunResult(schedule, profiles, {})
     for policy in config.policies:
         for ratio in config.budget_ratios:
-            plans[(PolicyKind(policy).value, ratio)] = [
-                apply_policy(
-                    r,
-                    None,
-                    [p.head_class for p in profiles[r]],
-                    policy,
-                    ratio,
-                    config.sinks,
-                    config.recents,
-                    window_len,
-                    config.kernel,
-                    scores=all_scores[r],
+            key = (PolicyKind(policy).value, ratio)
+            try:
+                result.plans[key] = [
+                    apply_policy(
+                        r,
+                        [p.head_class for p in profiles[r]],
+                        policy,
+                        ratio,
+                        config.sinks,
+                        config.recents,
+                        window_len,
+                        pooled[r],
+                    )
+                    for r in range(trace.num_layers)
+                ]
+            except InfeasibleBudgetError as exc:
+                result.infeasible.append(
+                    {"policy": key[0], "budget_ratio": ratio, "message": str(exc)}
                 )
-                for r in range(trace.num_layers)
-            ]
-    return RunResult(schedule, profiles, all_scores, plans)
+    if result.infeasible and not result.plans:
+        raise InfeasibleBudgetError(result.infeasible[0]["message"])
+    return result
 
 
 @dataclass
@@ -264,6 +276,7 @@ class EvalReport:
     pca: list[dict]
     policies: list[dict]
     contribution: dict | None = None
+    infeasible: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -275,6 +288,8 @@ class EvalReport:
             "pca": self.pca,
             "policies": self.policies,
         }
+        if self.infeasible:
+            out["infeasible"] = self.infeasible
         if self.contribution is not None:
             out["contribution"] = self.contribution
         return out
@@ -395,6 +410,7 @@ def build_eval_report(
         pca=pca_blocks,
         policies=policy_entries,
         contribution=None if contribution is None else contribution.to_json_dict(),
+        infeasible=result.infeasible,
     )
 
 

@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError
 
-POWER_ITER_CAP = 1000
-POWER_ITER_TOL = 1e-12
-
 
 def _as_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
@@ -162,35 +159,6 @@ def attention_output(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _require_finite(w @ v, "attention output")
 
 
-def _dominant_eigpair(sym: np.ndarray, need_vector: bool = False) -> tuple[float, np.ndarray]:
-    """Largest eigenpair of a symmetric PSD matrix by power iteration.
-
-    Deterministic ramp start vector; stops once the Rayleigh quotient has
-    settled to 1e-12 relative, capped at POWER_ITER_CAP iterations. The
-    quotient converges twice as fast as the iterate, so callers that use
-    the eigenvector itself (pca_2d) pass need_vector=True to also require
-    the iterate to stop moving.
-    """
-    m = sym.shape[0]
-    v = np.arange(1.0, m + 1.0)
-    v /= np.linalg.norm(v)
-    lam = float(v @ sym @ v)
-    for _ in range(POWER_ITER_CAP):
-        w = sym @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v
-        v_new = w / norm
-        lam_new = float(v_new @ sym @ v_new)
-        settled = abs(lam_new - lam) <= POWER_ITER_TOL * max(abs(lam_new), 1e-300)
-        if need_vector:
-            settled = settled and np.max(np.abs(v_new - v)) <= 1e-10
-        v, lam = v_new, lam_new
-        if settled:
-            return lam, v
-    return lam, v
-
-
 def _fix_sign(axis: np.ndarray) -> np.ndarray:
     """Flip so the first loading with magnitude > 1e-12 is positive."""
     for x in axis:
@@ -202,9 +170,10 @@ def _fix_sign(axis: np.ndarray) -> np.ndarray:
 def pca_2d(points) -> np.ndarray:
     """Project d-dim points onto their top-2 principal axes.
 
-    Axes are eigenvectors of the mean-centered covariance, ordered by
-    descending eigenvalue, each sign-fixed so its first nonzero loading is
-    positive. Returns an (n_points, 2) array.
+    Axes are eigenvectors of the mean-centered covariance from LAPACK's
+    symmetric eigensolver (np.linalg.eigh), ordered by descending eigenvalue,
+    each sign-fixed so its first nonzero loading is positive. Returns an
+    (n_points, 2) array; 1-D points get a zero second column.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -213,32 +182,13 @@ def pca_2d(points) -> np.ndarray:
         raise EmptyInputError("pca_2d needs at least one point")
     _require_finite(pts, "points")
     centered = pts - pts.mean(axis=0)
-    d = pts.shape[1]
-    if d == 1:
-        coords = np.zeros((pts.shape[0], 2))
-        coords[:, 0] = _fix_sign(np.ones(1))[0] * centered[:, 0]
-        return coords
     cov = (centered.T @ centered) / pts.shape[0]
-    lam1, v1 = _dominant_eigpair(cov, need_vector=True)
-    v1 = _fix_sign(v1)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    _, v2 = _dominant_eigpair(deflated, need_vector=True)
-    # re-orthogonalize against v1; fall back to a canonical complement if
-    # the deflated matrix was (numerically) zero, e.g. rank-1 data
-    v2 = v2 - (v2 @ v1) * v1
-    norm = np.linalg.norm(v2)
-    if norm < 1e-12:
-        for i in range(d):
-            cand = np.zeros(d)
-            cand[i] = 1.0
-            cand -= (cand @ v1) * v1
-            norm = np.linalg.norm(cand)
-            if norm > 1e-6:
-                v2 = cand
-                break
-    v2 /= np.linalg.norm(v2)
-    v2 = _fix_sign(v2)
-    return centered @ np.column_stack([v1, v2])
+    _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    axes = [_fix_sign(vecs[:, -1 - i]) for i in range(min(2, pts.shape[1]))]
+    coords = np.zeros((pts.shape[0], 2))
+    if axes:
+        coords[:, : len(axes)] = centered @ np.column_stack(axes)
+    return coords
 
 
 def spectral_norm(matrix) -> float:

@@ -15,6 +15,7 @@ from semkv.allocator import (
     apply_policy,
     build_compressed_cache,
     middle_activation_count,
+    pool_scores,
 )
 from semkv.cli import main as cli_main
 from semkv.errors import InfeasibleBudgetError
@@ -132,10 +133,13 @@ def test_criterion_05_budget_soundness():
             HeadClass.HETEROGENEOUS if h < f_r else HeadClass.NON_HETEROGENEOUS
             for h in range(n)
         ]
+        pooled = [
+            pool_scores(window_column_scores(h, min(8, seq)).column_means, 3)
+            for h in trace.layer_heads(0)
+        ]
         for policy in policies:
             plan = apply_policy(
-                0, trace.layer_heads(0), classes, policy, ratio,
-                sinks, recents, min(8, seq), 3,
+                0, classes, policy, ratio, sinks, recents, min(8, seq), pooled,
             )
             assert plan.retained_tokens() <= budget
             if policy == PolicyKind.TASK_KV:

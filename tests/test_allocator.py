@@ -1,9 +1,15 @@
 """Budget arithmetic, token selection, policy plans, cache assembly, accounting."""
 
+import collections
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 from semkv.allocator import (
+    POLICIES,
     BudgetPlan,
     PolicyKind,
     apply_policy,
@@ -20,8 +26,9 @@ from semkv.errors import (
     InfeasibleBudgetError,
     ParameterError,
     PlanFormatError,
+    SemkvError,
 )
-from semkv.separator import HeadClass
+from semkv.separator import HeadClass, window_column_scores
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -113,9 +120,18 @@ def small_trace(seed=0, shape=(1, 4, 48, 6), kind="uniform-random", **kw):
     return gen_synthetic_trace(SyntheticProfile(kind, seed=seed, **kw), shape)
 
 
+def layer_pooled(trace, layer, window, kernel):
+    """The layer's per-head pooled window scores, as `compress_run` computes them."""
+    return [
+        pool_scores(window_column_scores(h, window).column_means, kernel)
+        for h in trace.layer_heads(layer)
+    ]
+
+
 def plan_for(trace, classes, policy, ratio, sinks=2, recents=4, window=8, kernel=3, layer=0):
     return apply_policy(
-        layer, trace.layer_heads(layer), classes, policy, ratio, sinks, recents, window, kernel
+        layer, classes, policy, ratio, sinks, recents, window,
+        layer_pooled(trace, layer, window, kernel),
     )
 
 
@@ -213,6 +229,78 @@ class TestApplyPolicy:
         assert plan.clamped and plan.middle_k == 0
         for h in (1, 2, 3):
             assert len(plan.per_head_retained[h]) == 12
+
+
+    def test_all_heterogeneous_layer_at_ratio_one_keeps_everything(self):
+        trace = small_trace(seed=12)
+        for policy in (PolicyKind.TASK_KV, PolicyKind.NO_CACHE, PolicyKind.COMPRESSED_CACHE):
+            plan = plan_for(trace, classes_with_het(4, {0, 1, 2, 3}), policy, 1.0)
+            assert (plan.middle_k, plan.clamped, plan.per_head_groups) == (0, False, None)
+            for idx in plan.per_head_retained:
+                np.testing.assert_array_equal(idx, np.arange(48))
+
+    def test_infeasible_error_names_the_layer(self):
+        trace = small_trace(seed=13, shape=(2, 4, 48, 6))
+        with pytest.raises(InfeasibleBudgetError, match=r"^layer 1: budget 57 < 144"):
+            plan_for(trace, classes_with_het(4, {0, 1, 2}), PolicyKind.NO_CACHE, 0.3, layer=1)
+
+
+class TestPolicyTable:
+    def test_one_entry_per_policy(self):
+        assert set(POLICIES) == set(PolicyKind)
+
+    @staticmethod
+    def grid():
+        """Plans (or error classes) over a seeded grid of layer shapes and budgets.
+
+        It covers every policy at f_r = 0, 1, n/2 and n, sinks + recents >= N
+        (at N = 8), clamped budgets, window 1, 4 and N, kernels 1 and 3, tied
+        pooled scores, and infeasible budgets.
+        """
+        rng = np.random.default_rng(20261018)
+        cells = itertools.product(
+            (1, 2, 4, 8), (8, 33), (0.1, 0.35, 0.5, 1.0), ((0, 0), (1, 2), (2, 5), (6, 4))
+        )
+        for i, (n, seq, ratio, (sinks, recents)) in enumerate(cells):
+            for f_r in sorted({0, 1, n // 2, n}):
+                for window in (1, 4, seq):
+                    kernel = (1, 3)[i % 2]
+                    het = set(rng.permutation(n)[:f_r].tolist())
+                    classes = classes_with_het(n, het)
+                    means = [rng.integers(0, 4, size=seq) / 8 for _ in range(n)]
+                    pooled = [pool_scores(m, kernel) for m in means]
+                    for policy in PolicyKind:
+                        try:
+                            yield apply_policy(
+                                i % 3, classes, policy, ratio, sinks, recents, window, pooled
+                            ).to_json_dict()
+                        except SemkvError as exc:
+                            yield {"error": type(exc).__name__}
+
+    def test_frozen_plans_digest(self):
+        # frozen from the branch-tree `apply_policy` this table replaced
+        digest = hashlib.sha256()
+        counts = collections.Counter()
+        for record in self.grid():
+            digest.update(json.dumps(record, sort_keys=True).encode())
+            counts[record.get("error", record.get("policy"))] += 1
+            counts["clamped"] += bool(record.get("clamped"))
+            counts["groups"] += "per_head_groups" in record
+        assert counts == {
+            "InfeasibleBudgetError": 1440,
+            "full": 1248,
+            "streaming": 1248,
+            "uniform-topk": 1248,
+            "task-kv": 768,
+            "no-cache": 768,
+            "compressed-cache": 768,
+            "clamped": 729,
+            "groups": 672,
+        }
+        assert digest.hexdigest() == PLANS_GRID_SHA256
+
+
+PLANS_GRID_SHA256 = "932bb9efa6cf4015a1be3a72027744630ddbf37c3536f267af1ee6a9380128af"
 
 
 class TestBudgetProperties:
@@ -525,7 +613,7 @@ class TestMemoryFootprint:
             classes = classes_with_het(8, {0, 1})
             plans.append(
                 apply_policy(
-                    r, trace.layer_heads(r), classes, PolicyKind.TASK_KV, 0.4, 2, 4, 8, 3
+                    r, classes, PolicyKind.TASK_KV, 0.4, 2, 4, 8, layer_pooled(trace, r, 8, 3)
                 )
             )
         mem = memory_footprint(build_compressed_cache(trace, plans))
@@ -537,7 +625,7 @@ class TestMemoryFootprint:
         trace = small_trace(seed=53, shape=(2, 8, 128, 8), kind="clustered-heads", planted=2)
         classes = classes_with_het(8, {0, 1})
         plans = [
-            apply_policy(r, trace.layer_heads(r), classes, policy, 0.5, 2, 4, 8, 3)
+            apply_policy(r, classes, policy, 0.5, 2, 4, 8, layer_pooled(trace, r, 8, 3))
             for r in range(2)
         ]
         cache = build_compressed_cache(trace, plans)

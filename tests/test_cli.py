@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from semkv.allocator import PolicyKind
 from semkv.cli import main
 from semkv.trace import read_trace
 
@@ -215,6 +216,11 @@ class TestAll:
         assert code == 0, err
         assert (out / "trace.tkv").exists()
 
+    def test_format_flag_is_gone(self, trace_file, tmp_path, capsys):
+        # every run writes report.json and report.csv; the flag chose nothing
+        with pytest.raises(SystemExit):
+            main(["all", "--trace", str(trace_file), "--format", "json", "--out", str(tmp_path)])
+
     def test_identical_runs_are_byte_identical(self, trace_file, tmp_path, capsys):
         outs = []
         for name in ("r1", "r2"):
@@ -228,6 +234,57 @@ class TestAll:
         assert files == sorted(os.listdir(outs[1]))
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_infeasible_cells_do_not_abort_the_run(self, tmp_path, capsys):
+        # beta 0.25 and m 4 put 4 of 8 heads in layer 1 into the full cache,
+        # which a 0.4 budget cannot hold under the head-aware policies
+        out = tmp_path / "needle"
+        code, stdout, err = run_cli(
+            capsys, "all",
+            "--profile", "planted-needle", "--shape", "2,8,1024,32", "--seed", "3",
+            "--policy", ",".join(p.value for p in PolicyKind),
+            "--budget", "0.4,0.8", "--decode-queries", "5", "--out", str(out),
+        )
+        assert code == 0, err
+        assert "3 infeasible cell(s) listed in report.json" in stdout
+        report = json.loads((out / "report.json").read_text())
+        head_aware = ("task-kv", "no-cache", "compressed-cache")
+        assert [(c["policy"], c["budget_ratio"]) for c in report["infeasible"]] == [
+            (p, 0.4) for p in head_aware
+        ]
+        for cell in report["infeasible"]:
+            assert cell["message"] == "layer 1: budget 3276 < 4096 needed by 4 heterogeneous heads"
+        cells = {(c["policy"], c["budget_ratio"]) for c in report["policies"]}
+        expected = {(p.value, 0.8) for p in PolicyKind}
+        expected |= {(p.value, 0.4) for p in PolicyKind if p.value not in head_aware}
+        assert cells == expected
+        for policy, ratio in expected:
+            assert (out / f"plans_{policy}_{ratio:g}.json").exists()
+        for policy in head_aware:
+            assert not (out / f"plans_{policy}_0.4.json").exists()
+
+    def test_compress_lists_infeasible_cells_in_memory_json(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "compress", "--trace", str(trace_file),
+            "--policy", "task-kv,streaming", "--budget", "0.2,0.6",
+            "--beta", "0.5", "--m-top", "4",
+            "--sinks", "4", "--recents", "8", "--window", "16",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        memory = json.loads((out / "memory.json").read_text())
+        assert [(m["policy"], m["budget_ratio"]) for m in memory["memory"]] == [
+            ("streaming", 0.2), ("streaming", 0.6), ("task-kv", 0.6)
+        ]
+        assert [(c["policy"], c["budget_ratio"]) for c in memory["infeasible"]] == [
+            ("task-kv", 0.2)
+        ]
+        feasible = tmp_path / "f"
+        assert run_cli(
+            capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(feasible)
+        )[0] == 0
+        assert "infeasible" not in json.loads((feasible / "memory.json").read_text())
 
 
 class TestConfigFile:

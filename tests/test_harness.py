@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from semkv.allocator import PolicyKind, build_compressed_cache, memory_footprint
-from semkv.errors import CacheConsistencyError, ParameterError
+from semkv.errors import CacheConsistencyError, InfeasibleBudgetError, ParameterError
 from semkv.harness import (
     EvalReport,
     RunConfig,
@@ -92,6 +92,39 @@ class TestCompressRun:
         for r, layer in enumerate(result.profiles):
             het = sum(p.head_class == HeadClass.HETEROGENEOUS for p in layer)
             assert het == result.schedule.per_layer_counts[r]
+
+
+    def test_infeasible_cells_are_recorded_and_the_rest_planned(self):
+        cfg = clustered_config(
+            seed=10, policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING), budget_ratios=(0.2, 0.6)
+        )
+        trace = load_trace_for(cfg)
+        result = compress_run(cfg, trace)
+        assert sorted(result.plans) == [("streaming", 0.2), ("streaming", 0.6), ("task-kv", 0.6)]
+        assert result.infeasible == [
+            {
+                "policy": "task-kv",
+                "budget_ratio": 0.2,
+                "message": "layer 0: budget 204 < 384 needed by 3 heterogeneous heads",
+            }
+        ]
+        report = run_all(cfg, trace).to_json_dict()
+        assert report["infeasible"] == result.infeasible
+        cells = [(p["policy"], p["budget_ratio"]) for p in report["policies"]]
+        assert cells == sorted(result.plans)
+
+    def test_feasible_run_reports_no_infeasible_cells(self):
+        cfg = clustered_config(seed=10)
+        trace = load_trace_for(cfg)
+        assert compress_run(cfg, trace).infeasible == []
+        assert "infeasible" not in run_all(cfg, trace).to_json_dict()
+
+    def test_run_with_no_feasible_cell_raises(self):
+        cfg = clustered_config(
+            seed=10, policies=(PolicyKind.TASK_KV, PolicyKind.NO_CACHE), budget_ratios=(0.1, 0.2)
+        )
+        with pytest.raises(InfeasibleBudgetError, match="^layer 0: budget 102 < 384"):
+            compress_run(cfg, load_trace_for(cfg))
 
 
 class TestFidelityEval:
@@ -465,4 +498,6 @@ class TestReportFixture:
         assert digest == REPORT_FIXTURE_SHA256
 
 
-REPORT_FIXTURE_SHA256 = "6817d96b85b3fe885559d6facf46725205717665d2426e4c97b247a5c9778b9b"
+# The `pca` block this pins agrees with the power-iteration oracle to 3.0e-10
+# of the largest coordinate (tests/test_linalg.py::TestPCAOracle).
+REPORT_FIXTURE_SHA256 = "432f574246fd188e90eb4c710a6eddabc586cf1a13c3212fd1dc3ea6d67aa838"
