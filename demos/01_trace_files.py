@@ -18,29 +18,29 @@ from semkv import (
     write_trace,
 )
 
-out_dir = Path(tempfile.mkdtemp(prefix="semkv_demo_"))
 shape = (2, 8, 256, 16)  # layers, heads, sequence, head_dim
-print(f"shape R,n,N,d = {shape}; files under {out_dir}\n")
-
 profiles = [
     SyntheticProfile("uniform-random", seed=7),
     SyntheticProfile("clustered-heads", seed=7, planted=2),
     SyntheticProfile("planted-needle", seed=7, needle_position=40, tail_len=32),
 ]
 
-for profile in profiles:
-    trace = gen_synthetic_trace(profile, shape)
-    path = out_dir / f"{profile.kind}.tkv"
-    written = write_trace(trace, path)
-    again = read_trace(path)
-    print(f"{profile.kind:15s} wrote {written:>9} bytes "
-          f"(header 24 + payload {trace.header.payload_bytes})")
-    print(f"{'':15s} round-trip bit-exact: {again == trace}")
+with tempfile.TemporaryDirectory(prefix="semkv_demo_") as tmp:
+    out_dir = Path(tmp)
+    print(f"shape R,n,N,d = {shape}; files under {out_dir}\n")
+    for profile in profiles:
+        trace = gen_synthetic_trace(profile, shape)
+        path = out_dir / f"{profile.kind}.tkv"
+        written = write_trace(trace, path)
+        again = read_trace(path)
+        print(f"{profile.kind:15s} wrote {written:>9} bytes "
+              f"(header 24 + payload {trace.header.payload_bytes})")
+        print(f"{'':15s} round-trip bit-exact: {again == trace}")
 
-    # same profile, fresh generation -> identical bytes
-    buf = io.BytesIO()
-    write_trace(gen_synthetic_trace(profile, shape), buf)
-    print(f"{'':15s} regeneration byte-identical: {buf.getvalue() == path.read_bytes()}\n")
+        # same profile, fresh generation -> identical bytes
+        buf = io.BytesIO()
+        write_trace(gen_synthetic_trace(profile, shape), buf)
+        print(f"{'':15s} regeneration byte-identical: {buf.getvalue() == path.read_bytes()}\n")
 
 clustered = profiles[1]
 print("clustered-heads ground truth (planted head indices per layer):")

@@ -37,7 +37,7 @@ classes = [
 sinks, recents, window, kernel = 4, 16, 16, 7
 pooled = [
     pool_scores(window_column_scores(h, window).column_means, kernel)
-    for h in trace.layer_heads(0)
+    for h in (trace.head_inputs(0, i) for i in range(8))
 ]
 budget = int(np.floor(0.4 * 256 * 8))
 print(f"one layer, n=8, N=256, planted heads {sorted(planted)} heterogeneous, "

@@ -263,17 +263,67 @@ def _head_aware(slots):
     return plan
 
 
+# What a non-heterogeneous head does with its k middle slots under each
+# head-aware policy; these are the policies whose budget must first hold
+# the heterogeneous heads.
+HEAD_AWARE_SLOTS = {
+    PolicyKind.TASK_KV: _top_k_slots,
+    PolicyKind.NO_CACHE: _recent_slots,
+    PolicyKind.COMPRESSED_CACHE: _group_mean_slots,
+}
+
 # One entry per row of the README's policy table. Each maps (head classes,
 # per-head pooled window scores, layer budget B, sinks, recents, window) to
 # what the layer keeps.
 POLICIES = {
     PolicyKind.FULL: _full,
-    PolicyKind.TASK_KV: _head_aware(_top_k_slots),
-    PolicyKind.NO_CACHE: _head_aware(_recent_slots),
-    PolicyKind.COMPRESSED_CACHE: _head_aware(_group_mean_slots),
+    **{kind: _head_aware(slots) for kind, slots in HEAD_AWARE_SLOTS.items()},
     PolicyKind.STREAMING: _uniform(_sinks_then_recents),
     PolicyKind.UNIFORM_TOPK: _uniform(_window_then_top),
 }
+
+
+def _cell_budget(
+    policy, budget_ratio: float, seq_len: int, n: int, sinks: int, recents: int
+) -> tuple[PolicyKind, int]:
+    """The policy and layer budget B of a (policy, budget) cell, with its parameters checked."""
+    try:
+        policy = PolicyKind(policy)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
+    if not 0 < budget_ratio <= 1:
+        raise ParameterError(f"budget_ratio {budget_ratio} outside (0, 1]")
+    if sinks < 0 or recents < 0:
+        raise ParameterError(f"sinks and recents must be >= 0, got {sinks} and {recents}")
+    return policy, int(np.floor(budget_ratio * seq_len * n))
+
+
+def check_cell(
+    policy,
+    budget_ratio: float,
+    seq_len: int,
+    n: int,
+    heterogeneous_counts,
+    sinks: int,
+    recents: int,
+) -> None:
+    """Check a (policy, budget) cell against every layer before any is read.
+
+    Needs only the trace's shape and the schedule f(r): a bad parameter
+    raises ParameterError, and a head-aware budget that cannot hold a
+    layer's heterogeneous heads raises, for the first such layer, the
+    InfeasibleBudgetError `apply_policy` would raise there.
+    """
+    policy, budget = _cell_budget(policy, budget_ratio, seq_len, n, sinks, recents)
+    if policy not in HEAD_AWARE_SLOTS:
+        return
+    for layer, f_r in enumerate(heterogeneous_counts):
+        try:
+            middle_activation_count(budget, seq_len, f_r, n, sinks, recents)
+        except AllHeadsHeterogeneousError:
+            pass
+        except InfeasibleBudgetError as exc:
+            raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
 
 
 def apply_policy(
@@ -287,14 +337,8 @@ def apply_policy(
     pooled: list[np.ndarray],
 ) -> BudgetPlan:
     """Plan one layer under `policy` from its heads' pooled window scores."""
-    try:
-        policy = PolicyKind(policy)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-    if not 0 < budget_ratio <= 1:
-        raise ParameterError(f"budget_ratio {budget_ratio} outside (0, 1]")
     n, seq_len = len(pooled), len(pooled[0])
-    budget = int(np.floor(budget_ratio * seq_len * n))
+    policy, budget = _cell_budget(policy, budget_ratio, seq_len, n, sinks, recents)
     try:
         keep = POLICIES[policy](head_classes, pooled, budget, sinks, recents, window_len)
     except InfeasibleBudgetError as exc:
@@ -382,8 +426,9 @@ def _group_means(rows: np.ndarray, groups) -> np.ndarray:
     return means
 
 
-def check_plans(trace: AttentionTrace, plans) -> list[BudgetPlan]:
-    """The plans as a list, one per trace layer, each covering every head."""
+def check_plans(trace, plans) -> list[BudgetPlan]:
+    """The plans as a list, one per layer of `trace` (an `AttentionTrace` or
+    a `TraceHeader`), each covering every head."""
     plans = list(plans)
     if len(plans) != trace.num_layers:
         raise CacheConsistencyError(f"{len(plans)} plans for {trace.num_layers} layers")
@@ -404,24 +449,23 @@ def keeps_every_position(plan: BudgetPlan, head: int, seq_len: int) -> bool:
     return not groups and np.array_equal(plan.per_head_retained[head], np.arange(seq_len))
 
 
-def build_head_entry(
-    trace: AttentionTrace, plan: BudgetPlan, layer: int, head: int
-) -> CacheEntry:
-    """One head's retained K/V rows (plus synthetic group means) out of the trace.
+def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int) -> CacheEntry:
+    """One head's retained K/V rows (plus synthetic group means) out of its
+    (3, N, d) Q/K/V block.
 
     `plan` is layer `layer`'s plan, already passed through `check_plans`. A
-    head that keeps every position holds read-only views of the trace's
-    rows, in the trace's dtype; other heads hold float64 copies of the rows
-    they keep, gathered from the trace and then widened.
+    head that keeps every position holds read-only views of the block's
+    rows, in its dtype; other heads hold float64 copies of the rows they
+    keep, gathered from the block and then widened.
     """
-    n_seq = trace.seq_len
+    n_seq = block.shape[1]
     where = f"layer {layer} head {head}"
     idx = np.asarray(plan.per_head_retained[head], dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= n_seq):
         raise CacheConsistencyError(f"{where}: retained index outside [0, {n_seq})")
     groups = [] if plan.per_head_groups is None else plan.per_head_groups[head]
     _check_groups(groups, n_seq, where)
-    keys, values = trace.data[layer, head, 1], trace.data[layer, head, 2]
+    keys, values = block[1], block[2]
     synthetic = np.zeros(idx.size, dtype=bool)
     if keeps_every_position(plan, head, n_seq):
         return CacheEntry(keys, values, idx, synthetic)
@@ -444,7 +488,7 @@ def build_compressed_cache(trace: AttentionTrace, plans) -> CompressedCache:
     plans = check_plans(trace, plans)
     cache = CompressedCache(trace.num_layers, trace.num_heads, trace.seq_len, trace.head_dim)
     cache.entries = [
-        [build_head_entry(trace, plan, r, h) for h in range(trace.num_heads)]
+        [build_head_entry(trace.data[r, h], plan, r, h) for h in range(trace.num_heads)]
         for r, plan in enumerate(plans)
     ]
     return cache
@@ -456,19 +500,20 @@ class MemoryFootprint(NamedTuple):
     ratio_vs_full: float
 
 
-def _footprint(tokens: int, num_layers: int, num_heads: int, seq_len: int, head_dim: int):
-    full = num_layers * num_heads * seq_len
-    return MemoryFootprint(tokens, tokens * 2 * head_dim * 4, tokens / full)
+def footprint(tokens: int, shape) -> MemoryFootprint:
+    """Token, byte (K+V float32) and fraction-of-full accounting of `tokens`
+    cache rows over a trace of `shape`'s dimensions (a trace, a header or a
+    cache)."""
+    full = shape.num_layers * shape.num_heads * shape.seq_len
+    return MemoryFootprint(tokens, tokens * 2 * shape.head_dim * 4, tokens / full)
 
 
 def memory_footprint(cache: CompressedCache) -> MemoryFootprint:
-    """Token, byte (K+V float32), and fraction-of-full accounting for a built cache."""
-    tokens = sum(len(entry.positions) for layer in cache.entries for entry in layer)
-    return _footprint(tokens, cache.num_layers, cache.num_heads, cache.seq_len, cache.head_dim)
+    """`footprint` of a built cache's rows."""
+    return footprint(sum(len(entry.positions) for layer in cache.entries for entry in layer), cache)
 
 
-def plans_footprint(trace: AttentionTrace, plans) -> MemoryFootprint:
+def plans_footprint(trace, plans) -> MemoryFootprint:
     """`memory_footprint` of the cache the plans would build, without building it."""
     plans = check_plans(trace, plans)
-    tokens = sum(plan.retained_tokens() for plan in plans)
-    return _footprint(tokens, trace.num_layers, trace.num_heads, trace.seq_len, trace.head_dim)
+    return footprint(sum(plan.retained_tokens() for plan in plans), trace)

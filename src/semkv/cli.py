@@ -8,24 +8,31 @@ Failures print one machine-readable JSON object on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import os
 import sys
 
-from .allocator import BudgetPlan, PolicyKind, plans_footprint
+import numpy as np
+
+from .allocator import BudgetPlan, PolicyKind, check_plans
 from .contribution import verify_bound_suite
 from .errors import ParameterError, PlanFormatError, SemkvError
 from .harness import (
+    FidelityReport,
     RunConfig,
-    compress_run,
+    RunResult,
+    bound_suite,
+    build_eval_report,
+    decode_count,
     export_pca_csv,
     export_report,
-    fidelity_eval,
-    load_trace_for,
-    run_all,
+    open_source,
+    run_steps,
+    score_layer,
+    start_run,
 )
-from .trace import SyntheticProfile, gen_synthetic_trace, write_trace
+from .trace import SyntheticProfile, SyntheticSource, decode_outputs, write_trace
 
 
 def _parse_shape(text: str) -> tuple[int, int, int, int]:
@@ -232,6 +239,32 @@ def _outdir(args) -> str:
     return out
 
 
+class _Outputs:
+    """A command's output files, written in `out` under temporary names and
+    renamed into place together once the command succeeds. On failure they
+    are removed, so a failed run leaves no output under a final name."""
+
+    def __init__(self, out: str):
+        self.out = out
+        self._staged: dict[str, str] = {}
+
+    def path(self, name: str) -> str:
+        final = os.path.join(self.out, name)
+        self._staged[final] = os.path.join(self.out, f".{name}.partial")
+        return self._staged[final]
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for final, temporary in self._staged.items():
+            if exc_type is None:
+                os.replace(temporary, final)
+            else:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(temporary)
+
+
 def _plan_filename(policy: str, ratio: float) -> str:
     return f"plans_{policy}_{ratio:g}.json"
 
@@ -246,24 +279,47 @@ def _cmd_gen(args) -> int:
     cfg = _config_from(args)
     if cfg.profile is None or cfg.shape is None:
         raise ParameterError("gen needs --profile and --shape")
-    trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-    written = write_trace(trace, args.out)
+    written = write_trace(SyntheticSource(cfg.profile, cfg.shape), args.out)
     print(f"wrote {args.out} ({written} bytes)")
     return 0
 
 
-def _plans_payload(trace, policy: str, ratio: float, layer_plans) -> dict:
-    return {
-        "policy": policy,
-        "budget_ratio": ratio,
-        "trace": {
-            "num_layers": trace.num_layers,
-            "num_heads": trace.num_heads,
-            "seq_len": trace.seq_len,
-            "head_dim": trace.head_dim,
-        },
-        "layers": [p.to_json_dict() for p in layer_plans],
-    }
+class _PlansFiles:
+    """One plans file per cell, each appended one layer's plan at a time.
+
+    A finished file holds exactly `json.dumps(payload) + "\n"` of the whole
+    payload: its head up to the opening of the `layers` list, each layer's
+    plan, then the list's and object's closing brackets.
+    """
+
+    def __init__(self, files: contextlib.ExitStack, outputs: _Outputs, header, cells):
+        self._files = {}
+        for policy, ratio in cells:
+            path = outputs.path(_plan_filename(policy, ratio))
+            f = self._files[(policy, ratio)] = files.enter_context(open(path, "w"))
+            payload = {
+                "policy": policy,
+                "budget_ratio": ratio,
+                "trace": {
+                    "num_layers": header.num_layers,
+                    "num_heads": header.num_heads,
+                    "seq_len": header.seq_len,
+                    "head_dim": header.head_dim,
+                },
+                "layers": [],
+            }
+            # the payload ends with its empty layer list, "[]}"
+            f.write(json.dumps(payload)[:-2])
+        self._separator = ""
+
+    def add(self, plans: dict) -> None:
+        for cell, plan in plans.items():
+            self._files[cell].write(self._separator + json.dumps(plan.to_json_dict()))
+        self._separator = ", "
+
+    def finish(self) -> None:
+        for f in self._files.values():
+            f.write("]}\n")
 
 
 def _infeasible_note(result, listed_in: str) -> str:
@@ -271,54 +327,83 @@ def _infeasible_note(result, listed_in: str) -> str:
     return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
 
 
+def _written_layers(header, layers, sink):
+    """Pass `layers` through, writing the header and then each layer's
+    float32 bytes to `sink` as it arrives."""
+    sink.write(header.pack())
+    for data in layers:
+        sink.write(np.asarray(data, dtype="<f4").view(np.uint8))
+        yield data
+
+
+def _run_and_write_plans(cfg, header, layers, outputs, files, score: bool) -> RunResult:
+    """`run_steps` over `layers`, each layer's plans appended to the cells'
+    plans files before the next layer is read."""
+    result = start_run(cfg, header, score=score)
+    plans_files = _PlansFiles(files, outputs, header, result.cells)
+    for step in run_steps(cfg, result, layers):
+        plans_files.add(step.plans)
+    plans_files.finish()
+    return result
+
+
 def _cmd_compress(args) -> int:
     cfg = _config_from(args)
-    trace = load_trace_for(cfg)
-    result = compress_run(cfg, trace)
-    out = _outdir(args)
-    memory_rows = []
-    for (policy, ratio), layer_plans in sorted(result.plans.items()):
-        _write_json(
-            os.path.join(out, _plan_filename(policy, ratio)),
-            _plans_payload(trace, policy, ratio, layer_plans),
-        )
-        mem = plans_footprint(trace, layer_plans)
-        memory_rows.append(
-            {
-                "policy": policy,
-                "budget_ratio": ratio,
-                "tokens_retained": mem.tokens_retained,
-                "bytes": mem.bytes,
-                "ratio_vs_full": mem.ratio_vs_full,
-            }
-        )
-    payload = {"memory": memory_rows}
-    if result.infeasible:
-        payload["infeasible"] = result.infeasible
-    _write_json(os.path.join(out, "memory.json"), payload)
+    with open_source(cfg) as source:
+        out = _outdir(args)
+        with _Outputs(out) as outputs, contextlib.ExitStack() as files:
+            result = _run_and_write_plans(
+                cfg, source.header, source.layers(), outputs, files, score=False
+            )
+            memory_rows = []
+            for cell in sorted(result.cells):
+                mem = result.memory(cell, source.header)
+                memory_rows.append(
+                    {
+                        "policy": cell[0],
+                        "budget_ratio": cell[1],
+                        "tokens_retained": mem.tokens_retained,
+                        "bytes": mem.bytes,
+                        "ratio_vs_full": mem.ratio_vs_full,
+                    }
+                )
+            payload = {"memory": memory_rows}
+            if result.infeasible:
+                payload["infeasible"] = result.infeasible
+            _write_json(outputs.path("memory.json"), payload)
     print(f"wrote {len(memory_rows)} plan file(s) and memory.json to {out}"
           + _infeasible_note(result, "memory.json"))
     return 0
 
 
+def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
+    with open(path) as f:
+        payload = json.load(f)
+    try:
+        policy, ratio, layers = payload["policy"], payload["budget_ratio"], payload["layers"]
+    except (KeyError, TypeError) as exc:
+        raise PlanFormatError(f"{path}: not a plans file ({exc!r})") from exc
+    return policy, ratio, check_plans(header, [BudgetPlan.from_json_dict(d) for d in layers])
+
+
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
-    trace = load_trace_for(cfg)
-    out = _outdir(args)
+    with open_source(cfg) as source:
+        header = source.header
+        out = _outdir(args)
+        plan_sets = [_read_plans(path, header) for path in args.plans]
+        dq = decode_count(cfg, header)
+        scores = [[] for _ in plan_sets]
+        for r, data in enumerate(source.layers()):
+            full = decode_outputs(data, dq)
+            for layer_scores, (_, _, plans) in zip(scores, plan_sets):
+                layer_scores.append(score_layer(data, r, plans[r], full))
     fidelity_rows = []
-    for plans_path in args.plans:
-        with open(plans_path) as f:
-            payload = json.load(f)
-        try:
-            policy, ratio, layers = payload["policy"], payload["budget_ratio"], payload["layers"]
-        except (KeyError, TypeError) as exc:
-            raise PlanFormatError(f"{plans_path}: not a plans file ({exc!r})") from exc
-        layer_plans = [BudgetPlan.from_json_dict(d) for d in layers]
-        dq = min(cfg.resolved_decode_queries(), trace.seq_len)
-        fid = fidelity_eval(trace, layer_plans, dq)
+    for path, (policy, ratio, _), layers in zip(args.plans, plan_sets, scores):
+        fid = FidelityReport.from_layers(dq, layers)
         fidelity_rows.append(
             {
-                "plans": os.path.basename(plans_path),
+                "plans": os.path.basename(path),
                 "policy": policy,
                 "budget_ratio": ratio,
                 "decode_queries": fid.decode_queries,
@@ -328,7 +413,8 @@ def _cmd_eval(args) -> int:
                 "per_head_cosine": fid.per_head_cosine.tolist(),
             }
         )
-    _write_json(os.path.join(out, "fidelity.json"), {"fidelity": fidelity_rows})
+    with _Outputs(out) as outputs:
+        _write_json(outputs.path("fidelity.json"), {"fidelity": fidelity_rows})
     print(f"wrote fidelity.json to {out}")
     return 0
 
@@ -352,33 +438,36 @@ def _cmd_contrib(args) -> int:
 
 def _cmd_pca(args) -> int:
     cfg = _config_from(args)
-    trace = load_trace_for(cfg)
-    pca_cfg = dataclasses.replace(
-        cfg, policies=(PolicyKind.FULL,), budget_ratios=(1.0,), decode_queries=1
-    )
-    report = run_all(pca_cfg, trace)
-    out = _outdir(args)
-    path = os.path.join(out, "pca.csv")
-    export_pca_csv(report, path)
-    print(f"wrote {path}")
+    with open_source(cfg) as source:
+        out = _outdir(args)
+        result = start_run(cfg, source.header, plan=False, score=False)
+        for _ in run_steps(cfg, result, source.layers()):
+            pass
+        report = build_eval_report(cfg, source.header, result)
+    with _Outputs(out) as outputs:
+        export_pca_csv(report, outputs.path("pca.csv"))
+    print(f"wrote {os.path.join(out, 'pca.csv')}")
     return 0
 
 
 def _cmd_all(args) -> int:
     cfg = _config_from(args)
-    trace = load_trace_for(cfg)
-    out = _outdir(args)
-    if cfg.trace_path is None:
-        write_trace(trace, os.path.join(out, "trace.tkv"))
-    report, result = run_all(cfg, trace, return_result=True)
-    for (policy, ratio), layer_plans in sorted(result.plans.items()):
-        _write_json(
-            os.path.join(out, _plan_filename(policy, ratio)),
-            _plans_payload(trace, policy, ratio, layer_plans),
-        )
-    export_report(report, "json", os.path.join(out, "report.json"))
-    export_report(report, "csv", os.path.join(out, "report.csv"))
-    export_pca_csv(report, os.path.join(out, "pca.csv"))
+    with open_source(cfg) as source:
+        out = _outdir(args)
+        with _Outputs(out) as outputs:
+            with contextlib.ExitStack() as files:
+                layers = source.layers()
+                if cfg.trace_path is None:
+                    # a generated trace is saved as its layers are drawn
+                    sink = files.enter_context(open(outputs.path("trace.tkv"), "wb"))
+                    layers = _written_layers(source.header, layers, sink)
+                result = _run_and_write_plans(
+                    cfg, source.header, layers, outputs, files, score=True
+                )
+            report = build_eval_report(cfg, source.header, result, bound_suite(cfg))
+            export_report(report, "json", outputs.path("report.json"))
+            export_report(report, "csv", outputs.path("report.csv"))
+            export_pca_csv(report, outputs.path("pca.csv"))
     print(f"wrote report.json, report.csv, pca.csv and plans to {out}"
           + _infeasible_note(result, "report.json"))
     return 0

@@ -1,5 +1,14 @@
 """Pipeline orchestration: classify heads, plan budgets, score fidelity, export.
 
+A run is one loop over a trace's layers. `start_run` decides from the
+header alone, before any layer is read, the schedule f(r), which
+(policy, budget) cells are feasible and the decode-query count. Then
+`layer_step` runs on each layer in turn: the head pass, classification,
+a plan per cell and each plan's fidelity. A layer's payload and plans are
+dropped before the next layer is read, so the CLI's peak memory follows
+one layer. The library functions (`compress_run`, `fidelity_eval`,
+`run_all`) are the same loop over an in-memory `AttentionTrace`.
+
 Fidelity is measured the way a decoder with an evicted cache behaves: for the
 last `decode_queries` query rows, attention outputs over the retained K/V
 entries (softmax renormalized over the retained, causally visible set) are
@@ -9,10 +18,12 @@ quality; it needs no language model.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,14 +34,15 @@ from .allocator import (
     PolicyKind,
     apply_policy,
     build_head_entry,
+    check_cell,
     check_plans,
+    footprint,
     keeps_every_position,
-    plans_footprint,
     pool_scores,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import AttentionInputs, masked_softmax, pca_2d
+from .linalg import masked_softmax, pca_2d
 from .separator import (
     HeadProfile,
     HeterogeneitySchedule,
@@ -41,7 +53,15 @@ from .separator import (
     heterogeneous_schedule,
     window_weights,
 )
-from .trace import AttentionTrace, SyntheticProfile, gen_synthetic_trace, read_trace
+from .trace import (
+    AttentionTrace,
+    SyntheticProfile,
+    SyntheticSource,
+    TraceHeader,
+    TraceReader,
+    decode_output,
+    widen_head,
+)
 
 DEFAULT_POLICIES = (PolicyKind.TASK_KV, PolicyKind.STREAMING)
 DEFAULT_BUDGETS = (0.4,)
@@ -101,102 +121,233 @@ class RunConfig:
         }
 
 
-def load_trace_for(config: RunConfig) -> AttentionTrace:
+def open_source(config: RunConfig):
+    """The config's trace as a layer source, for a `with` block: a
+    `TraceReader` over its file, or a `SyntheticSource`."""
     if config.trace_path is not None:
-        return read_trace(config.trace_path)
+        return TraceReader(config.trace_path)
     if config.profile is not None and config.shape is not None:
-        return gen_synthetic_trace(config.profile, config.shape)
+        return contextlib.nullcontext(SyntheticSource(config.profile, config.shape))
     raise ParameterError("config needs either trace_path or profile+shape")
+
+
+def load_trace_for(config: RunConfig) -> AttentionTrace:
+    """The config's whole trace in memory: its `open_source` layers copied
+    into one float32 array."""
+    with open_source(config) as source:
+        header = source.header
+        data = np.empty(
+            (header.num_layers, header.num_heads, 3, header.seq_len, header.head_dim),
+            dtype=np.float32,
+        )
+        for out, layer in zip(data, source.layers()):
+            out[...] = layer
+    return AttentionTrace(header, data)
+
+
+# a (policy, budget ratio) cell of a run
+Cell = tuple[str, float]
+
+
+@dataclass
+class LayerStep:
+    """What one layer contributes to a run: its head profiles, a plan per
+    feasible cell and, when the run scores fidelity, each plan's per-head
+    (L2, cosine) arrays."""
+
+    profiles: list[HeadProfile]
+    plans: dict[Cell, BudgetPlan]
+    scores: dict[Cell, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
 class RunResult:
+    """A run's results, gathered one `LayerStep` at a time.
+
+    Everything a run decides before it reads a layer comes first: the
+    schedule, the feasible cells, the infeasible ones (one {"policy",
+    "budget_ratio", "message"} entry per cell left unplanned because its
+    budget cannot hold the heterogeneous heads) and the decode-query count
+    when fidelity is scored. `plans` holds every layer's plan per cell only
+    for callers that keep them; `head_tokens` and `scores` hold what a
+    report needs of them.
+    """
+
     schedule: HeterogeneitySchedule
-    profiles: list[list[HeadProfile]]
-    plans: dict[tuple[str, float], list[BudgetPlan]]
-    # one {"policy", "budget_ratio", "message"} entry per cell left unplanned
-    # because its budget cannot hold the heterogeneous heads
+    cells: list[Cell] = field(default_factory=list)
     infeasible: list[dict] = field(default_factory=list)
+    decode_queries: int | None = None
+    profiles: list[list[HeadProfile]] = field(default_factory=list)
+    plans: dict[Cell, list[BudgetPlan]] = field(default_factory=dict)
+    head_tokens: dict[Cell, list[list[int]]] = field(default_factory=dict)
+    scores: dict[Cell, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict)
+
+    def add(self, step: LayerStep, keep_plans: bool) -> None:
+        self.profiles.append(step.profiles)
+        for cell, plan in step.plans.items():
+            heads = range(len(plan.per_head_retained))
+            self.head_tokens.setdefault(cell, []).append([plan.head_tokens(h) for h in heads])
+            if keep_plans:
+                self.plans.setdefault(cell, []).append(plan)
+        for cell, score in step.scores.items():
+            self.scores.setdefault(cell, []).append(score)
+
+    def fidelity(self, cell: Cell) -> "FidelityReport":
+        return FidelityReport.from_layers(self.decode_queries, self.scores[cell])
+
+    def memory(self, cell: Cell, header: TraceHeader) -> MemoryFootprint:
+        return footprint(sum(map(sum, self.head_tokens[cell])), header)
 
 
-def _window_pass(
-    inputs: AttentionInputs, window_len: int, top_t: int, decode_out: np.ndarray | None
+def start_run(
+    config: RunConfig, header: TraceHeader, plan: bool = True, score: bool = True
+) -> RunResult:
+    """Everything a run decides from the header alone, before any layer is read.
+
+    With `plan`, each (policy, budget) cell passes `check_cell`: the cells
+    whose budget cannot hold some layer's heterogeneous heads are listed
+    in `infeasible`, and when no cell is feasible the first one's error is
+    raised. With `score`, the decode-query count is checked.
+    """
+    schedule = heterogeneous_schedule(
+        header.num_heads, config.beta, config.top_m, header.num_layers
+    )
+    result = RunResult(schedule)
+    for policy in config.policies if plan else ():
+        for ratio in config.budget_ratios:
+            cell = (PolicyKind(policy).value, ratio)
+            try:
+                check_cell(
+                    policy,
+                    ratio,
+                    header.seq_len,
+                    header.num_heads,
+                    schedule.per_layer_counts,
+                    config.sinks,
+                    config.recents,
+                )
+            except InfeasibleBudgetError as exc:
+                result.infeasible.append(
+                    {"policy": cell[0], "budget_ratio": ratio, "message": str(exc)}
+                )
+            else:
+                if cell not in result.cells:
+                    result.cells.append(cell)
+    if result.infeasible and not result.cells:
+        raise InfeasibleBudgetError(result.infeasible[0]["message"])
+    if score:
+        result.decode_queries = decode_count(config, header)
+    return result
+
+
+def decode_count(config: RunConfig, header: TraceHeader) -> int:
+    """The decode-query rows fidelity is scored on, checked against N."""
+    count = min(config.resolved_decode_queries(), header.seq_len)
+    if count < 1:
+        raise ParameterError(f"decode_queries {count} outside [1, {header.seq_len}]")
+    return count
+
+
+def _head_pass(
+    block: np.ndarray,
+    window_len: int,
+    top_t: int,
+    decode_queries: int | None,
+    decode_out: np.ndarray | None,
 ) -> tuple[WindowScores, SemanticVector]:
-    """One head's window scores and top-t semantic vector; with `decode_out`,
-    also the window rows' attention outputs, written into it. The widened
-    inputs die with the call, so one head's float64 copy is alive at a time."""
+    """One head's window scores and top-t semantic vector and, into
+    `decode_out`, its full-cache decode outputs.
+
+    Only K, V and the query rows the pass reads are widened: the window
+    rows, and the decode rows when they differ. When the decode rows are
+    the window rows (the default) their outputs come from the window's
+    own softmax. The widened rows die with the call, so one head's float64
+    copy is alive at a time.
+    """
+    inputs = widen_head(block, max(window_len, decode_queries or 0, 1))
     weights = window_weights(inputs, window_len)
     scores = WindowScores.from_weights(weights)
     if decode_out is not None:
-        decode_out[...] = weights @ inputs.values
+        if decode_queries == window_len:
+            decode_out[...] = weights @ inputs.values
+        else:
+            decode_out[...] = decode_output(inputs, decode_queries)
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 
-def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
-    """Window scores -> semantic vectors -> classification -> plans.
+def layer_step(
+    config: RunConfig,
+    schedule: HeterogeneitySchedule,
+    layer: int,
+    data: np.ndarray,
+    cells: list[Cell],
+    decode_queries: int | None = None,
+) -> LayerStep:
+    """One layer of a run, on its checked (n, 3, N, d) `data`.
 
-    One pass over the heads widens each head's Q/K/V once and takes, from
-    one masked softmax over its observation window, the pooled window
-    scores, the top-t semantic vector and, when the decode rows are the
-    window rows (the default), the head's full-cache decode output, which
-    the trace keeps for `fidelity_eval`. The policies then plan every
-    (policy, budget) cell from the pooled scores alone. A cell whose budget
-    cannot hold its heterogeneous heads is recorded in `infeasible` and the
-    other cells are planned; when no cell is feasible the first cell's
-    error is raised.
+    One pass over the heads widens each head once and takes, from one
+    masked softmax over its observation window, the pooled window scores,
+    the top-t semantic vector and, when fidelity is scored
+    (`decode_queries`), the head's full-cache decode outputs. The layer's
+    heads are classified from f(r), every cell is planned from the pooled
+    scores alone, and each plan is scored against the decode outputs.
     """
-    n = trace.num_heads
-    schedule = heterogeneous_schedule(n, config.beta, config.top_m, trace.num_layers)
-    window_len = min(config.window_len, trace.seq_len)
-    decode = None
-    if min(config.resolved_decode_queries(), trace.seq_len) == window_len >= 1:
-        decode = np.empty((trace.num_layers, n, window_len, trace.head_dim))
-    profiles: list[list[HeadProfile]] = []
-    pooled = []
-    for r in range(trace.num_layers):
-        layer_pooled, vectors = [], []
-        try:
-            for h in range(n):
-                # no local name holds the widened inputs past the call
-                score, vector = _window_pass(
-                    trace.head_inputs(r, h),
-                    window_len,
-                    config.top_t,
-                    None if decode is None else decode[r, h],
-                )
-                layer_pooled.append(pool_scores(score.column_means, config.kernel))
-                vectors.append(vector)
-            profiles.append(build_layer_profiles(r, vectors, schedule.count_for_layer(r)))
-        except SemkvError as exc:
-            raise type(exc)(f"layer {r}: {exc}") from exc
-        pooled.append(layer_pooled)
-    if decode is not None:
-        trace.keep_decode_outputs(window_len, decode)
+    n_heads, _, seq_len, head_dim = data.shape
+    window_len = min(config.window_len, seq_len)
+    full = None if decode_queries is None else np.empty((n_heads, decode_queries, head_dim))
+    pooled, vectors = [], []
+    try:
+        for h, block in enumerate(data):
+            score, vector = _head_pass(
+                block,
+                window_len,
+                config.top_t,
+                decode_queries,
+                None if full is None else full[h],
+            )
+            pooled.append(pool_scores(score.column_means, config.kernel))
+            vectors.append(vector)
+        profiles = build_layer_profiles(layer, vectors, schedule.count_for_layer(layer))
+    except SemkvError as exc:
+        raise type(exc)(f"layer {layer}: {exc}") from exc
+    classes = [p.head_class for p in profiles]
+    plans = {
+        cell: apply_policy(
+            layer, classes, cell[0], cell[1], config.sinks, config.recents, window_len, pooled
+        )
+        for cell in cells
+    }
+    scores = {}
+    if full is not None:
+        scores = {cell: score_layer(data, layer, plan, full) for cell, plan in plans.items()}
+    return LayerStep(profiles, plans, scores)
 
-    result = RunResult(schedule, profiles, {})
-    for policy in config.policies:
-        for ratio in config.budget_ratios:
-            key = (PolicyKind(policy).value, ratio)
-            try:
-                result.plans[key] = [
-                    apply_policy(
-                        r,
-                        [p.head_class for p in profiles[r]],
-                        policy,
-                        ratio,
-                        config.sinks,
-                        config.recents,
-                        window_len,
-                        pooled[r],
-                    )
-                    for r in range(trace.num_layers)
-                ]
-            except InfeasibleBudgetError as exc:
-                result.infeasible.append(
-                    {"policy": key[0], "budget_ratio": ratio, "message": str(exc)}
-                )
-    if result.infeasible and not result.plans:
-        raise InfeasibleBudgetError(result.infeasible[0]["message"])
+
+def run_steps(
+    config: RunConfig, result: RunResult, layers, keep_plans: bool = False
+) -> Iterator[LayerStep]:
+    """`layer_step` on each of `layers` in turn, gathered into `result`.
+
+    Each step is yielded before the next layer is read or drawn, so a
+    caller can write that layer's plans out; without `keep_plans` nothing
+    else holds them.
+    """
+    for r, data in enumerate(layers):
+        step = layer_step(config, result.schedule, r, data, result.cells, result.decode_queries)
+        result.add(step, keep_plans)
+        yield step
+
+
+def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
+    """Window scores -> semantic vectors -> classification -> plans, layer by layer.
+
+    A cell whose budget cannot hold its heterogeneous heads is recorded in
+    `infeasible` and the other cells are planned; when no cell is feasible
+    the first cell's error is raised before any layer is computed.
+    """
+    result = start_run(config, trace.header, score=False)
+    for _ in run_steps(config, result, trace.layers(), keep_plans=True):
+        pass
     return result
 
 
@@ -205,6 +356,15 @@ class FidelityReport:
     decode_queries: int
     per_head_l2: np.ndarray  # (R, n) mean L2 error over decode rows
     per_head_cosine: np.ndarray  # (R, n)
+
+    @classmethod
+    def from_layers(cls, decode_queries: int, layers) -> "FidelityReport":
+        """A report from each layer's `score_layer` arrays."""
+        return cls(
+            decode_queries,
+            np.array([l2 for l2, _ in layers]),
+            np.array([cos for _, cos in layers]),
+        )
 
     @property
     def mean_l2(self) -> float:
@@ -225,43 +385,55 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def score_layer(
+    data: np.ndarray, layer: int, plan: BudgetPlan, full: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head decode L2 error and cosine of one layer's plan against its
+    full-cache decode outputs `full`, (n, decode_queries, d).
+
+    Each head's cache entry is built, scored and dropped before the next,
+    so at most one head's entry is alive at a time; its rows and the
+    decode queries are gathered from the layer's `data` and widened to
+    float64. A head that keeps every position attends exactly like the
+    full cache, so it scores from `full` without building its entry.
+    """
+    n_heads, _, seq_len, head_dim = data.shape
+    decode_queries = full.shape[1]
+    first_row = seq_len - decode_queries
+    l2, cos = np.empty(n_heads), np.empty(n_heads)
+    for h, block in enumerate(data):
+        full_out = full[h]
+        if keeps_every_position(plan, h, seq_len):
+            l2[h] = 0.0
+            # the self-cosine of a row is not always exactly 1
+            cos[h] = float(_rows_cosine(full_out, full_out).mean())
+            continue
+        entry = build_head_entry(block, plan, layer, h)
+        q = np.asarray(block[0, first_row:], dtype=np.float64)
+        scores = (q @ entry.keys.T) / np.sqrt(float(head_dim))
+        visible = entry.positions[None, :] <= (first_row + np.arange(decode_queries))[:, None]
+        retained_out = masked_softmax(scores, visible) @ entry.values
+        diff = full_out - retained_out
+        l2[h] = float(np.linalg.norm(diff, axis=1).mean())
+        cos[h] = float(_rows_cosine(full_out, retained_out).mean())
+    return l2, cos
+
+
 def fidelity_eval(
     trace: AttentionTrace, plans: list[BudgetPlan], decode_queries: int
 ) -> FidelityReport:
-    """Decode-attention reconstruction error of the plans' cache vs the full one.
-
-    Each head's cache entry is built, scored and dropped before the next, so
-    at most one head's entry is alive at a time; its rows and the decode
-    queries are gathered from the trace and widened to float64. A head that
-    keeps every position attends exactly like the full cache, so its scores
-    come from the memoized full outputs without building its entry.
-    """
+    """Decode-attention reconstruction error of the plans' cache vs the full
+    one: `score_layer` on each layer, against the trace's memoized full-cache
+    decode outputs."""
     plans = check_plans(trace, plans)
     full = trace.full_decode_outputs(decode_queries)  # validates decode_queries
-    first_row = trace.seq_len - decode_queries
-    l2 = np.empty((trace.num_layers, trace.num_heads))
-    cos = np.empty((trace.num_layers, trace.num_heads))
-    for r, plan in enumerate(plans):
-        for h in range(trace.num_heads):
-            full_out = full[r, h]
-            if keeps_every_position(plan, h, trace.seq_len):
-                l2[r, h] = 0.0
-                # the self-cosine of a row is not always exactly 1
-                cos[r, h] = float(_rows_cosine(full_out, full_out).mean())
-                continue
-            entry = build_head_entry(trace, plan, r, h)
-            q = np.asarray(trace.data[r, h, 0, first_row:], dtype=np.float64)
-            scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
-            visible = (
-                entry.positions[None, :]
-                <= (first_row + np.arange(decode_queries))[:, None]
-            )
-            retained_w = masked_softmax(scores, visible)
-            retained_out = retained_w @ entry.values
-            diff = full_out - retained_out
-            l2[r, h] = float(np.linalg.norm(diff, axis=1).mean())
-            cos[r, h] = float(_rows_cosine(full_out, retained_out).mean())
-    return FidelityReport(decode_queries, l2, cos)
+    return FidelityReport.from_layers(
+        decode_queries,
+        [
+            score_layer(trace.data[r], r, plan, full[r])
+            for r, plan in enumerate(plans)
+        ],
+    )
 
 
 @dataclass
@@ -330,10 +502,8 @@ PCA_HEADER = ["layer", "head", "x", "y", "class"]
 
 def build_eval_report(
     config: RunConfig,
-    trace: AttentionTrace,
+    header: TraceHeader,
     result: RunResult,
-    fidelity: dict[tuple[str, float], FidelityReport],
-    memory: dict[tuple[str, float], MemoryFootprint],
     contribution: BoundSuiteReport | None = None,
 ) -> EvalReport:
     classifications = [
@@ -360,19 +530,21 @@ def build_eval_report(
             }
         )
     policy_entries = []
-    for (policy, ratio), fid in sorted(fidelity.items()):
-        mem = memory[(policy, ratio)]
-        plans = result.plans[(policy, ratio)]
+    for cell in sorted(result.scores):
+        policy, ratio = cell
+        mem = result.memory(cell, header)
+        fid = result.fidelity(cell)
+        tokens = result.head_tokens[cell]
         per_head = [
             [
                 {
-                    "retained_tokens": plans[r].head_tokens(h),
+                    "retained_tokens": tokens[r][h],
                     "l2_error": float(fid.per_head_l2[r, h]),
                     "cosine_similarity": float(fid.per_head_cosine[r, h]),
                 }
-                for h in range(trace.num_heads)
+                for h in range(header.num_heads)
             ]
-            for r in range(trace.num_layers)
+            for r in range(header.num_layers)
         ]
         policy_entries.append(
             {
@@ -394,10 +566,10 @@ def build_eval_report(
     return EvalReport(
         config=config.to_json_dict(),
         trace_info={
-            "num_layers": trace.num_layers,
-            "num_heads": trace.num_heads,
-            "seq_len": trace.seq_len,
-            "head_dim": trace.head_dim,
+            "num_layers": header.num_layers,
+            "num_heads": header.num_heads,
+            "seq_len": header.seq_len,
+            "head_dim": header.head_dim,
             "source": config.trace_path or "synthetic",
         },
         schedule={
@@ -463,15 +635,19 @@ def _csv_cell(value):
 
 
 def run_all(config: RunConfig, trace: AttentionTrace, return_result: bool = False):
-    """The full pipeline over one trace, including the optional bound suite."""
-    result = compress_run(config, trace)
-    dq = min(config.resolved_decode_queries(), trace.seq_len)
-    fidelity = {key: fidelity_eval(trace, plans, dq) for key, plans in result.plans.items()}
-    memory = {key: plans_footprint(trace, plans) for key, plans in result.plans.items()}
-    contrib = None
-    if config.contrib_trials > 0:
-        contrib = verify_bound_suite(config.seed, config.contrib_trials)
-    report = build_eval_report(config, trace, result, fidelity, memory, contrib)
+    """The full pipeline over an in-memory trace, including the optional
+    bound suite: `run_steps` with fidelity scored, then the report."""
+    result = start_run(config, trace.header)
+    for _ in run_steps(config, result, trace.layers(), keep_plans=return_result):
+        pass
+    report = build_eval_report(config, trace.header, result, bound_suite(config))
     if return_result:
         return report, result
     return report
+
+
+def bound_suite(config: RunConfig) -> BoundSuiteReport | None:
+    """The contribution bound suite a run folds into its report, if it asks for one."""
+    if config.contrib_trials > 0:
+        return verify_bound_suite(config.seed, config.contrib_trials)
+    return None

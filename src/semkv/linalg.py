@@ -29,11 +29,19 @@ def _require_finite(a: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Per-head query/key/value states, each of shape (seq_len, head_dim)."""
+    """Per-head query/key/value states.
+
+    `keys` and `values` have shape (seq_len, head_dim). `queries` holds the
+    last rows of the sequence, from `first_query` on: every row, or only the
+    trailing rows a caller attends from. Data a caller
+    passes in is checked to be finite; `checked=True` marks data already
+    checked, such as a trace's, and skips that pass.
+    """
 
     queries: np.ndarray
     keys: np.ndarray
     values: np.ndarray
+    checked: bool = False
 
     def __post_init__(self):
         q = _as_matrix(self.queries, "queries")
@@ -42,22 +50,25 @@ class AttentionInputs:
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "keys", k)
         object.__setattr__(self, "values", v)
-        if q.shape[0] == 0 or q.shape[1] == 0:
+        if q.shape[0] == 0 or k.shape[0] == 0 or k.shape[1] == 0:
             raise EmptyInputError("attention inputs need seq_len >= 1 and head_dim >= 1")
-        if not (q.shape == k.shape == v.shape):
-            raise DimensionError(
-                f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}"
-            )
-        for name, m in (("queries", q), ("keys", k), ("values", v)):
-            _require_finite(m, name)
+        if not (k.shape == v.shape and q.shape[1] == k.shape[1] and q.shape[0] <= k.shape[0]):
+            raise DimensionError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
+        if not self.checked:
+            for name, m in (("queries", q), ("keys", k), ("values", v)):
+                _require_finite(m, name)
 
     @property
     def seq_len(self) -> int:
-        return self.queries.shape[0]
+        return self.keys.shape[0]
+
+    @property
+    def first_query(self) -> int:
+        return len(self.keys) - len(self.queries)
 
     @property
     def head_dim(self) -> int:
-        return self.queries.shape[1]
+        return self.keys.shape[1]
 
 
 @dataclass(frozen=True)
@@ -124,16 +135,18 @@ def attention_weights(
 ) -> np.ndarray:
     """Row-stochastic attention matrix softmax(Q K^T / sqrt(d)) under `mask`.
 
-    `query_rows` selects a contiguous block of query rows (default: all);
-    the mask must describe exactly that block.
+    `query_rows` selects a contiguous block of the query rows `inputs` holds
+    (default: all of them); the mask must describe exactly that block.
     """
-    n = inputs.seq_len
+    n, first = inputs.seq_len, inputs.first_query
     if query_rows is None:
-        query_rows = range(0, n)
+        query_rows = range(first, n)
     if len(query_rows) == 0:
         raise EmptyInputError("query_rows selects no rows")
-    if query_rows.step != 1 or query_rows.start < 0 or query_rows.stop > n:
-        raise DimensionError(f"query_rows {query_rows} outside [0, {n}) or non-contiguous")
+    if query_rows.step != 1 or query_rows.start < first or query_rows.stop > n:
+        raise DimensionError(
+            f"query_rows {query_rows} outside [{first}, {n}) or non-contiguous"
+        )
     if mask.query_rows != len(query_rows) or mask.key_cols != n:
         raise DimensionError(
             f"mask is {mask.query_rows}x{mask.key_cols}, "
@@ -143,7 +156,7 @@ def attention_weights(
         raise DimensionError(
             f"mask offset {mask.offset} does not match first query row {query_rows.start}"
         )
-    q = inputs.queries[query_rows.start : query_rows.stop]
+    q = inputs.queries[query_rows.start - first : query_rows.stop - first]
     scores = (q @ inputs.keys.T) / np.sqrt(float(inputs.head_dim))
     return masked_softmax(scores, mask.allowed())
 

@@ -19,6 +19,12 @@ Q/K/V is widened to float64 (exactly) only when that head is computed on.
 Generators draw in float64 and quantize to float32 at generation time, so
 write -> read round-trips are bit-exact.
 
+Layers are contiguous in the payload, so a run never needs a whole trace:
+`TraceReader` (a file, bytes or a pipe), `SyntheticSource` (a seeded
+profile) and an in-memory `AttentionTrace` are all layer sources, with a
+`header` and a `layers()` iterator over checked, read-only (n, 3, N, d)
+layers.
+
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
 produces the same bytes.
@@ -27,8 +33,10 @@ produces the same bytes.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +104,7 @@ class TraceHeader:
 
 
 class AttentionTrace:
-    """Per-layer, per-head Q/K/V tensors; the unit of input.
+    """Per-layer, per-head Q/K/V tensors held in memory; the library's unit of input.
 
     `data` has shape (R, n, 3, N, d) where axis 2 orders Q, K, V. float32
     input stays float32 (the at-rest form of every file and generator
@@ -108,6 +116,10 @@ class AttentionTrace:
     in is not copied, and its owner must therefore leave it unchanged. The
     full-cache decode outputs are computed once per query count and shared
     by every caller.
+
+    Like `TraceReader` and `SyntheticSource`, a trace is a layer source: a
+    `header` and `layers()`, which yields each layer's checked, read-only
+    (n, 3, N, d) data in turn.
     """
 
     def __init__(self, header: TraceHeader, data: np.ndarray):
@@ -123,10 +135,7 @@ class AttentionTrace:
         )
         if data.shape != expected:
             raise TraceFormatError(f"trace data shape {data.shape} != {expected}")
-        # NaN propagates through min/max and an infinity is one of them, so
-        # this needs no mask as large as the data
-        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-            raise TraceFormatError("trace contains NaN/Inf entries")
+        _check_finite(data)
         data.flags.writeable = False
         self.header = header
         self.data = data
@@ -148,37 +157,26 @@ class AttentionTrace:
     def head_dim(self) -> int:
         return self.header.head_dim
 
-    def head_inputs(self, layer: int, head: int) -> AttentionInputs:
-        """One head's Q/K/V in float64: fresh copies of float32 data, views of float64."""
-        q, k, v = self.data[layer, head]
-        return AttentionInputs(queries=q, keys=k, values=v)
+    def layers(self) -> Iterator[np.ndarray]:
+        return iter(self.data)
 
-    def layer_heads(self, layer: int) -> list[AttentionInputs]:
-        """Every head of a layer through `head_inputs`, all widened at once."""
-        return [self.head_inputs(layer, h) for h in range(self.num_heads)]
+    def head_blocks(self) -> Iterator[np.ndarray]:
+        """Each head's (3, N, d) block in file order."""
+        return iter(_head_blocks(self.data))
+
+    def head_inputs(self, layer: int, head: int) -> AttentionInputs:
+        """One head's Q/K/V in float64 through `widen_head`."""
+        return widen_head(self.data[layer, head])
 
     def full_decode_outputs(self, decode_queries: int) -> np.ndarray:
         """Attention outputs of the last `decode_queries` query rows over every
         key, shape (R, n, decode_queries, d); computed once per count."""
         out = self._decode_outputs.get(decode_queries)
-        if out is not None:
-            return out
-        n_seq = self.seq_len
-        if not 1 <= decode_queries <= n_seq:
-            raise ParameterError(f"decode_queries {decode_queries} outside [1, {n_seq}]")
-        mask = CausalMask.window(decode_queries, n_seq)
-        rows = range(n_seq - decode_queries, n_seq)
-        out = np.empty((self.num_layers, self.num_heads, decode_queries, self.head_dim))
-        for r in range(self.num_layers):
-            for h in range(self.num_heads):
-                out[r, h] = _decode_output(self.head_inputs(r, h), mask, rows)
-        return self.keep_decode_outputs(decode_queries, out)
-
-    def keep_decode_outputs(self, decode_queries: int, out: np.ndarray) -> np.ndarray:
-        """Memoize decode outputs that a caller's own pass over the heads
-        computed the way `full_decode_outputs` does; returns the memoized array."""
-        out.flags.writeable = False
-        return self._decode_outputs.setdefault(decode_queries, out)
+        if out is None:
+            out = np.stack([decode_outputs(layer, decode_queries) for layer in self.data])
+            out.flags.writeable = False
+            self._decode_outputs[decode_queries] = out
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
@@ -186,10 +184,45 @@ class AttentionTrace:
         return self.header == other.header and np.array_equal(self.data, other.data)
 
 
-def _decode_output(inputs: AttentionInputs, mask: CausalMask, rows: range) -> np.ndarray:
-    """Attention outputs of query `rows` over every key; the head's widened
-    inputs die with the call."""
-    return attention_weights(inputs, mask, query_rows=rows) @ inputs.values
+def _check_finite(data: np.ndarray) -> None:
+    # NaN propagates through min/max and an infinity is one of them, so
+    # this needs no mask as large as the data
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise TraceFormatError("trace contains NaN/Inf entries")
+
+
+def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs:
+    """A checked head's (3, N, d) block in float64: K, V and its last
+    `queries` query rows (all N by default).
+
+    float32 rows are copied, float64 rows viewed. The values are not checked
+    again: every trace and layer source checks its data when it is built
+    or read.
+    """
+    q, k, v = block
+    first = 0 if queries is None else len(q) - queries
+    return AttentionInputs(q[first:], k, v, checked=True)
+
+
+def decode_output(inputs: AttentionInputs, decode_queries: int) -> np.ndarray:
+    """Full-cache attention outputs of the last `decode_queries` query rows,
+    shape (decode_queries, d)."""
+    n_seq = inputs.seq_len
+    mask = CausalMask.window(decode_queries, n_seq)
+    weights = attention_weights(inputs, mask, query_rows=range(n_seq - decode_queries, n_seq))
+    return weights @ inputs.values
+
+
+def decode_outputs(layer: np.ndarray, decode_queries: int) -> np.ndarray:
+    """`decode_output` of every head of a checked (n, 3, N, d) layer, shape
+    (n, decode_queries, d); each head's widened rows die with its turn."""
+    n_heads, _, n_seq, head_dim = layer.shape
+    if not 1 <= decode_queries <= n_seq:
+        raise ParameterError(f"decode_queries {decode_queries} outside [1, {n_seq}]")
+    out = np.empty((n_heads, decode_queries, head_dim))
+    for h, block in enumerate(layer):
+        out[h] = decode_output(widen_head(block, decode_queries), decode_queries)
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,50 +330,101 @@ def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticP
     k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
 
 
+class SyntheticSource:
+    """A seeded synthetic trace drawn one head block at a time, never held whole.
+
+    The profile is checked against the shape on construction. Each Q, K or
+    V block is drawn into a float64 scratch block and stored as float32, in
+    one Philox order whatever the destination, so `gen_synthetic_trace`,
+    `head_blocks()` (one reused (3, N, d) block, which `write_trace` writes
+    as soon as it is drawn) and `layers()` (one reused (n, 3, N, d) layer)
+    all give the same bytes. An array either method yields is overwritten
+    by the next draw.
+    """
+
+    def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
+        num_layers, num_heads, seq_len, head_dim = shape
+        self.header = TraceHeader(num_layers, num_heads, seq_len, head_dim)
+        self.profile = profile
+        self._planted = None
+        if profile.kind == "clustered-heads":
+            if profile.planted >= num_heads:
+                raise ParameterError("clustered-heads needs planted < num_heads")
+            if head_dim < profile.planted + 1:
+                raise ParameterError(
+                    f"clustered-heads needs head_dim >= planted + 1, got d={head_dim}"
+                )
+            self._planted = clustered_planted_heads(profile, num_layers, num_heads)
+        if profile.kind == "planted-needle":
+            tail = min(profile.tail_len, seq_len)
+            if profile.needle_position > seq_len - tail:
+                raise ParameterError(
+                    f"needle at {profile.needle_position} not visible to all of the "
+                    f"last {tail} rows of a length-{seq_len} sequence"
+                )
+
+    def _drawn(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        """Draw every head, layer by layer, into the next of `blocks`
+        (writable float32 (3, N, d) arrays) and yield it."""
+        header, profile = self.header, self.profile
+        rng = _rng(profile.seed, _STREAM_DATA)
+        scratch = np.empty((2, header.seq_len, header.head_dim))
+        for r in range(header.num_layers):
+            if self._planted is not None:
+                rank = {h: i for i, h in enumerate(self._planted[r])}
+            for h, out in zip(range(header.num_heads), blocks):
+                if self._planted is not None:
+                    if h in rank:
+                        axis, amp = 1 + rank[h], _CLUSTER_AMP_PLANTED
+                    else:
+                        axis, amp = 0, _CLUSTER_AMP_COMMON
+                    _fill_clustered_head(rng, scratch, out, axis, amp, profile.spread)
+                else:
+                    for tensor in out:
+                        _draw(rng, scratch[0], tensor)
+                    if profile.kind == "planted-needle":
+                        _plant_needle(rng, out, profile)
+                yield out
+
+    def head_blocks(self) -> Iterator[np.ndarray]:
+        header = self.header
+        block = np.empty((3, header.seq_len, header.head_dim), dtype=np.float32)
+        return self._drawn(itertools.repeat(block))
+
+    def layers(self) -> Iterator[np.ndarray]:
+        header = self.header
+        layer = np.empty(
+            (header.num_heads, 3, header.seq_len, header.head_dim), dtype=np.float32
+        )
+        view = _read_only(layer)
+        heads = itertools.chain.from_iterable(itertools.repeat(layer))
+        for i, _ in enumerate(self._drawn(heads), 1):
+            if i % header.num_heads == 0:
+                yield view
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 def gen_synthetic_trace(
     profile: SyntheticProfile, shape: tuple[int, int, int, int]
 ) -> AttentionTrace:
     """Build a seeded synthetic trace of shape (R, n, N, d), held in float32.
 
-    Each Q, K or V block is drawn into a float64 scratch block and stored
-    as float32, so the peak is the float32 trace plus two N x d float64
-    blocks.
+    `SyntheticSource` draws each head straight into the trace, so the peak
+    is the float32 trace plus two N x d float64 blocks.
     """
-    num_layers, num_heads, seq_len, head_dim = shape
-    header = TraceHeader(num_layers, num_heads, seq_len, head_dim)
-    if profile.kind == "clustered-heads":
-        if profile.planted >= num_heads:
-            raise ParameterError("clustered-heads needs planted < num_heads")
-        if head_dim < profile.planted + 1:
-            raise ParameterError(
-                f"clustered-heads needs head_dim >= planted + 1, got d={head_dim}"
-            )
-        planted_per_layer = clustered_planted_heads(profile, num_layers, num_heads)
-    if profile.kind == "planted-needle":
-        tail = min(profile.tail_len, seq_len)
-        if profile.needle_position > seq_len - tail:
-            raise ParameterError(
-                f"needle at {profile.needle_position} not visible to all of the "
-                f"last {tail} rows of a length-{seq_len} sequence"
-            )
-    rng = _rng(profile.seed, _STREAM_DATA)
-    data = np.empty((num_layers, num_heads, 3, seq_len, head_dim), dtype=np.float32)
-    scratch = np.empty((2, seq_len, head_dim))
-    for r, layer in enumerate(data):
-        if profile.kind == "clustered-heads":
-            rank = {h: i for i, h in enumerate(planted_per_layer[r])}
-        for h, out in enumerate(layer):
-            if profile.kind == "clustered-heads":
-                if h in rank:
-                    axis, amp = 1 + rank[h], _CLUSTER_AMP_PLANTED
-                else:
-                    axis, amp = 0, _CLUSTER_AMP_COMMON
-                _fill_clustered_head(rng, scratch, out, axis, amp, profile.spread)
-                continue
-            for tensor in out:
-                _draw(rng, scratch[0], tensor)
-            if profile.kind == "planted-needle":
-                _plant_needle(rng, out, profile)
+    source = SyntheticSource(profile, shape)
+    header = source.header
+    data = np.empty(
+        (header.num_layers, header.num_heads, 3, header.seq_len, header.head_dim),
+        dtype=np.float32,
+    )
+    for _ in source._drawn(iter(_head_blocks(data))):
+        pass
     return AttentionTrace(header, data)
 
 
@@ -350,16 +434,18 @@ def _open_sink(destination):
     return destination, False
 
 
-def write_trace(trace: AttentionTrace, destination) -> int:
-    """Write a trace to a path or binary sink; returns the byte count.
+def write_trace(trace, destination) -> int:
+    """Write an `AttentionTrace` or a `SyntheticSource` to a path or binary
+    sink; returns the byte count.
 
-    float32 data is written straight from the trace; float64 data is
-    narrowed one head block at a time.
+    Head blocks are written as `head_blocks()` yields them: float32 data
+    straight from its buffer, float64 data narrowed one block at a time,
+    and a synthetic source's blocks as soon as they are drawn.
     """
     sink, owned = _open_sink(destination)
     try:
         written = sink.write(trace.header.pack())
-        for block in _head_blocks(trace.data):
+        for block in trace.head_blocks():
             written += sink.write(np.asarray(block, dtype="<f4").view(np.uint8))
     finally:
         if owned:
@@ -371,21 +457,119 @@ def write_trace(trace: AttentionTrace, destination) -> int:
     return written
 
 
-def read_trace(source) -> AttentionTrace:
-    """Read a trace from a path, binary stream, or bytes; the data stays float32."""
-    if isinstance(source, (bytes, bytearray)):
-        return _read_stream(io.BytesIO(source))
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            return _read_stream(f)
-    return _read_stream(source)
-
-
-# bytes read from a non-seekable stream at a time while its payload arrives
+# bytes read from a non-seekable stream at a time while its buffer grows
 _STREAM_CHUNK = 1 << 20
 
 
-def _read_stream(stream) -> AttentionTrace:
+class TraceReader:
+    """A .tkv trace read one layer at a time from a path, binary stream or bytes.
+
+    The header is read and checked on construction, and a source that can
+    seek (a path or bytes) is checked against the payload size the header
+    declares, all before any layer is read. Layers are contiguous in the
+    payload, so `layers()` reads each layer's float32 (n, 3, N, d) block in
+    turn into one reused buffer and yields it checked and read-only: a pass
+    over the layers holds one layer's payload. The buffer of a stream that
+    cannot seek (a pipe) grows with the bytes that actually arrive, so a
+    header that claims more than arrives allocates nothing for the rest.
+    The layers can be read once. As a context manager the reader closes a
+    file it opened.
+    """
+
+    def __init__(self, source):
+        if isinstance(source, (bytes, bytearray)):
+            stream, self._owned = io.BytesIO(source), True
+        elif isinstance(source, (str, os.PathLike)):
+            stream, self._owned = open(source, "rb"), True
+        else:
+            stream, self._owned = source, False
+        self._stream = stream
+        self._received = 0
+        try:
+            self.header = _read_header(stream)
+            left = _bytes_left(stream)
+            if left is not None and left < self.header.payload_bytes:
+                # fail before allocating room for a payload that is not there
+                raise TraceTruncationError(self.header.payload_bytes, left)
+        except BaseException:
+            self.close()
+            raise
+        self.sized = left is not None
+
+    def close(self) -> None:
+        if self._owned:
+            self._stream.close()
+
+    def __enter__(self) -> "TraceReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def layer_shape(self) -> tuple[int, int, int, int]:
+        header = self.header
+        return (header.num_heads, 3, header.seq_len, header.head_dim)
+
+    def read_layer(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Read the next layer's float32 values, unchecked, into `out` (a
+        writable C-contiguous float32 array of `layer_shape`) or a new
+        array, which grows with the arriving bytes if the size is unknown."""
+        if out is None and not self.sized:
+            return self._grown(1).reshape(self.layer_shape)
+        if out is None:
+            out = np.empty(self.layer_shape, dtype="<f4")
+        got = _read_into(self._stream, out)
+        self._received += got
+        if got < out.nbytes:
+            raise TraceTruncationError(self.header.payload_bytes, self._received)
+        return out
+
+    def _grown(self, layers: int) -> np.ndarray:
+        """The next `layers` layers' float32 values, flat, in a buffer that
+        grows with the arriving bytes."""
+        want = layers * int(np.prod(self.layer_shape)) * 4
+        payload = bytearray()
+        chunk = memoryview(bytearray(min(_STREAM_CHUNK, want)))
+        while len(payload) < want:
+            got = _read_into(self._stream, chunk[: want - len(payload)])
+            if not got:
+                break
+            payload += chunk[:got]
+        self._received += len(payload)
+        if len(payload) < want:
+            raise TraceTruncationError(self.header.payload_bytes, self._received)
+        return np.frombuffer(payload, dtype="<f4")
+
+    def layers(self) -> Iterator[np.ndarray]:
+        layer = self.read_layer()
+        view = _read_only(layer)
+        for r in range(self.header.num_layers):
+            if r:
+                self.read_layer(layer)
+            _check_finite(view)
+            yield view
+
+
+def read_trace(source) -> AttentionTrace:
+    """Read a whole trace from a path, binary stream, or bytes; the data stays float32.
+
+    `TraceReader`'s layers are read straight into one array. The array of a
+    stream that cannot seek grows with the bytes that actually arrive.
+    """
+    with TraceReader(source) as reader:
+        header = reader.header
+        shape = (header.num_layers, *reader.layer_shape)
+        if reader.sized:
+            data = np.empty(shape, dtype="<f4")
+            for layer in data:
+                reader.read_layer(layer)
+        else:
+            data = reader._grown(header.num_layers).reshape(shape)
+    return AttentionTrace(header, data)
+
+
+def _read_header(stream) -> TraceHeader:
     raw = bytearray(HEADER_BYTES)
     got = _read_into(stream, raw)
     if got < HEADER_BYTES:
@@ -398,33 +582,9 @@ def _read_stream(stream) -> AttentionTrace:
     if dtype_code != DTYPE_FLOAT32:
         raise UnsupportedDtypeError(f"unsupported dtype code {dtype_code}")
     try:
-        header = TraceHeader(layers, heads, seq_len, head_dim, version, dtype_code)
+        return TraceHeader(layers, heads, seq_len, head_dim, version, dtype_code)
     except ParameterError as exc:
         raise TraceFormatError(str(exc)) from exc
-    expected = header.payload_bytes
-    shape = (layers, heads, 3, seq_len, head_dim)
-    left = _bytes_left(stream)
-    if left is None:
-        # the size is unknown: hold only the bytes that actually arrive
-        payload = bytearray()
-        chunk = memoryview(bytearray(min(_STREAM_CHUNK, expected)))
-        while len(payload) < expected:
-            got = _read_into(stream, chunk[: expected - len(payload)])
-            if not got:
-                break
-            payload += chunk[:got]
-        if len(payload) < expected:
-            raise TraceTruncationError(expected, len(payload))
-        data = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    else:
-        if left < expected:
-            # fail before allocating room for a payload that is not there
-            raise TraceTruncationError(expected, left)
-        data = np.empty(shape, dtype="<f4")
-        received = _read_into(stream, data)
-        if received < expected:
-            raise TraceTruncationError(expected, received)
-    return AttentionTrace(header, data)
 
 
 def _bytes_left(stream) -> int | None:

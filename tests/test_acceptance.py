@@ -135,7 +135,7 @@ def test_criterion_05_budget_soundness():
         ]
         pooled = [
             pool_scores(window_column_scores(h, min(8, seq)).column_means, 3)
-            for h in trace.layer_heads(0)
+            for h in (trace.head_inputs(0, i) for i in range(n))
         ]
         for policy in policies:
             plan = apply_policy(

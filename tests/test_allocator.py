@@ -14,6 +14,7 @@ from semkv.allocator import (
     PolicyKind,
     apply_policy,
     build_compressed_cache,
+    check_cell,
     memory_footprint,
     middle_activation_count,
     plans_footprint,
@@ -124,7 +125,7 @@ def layer_pooled(trace, layer, window, kernel):
     """The layer's per-head pooled window scores, as `compress_run` computes them."""
     return [
         pool_scores(window_column_scores(h, window).column_means, kernel)
-        for h in trace.layer_heads(layer)
+        for h in (trace.head_inputs(layer, i) for i in range(trace.num_heads))
     ]
 
 
@@ -243,6 +244,46 @@ class TestApplyPolicy:
         trace = small_trace(seed=13, shape=(2, 4, 48, 6))
         with pytest.raises(InfeasibleBudgetError, match=r"^layer 1: budget 57 < 144"):
             plan_for(trace, classes_with_het(4, {0, 1, 2}), PolicyKind.NO_CACHE, 0.3, layer=1)
+
+
+class TestCellCheck:
+    """`check_cell` decides a cell from the shape and f(r) before any layer is read."""
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    @pytest.mark.parametrize("sinks, recents", [(-3, 4), (2, -3)])
+    def test_negative_sinks_or_recents_rejected_for_every_policy(self, policy, sinks, recents):
+        with pytest.raises(ParameterError, match="sinks and recents must be >= 0"):
+            check_cell(policy, 0.5, 64, 4, [1], sinks, recents)
+        trace = small_trace(seed=14, shape=(1, 4, 64, 6))
+        with pytest.raises(ParameterError, match="sinks and recents must be >= 0"):
+            plan_for(trace, classes_with_het(4, {0}), policy, 0.5, sinks=sinks, recents=recents)
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_infeasible_layers_match_apply_policy(self, policy):
+        # f(r) = 1, 3, 2 over three layers; B = 57 holds one heterogeneous head of 48
+        counts = [1, 3, 2]
+        trace = small_trace(seed=15, shape=(3, 4, 48, 6))
+        errors = []
+        for layer, f_r in enumerate(counts):
+            try:
+                plan_for(
+                    trace, classes_with_het(4, set(range(f_r))), policy, 0.3, layer=layer
+                )
+            except InfeasibleBudgetError as exc:
+                errors.append(str(exc))
+        if not errors:
+            check_cell(policy, 0.3, 48, 4, counts, 2, 4)
+            return
+        with pytest.raises(InfeasibleBudgetError) as err:
+            check_cell(policy, 0.3, 48, 4, counts, 2, 4)
+        assert str(err.value) == errors[0]
+        assert errors[0] == "layer 1: budget 57 < 144 needed by 3 heterogeneous heads"
+
+    def test_bad_ratio_and_policy_rejected(self):
+        with pytest.raises(ParameterError):
+            check_cell(PolicyKind.FULL, 1.5, 48, 4, [1], 2, 4)
+        with pytest.raises(ParameterError):
+            check_cell("magic", 0.5, 48, 4, [1], 2, 4)
 
 
 class TestPolicyTable:

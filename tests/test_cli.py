@@ -1,13 +1,27 @@
 """CLI subcommands: gen, compress, eval, contrib, pca, all."""
 
+import dataclasses
+import io
 import json
 import os
+import threading
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from semkv.allocator import PolicyKind
-from semkv.cli import main
-from semkv.trace import read_trace
+from semkv.allocator import BudgetPlan, PolicyKind, plans_footprint
+from semkv.cli import _config_from, build_parser, main
+from semkv.harness import (
+    compress_run,
+    export_pca_csv,
+    export_report,
+    fidelity_eval,
+    load_trace_for,
+    run_all,
+)
+from semkv.trace import read_trace, write_trace
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +398,33 @@ class TestErrorReporting:
         assert code == 1
         assert json.loads(err)["error"] == "InfeasibleBudgetError"
 
+    @pytest.mark.parametrize(
+        "policy, flag", [("streaming", "--sinks"), ("uniform-topk", "--recents"), ("full", "--sinks")]
+    )
+    def test_negative_sinks_or_recents_fail_before_any_layer_is_read(
+        self, tmp_path, capsys, policy, flag
+    ):
+        trace = tmp_path / "t.tkv"
+        assert run_cli(
+            capsys, "gen", "--profile", "uniform-random", "--shape", "1,4,64,4", "--out", str(trace)
+        )[0] == 0
+        nan_layer = tmp_path / "nan.tkv"
+        data = bytearray(trace.read_bytes())
+        data[-4:] = np.float32(np.nan).tobytes()
+        nan_layer.write_bytes(bytes(data))
+        for source in (trace, nan_layer):
+            out = tmp_path / "out"
+            code, _, err = run_cli(
+                capsys, "compress", "--trace", str(source), "--policy", policy,
+                "--budget", "0.5", flag, "-3", "--out", str(out),
+            )
+            assert code == 1
+            assert len(err.splitlines()) == 1
+            payload = json.loads(err)
+            assert payload["error"] == "ParameterError"
+            assert "sinks and recents must be >= 0" in payload["message"]
+            assert os.listdir(out) == []
+
     def test_unknown_trace_version_is_a_json_error(self, trace_file, tmp_path, capsys):
         data = bytearray(trace_file.read_bytes())
         data[4:6] = (9).to_bytes(2, "little")
@@ -397,3 +438,247 @@ class TestErrorReporting:
         payload = json.loads(err)
         assert payload["error"] == "TraceFormatError"
         assert "version 9" in payload["message"]
+
+
+def _bytes_of(export, *args):
+    buf = io.BytesIO()
+    export(*args, buf)
+    return buf.getvalue()
+
+
+def _json_line(payload) -> bytes:
+    return (json.dumps(payload) + "\n").encode()
+
+
+def _plans_file(trace, policy, ratio, plans) -> bytes:
+    """A plans file as one `json.dumps` of the whole payload."""
+    return _json_line(
+        {
+            "policy": policy,
+            "budget_ratio": ratio,
+            "trace": {
+                "num_layers": trace.num_layers,
+                "num_heads": trace.num_heads,
+                "seq_len": trace.seq_len,
+                "head_dim": trace.head_dim,
+            },
+            "layers": [plan.to_json_dict() for plan in plans],
+        }
+    )
+
+
+def in_memory_outputs(command, argv, trace, plans_files=()):
+    """What `command` writes, computed by the library over the whole trace in memory."""
+    cfg = _config_from(build_parser().parse_args([command, *argv, "--out", "unused"]))
+    dq = min(cfg.resolved_decode_queries(), trace.seq_len)
+    if command == "eval":
+        rows = []
+        for path in plans_files:
+            payload = json.loads(Path(path).read_text())
+            fid = fidelity_eval(trace, [BudgetPlan.from_json_dict(d) for d in payload["layers"]], dq)
+            rows.append({
+                "plans": os.path.basename(path), "policy": payload["policy"],
+                "budget_ratio": payload["budget_ratio"], "decode_queries": fid.decode_queries,
+                "mean_l2": fid.mean_l2, "mean_cosine": fid.mean_cosine,
+                "per_head_l2": fid.per_head_l2.tolist(),
+                "per_head_cosine": fid.per_head_cosine.tolist(),
+            })
+        return {"fidelity.json": _json_line({"fidelity": rows})}
+    if command == "pca":
+        pca_cfg = dataclasses.replace(
+            cfg, policies=(PolicyKind.FULL,), budget_ratios=(1.0,), decode_queries=1
+        )
+        return {"pca.csv": _bytes_of(export_pca_csv, run_all(pca_cfg, trace))}
+    result = compress_run(cfg, trace)
+    files = {
+        f"plans_{policy}_{ratio:g}.json": _plans_file(trace, policy, ratio, plans)
+        for (policy, ratio), plans in result.plans.items()
+    }
+    if command == "compress":
+        memory = []
+        for (policy, ratio), plans in sorted(result.plans.items()):
+            mem = plans_footprint(trace, plans)
+            memory.append({
+                "policy": policy, "budget_ratio": ratio, "tokens_retained": mem.tokens_retained,
+                "bytes": mem.bytes, "ratio_vs_full": mem.ratio_vs_full,
+            })
+        payload = {"memory": memory}
+        if result.infeasible:
+            payload["infeasible"] = result.infeasible
+        files["memory.json"] = _json_line(payload)
+        return files
+    report = run_all(cfg, trace)
+    files["report.json"] = _bytes_of(export_report, report, "json")
+    files["report.csv"] = _bytes_of(export_report, report, "csv")
+    files["pca.csv"] = _bytes_of(export_pca_csv, report)
+    if cfg.trace_path is None:
+        files["trace.tkv"] = _bytes_of(write_trace, trace)
+    return files
+
+
+def assert_outputs(out, expected):
+    assert sorted(os.listdir(out)) == sorted(expected)
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+
+
+ALL_POLICIES = ",".join(p.value for p in PolicyKind)
+LAYERED = ["--profile", "clustered-heads", "--shape", "3,8,128,8", "--planted", "2",
+           "--spread", "0.1", "--seed", "6"]
+LAYERED_ARGS = [
+    "--policy", ALL_POLICIES, "--budget", "0.3,0.6", "--beta", "0.375", "--m-top", "2",
+    "--top-t", "64", "--window", "16", "--kernel", "3", "--sinks", "4", "--recents", "8",
+]
+ALL_ONLY = {"all": ["--contrib-trials", "5"]}
+# planted-needle at (2, 8, 1024, 32): every head-aware cell at 0.4 is infeasible
+NEEDLE = ["--profile", "planted-needle", "--shape", "2,8,1024,32", "--seed", "3"]
+NEEDLE_ARGS = ["--policy", ALL_POLICIES, "--budget", "0.4,0.8", "--decode-queries", "5"]
+
+
+class TestLayerStreaming:
+    """Commands read, draw and score a trace one layer at a time; their
+    outputs are the bytes the library writes from the whole trace in memory."""
+
+    @pytest.fixture
+    def layered(self, tmp_path, capsys):
+        path = tmp_path / "layered.tkv"
+        assert run_cli(capsys, "gen", *LAYERED, "--out", str(path))[0] == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("all", []),
+            ("all", ["--decode-queries", "5"]),
+            ("all", ["--decode-queries", "40"]),
+            ("compress", []),
+            ("pca", []),
+        ],
+    )
+    def test_trace_file_outputs_equal_in_memory_path(
+        self, layered, tmp_path, capsys, command, extra
+    ):
+        argv = ["--trace", str(layered), *LAYERED_ARGS, *ALL_ONLY.get(command, []), *extra]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 0, err
+        assert_outputs(out, in_memory_outputs(command, argv, read_trace(layered)))
+
+    def test_eval_outputs_equal_in_memory_path(self, layered, tmp_path, capsys):
+        plans_dir = tmp_path / "plans"
+        argv = ["--trace", str(layered), *LAYERED_ARGS]
+        assert run_cli(capsys, "compress", *argv, "--out", str(plans_dir))[0] == 0
+        plans = sorted(str(p) for p in plans_dir.glob("plans_*.json"))
+        assert len(plans) == 9
+        flags = [f for path in plans for f in ("--plans", path)]
+        out = tmp_path / "out"
+        eval_argv = ["--trace", str(layered), "--decode-queries", "7", *flags]
+        code, _, err = run_cli(capsys, "eval", *eval_argv, "--out", str(out))
+        assert code == 0, err
+        expected = in_memory_outputs("eval", eval_argv, read_trace(layered), plans)
+        assert_outputs(out, expected)
+
+    @pytest.mark.parametrize(
+        "command, source, args",
+        [
+            ("all", LAYERED, LAYERED_ARGS + ALL_ONLY["all"]),
+            ("all", NEEDLE, NEEDLE_ARGS),
+            ("compress", LAYERED, LAYERED_ARGS),
+            ("compress", NEEDLE, NEEDLE_ARGS),
+        ],
+    )
+    def test_profile_source_outputs_equal_in_memory_path(
+        self, tmp_path, capsys, command, source, args
+    ):
+        # only `all` saves the generated trace as trace.tkv
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, *source, *args, "--out", str(out))
+        assert code == 0, err
+        trace = load_trace_for(_config_from(build_parser().parse_args([command, *source])))
+        assert_outputs(out, in_memory_outputs(command, [*source, *args], trace))
+
+    def test_non_seekable_stream_outputs_equal_in_memory_path(self, layered, tmp_path, capsys):
+        fifo = tmp_path / "pipe.tkv"
+        os.mkfifo(fifo)
+        data = layered.read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        out = tmp_path / "out"
+        argv = ["--trace", str(fifo), *LAYERED_ARGS, *ALL_ONLY["all"]]
+        code, _, err = run_cli(capsys, "all", *argv, "--out", str(out))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == 0, err
+        assert_outputs(out, in_memory_outputs("all", argv, read_trace(data)))
+
+    @pytest.mark.parametrize("command", ["all", "compress", "pca"])
+    def test_nan_in_last_layer_leaves_no_outputs(self, layered, tmp_path, capsys, command):
+        trace = read_trace(layered)
+        data = trace.data.copy()
+        data[-1, -1, 2, -1, -1] = np.nan
+        bad = tmp_path / "bad.tkv"
+        bad.write_bytes(trace.header.pack() + data.tobytes())
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--trace", str(bad), *LAYERED_ARGS]
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "TraceFormatError", "message": "trace contains NaN/Inf entries"
+        }
+        assert os.listdir(out) == []
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLayerMemory:
+    SHAPE = (8, 4, 4096, 32)
+    R, N_HEADS, SEQ, DIM = SHAPE
+    LAYER_BYTES = N_HEADS * 3 * SEQ * DIM * 4
+    WINDOW = 32
+
+    @pytest.fixture
+    def trace_path(self, tmp_path, capsys):
+        path = tmp_path / "t.tkv"
+        gen = ["gen", "--profile", "clustered-heads", "--planted", "1", "--seed", "8"]
+        # a small run first, so modules numpy imports on first use are not counted
+        assert main([*gen, "--shape", "2,4,64,8", "--out", str(path)]) == 0
+        assert main(["all", "--trace", str(path), "--m-top", "1", "--out", str(tmp_path)]) == 0
+        assert main([*gen, "--shape", ",".join(map(str, self.SHAPE)), "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_all_peak_is_one_layer_plus_one_heads_temporaries(self, trace_path, tmp_path, capsys):
+        code, peak = _traced_peak([
+            "all", "--trace", str(trace_path), "--policy", "task-kv,streaming,compressed-cache",
+            "--budget", "0.5", "--m-top", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0, capsys.readouterr().err
+        # one head's float64 K and V, and the window softmax's temporaries
+        head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
+        assert peak <= self.LAYER_BYTES + head
+        # which is far below the payload a whole-trace read would hold
+        assert self.LAYER_BYTES + head < self.R * self.LAYER_BYTES / 2
+
+    def test_gen_peak_is_one_head_block_plus_its_scratch(self, trace_path, tmp_path, capsys):
+        code, peak = _traced_peak([
+            "gen", "--profile", "clustered-heads", "--planted", "1", "--seed", "9",
+            "--shape", ",".join(map(str, self.SHAPE)), "--out", str(tmp_path / "g.tkv"),
+        ])
+        assert code == 0
+        # a float32 head block, two N x d float64 scratch blocks, and small change
+        block, scratch = 3 * self.SEQ * self.DIM * 4, 2 * self.SEQ * self.DIM * 8
+        assert peak <= block + scratch + 256 * 1024

@@ -209,7 +209,8 @@ def cache_oracle_fidelity(trace, plans, decode_queries):
     l2 = np.empty((trace.num_layers, trace.num_heads))
     cos = np.empty((trace.num_layers, trace.num_heads))
     for r in range(trace.num_layers):
-        for h, inputs in enumerate(trace.layer_heads(r)):
+        for h in range(trace.num_heads):
+            inputs = trace.head_inputs(r, h)
             entry = cache.entry(r, h)
             q = inputs.queries[first_row:]
             scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
@@ -300,7 +301,7 @@ class TestPlanMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # above what the run keeps (plans, report, memoized full outputs), the
+        # above what the run keeps (plans and report), the
         # peak is one head's entry with its gather and sort temporaries
         head_kv_bytes = 2 * shape[2] * shape[3] * 8
         allowance = 4 * head_kv_bytes
@@ -389,6 +390,24 @@ class TestFloat32Storage:
         head_block = 3 * shape[2] * shape[3] * 8
         softmax_temps = 8 * cfg.window_len * shape[2] * 8
         assert peak - held <= head_block + softmax_temps
+
+    def test_head_pass_widens_keys_values_and_window_rows_only(self):
+        shape = (1, 4, 2048, 64)
+        cfg = clustered_config(seed=33, planted=1, shape=shape, top_t=256, window_len=4)
+        small = dataclasses.replace(cfg, shape=(1, 4, 64, 8))
+        compress_run(small, load_trace_for(small))
+        trace = load_trace_for(cfg)
+        tracemalloc.start()
+        try:
+            compress_run(cfg, trace)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one head's float64 K and V and the window softmax's temporaries;
+        # its widened query block (N d 8 bytes) would exceed the slack
+        kv_block = 2 * shape[2] * shape[3] * 8
+        softmax_temps = 8 * cfg.window_len * shape[2] * 8
+        assert peak - held <= kv_block + softmax_temps + shape[2] * shape[3] * 8 // 4
 
     def test_run_all_holds_one_head_entry_on_float64_values(self):
         shape = (2, 16, 256, 128)

@@ -138,6 +138,37 @@ class TestAttentionWeights:
                 queries=np.zeros((0, 2)), keys=np.zeros((0, 2)), values=np.zeros((0, 2))
             )
 
+    def test_trailing_query_rows_attend_like_the_full_inputs(self):
+        rng = np.random.default_rng(3)
+        inputs = make_inputs(rng, 10, 4)
+        tail = AttentionInputs(inputs.queries[6:], inputs.keys, inputs.values)
+        assert tail.seq_len == 10 and tail.first_query == 6
+        mask = CausalMask(4, 10, offset=6)
+        assert np.array_equal(
+            attention_weights(tail, mask, range(6, 10)),
+            attention_weights(inputs, mask, range(6, 10)),
+        )
+        assert np.array_equal(
+            attention_weights(tail, CausalMask(2, 10, offset=8), range(8, 10)),
+            attention_weights(inputs, CausalMask(2, 10, offset=8), range(8, 10)),
+        )
+        with pytest.raises(DimensionError):
+            attention_weights(tail, CausalMask(4, 10, offset=5), range(5, 9))
+
+    def test_queries_are_the_trailing_rows(self):
+        inputs = AttentionInputs(np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((5, 2)))
+        assert inputs.first_query == 2
+        with pytest.raises(DimensionError):
+            AttentionInputs(np.zeros((6, 2)), np.zeros((5, 2)), np.zeros((5, 2)))
+
+    def test_checked_inputs_skip_the_finiteness_pass(self):
+        keys = np.zeros((3, 2))
+        keys[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            AttentionInputs(np.zeros((3, 2)), keys, np.zeros((3, 2)))
+        inputs = AttentionInputs(np.zeros((3, 2)), keys, np.zeros((3, 2)), checked=True)
+        assert np.isnan(inputs.keys[1, 0])
+
     def test_mismatched_qkv_shapes(self):
         with pytest.raises(DimensionError):
             AttentionInputs(

@@ -19,10 +19,13 @@ from semkv.trace import (
     HEADER_BYTES,
     AttentionTrace,
     SyntheticProfile,
+    SyntheticSource,
     TraceHeader,
+    TraceReader,
     clustered_planted_heads,
     gen_synthetic_trace,
     read_trace,
+    widen_head,
     write_trace,
 )
 
@@ -141,6 +144,15 @@ class TestFileFormat:
             read_trace(TrickleStream(header + bytes(64)))
         assert (err.value.expected, err.value.actual) == (12 * 10**12, 64)
         assert f"expected {12 * 10**12} bytes, got 64" in str(err.value)
+
+    def test_non_seekable_stream_allocates_only_what_arrives(self):
+        # one whole layer arrives, then the stream ends: nothing is allocated
+        # for the 13 TB of further layers the header declares
+        header = TraceHeader(2**32 - 1, 4, 16, 4)
+        layer = 4 * 3 * 16 * 4 * 4
+        with pytest.raises(TraceTruncationError) as err:
+            read_trace(TrickleStream(header.pack() + bytes(layer)))
+        assert (err.value.expected, err.value.actual) == (header.payload_bytes, layer)
 
     @pytest.mark.parametrize("version", [0, 2, 9])
     def test_unknown_version_rejected(self, version):
@@ -331,16 +343,15 @@ class TestSharedDerivedData:
         assert not np.shares_memory(trace.data, fortran)
         np.testing.assert_array_equal(trace.data, data)
 
-    def test_layer_heads_widen_float32_and_share_float64(self):
+    def test_head_inputs_widen_float32_and_share_float64(self):
         trace = self.make()
-        heads = trace.layer_heads(1)
-        assert len(heads) == 3
-        for h, inputs in enumerate(heads):
+        wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
+        for h in range(3):
+            inputs = trace.head_inputs(1, h)
             assert inputs.keys.dtype == np.float64
             assert not np.shares_memory(inputs.keys, trace.data)
             np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
-        wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
-        for h, inputs in enumerate(wide.layer_heads(1)):
+            inputs = wide.head_inputs(1, h)
             assert np.shares_memory(inputs.keys, wide.data)
             np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
 
@@ -426,3 +437,84 @@ class TestFloat32AtRest:
         trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=44), self.SHAPE)
         _, peak = traced_peak(write_trace, trace, tmp_path / "t.tkv")
         assert peak <= self.SLACK
+
+
+class TestLayerSources:
+    """Readers and generators deliver one layer at a time, in the file's order."""
+
+    SHAPE = (3, 4, 40, 6)
+    KINDS = ["uniform-random", "clustered-heads", "planted-needle"]
+
+    @staticmethod
+    def profile(kind):
+        return SyntheticProfile(kind, seed=51, planted=1, spread=0.1, tail_len=8)
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, TrickleStream, "path"])
+    def test_reader_yields_each_layer_in_one_reused_buffer(self, wrap, tmp_path):
+        trace = gen_synthetic_trace(self.profile("clustered-heads"), self.SHAPE)
+        data = trace_bytes(trace)
+        if wrap == "path":
+            source = tmp_path / "t.tkv"
+            source.write_bytes(data)
+        else:
+            source = wrap(data)
+        with TraceReader(source) as reader:
+            assert reader.header == trace.header
+            layers = []
+            for r, layer in enumerate(reader.layers()):
+                assert layer.dtype == np.float32 and not layer.flags.writeable
+                assert np.array_equal(layer, trace.data[r])
+                layers.append(layer)
+        assert len(layers) == 3
+        assert all(np.shares_memory(layers[0], layer) for layer in layers)
+
+    @pytest.mark.parametrize("wrap", [bytes, TrickleStream], ids=["bytes", "trickle"])
+    def test_nonfinite_value_fails_when_its_layer_arrives(self, wrap):
+        trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
+        data = trace.data.copy()
+        data[2, 3, 2, 39, 5] = np.inf
+        with TraceReader(wrap(trace.header.pack() + data.tobytes())) as reader:
+            layers = reader.layers()
+            for r in range(2):
+                assert np.array_equal(next(layers), data[r])
+            with pytest.raises(TraceFormatError, match="NaN/Inf"):
+                next(layers)
+
+    def test_truncated_last_layer_fails_when_it_arrives(self):
+        trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
+        payload = trace.header.payload_bytes
+        with TraceReader(TrickleStream(trace_bytes(trace)[:-5])) as reader:
+            layers = reader.layers()
+            next(layers), next(layers)
+            with pytest.raises(TraceTruncationError) as err:
+                next(layers)
+        assert (err.value.expected, err.value.actual) == (payload, payload - 5)
+
+    def test_sized_source_is_checked_before_any_layer(self, tmp_path):
+        header = TraceHeader(1000, 1000, 1000, 1000).pack()
+        with pytest.raises(TraceTruncationError):
+            TraceReader(header + bytes(64))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_synthetic_source_draws_the_generated_trace(self, kind):
+        trace = gen_synthetic_trace(self.profile(kind), self.SHAPE)
+        source = SyntheticSource(self.profile(kind), self.SHAPE)
+        assert source.header == trace.header
+        layers = [layer.copy() for layer in source.layers()]
+        assert np.array_equal(np.stack(layers), trace.data)
+        blocks = [block.copy() for block in source.head_blocks()]
+        assert np.array_equal(np.stack(blocks), trace.data.reshape(-1, 3, 40, 6))
+        buf = io.BytesIO()
+        assert write_trace(source, buf) == trace.header.file_bytes
+        assert buf.getvalue() == trace_bytes(trace)
+
+    def test_synthetic_source_checks_the_profile_up_front(self):
+        with pytest.raises(ParameterError):
+            SyntheticSource(SyntheticProfile("clustered-heads", planted=4), (1, 4, 8, 8))
+
+    def test_widen_head_widens_only_the_trailing_query_rows(self):
+        trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
+        inputs = widen_head(trace.data[2, 1], 5)
+        assert inputs.first_query == 35 and inputs.queries.shape == (5, 6)
+        assert np.array_equal(inputs.queries, trace.data[2, 1, 0, 35:])
+        assert np.array_equal(inputs.keys, trace.data[2, 1, 1])
