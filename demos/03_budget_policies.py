@@ -12,10 +12,9 @@ from semkv import (
     PolicyKind,
     SyntheticProfile,
     apply_policy,
-    build_compressed_cache,
+    build_head_entry,
     clustered_planted_heads,
     gen_synthetic_trace,
-    memory_footprint,
     middle_activation_count,
     pool_scores,
     window_column_scores,
@@ -57,10 +56,11 @@ def describe(idx, groups=None):
 
 for policy in PolicyKind:
     plan = apply_policy(0, classes, policy, 0.4, sinks, recents, window, pooled)
-    cache = build_compressed_cache(trace, [plan])
-    mem = memory_footprint(cache)
-    print(f"== {policy.value} (retained {mem.tokens_retained} tokens, "
-          f"{mem.bytes} bytes, {mem.ratio_vs_full:.1%} of full)")
+    # each head's cache entry: its retained K/V rows plus any group means
+    tokens = sum(len(build_head_entry(trace.data[0, h], plan, 0, h).positions) for h in range(8))
+    assert tokens == plan.retained_tokens()
+    print(f"== {policy.value} (retained {tokens} tokens, "
+          f"{tokens * 2 * 16 * 4} bytes of float32 K/V, {tokens / (256 * 8):.1%} of full)")
     for h in (sorted(planted)[0], [h for h in range(8) if h not in planted][0]):
         kind = "het" if classes[h] == HeadClass.HETEROGENEOUS else "non"
         groups = plan.per_head_groups[h] if plan.per_head_groups else None

@@ -9,18 +9,14 @@ compressed cache against the full one.
 from .allocator import (
     BudgetPlan,
     CacheEntry,
-    CompressedCache,
     MemoryFootprint,
     MiddleCount,
     PolicyKind,
     apply_policy,
-    build_compressed_cache,
     build_head_entry,
     check_plans,
     keeps_every_position,
-    memory_footprint,
     middle_activation_count,
-    plans_footprint,
     pool_scores,
     select_retained_indices,
 )
@@ -60,8 +56,6 @@ from .harness import (
 )
 from .linalg import (
     AttentionInputs,
-    CausalMask,
-    attention_output,
     attention_weights,
     masked_softmax,
     pca_2d,

@@ -9,7 +9,7 @@ B = floor(budget_ratio * N * n) tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -23,7 +23,6 @@ from .errors import (
     PlanFormatError,
 )
 from .separator import HeadClass, top_t_indices
-from .trace import AttentionTrace
 
 
 class PolicyKind(str, Enum):
@@ -379,20 +378,6 @@ class CacheEntry:
             raise CacheConsistencyError("cache positions must be strictly increasing")
 
 
-@dataclass
-class CompressedCache:
-    """Retained K/V entries per layer and head; the object whose memory is counted."""
-
-    num_layers: int
-    num_heads: int
-    seq_len: int
-    head_dim: int
-    entries: list[list[CacheEntry]] = field(default_factory=list)
-
-    def entry(self, layer: int, head: int) -> CacheEntry:
-        return self.entries[layer][head]
-
-
 def _check_groups(groups, seq_len: int, where: str) -> None:
     """Groups must be non-empty, sorted, non-overlapping and inside [0, N)."""
     prev_stop = 0
@@ -483,17 +468,6 @@ def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int)
     return CacheEntry(k_rows, v_rows, positions, synthetic)
 
 
-def build_compressed_cache(trace: AttentionTrace, plans) -> CompressedCache:
-    """Every head's `build_head_entry` at once, for callers that keep a whole cache."""
-    plans = check_plans(trace, plans)
-    cache = CompressedCache(trace.num_layers, trace.num_heads, trace.seq_len, trace.head_dim)
-    cache.entries = [
-        [build_head_entry(trace.data[r, h], plan, r, h) for h in range(trace.num_heads)]
-        for r, plan in enumerate(plans)
-    ]
-    return cache
-
-
 class MemoryFootprint(NamedTuple):
     tokens_retained: int
     bytes: int
@@ -502,18 +476,6 @@ class MemoryFootprint(NamedTuple):
 
 def footprint(tokens: int, shape) -> MemoryFootprint:
     """Token, byte (K+V float32) and fraction-of-full accounting of `tokens`
-    cache rows over a trace of `shape`'s dimensions (a trace, a header or a
-    cache)."""
+    cache rows over a trace of `shape`'s dimensions (a trace or a header)."""
     full = shape.num_layers * shape.num_heads * shape.seq_len
     return MemoryFootprint(tokens, tokens * 2 * shape.head_dim * 4, tokens / full)
-
-
-def memory_footprint(cache: CompressedCache) -> MemoryFootprint:
-    """`footprint` of a built cache's rows."""
-    return footprint(sum(len(entry.positions) for layer in cache.entries for entry in layer), cache)
-
-
-def plans_footprint(trace, plans) -> MemoryFootprint:
-    """`memory_footprint` of the cache the plans would build, without building it."""
-    plans = check_plans(trace, plans)
-    return footprint(sum(plan.retained_tokens() for plan in plans), trace)

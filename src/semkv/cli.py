@@ -19,7 +19,6 @@ from .allocator import BudgetPlan, PolicyKind, check_plans
 from .contribution import verify_bound_suite
 from .errors import ParameterError, PlanFormatError, SemkvError
 from .harness import (
-    FidelityReport,
     RunConfig,
     RunResult,
     bound_suite,
@@ -29,14 +28,17 @@ from .harness import (
     export_report,
     open_source,
     run_steps,
-    score_layer,
+    score_plans,
     start_run,
 )
-from .trace import SyntheticProfile, SyntheticSource, decode_outputs, write_trace
+from .trace import SyntheticProfile, SyntheticSource, write_trace
 
 
 def _parse_shape(text: str) -> tuple[int, int, int, int]:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
         raise ParameterError(f"--shape wants R,n,N,d, got {text!r}")
     return tuple(parts)  # type: ignore[return-value]
@@ -45,15 +47,36 @@ def _parse_shape(text: str) -> tuple[int, int, int, int]:
 def _split_multi(values, cast):
     out = []
     for v in values:
-        out.extend(cast(p) for p in str(v).split(",") if p)
+        try:
+            out.extend(cast(p) for p in str(v).split(",") if p)
+        except ValueError as exc:
+            raise ParameterError(f"bad value {v!r}: {exc}") from exc
     return out
 
 
 def _parse_policies(names) -> tuple[PolicyKind, ...]:
     try:
         return tuple(PolicyKind(p) for p in names)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(str(exc)) from exc
+
+
+def _number(value, what: str, integral: bool = True):
+    """A config file's `value` for `what`, which must be an int or, unless
+    `integral`, a float; returned unchanged."""
+    kinds = (int,) if integral else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integral else "a number"
+        raise ParameterError(f"config {what} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(file_cfg: dict, key: str, integral: bool = True) -> tuple:
+    """A config file's list of numbers under `key`, each checked by `_number`."""
+    values = file_cfg[key]
+    if not isinstance(values, list):
+        raise ParameterError(f"config {key} must be a list, got {values!r}")
+    return tuple(_number(v, key, integral) for v in values)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -130,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = (
     "beta",
+    "top_m",
     "top_t",
     "window_len",
     "kernel",
@@ -159,7 +183,8 @@ def _profile_from(args, file_cfg: dict) -> SyntheticProfile | None:
         if flag_val is not None:
             merged[name] = flag_val
         elif file_profile.get(name) is not None:
-            merged[name] = file_profile[name]
+            integral = name not in ("spread", "needle_strength")
+            merged[name] = _number(file_profile[name], f"profile.{name}", integral)
     return SyntheticProfile(kind=kind, **merged)
 
 
@@ -191,17 +216,19 @@ def _config_from(args) -> RunConfig:
     cfg = RunConfig()
     for key in _CONFIG_KEYS:
         if file_cfg.get(key) is not None:
-            setattr(cfg, key, file_cfg[key])
-    if file_cfg.get("top_m") is not None:
-        cfg.top_m = file_cfg["top_m"]
+            setattr(cfg, key, _number(file_cfg[key], key, integral=key != "beta"))
     if file_cfg.get("policies"):
         cfg.policies = _parse_policies(file_cfg["policies"])
     if file_cfg.get("budget_ratios"):
-        cfg.budget_ratios = tuple(float(b) for b in file_cfg["budget_ratios"])
-    if file_cfg.get("trace_path"):
-        cfg.trace_path = file_cfg["trace_path"]
+        cfg.budget_ratios = tuple(map(float, _numbers(file_cfg, "budget_ratios", False)))
+    if cfg_path := file_cfg.get("trace_path"):
+        if not isinstance(cfg_path, str):
+            raise ParameterError(f"config trace_path must be a string, got {cfg_path!r}")
+        cfg.trace_path = cfg_path
     if file_cfg.get("shape"):
-        cfg.shape = tuple(int(x) for x in file_cfg["shape"])
+        cfg.shape = _numbers(file_cfg, "shape")
+        if len(cfg.shape) != 4:
+            raise ParameterError(f"config shape wants [R, n, N, d], got {file_cfg['shape']!r}")
 
     flag_map = {
         "beta": "beta",
@@ -392,15 +419,11 @@ def _cmd_eval(args) -> int:
         header = source.header
         out = _outdir(args)
         plan_sets = [_read_plans(path, header) for path in args.plans]
-        dq = decode_count(cfg, header)
-        scores = [[] for _ in plan_sets]
-        for r, data in enumerate(source.layers()):
-            full = decode_outputs(data, dq)
-            for layer_scores, (_, _, plans) in zip(scores, plan_sets):
-                layer_scores.append(score_layer(data, r, plans[r], full))
+        reports = score_plans(
+            source.layers(), [plans for _, _, plans in plan_sets], decode_count(cfg, header)
+        )
     fidelity_rows = []
-    for path, (policy, ratio, _), layers in zip(args.plans, plan_sets, scores):
-        fid = FidelityReport.from_layers(dq, layers)
+    for path, (policy, ratio, _), fid in zip(args.plans, plan_sets, reports):
         fidelity_rows.append(
             {
                 "plans": os.path.basename(path),

@@ -162,6 +162,8 @@ def verify_bound_suite(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if min(n, d, out_dim) < 1:
+        raise ParameterError(f"heads, dim and out_dim must be >= 1, got {n}, {d}, {out_dim}")
     violations = 0
     max_ratio = 0.0
     max_form_gap = 0.0

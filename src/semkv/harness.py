@@ -6,8 +6,10 @@ header alone, before any layer is read, the schedule f(r), which
 `layer_step` runs on each layer in turn: the head pass, classification,
 a plan per cell and each plan's fidelity. A layer's payload and plans are
 dropped before the next layer is read, so the CLI's peak memory follows
-one layer. The library functions (`compress_run`, `fidelity_eval`,
-`run_all`) are the same loop over an in-memory `AttentionTrace`.
+one layer. The library functions (`compress_run`, `run_all`) are the
+same loop over an in-memory `AttentionTrace`. Saved plans are scored by
+`score_plans`, one layer at a time, for `fidelity_eval` and `semkv eval`
+alike.
 
 Fidelity is measured the way a decoder with an evicted cache behaves: for the
 last `decode_queries` query rows, attention outputs over the retained K/V
@@ -60,6 +62,9 @@ from .trace import (
     TraceHeader,
     TraceReader,
     decode_output,
+    decode_outputs,
+    gen_synthetic_trace,
+    read_trace,
     widen_head,
 )
 
@@ -132,17 +137,12 @@ def open_source(config: RunConfig):
 
 
 def load_trace_for(config: RunConfig) -> AttentionTrace:
-    """The config's whole trace in memory: its `open_source` layers copied
-    into one float32 array."""
-    with open_source(config) as source:
-        header = source.header
-        data = np.empty(
-            (header.num_layers, header.num_heads, 3, header.seq_len, header.head_dim),
-            dtype=np.float32,
-        )
-        for out, layer in zip(data, source.layers()):
-            out[...] = layer
-    return AttentionTrace(header, data)
+    """The config's whole trace in memory: `read_trace` of its file, or
+    `gen_synthetic_trace` of its profile and shape."""
+    if config.trace_path is not None:
+        return read_trace(config.trace_path)
+    with open_source(config) as source:  # a SyntheticSource, or the config's error
+        return gen_synthetic_trace(source.profile, config.shape)
 
 
 # a (policy, budget ratio) cell of a run
@@ -209,6 +209,8 @@ def start_run(
     in `infeasible`, and when no cell is feasible the first one's error is
     raised. With `score`, the decode-query count is checked.
     """
+    if config.contrib_trials < 0:
+        raise ParameterError(f"contrib_trials must be >= 0, got {config.contrib_trials}")
     schedule = heterogeneous_schedule(
         header.num_heads, config.beta, config.top_m, header.num_layers
     )
@@ -253,10 +255,10 @@ def _head_pass(
     window_len: int,
     top_t: int,
     decode_queries: int | None,
-    decode_out: np.ndarray | None,
+    out: np.ndarray | None,
 ) -> tuple[WindowScores, SemanticVector]:
-    """One head's window scores and top-t semantic vector and, into
-    `decode_out`, its full-cache decode outputs.
+    """One head's window scores and top-t semantic vector and, into `out`,
+    its full-cache decode outputs.
 
     Only K, V and the query rows the pass reads are widened: the window
     rows, and the decode rows when they differ. When the decode rows are
@@ -267,11 +269,9 @@ def _head_pass(
     inputs = widen_head(block, max(window_len, decode_queries or 0, 1))
     weights = window_weights(inputs, window_len)
     scores = WindowScores.from_weights(weights)
-    if decode_out is not None:
-        if decode_queries == window_len:
-            decode_out[...] = weights @ inputs.values
-        else:
-            decode_out[...] = decode_output(inputs, decode_queries)
+    if out is not None:
+        fused = decode_queries == window_len
+        out[...] = weights @ inputs.values if fused else decode_output(inputs, decode_queries)
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 
@@ -419,21 +419,26 @@ def score_layer(
     return l2, cos
 
 
+def score_plans(
+    layers, plan_sets: list[list[BudgetPlan]], decode_queries: int
+) -> list[FidelityReport]:
+    """Each plan set's fidelity over `layers`, one layer at a time: the
+    layer's full-cache decode outputs, then `score_layer` of every set's
+    plan for that layer. The sets are already passed through `check_plans`."""
+    scores = [[] for _ in plan_sets]
+    for r, data in enumerate(layers):
+        full = decode_outputs(data, decode_queries)  # validates decode_queries
+        for layer_scores, plans in zip(scores, plan_sets):
+            layer_scores.append(score_layer(data, r, plans[r], full))
+    return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
+
+
 def fidelity_eval(
     trace: AttentionTrace, plans: list[BudgetPlan], decode_queries: int
 ) -> FidelityReport:
     """Decode-attention reconstruction error of the plans' cache vs the full
-    one: `score_layer` on each layer, against the trace's memoized full-cache
-    decode outputs."""
-    plans = check_plans(trace, plans)
-    full = trace.full_decode_outputs(decode_queries)  # validates decode_queries
-    return FidelityReport.from_layers(
-        decode_queries,
-        [
-            score_layer(trace.data[r], r, plan, full[r])
-            for r, plan in enumerate(plans)
-        ],
-    )
+    one: `score_plans` of the one plan set."""
+    return score_plans(trace.layers(), [check_plans(trace, plans)], decode_queries)[0]
 
 
 @dataclass

@@ -32,10 +32,10 @@ class AttentionInputs:
     """Per-head query/key/value states.
 
     `keys` and `values` have shape (seq_len, head_dim). `queries` holds the
-    last rows of the sequence, from `first_query` on: every row, or only the
-    trailing rows a caller attends from. Data a caller
-    passes in is checked to be finite; `checked=True` marks data already
-    checked, such as a trace's, and skips that pass.
+    last rows of the sequence: every row, or only the trailing rows a caller
+    attends from. Data a caller passes in is checked to be finite;
+    `checked=True` marks data already checked, such as a trace's, and skips
+    that pass.
     """
 
     queries: np.ndarray
@@ -63,49 +63,8 @@ class AttentionInputs:
         return self.keys.shape[0]
 
     @property
-    def first_query(self) -> int:
-        return len(self.keys) - len(self.queries)
-
-    @property
     def head_dim(self) -> int:
         return self.keys.shape[1]
-
-
-@dataclass(frozen=True)
-class CausalMask:
-    """Causal visibility for a block of query rows against key columns.
-
-    Entry (i, j) is allowed iff j <= offset + i, where `offset` is the
-    absolute sequence position of the first query row.
-    """
-
-    query_rows: int
-    key_cols: int
-    offset: int = 0
-
-    def __post_init__(self):
-        if self.query_rows < 1 or self.key_cols < 1:
-            raise EmptyInputError("mask needs at least one row and one column")
-        if self.offset < 0:
-            raise DimensionError("mask offset must be >= 0")
-
-    @classmethod
-    def full(cls, seq_len: int) -> "CausalMask":
-        return cls(query_rows=seq_len, key_cols=seq_len, offset=0)
-
-    @classmethod
-    def window(cls, window_len: int, seq_len: int) -> "CausalMask":
-        """Mask for the last `window_len` query rows of a `seq_len` sequence."""
-        if not 1 <= window_len <= seq_len:
-            raise DimensionError(
-                f"window_len {window_len} outside [1, {seq_len}]"
-            )
-        return cls(query_rows=window_len, key_cols=seq_len, offset=seq_len - window_len)
-
-    def allowed(self) -> np.ndarray:
-        rows = np.arange(self.query_rows)[:, None] + self.offset
-        cols = np.arange(self.key_cols)[None, :]
-        return cols <= rows
 
 
 def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -128,48 +87,17 @@ def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return _require_finite(out, "softmax output")
 
 
-def attention_weights(
-    inputs: AttentionInputs,
-    mask: CausalMask,
-    query_rows: range | None = None,
-) -> np.ndarray:
-    """Row-stochastic attention matrix softmax(Q K^T / sqrt(d)) under `mask`.
-
-    `query_rows` selects a contiguous block of the query rows `inputs` holds
-    (default: all of them); the mask must describe exactly that block.
-    """
-    n, first = inputs.seq_len, inputs.first_query
-    if query_rows is None:
-        query_rows = range(first, n)
-    if len(query_rows) == 0:
-        raise EmptyInputError("query_rows selects no rows")
-    if query_rows.step != 1 or query_rows.start < first or query_rows.stop > n:
-        raise DimensionError(
-            f"query_rows {query_rows} outside [{first}, {n}) or non-contiguous"
-        )
-    if mask.query_rows != len(query_rows) or mask.key_cols != n:
-        raise DimensionError(
-            f"mask is {mask.query_rows}x{mask.key_cols}, "
-            f"selection needs {len(query_rows)}x{n}"
-        )
-    if mask.offset != query_rows.start:
-        raise DimensionError(
-            f"mask offset {mask.offset} does not match first query row {query_rows.start}"
-        )
-    q = inputs.queries[query_rows.start - first : query_rows.stop - first]
-    scores = (q @ inputs.keys.T) / np.sqrt(float(inputs.head_dim))
-    return masked_softmax(scores, mask.allowed())
-
-
-def attention_output(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Weighted sum of value rows: result[i] = sum_j weights[i, j] * values[j]."""
-    w = _as_matrix(weights, "weights")
-    v = _as_matrix(values, "values")
-    if w.shape[1] != v.shape[0]:
-        raise DimensionError(
-            f"weights cols {w.shape[1]} != values rows {v.shape[0]}"
-        )
-    return _require_finite(w @ v, "attention output")
+def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
+    """Causal attention softmax(Q K^T / sqrt(d)) of the last `rows` query
+    rows over every key, shape (rows, N); `rows` defaults to every query row
+    `inputs` holds. Row i attends the keys up to its own position."""
+    n, held = inputs.seq_len, len(inputs.queries)
+    rows = held if rows is None else rows
+    if not 1 <= rows <= held:
+        raise DimensionError(f"rows {rows} outside [1, {held}]")
+    scores = (inputs.queries[held - rows :] @ inputs.keys.T) / np.sqrt(float(inputs.head_dim))
+    allowed = np.arange(n)[None, :] <= np.arange(n - rows, n)[:, None]
+    return masked_softmax(scores, allowed)
 
 
 def _fix_sign(axis: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyInputError, ParameterError
-from .linalg import AttentionInputs, CausalMask, attention_weights
+from .linalg import AttentionInputs, attention_weights
 
 
 class HeadClass(str, Enum):
@@ -37,10 +37,6 @@ class WindowScores:
     def from_weights(cls, weights: np.ndarray) -> "WindowScores":
         """Scores of a (window_len, N) block of window attention weights."""
         return cls(window_len=weights.shape[0], column_means=weights.mean(axis=0))
-
-    @property
-    def seq_len(self) -> int:
-        return self.column_means.shape[0]
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class HeterogeneitySchedule:
 
 def semantic_vector_full(inputs: AttentionInputs) -> SemanticVector:
     """Exact semantic vector: (column-mean of full causal attention) @ V."""
-    weights = attention_weights(inputs, CausalMask.full(inputs.seq_len))
+    weights = attention_weights(inputs, inputs.seq_len)
     col_means = weights.mean(axis=0)
     return SemanticVector(values=col_means @ inputs.values, source="exact")
 
@@ -87,11 +83,7 @@ def window_weights(inputs: AttentionInputs, window_len: int) -> np.ndarray:
     n = inputs.seq_len
     if not 1 <= window_len <= n:
         raise ParameterError(f"window_len {window_len} outside [1, {n}]")
-    return attention_weights(
-        inputs,
-        CausalMask.window(window_len, n),
-        query_rows=range(n - window_len, n),
-    )
+    return attention_weights(inputs, window_len)
 
 
 def window_column_scores(inputs: AttentionInputs, window_len: int) -> WindowScores:

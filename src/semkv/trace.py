@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import os
 import struct
 from collections.abc import Iterator
@@ -47,7 +48,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs, CausalMask, attention_weights
+from .linalg import AttentionInputs, attention_weights
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -113,9 +114,7 @@ class AttentionTrace:
     same as on a float64 trace of the same values. `data` is a read-only,
     C-contiguous view, so results depend on the values alone, not on the
     caller's memory layout. A C-contiguous float32 or float64 array passed
-    in is not copied, and its owner must therefore leave it unchanged. The
-    full-cache decode outputs are computed once per query count and shared
-    by every caller.
+    in is not copied, and its owner must therefore leave it unchanged.
 
     Like `TraceReader` and `SyntheticSource`, a trace is a layer source: a
     `header` and `layers()`, which yields each layer's checked, read-only
@@ -139,7 +138,6 @@ class AttentionTrace:
         data.flags.writeable = False
         self.header = header
         self.data = data
-        self._decode_outputs: dict[int, np.ndarray] = {}
 
     @property
     def num_layers(self) -> int:
@@ -167,16 +165,6 @@ class AttentionTrace:
     def head_inputs(self, layer: int, head: int) -> AttentionInputs:
         """One head's Q/K/V in float64 through `widen_head`."""
         return widen_head(self.data[layer, head])
-
-    def full_decode_outputs(self, decode_queries: int) -> np.ndarray:
-        """Attention outputs of the last `decode_queries` query rows over every
-        key, shape (R, n, decode_queries, d); computed once per count."""
-        out = self._decode_outputs.get(decode_queries)
-        if out is None:
-            out = np.stack([decode_outputs(layer, decode_queries) for layer in self.data])
-            out.flags.writeable = False
-            self._decode_outputs[decode_queries] = out
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
@@ -207,10 +195,7 @@ def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs
 def decode_output(inputs: AttentionInputs, decode_queries: int) -> np.ndarray:
     """Full-cache attention outputs of the last `decode_queries` query rows,
     shape (decode_queries, d)."""
-    n_seq = inputs.seq_len
-    mask = CausalMask.window(decode_queries, n_seq)
-    weights = attention_weights(inputs, mask, query_rows=range(n_seq - decode_queries, n_seq))
-    return weights @ inputs.values
+    return attention_weights(inputs, decode_queries) @ inputs.values
 
 
 def decode_outputs(layer: np.ndarray, decode_queries: int) -> np.ndarray:
@@ -253,6 +238,10 @@ class SyntheticProfile:
             raise ParameterError(f"unknown profile kind {self.kind!r}")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
+        for name in ("spread", "needle_strength"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "clustered-heads":
             if self.planted < 1:
                 raise ParameterError("clustered-heads needs planted >= 1")
@@ -317,7 +306,8 @@ def _fill_clustered_head(
         rng.standard_normal(out=noise)
         noise *= spread
         draw += noise
-    v[...] = draw
+    with np.errstate(over="ignore"):  # past float32's range is inf, rejected when read
+        v[...] = draw
 
 
 def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticProfile) -> None:
@@ -327,7 +317,8 @@ def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticP
     axis = rng.standard_normal(head_dim)
     axis /= np.linalg.norm(axis)
     q[seq_len - min(profile.tail_len, seq_len) :] = np.sqrt(head_dim) * axis
-    k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
+    with np.errstate(over="ignore"):  # past float32's range is inf, rejected when read
+        k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
 
 
 class SyntheticSource:
@@ -339,7 +330,9 @@ class SyntheticSource:
     `head_blocks()` (one reused (3, N, d) block, which `write_trace` writes
     as soon as it is drawn) and `layers()` (one reused (n, 3, N, d) layer)
     all give the same bytes. An array either method yields is overwritten
-    by the next draw.
+    by the next draw. `layers()` checks each layer for NaN/Inf (a profile
+    whose values overflow float32), as `TraceReader.layers()` does;
+    `head_blocks()` does not, and a reader rejects a file written from them.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -400,6 +393,7 @@ class SyntheticSource:
         heads = itertools.chain.from_iterable(itertools.repeat(layer))
         for i, _ in enumerate(self._drawn(heads), 1):
             if i % header.num_heads == 0:
+                _check_finite(view)
                 yield view
 
 

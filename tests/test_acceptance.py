@@ -13,7 +13,7 @@ import pytest
 from semkv.allocator import (
     PolicyKind,
     apply_policy,
-    build_compressed_cache,
+    build_head_entry,
     middle_activation_count,
     pool_scores,
 )
@@ -257,11 +257,13 @@ def test_criterion_10_selective_beats_compressed():
         )
         trace = load_trace_for(config)
         result = compress_run(config, trace)
-        selective = build_compressed_cache(trace, result.plans[("task-kv", 0.4)])
-        compressed = build_compressed_cache(trace, result.plans[("compressed-cache", 0.4)])
-        sel_tokens = sum(len(e.positions) for layer in selective.entries for e in layer)
-        comp_tokens = sum(len(e.positions) for layer in compressed.entries for e in layer)
-        assert sel_tokens == comp_tokens  # budget-matched comparison
+        tokens = []
+        for cell in (("task-kv", 0.4), ("compressed-cache", 0.4)):
+            (plan,) = result.plans[cell]
+            rows = sum(len(build_head_entry(trace.data[0, h], plan, 0, h).positions) for h in range(8))
+            assert rows == result.memory(cell, trace.header).tokens_retained
+            tokens.append(rows)
+        assert tokens[0] == tokens[1]  # budget-matched comparison
         sel = fidelity_eval(trace, result.plans[("task-kv", 0.4)], 32).mean_l2
         comp = fidelity_eval(trace, result.plans[("compressed-cache", 0.4)], 32).mean_l2
         assert sel <= comp

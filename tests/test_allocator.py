@@ -13,11 +13,11 @@ from semkv.allocator import (
     BudgetPlan,
     PolicyKind,
     apply_policy,
-    build_compressed_cache,
+    build_head_entry,
     check_cell,
-    memory_footprint,
+    check_plans,
+    footprint,
     middle_activation_count,
-    plans_footprint,
     pool_scores,
     select_retained_indices,
 )
@@ -29,6 +29,7 @@ from semkv.errors import (
     PlanFormatError,
     SemkvError,
 )
+from semkv.harness import LayerStep, RunResult
 from semkv.separator import HeadClass, window_column_scores
 from semkv.trace import (
     AttentionTrace,
@@ -401,13 +402,29 @@ class TestBudgetProperties:
                 np.testing.assert_array_equal(idx, np.arange(48))
 
 
+def built_entries(trace, plans):
+    """Every head's `build_head_entry`, [layer][head]: the whole cache the
+    plans describe, built at once as the oracle for the per-head path."""
+    plans = check_plans(trace, plans)
+    return [
+        [build_head_entry(trace.data[r, h], plan, r, h) for h in range(trace.num_heads)]
+        for r, plan in enumerate(plans)
+    ]
+
+
+def built_footprint(trace, plans):
+    """`footprint` of the rows the built cache holds."""
+    entries = built_entries(trace, plans)
+    return footprint(sum(len(e.positions) for layer in entries for e in layer), trace)
+
+
 class TestCompressedCacheBuild:
     def test_full_policy_copies_trace(self):
         trace = small_trace(seed=40)
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
-        cache = build_compressed_cache(trace, [plan])
+        cache = built_entries(trace, [plan])
         for h in range(4):
-            entry = cache.entry(0, h)
+            entry = cache[0][h]
             np.testing.assert_array_equal(entry.keys, trace.data[0, h, 1])
             np.testing.assert_array_equal(entry.values, trace.data[0, h, 2])
             assert not entry.synthetic.any()
@@ -418,16 +435,16 @@ class TestCompressedCacheBuild:
             trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.3, sinks=4, recents=8
         )
         assert plan.middle_k == 0
-        cache = build_compressed_cache(trace, [plan])
+        cache = built_entries(trace, [plan])
         for h in (1, 2, 3):
-            assert len(cache.entry(0, h).positions) == 12
+            assert len(cache[0][h].positions) == 12
 
     def test_rows_match_mapped_positions(self):
         trace = small_trace(seed=42)
         plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.5)
-        cache = build_compressed_cache(trace, [plan])
+        cache = built_entries(trace, [plan])
         for h in range(4):
-            entry = cache.entry(0, h)
+            entry = cache[0][h]
             for row, pos in enumerate(entry.positions):
                 np.testing.assert_array_equal(entry.keys[row], trace.data[0, h, 1, pos])
                 np.testing.assert_array_equal(entry.values[row], trace.data[0, h, 2, pos])
@@ -435,8 +452,8 @@ class TestCompressedCacheBuild:
     def test_synthetic_rows_are_group_means(self):
         trace = small_trace(seed=43)
         plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.COMPRESSED_CACHE, 0.5)
-        cache = build_compressed_cache(trace, [plan])
-        entry = cache.entry(0, 1)
+        cache = built_entries(trace, [plan])
+        entry = cache[0][1]
         assert entry.synthetic.sum() == len(plan.per_head_groups[1])
         groups = iter(plan.per_head_groups[1])
         wide = trace.data.astype(np.float64)
@@ -455,22 +472,22 @@ class TestCompressedCacheBuild:
         trace = small_trace(seed=44)
         for policy in TestBudgetProperties.POLICIES:
             plan = plan_for(trace, classes_with_het(4, {0}), policy, 0.5)
-            cache = build_compressed_cache(trace, [plan])
+            cache = built_entries(trace, [plan])
             for h in range(4):
-                pos = cache.entry(0, h).positions
+                pos = cache[0][h].positions
                 assert (np.diff(pos) > 0).all()
 
     def test_layer_count_mismatch_rejected(self):
         trace = small_trace(seed=45, shape=(2, 4, 48, 6))
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
         with pytest.raises(CacheConsistencyError):
-            build_compressed_cache(trace, [plan])
+            built_entries(trace, [plan])
 
     def test_full_keep_entries_share_trace_rows(self):
         trace = small_trace(seed=46)
         plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.5)
-        cache = build_compressed_cache(trace, [plan])
-        full_keep, partial = cache.entry(0, 0), cache.entry(0, 1)
+        cache = built_entries(trace, [plan])
+        full_keep, partial = cache[0][0], cache[0][1]
         assert len(full_keep.positions) == 48 and len(partial.positions) < 48
         for arr in (full_keep.keys, full_keep.values):
             assert np.shares_memory(arr, trace.data)
@@ -483,9 +500,9 @@ class TestCompressedCacheBuild:
         plan = plan_for(
             trace, classes_with_het(4, set()), PolicyKind.TASK_KV, 0.5, sinks=6, recents=6
         )
-        cache = build_compressed_cache(trace, [plan])
+        cache = built_entries(trace, [plan])
         for h in range(4):
-            assert np.shares_memory(cache.entry(0, h).keys, trace.data)
+            assert np.shares_memory(cache[0][h].keys, trace.data)
 
 
 def _plan_with(retained, groups=None):
@@ -532,9 +549,9 @@ class TestGroupMeans:
 
     def assert_means(self, trace, groups, heads):
         plan = _plan_with([[]] * heads, [groups] * heads)
-        cache = build_compressed_cache(trace, [plan])
+        cache = built_entries(trace, [plan])
         for h in range(heads):
-            entry = cache.entry(0, h)
+            entry = cache[0][h]
             assert entry.synthetic.all()
             np.testing.assert_array_equal(entry.positions, [a for a, _ in groups])
             assert np.array_equal(entry.keys, self.oracle(trace.data[0, h, 1], groups))
@@ -570,10 +587,10 @@ class TestGroupMeans:
             trace, classes_with_het(4, {0}), PolicyKind.COMPRESSED_CACHE, ratio,
             sinks=4, recents=8,
         )
-        cache = build_compressed_cache(trace, [plan])
+        cache = built_entries(trace, [plan])
         for h in (1, 2, 3):
             groups = plan.per_head_groups[h]
-            entry = cache.entry(0, h)
+            entry = cache[0][h]
             assert np.array_equal(
                 entry.keys[entry.synthetic], self.oracle(trace.data[0, h, 1], groups)
             )
@@ -585,7 +602,7 @@ class TestGroupMeans:
         trace = small_trace(seed=73, shape=(1, 1, self.N, 5))
         groups = self.CASES["gapped-long"]
         plan = _plan_with([[0, 5, 20, 39]], [groups])
-        entry = build_compressed_cache(trace, [plan]).entry(0, 0)
+        entry = built_entries(trace, [plan])[0][0]
         np.testing.assert_array_equal(entry.positions, [0, 1, 5, 10, 20, 25, 31, 39])
         wide_keys = trace.data[0, 0, 1].astype(np.float64)
         expected = dict(zip([a for a, _ in groups], self.oracle(wide_keys, groups)))
@@ -606,7 +623,7 @@ class TestPlanConsistency:
     def test_head_count_mismatch_rejected(self, retained, groups):
         trace = small_trace(seed=80)
         with pytest.raises(CacheConsistencyError, match="heads"):
-            build_compressed_cache(trace, [_plan_with(retained, groups)])
+            built_entries(trace, [_plan_with(retained, groups)])
 
     @pytest.mark.parametrize(
         "bad",
@@ -624,7 +641,7 @@ class TestPlanConsistency:
         trace = small_trace(seed=81)
         groups = [[], bad, [], []]
         with pytest.raises(CacheConsistencyError, match="layer 0 head 1: group"):
-            build_compressed_cache(trace, [_plan_with([[0]] * 4, groups)])
+            built_entries(trace, [_plan_with([[0]] * 4, groups)])
 
 
 
@@ -632,7 +649,7 @@ class TestMemoryFootprint:
     def test_full_cache_ratio_one(self):
         trace = small_trace(seed=50)
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
-        mem = memory_footprint(build_compressed_cache(trace, [plan]))
+        mem = built_footprint(trace, [plan])
         assert mem.ratio_vs_full == 1.0
         assert mem.tokens_retained == 4 * 48
         assert mem.bytes == 4 * 48 * 2 * 6 * 4
@@ -643,7 +660,7 @@ class TestMemoryFootprint:
             trace, classes_with_het(1, set()), PolicyKind.STREAMING,
             272 / 1024, sinks=16, recents=256,
         )
-        mem = memory_footprint(build_compressed_cache(trace, [plan]))
+        mem = built_footprint(trace, [plan])
         assert mem.ratio_vs_full == pytest.approx(272 / 1024)
 
     def test_task_kv_ratio_bounded_by_budget(self):
@@ -657,7 +674,7 @@ class TestMemoryFootprint:
                     r, classes, PolicyKind.TASK_KV, 0.4, 2, 4, 8, layer_pooled(trace, r, 8, 3)
                 )
             )
-        mem = memory_footprint(build_compressed_cache(trace, plans))
+        mem = built_footprint(trace, plans)
         assert mem.ratio_vs_full <= 0.4 + 8 / (128 * 8)
 
 
@@ -669,11 +686,15 @@ class TestMemoryFootprint:
             apply_policy(r, classes, policy, 0.5, 2, 4, 8, layer_pooled(trace, r, 8, 3))
             for r in range(2)
         ]
-        cache = build_compressed_cache(trace, plans)
-        assert plans_footprint(trace, plans) == memory_footprint(cache)
+        # the accounting a run reports, gathered layer by layer
+        result = RunResult(schedule=None)
+        for plan in plans:
+            result.add(LayerStep([], {(policy.value, 0.5): plan}, {}), keep_plans=False)
+        assert result.memory((policy.value, 0.5), trace.header) == built_footprint(trace, plans)
+        cache = built_entries(trace, plans)
         for r, plan in enumerate(plans):
             for h in range(8):
-                assert plan.head_tokens(h) == len(cache.entry(r, h).positions)
+                assert plan.head_tokens(h) == len(cache[r][h].positions)
 
 
 class TestPlanSerialization:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semkv.allocator import BudgetPlan, PolicyKind, plans_footprint
+from semkv.allocator import BudgetPlan, PolicyKind
 from semkv.cli import _config_from, build_parser, main
 from semkv.harness import (
     compress_run,
@@ -439,6 +439,58 @@ class TestErrorReporting:
         assert payload["error"] == "TraceFormatError"
         assert "version 9" in payload["message"]
 
+    SMALL = ["--profile", "clustered-heads", "--shape", "1,4,64,8"]
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["compress", "--profile", "clustered-heads", "--shape", "a,b,c,d"], None, "--shape"),
+            (["compress", *SMALL, "--budget", "abc"], None, "'abc'"),
+            (["compress", "--profile", "clustered-heads"], {"shape": [1, 2]}, "shape"),
+            (["compress", "--profile", "clustered-heads"], {"shape": [1, 4, 64, "x"]}, "shape"),
+            (["compress", *SMALL], {"beta": "x"}, "beta"),
+            (["compress", *SMALL], {"window_len": 8.5}, "window_len"),
+            (["compress"], {"trace_path": 5}, "trace_path"),
+            (["contrib", "--heads", "0"], None, "heads"),
+            (["contrib", "--heads", "-2"], None, "heads"),
+            (["all", *SMALL, "--contrib-trials", "-2"], None, "contrib_trials"),
+        ],
+    )
+    def test_malformed_numbers_are_json_errors(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert message in payload["message"]
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["compress", *SMALL, "--spread", "nan"], "ParameterError"),
+            (["all", *SMALL, "--spread", "inf"], "ParameterError"),
+            (["all", "--profile", "planted-needle", "--shape", "1,4,64,8",
+              "--needle-strength", "nan"], "ParameterError"),
+            (["compress", *SMALL, "--spread", "1e300"], "TraceFormatError"),
+            (["all", *SMALL, "--spread", "1e300"], "TraceFormatError"),
+            (["all", "--profile", "planted-needle", "--shape", "1,4,64,8",
+              "--needle-strength", "1e39"], "TraceFormatError"),
+        ],
+    )
+    def test_non_finite_synthetic_values_are_json_errors(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == error
+        assert not out.exists() or os.listdir(out) == []
+
 
 def _bytes_of(export, *args):
     buf = io.BytesIO()
@@ -497,7 +549,7 @@ def in_memory_outputs(command, argv, trace, plans_files=()):
     if command == "compress":
         memory = []
         for (policy, ratio), plans in sorted(result.plans.items()):
-            mem = plans_footprint(trace, plans)
+            mem = result.memory((policy, ratio), trace.header)
             memory.append({
                 "policy": policy, "budget_ratio": ratio, "tokens_retained": mem.tokens_retained,
                 "bytes": mem.bytes, "ratio_vs_full": mem.ratio_vs_full,

@@ -1,16 +1,24 @@
 """Pipeline orchestration, fidelity metrics, and report export."""
 
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from semkv.allocator import PolicyKind, build_compressed_cache, memory_footprint
-from semkv.errors import CacheConsistencyError, InfeasibleBudgetError, ParameterError
+from semkv.allocator import PolicyKind, build_head_entry, footprint
+from semkv.errors import (
+    CacheConsistencyError,
+    InfeasibleBudgetError,
+    ParameterError,
+    TraceTruncationError,
+)
 from semkv.harness import (
     EvalReport,
     RunConfig,
@@ -30,6 +38,7 @@ from semkv.trace import (
     SyntheticProfile,
     TraceHeader,
     clustered_planted_heads,
+    decode_outputs,
     gen_synthetic_trace,
 )
 
@@ -201,17 +210,25 @@ class TestFidelityEval:
             assert np.array_equal(again.per_head_cosine, first.per_head_cosine)
 
 
+def built_entries(trace, plans):
+    """Every head's `build_head_entry`, [layer][head]: the whole cache at once."""
+    return [
+        [build_head_entry(trace.data[r, h], plan, r, h) for h in range(trace.num_heads)]
+        for r, plan in enumerate(plans)
+    ]
+
+
 def cache_oracle_fidelity(trace, plans, decode_queries):
     """Reference fidelity: build the whole cache, then score every head's entry."""
-    cache = build_compressed_cache(trace, plans)
-    full = trace.full_decode_outputs(decode_queries)
+    cache = built_entries(trace, plans)
+    full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
     first_row = trace.seq_len - decode_queries
     l2 = np.empty((trace.num_layers, trace.num_heads))
     cos = np.empty((trace.num_layers, trace.num_heads))
     for r in range(trace.num_layers):
         for h in range(trace.num_heads):
             inputs = trace.head_inputs(r, h)
-            entry = cache.entry(r, h)
+            entry = cache[r][h]
             q = inputs.queries[first_row:]
             scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
             visible = (
@@ -231,6 +248,32 @@ def fortran_float64_trace(seed, shape):
     size = (r, n, 3, seq_len, d)
     data = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
     return AttentionTrace(TraceHeader(r, n, seq_len, d), np.asfortranarray(data))
+
+
+class TestLoadTraceFor:
+    def test_pipe_claiming_more_layers_than_arrive_is_truncated(self, tmp_path):
+        # the header claims 6 PiB; one layer arrives before the end of the stream
+        fifo = tmp_path / "pipe.tkv"
+        os.mkfifo(fifo)
+        header = TraceHeader(2**32 - 1, 8, 128, 128)
+        layer = np.zeros((8, 3, 128, 128), dtype="<f4")
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+                f.write(header.pack() + layer.tobytes())
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(TraceTruncationError):
+                load_trace_for(RunConfig(trace_path=str(fifo)))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+
+    def test_needs_a_trace_or_a_profile_and_shape(self):
+        with pytest.raises(ParameterError):
+            load_trace_for(RunConfig(profile=SyntheticProfile("uniform-random")))
 
 
 class TestFidelityFromPlans:
@@ -274,15 +317,15 @@ class TestPlanMemory:
         assert len(report.policies) == 18
         for entry in report.policies:
             plans = result.plans[(entry["policy"], entry["budget_ratio"])]
-            cache = build_compressed_cache(trace, plans)
-            mem = memory_footprint(cache)
+            cache = built_entries(trace, plans)
+            mem = footprint(sum(len(e.positions) for layer in cache for e in layer), trace)
             assert entry["memory"] == {
                 "tokens_retained": mem.tokens_retained,
                 "bytes": mem.bytes,
                 "ratio_vs_full": mem.ratio_vs_full,
             }
             for r, layer in enumerate(entry["fidelity"]["per_head"]):
-                rows = [len(cache.entry(r, h).positions) for h in range(trace.num_heads)]
+                rows = [len(e.positions) for e in cache[r]]
                 assert [cell["retained_tokens"] for cell in layer] == rows
 
     def test_run_all_holds_one_head_entry_at_a_time(self):
@@ -308,7 +351,7 @@ class TestPlanMemory:
         assert peak - held <= allowance
         # and far below the rows any single cell other than full copies
         for (policy, _), plans in kept[1].plans.items():
-            entries = [e for layer in build_compressed_cache(trace, plans).entries for e in layer]
+            entries = [e for layer in built_entries(trace, plans) for e in layer]
             owned = sum(
                 e.keys.nbytes + e.values.nbytes
                 for e in entries
@@ -352,26 +395,38 @@ class TestFloat32Storage:
             monkeypatch.setattr(module, "attention_weights", counted)
         return calls
 
+    @staticmethod
+    def assert_report_fidelity_equals_standalone(cfg, trace, report, result):
+        """The per-head fidelity `run_all` reports equals `fidelity_eval`'s bit for bit."""
+        for entry in report.policies:
+            plans = result.plans[(entry["policy"], entry["budget_ratio"])]
+            fid = fidelity_eval(trace, plans, cfg.decode_queries)
+            per_head = entry["fidelity"]["per_head"]
+            assert [[c["l2_error"] for c in layer] for layer in per_head] == (
+                fid.per_head_l2.tolist()
+            )
+            assert [[c["cosine_similarity"] for c in layer] for layer in per_head] == (
+                fid.per_head_cosine.tolist()
+            )
+
     @pytest.mark.parametrize("decode_queries", [16, 5])
     def test_fused_decode_outputs_equal_standalone(self, decode_queries, monkeypatch):
         cfg = clustered_config(seed=31, decode_queries=decode_queries)
         assert cfg.window_len == 16
         trace = load_trace_for(cfg)
         calls = self.count_attention(monkeypatch)
-        run_all(cfg, trace)
+        report, result = run_all(cfg, trace, return_result=True)
         heads = trace.num_layers * trace.num_heads
         # one masked softmax per head when the decode rows are the window rows
         assert len(calls) == (heads if decode_queries == 16 else 2 * heads)
-        fresh = load_trace_for(cfg)
-        for dq in {decode_queries, 16}:
-            assert np.array_equal(trace.full_decode_outputs(dq), fresh.full_decode_outputs(dq))
+        self.assert_report_fidelity_equals_standalone(cfg, trace, report, result)
 
     def test_fused_outputs_match_float64_trace(self):
-        cfg = clustered_config(seed=32)
-        single = load_trace_for(cfg)
-        compress_run(cfg, single)
-        wide = self.widened(single)
-        assert np.array_equal(single.full_decode_outputs(16), wide.full_decode_outputs(16))
+        for decode_queries in (16, 5):
+            cfg = clustered_config(seed=32, decode_queries=decode_queries)
+            wide = self.widened(load_trace_for(cfg))
+            report, result = run_all(cfg, wide, return_result=True)
+            self.assert_report_fidelity_equals_standalone(cfg, wide, report, result)
 
     def test_compress_run_widens_one_head_at_a_time(self):
         shape = (1, 4, 2048, 64)

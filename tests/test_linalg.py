@@ -12,9 +12,7 @@ from semkv.harness import RunConfig, compress_run, load_trace_for
 from semkv.trace import SyntheticProfile
 from semkv.linalg import (
     AttentionInputs,
-    CausalMask,
     _fix_sign,
-    attention_output,
     attention_weights,
     masked_softmax,
     pca_2d,
@@ -39,17 +37,6 @@ def naive_attention_weights(q, k, offset):
     return np.array(out)
 
 
-def naive_matmul(a, b):
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            for k in range(inner):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
 def make_inputs(rng, n, d):
     return AttentionInputs(
         queries=rng.standard_normal((n, d)),
@@ -62,7 +49,7 @@ class TestAttentionWeights:
     def test_single_token(self):
         rng = np.random.default_rng(0)
         inputs = make_inputs(rng, 1, 3)
-        w = attention_weights(inputs, CausalMask.full(1))
+        w = attention_weights(inputs)
         assert w.shape == (1, 1)
         assert w[0, 0] == 1.0
 
@@ -72,22 +59,20 @@ class TestAttentionWeights:
             keys=np.arange(6.0).reshape(2, 3),
             values=np.ones((2, 3)),
         )
-        w = attention_weights(inputs, CausalMask.full(2))
+        w = attention_weights(inputs)
         np.testing.assert_allclose(w, [[1.0, 0.0], [0.5, 0.5]], atol=1e-15)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(42)
         inputs = make_inputs(rng, 8, 4)
-        w = attention_weights(inputs, CausalMask.full(8))
+        w = attention_weights(inputs)
         expected = naive_attention_weights(inputs.queries, inputs.keys, offset=0)
         np.testing.assert_allclose(w, expected, rtol=1e-12, atol=1e-15)
 
     def test_window_matches_direct_formula(self):
         rng = np.random.default_rng(7)
         inputs = make_inputs(rng, 10, 4)
-        w = attention_weights(
-            inputs, CausalMask.window(3, 10), query_rows=range(7, 10)
-        )
+        w = attention_weights(inputs, 3)
         expected = naive_attention_weights(
             inputs.queries[7:], inputs.keys, offset=7
         )
@@ -98,16 +83,16 @@ class TestAttentionWeights:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 20))
         inputs = make_inputs(rng, n, 5)
-        w = attention_weights(inputs, CausalMask.full(n))
+        w = attention_weights(inputs)
         np.testing.assert_allclose(w.sum(axis=1), np.ones(n), atol=1e-9)
         assert (w >= 0).all()
-        blocked = ~CausalMask.full(n).allowed()
+        blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
         assert (w[blocked] == 0.0).all()
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.standard_normal((4, 6))
-        allowed = CausalMask(4, 6, offset=2).allowed()
+        allowed = np.arange(6)[None, :] <= np.arange(2, 6)[:, None]
         base = masked_softmax(scores, allowed)
         shifted = masked_softmax(scores + 123.456, allowed)
         np.testing.assert_allclose(base, shifted, atol=1e-9)
@@ -118,19 +103,12 @@ class TestAttentionWeights:
         assert np.isfinite(w).all()
         assert abs(w.sum() - 1) < 1e-9
 
-    def test_mask_shape_mismatch(self):
+    @pytest.mark.parametrize("rows", [0, -1, 5])
+    def test_rows_outside_the_held_queries_rejected(self, rows):
         rng = np.random.default_rng(0)
         inputs = make_inputs(rng, 4, 2)
         with pytest.raises(DimensionError):
-            attention_weights(inputs, CausalMask.full(5))
-
-    def test_mask_offset_mismatch(self):
-        rng = np.random.default_rng(0)
-        inputs = make_inputs(rng, 4, 2)
-        with pytest.raises(DimensionError):
-            attention_weights(
-                inputs, CausalMask(2, 4, offset=1), query_rows=range(2, 4)
-            )
+            attention_weights(inputs, rows)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -142,22 +120,15 @@ class TestAttentionWeights:
         rng = np.random.default_rng(3)
         inputs = make_inputs(rng, 10, 4)
         tail = AttentionInputs(inputs.queries[6:], inputs.keys, inputs.values)
-        assert tail.seq_len == 10 and tail.first_query == 6
-        mask = CausalMask(4, 10, offset=6)
-        assert np.array_equal(
-            attention_weights(tail, mask, range(6, 10)),
-            attention_weights(inputs, mask, range(6, 10)),
-        )
-        assert np.array_equal(
-            attention_weights(tail, CausalMask(2, 10, offset=8), range(8, 10)),
-            attention_weights(inputs, CausalMask(2, 10, offset=8), range(8, 10)),
-        )
+        assert tail.seq_len == 10 and len(tail.queries) == 4
+        assert np.array_equal(attention_weights(tail), attention_weights(inputs, 4))
+        assert np.array_equal(attention_weights(tail, 2), attention_weights(inputs, 2))
         with pytest.raises(DimensionError):
-            attention_weights(tail, CausalMask(4, 10, offset=5), range(5, 9))
+            attention_weights(tail, 5)
 
     def test_queries_are_the_trailing_rows(self):
         inputs = AttentionInputs(np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((5, 2)))
-        assert inputs.first_query == 2
+        assert inputs.seq_len == 5 and len(inputs.queries) == 3
         with pytest.raises(DimensionError):
             AttentionInputs(np.zeros((6, 2)), np.zeros((5, 2)), np.zeros((5, 2)))
 
@@ -174,31 +145,6 @@ class TestAttentionWeights:
             AttentionInputs(
                 queries=np.zeros((2, 2)), keys=np.zeros((2, 3)), values=np.zeros((2, 2))
             )
-
-
-class TestAttentionOutput:
-    def test_identity_weights(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(attention_output(np.eye(4), v), v)
-
-    def test_uniform_row_is_column_mean(self):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal((5, 3))
-        w = np.full((1, 5), 1 / 5)
-        np.testing.assert_allclose(attention_output(w, v)[0], v.mean(axis=0), rtol=1e-12)
-
-    def test_matches_naive_matmul(self):
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal((3, 6))
-        v = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(
-            attention_output(w, v), naive_matmul(w, v), rtol=1e-12
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            attention_output(np.ones((2, 3)), np.ones((4, 2)))
 
 
 def _dominant_eigpair(sym, need_vector=False):

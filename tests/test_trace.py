@@ -13,7 +13,7 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from semkv.linalg import CausalMask, attention_weights
+from semkv.linalg import attention_weights
 from semkv.separator import head_distances, semantic_vector_full, window_column_scores
 from semkv.trace import (
     HEADER_BYTES,
@@ -23,6 +23,7 @@ from semkv.trace import (
     TraceHeader,
     TraceReader,
     clustered_planted_heads,
+    decode_outputs,
     gen_synthetic_trace,
     read_trace,
     widen_head,
@@ -357,20 +358,18 @@ class TestSharedDerivedData:
 
     def test_full_decode_outputs_match_per_head_attention(self):
         trace = self.make()
-        out = trace.full_decode_outputs(5)
-        assert out.shape == (2, 3, 5, 4)
-        assert out.flags.writeable is False
-        assert trace.full_decode_outputs(5) is out
         for r in range(2):
+            out = decode_outputs(trace.data[r], 5)
+            assert out.shape == (3, 5, 4)
             for h in range(3):
                 inputs = trace.head_inputs(r, h)
-                w = attention_weights(inputs, CausalMask.window(5, 20), range(15, 20))
-                assert np.array_equal(out[r, h], w @ inputs.values)
+                w = attention_weights(inputs, 5)
+                assert np.array_equal(out[h], w @ inputs.values)
 
     @pytest.mark.parametrize("count", [0, 21])
     def test_full_decode_outputs_validate_count(self, count):
         with pytest.raises(ParameterError):
-            self.make().full_decode_outputs(count)
+            decode_outputs(self.make().data[0], count)
 
 
 class TestFloat32AtRest:
@@ -512,9 +511,38 @@ class TestLayerSources:
         with pytest.raises(ParameterError):
             SyntheticSource(SyntheticProfile("clustered-heads", planted=4), (1, 4, 8, 8))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("spread", np.nan), ("spread", np.inf), ("needle_strength", np.nan),
+         ("needle_strength", -np.inf), ("spread", "x")],
+    )
+    def test_profile_rejects_non_finite_values(self, kind, field, value):
+        # even where the kind ignores the value, since a run's report records it
+        with pytest.raises(ParameterError, match=field):
+            SyntheticProfile(kind, **{field: value})
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            SyntheticProfile("clustered-heads", planted=1, spread=1e300),
+            SyntheticProfile("planted-needle", needle_position=2, needle_strength=1e39),
+        ],
+        ids=["spread", "needle"],
+    )
+    def test_synthetic_layers_that_overflow_float32_fail(self, profile):
+        source = SyntheticSource(profile, self.SHAPE)
+        with pytest.raises(TraceFormatError, match="NaN/Inf"):
+            next(source.layers())
+        # head blocks feed `gen`, whose file a reader then rejects
+        buf = io.BytesIO()
+        write_trace(source, buf)
+        with pytest.raises(TraceFormatError, match="NaN/Inf"):
+            read_trace(buf.getvalue())
+
     def test_widen_head_widens_only_the_trailing_query_rows(self):
         trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
         inputs = widen_head(trace.data[2, 1], 5)
-        assert inputs.first_query == 35 and inputs.queries.shape == (5, 6)
+        assert inputs.seq_len == 40 and inputs.queries.shape == (5, 6)
         assert np.array_equal(inputs.queries, trace.data[2, 1, 0, 35:])
         assert np.array_equal(inputs.keys, trace.data[2, 1, 1])
