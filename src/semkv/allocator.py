@@ -63,10 +63,14 @@ def middle_activation_count(
     return MiddleCount(k=max(raw, 0), clamped=raw < 0)
 
 
-def pool_scores(scores: np.ndarray, kernel: int) -> np.ndarray:
-    """Centered moving average with edge truncation (divisor = window overlap)."""
+def check_kernel(kernel: int) -> None:
     if kernel < 1 or kernel % 2 == 0:
         raise ParameterError(f"kernel must be odd and >= 1, got {kernel}")
+
+
+def pool_scores(scores: np.ndarray, kernel: int) -> np.ndarray:
+    """Centered moving average with edge truncation (divisor = window overlap)."""
+    check_kernel(kernel)
     scores = np.asarray(scores, dtype=np.float64)
     if kernel == 1:
         return scores.copy()

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
 from .allocator import BudgetPlan, PolicyKind, check_plans
 from .contribution import verify_bound_suite
-from .errors import ParameterError, PlanFormatError, SemkvError
+from .errors import CacheConsistencyError, ParameterError, PlanFormatError, SemkvError
 from .harness import (
     RunConfig,
     RunResult,
@@ -31,7 +30,7 @@ from .harness import (
     score_plans,
     start_run,
 )
-from .trace import SyntheticProfile, SyntheticSource, write_trace
+from .trace import SyntheticProfile, SyntheticSource, write_trace, written_blocks
 
 
 def _parse_shape(text: str) -> tuple[int, int, int, int]:
@@ -71,43 +70,63 @@ def _number(value, what: str, integral: bool = True):
     return value
 
 
-def _numbers(file_cfg: dict, key: str, integral: bool = True) -> tuple:
-    """A config file's list of numbers under `key`, each checked by `_number`."""
-    values = file_cfg[key]
-    if not isinstance(values, list):
-        raise ParameterError(f"config {key} must be a list, got {values!r}")
-    return tuple(_number(v, key, integral) for v in values)
+def _of_type(kind: type, name: str):
+    """A config file check that `value` is a `kind` (a `name`), returned unchanged."""
+
+    def check(value, what: str):
+        if not isinstance(value, kind):
+            raise ParameterError(f"config {what} must be {name}, got {value!r}")
+        return value
+
+    return check
+
+
+_text = _of_type(str, "a string")
+_list = _of_type(list, "a list")
+_object = _of_type(dict, "an object")
+
+
+def _file_shape(value, what: str) -> tuple[int, int, int, int]:
+    shape = tuple(_number(v, what) for v in _list(value, what))
+    if len(shape) != 4:
+        raise ParameterError(f"config {what} wants [R, n, N, d], got {value!r}")
+    return shape  # type: ignore[return-value]
 
 
 def _add_common(parser: argparse.ArgumentParser):
+    # a config flag's dest is the name of the `RunConfig` field it sets
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--trace", help="input .tkv trace file")
-    parser.add_argument("--policy", action="append", help="policy name (repeatable)")
-    parser.add_argument("--budget", action="append", help="budget ratio (repeatable)")
+    parser.add_argument("--trace", dest="trace_path", help="input .tkv trace file")
+    parser.add_argument(
+        "--policy", dest="policies", action="append", help="policy name (repeatable)"
+    )
+    parser.add_argument(
+        "--budget", dest="budget_ratios", action="append", help="budget ratio (repeatable)"
+    )
     parser.add_argument("--beta", type=float, help="bottom-layer heterogeneous fraction")
-    parser.add_argument("--m-top", type=int, dest="m_top", help="top-layer heterogeneous count")
-    parser.add_argument("--top-t", type=int, dest="top_t", help="top-t keys for semantic vectors")
-    parser.add_argument("--window", type=int, help="observation window length")
+    parser.add_argument("--m-top", type=int, dest="top_m", help="top-layer heterogeneous count")
+    parser.add_argument("--top-t", type=int, help="top-t keys for semantic vectors")
+    parser.add_argument("--window", type=int, dest="window_len", help="observation window length")
     parser.add_argument("--kernel", type=int, help="pooling kernel (odd)")
     parser.add_argument("--sinks", type=int, help="sink tokens retained")
     parser.add_argument("--recents", type=int, help="recent tokens retained")
-    parser.add_argument("--decode-queries", type=int, dest="decode_queries")
+    parser.add_argument("--decode-queries", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output file or directory")
 
 
 def _add_profile_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
-        "--profile",
-        choices=["uniform-random", "clustered-heads", "planted-needle"],
-        help="synthetic trace recipe",
+        "--profile", dest="kind", choices=SyntheticProfile._KINDS, help="synthetic trace recipe"
     )
     parser.add_argument("--shape", help="R,n,N,d for synthetic traces")
     parser.add_argument("--planted", type=int, help="planted heads per layer")
     parser.add_argument("--spread", type=float, help="clustered-heads noise level")
-    parser.add_argument("--needle-pos", type=int, dest="needle_pos")
-    parser.add_argument("--needle-strength", type=float, dest="needle_strength")
-    parser.add_argument("--tail", type=int, help="aligned tail rows for planted-needle")
+    parser.add_argument("--needle-pos", type=int, dest="needle_position")
+    parser.add_argument("--needle-strength", type=float)
+    parser.add_argument(
+        "--tail", type=int, dest="tail_len", help="aligned tail rows for planted-needle"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_contrib.add_argument("--trials", type=int, default=1000)
     p_contrib.add_argument("--heads", type=int, default=8)
     p_contrib.add_argument("--dim", type=int, default=16)
-    p_contrib.add_argument("--out-dim", type=int, dest="out_dim", default=32)
+    p_contrib.add_argument("--out-dim", type=int, default=32)
     p_contrib.add_argument("--out", help="output file or directory")
 
     p_pca = sub.add_parser("pca", help="2-D semantic-vector coordinates per head")
@@ -146,118 +165,73 @@ def build_parser() -> argparse.ArgumentParser:
     p_all = sub.add_parser("all", help="full pipeline: plans, memory, fidelity, pca")
     _add_common(p_all)
     _add_profile_flags(p_all)
-    p_all.add_argument("--contrib-trials", type=int, dest="contrib_trials")
+    p_all.add_argument("--contrib-trials", type=int)
 
     return parser
 
 
-_CONFIG_KEYS = (
-    "beta",
-    "top_m",
-    "top_t",
-    "window_len",
-    "kernel",
-    "sinks",
-    "recents",
-    "decode_queries",
-    "seed",
-    "contrib_trials",
-)
+# Each config field's (parse its flag's value, check its config file value),
+# for the fields that are not plain numbers; a dataclass is a nested object
+# whose own fields are merged the same way.
+_FIELDS = {
+    "trace_path": (str, _text),
+    "profile": SyntheticProfile,
+    "kind": (str, _text),
+    "shape": (_parse_shape, _file_shape),
+    "policies": (
+        lambda texts: _parse_policies(_split_multi(texts, str)),
+        lambda value, what: _parse_policies(_list(value, what)),
+    ),
+    "budget_ratios": (
+        lambda texts: tuple(_split_multi(texts, float)),
+        lambda value, what: tuple(float(_number(v, what, False)) for v in _list(value, what)),
+    ),
+}
 
 
-def _profile_from(args, file_cfg: dict) -> SyntheticProfile | None:
-    file_profile = file_cfg.get("profile") if isinstance(file_cfg.get("profile"), dict) else {}
-    kind = getattr(args, "profile", None) or file_profile.get("kind")
-    if kind is None:
-        return None
-    fields = {
-        "seed": getattr(args, "seed", None),
-        "planted": getattr(args, "planted", None),
-        "spread": getattr(args, "spread", None),
-        "needle_position": getattr(args, "needle_pos", None),
-        "needle_strength": getattr(args, "needle_strength", None),
-        "tail_len": getattr(args, "tail", None),
-    }
-    merged = {}
-    for name, flag_val in fields.items():
-        if flag_val is not None:
-            merged[name] = flag_val
-        elif file_profile.get(name) is not None:
-            integral = name not in ("spread", "needle_strength")
-            merged[name] = _number(file_profile[name], f"profile.{name}", integral)
-    return SyntheticProfile(kind=kind, **merged)
+def _number_entry(f: dataclasses.Field):
+    """A number field's table entry: argparse has typed the flag, and
+    the file value is integral unless the field is a float."""
+    integral = f.type not in (float, "float")
+    return (lambda value: value), (lambda value, what: _number(value, what, integral))
 
 
-# a config file holds what `RunConfig.to_json_dict` writes, and nothing else
-_FILE_KEYS = frozenset(RunConfig().to_json_dict())
-_PROFILE_KEYS = frozenset(
-    RunConfig(profile=SyntheticProfile("uniform-random")).to_json_dict()["profile"]
-)
+def _merged(cls, args, file_values: dict, prefix: str = ""):
+    """An instance of dataclass `cls`, or None when a field without a
+    default is set by neither source.
 
-
-def _read_config_file(path: str) -> dict:
-    with open(path) as f:
-        file_cfg = json.load(f)
-    if not isinstance(file_cfg, dict):
-        raise ParameterError(f"config {path}: expected a JSON object")
-    unknown = sorted(set(file_cfg) - _FILE_KEYS)
-    profile = file_cfg.get("profile")
-    if isinstance(profile, dict):
-        unknown += sorted(f"profile.{k}" for k in set(profile) - _PROFILE_KEYS)
+    Each field's config file value is checked, even when its flag (the
+    argparse dest of the field's name) is given; then the flag wins. A
+    nested dataclass field is merged the same way from its file object.
+    """
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(file_values) - {f.name for f in fields})
     if unknown:
-        raise ParameterError(f"config {path}: unknown key(s) {', '.join(unknown)}")
-    return file_cfg
+        raise ParameterError(f"config: unknown key(s) {', '.join(prefix + k for k in unknown)}")
+    values = {}
+    for f in fields:
+        what, entry = prefix + f.name, _FIELDS.get(f.name)
+        file_value, flag_value = file_values.get(f.name), getattr(args, f.name, None)
+        if dataclasses.is_dataclass(entry):
+            nested = {} if file_value is None else _object(file_value, what)
+            values[f.name] = _merged(entry, args, nested, what + ".")
+            continue
+        parse, check = entry or _number_entry(f)
+        if file_value is not None:
+            values[f.name] = check(file_value, what)
+        if flag_value is not None:
+            values[f.name] = parse(flag_value)
+    if any(f.name not in values for f in fields if f.default is dataclasses.MISSING):
+        return None
+    return cls(**values)
 
 
 def _config_from(args) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-    cfg = RunConfig()
-    for key in _CONFIG_KEYS:
-        if file_cfg.get(key) is not None:
-            setattr(cfg, key, _number(file_cfg[key], key, integral=key != "beta"))
-    if file_cfg.get("policies"):
-        cfg.policies = _parse_policies(file_cfg["policies"])
-    if file_cfg.get("budget_ratios"):
-        cfg.budget_ratios = tuple(map(float, _numbers(file_cfg, "budget_ratios", False)))
-    if cfg_path := file_cfg.get("trace_path"):
-        if not isinstance(cfg_path, str):
-            raise ParameterError(f"config trace_path must be a string, got {cfg_path!r}")
-        cfg.trace_path = cfg_path
-    if file_cfg.get("shape"):
-        cfg.shape = _numbers(file_cfg, "shape")
-        if len(cfg.shape) != 4:
-            raise ParameterError(f"config shape wants [R, n, N, d], got {file_cfg['shape']!r}")
-
-    flag_map = {
-        "beta": "beta",
-        "m_top": "top_m",
-        "top_t": "top_t",
-        "window": "window_len",
-        "kernel": "kernel",
-        "sinks": "sinks",
-        "recents": "recents",
-        "decode_queries": "decode_queries",
-        "seed": "seed",
-        "contrib_trials": "contrib_trials",
-    }
-    for flag, attr in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "trace", None):
-        cfg.trace_path = args.trace
-    if getattr(args, "policy", None):
-        cfg.policies = _parse_policies(_split_multi(args.policy, str))
-    if getattr(args, "budget", None):
-        cfg.budget_ratios = tuple(_split_multi(args.budget, float))
-    if getattr(args, "shape", None):
-        cfg.shape = _parse_shape(args.shape)
-    profile = _profile_from(args, file_cfg)
-    if profile is not None:
-        cfg.profile = profile
-    return cfg
+        with open(args.config) as f:
+            file_cfg = _object(json.load(f), args.config)
+    return _merged(RunConfig, args, file_cfg)
 
 
 def _outdir(args) -> str:
@@ -306,7 +280,14 @@ def _cmd_gen(args) -> int:
     cfg = _config_from(args)
     if cfg.profile is None or cfg.shape is None:
         raise ParameterError("gen needs --profile and --shape")
-    written = write_trace(SyntheticSource(cfg.profile, cfg.shape), args.out)
+    source = SyntheticSource(cfg.profile, cfg.shape)
+    try:
+        written = write_trace(source, args.out)
+    except SemkvError:
+        # a head block that fails its check leaves no part-written trace
+        if os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
     print(f"wrote {args.out} ({written} bytes)")
     return 0
 
@@ -327,12 +308,7 @@ class _PlansFiles:
             payload = {
                 "policy": policy,
                 "budget_ratio": ratio,
-                "trace": {
-                    "num_layers": header.num_layers,
-                    "num_heads": header.num_heads,
-                    "seq_len": header.seq_len,
-                    "head_dim": header.head_dim,
-                },
+                "trace": header.dims,
                 "layers": [],
             }
             # the payload ends with its empty layer list, "[]}"
@@ -352,15 +328,6 @@ class _PlansFiles:
 def _infeasible_note(result, listed_in: str) -> str:
     n = len(result.infeasible)
     return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
-
-
-def _written_layers(header, layers, sink):
-    """Pass `layers` through, writing the header and then each layer's
-    float32 bytes to `sink` as it arrives."""
-    sink.write(header.pack())
-    for data in layers:
-        sink.write(np.asarray(data, dtype="<f4").view(np.uint8))
-        yield data
 
 
 def _run_and_write_plans(cfg, header, layers, outputs, files, score: bool) -> RunResult:
@@ -408,8 +375,11 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
         payload = json.load(f)
     try:
         policy, ratio, layers = payload["policy"], payload["budget_ratio"], payload["layers"]
+        dims = payload["trace"]
     except (KeyError, TypeError) as exc:
         raise PlanFormatError(f"{path}: not a plans file ({exc!r})") from exc
+    if dims != header.dims:
+        raise CacheConsistencyError(f"{path}: plans for trace {dims}, not {header.dims}")
     return policy, ratio, check_plans(header, [BudgetPlan.from_json_dict(d) for d in layers])
 
 
@@ -483,7 +453,7 @@ def _cmd_all(args) -> int:
                 if cfg.trace_path is None:
                     # a generated trace is saved as its layers are drawn
                     sink = files.enter_context(open(outputs.path("trace.tkv"), "wb"))
-                    layers = _written_layers(source.header, layers, sink)
+                    layers = written_blocks(source.header, layers, sink)
                 result = _run_and_write_plans(
                     cfg, source.header, layers, outputs, files, score=True
                 )

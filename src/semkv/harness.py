@@ -26,7 +26,7 @@ import io
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .allocator import (
     apply_policy,
     build_head_entry,
     check_cell,
+    check_kernel,
     check_plans,
     footprint,
     keeps_every_position,
@@ -52,6 +53,8 @@ from .separator import (
     WindowScores,
     approx_semantic_vector,
     build_layer_profiles,
+    check_top_t,
+    check_window_len,
     heterogeneous_schedule,
     window_weights,
 )
@@ -97,33 +100,12 @@ class RunConfig:
         return self.window_len if self.decode_queries is None else self.decode_queries
 
     def to_json_dict(self) -> dict:
-        return {
-            "trace_path": self.trace_path,
-            "profile": None
-            if self.profile is None
-            else {
-                "kind": self.profile.kind,
-                "seed": self.profile.seed,
-                "planted": self.profile.planted,
-                "spread": self.profile.spread,
-                "needle_position": self.profile.needle_position,
-                "needle_strength": self.profile.needle_strength,
-                "tail_len": self.profile.tail_len,
-            },
-            "shape": None if self.shape is None else list(self.shape),
-            "policies": [p.value for p in self.policies],
-            "budget_ratios": list(self.budget_ratios),
-            "beta": self.beta,
-            "top_m": self.top_m,
-            "top_t": self.top_t,
-            "window_len": self.window_len,
-            "kernel": self.kernel,
-            "sinks": self.sinks,
-            "recents": self.recents,
-            "decode_queries": self.decode_queries,
-            "seed": self.seed,
-            "contrib_trials": self.contrib_trials,
-        }
+        """Every field by name, the profile's nested: what a config file holds."""
+        out = asdict(self)
+        out["shape"] = None if self.shape is None else list(self.shape)
+        out["policies"] = [p.value for p in self.policies]
+        out["budget_ratios"] = list(self.budget_ratios)
+        return out
 
 
 def open_source(config: RunConfig):
@@ -204,6 +186,8 @@ def start_run(
 ) -> RunResult:
     """Everything a run decides from the header alone, before any layer is read.
 
+    The config's parameters are checked first: a non-empty policy and
+    budget list, and the window, kernel and top-t the layers will use.
     With `plan`, each (policy, budget) cell passes `check_cell`: the cells
     whose budget cannot hold some layer's heterogeneous heads are listed
     in `infeasible`, and when no cell is feasible the first one's error is
@@ -211,6 +195,12 @@ def start_run(
     """
     if config.contrib_trials < 0:
         raise ParameterError(f"contrib_trials must be >= 0, got {config.contrib_trials}")
+    for name, values in (("policies", config.policies), ("budget_ratios", config.budget_ratios)):
+        if not values:
+            raise ParameterError(f"{name} must not be empty")
+    check_window_len(min(config.window_len, header.seq_len), header.seq_len)
+    check_kernel(config.kernel)
+    check_top_t(config.top_t)
     schedule = heterogeneous_schedule(
         header.num_heads, config.beta, config.top_m, header.num_layers
     )
@@ -570,13 +560,7 @@ def build_eval_report(
         )
     return EvalReport(
         config=config.to_json_dict(),
-        trace_info={
-            "num_layers": header.num_layers,
-            "num_heads": header.num_heads,
-            "seq_len": header.seq_len,
-            "head_dim": header.head_dim,
-            "source": config.trace_path or "synthetic",
-        },
+        trace_info={**header.dims, "source": config.trace_path or "synthetic"},
         schedule={
             "beta": result.schedule.beta,
             "top_m": result.schedule.top_m,

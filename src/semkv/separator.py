@@ -78,11 +78,14 @@ def semantic_vector_full(inputs: AttentionInputs) -> SemanticVector:
     return SemanticVector(values=col_means @ inputs.values, source="exact")
 
 
+def check_window_len(window_len: int, seq_len: int) -> None:
+    if not 1 <= window_len <= seq_len:
+        raise ParameterError(f"window_len {window_len} outside [1, {seq_len}]")
+
+
 def window_weights(inputs: AttentionInputs, window_len: int) -> np.ndarray:
     """Attention of the last `window_len` query rows over every key, (window_len, N)."""
-    n = inputs.seq_len
-    if not 1 <= window_len <= n:
-        raise ParameterError(f"window_len {window_len} outside [1, {n}]")
+    check_window_len(window_len, inputs.seq_len)
     return attention_weights(inputs, window_len)
 
 
@@ -91,10 +94,14 @@ def window_column_scores(inputs: AttentionInputs, window_len: int) -> WindowScor
     return WindowScores.from_weights(window_weights(inputs, window_len))
 
 
+def check_top_t(t: int) -> None:
+    if t < 1:
+        raise ParameterError(f"top_t must be >= 1, got {t}")
+
+
 def top_t_indices(values: np.ndarray, t: int) -> np.ndarray:
     """Sorted indices of the min(t, len) largest entries; ties favor lower index."""
-    if t < 1:
-        raise ParameterError("t must be >= 1")
+    check_top_t(t)
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(-values, kind="stable")
     return np.sort(order[: min(t, values.shape[0])])

@@ -92,6 +92,16 @@ class TraceHeader:
     def file_bytes(self) -> int:
         return HEADER_BYTES + self.payload_bytes
 
+    @property
+    def dims(self) -> dict:
+        """R, n, N and d by name, as plans files and reports record them."""
+        return {
+            "num_layers": self.num_layers,
+            "num_heads": self.num_heads,
+            "seq_len": self.seq_len,
+            "head_dim": self.head_dim,
+        }
+
     def pack(self) -> bytes:
         return _HEADER.pack(
             MAGIC,
@@ -306,7 +316,7 @@ def _fill_clustered_head(
         rng.standard_normal(out=noise)
         noise *= spread
         draw += noise
-    with np.errstate(over="ignore"):  # past float32's range is inf, rejected when read
+    with np.errstate(over="ignore"):  # past float32's range is inf, rejected once drawn
         v[...] = draw
 
 
@@ -317,7 +327,7 @@ def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticP
     axis = rng.standard_normal(head_dim)
     axis /= np.linalg.norm(axis)
     q[seq_len - min(profile.tail_len, seq_len) :] = np.sqrt(head_dim) * axis
-    with np.errstate(over="ignore"):  # past float32's range is inf, rejected when read
+    with np.errstate(over="ignore"):  # past float32's range is inf, rejected once drawn
         k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
 
 
@@ -330,9 +340,9 @@ class SyntheticSource:
     `head_blocks()` (one reused (3, N, d) block, which `write_trace` writes
     as soon as it is drawn) and `layers()` (one reused (n, 3, N, d) layer)
     all give the same bytes. An array either method yields is overwritten
-    by the next draw. `layers()` checks each layer for NaN/Inf (a profile
-    whose values overflow float32), as `TraceReader.layers()` does;
-    `head_blocks()` does not, and a reader rejects a file written from them.
+    by the next draw. Each head block is checked for NaN/Inf (a profile
+    whose values overflow float32) as soon as it is drawn, so no source
+    yields, and no writer writes, a block that a reader would reject.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -377,6 +387,7 @@ class SyntheticSource:
                         _draw(rng, scratch[0], tensor)
                     if profile.kind == "planted-needle":
                         _plant_needle(rng, out, profile)
+                _check_finite(out)
                 yield out
 
     def head_blocks(self) -> Iterator[np.ndarray]:
@@ -393,7 +404,6 @@ class SyntheticSource:
         heads = itertools.chain.from_iterable(itertools.repeat(layer))
         for i, _ in enumerate(self._drawn(heads), 1):
             if i % header.num_heads == 0:
-                _check_finite(view)
                 yield view
 
 
@@ -428,27 +438,35 @@ def _open_sink(destination):
     return destination, False
 
 
+def written_blocks(header: TraceHeader, blocks, sink) -> Iterator[np.ndarray]:
+    """Pass `blocks` through, writing `header` and then each block's float32
+    bytes to the binary `sink` as it is yielded.
+
+    The blocks are head blocks or whole layers, either in payload order:
+    float32 data is written straight from its buffer and float64 data
+    narrowed one block at a time. A short write raises `IOError` once the
+    blocks are exhausted.
+    """
+    written = sink.write(header.pack())
+    for block in blocks:
+        written += sink.write(np.asarray(block, dtype="<f4").view(np.uint8))
+        yield block
+    if written != header.file_bytes:
+        raise IOError(f"short write: {written} of {header.file_bytes} bytes")
+
+
 def write_trace(trace, destination) -> int:
     """Write an `AttentionTrace` or a `SyntheticSource` to a path or binary
-    sink; returns the byte count.
-
-    Head blocks are written as `head_blocks()` yields them: float32 data
-    straight from its buffer, float64 data narrowed one block at a time,
-    and a synthetic source's blocks as soon as they are drawn.
-    """
+    sink through `written_blocks`; returns the byte count. A synthetic
+    source's head blocks are written as soon as they are drawn."""
     sink, owned = _open_sink(destination)
     try:
-        written = sink.write(trace.header.pack())
-        for block in trace.head_blocks():
-            written += sink.write(np.asarray(block, dtype="<f4").view(np.uint8))
+        for _ in written_blocks(trace.header, trace.head_blocks(), sink):
+            pass
     finally:
         if owned:
             sink.close()
-    if written != trace.header.file_bytes:
-        raise IOError(
-            f"short write: {written} of {trace.header.file_bytes} bytes"
-        )
-    return written
+    return trace.header.file_bytes
 
 
 # bytes read from a non-seekable stream at a time while its buffer grows

@@ -1,5 +1,6 @@
 """CLI subcommands: gen, compress, eval, contrib, pca, all."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from semkv.allocator import BudgetPlan, PolicyKind
 from semkv.cli import _config_from, build_parser, main
 from semkv.harness import (
+    RunConfig,
     compress_run,
     export_pca_csv,
     export_report,
@@ -21,7 +23,7 @@ from semkv.harness import (
     load_trace_for,
     run_all,
 )
-from semkv.trace import read_trace, write_trace
+from semkv.trace import HEADER_BYTES, SyntheticProfile, read_trace, write_trace
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +139,40 @@ class TestEval:
         )
         assert code == 1
         assert json.loads(err)["error"] == "CacheConsistencyError"
+
+    @pytest.mark.parametrize("other_shape", ["1,8,512,16", "1,8,256,8"], ids=["N", "d"])
+    def test_plans_for_another_trace_shape_fail_with_json_error(
+        self, tmp_path, capsys, other_shape
+    ):
+        traces = {}
+        for name, shape in (("planned", "1,8,256,16"), ("other", other_shape)):
+            traces[name] = tmp_path / f"{name}.tkv"
+            gen = ["gen", "--profile", "uniform-random", "--shape", shape]
+            assert run_cli(capsys, *gen, "--out", str(traces[name]))[0] == 0
+        plans_dir = tmp_path / "plans"
+        assert run_cli(
+            capsys, "compress", "--trace", str(traces["planned"]), "--policy", "full",
+            "--budget", "1", "--out", str(plans_dir),
+        )[0] == 0
+        plans = plans_dir / "plans_full_1.json"
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(traces["other"]), "--plans", str(plans),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "CacheConsistencyError"
+        assert not (out / "fidelity.json").exists()
+        payload = json.loads(plans.read_text())
+        del payload["trace"]
+        plans.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(traces["planned"]), "--plans", str(plans),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "PlanFormatError"
 
     def eval_edited_plans(self, trace_file, tmp_path, capsys, edit):
         out = tmp_path / "out"
@@ -369,6 +405,86 @@ class TestConfigFile:
         assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
+# a value other than the default for every config field; a field added
+# without one here fails the round-trip tests
+RUN_FIELD_VALUES = {
+    "trace_path": "other.tkv",
+    "profile": SyntheticProfile("planted-needle", seed=3, tail_len=8),
+    "shape": (2, 4, 64, 8),
+    "policies": (PolicyKind.FULL, PolicyKind.UNIFORM_TOPK),
+    "budget_ratios": (0.25, 0.75),
+    "beta": 0.5,
+    "top_m": 2,
+    "top_t": 8,
+    "window_len": 4,
+    "kernel": 5,
+    "sinks": 2,
+    "recents": 3,
+    "decode_queries": 6,
+    "seed": 9,
+    "contrib_trials": 7,
+}
+PROFILE_FIELD_VALUES = {
+    "kind": "planted-needle",
+    "seed": 4,
+    "planted": 3,
+    "spread": 0.5,
+    "needle_position": 2,
+    "needle_strength": 2.5,
+    "tail_len": 5,
+}
+
+
+def _flag_for(dest: str) -> str | None:
+    """The `all` command's flag that sets config field `dest`, if any."""
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = commands.choices["all"]._actions
+    return next((a.option_strings[0] for a in actions if a.dest == dest), None)
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(getattr(v, "value", str(v)) for v in value)
+    return str(value)
+
+
+class TestConfigSchema:
+    """Every `RunConfig` and `SyntheticProfile` field is a config file key
+    and, where a flag sets it, the flag's argparse dest."""
+
+    def through_file(self, tmp_path, cfg: RunConfig) -> RunConfig:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_json_dict()))
+        return _config_from(build_parser().parse_args(["all", "--config", str(path)]))
+
+    def through_flag(self, name: str, value, *extra) -> RunConfig:
+        argv = ["all", *extra, _flag_for(name), _flag_text(value)]
+        return _config_from(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_run_field_round_trips(self, tmp_path, name):
+        value = RUN_FIELD_VALUES[name]
+        cfg = RunConfig(**{name: value})
+        assert cfg != RunConfig()
+        assert self.through_file(tmp_path, cfg) == cfg
+        if _flag_for(name) is not None:
+            assert self.through_flag(name, value) == cfg
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SyntheticProfile)])
+    def test_profile_field_round_trips(self, tmp_path, name):
+        value = PROFILE_FIELD_VALUES[name]
+        base = SyntheticProfile("clustered-heads")
+        cfg = RunConfig(profile=dataclasses.replace(base, **{name: value}))
+        assert cfg.profile != base
+        assert self.through_file(tmp_path, cfg) == cfg
+        # a flag sets every field its dest names, the run's seed too
+        run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+        expected = dataclasses.replace(cfg, **{name: value} if name in run_fields else {})
+        assert self.through_flag(name, value, "--profile", base.kind) == expected
+
+
 class TestErrorReporting:
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -454,6 +570,17 @@ class TestErrorReporting:
             (["contrib", "--heads", "0"], None, "heads"),
             (["contrib", "--heads", "-2"], None, "heads"),
             (["all", *SMALL, "--contrib-trials", "-2"], None, "contrib_trials"),
+            (["all", *SMALL, "--window", "0"], None, "window_len"),
+            (["all", *SMALL], {"window_len": -3}, "window_len"),
+            (["all", *SMALL, "--kernel", "4"], None, "kernel"),
+            (["pca", *SMALL, "--kernel", "0"], None, "kernel"),
+            (["all", *SMALL, "--top-t", "0"], None, "top_t"),
+            (["compress", *SMALL], {"profile": 5}, "profile"),
+            (["compress", *SMALL], {"policies": "task-kv"}, "policies"),
+            (["compress", *SMALL, "--policy", ""], None, "policies must not be empty"),
+            (["all", *SMALL, "--budget", ","], None, "budget_ratios must not be empty"),
+            (["compress", *SMALL], {"policies": []}, "policies must not be empty"),
+            (["all", *SMALL], {"budget_ratios": []}, "budget_ratios must not be empty"),
         ],
     )
     def test_malformed_numbers_are_json_errors(self, tmp_path, capsys, argv, config, message):
@@ -471,6 +598,29 @@ class TestErrorReporting:
         assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--window", "0", "window_len"), ("--kernel", "4", "kernel"), ("--top-t", "0", "top_t")],
+    )
+    @pytest.mark.parametrize("command", ["all", "pca"])
+    def test_window_kernel_and_top_t_fail_before_any_layer_is_read(
+        self, trace_file, tmp_path, capsys, command, flag, value, name
+    ):
+        # a NaN in the first layer would fail the run as soon as it was read
+        data = bytearray(trace_file.read_bytes())
+        data[HEADER_BYTES : HEADER_BYTES + 4] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "nan.tkv"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, command, "--trace", str(bad), flag, value, "--out", str(out)
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"].startswith(name)
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
         "argv, error",
         [
             (["compress", *SMALL, "--spread", "nan"], "ParameterError"),
@@ -480,6 +630,9 @@ class TestErrorReporting:
             (["compress", *SMALL, "--spread", "1e300"], "TraceFormatError"),
             (["all", *SMALL, "--spread", "1e300"], "TraceFormatError"),
             (["all", "--profile", "planted-needle", "--shape", "1,4,64,8",
+              "--needle-strength", "1e39"], "TraceFormatError"),
+            (["gen", *SMALL, "--spread", "1e300"], "TraceFormatError"),
+            (["gen", "--profile", "planted-needle", "--shape", "1,4,64,8",
               "--needle-strength", "1e39"], "TraceFormatError"),
         ],
     )
