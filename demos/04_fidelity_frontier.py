@@ -33,10 +33,10 @@ config = RunConfig(
 trace = load_trace_for(config)
 report = run_all(config, trace)
 
-print(f"trace {config.shape}, schedule f(r) = {report.schedule['per_layer_counts']}\n")
+print(f"trace {config.shape}, schedule f(r) = {report['schedule']['per_layer_counts']}\n")
 print(f"{'policy':18s} {'budget':>6s} {'mem ratio':>9s} {'mean L2':>9s} {'mean cos':>9s}")
 rows = sorted(
-    report.policies, key=lambda p: (p["budget_ratio"], p["fidelity"]["mean_l2"])
+    report["policies"], key=lambda p: (p["budget_ratio"], p["fidelity"]["mean_l2"])
 )
 for row in rows:
     print(

@@ -42,7 +42,6 @@ from .errors import (
     UnsupportedDtypeError,
 )
 from .harness import (
-    EvalReport,
     FidelityReport,
     RunConfig,
     RunResult,

@@ -9,7 +9,7 @@ B = floor(budget_ratio * N * n) tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -140,46 +140,39 @@ class BudgetPlan:
         return sum(self.head_tokens(h) for h in range(len(self.per_head_retained)))
 
     def to_json_dict(self) -> dict:
-        out = {
-            "layer": self.layer,
-            "policy": self.policy.value,
-            "total_budget": self.total_budget,
-            "sinks": self.sinks,
-            "recents": self.recents,
-            "middle_k": self.middle_k,
-            "clamped": self.clamped,
-            "head_classes": [c.value for c in self.head_classes],
-            "per_head_retained": [r.tolist() for r in self.per_head_retained],
-        }
-        if self.per_head_groups is not None:
-            out["per_head_groups"] = [
-                [[a, b] for a, b in groups] for groups in self.per_head_groups
-            ]
+        """The plan's fields by name, what a plans file holds of each layer:
+        positions as lists, and `per_head_groups` only when the plan has groups."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["per_head_retained"] = [r.tolist() for r in self.per_head_retained]
+        if self.per_head_groups is None:
+            del out["per_head_groups"]
         return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BudgetPlan":
         """Inverse of `to_json_dict`; malformed input raises PlanFormatError."""
         try:
-            groups = d.get("per_head_groups")
-            return cls(
-                layer=d["layer"],
-                policy=PolicyKind(d["policy"]),
-                total_budget=d["total_budget"],
-                sinks=d["sinks"],
-                recents=d["recents"],
-                middle_k=d["middle_k"],
-                clamped=d["clamped"],
-                head_classes=[HeadClass(c) for c in d["head_classes"]],
-                per_head_retained=[np.asarray(r, dtype=int) for r in d["per_head_retained"]],
-                per_head_groups=None
-                if groups is None
-                else [[(int(a), int(b)) for a, b in g] for g in groups],
-            )
+            values = {f.name: d[f.name] for f in fields(cls) if f.default is MISSING or f.name in d}
+            for name, convert in _PLAN_FROM_JSON.items():
+                if name in values:
+                    values[name] = convert(values[name])
+            return cls(**values)
         except KeyError as exc:
             raise PlanFormatError(f"plan is missing key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise PlanFormatError(f"bad plan: {exc}") from exc
+
+
+# How a plans file's value becomes the `BudgetPlan` field of its key, for
+# each field that JSON does not hold as is.
+_PLAN_FROM_JSON = {
+    "policy": PolicyKind,
+    "head_classes": lambda classes: [HeadClass(c) for c in classes],
+    "per_head_retained": lambda heads: [np.asarray(r, dtype=int) for r in heads],
+    "per_head_groups": lambda heads: None if heads is None else [
+        [(int(a), int(b)) for a, b in groups] for groups in heads
+    ],
+}
 
 
 class PolicyKeep(NamedTuple):

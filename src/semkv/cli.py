@@ -283,8 +283,9 @@ def _cmd_gen(args) -> int:
     source = SyntheticSource(cfg.profile, cfg.shape)
     try:
         written = write_trace(source, args.out)
-    except SemkvError:
-        # a head block that fails its check leaves no part-written trace
+    except (SemkvError, MemoryError):
+        # a head block that fails its check, or cannot be allocated, leaves
+        # no part-written trace
         if os.path.isfile(args.out):
             os.remove(args.out)
         raise
@@ -349,18 +350,14 @@ def _cmd_compress(args) -> int:
             result = _run_and_write_plans(
                 cfg, source.header, source.layers(), outputs, files, score=False
             )
-            memory_rows = []
-            for cell in sorted(result.cells):
-                mem = result.memory(cell, source.header)
-                memory_rows.append(
-                    {
-                        "policy": cell[0],
-                        "budget_ratio": cell[1],
-                        "tokens_retained": mem.tokens_retained,
-                        "bytes": mem.bytes,
-                        "ratio_vs_full": mem.ratio_vs_full,
-                    }
-                )
+            memory_rows = [
+                {
+                    "policy": policy,
+                    "budget_ratio": ratio,
+                    **result.memory((policy, ratio), source.header)._asdict(),
+                }
+                for policy, ratio in sorted(result.cells)
+            ]
             payload = {"memory": memory_rows}
             if result.infeasible:
                 payload["infeasible"] = result.infeasible
@@ -416,7 +413,7 @@ def _cmd_contrib(args) -> int:
     report = verify_bound_suite(
         args.seed, args.trials, args.heads, args.dim, args.out_dim
     )
-    payload = report.to_json_dict()
+    payload = dataclasses.asdict(report)
     if args.out:
         path = args.out
         if os.path.isdir(path) or not path.endswith(".json"):
@@ -481,7 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SemkvError, OSError, json.JSONDecodeError) as exc:
+    except (SemkvError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

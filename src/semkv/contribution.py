@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import spectral_norm
+from .trace import seeded_rng
 
 
 @dataclass(frozen=True)
@@ -129,21 +130,6 @@ class BoundSuiteReport:
     mean_tightness_uniform: float
     mean_tightness_per_head: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "num_heads": self.num_heads,
-            "head_dim": self.head_dim,
-            "out_dim": self.out_dim,
-            "seed": self.seed,
-            "violations": self.violations,
-            "max_ratio": self.max_ratio,
-            "rank_corr": self.rank_corr,
-            "max_form_gap": self.max_form_gap,
-            "mean_tightness_uniform": self.mean_tightness_uniform,
-            "mean_tightness_per_head": self.mean_tightness_per_head,
-        }
-
 
 def verify_bound_suite(
     seed: int,
@@ -171,7 +157,7 @@ def verify_bound_suite(
     tight_uniform = []
     tight_per_head = []
     for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        rng = seeded_rng(seed, trial)
         inst = random_instance(rng, n, d, out_dim, spread)
         block_norms = [spectral_norm(inst.out_blocks[j]) for j in range(n)]
         c_uniform = max(block_norms)

@@ -101,11 +101,7 @@ class RunConfig:
 
     def to_json_dict(self) -> dict:
         """Every field by name, the profile's nested: what a config file holds."""
-        out = asdict(self)
-        out["shape"] = None if self.shape is None else list(self.shape)
-        out["policies"] = [p.value for p in self.policies]
-        out["budget_ratios"] = list(self.budget_ratios)
-        return out
+        return asdict(self)
 
 
 def open_source(config: RunConfig):
@@ -233,7 +229,10 @@ def start_run(
 
 
 def decode_count(config: RunConfig, header: TraceHeader) -> int:
-    """The decode-query rows fidelity is scored on, checked against N."""
+    """The decode-query rows fidelity is scored on, checked against N. By
+    default they are the window's rows, so the window is checked."""
+    if config.decode_queries is None:
+        check_window_len(min(config.window_len, header.seq_len), header.seq_len)
     count = min(config.resolved_decode_queries(), header.seq_len)
     if count < 1:
         raise ParameterError(f"decode_queries {count} outside [1, {header.seq_len}]")
@@ -385,7 +384,10 @@ def score_layer(
     so at most one head's entry is alive at a time; its rows and the
     decode queries are gathered from the layer's `data` and widened to
     float64. A head that keeps every position attends exactly like the
-    full cache, so it scores from `full` without building its entry.
+    full cache, so it scores from `full` without building its entry. A
+    decode row that sees no retained key attends to nothing: its retained
+    output is zero, so it scores L2 = ||o|| and cosine 0 against the full
+    output o.
     """
     n_heads, _, seq_len, head_dim = data.shape
     decode_queries = full.shape[1]
@@ -402,7 +404,14 @@ def score_layer(
         q = np.asarray(block[0, first_row:], dtype=np.float64)
         scores = (q @ entry.keys.T) / np.sqrt(float(head_dim))
         visible = entry.positions[None, :] <= (first_row + np.arange(decode_queries))[:, None]
-        retained_out = masked_softmax(scores, visible) @ entry.values
+        # decode rows before the head's first retained position see no key;
+        # their retained output stays zero
+        first_kept = entry.positions[0] if entry.positions.size else seq_len
+        blind = min(max(int(first_kept) - first_row, 0), decode_queries)
+        retained_out = np.zeros_like(full_out)
+        if blind < decode_queries:
+            weights = masked_softmax(scores[blind:], visible[blind:])
+            retained_out[blind:] = weights @ entry.values
         diff = full_out - retained_out
         l2[h] = float(np.linalg.norm(diff, axis=1).mean())
         cos[h] = float(_rows_cosine(full_out, retained_out).mean())
@@ -431,57 +440,6 @@ def fidelity_eval(
     return score_plans(trace.layers(), [check_plans(trace, plans)], decode_queries)[0]
 
 
-@dataclass
-class EvalReport:
-    """Run results in one serializable bundle."""
-
-    config: dict
-    trace_info: dict
-    schedule: dict
-    classifications: list[list[str]]
-    distances: list[list[float]]
-    pca: list[dict]
-    policies: list[dict]
-    contribution: dict | None = None
-    infeasible: list[dict] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "config": self.config,
-            "trace": self.trace_info,
-            "schedule": self.schedule,
-            "classifications": self.classifications,
-            "distances": self.distances,
-            "pca": self.pca,
-            "policies": self.policies,
-        }
-        if self.infeasible:
-            out["infeasible"] = self.infeasible
-        if self.contribution is not None:
-            out["contribution"] = self.contribution
-        return out
-
-    def csv_rows(self) -> list[list]:
-        rows = []
-        for entry in self.policies:
-            per_head = entry["fidelity"]["per_head"]
-            for r, layer_rows in enumerate(per_head):
-                for h, cell in enumerate(layer_rows):
-                    rows.append(
-                        [
-                            entry["policy"],
-                            entry["budget_ratio"],
-                            r,
-                            h,
-                            self.classifications[r][h],
-                            cell["retained_tokens"],
-                            cell["l2_error"],
-                            cell["cosine_similarity"],
-                        ]
-                    )
-        return rows
-
-
 CSV_HEADER = [
     "policy",
     "budget_ratio",
@@ -500,13 +458,11 @@ def build_eval_report(
     header: TraceHeader,
     result: RunResult,
     contribution: BoundSuiteReport | None = None,
-) -> EvalReport:
-    classifications = [
-        [p.head_class.value for p in layer] for layer in result.profiles
-    ]
-    distances = [
-        [p.distance_to_center for p in layer] for layer in result.profiles
-    ]
+) -> dict:
+    """A run's report, the JSON object `report.json` holds. Its `schedule`,
+    `memory` and `contribution` blocks are their records' fields;
+    `infeasible` is there only when a cell was skipped, and `contribution`
+    only when a bound suite ran."""
     pca_blocks = []
     for r, layer in enumerate(result.profiles):
         coords = pca_2d(np.asarray([p.semantic.values for p in layer]))
@@ -527,7 +483,6 @@ def build_eval_report(
     policy_entries = []
     for cell in sorted(result.scores):
         policy, ratio = cell
-        mem = result.memory(cell, header)
         fid = result.fidelity(cell)
         tokens = result.head_tokens[cell]
         per_head = [
@@ -545,11 +500,7 @@ def build_eval_report(
             {
                 "policy": policy,
                 "budget_ratio": ratio,
-                "memory": {
-                    "tokens_retained": mem.tokens_retained,
-                    "bytes": mem.bytes,
-                    "ratio_vs_full": mem.ratio_vs_full,
-                },
+                "memory": result.memory(cell, header)._asdict(),
                 "fidelity": {
                     "decode_queries": fid.decode_queries,
                     "mean_l2": fid.mean_l2,
@@ -558,21 +509,37 @@ def build_eval_report(
                 },
             }
         )
-    return EvalReport(
-        config=config.to_json_dict(),
-        trace_info={**header.dims, "source": config.trace_path or "synthetic"},
-        schedule={
-            "beta": result.schedule.beta,
-            "top_m": result.schedule.top_m,
-            "per_layer_counts": list(result.schedule.per_layer_counts),
-        },
-        classifications=classifications,
-        distances=distances,
-        pca=pca_blocks,
-        policies=policy_entries,
-        contribution=None if contribution is None else contribution.to_json_dict(),
-        infeasible=result.infeasible,
-    )
+    report = {
+        "config": config.to_json_dict(),
+        "trace": {**header.dims, "source": config.trace_path or "synthetic"},
+        "schedule": asdict(result.schedule),
+        "classifications": [[p.head_class.value for p in layer] for layer in result.profiles],
+        "distances": [[p.distance_to_center for p in layer] for layer in result.profiles],
+        "pca": pca_blocks,
+        "policies": policy_entries,
+    }
+    if result.infeasible:
+        report["infeasible"] = result.infeasible
+    if contribution is not None:
+        report["contribution"] = asdict(contribution)
+    return report
+
+
+def _csv_rows(report: dict) -> Iterator[list]:
+    """One `CSV_HEADER` row per (policy, budget, layer, head) of a report."""
+    for entry in report["policies"]:
+        for r, layer_rows in enumerate(entry["fidelity"]["per_head"]):
+            for h, cell in enumerate(layer_rows):
+                yield [
+                    entry["policy"],
+                    entry["budget_ratio"],
+                    r,
+                    h,
+                    report["classifications"][r][h],
+                    cell["retained_tokens"],
+                    cell["l2_error"],
+                    cell["cosine_similarity"],
+                ]
 
 
 def _write_bytes(destination, payload: bytes) -> int:
@@ -582,15 +549,15 @@ def _write_bytes(destination, payload: bytes) -> int:
     return destination.write(payload)
 
 
-def export_report(report: EvalReport, fmt: str, destination) -> int:
+def export_report(report: dict, fmt: str, destination) -> int:
     """Serialize a report as canonical JSON or flat CSV; returns bytes written."""
     if fmt == "json":
-        payload = (json.dumps(report.to_json_dict(), indent=2) + "\n").encode()
+        payload = (json.dumps(report, indent=2) + "\n").encode()
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in report.csv_rows():
+        for row in _csv_rows(report):
             writer.writerow([_csv_cell(c) for c in row])
         payload = buf.getvalue().encode()
     else:
@@ -598,12 +565,12 @@ def export_report(report: EvalReport, fmt: str, destination) -> int:
     return _write_bytes(destination, payload)
 
 
-def export_pca_csv(report: EvalReport, destination) -> int:
+def export_pca_csv(report: dict, destination) -> int:
     """Per-head 2-D semantic coordinates, one row per (layer, head)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PCA_HEADER)
-    for block in report.pca:
+    for block in report["pca"]:
         for point in block["points"]:
             writer.writerow(
                 [

@@ -55,6 +55,7 @@ VERSION = 1
 DTYPE_FLOAT32 = 0
 _HEADER = struct.Struct("<4sHIIIIH")
 HEADER_BYTES = _HEADER.size  # 24
+_U32_MAX = 2**32 - 1  # the largest dimension the header holds
 
 # Philox stream ids: 0 chooses planted head positions, 1 draws tensor data.
 _STREAM_PLANTED = 0
@@ -70,6 +71,10 @@ _CLUSTER_AMP_COMMON = 0.125
 _CLUSTER_AMP_PLANTED = 1.5
 
 
+# the header fields that give the trace's shape (R, n, N, d)
+_DIMS = ("num_layers", "num_heads", "seq_len", "head_dim")
+
+
 @dataclass(frozen=True)
 class TraceHeader:
     num_layers: int
@@ -80,9 +85,9 @@ class TraceHeader:
     dtype_code: int = DTYPE_FLOAT32
 
     def __post_init__(self):
-        for name in ("num_layers", "num_heads", "seq_len", "head_dim"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+        for name in _DIMS:
+            if not 1 <= getattr(self, name) <= _U32_MAX:
+                raise ParameterError(f"{name} must be in [1, 2^32 - 1]")
 
     @property
     def payload_bytes(self) -> int:
@@ -95,12 +100,7 @@ class TraceHeader:
     @property
     def dims(self) -> dict:
         """R, n, N and d by name, as plans files and reports record them."""
-        return {
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "seq_len": self.seq_len,
-            "head_dim": self.head_dim,
-        }
+        return {name: getattr(self, name) for name in _DIMS}
 
     def pack(self) -> bytes:
         return _HEADER.pack(
@@ -246,8 +246,7 @@ class SyntheticProfile:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"unknown profile kind {self.kind!r}")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+        _check_seed(self.seed)
         for name in ("spread", "needle_strength"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -266,7 +265,16 @@ class SyntheticProfile:
                 raise ParameterError("tail_len must be >= 1")
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _check_seed(seed: int) -> None:
+    """Seeds are the non-negative int64 values: numpy would turn a larger
+    key word into a float, and two seeds could share one key."""
+    if not 0 <= seed < 2**63:
+        raise ParameterError(f"seed {seed} outside [0, 2^63)")
+
+
+def seeded_rng(seed: int, stream: int) -> np.random.Generator:
+    """The Philox4x64 generator keyed by (seed, stream), with the seed checked."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -276,7 +284,7 @@ def clustered_planted_heads(
     """Planted (heterogeneous) head indices per layer, the generator's ground truth."""
     if profile.kind != "clustered-heads":
         raise ParameterError("planted heads only exist for clustered-heads profiles")
-    rng = _rng(profile.seed, _STREAM_PLANTED)
+    rng = seeded_rng(profile.seed, _STREAM_PLANTED)
     return [
         sorted(rng.permutation(num_heads)[: profile.planted].tolist())
         for _ in range(num_layers)
@@ -370,7 +378,7 @@ class SyntheticSource:
         """Draw every head, layer by layer, into the next of `blocks`
         (writable float32 (3, N, d) arrays) and yield it."""
         header, profile = self.header, self.profile
-        rng = _rng(profile.seed, _STREAM_DATA)
+        rng = seeded_rng(profile.seed, _STREAM_DATA)
         scratch = np.empty((2, header.seq_len, header.head_dim))
         for r in range(header.num_layers):
             if self._planted is not None:

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semkv.allocator import BudgetPlan, PolicyKind
+from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, footprint
 from semkv.cli import _config_from, build_parser, main
+from semkv.contribution import BoundSuiteReport, verify_bound_suite
 from semkv.harness import (
     RunConfig,
     compress_run,
@@ -23,6 +24,7 @@ from semkv.harness import (
     load_trace_for,
     run_all,
 )
+from semkv.separator import HeadClass, heterogeneous_schedule
 from semkv.trace import HEADER_BYTES, SyntheticProfile, read_trace, write_trace
 
 
@@ -581,6 +583,15 @@ class TestErrorReporting:
             (["all", *SMALL, "--budget", ","], None, "budget_ratios must not be empty"),
             (["compress", *SMALL], {"policies": []}, "policies must not be empty"),
             (["all", *SMALL], {"budget_ratios": []}, "budget_ratios must not be empty"),
+            (["gen", *SMALL, "--seed", str(2**63)], None, f"seed {2**63} outside [0, 2^63)"),
+            (["gen", *SMALL, "--seed", str(2**64)], None, f"seed {2**64} outside [0, 2^63)"),
+            (["all", *SMALL, "--seed", str(2**63)], None, f"seed {2**63} outside [0, 2^63)"),
+            (["contrib", "--seed", str(2**64)], None, f"seed {2**64} outside [0, 2^63)"),
+            (["contrib", "--seed", "-1"], None, "seed -1 outside [0, 2^63)"),
+            (["gen", "--profile", "uniform-random", "--shape", "1,1,4294967296,1"], None,
+             "seq_len must be in [1, 2^32 - 1]"),
+            (["all", "--profile", "uniform-random", "--shape", "4294967296,1,8,1"], None,
+             "num_layers must be in [1, 2^32 - 1]"),
         ],
     )
     def test_malformed_numbers_are_json_errors(self, tmp_path, capsys, argv, config, message):
@@ -887,3 +898,208 @@ class TestLayerMemory:
         # a float32 head block, two N x d float64 scratch blocks, and small change
         block, scratch = 3 * self.SEQ * self.DIM * 4, 2 * self.SEQ * self.DIM * 8
         assert peak <= block + scratch + 256 * 1024
+
+
+def _as_json(value):
+    """`value` as a command writes it and a reader reads it back."""
+    return json.loads(json.dumps(value))
+
+
+def _reference_scores(trace, plans, decode_queries):
+    """Per-head mean decode L2 and cosine, row by row in plain numpy: a row
+    that sees no retained key has a zero retained output."""
+    shape = (trace.num_layers, trace.num_heads)
+    l2, cos = np.empty(shape), np.empty(shape)
+    n_seq, dim = trace.seq_len, trace.head_dim
+
+    def attend(q, k, v):
+        scores = k @ q / np.sqrt(dim)
+        weights = np.exp(scores - scores.max())
+        return weights / weights.sum() @ v
+
+    for r, plan in enumerate(plans):
+        for h in range(trace.num_heads):
+            q, k, v = np.asarray(trace.data[r, h], dtype=np.float64)
+            kept = np.asarray(plan.per_head_retained[h])
+            errors, cosines = [], []
+            for p in range(n_seq - decode_queries, n_seq):
+                full = attend(q[p], k[: p + 1], v[: p + 1])
+                seen = kept[kept <= p]
+                if seen.size:
+                    retained = attend(q[p], k[seen], v[seen])
+                    norms = np.linalg.norm(full) * np.linalg.norm(retained)
+                    cosines.append(full @ retained / norms)
+                else:
+                    retained = np.zeros(dim)
+                    cosines.append(0.0)
+                errors.append(np.linalg.norm(full - retained))
+            l2[r, h], cos[r, h] = np.mean(errors), np.mean(cosines)
+    return l2, cos
+
+
+def _plans_of(path):
+    return [BudgetPlan.from_json_dict(d) for d in json.loads(path.read_text())["layers"]]
+
+
+class TestBlindDecodeRows:
+    """Plans that keep fewer positions than the decode rows span leave the
+    earlier rows no retained key; those rows score against a zero output."""
+
+    @pytest.fixture
+    def trace_path(self, tmp_path, capsys):
+        path = tmp_path / "t.tkv"
+        argv = ["gen", "--profile", "clustered-heads", "--shape", "2,8,128,16", "--out", str(path)]
+        assert run_cli(capsys, *argv)[0] == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "policy, budget, kept",
+        [
+            # 6 positions per head, the last 6: 26 of the 32 decode rows see none
+            ("uniform-topk", "0.05", list(range(122, 128))),
+            # no position at all: every decode row is blind
+            ("streaming", "0.005", []),
+        ],
+    )
+    def test_all_scores_blind_rows_and_keeps_every_cell(
+        self, trace_path, tmp_path, capsys, policy, budget, kept
+    ):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "all", "--trace", str(trace_path), "--policy", f"{policy},full",
+            "--budget", f"{budget},0.5", "--out", str(out),
+        )
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        entries = {(e["policy"], e["budget_ratio"]): e for e in report["policies"]}
+        ratio = float(budget)
+        assert sorted(entries) == sorted(
+            [("full", ratio), ("full", 0.5), (policy, ratio), (policy, 0.5)]
+        )
+        trace = read_trace(trace_path)
+        plans = _plans_of(out / f"plans_{policy}_{budget}.json")
+        assert all(idx.tolist() == kept for plan in plans for idx in plan.per_head_retained)
+        l2, cos = _reference_scores(trace, plans, 32)
+        per_head = entries[(policy, ratio)]["fidelity"]["per_head"]
+        got_l2 = [[c["l2_error"] for c in layer] for layer in per_head]
+        got_cos = [[c["cosine_similarity"] for c in layer] for layer in per_head]
+        np.testing.assert_allclose(got_l2, l2, rtol=1e-12)
+        np.testing.assert_allclose(got_cos, cos, rtol=1e-12)
+        assert entries[("full", ratio)]["fidelity"]["mean_l2"] == 0.0
+
+    def test_eval_scores_blind_rows_of_saved_plans(self, trace_path, tmp_path, capsys):
+        plans_dir = tmp_path / "plans"
+        code, _, err = run_cli(
+            capsys, "compress", "--trace", str(trace_path), "--policy", "streaming",
+            "--sinks", "0", "--budget", "0.1", "--out", str(plans_dir),
+        )
+        assert code == 0, err
+        path = plans_dir / "plans_streaming_0.1.json"
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_path), "--plans", str(path), "--out", str(out)
+        )
+        assert code == 0, err
+        row = json.loads((out / "fidelity.json").read_text())["fidelity"][0]
+        l2, cos = _reference_scores(read_trace(trace_path), _plans_of(path), 32)
+        np.testing.assert_allclose(row["per_head_l2"], l2, rtol=1e-12)
+        np.testing.assert_allclose(row["per_head_cosine"], cos, rtol=1e-12)
+        assert (cos < 1).all()
+
+
+class TestInputLimits:
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "contrib", "--trials", "2", "--seed", str(2**63 - 1))
+        assert code == 0, err
+        assert json.loads(out)["seed"] == 2**63 - 1
+
+    def test_memory_error_is_a_json_error_and_leaves_no_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def exhausted(source, destination):
+            Path(destination).write_bytes(b"TKV1")
+            raise MemoryError()
+
+        monkeypatch.setattr("semkv.cli.write_trace", exhausted)
+        path = tmp_path / "g.tkv"
+        code, _, err = run_cli(
+            capsys, "gen", "--profile", "uniform-random", "--shape", "1,1,8,2", "--out", str(path)
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "MemoryError", "message": ""}
+        assert not path.exists()
+
+    @pytest.mark.parametrize("window", ["0", "-4"])
+    def test_eval_window_is_checked_as_the_window(self, trace_file, tmp_path, capsys, window):
+        plans = tmp_path / "plans"
+        argv = ["--trace", str(trace_file), *PIPE_ARGS]
+        assert run_cli(capsys, "compress", *argv, "--out", str(plans))[0] == 0
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_file), "--window", window,
+            "--plans", str(plans / "plans_task-kv_0.5.json"), "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"window_len {window} outside [1, 96]"
+        }
+
+
+class TestOutputSchema:
+    """Every record a command writes holds its record type's fields, by name
+    and in order, so a field added to a type reaches disk unedited."""
+
+    ARGS = ["--budget", "0.5", "--beta", "0.375", "--m-top", "3", "--window", "16",
+            "--kernel", "3", "--sinks", "4", "--recents", "8", "--seed", "3"]
+
+    @pytest.mark.parametrize("policy", [p.value for p in PolicyKind])
+    def test_written_records_are_their_types_fields(self, trace_file, tmp_path, capsys, policy):
+        argv = ["--trace", str(trace_file), "--policy", policy, *self.ARGS]
+        for command, extra in (("all", ["--contrib-trials", "2"]), ("compress", [])):
+            code, _, err = run_cli(capsys, command, *argv, *extra, "--out", str(tmp_path / command))
+            assert code == 0, err
+        code, _, err = run_cli(
+            capsys, "contrib", "--seed", "3", "--trials", "2", "--out", str(tmp_path / "contrib")
+        )
+        assert code == 0, err
+        report = json.loads((tmp_path / "all" / "report.json").read_text())
+
+        cfg = _config_from(build_parser().parse_args(["all", *argv, "--contrib-trials", "2"]))
+        assert report["config"] == _as_json(dataclasses.asdict(cfg))
+        assert report["schedule"] == _as_json(
+            dataclasses.asdict(heterogeneous_schedule(8, 0.375, 3, 1))
+        )
+        suite = _as_json(dataclasses.asdict(verify_bound_suite(3, 2)))
+        assert list(suite) == [f.name for f in dataclasses.fields(BoundSuiteReport)]
+        assert report["contribution"] == suite
+        assert json.loads((tmp_path / "contrib" / "contribution.json").read_text()) == suite
+
+        tokens = 0
+        for command in ("all", "compress"):
+            payload = json.loads((tmp_path / command / f"plans_{policy}_0.5.json").read_text())
+            for layer in payload["layers"]:
+                plan = BudgetPlan.from_json_dict(layer)
+                names = [f.name for f in dataclasses.fields(BudgetPlan)]
+                if policy != "compressed-cache":
+                    names.remove("per_head_groups")
+                assert list(layer) == names
+                assert _as_json(plan.to_json_dict()) == layer
+                tokens += plan.retained_tokens() if command == "compress" else 0
+        memory = footprint(tokens, read_trace(trace_file).header)._asdict()
+        assert list(memory) == list(MemoryFootprint._fields)
+        assert report["policies"][0]["memory"] == _as_json(memory)
+        rows = json.loads((tmp_path / "compress" / "memory.json").read_text())["memory"]
+        assert rows == [{"policy": policy, "budget_ratio": 0.5, **_as_json(memory)}]
+
+    def test_a_field_added_to_a_plan_reaches_its_plans_layer(self):
+        @dataclasses.dataclass
+        class LoggedPlan(BudgetPlan):
+            note: str = ""
+
+        plan = LoggedPlan(
+            0, PolicyKind.FULL, 8, 0, 0, 0, False, [HeadClass.NON_HETEROGENEOUS],
+            [np.arange(4)], note="kept"
+        )
+        layer = _as_json(plan.to_json_dict())
+        assert list(layer)[-1] == "note" and layer["note"] == "kept"
+        assert LoggedPlan.from_json_dict(layer).note == "kept"

@@ -26,6 +26,7 @@ from semkv.trace import (
     decode_outputs,
     gen_synthetic_trace,
     read_trace,
+    seeded_rng,
     widen_head,
     write_trace,
 )
@@ -155,6 +156,15 @@ class TestFileFormat:
             read_trace(TrickleStream(header.pack() + bytes(layer)))
         assert (err.value.expected, err.value.actual) == (header.payload_bytes, layer)
 
+    @pytest.mark.parametrize("dim", range(4))
+    def test_dimensions_beyond_the_u32_header_are_rejected(self, dim):
+        dims = [1, 1, 1, 1]
+        dims[dim] = 2**32
+        with pytest.raises(ParameterError, match=r"must be in \[1, 2\^32 - 1\]"):
+            TraceHeader(*dims)
+        dims[dim] = 2**32 - 1
+        assert len(TraceHeader(*dims).pack()) == HEADER_BYTES
+
     @pytest.mark.parametrize("version", [0, 2, 9])
     def test_unknown_version_rejected(self, version):
         data = bytearray(
@@ -191,6 +201,14 @@ class TestSyntheticDeterminism:
         a = trace_bytes(gen_synthetic_trace(SyntheticProfile("uniform-random", seed=1), shape))
         b = trace_bytes(gen_synthetic_trace(SyntheticProfile("uniform-random", seed=2), shape))
         assert a != b
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64])
+    def test_seeds_outside_int64_are_rejected(self, seed):
+        # numpy would take 2^63 and 2^63 + 1 as one float key, with a warning
+        with pytest.raises(ParameterError, match=r"outside \[0, 2\^63\)"):
+            SyntheticProfile("uniform-random", seed=seed)
+        with pytest.raises(ParameterError, match=r"outside \[0, 2\^63\)"):
+            seeded_rng(seed, 0)
 
 
 class TestFrozenBytes:
