@@ -9,6 +9,7 @@ B = floor(budget_ratio * N * n) tokens.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -375,19 +376,22 @@ class CacheEntry:
             raise CacheConsistencyError("cache positions must be strictly increasing")
 
 
-def _check_groups(groups, seq_len: int, where: str) -> None:
-    """Groups must be non-empty, sorted, non-overlapping and inside [0, N)."""
-    prev_stop = 0
-    for a, b in groups:
-        if not 0 <= a < b <= seq_len:
-            raise CacheConsistencyError(f"{where}: group [{a}, {b}) out of range")
-        if a < prev_stop:
-            raise CacheConsistencyError(f"{where}: group [{a}, {b}) unsorted or overlapping")
-        prev_stop = b
+def _check_groups(bounds: np.ndarray, seq_len: int, where: str) -> None:
+    """(g, 2) group bounds must be non-empty, sorted, non-overlapping and
+    inside [0, N); the first group that is not names the error."""
+    starts, stops = bounds[:, 0], bounds[:, 1]
+    out_of_range = (starts < 0) | (stops <= starts) | (stops > seq_len)
+    overlapping = starts < np.concatenate([[0], stops[:-1]])
+    bad = np.flatnonzero(out_of_range | overlapping)
+    if bad.size:
+        a, b = bounds[bad[0]]
+        kind = "out of range" if out_of_range[bad[0]] else "unsorted or overlapping"
+        raise CacheConsistencyError(f"{where}: group [{a}, {b}) {kind}")
 
 
-def _group_means(rows: np.ndarray, groups) -> np.ndarray:
-    """Float64 mean row of each checked [start, stop) group of C-contiguous `rows`.
+def group_means(rows: np.ndarray, groups) -> np.ndarray:
+    """Float64 mean row of each checked [start, stop) group of C-contiguous
+    `rows`; `groups` is a list of pairs or a (g, 2) array.
 
     Groups of one length are gathered into a (groups, length, d) block,
     widened to float64 and reduced over its middle axis, which adds in the
@@ -431,6 +435,38 @@ def keeps_every_position(plan: BudgetPlan, head: int, seq_len: int) -> bool:
     return not groups and np.array_equal(plan.per_head_retained[head], np.arange(seq_len))
 
 
+class HeadPlan(NamedTuple):
+    """One head's checked share of a layer plan: its retained positions,
+    its groups as (g, 2) [start, stop) bounds and the sorted positions of
+    its cache rows (the retained positions and each group's start)."""
+
+    retained: np.ndarray
+    groups: np.ndarray
+    positions: np.ndarray
+
+
+def check_head_plan(plan: BudgetPlan, layer: int, head: int, seq_len: int) -> HeadPlan:
+    """Head `head`'s share of layer `layer`'s plan, checked against N.
+
+    A retained index outside [0, N), a group out of range, unsorted or
+    overlapping, and cache positions that are not strictly increasing each
+    raise CacheConsistencyError naming the layer and head.
+    """
+    where = f"layer {layer} head {head}"
+    idx = np.asarray(plan.per_head_retained[head], dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= seq_len):
+        raise CacheConsistencyError(f"{where}: retained index outside [0, {seq_len})")
+    groups = [] if plan.per_head_groups is None else plan.per_head_groups[head]
+    bounds = np.fromiter(
+        itertools.chain.from_iterable(groups), dtype=np.intp, count=2 * len(groups)
+    ).reshape(-1, 2)
+    _check_groups(bounds, seq_len, where)
+    positions = np.sort(np.concatenate([idx, bounds[:, 0]])) if len(bounds) else idx
+    if np.any(np.diff(positions) <= 0):
+        raise CacheConsistencyError(f"{where}: cache positions must be strictly increasing")
+    return HeadPlan(idx, bounds, positions)
+
+
 def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int) -> CacheEntry:
     """One head's retained K/V rows (plus synthetic group means) out of its
     (3, N, d) Q/K/V block.
@@ -441,12 +477,7 @@ def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int)
     keep, gathered from the block and then widened.
     """
     n_seq = block.shape[1]
-    where = f"layer {layer} head {head}"
-    idx = np.asarray(plan.per_head_retained[head], dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= n_seq):
-        raise CacheConsistencyError(f"{where}: retained index outside [0, {n_seq})")
-    groups = [] if plan.per_head_groups is None else plan.per_head_groups[head]
-    _check_groups(groups, n_seq, where)
+    idx, groups, _ = check_head_plan(plan, layer, head, n_seq)
     keys, values = block[1], block[2]
     synthetic = np.zeros(idx.size, dtype=bool)
     if keeps_every_position(plan, head, n_seq):
@@ -454,10 +485,10 @@ def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int)
     k_rows = np.asarray(keys[idx], dtype=np.float64)
     v_rows = np.asarray(values[idx], dtype=np.float64)
     positions = idx
-    if groups:
-        k_rows = np.concatenate([k_rows, _group_means(keys, groups)])
-        v_rows = np.concatenate([v_rows, _group_means(values, groups)])
-        positions = np.concatenate([positions, np.asarray([a for a, _ in groups], dtype=int)])
+    if len(groups):
+        k_rows = np.concatenate([k_rows, group_means(keys, groups)])
+        v_rows = np.concatenate([v_rows, group_means(values, groups)])
+        positions = np.concatenate([positions, groups[:, 0]])
         synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
         order = np.argsort(positions, kind="stable")
         k_rows, v_rows = k_rows[order], v_rows[order]

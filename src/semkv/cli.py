@@ -380,8 +380,35 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
     return policy, ratio, check_plans(header, [BudgetPlan.from_json_dict(d) for d in layers])
 
 
+# The shared run flags that `eval` never reads, by argparse dest. Each one
+# given on the command line fails instead of being ignored; a shared config
+# file may still hold their keys.
+_EVAL_UNREAD = {
+    "policies": "--policy",
+    "budget_ratios": "--budget",
+    "beta": "--beta",
+    "top_m": "--m-top",
+    "top_t": "--top-t",
+    "kernel": "--kernel",
+    "sinks": "--sinks",
+    "recents": "--recents",
+}
+
+
+def _check_eval_flags(args, cfg: RunConfig) -> None:
+    unread = dict(_EVAL_UNREAD)
+    if cfg.trace_path is not None:
+        unread["seed"] = "--seed"  # seeds only a synthetic trace
+    if cfg.decode_queries is not None:
+        unread["window_len"] = "--window"  # only sets the default decode rows
+    given = [flag for dest, flag in unread.items() if getattr(args, dest) is not None]
+    if given:
+        raise ParameterError(f"eval does not read {', '.join(given)}")
+
+
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
+    _check_eval_flags(args, cfg)
     with open_source(cfg) as source:
         header = source.header
         out = _outdir(args)
@@ -389,20 +416,11 @@ def _cmd_eval(args) -> int:
         reports = score_plans(
             source.layers(), [plans for _, _, plans in plan_sets], decode_count(cfg, header)
         )
-    fidelity_rows = []
-    for path, (policy, ratio, _), fid in zip(args.plans, plan_sets, reports):
-        fidelity_rows.append(
-            {
-                "plans": os.path.basename(path),
-                "policy": policy,
-                "budget_ratio": ratio,
-                "decode_queries": fid.decode_queries,
-                "mean_l2": fid.mean_l2,
-                "mean_cosine": fid.mean_cosine,
-                "per_head_l2": fid.per_head_l2.tolist(),
-                "per_head_cosine": fid.per_head_cosine.tolist(),
-            }
-        )
+    fidelity_rows = [
+        {"plans": os.path.basename(path), "policy": policy, "budget_ratio": ratio,
+         **fid.to_json_dict()}
+        for path, (policy, ratio, _), fid in zip(args.plans, plan_sets, reports)
+    ]
     with _Outputs(out) as outputs:
         _write_json(outputs.path("fidelity.json"), {"fidelity": fidelity_rows})
     print(f"wrote fidelity.json to {out}")

@@ -16,6 +16,14 @@ last `decode_queries` query rows, attention outputs over the retained K/V
 entries (softmax renormalized over the retained, causally visible set) are
 compared against outputs over the full cache. This is a proxy for task-level
 quality; it needs no language model.
+
+`score_layer` scores a layer head-major, every cell at once. Each head's
+causal decode scores S and softmax numerators exp(S - m) are formed once,
+under the shift m of each decode row's full-cache max, and every cell
+renormalises the numerators over its own retained rows (a group's mean
+row weighs exp of the mean of its keys' scores - m). A decode row whose
+retained numerators underflow under the shared shift is rescored with the
+cell's own retained max.
 """
 
 from __future__ import annotations
@@ -26,26 +34,28 @@ import io
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .allocator import (
     BudgetPlan,
+    HeadPlan,
     MemoryFootprint,
     PolicyKind,
     apply_policy,
-    build_head_entry,
     check_cell,
+    check_head_plan,
     check_kernel,
     check_plans,
     footprint,
+    group_means,
     keeps_every_position,
     pool_scores,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import masked_softmax, pca_2d
+from .linalg import pca_2d
 from .separator import (
     HeadProfile,
     HeterogeneitySchedule,
@@ -308,7 +318,7 @@ def layer_step(
     }
     scores = {}
     if full is not None:
-        scores = {cell: score_layer(data, layer, plan, full) for cell, plan in plans.items()}
+        scores = dict(zip(plans, score_layer(data, layer, list(plans.values()), full)))
     return LayerStep(profiles, plans, scores)
 
 
@@ -340,20 +350,33 @@ def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
     return result
 
 
+def _per_head(cell: str, mean: str):
+    """A `FidelityReport` metric field: an (R, n) per-head array, its key in
+    a report's per-head cells and the key of its mean."""
+    return field(metadata={"cell": cell, "mean": mean})
+
+
 @dataclass
 class FidelityReport:
+    """One plan set's fidelity over a trace.
+
+    Each metric is a per-head field that names its keys, so the records
+    built from the fields (`summary`, `head_cell`, `to_json_dict`) and the
+    CSV header carry a metric added as a field with no other edit.
+    """
+
     decode_queries: int
-    per_head_l2: np.ndarray  # (R, n) mean L2 error over decode rows
-    per_head_cosine: np.ndarray  # (R, n)
+    per_head_l2: np.ndarray = _per_head("l2_error", "mean_l2")  # mean L2 error over decode rows
+    per_head_cosine: np.ndarray = _per_head("cosine_similarity", "mean_cosine")
 
     @classmethod
     def from_layers(cls, decode_queries: int, layers) -> "FidelityReport":
         """A report from each layer's `score_layer` arrays."""
-        return cls(
-            decode_queries,
-            np.array([l2 for l2, _ in layers]),
-            np.array([cos for _, cos in layers]),
-        )
+        return cls(decode_queries, *(np.array(metric) for metric in zip(*layers)))
+
+    @classmethod
+    def metrics(cls) -> list:
+        return [f for f in fields(cls) if f.metadata]
 
     @property
     def mean_l2(self) -> float:
@@ -362,6 +385,22 @@ class FidelityReport:
     @property
     def mean_cosine(self) -> float:
         return float(self.per_head_cosine.mean())
+
+    def summary(self) -> dict:
+        """The decode-query count, then each metric's mean under its key."""
+        means = {f.metadata["mean"]: float(getattr(self, f.name).mean()) for f in self.metrics()}
+        return {"decode_queries": self.decode_queries, **means}
+
+    def head_cell(self, layer: int, head: int) -> dict:
+        """Each metric of one head under its per-head cell key."""
+        metrics = self.metrics()
+        return {f.metadata["cell"]: float(getattr(self, f.name)[layer, head]) for f in metrics}
+
+    def to_json_dict(self) -> dict:
+        """A `fidelity.json` row's scores: the summary, then each per-head
+        array under its field name."""
+        arrays = {f.name: getattr(self, f.name).tolist() for f in self.metrics()}
+        return {**self.summary(), **arrays}
 
 
 def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,61 +413,138 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_layer(
-    data: np.ndarray, layer: int, plan: BudgetPlan, full: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head decode L2 error and cosine of one layer's plan against its
-    full-cache decode outputs `full`, (n, decode_queries, d).
+# A retained denominator under the shared shift outside [1 / _SAFE, _SAFE]
+# means the row's retained exponentials underflowed (or, through a group
+# mean above the row max, grew huge); such a row is rescored with its own
+# retained max.
+_SAFE = 2.0**600
 
-    Each head's cache entry is built, scored and dropped before the next,
-    so at most one head's entry is alive at a time; its rows and the
-    decode queries are gathered from the layer's `data` and widened to
-    float64. A head that keeps every position attends exactly like the
-    full cache, so it scores from `full` without building its entry. A
-    decode row that sees no retained key attends to nothing: its retained
-    output is zero, so it scores L2 = ||o|| and cosine 0 against the full
-    output o.
+# Keys are widened and scored this many at a time, so each widened block
+# is still in cache when it is scored.
+_KEY_BLOCK = 512
+
+
+class _HeadNumerators:
+    """One head's causal decode scores and softmax numerators, shared by
+    every cell that scores the head.
+
+    `scores` holds S = Q K^T / sqrt(d) of the decode rows against every
+    key, key-major: shape (N, decode_queries), so a cell's retained keys
+    are a row gather. `shift` is each decode row's max over the keys it
+    sees, and `numerators` is exp(S - shift), 0 where a row does not see
+    the key. A cell's retained output renormalises these over its own rows.
     """
-    n_heads, _, seq_len, head_dim = data.shape
-    decode_queries = full.shape[1]
-    first_row = seq_len - decode_queries
-    l2, cos = np.empty(n_heads), np.empty(n_heads)
+
+    def __init__(self, block: np.ndarray, decode_queries: int):
+        seq_len, head_dim = block.shape[1:]
+        first_row = seq_len - decode_queries
+        q = np.asarray(block[0, first_row:], dtype=np.float64).T / np.sqrt(float(head_dim))
+        self.scores = np.empty((seq_len, decode_queries))
+        for a in range(0, seq_len, _KEY_BLOCK):
+            keys = np.asarray(block[1, a : a + _KEY_BLOCK], dtype=np.float64)
+            np.matmul(keys, q, out=self.scores[a : a + _KEY_BLOCK])
+        self.rows = np.arange(first_row, seq_len)  # each decode row's position
+        # key first_row + t is hidden from decode row i when t > i
+        hidden = np.arange(decode_queries)[:, None] > np.arange(decode_queries)
+        self.shift = np.where(hidden, -np.inf, self.scores[first_row:]).max(axis=0)
+        if first_row:
+            np.maximum(self.shift, self.scores[:first_row].max(axis=0), out=self.shift)
+        self.numerators = self.scores - self.shift
+        with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
+            np.exp(self.numerators, out=self.numerators)
+        self.numerators[first_row:][hidden] = 0.0
+
+    def retained_output(self, values: np.ndarray, head: HeadPlan) -> np.ndarray:
+        """Decode outputs over the head's retained rows and group means, (decode_queries, d).
+
+        A retained row weighs its shared numerator. A group's mean row
+        weighs exp(mean of its keys' scores - shift), since the score of a
+        mean key is the mean of the keys' scores. The V rows and group
+        means are gathered and widened for this call alone. A decode row
+        before the head's first cache position sees nothing, and its
+        output stays zero.
+        """
+        out = np.zeros((len(self.rows), values.shape[1]))
+        first = int(head.positions[0]) if head.positions.size else int(self.rows[-1]) + 1
+        blind = min(max(first - int(self.rows[0]), 0), len(self.rows))
+        if blind == len(self.rows):
+            return out
+        idx, groups, rows = head.retained, head.groups, self.rows[blind:]
+        starts = groups[:, 0]
+        group_scores = np.empty((0, len(rows)))
+        weights = self.numerators[idx, blind:]
+        v = np.asarray(values[idx], dtype=np.float64)
+        if len(groups):
+            group_scores = group_means(self.scores, groups)[:, blind:]
+            with np.errstate(over="ignore"):  # a hidden group's exponential is discarded
+                group_weights = np.exp(group_scores - self.shift[blind:])
+            group_weights[starts[:, None] > rows] = 0.0
+            weights = np.concatenate([weights, group_weights])
+            v = np.concatenate([v, group_means(values, groups)])
+        total = weights.sum(axis=0)
+        rescue = ~((total >= 1 / _SAFE) & (total <= _SAFE))
+        if rescue.any():
+            own = np.concatenate([self.scores[idx, blind:][:, rescue], group_scores[:, rescue]])
+            own[np.concatenate([idx, starts])[:, None] > rows[rescue]] = -np.inf
+            weights[:, rescue] = np.exp(own - own.max(axis=0))
+            total[rescue] = weights[:, rescue].sum(axis=0)
+        out[blind:] = (weights.T @ v) / total[:, None]
+        return out
+
+
+def score_layer(
+    data: np.ndarray, layer: int, plans: list[BudgetPlan], full: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-head decode L2 error and cosine of each of one layer's `plans`
+    against its full-cache decode outputs `full`, (n, decode_queries, d).
+
+    Scoring is head-major. A head that keeps every position attends
+    exactly like the full cache, so it scores L2 0 and the self-cosine of
+    its full outputs. For the other cells, the head's decode scores and
+    softmax numerators are formed once, under each decode row's
+    full-cache max (`_HeadNumerators`), and every cell renormalises them
+    over its own retained rows: the rescaled-exponent identity softmax
+    merges partial sums with. A row whose retained numerators underflow
+    under that shared shift is rescored with the cell's own retained max.
+    A decode row that sees no retained key attends to nothing: its
+    retained output is zero, so it scores L2 = ||o|| and cosine 0 against
+    the full output o. Every scored head's plan passes `check_head_plan`.
+    """
+    n_heads, _, seq_len, _ = data.shape
+    scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
         full_out = full[h]
-        if keeps_every_position(plan, h, seq_len):
-            l2[h] = 0.0
-            # the self-cosine of a row is not always exactly 1
-            cos[h] = float(_rows_cosine(full_out, full_out).mean())
+        # the self-cosine of a row is not always exactly 1
+        self_cosine = float(_rows_cosine(full_out, full_out).mean())
+        scored = []
+        for (l2, cos), plan in zip(scores, plans):
+            if keeps_every_position(plan, h, seq_len):
+                l2[h], cos[h] = 0.0, self_cosine
+            else:
+                scored.append((l2, cos, check_head_plan(plan, layer, h, seq_len)))
+        if not scored:
             continue
-        entry = build_head_entry(block, plan, layer, h)
-        q = np.asarray(block[0, first_row:], dtype=np.float64)
-        scores = (q @ entry.keys.T) / np.sqrt(float(head_dim))
-        visible = entry.positions[None, :] <= (first_row + np.arange(decode_queries))[:, None]
-        # decode rows before the head's first retained position see no key;
-        # their retained output stays zero
-        first_kept = entry.positions[0] if entry.positions.size else seq_len
-        blind = min(max(int(first_kept) - first_row, 0), decode_queries)
-        retained_out = np.zeros_like(full_out)
-        if blind < decode_queries:
-            weights = masked_softmax(scores[blind:], visible[blind:])
-            retained_out[blind:] = weights @ entry.values
-        diff = full_out - retained_out
-        l2[h] = float(np.linalg.norm(diff, axis=1).mean())
-        cos[h] = float(_rows_cosine(full_out, retained_out).mean())
-    return l2, cos
+        head = _HeadNumerators(block, full.shape[1])
+        for l2, cos, checked in scored:
+            retained_out = head.retained_output(block[2], checked)
+            l2[h] = float(np.linalg.norm(full_out - retained_out, axis=1).mean())
+            cos[h] = float(_rows_cosine(full_out, retained_out).mean())
+    return scores
 
 
 def score_plans(
     layers, plan_sets: list[list[BudgetPlan]], decode_queries: int
 ) -> list[FidelityReport]:
     """Each plan set's fidelity over `layers`, one layer at a time: the
-    layer's full-cache decode outputs, then `score_layer` of every set's
-    plan for that layer. The sets are already passed through `check_plans`."""
+    layer's full-cache decode outputs, then one `score_layer` of every
+    set's plan for that layer. The sets are already passed through
+    `check_plans`."""
     scores = [[] for _ in plan_sets]
     for r, data in enumerate(layers):
         full = decode_outputs(data, decode_queries)  # validates decode_queries
-        for layer_scores, plans in zip(scores, plan_sets):
-            layer_scores.append(score_layer(data, r, plans[r], full))
+        layer_plans = [plans[r] for plans in plan_sets]
+        for layer_scores, score in zip(scores, score_layer(data, r, layer_plans, full)):
+            layer_scores.append(score)
     return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
 
 
@@ -447,8 +563,7 @@ CSV_HEADER = [
     "head",
     "head_class",
     "retained_tokens",
-    "l2_error",
-    "cosine_similarity",
+    *(f.metadata["cell"] for f in FidelityReport.metrics()),
 ]
 PCA_HEADER = ["layer", "head", "x", "y", "class"]
 
@@ -487,11 +602,7 @@ def build_eval_report(
         tokens = result.head_tokens[cell]
         per_head = [
             [
-                {
-                    "retained_tokens": tokens[r][h],
-                    "l2_error": float(fid.per_head_l2[r, h]),
-                    "cosine_similarity": float(fid.per_head_cosine[r, h]),
-                }
+                {"retained_tokens": tokens[r][h], **fid.head_cell(r, h)}
                 for h in range(header.num_heads)
             ]
             for r in range(header.num_layers)
@@ -501,12 +612,7 @@ def build_eval_report(
                 "policy": policy,
                 "budget_ratio": ratio,
                 "memory": result.memory(cell, header)._asdict(),
-                "fidelity": {
-                    "decode_queries": fid.decode_queries,
-                    "mean_l2": fid.mean_l2,
-                    "mean_cosine": fid.mean_cosine,
-                    "per_head": per_head,
-                },
+                "fidelity": {**fid.summary(), "per_head": per_head},
             }
         )
     report = {
@@ -530,16 +636,8 @@ def _csv_rows(report: dict) -> Iterator[list]:
     for entry in report["policies"]:
         for r, layer_rows in enumerate(entry["fidelity"]["per_head"]):
             for h, cell in enumerate(layer_rows):
-                yield [
-                    entry["policy"],
-                    entry["budget_ratio"],
-                    r,
-                    h,
-                    report["classifications"][r][h],
-                    cell["retained_tokens"],
-                    cell["l2_error"],
-                    cell["cosine_similarity"],
-                ]
+                head_class = report["classifications"][r][h]
+                yield [entry["policy"], entry["budget_ratio"], r, h, head_class, *cell.values()]
 
 
 def _write_bytes(destination, payload: bytes) -> int:

@@ -16,7 +16,9 @@ from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, footprint
 from semkv.cli import _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
 from semkv.harness import (
+    FidelityReport,
     RunConfig,
+    _per_head,
     compress_run,
     export_pca_csv,
     export_report,
@@ -694,10 +696,7 @@ def in_memory_outputs(command, argv, trace, plans_files=()):
             fid = fidelity_eval(trace, [BudgetPlan.from_json_dict(d) for d in payload["layers"]], dq)
             rows.append({
                 "plans": os.path.basename(path), "policy": payload["policy"],
-                "budget_ratio": payload["budget_ratio"], "decode_queries": fid.decode_queries,
-                "mean_l2": fid.mean_l2, "mean_cosine": fid.mean_cosine,
-                "per_head_l2": fid.per_head_l2.tolist(),
-                "per_head_cosine": fid.per_head_cosine.tolist(),
+                "budget_ratio": payload["budget_ratio"], **fid.to_json_dict(),
             })
         return {"fidelity.json": _json_line({"fidelity": rows})}
     if command == "pca":
@@ -1044,6 +1043,51 @@ class TestInputLimits:
             "error": "ParameterError", "message": f"window_len {window} outside [1, 96]"
         }
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--policy", "full"), ("--budget", "0.7"), ("--beta", "0.5"), ("--m-top", "2"),
+            ("--top-t", "8"), ("--kernel", "5"), ("--sinks", "99"), ("--recents", "3"),
+            ("--seed", "4"), ("--window", "8"),
+        ],
+    )
+    def test_eval_rejects_flags_it_does_not_read(
+        self, trace_file, tmp_path, capsys, flag, value
+    ):
+        # --seed seeds only a synthetic trace, and --window only sets the
+        # default decode rows, which --decode-queries overrides here
+        plans = tmp_path / "plans"
+        argv = ["--trace", str(trace_file), *PIPE_ARGS]
+        assert run_cli(capsys, "compress", *argv, "--out", str(plans))[0] == 0
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_file), "--decode-queries", "8", flag, value,
+            "--plans", str(plans / "plans_task-kv_0.5.json"), "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"eval does not read {flag}"
+        }
+        assert not (out / "fidelity.json").exists()
+
+    def test_eval_accepts_a_shared_config_file(self, trace_file, tmp_path, capsys):
+        plans = tmp_path / "plans"
+        argv = ["--trace", str(trace_file), *PIPE_ARGS]
+        assert run_cli(capsys, "compress", *argv, "--out", str(plans))[0] == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "policies": ["task-kv"], "budget_ratios": [0.5], "beta": 0.375, "top_m": 3,
+            "top_t": 96, "window_len": 16, "kernel": 3, "sinks": 4, "recents": 8, "seed": 1,
+            "decode_queries": 8,
+        }))
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "eval", "--config", str(config), "--trace", str(trace_file),
+            "--plans", str(plans / "plans_task-kv_0.5.json"), "--out", str(out),
+        )
+        assert code == 0, err
+        assert (out / "fidelity.json").exists()
+
 
 class TestOutputSchema:
     """Every record a command writes holds its record type's fields, by name
@@ -1103,3 +1147,18 @@ class TestOutputSchema:
         layer = _as_json(plan.to_json_dict())
         assert list(layer)[-1] == "note" and layer["note"] == "kept"
         assert LoggedPlan.from_json_dict(layer).note == "kept"
+
+    def test_a_metric_added_to_fidelity_reaches_its_records(self):
+        @dataclasses.dataclass
+        class WithMass(FidelityReport):
+            per_head_mass: np.ndarray = _per_head("retained_mass", "mean_mass")
+
+        fid = WithMass(4, np.zeros((1, 2)), np.ones((1, 2)), np.full((1, 2), 0.5))
+        assert list(fid.to_json_dict()) == [
+            "decode_queries", "mean_l2", "mean_cosine", "mean_mass",
+            "per_head_l2", "per_head_cosine", "per_head_mass",
+        ]
+        assert fid.summary()["mean_mass"] == 0.5
+        assert fid.head_cell(0, 1) == {
+            "l2_error": 0.0, "cosine_similarity": 1.0, "retained_mass": 0.5
+        }

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semkv.allocator import PolicyKind, build_head_entry, footprint
+from semkv.allocator import BudgetPlan, PolicyKind, build_head_entry, footprint
 from semkv.errors import (
     CacheConsistencyError,
     InfeasibleBudgetError,
@@ -218,7 +218,8 @@ def built_entries(trace, plans):
 
 
 def cache_oracle_fidelity(trace, plans, decode_queries):
-    """Reference fidelity: build the whole cache, then score every head's entry."""
+    """Reference fidelity: build the whole cache, then score every head's
+    entry with its own masked softmax."""
     cache = built_entries(trace, plans)
     full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
     first_row = trace.seq_len - decode_queries
@@ -238,6 +239,27 @@ def cache_oracle_fidelity(trace, plans, decode_queries):
             l2[r, h] = float(np.linalg.norm(diff, axis=1).mean())
             cos[r, h] = float(_rows_cosine(full[r, h], retained_out).mean())
     return l2, cos
+
+
+# How far head-major scoring may move from the cache oracle: it sums the
+# softmax in another order, under a shared shift. Measured maxima over the
+# `TestFidelityFromPlans` traces: L2 4.5e-13 relative, 1.7e-15 of the
+# head's mean full-output norm (an L2 the oracle scores exactly 0), and
+# cosine 1.7e-16 absolute.
+ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-14
+
+
+def assert_matches_cache_oracle(trace, plans, decode_queries):
+    """`fidelity_eval` of `plans` agrees with `cache_oracle_fidelity`: per
+    head within ORACLE_RTOL relative plus ORACLE_ATOL of the head's mean
+    full-output norm (L2), or ORACLE_ATOL absolute (cosine)."""
+    fid = fidelity_eval(trace, plans, decode_queries)
+    l2, cos = cache_oracle_fidelity(trace, plans, decode_queries)
+    full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
+    scale = np.linalg.norm(full, axis=-1).mean(axis=-1)
+    assert np.all(np.abs(fid.per_head_l2 - l2) <= ORACLE_RTOL * l2 + ORACLE_ATOL * scale)
+    assert np.all(np.abs(fid.per_head_cosine - cos) <= ORACLE_RTOL * np.abs(cos) + ORACLE_ATOL)
+    return fid
 
 
 def fortran_float64_trace(seed, shape):
@@ -287,16 +309,40 @@ class TestFidelityFromPlans:
     }
 
     @pytest.mark.parametrize("name", sorted(TRACES))
-    def test_equals_whole_cache_oracle_bit_for_bit(self, name):
+    def test_matches_whole_cache_oracle(self, name):
         trace = self.TRACES[name]()
         cfg = clustered_config(policies=ALL_POLICIES, budget_ratios=(0.4, 0.7, 1.0))
         result = compress_run(cfg, trace)
         assert len(result.plans) == 18
         for plans in result.plans.values():
-            fid = fidelity_eval(trace, plans, 8)
-            l2, cos = cache_oracle_fidelity(trace, plans, 8)
-            assert np.array_equal(fid.per_head_l2, l2)
-            assert np.array_equal(fid.per_head_cosine, cos)
+            assert_matches_cache_oracle(trace, plans, 8)
+
+    def test_rows_whose_retained_keys_underflow_are_rescored(self):
+        # decode rows 56..63 score key 10 at 1000 and every other key within
+        # a few units of 0, so every retained exponential underflows under
+        # the full-cache row max
+        seq_len, head_dim = 64, 4
+        rng = np.random.default_rng(26)
+        data = np.zeros((1, 1, 3, seq_len, head_dim))
+        data[0, 0, 0, :, 0] = 40.0
+        data[0, 0, 1] = 0.1 * rng.standard_normal((seq_len, head_dim))
+        data[0, 0, 1, 10] = [50.0, 0.0, 0.0, 0.0]
+        data[0, 0, 2] = 0.1 * rng.standard_normal((seq_len, head_dim))
+        data[0, 0, 2, :, 0] = 1.0
+        trace = AttentionTrace(TraceHeader(1, 1, seq_len, head_dim), data)
+        retained = [np.r_[0:4, 56:64]]
+        for groups in (None, [[(4, 20), (20, 56)]]):
+            plan = BudgetPlan(
+                0, PolicyKind.COMPRESSED_CACHE, 0, 4, 8, 0, False,
+                [HeadClass.NON_HETEROGENEOUS], retained, groups,
+            )
+            fid = assert_matches_cache_oracle(trace, [plan], 8)
+            assert np.isfinite(fid.per_head_l2).all() and np.isfinite(fid.per_head_cosine).all()
+            # a blind row would score cosine 0 and L2 ||o||; these rows see
+            # retained keys, whose values point the way the full output does
+            assert fid.per_head_cosine[0, 0] > 0.9
+            full_norm = np.linalg.norm(decode_outputs(trace.data[0], 8)[0], axis=1).mean()
+            assert fid.per_head_l2[0, 0] < full_norm / 2
 
     def test_layer_count_mismatch_rejected(self):
         cfg = clustered_config(seed=23)
@@ -569,5 +615,9 @@ class TestReportFixture:
 
 
 # The `pca` block this pins agrees with the power-iteration oracle to 3.0e-10
-# of the largest coordinate (tests/test_linalg.py::TestPCAOracle).
-REPORT_FIXTURE_SHA256 = "432f574246fd188e90eb4c710a6eddabc586cf1a13c3212fd1dc3ea6d67aa838"
+# of the largest coordinate (tests/test_linalg.py::TestPCAOracle). Its
+# fidelity floats come from head-major scoring: against the per-cell
+# scoring they replaced, only `l2_error`, `cosine_similarity` and `mean_l2`
+# moved, by at most 7.1e-16 relative, within ORACLE_RTOL; every other key
+# is unchanged.
+REPORT_FIXTURE_SHA256 = "b35e6fd206825a517f36a25bdc98d54b5623812277acb3dee47f65f8668a9eed"
