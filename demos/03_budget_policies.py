@@ -1,7 +1,7 @@
 """Budget policies side by side: what each one keeps, and what it costs.
 
 Builds one layer's plans under every policy at a 40% budget and prints the
-retained-set structure per head plus the memory accounting. Also shows the
+[start, stop) runs each head keeps plus the memory accounting. Also shows the
 middle-activation arithmetic at the reference operating point.
 """
 
@@ -43,15 +43,14 @@ print(f"one layer, n=8, N=256, planted heads {sorted(planted)} heterogeneous, "
       f"budget 40% -> B={budget}\n")
 
 
-def describe(idx, groups=None):
-    parts = []
-    runs = np.split(idx, np.where(np.diff(idx) != 1)[0] + 1)
-    for run in runs[:4]:
-        parts.append(f"{run[0]}..{run[-1]}" if len(run) > 1 else f"{run[0]}")
-    text = ", ".join(parts) + (", ..." if len(runs) > 4 else "")
-    if groups:
+def describe(plan, head):
+    runs = plan.per_head_runs[head]
+    text = ", ".join(f"[{a}, {b})" for a, b in runs[:4].tolist())
+    text += ", ..." if len(runs) > 4 else ""
+    groups = plan.per_head_groups[head] if plan.per_head_groups else []
+    if len(groups):
         text += f" + {len(groups)} synthetic group means"
-    return f"{len(idx):>3} tokens: [{text}]"
+    return f"{plan.head_tokens(head):>3} rows, {len(runs)} run(s): {text}"
 
 
 for policy in PolicyKind:
@@ -63,6 +62,5 @@ for policy in PolicyKind:
           f"{tokens * 2 * 16 * 4} bytes of float32 K/V, {tokens / (256 * 8):.1%} of full)")
     for h in (sorted(planted)[0], [h for h in range(8) if h not in planted][0]):
         kind = "het" if classes[h] == HeadClass.HETEROGENEOUS else "non"
-        groups = plan.per_head_groups[h] if plan.per_head_groups else None
-        print(f"   head {h} ({kind}): {describe(plan.per_head_retained[h], groups)}")
+        print(f"   head {h} ({kind}): {describe(plan, h)}")
     print()

@@ -15,10 +15,12 @@ from .allocator import (
     apply_policy,
     build_head_entry,
     check_plans,
+    expand_runs,
     keeps_every_position,
     middle_activation_count,
     pool_scores,
-    select_retained_indices,
+    runs_of,
+    select_retained_runs,
 )
 from .contribution import (
     BoundSuiteReport,

@@ -5,11 +5,17 @@ README's policy table: heterogeneous heads keep everything under the
 head-aware policies (task-kv, no-cache, compressed-cache), and the other
 heads keep sinks, recents and k middle slots. The layer budget is
 B = floor(budget_ratio * N * n) tokens.
+
+A plan holds what each head keeps as ranges: its retained positions as an
+(r, 2) array of maximal [start, stop) runs, and its compressed-cache
+groups as a (g, 2) array of [start, stop) bounds. Everything, sinks,
+recents and the observation window are one run each; only top-k picks
+are scattered. Positions are expanded (`expand_runs`) only where rows are
+gathered, in `check_head_plan`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -83,7 +89,46 @@ def pool_scores(scores: np.ndarray, kernel: int) -> np.ndarray:
     return (cumsum[hi] - cumsum[lo]) / (hi - lo)
 
 
-def select_retained_indices(
+# The (0, 2) array of a head with no runs or no groups, shared by every plan.
+_NO_RANGES = np.empty((0, 2), dtype=np.intp)
+_NO_RANGES.flags.writeable = False
+
+
+def _joined(ranges: np.ndarray) -> np.ndarray:
+    """Sorted, non-overlapping [start, stop) ranges with the empty ones
+    dropped and each touching pair merged: maximal runs."""
+    ranges = ranges[ranges[:, 1] > ranges[:, 0]]
+    if not len(ranges):
+        return ranges
+    apart = ranges[1:, 0] > ranges[:-1, 1]
+    starts = ranges[np.concatenate([[True], apart]), 0]
+    stops = ranges[np.concatenate([apart, [True]]), 1]
+    return np.stack([starts, stops], axis=1)
+
+
+def runs_of(positions) -> np.ndarray:
+    """The maximal [start, stop) runs, (r, 2) intp, of sorted unique positions."""
+    p = np.asarray(positions, dtype=np.intp)
+    return _joined(np.stack([p, p + 1], axis=1))
+
+
+def expand_runs(runs: np.ndarray) -> np.ndarray:
+    """The sorted positions that (r, 2) non-empty [start, stop) runs cover.
+
+    Position i of the output is i plus the shift of the run it falls in,
+    one `np.repeat` of each run's start less the count of positions
+    before it.
+    """
+    lengths = runs[:, 1] - runs[:, 0]
+    before = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum(), dtype=np.intp) + np.repeat(runs[:, 0] - before, lengths)
+
+
+def _everything_runs(seq_len: int) -> np.ndarray:
+    return np.array([[0, seq_len]], dtype=np.intp)
+
+
+def select_retained_runs(
     head_class: HeadClass,
     pooled: np.ndarray,
     seq_len: int,
@@ -91,35 +136,40 @@ def select_retained_indices(
     recents: int,
     k: int,
 ) -> np.ndarray:
-    """Sorted original positions a head keeps.
+    """The maximal [start, stop) runs of the positions a head keeps.
 
-    Heterogeneous heads keep everything. Others keep the first `sinks`, the
-    last `recents`, and the k top pooled scores from the middle region
-    [sinks, N - recents); if sinks + recents >= N the whole sequence stays.
+    Heterogeneous heads keep everything, [0, N). Others keep the first
+    `sinks`, the last `recents`, and the k top pooled scores from the middle
+    region [sinks, N - recents); if sinks + recents >= N the whole sequence
+    stays.
     """
     if head_class == HeadClass.HETEROGENEOUS or sinks + recents >= seq_len:
-        return np.arange(seq_len)
+        return _everything_runs(seq_len)
     middle_lo, middle_hi = sinks, seq_len - recents
-    keep = [np.arange(middle_lo), np.arange(middle_hi, seq_len)]
+    picks = _NO_RANGES
     if k > 0:
         middle = np.asarray(pooled, dtype=np.float64)[middle_lo:middle_hi]
-        picks = top_t_indices(middle, min(k, middle_hi - middle_lo)) + middle_lo
-        keep.insert(1, picks)
-    return np.sort(np.concatenate(keep))
+        picks = runs_of(top_t_indices(middle, min(k, middle_hi - middle_lo)) + middle_lo)
+    return _joined(np.concatenate([[[0, middle_lo]], picks, [[middle_hi, seq_len]]]))
 
 
-def _middle_groups(seq_len: int, sinks: int, recents: int, k: int) -> list[tuple[int, int]]:
-    """Split the middle region into up to k contiguous, non-empty [start, stop) groups."""
+def _middle_groups(seq_len: int, sinks: int, recents: int, k: int) -> np.ndarray:
+    """Split the middle region into up to k contiguous, non-empty [start, stop)
+    groups, as a (g, 2) array."""
     lo, hi = sinks, seq_len - recents
     if k <= 0 or hi <= lo:
-        return []
-    bounds = np.linspace(lo, hi, min(k, hi - lo) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        return _NO_RANGES
+    bounds = np.linspace(lo, hi, min(k, hi - lo) + 1).astype(np.intp)
+    groups = np.stack([bounds[:-1], bounds[1:]], axis=1)
+    return groups[groups[:, 1] > groups[:, 0]]
 
 
 @dataclass
 class BudgetPlan:
-    """Retained-token decision for one layer under one policy."""
+    """Retained-token decision for one layer under one policy: per head,
+    the (r, 2) [start, stop) runs of the positions it keeps and, under
+    compressed-cache, the (g, 2) [start, stop) groups behind its
+    synthetic rows."""
 
     layer: int
     policy: PolicyKind
@@ -129,24 +179,28 @@ class BudgetPlan:
     middle_k: int
     clamped: bool
     head_classes: list[HeadClass]
-    per_head_retained: list[np.ndarray]
-    per_head_groups: list[list[tuple[int, int]]] | None = None
+    per_head_runs: list[np.ndarray]
+    per_head_groups: list[np.ndarray] | None = None
 
     def head_tokens(self, head: int) -> int:
-        """Cache rows head `head` holds: its retained positions plus its groups."""
+        """Cache rows head `head` holds: its runs' lengths plus its groups."""
+        runs = self.per_head_runs[head]
         groups = 0 if self.per_head_groups is None else len(self.per_head_groups[head])
-        return len(self.per_head_retained[head]) + groups
+        return int((runs[:, 1] - runs[:, 0]).sum()) + groups
 
     def retained_tokens(self) -> int:
-        return sum(self.head_tokens(h) for h in range(len(self.per_head_retained)))
+        return sum(self.head_tokens(h) for h in range(len(self.per_head_runs)))
 
     def to_json_dict(self) -> dict:
         """The plan's fields by name, what a plans file holds of each layer:
-        positions as lists, and `per_head_groups` only when the plan has groups."""
+        runs and groups as lists of [start, stop] pairs, and
+        `per_head_groups` only when the plan has groups."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["per_head_retained"] = [r.tolist() for r in self.per_head_retained]
+        out["per_head_runs"] = [r.tolist() for r in self.per_head_runs]
         if self.per_head_groups is None:
             del out["per_head_groups"]
+        else:
+            out["per_head_groups"] = [g.tolist() for g in self.per_head_groups]
         return out
 
     @classmethod
@@ -160,33 +214,56 @@ class BudgetPlan:
             return cls(**values)
         except KeyError as exc:
             raise PlanFormatError(f"plan is missing key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise PlanFormatError(f"bad plan: {exc}") from exc
 
+
+def _is_pair(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(x) is int for x in value)  # not a bool, not a float
+    )
+
+
+def _ranges_per_head(name: str):
+    """A plans file's per-head lists of [start, stop] integer pairs as (r, 2)
+    intp arrays; anything else (a flat index, a float, a bool, a deeper
+    nesting) raises TypeError naming the field."""
+
+    def convert(heads) -> list[np.ndarray]:
+        if not isinstance(heads, list) or not all(
+            isinstance(pairs, list) and all(map(_is_pair, pairs)) for pairs in heads
+        ):
+            raise TypeError(f"{name} must hold one list of [start, stop] integer pairs per head")
+        return [np.array(pairs, dtype=np.intp).reshape(-1, 2) for pairs in heads]
+
+    return convert
+
+
+_groups_from_json = _ranges_per_head("per_head_groups")
 
 # How a plans file's value becomes the `BudgetPlan` field of its key, for
 # each field that JSON does not hold as is.
 _PLAN_FROM_JSON = {
     "policy": PolicyKind,
     "head_classes": lambda classes: [HeadClass(c) for c in classes],
-    "per_head_retained": lambda heads: [np.asarray(r, dtype=int) for r in heads],
-    "per_head_groups": lambda heads: None if heads is None else [
-        [(int(a), int(b)) for a, b in groups] for groups in heads
-    ],
+    "per_head_runs": _ranges_per_head("per_head_runs"),
+    "per_head_groups": lambda heads: None if heads is None else _groups_from_json(heads),
 }
 
 
 class PolicyKeep(NamedTuple):
-    """What a policy keeps in one layer: positions and groups per head, k, clamp."""
+    """What a policy keeps in one layer: runs and groups per head, k, clamp."""
 
-    retained: list[np.ndarray]
-    groups: list[list[tuple[int, int]]] | None
+    runs: list[np.ndarray]
+    groups: list[np.ndarray] | None
     k: int
     clamped: bool
 
 
 def _everything(n: int, seq_len: int) -> PolicyKeep:
-    return PolicyKeep([np.arange(seq_len) for _ in range(n)], None, 0, False)
+    return PolicyKeep([_everything_runs(seq_len) for _ in range(n)], None, 0, False)
 
 
 def _full(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
@@ -196,18 +273,18 @@ def _full(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKee
 def _sinks_then_recents(scores, per_head, sinks, window_len):
     seq_len = len(scores)
     s = min(sinks, per_head)
-    return np.concatenate([np.arange(s), np.arange(seq_len - (per_head - s), seq_len)])
+    return _joined(np.array([[0, s], [seq_len - (per_head - s), seq_len]], dtype=np.intp))
 
 
 def _window_then_top(scores, per_head, sinks, window_len):
     seq_len = len(scores)
     w = min(window_len, per_head)
-    window = np.arange(seq_len - w, seq_len)
+    window = np.array([[seq_len - w, seq_len]], dtype=np.intp)
     if per_head <= w:
-        return window
+        return _joined(window)
     before = scores[: seq_len - window_len]
-    picks = top_t_indices(before, min(per_head - w, before.shape[0]))
-    return np.sort(np.concatenate([picks, window]))
+    picks = runs_of(top_t_indices(before, min(per_head - w, before.shape[0])))
+    return _joined(np.concatenate([picks, window]))
 
 
 def _uniform(keep):
@@ -226,19 +303,19 @@ def _uniform(keep):
 
 def _top_k_slots(head_class, scores, seq_len, sinks, recents, k):
     """task-kv: the k highest pooled middle scores."""
-    return select_retained_indices(head_class, scores, seq_len, sinks, recents, k), None
+    return select_retained_runs(head_class, scores, seq_len, sinks, recents, k), None
 
 
 def _recent_slots(head_class, scores, seq_len, sinks, recents, k):
     """no-cache: k more recents."""
-    return select_retained_indices(head_class, scores, seq_len, sinks, recents + k, 0), None
+    return select_retained_runs(head_class, scores, seq_len, sinks, recents + k, 0), None
 
 
 def _group_mean_slots(head_class, scores, seq_len, sinks, recents, k):
     """compressed-cache: up to k synthetic group means over the middle."""
-    kept = select_retained_indices(head_class, scores, seq_len, sinks, recents, 0)
+    kept = select_retained_runs(head_class, scores, seq_len, sinks, recents, 0)
     if head_class == HeadClass.HETEROGENEOUS:
-        return kept, []
+        return kept, _NO_RANGES
     return kept, _middle_groups(seq_len, sinks, recents, k)
 
 
@@ -349,7 +426,7 @@ def apply_policy(
         keep.k,
         keep.clamped,
         list(head_classes),
-        keep.retained,
+        keep.runs,
         keep.groups,
     )
 
@@ -376,9 +453,10 @@ class CacheEntry:
             raise CacheConsistencyError("cache positions must be strictly increasing")
 
 
-def _check_groups(bounds: np.ndarray, seq_len: int, where: str) -> None:
-    """(g, 2) group bounds must be non-empty, sorted, non-overlapping and
-    inside [0, N); the first group that is not names the error."""
+def _check_groups(bounds: np.ndarray, seq_len: int, where: str, what: str = "group") -> None:
+    """(g, 2) [start, stop) bounds, a head's groups or its runs, must be
+    non-empty, sorted, non-overlapping and inside [0, N); the first `what`
+    that is not names the error."""
     starts, stops = bounds[:, 0], bounds[:, 1]
     out_of_range = (starts < 0) | (stops <= starts) | (stops > seq_len)
     overlapping = starts < np.concatenate([[0], stops[:-1]])
@@ -386,12 +464,12 @@ def _check_groups(bounds: np.ndarray, seq_len: int, where: str) -> None:
     if bad.size:
         a, b = bounds[bad[0]]
         kind = "out of range" if out_of_range[bad[0]] else "unsorted or overlapping"
-        raise CacheConsistencyError(f"{where}: group [{a}, {b}) {kind}")
+        raise CacheConsistencyError(f"{where}: {what} [{a}, {b}) {kind}")
 
 
-def group_means(rows: np.ndarray, groups) -> np.ndarray:
-    """Float64 mean row of each checked [start, stop) group of C-contiguous
-    `rows`; `groups` is a list of pairs or a (g, 2) array.
+def group_means(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Float64 mean row of each checked [start, stop) group, a row of the
+    (g, 2) `groups`, of C-contiguous `rows`.
 
     Groups of one length are gathered into a (groups, length, d) block,
     widened to float64 and reduced over its middle axis, which adds in the
@@ -402,9 +480,8 @@ def group_means(rows: np.ndarray, groups) -> np.ndarray:
     differently on float64 data. Plans from `_middle_groups` have at most
     two lengths.
     """
-    bounds = np.asarray(groups, dtype=np.intp)
-    starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    means = np.empty((len(bounds), rows.shape[1]))
+    starts, lengths = groups[:, 0], groups[:, 1] - groups[:, 0]
+    means = np.empty((len(groups), rows.shape[1]))
     for length in np.unique(lengths):
         pick = lengths == length
         block = np.asarray(rows[starts[pick, None] + np.arange(length)], dtype=np.float64)
@@ -414,13 +491,19 @@ def group_means(rows: np.ndarray, groups) -> np.ndarray:
 
 def check_plans(trace, plans) -> list[BudgetPlan]:
     """The plans as a list, one per layer of `trace` (an `AttentionTrace` or
-    a `TraceHeader`), each covering every head."""
+    a `TraceHeader`), plan r for layer r, each covering every head."""
     plans = list(plans)
     if len(plans) != trace.num_layers:
         raise CacheConsistencyError(f"{len(plans)} plans for {trace.num_layers} layers")
     n_heads = trace.num_heads
     for r, plan in enumerate(plans):
-        covered = (("retained", plan.per_head_retained), ("groups", plan.per_head_groups))
+        if plan.layer != r:
+            raise CacheConsistencyError(f"plan {r} is for layer {plan.layer}")
+        covered = (
+            ("runs", plan.per_head_runs),
+            ("groups", plan.per_head_groups),
+            ("head classes", plan.head_classes),
+        )
         for what, per_head in covered:
             if per_head is not None and len(per_head) != n_heads:
                 raise CacheConsistencyError(
@@ -430,15 +513,18 @@ def check_plans(trace, plans) -> list[BudgetPlan]:
 
 
 def keeps_every_position(plan: BudgetPlan, head: int, seq_len: int) -> bool:
-    """Whether the head's cache is the whole sequence and nothing else."""
-    groups = None if plan.per_head_groups is None else plan.per_head_groups[head]
-    return not groups and np.array_equal(plan.per_head_retained[head], np.arange(seq_len))
+    """Whether the head's cache is the whole sequence and nothing else: its
+    runs are the one run [0, N) and it has no groups."""
+    runs = plan.per_head_runs[head]
+    whole = runs.shape == (1, 2) and runs[0, 0] == 0 and runs[0, 1] == seq_len
+    return bool(whole) and (plan.per_head_groups is None or not len(plan.per_head_groups[head]))
 
 
 class HeadPlan(NamedTuple):
-    """One head's checked share of a layer plan: its retained positions,
-    its groups as (g, 2) [start, stop) bounds and the sorted positions of
-    its cache rows (the retained positions and each group's start)."""
+    """One head's checked share of a layer plan: its retained positions
+    (its runs expanded), its groups as (g, 2) [start, stop) bounds and the
+    sorted positions of its cache rows (the retained positions and each
+    group's start)."""
 
     retained: np.ndarray
     groups: np.ndarray
@@ -448,23 +534,27 @@ class HeadPlan(NamedTuple):
 def check_head_plan(plan: BudgetPlan, layer: int, head: int, seq_len: int) -> HeadPlan:
     """Head `head`'s share of layer `layer`'s plan, checked against N.
 
-    A retained index outside [0, N), a group out of range, unsorted or
-    overlapping, and cache positions that are not strictly increasing each
-    raise CacheConsistencyError naming the layer and head.
+    A run or a group that is empty, out of [0, N), unsorted or overlapping,
+    a run that touches the one before it (runs are maximal, so a head that
+    keeps everything is always [[0, N]]), and a group that starts on a
+    retained position (so cache positions are not strictly increasing)
+    each raise CacheConsistencyError naming the layer and head.
     """
     where = f"layer {layer} head {head}"
-    idx = np.asarray(plan.per_head_retained[head], dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= seq_len):
-        raise CacheConsistencyError(f"{where}: retained index outside [0, {seq_len})")
-    groups = [] if plan.per_head_groups is None else plan.per_head_groups[head]
-    bounds = np.fromiter(
-        itertools.chain.from_iterable(groups), dtype=np.intp, count=2 * len(groups)
-    ).reshape(-1, 2)
-    _check_groups(bounds, seq_len, where)
-    positions = np.sort(np.concatenate([idx, bounds[:, 0]])) if len(bounds) else idx
-    if np.any(np.diff(positions) <= 0):
-        raise CacheConsistencyError(f"{where}: cache positions must be strictly increasing")
-    return HeadPlan(idx, bounds, positions)
+    runs = plan.per_head_runs[head]
+    _check_groups(runs, seq_len, where, "run")
+    touching = np.flatnonzero(runs[1:, 0] == runs[:-1, 1])
+    if touching.size:
+        a, b = runs[touching[0] + 1]
+        raise CacheConsistencyError(f"{where}: run [{a}, {b}) touches the run before it")
+    groups = _NO_RANGES if plan.per_head_groups is None else plan.per_head_groups[head]
+    _check_groups(groups, seq_len, where)
+    idx = positions = expand_runs(runs)
+    if len(groups):
+        positions = np.sort(np.concatenate([idx, groups[:, 0]]))
+        if np.any(np.diff(positions) <= 0):
+            raise CacheConsistencyError(f"{where}: cache positions must be strictly increasing")
+    return HeadPlan(idx, groups, positions)
 
 
 def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int) -> CacheEntry:

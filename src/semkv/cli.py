@@ -368,6 +368,10 @@ def _cmd_compress(args) -> int:
 
 
 def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
+    """A plans file's policy, budget ratio and plans, checked against the
+    trace `header`: a file that is not a plans file, or whose layers do not
+    all name its policy, raises PlanFormatError; plans that do not fit the
+    trace raise CacheConsistencyError."""
     with open(path) as f:
         payload = json.load(f)
     try:
@@ -375,9 +379,17 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
         dims = payload["trace"]
     except (KeyError, TypeError) as exc:
         raise PlanFormatError(f"{path}: not a plans file ({exc!r})") from exc
+    if not isinstance(layers, list):
+        raise PlanFormatError(f"{path}: layers must be a list, got {type(layers).__name__}")
     if dims != header.dims:
         raise CacheConsistencyError(f"{path}: plans for trace {dims}, not {header.dims}")
-    return policy, ratio, check_plans(header, [BudgetPlan.from_json_dict(d) for d in layers])
+    plans = [BudgetPlan.from_json_dict(d) for d in layers]
+    for plan in plans:
+        if plan.policy.value != policy:
+            raise PlanFormatError(
+                f"{path}: layer {plan.layer} has policy {plan.policy.value!r}, file has {policy!r}"
+            )
+    return policy, ratio, check_plans(header, plans)
 
 
 # The shared run flags that `eval` never reads, by argparse dest. Each one

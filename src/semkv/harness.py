@@ -173,7 +173,7 @@ class RunResult:
     def add(self, step: LayerStep, keep_plans: bool) -> None:
         self.profiles.append(step.profiles)
         for cell, plan in step.plans.items():
-            heads = range(len(plan.per_head_retained))
+            heads = range(len(plan.per_head_runs))
             self.head_tokens.setdefault(cell, []).append([plan.head_tokens(h) for h in heads])
             if keep_plans:
                 self.plans.setdefault(cell, []).append(plan)

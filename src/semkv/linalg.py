@@ -134,13 +134,19 @@ def pca_2d(points) -> np.ndarray:
     return coords
 
 
-def spectral_norm(matrix) -> float:
-    """Largest singular value, from LAPACK's SVD (np.linalg.norm(w, 2)).
+def spectral_norm(matrix):
+    """Largest singular value, from LAPACK's SVD (np.linalg.norm(w, 2)), of a
+    matrix (a float) or of each matrix in a (k, m, n) stack (a (k,) array).
 
-    An all-zero matrix returns 0.0.
+    Each matrix of a stack gets the bits it gets on its own. An all-zero
+    matrix returns 0.0.
     """
-    w = _as_matrix(matrix, "matrix")
+    w = np.asarray(matrix, dtype=np.float64)
+    if w.ndim not in (2, 3):
+        raise DimensionError(f"matrix must be 2-D or a 3-D stack, got shape {w.shape}")
     if w.size == 0:
         raise EmptyInputError("spectral_norm needs a non-empty matrix")
     _require_finite(w, "matrix")
-    return float(np.linalg.norm(w, 2))
+    if w.ndim == 2:
+        return float(np.linalg.norm(w, 2))
+    return np.linalg.norm(w, 2, axis=(1, 2))

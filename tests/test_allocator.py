@@ -1,12 +1,15 @@
 """Budget arithmetic, token selection, policy plans, cache assembly, accounting."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semkv.allocator import (
     POLICIES,
@@ -16,10 +19,13 @@ from semkv.allocator import (
     build_head_entry,
     check_cell,
     check_plans,
+    expand_runs,
     footprint,
+    keeps_every_position,
     middle_activation_count,
     pool_scores,
-    select_retained_indices,
+    runs_of,
+    select_retained_runs,
 )
 from semkv.errors import (
     AllHeadsHeterogeneousError,
@@ -45,6 +51,11 @@ def classes_with_het(n, het):
         HeadClass.HETEROGENEOUS if h in het else HeadClass.NON_HETEROGENEOUS
         for h in range(n)
     ]
+
+
+def retained(plan):
+    """Each head's retained positions: its runs expanded."""
+    return [expand_runs(runs) for runs in plan.per_head_runs]
 
 
 class TestMiddleActivationCount:
@@ -100,22 +111,26 @@ class TestSelectRetainedIndices:
     def test_sinks_recents_and_peaks(self):
         pooled = np.zeros(10)
         pooled[4], pooled[6] = 0.9, 0.8
-        idx = select_retained_indices(HeadClass.NON_HETEROGENEOUS, pooled, 10, 2, 3, 2)
-        np.testing.assert_array_equal(idx, [0, 1, 4, 6, 7, 8, 9])
+        runs = select_retained_runs(HeadClass.NON_HETEROGENEOUS, pooled, 10, 2, 3, 2)
+        np.testing.assert_array_equal(expand_runs(runs), [0, 1, 4, 6, 7, 8, 9])
+        np.testing.assert_array_equal(runs, [[0, 2], [4, 5], [6, 10]])
 
     def test_heterogeneous_keeps_everything(self):
-        idx = select_retained_indices(HeadClass.HETEROGENEOUS, np.zeros(7), 7, 1, 1, 1)
-        np.testing.assert_array_equal(idx, np.arange(7))
+        runs = select_retained_runs(HeadClass.HETEROGENEOUS, np.zeros(7), 7, 1, 1, 1)
+        np.testing.assert_array_equal(expand_runs(runs), np.arange(7))
+        np.testing.assert_array_equal(runs, [[0, 7]])
 
     def test_overlapping_sinks_recents_collapse_to_all(self):
-        idx = select_retained_indices(HeadClass.NON_HETEROGENEOUS, np.zeros(5), 5, 4, 4, 2)
-        np.testing.assert_array_equal(idx, np.arange(5))
+        runs = select_retained_runs(HeadClass.NON_HETEROGENEOUS, np.zeros(5), 5, 4, 4, 2)
+        np.testing.assert_array_equal(expand_runs(runs), np.arange(5))
+        np.testing.assert_array_equal(runs, [[0, 5]])
 
     def test_middle_ties_break_low(self):
         pooled = np.zeros(8)
         pooled[2:6] = 0.5
-        idx = select_retained_indices(HeadClass.NON_HETEROGENEOUS, pooled, 8, 1, 1, 2)
-        np.testing.assert_array_equal(idx, [0, 2, 3, 7])
+        runs = select_retained_runs(HeadClass.NON_HETEROGENEOUS, pooled, 8, 1, 1, 2)
+        np.testing.assert_array_equal(expand_runs(runs), [0, 2, 3, 7])
+        np.testing.assert_array_equal(runs, [[0, 1], [2, 4], [7, 8]])
 
 
 def small_trace(seed=0, shape=(1, 4, 48, 6), kind="uniform-random", **kw):
@@ -141,7 +156,7 @@ class TestApplyPolicy:
     def test_full_keeps_everything(self):
         trace = small_trace()
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
-        for idx in plan.per_head_retained:
+        for idx in retained(plan):
             np.testing.assert_array_equal(idx, np.arange(48))
 
     def test_streaming_reference_sizes(self):
@@ -151,7 +166,7 @@ class TestApplyPolicy:
             trace, classes_with_het(1, set()), PolicyKind.STREAMING,
             272 / 1024, sinks=16, recents=256,
         )
-        idx = plan.per_head_retained[0]
+        idx = retained(plan)[0]
         np.testing.assert_array_equal(
             idx, np.concatenate([np.arange(16), np.arange(1024 - 256, 1024)])
         )
@@ -169,15 +184,15 @@ class TestApplyPolicy:
         assert plan.middle_k == expected_k and not plan.clamped
         for h in range(8):
             if classes[h] == HeadClass.HETEROGENEOUS:
-                assert len(plan.per_head_retained[h]) == 128
+                assert len(retained(plan)[h]) == 128
             else:
-                assert len(plan.per_head_retained[h]) == 4 + 8 + expected_k
+                assert len(retained(plan)[h]) == 4 + 8 + expected_k
 
     def test_task_kv_retains_sinks_and_recents(self):
         trace = small_trace(seed=5)
         plan = plan_for(trace, classes_with_het(4, {1}), PolicyKind.TASK_KV, 0.5)
         for h in (0, 2, 3):
-            idx = set(plan.per_head_retained[h].tolist())
+            idx = set(retained(plan)[h].tolist())
             assert set(range(2)) <= idx
             assert set(range(44, 48)) <= idx
 
@@ -186,7 +201,7 @@ class TestApplyPolicy:
         plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.NO_CACHE, 0.5)
         k = plan.middle_k
         for h in (1, 2, 3):
-            idx = plan.per_head_retained[h]
+            idx = retained(plan)[h]
             np.testing.assert_array_equal(
                 idx, np.concatenate([np.arange(2), np.arange(48 - 4 - k, 48)])
             )
@@ -201,13 +216,13 @@ class TestApplyPolicy:
             assert groups[0][0] == 2 and groups[-1][1] == 44
             for (a1, b1), (a2, b2) in zip(groups, groups[1:]):
                 assert b1 == a2 and a1 < b1
-        assert plan.per_head_groups[3] == []
+        assert plan.per_head_groups[3].shape == (0, 2)
 
     def test_uniform_topk_keeps_observation_window(self):
         trace = small_trace(seed=8)
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.UNIFORM_TOPK, 0.5)
         per_head = int(0.5 * 48)
-        for idx in plan.per_head_retained:
+        for idx in retained(plan):
             assert len(idx) == per_head
             assert set(range(40, 48)) <= set(idx.tolist())
 
@@ -230,7 +245,7 @@ class TestApplyPolicy:
         )
         assert plan.clamped and plan.middle_k == 0
         for h in (1, 2, 3):
-            assert len(plan.per_head_retained[h]) == 12
+            assert len(retained(plan)[h]) == 12
 
 
     def test_all_heterogeneous_layer_at_ratio_one_keeps_everything(self):
@@ -238,7 +253,7 @@ class TestApplyPolicy:
         for policy in (PolicyKind.TASK_KV, PolicyKind.NO_CACHE, PolicyKind.COMPRESSED_CACHE):
             plan = plan_for(trace, classes_with_het(4, {0, 1, 2, 3}), policy, 1.0)
             assert (plan.middle_k, plan.clamped, plan.per_head_groups) == (0, False, None)
-            for idx in plan.per_head_retained:
+            for idx in retained(plan):
                 np.testing.assert_array_equal(idx, np.arange(48))
 
     def test_infeasible_error_names_the_layer(self):
@@ -319,12 +334,32 @@ class TestPolicyTable:
                         except SemkvError as exc:
                             yield {"error": type(exc).__name__}
 
+    @staticmethod
+    def legacy(record):
+        """A plans record in the form the plans digest was frozen over: each
+        head's runs expanded, here in plain Python, into its sorted index
+        list under `per_head_retained`. The runs must be maximal: sorted,
+        non-empty and apart."""
+        if "error" in record:
+            return record
+        legacy = dict(record)
+        runs = legacy.pop("per_head_runs")
+        for head in runs:
+            assert all(a < b for a, b in head)
+            assert all(b < a for (_, b), (a, _) in zip(head, head[1:]))
+        legacy["per_head_retained"] = [[p for a, b in head for p in range(a, b)] for head in runs]
+        return legacy
+
     def test_frozen_plans_digest(self):
-        # frozen from the branch-tree `apply_policy` this table replaced
-        digest = hashlib.sha256()
+        # `PLANS_GRID_SHA256` is frozen from the branch-tree `apply_policy`
+        # the policy table replaced, over index lists: the grid's plans keep
+        # the same positions and groups as before they were held as runs.
+        # `PLANS_RUNS_GRID_SHA256` freezes the records a plans file holds.
+        digest, runs_digest = hashlib.sha256(), hashlib.sha256()
         counts = collections.Counter()
         for record in self.grid():
-            digest.update(json.dumps(record, sort_keys=True).encode())
+            digest.update(json.dumps(self.legacy(record), sort_keys=True).encode())
+            runs_digest.update(json.dumps(record, sort_keys=True).encode())
             counts[record.get("error", record.get("policy"))] += 1
             counts["clamped"] += bool(record.get("clamped"))
             counts["groups"] += "per_head_groups" in record
@@ -340,9 +375,11 @@ class TestPolicyTable:
             "groups": 672,
         }
         assert digest.hexdigest() == PLANS_GRID_SHA256
+        assert runs_digest.hexdigest() == PLANS_RUNS_GRID_SHA256
 
 
 PLANS_GRID_SHA256 = "932bb9efa6cf4015a1be3a72027744630ddbf37c3536f267af1ee6a9380128af"
+PLANS_RUNS_GRID_SHA256 = "26900e9ef903c67d0c36ac49fc79bd39bf428e3e599430970995795feb1fa59d"
 
 
 class TestBudgetProperties:
@@ -387,7 +424,7 @@ class TestBudgetProperties:
         previous = None
         for ratio in (0.3, 0.5, 0.7, 0.9, 1.0):
             plan = plan_for(trace, classes, PolicyKind.TASK_KV, ratio, sinks=2, recents=4)
-            current = [set(idx.tolist()) for idx in plan.per_head_retained]
+            current = [set(idx.tolist()) for idx in retained(plan)]
             if previous is not None:
                 for prev, cur in zip(previous, current):
                     assert prev <= cur
@@ -398,7 +435,7 @@ class TestBudgetProperties:
         classes = classes_with_het(4, {1})
         for policy in (PolicyKind.TASK_KV, PolicyKind.UNIFORM_TOPK, PolicyKind.FULL):
             plan = plan_for(trace, classes, policy, 1.0)
-            for idx in plan.per_head_retained:
+            for idx in retained(plan):
                 np.testing.assert_array_equal(idx, np.arange(48))
 
 
@@ -505,11 +542,19 @@ class TestCompressedCacheBuild:
             assert np.shares_memory(cache[0][h].keys, trace.data)
 
 
-def _plan_with(retained, groups=None):
+def _ranges(pairs):
+    return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def _plan_with(retained, groups=None, runs=None):
+    """A layer-0 plan of the heads' `retained` positions, or of their
+    `runs` as given, and their `groups` pairs."""
     n = len(retained)
+    runs = [runs_of(r) for r in retained] if runs is None else [_ranges(r) for r in runs]
+    groups = None if groups is None else [_ranges(g) for g in groups]
     return BudgetPlan(
         0, PolicyKind.COMPRESSED_CACHE, 0, 0, 0, 0, False,
-        classes_with_het(n, set()), [np.asarray(r, dtype=int) for r in retained], groups,
+        classes_with_het(n, set()), runs, groups,
     )
 
 
@@ -643,6 +688,83 @@ class TestPlanConsistency:
         with pytest.raises(CacheConsistencyError, match="layer 0 head 1: group"):
             built_entries(trace, [_plan_with([[0]] * 4, groups)])
 
+    @pytest.mark.parametrize(
+        "runs, groups, message",
+        [
+            ([(10, 20), (2, 5)], [], r"run \[2, 5\) unsorted or overlapping"),
+            ([(2, 8), (6, 10)], [], r"run \[6, 10\) unsorted or overlapping"),
+            ([(0, 5), (5, 48)], [], r"run \[5, 48\) touches the run before it"),
+            ([(2, 4), (6, 6)], [], r"run \[6, 6\) out of range"),
+            ([(-1, 3)], [], r"run \[-1, 3\) out of range"),
+            ([(40, 49)], [], r"run \[40, 49\) out of range"),
+            ([(0, 10)], [(5, 8)], "cache positions must be strictly increasing"),
+        ],
+        ids=["unsorted", "overlapping", "touching", "empty", "negative", "past-n", "group-start"],
+    )
+    def test_bad_runs_rejected(self, runs, groups, message):
+        trace = small_trace(seed=82)
+        plan = _plan_with([[0]] * 4, [[], groups, [], []], runs=[[(0, 1)], runs, [], []])
+        with pytest.raises(CacheConsistencyError, match="^layer 0 head 1: " + message):
+            built_entries(trace, [plan])
+
+    def test_head_classes_count_mismatch_rejected(self):
+        trace = small_trace(seed=83)
+        plan = _plan_with([[0, 1]] * 4)
+        plan.head_classes.pop()
+        with pytest.raises(CacheConsistencyError, match="head classes cover 3 heads"):
+            built_entries(trace, [plan])
+
+    def test_plan_for_another_layer_rejected(self):
+        trace = small_trace(seed=84, shape=(2, 4, 48, 6))
+        plans = [_plan_with([[0, 1]] * 4), _plan_with([[0, 1]] * 4)]
+        with pytest.raises(CacheConsistencyError, match="plan 1 is for layer 0"):
+            built_entries(trace, plans)
+
+
+@st.composite
+def position_sets(draw):
+    """(N, sorted unique positions in [0, N))."""
+    seq_len = draw(st.integers(1, 64))
+    positions = draw(st.sets(st.integers(0, seq_len - 1)))
+    return seq_len, sorted(positions)
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(position_sets())
+    @example((8, []))
+    @example((8, list(range(8))))
+    @example((1, [0]))
+    @example((8, [5]))
+    @example((9, [0, 1, 3, 4, 5, 8]))
+    def test_runs_are_maximal_and_expand_to_the_set(self, case):
+        seq_len, positions = case
+        runs = runs_of(positions)
+        assert runs.dtype == np.intp and runs.shape == (len(runs), 2)
+        assert (runs[:, 1] > runs[:, 0]).all()  # non-empty
+        assert (runs[1:, 0] > runs[:-1, 1]).all()  # apart, so maximal
+        expanded = expand_runs(runs)
+        assert expanded.dtype == np.intp
+        assert expanded.tolist() == positions
+        plan = BudgetPlan(
+            0, PolicyKind.TASK_KV, 0, 0, 0, 0, False, [HeadClass.NON_HETEROGENEOUS], [runs]
+        )
+        assert plan.head_tokens(0) == len(positions)
+        assert keeps_every_position(plan, 0, seq_len) == (positions == list(range(seq_len)))
+        # the same ranges as groups: one more cache row each, and never keep-all
+        grouped = dataclasses.replace(plan, per_head_groups=[runs])
+        assert grouped.head_tokens(0) == len(positions) + len(runs)
+        assert not keeps_every_position(grouped, 0, seq_len)
+        for original in (plan, grouped):
+            clone = BudgetPlan.from_json_dict(json.loads(json.dumps(original.to_json_dict())))
+            assert clone.to_json_dict() == original.to_json_dict()
+            pairs = [(clone.per_head_runs[0], runs)]
+            if original.per_head_groups is not None:
+                pairs.append((clone.per_head_groups[0], runs))
+            for got, want in pairs:
+                assert got.dtype == np.intp and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
 
 
 class TestMemoryFootprint:
@@ -705,12 +827,15 @@ class TestPlanSerialization:
             clone = BudgetPlan.from_json_dict(plan.to_json_dict())
             assert clone.policy == plan.policy
             assert clone.middle_k == plan.middle_k
-            for a, b in zip(clone.per_head_retained, plan.per_head_retained):
+            for a, b in zip(clone.per_head_runs, plan.per_head_runs):
+                assert a.dtype == np.intp
                 np.testing.assert_array_equal(a, b)
             if plan.per_head_groups is None:
                 assert clone.per_head_groups is None
             else:
-                assert clone.per_head_groups == plan.per_head_groups
+                for a, b in zip(clone.per_head_groups, plan.per_head_groups, strict=True):
+                    assert a.dtype == np.intp and a.shape == b.shape
+                    np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "edit, needle",

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, footprint
+from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, expand_runs, footprint
 from semkv.cli import _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
 from semkv.harness import (
@@ -135,7 +135,7 @@ class TestEval:
         run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
         plans_path = out / "plans_task-kv_0.5.json"
         payload = json.loads(plans_path.read_text())
-        payload["layers"][0]["per_head_retained"].pop()
+        payload["layers"][0]["per_head_runs"].pop()
         plans_path.write_text(json.dumps(payload))
         code, _, err = run_cli(
             capsys, "eval", "--trace", str(trace_file), "--plans", str(plans_path),
@@ -215,6 +215,55 @@ class TestEval:
         )
         assert error["error"] == "PlanFormatError"
         assert "sinks" in error["message"]
+
+    @staticmethod
+    def _to_index_lists(layer):
+        # the plans format before runs: each head's positions spelled out
+        runs = layer.pop("per_head_runs")
+        layer["per_head_retained"] = [[p for a, b in head for p in range(a, b)] for head in runs]
+
+    @pytest.mark.parametrize(
+        "edit, error, needle",
+        [
+            (lambda p: p.update(layers=5), "PlanFormatError", "layers must be a list"),
+            (lambda p: p["layers"][0]["per_head_runs"].__setitem__(0, [[[1, 2]]]),
+             "PlanFormatError", "per_head_runs must hold"),
+            (lambda p: p["layers"][0]["per_head_runs"].__setitem__(0, [[1.5, 3]]),
+             "PlanFormatError", "per_head_runs must hold"),
+            (lambda p: p["layers"][0]["per_head_runs"].__setitem__(0, [[True, 3]]),
+             "PlanFormatError", "per_head_runs must hold"),
+            (lambda p: p["layers"][0]["per_head_runs"].__setitem__(0, [1, 2, 3]),
+             "PlanFormatError", "per_head_runs must hold"),
+            (lambda p: p["layers"][0]["head_classes"].pop(),
+             "CacheConsistencyError", "head classes cover 7 heads"),
+            (lambda p: p["layers"][0].update(layer=1),
+             "CacheConsistencyError", "plan 0 is for layer 1"),
+            (lambda p: p["layers"][0].update(policy="streaming"),
+             "PlanFormatError", "policy 'streaming', file has 'task-kv'"),
+            (lambda p: TestEval._to_index_lists(p["layers"][0]),
+             "PlanFormatError", "missing key 'per_head_runs'"),
+        ],
+        ids=["layers-not-a-list", "nested-runs", "float-runs", "bool-runs", "flat-runs",
+             "short-head-classes", "wrong-layer-index", "other-policy", "index-lists"],
+    )
+    def test_malformed_plans_file_is_one_json_error(
+        self, trace_file, tmp_path, capsys, edit, error, needle
+    ):
+        out = tmp_path / "out"
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        plans_path = out / "plans_task-kv_0.5.json"
+        payload = json.loads(plans_path.read_text())
+        edit(payload)
+        plans_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_file), "--plans", str(plans_path),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == error
+        assert needle in json.loads(err)["message"]
+        assert not (out / "fidelity.json").exists()
 
 
 class TestContrib:
@@ -919,7 +968,7 @@ def _reference_scores(trace, plans, decode_queries):
     for r, plan in enumerate(plans):
         for h in range(trace.num_heads):
             q, k, v = np.asarray(trace.data[r, h], dtype=np.float64)
-            kept = np.asarray(plan.per_head_retained[h])
+            kept = expand_runs(plan.per_head_runs[h])
             errors, cosines = [], []
             for p in range(n_seq - decode_queries, n_seq):
                 full = attend(q[p], k[: p + 1], v[: p + 1])
@@ -977,7 +1026,9 @@ class TestBlindDecodeRows:
         )
         trace = read_trace(trace_path)
         plans = _plans_of(out / f"plans_{policy}_{budget}.json")
-        assert all(idx.tolist() == kept for plan in plans for idx in plan.per_head_retained)
+        assert all(
+            expand_runs(runs).tolist() == kept for plan in plans for runs in plan.per_head_runs
+        )
         l2, cos = _reference_scores(trace, plans, 32)
         per_head = entries[(policy, ratio)]["fidelity"]["per_head"]
         got_l2 = [[c["l2_error"] for c in layer] for layer in per_head]
@@ -1142,7 +1193,7 @@ class TestOutputSchema:
 
         plan = LoggedPlan(
             0, PolicyKind.FULL, 8, 0, 0, 0, False, [HeadClass.NON_HETEROGENEOUS],
-            [np.arange(4)], note="kept"
+            [np.array([[0, 4]])], note="kept"
         )
         layer = _as_json(plan.to_json_dict())
         assert list(layer)[-1] == "note" and layer["note"] == "kept"

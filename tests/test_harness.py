@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semkv.allocator import BudgetPlan, PolicyKind, build_head_entry, footprint
+from semkv.allocator import BudgetPlan, PolicyKind, build_head_entry, expand_runs, footprint
 from semkv.errors import (
     CacheConsistencyError,
     InfeasibleBudgetError,
@@ -69,8 +69,9 @@ class TestCompressRun:
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
         for plan in result.plans[("full", 1.0)]:
-            for idx in plan.per_head_retained:
-                np.testing.assert_array_equal(idx, np.arange(trace.seq_len))
+            for runs in plan.per_head_runs:
+                np.testing.assert_array_equal(expand_runs(runs), np.arange(trace.seq_len))
+                np.testing.assert_array_equal(runs, [[0, trace.seq_len]])
 
     def test_deterministic_plans(self):
         cfg = clustered_config(seed=3)
@@ -330,11 +331,11 @@ class TestFidelityFromPlans:
         data[0, 0, 2] = 0.1 * rng.standard_normal((seq_len, head_dim))
         data[0, 0, 2, :, 0] = 1.0
         trace = AttentionTrace(TraceHeader(1, 1, seq_len, head_dim), data)
-        retained = [np.r_[0:4, 56:64]]
-        for groups in (None, [[(4, 20), (20, 56)]]):
+        runs = [np.array([[0, 4], [56, 64]])]
+        for groups in (None, [np.array([[4, 20], [20, 56]])]):
             plan = BudgetPlan(
                 0, PolicyKind.COMPRESSED_CACHE, 0, 4, 8, 0, False,
-                [HeadClass.NON_HETEROGENEOUS], retained, groups,
+                [HeadClass.NON_HETEROGENEOUS], runs, groups,
             )
             fid = assert_matches_cache_oracle(trace, [plan], 8)
             assert np.isfinite(fid.per_head_l2).all() and np.isfinite(fid.per_head_cosine).all()

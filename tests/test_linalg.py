@@ -336,6 +336,19 @@ class TestSpectralNorm:
         expected = np.linalg.svd(w, compute_uv=False)[0]
         assert spectral_norm(w) == pytest.approx(expected, rel=1e-6)
 
+    def test_stack_gives_each_matrix_its_own_bits(self):
+        # the blocks `verify_bound_suite(seed=606, trials=250)` draws
+        for trial in range(250):
+            rng = np.random.Generator(np.random.Philox(key=[606, trial]))
+            blocks = random_instance(rng, 8, 16, 32).out_blocks
+            one_by_one = [spectral_norm(w) for w in blocks]
+            assert spectral_norm(blocks).tolist() == one_by_one
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 3, 3)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            spectral_norm(np.ones(shape))
+
 
 class TestSpectralNormOracle:
     def test_power_iteration_reads_low_on_bound_suite_blocks(self):
