@@ -8,12 +8,10 @@ compressed cache against the full one.
 
 from .allocator import (
     BudgetPlan,
-    CacheEntry,
     MemoryFootprint,
     MiddleCount,
     PolicyKind,
     apply_policy,
-    build_head_entry,
     check_plans,
     expand_runs,
     keeps_every_position,

@@ -431,28 +431,6 @@ def apply_policy(
     )
 
 
-@dataclass
-class CacheEntry:
-    """Retained K/V rows for one head, ordered by original position.
-
-    `positions[i]` is the original index of row i; synthetic group-mean rows
-    carry their group's start position and are flagged in `synthetic`.
-    """
-
-    keys: np.ndarray
-    values: np.ndarray
-    positions: np.ndarray
-    synthetic: np.ndarray
-
-    def __post_init__(self):
-        if not (
-            len(self.keys) == len(self.values) == len(self.positions) == len(self.synthetic)
-        ):
-            raise CacheConsistencyError("cache entry arrays disagree on row count")
-        if np.any(np.diff(self.positions) <= 0):
-            raise CacheConsistencyError("cache positions must be strictly increasing")
-
-
 def _check_groups(bounds: np.ndarray, seq_len: int, where: str, what: str = "group") -> None:
     """(g, 2) [start, stop) bounds, a head's groups or its runs, must be
     non-empty, sorted, non-overlapping and inside [0, N); the first `what`
@@ -555,35 +533,6 @@ def check_head_plan(plan: BudgetPlan, layer: int, head: int, seq_len: int) -> He
         if np.any(np.diff(positions) <= 0):
             raise CacheConsistencyError(f"{where}: cache positions must be strictly increasing")
     return HeadPlan(idx, groups, positions)
-
-
-def build_head_entry(block: np.ndarray, plan: BudgetPlan, layer: int, head: int) -> CacheEntry:
-    """One head's retained K/V rows (plus synthetic group means) out of its
-    (3, N, d) Q/K/V block.
-
-    `plan` is layer `layer`'s plan, already passed through `check_plans`. A
-    head that keeps every position holds read-only views of the block's
-    rows, in its dtype; other heads hold float64 copies of the rows they
-    keep, gathered from the block and then widened.
-    """
-    n_seq = block.shape[1]
-    idx, groups, _ = check_head_plan(plan, layer, head, n_seq)
-    keys, values = block[1], block[2]
-    synthetic = np.zeros(idx.size, dtype=bool)
-    if keeps_every_position(plan, head, n_seq):
-        return CacheEntry(keys, values, idx, synthetic)
-    k_rows = np.asarray(keys[idx], dtype=np.float64)
-    v_rows = np.asarray(values[idx], dtype=np.float64)
-    positions = idx
-    if len(groups):
-        k_rows = np.concatenate([k_rows, group_means(keys, groups)])
-        v_rows = np.concatenate([v_rows, group_means(values, groups)])
-        positions = np.concatenate([positions, groups[:, 0]])
-        synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
-        order = np.argsort(positions, kind="stable")
-        k_rows, v_rows = k_rows[order], v_rows[order]
-        positions, synthetic = positions[order], synthetic[order]
-    return CacheEntry(k_rows, v_rows, positions, synthetic)
 
 
 class MemoryFootprint(NamedTuple):

@@ -226,12 +226,53 @@ def _merged(cls, args, file_values: dict, prefix: str = ""):
     return cls(**values)
 
 
+# The shared run flags each command never reads, by argparse dest. Each one
+# given on the command line fails instead of being ignored; a shared config
+# file may still hold their keys.
+_UNREAD = {
+    "compress": {"decode_queries": "--decode-queries"},
+    "eval": {
+        "policies": "--policy",
+        "budget_ratios": "--budget",
+        "beta": "--beta",
+        "top_m": "--m-top",
+        "top_t": "--top-t",
+        "kernel": "--kernel",
+        "sinks": "--sinks",
+        "recents": "--recents",
+    },
+    "pca": {
+        "policies": "--policy",
+        "budget_ratios": "--budget",
+        "sinks": "--sinks",
+        "recents": "--recents",
+        "decode_queries": "--decode-queries",
+    },
+}
+
+
+def _check_unread_flags(args, cfg: RunConfig) -> None:
+    unread = dict(_UNREAD.get(args.command, {}))
+    if args.command == "eval":
+        if cfg.trace_path is not None:
+            unread["seed"] = "--seed"  # seeds only a synthetic trace
+        if cfg.decode_queries is not None:
+            unread["window_len"] = "--window"  # only sets the default decode rows
+    given = [flag for dest, flag in unread.items() if getattr(args, dest) is not None]
+    if given:
+        raise ParameterError(f"{args.command} does not read {', '.join(given)}")
+
+
 def _config_from(args) -> RunConfig:
+    """The command's `RunConfig`, its config file merged with its flags;
+    a flag the command never reads fails (`_check_unread_flags`)."""
     file_cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
             file_cfg = _object(json.load(f), args.config)
-    return _merged(RunConfig, args, file_cfg)
+    cfg = _merged(RunConfig, args, file_cfg)
+    _check_unread_flags(args, cfg)
+    return cfg
 
 
 def _outdir(args) -> str:
@@ -392,35 +433,8 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
     return policy, ratio, check_plans(header, plans)
 
 
-# The shared run flags that `eval` never reads, by argparse dest. Each one
-# given on the command line fails instead of being ignored; a shared config
-# file may still hold their keys.
-_EVAL_UNREAD = {
-    "policies": "--policy",
-    "budget_ratios": "--budget",
-    "beta": "--beta",
-    "top_m": "--m-top",
-    "top_t": "--top-t",
-    "kernel": "--kernel",
-    "sinks": "--sinks",
-    "recents": "--recents",
-}
-
-
-def _check_eval_flags(args, cfg: RunConfig) -> None:
-    unread = dict(_EVAL_UNREAD)
-    if cfg.trace_path is not None:
-        unread["seed"] = "--seed"  # seeds only a synthetic trace
-    if cfg.decode_queries is not None:
-        unread["window_len"] = "--window"  # only sets the default decode rows
-    given = [flag for dest, flag in unread.items() if getattr(args, dest) is not None]
-    if given:
-        raise ParameterError(f"eval does not read {', '.join(given)}")
-
-
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
-    _check_eval_flags(args, cfg)
     with open_source(cfg) as source:
         header = source.header
         out = _outdir(args)

@@ -19,11 +19,12 @@ quality; it needs no language model.
 
 `score_layer` scores a layer head-major, every cell at once. Each head's
 causal decode scores S and softmax numerators exp(S - m) are formed once,
-under the shift m of each decode row's full-cache max, and every cell
-renormalises the numerators over its own retained rows (a group's mean
-row weighs exp of the mean of its keys' scores - m). A decode row whose
-retained numerators underflow under the shared shift is rescored with the
-cell's own retained max.
+under the shift m of each decode row's full-cache max. The full cache's
+outputs renormalise them over every row; this is the one place they are
+computed. Every cell renormalises the numerators over its own retained
+rows (a group's mean row weighs exp of the mean of its keys' scores - m).
+A decode row whose retained numerators underflow under the shared shift
+is rescored with the cell's own retained max.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ from .trace import (
     SyntheticSource,
     TraceHeader,
     TraceReader,
-    decode_output,
-    decode_outputs,
     gen_synthetic_trace,
     read_trace,
     widen_head,
@@ -105,9 +104,6 @@ class RunConfig:
     decode_queries: int | None = None  # None -> window_len
     seed: int = 0
     contrib_trials: int = 0  # 0 skips the bound suite in `all` runs
-
-    def resolved_decode_queries(self) -> int:
-        return self.window_len if self.decode_queries is None else self.decode_queries
 
     def to_json_dict(self) -> dict:
         """Every field by name, the profile's nested: what a config file holds."""
@@ -238,39 +234,34 @@ def start_run(
     return result
 
 
-def decode_count(config: RunConfig, header: TraceHeader) -> int:
-    """The decode-query rows fidelity is scored on, checked against N. By
-    default they are the window's rows, so the window is checked."""
-    if config.decode_queries is None:
-        check_window_len(min(config.window_len, header.seq_len), header.seq_len)
-    count = min(config.resolved_decode_queries(), header.seq_len)
-    if count < 1:
-        raise ParameterError(f"decode_queries {count} outside [1, {header.seq_len}]")
+def check_decode_queries(count: int, seq_len: int) -> int:
+    """`count` decode-query rows, which must lie in [1, N]."""
+    if not 1 <= count <= seq_len:
+        raise ParameterError(f"decode_queries {count} outside [1, {seq_len}]")
     return count
 
 
-def _head_pass(
-    block: np.ndarray,
-    window_len: int,
-    top_t: int,
-    decode_queries: int | None,
-    out: np.ndarray | None,
-) -> tuple[WindowScores, SemanticVector]:
-    """One head's window scores and top-t semantic vector and, into `out`,
-    its full-cache decode outputs.
+def decode_count(config: RunConfig, header: TraceHeader) -> int:
+    """The decode-query rows fidelity is scored on. By default they are the
+    window's rows, min(window_len, N), so the window is checked; an explicit
+    count is checked against N."""
+    if config.decode_queries is None:
+        count = min(config.window_len, header.seq_len)
+        check_window_len(count, header.seq_len)
+        return count
+    return check_decode_queries(config.decode_queries, header.seq_len)
 
-    Only K, V and the query rows the pass reads are widened: the window
-    rows, and the decode rows when they differ. When the decode rows are
-    the window rows (the default) their outputs come from the window's
-    own softmax. The widened rows die with the call, so one head's float64
-    copy is alive at a time.
+
+def _head_pass(
+    block: np.ndarray, window_len: int, top_t: int
+) -> tuple[WindowScores, SemanticVector]:
+    """One head's window scores and top-t semantic vector.
+
+    Only K, V and the window's query rows are widened. The widened rows die
+    with the call, so one head's float64 copy is alive at a time.
     """
-    inputs = widen_head(block, max(window_len, decode_queries or 0, 1))
-    weights = window_weights(inputs, window_len)
-    scores = WindowScores.from_weights(weights)
-    if out is not None:
-        fused = decode_queries == window_len
-        out[...] = weights @ inputs.values if fused else decode_output(inputs, decode_queries)
+    inputs = widen_head(block, window_len)
+    scores = WindowScores.from_weights(window_weights(inputs, window_len))
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 
@@ -285,25 +276,16 @@ def layer_step(
     """One layer of a run, on its checked (n, 3, N, d) `data`.
 
     One pass over the heads widens each head once and takes, from one
-    masked softmax over its observation window, the pooled window scores,
-    the top-t semantic vector and, when fidelity is scored
-    (`decode_queries`), the head's full-cache decode outputs. The layer's
-    heads are classified from f(r), every cell is planned from the pooled
-    scores alone, and each plan is scored against the decode outputs.
+    masked softmax over its observation window, the pooled window scores
+    and the top-t semantic vector. The layer's heads are classified from
+    f(r), every cell is planned from the pooled scores alone and, when
+    fidelity is scored (`decode_queries`), `score_layer` scores each plan.
     """
-    n_heads, _, seq_len, head_dim = data.shape
-    window_len = min(config.window_len, seq_len)
-    full = None if decode_queries is None else np.empty((n_heads, decode_queries, head_dim))
+    window_len = min(config.window_len, data.shape[2])
     pooled, vectors = [], []
     try:
-        for h, block in enumerate(data):
-            score, vector = _head_pass(
-                block,
-                window_len,
-                config.top_t,
-                decode_queries,
-                None if full is None else full[h],
-            )
+        for block in data:
+            score, vector = _head_pass(block, window_len, config.top_t)
             pooled.append(pool_scores(score.column_means, config.kernel))
             vectors.append(vector)
         profiles = build_layer_profiles(layer, vectors, schedule.count_for_layer(layer))
@@ -317,8 +299,8 @@ def layer_step(
         for cell in cells
     }
     scores = {}
-    if full is not None:
-        scores = dict(zip(plans, score_layer(data, layer, list(plans.values()), full)))
+    if decode_queries is not None:
+        scores = dict(zip(plans, score_layer(data, layer, list(plans.values()), decode_queries)))
     return LayerStep(profiles, plans, scores)
 
 
@@ -425,14 +407,17 @@ _KEY_BLOCK = 512
 
 
 class _HeadNumerators:
-    """One head's causal decode scores and softmax numerators, shared by
-    every cell that scores the head.
+    """One head's causal decode scores, softmax numerators and full-cache
+    decode outputs, shared by every cell that scores the head.
 
     `scores` holds S = Q K^T / sqrt(d) of the decode rows against every
     key, key-major: shape (N, decode_queries), so a cell's retained keys
     are a row gather. `shift` is each decode row's max over the keys it
     sees, and `numerators` is exp(S - shift), 0 where a row does not see
-    the key. A cell's retained output renormalises these over its own rows.
+    the key. `full` is the full cache's outputs, numerators^T V / their
+    sum, (decode_queries, d): the all-rows case of the renormalisation a
+    cell's retained output makes over its own rows. K and V are each
+    widened one block of keys at a time.
     """
 
     def __init__(self, block: np.ndarray, decode_queries: int):
@@ -453,6 +438,11 @@ class _HeadNumerators:
         with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
             np.exp(self.numerators, out=self.numerators)
         self.numerators[first_row:][hidden] = 0.0
+        self.full = np.zeros((decode_queries, head_dim))
+        for a in range(0, seq_len, _KEY_BLOCK):
+            values = np.asarray(block[2, a : a + _KEY_BLOCK], dtype=np.float64)
+            self.full += self.numerators[a : a + _KEY_BLOCK].T @ values
+        self.full /= self.numerators.sum(axis=0)[:, None]
 
     def retained_output(self, values: np.ndarray, head: HeadPlan) -> np.ndarray:
         """Decode outputs over the head's retained rows and group means, (decode_queries, d).
@@ -493,57 +483,51 @@ class _HeadNumerators:
 
 
 def score_layer(
-    data: np.ndarray, layer: int, plans: list[BudgetPlan], full: np.ndarray
+    data: np.ndarray, layer: int, plans: list[BudgetPlan], decode_queries: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-head decode L2 error and cosine of each of one layer's `plans`
-    against its full-cache decode outputs `full`, (n, decode_queries, d).
+    against the full cache, over the last `decode_queries` query rows.
 
-    Scoring is head-major. A head that keeps every position attends
-    exactly like the full cache, so it scores L2 0 and the self-cosine of
-    its full outputs. For the other cells, the head's decode scores and
-    softmax numerators are formed once, under each decode row's
-    full-cache max (`_HeadNumerators`), and every cell renormalises them
-    over its own retained rows: the rescaled-exponent identity softmax
-    merges partial sums with. A row whose retained numerators underflow
-    under that shared shift is rescored with the cell's own retained max.
-    A decode row that sees no retained key attends to nothing: its
-    retained output is zero, so it scores L2 = ||o|| and cosine 0 against
-    the full output o. Every scored head's plan passes `check_head_plan`.
+    Scoring is head-major. Each head's decode scores, softmax numerators
+    and full-cache outputs o are formed once, under each decode row's
+    full-cache max (`_HeadNumerators`). A head that keeps every position
+    attends exactly like the full cache, so it scores L2 0 and the
+    self-cosine of o. Every other cell renormalises the numerators over
+    its own retained rows: the rescaled-exponent identity softmax merges
+    partial sums with. A row whose retained numerators underflow under
+    that shared shift is rescored with the cell's own retained max. A
+    decode row that sees no retained key attends to nothing: its retained
+    output is zero, so it scores L2 = ||o|| and cosine 0. Every scored
+    head's plan passes `check_head_plan`.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
-        full_out = full[h]
+        head = _HeadNumerators(block, decode_queries)
         # the self-cosine of a row is not always exactly 1
-        self_cosine = float(_rows_cosine(full_out, full_out).mean())
-        scored = []
+        self_cosine = float(_rows_cosine(head.full, head.full).mean())
         for (l2, cos), plan in zip(scores, plans):
             if keeps_every_position(plan, h, seq_len):
                 l2[h], cos[h] = 0.0, self_cosine
-            else:
-                scored.append((l2, cos, check_head_plan(plan, layer, h, seq_len)))
-        if not scored:
-            continue
-        head = _HeadNumerators(block, full.shape[1])
-        for l2, cos, checked in scored:
-            retained_out = head.retained_output(block[2], checked)
-            l2[h] = float(np.linalg.norm(full_out - retained_out, axis=1).mean())
-            cos[h] = float(_rows_cosine(full_out, retained_out).mean())
+                continue
+            retained_out = head.retained_output(block[2], check_head_plan(plan, layer, h, seq_len))
+            l2[h] = float(np.linalg.norm(head.full - retained_out, axis=1).mean())
+            cos[h] = float(_rows_cosine(head.full, retained_out).mean())
     return scores
 
 
 def score_plans(
     layers, plan_sets: list[list[BudgetPlan]], decode_queries: int
 ) -> list[FidelityReport]:
-    """Each plan set's fidelity over `layers`, one layer at a time: the
-    layer's full-cache decode outputs, then one `score_layer` of every
-    set's plan for that layer. The sets are already passed through
-    `check_plans`."""
+    """Each plan set's fidelity over `layers`, one layer at a time: one
+    `score_layer` of every set's plan for that layer. The sets are already
+    passed through `check_plans`, and `decode_queries` is checked against
+    each layer's N."""
     scores = [[] for _ in plan_sets]
     for r, data in enumerate(layers):
-        full = decode_outputs(data, decode_queries)  # validates decode_queries
+        check_decode_queries(decode_queries, data.shape[2])
         layer_plans = [plans[r] for plans in plan_sets]
-        for layer_scores, score in zip(scores, score_layer(data, r, layer_plans, full)):
+        for layer_scores, score in zip(scores, score_layer(data, r, layer_plans, decode_queries)):
             layer_scores.append(score)
     return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
 

@@ -48,7 +48,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs, attention_weights
+from .linalg import AttentionInputs
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -200,24 +200,6 @@ def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs
     q, k, v = block
     first = 0 if queries is None else len(q) - queries
     return AttentionInputs(q[first:], k, v, checked=True)
-
-
-def decode_output(inputs: AttentionInputs, decode_queries: int) -> np.ndarray:
-    """Full-cache attention outputs of the last `decode_queries` query rows,
-    shape (decode_queries, d)."""
-    return attention_weights(inputs, decode_queries) @ inputs.values
-
-
-def decode_outputs(layer: np.ndarray, decode_queries: int) -> np.ndarray:
-    """`decode_output` of every head of a checked (n, 3, N, d) layer, shape
-    (n, decode_queries, d); each head's widened rows die with its turn."""
-    n_heads, _, n_seq, head_dim = layer.shape
-    if not 1 <= decode_queries <= n_seq:
-        raise ParameterError(f"decode_queries {decode_queries} outside [1, {n_seq}]")
-    out = np.empty((n_heads, decode_queries, head_dim))
-    for h, block in enumerate(layer):
-        out[h] = decode_output(widen_head(block, decode_queries), decode_queries)
-    return out
 
 
 @dataclass(frozen=True)

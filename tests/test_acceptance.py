@@ -13,7 +13,6 @@ import pytest
 from semkv.allocator import (
     PolicyKind,
     apply_policy,
-    build_head_entry,
     middle_activation_count,
     pool_scores,
 )
@@ -260,7 +259,7 @@ def test_criterion_10_selective_beats_compressed():
         tokens = []
         for cell in (("task-kv", 0.4), ("compressed-cache", 0.4)):
             (plan,) = result.plans[cell]
-            rows = sum(len(build_head_entry(trace.data[0, h], plan, 0, h).positions) for h in range(8))
+            rows = plan.retained_tokens()
             assert rows == result.memory(cell, trace.header).tokens_retained
             tokens.append(rows)
         assert tokens[0] == tokens[1]  # budget-matched comparison

@@ -16,7 +16,6 @@ from semkv.allocator import (
     BudgetPlan,
     PolicyKind,
     apply_policy,
-    build_head_entry,
     check_cell,
     check_plans,
     expand_runs,
@@ -44,6 +43,9 @@ from semkv.trace import (
     clustered_planted_heads,
     gen_synthetic_trace,
 )
+
+# the cache oracle: a plan's rows, gathered per head as fidelity scoring sees them
+from test_harness import build_head_entry
 
 
 def classes_with_het(n, het):

@@ -20,6 +20,7 @@ from semkv.harness import (
     RunConfig,
     _per_head,
     compress_run,
+    decode_count,
     export_pca_csv,
     export_report,
     fidelity_eval,
@@ -44,18 +45,24 @@ GEN_ARGS = [
     "--seed", "5",
 ]
 
-PIPE_ARGS = [
-    "--policy", "task-kv,streaming",
-    "--budget", "0.5",
+# the flags that classify heads, which `pca` reads
+CLASSIFY_ARGS = [
     "--beta", "0.375",
     "--m-top", "3",
     "--top-t", "96",
     "--window", "16",
     "--kernel", "3",
+]
+# and the flags that plan each cell, which `compress` reads too
+PLAN_ARGS = [
+    "--policy", "task-kv,streaming",
+    "--budget", "0.5",
+    *CLASSIFY_ARGS,
     "--sinks", "4",
     "--recents", "8",
-    "--decode-queries", "8",
 ]
+# and the decode rows fidelity is scored on, which `all` reads too
+PIPE_ARGS = [*PLAN_ARGS, "--decode-queries", "8"]
 
 
 @pytest.fixture
@@ -91,7 +98,7 @@ class TestCompress:
     def test_emits_plans_and_memory(self, trace_file, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, err = run_cli(
-            capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out)
+            capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(out)
         )
         assert code == 0, err
         plans = json.loads((out / "plans_task-kv_0.5.json").read_text())
@@ -104,7 +111,7 @@ class TestCompress:
 
     def test_plans_file_is_one_line_of_json(self, trace_file, tmp_path, capsys):
         out = tmp_path / "out"
-        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(out))
         for name in ("plans_task-kv_0.5.json", "memory.json"):
             text = (out / name).read_text()
             assert text.endswith("\n") and text.count("\n") == 1
@@ -114,7 +121,7 @@ class TestCompress:
 class TestEval:
     def test_replays_saved_plans(self, trace_file, tmp_path, capsys):
         out = tmp_path / "out"
-        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(out))
         code, _, err = run_cli(
             capsys,
             "eval",
@@ -132,7 +139,7 @@ class TestEval:
 
     def test_short_plans_file_fails_with_json_error(self, trace_file, tmp_path, capsys):
         out = tmp_path / "out"
-        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(out))
         plans_path = out / "plans_task-kv_0.5.json"
         payload = json.loads(plans_path.read_text())
         payload["layers"][0]["per_head_runs"].pop()
@@ -180,7 +187,7 @@ class TestEval:
 
     def eval_edited_plans(self, trace_file, tmp_path, capsys, edit):
         out = tmp_path / "out"
-        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(out))
         plans_path = out / "plans_task-kv_0.5.json"
         payload = json.loads(plans_path.read_text())
         edit(payload["layers"][0])
@@ -250,7 +257,7 @@ class TestEval:
         self, trace_file, tmp_path, capsys, edit, error, needle
     ):
         out = tmp_path / "out"
-        run_cli(capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out))
+        run_cli(capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(out))
         plans_path = out / "plans_task-kv_0.5.json"
         payload = json.loads(plans_path.read_text())
         edit(payload)
@@ -287,7 +294,7 @@ class TestPca:
     def test_writes_coordinates_csv(self, trace_file, tmp_path, capsys):
         out = tmp_path / "p"
         code, _, err = run_cli(
-            capsys, "pca", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(out)
+            capsys, "pca", "--trace", str(trace_file), *CLASSIFY_ARGS, "--out", str(out)
         )
         assert code == 0, err
         lines = (out / "pca.csv").read_text().splitlines()
@@ -385,7 +392,7 @@ class TestAll:
         ]
         feasible = tmp_path / "f"
         assert run_cli(
-            capsys, "compress", "--trace", str(trace_file), *PIPE_ARGS, "--out", str(feasible)
+            capsys, "compress", "--trace", str(trace_file), *PLAN_ARGS, "--out", str(feasible)
         )[0] == 0
         assert "infeasible" not in json.loads((feasible / "memory.json").read_text())
 
@@ -542,7 +549,7 @@ class TestErrorReporting:
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "compress", "--trace", str(tmp_path / "nope.tkv"),
-            *PIPE_ARGS, "--out", str(tmp_path / "o"),
+            *PLAN_ARGS, "--out", str(tmp_path / "o"),
         )
         assert code == 1
         payload = json.loads(err)
@@ -737,7 +744,7 @@ def _plans_file(trace, policy, ratio, plans) -> bytes:
 def in_memory_outputs(command, argv, trace, plans_files=()):
     """What `command` writes, computed by the library over the whole trace in memory."""
     cfg = _config_from(build_parser().parse_args([command, *argv, "--out", "unused"]))
-    dq = min(cfg.resolved_decode_queries(), trace.seq_len)
+    dq = decode_count(cfg, trace.header)
     if command == "eval":
         rows = []
         for path in plans_files:
@@ -789,14 +796,19 @@ def assert_outputs(out, expected):
 ALL_POLICIES = ",".join(p.value for p in PolicyKind)
 LAYERED = ["--profile", "clustered-heads", "--shape", "3,8,128,8", "--planted", "2",
            "--spread", "0.1", "--seed", "6"]
+LAYERED_CLASSIFY = ["--beta", "0.375", "--m-top", "2", "--top-t", "64", "--window", "16",
+                    "--kernel", "3"]
 LAYERED_ARGS = [
-    "--policy", ALL_POLICIES, "--budget", "0.3,0.6", "--beta", "0.375", "--m-top", "2",
-    "--top-t", "64", "--window", "16", "--kernel", "3", "--sinks", "4", "--recents", "8",
+    "--policy", ALL_POLICIES, "--budget", "0.3,0.6", *LAYERED_CLASSIFY, "--sinks", "4",
+    "--recents", "8",
 ]
+# `pca` reads only the flags that classify heads
+LAYERED_FOR = {"pca": LAYERED_CLASSIFY}
 ALL_ONLY = {"all": ["--contrib-trials", "5"]}
 # planted-needle at (2, 8, 1024, 32): every head-aware cell at 0.4 is infeasible
 NEEDLE = ["--profile", "planted-needle", "--shape", "2,8,1024,32", "--seed", "3"]
-NEEDLE_ARGS = ["--policy", ALL_POLICIES, "--budget", "0.4,0.8", "--decode-queries", "5"]
+NEEDLE_PLAN = ["--policy", ALL_POLICIES, "--budget", "0.4,0.8"]
+NEEDLE_ARGS = [*NEEDLE_PLAN, "--decode-queries", "5"]
 
 
 class TestLayerStreaming:
@@ -822,7 +834,8 @@ class TestLayerStreaming:
     def test_trace_file_outputs_equal_in_memory_path(
         self, layered, tmp_path, capsys, command, extra
     ):
-        argv = ["--trace", str(layered), *LAYERED_ARGS, *ALL_ONLY.get(command, []), *extra]
+        args = LAYERED_FOR.get(command, LAYERED_ARGS)
+        argv = ["--trace", str(layered), *args, *ALL_ONLY.get(command, []), *extra]
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
         assert code == 0, err
@@ -848,7 +861,7 @@ class TestLayerStreaming:
             ("all", LAYERED, LAYERED_ARGS + ALL_ONLY["all"]),
             ("all", NEEDLE, NEEDLE_ARGS),
             ("compress", LAYERED, LAYERED_ARGS),
-            ("compress", NEEDLE, NEEDLE_ARGS),
+            ("compress", NEEDLE, NEEDLE_PLAN),
         ],
     )
     def test_profile_source_outputs_equal_in_memory_path(
@@ -889,7 +902,7 @@ class TestLayerStreaming:
         bad.write_bytes(trace.header.pack() + data.tobytes())
         out = tmp_path / "out"
         out.mkdir()
-        argv = [command, "--trace", str(bad), *LAYERED_ARGS]
+        argv = [command, "--trace", str(bad), *LAYERED_FOR.get(command, LAYERED_ARGS)]
         code, _, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 1
         assert len(err.splitlines()) == 1
@@ -1082,7 +1095,7 @@ class TestInputLimits:
     @pytest.mark.parametrize("window", ["0", "-4"])
     def test_eval_window_is_checked_as_the_window(self, trace_file, tmp_path, capsys, window):
         plans = tmp_path / "plans"
-        argv = ["--trace", str(trace_file), *PIPE_ARGS]
+        argv = ["--trace", str(trace_file), *PLAN_ARGS]
         assert run_cli(capsys, "compress", *argv, "--out", str(plans))[0] == 0
         out = tmp_path / "out"
         code, _, err = run_cli(
@@ -1108,7 +1121,7 @@ class TestInputLimits:
         # --seed seeds only a synthetic trace, and --window only sets the
         # default decode rows, which --decode-queries overrides here
         plans = tmp_path / "plans"
-        argv = ["--trace", str(trace_file), *PIPE_ARGS]
+        argv = ["--trace", str(trace_file), *PLAN_ARGS]
         assert run_cli(capsys, "compress", *argv, "--out", str(plans))[0] == 0
         out = tmp_path / "out"
         code, _, err = run_cli(
@@ -1123,7 +1136,7 @@ class TestInputLimits:
 
     def test_eval_accepts_a_shared_config_file(self, trace_file, tmp_path, capsys):
         plans = tmp_path / "plans"
-        argv = ["--trace", str(trace_file), *PIPE_ARGS]
+        argv = ["--trace", str(trace_file), *PLAN_ARGS]
         assert run_cli(capsys, "compress", *argv, "--out", str(plans))[0] == 0
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
@@ -1138,6 +1151,66 @@ class TestInputLimits:
         )
         assert code == 0, err
         assert (out / "fidelity.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("compress", "--decode-queries", "5"),
+            ("pca", "--policy", "no-cache"),
+            ("pca", "--budget", "0.1"),
+            ("pca", "--sinks", "999"),
+            ("pca", "--recents", "-5"),
+            ("pca", "--decode-queries", "7"),
+        ],
+    )
+    def test_compress_and_pca_reject_flags_they_do_not_read(
+        self, trace_file, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, command, "--trace", str(trace_file), flag, value, "--out", str(out)
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"{command} does not read {flag}"
+        }
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_compress_and_pca_accept_a_shared_config_file(self, trace_file, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "policies": ["task-kv"], "budget_ratios": [0.5], "beta": 0.375, "top_m": 3,
+            "sinks": 4, "recents": 8, "decode_queries": 8,
+        }))
+        for command in ("compress", "pca"):
+            out = tmp_path / command
+            code, _, err = run_cli(
+                capsys, command, "--config", str(config), "--trace", str(trace_file),
+                "--out", str(out),
+            )
+            assert code == 0, err
+
+    @pytest.mark.parametrize("count", ["0", "97"])
+    @pytest.mark.parametrize("command", ["all", "eval"])
+    def test_decode_queries_outside_one_to_n_fail(
+        self, trace_file, tmp_path, capsys, command, count
+    ):
+        # the trace has N = 96 rows; a count past N is not clamped to it
+        argv = ["--trace", str(trace_file), "--decode-queries", count]
+        if command == "eval":
+            plans = tmp_path / "plans"
+            assert run_cli(capsys, "compress", *argv[:2], *PLAN_ARGS, "--out", str(plans))[0] == 0
+            argv += ["--plans", str(plans / "plans_task-kv_0.5.json")]
+        else:
+            argv += PLAN_ARGS
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"decode_queries {count} outside [1, 96]"
+        }
+        assert not out.exists() or os.listdir(out) == []
 
 
 class TestOutputSchema:

@@ -12,7 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semkv.allocator import BudgetPlan, PolicyKind, build_head_entry, expand_runs, footprint
+from semkv.allocator import (
+    BudgetPlan,
+    PolicyKind,
+    check_head_plan,
+    expand_runs,
+    footprint,
+    group_means,
+    keeps_every_position,
+)
 from semkv.errors import (
     CacheConsistencyError,
     InfeasibleBudgetError,
@@ -21,24 +29,27 @@ from semkv.errors import (
 )
 from semkv.harness import (
     RunConfig,
+    _HeadNumerators,
+    _rows_cosine,
     build_eval_report,
+    check_decode_queries,
     compress_run,
     export_pca_csv,
     export_report,
     fidelity_eval,
-    _rows_cosine,
     load_trace_for,
     run_all,
+    score_plans,
 )
-from semkv.linalg import masked_softmax
+from semkv.linalg import AttentionInputs, attention_weights, masked_softmax
 from semkv.separator import HeadClass
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
     TraceHeader,
     clustered_planted_heads,
-    decode_outputs,
     gen_synthetic_trace,
+    widen_head,
 )
 
 ALL_POLICIES = tuple(PolicyKind)
@@ -210,6 +221,72 @@ class TestFidelityEval:
             assert np.array_equal(again.per_head_cosine, first.per_head_cosine)
 
 
+@dataclasses.dataclass
+class CacheEntry:
+    """Retained K/V rows for one head, ordered by original position: the
+    cache a plan describes, as the fidelity oracle attends over it.
+
+    `positions[i]` is the original index of row i; synthetic group-mean rows
+    carry their group's start position and are flagged in `synthetic`.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    positions: np.ndarray
+    synthetic: np.ndarray
+
+    def __post_init__(self):
+        if not (
+            len(self.keys) == len(self.values) == len(self.positions) == len(self.synthetic)
+        ):
+            raise CacheConsistencyError("cache entry arrays disagree on row count")
+        if np.any(np.diff(self.positions) <= 0):
+            raise CacheConsistencyError("cache positions must be strictly increasing")
+
+
+def build_head_entry(block, plan, layer, head) -> CacheEntry:
+    """One head's retained K/V rows (plus synthetic group means) out of its
+    (3, N, d) Q/K/V block.
+
+    `plan` is layer `layer`'s plan, already passed through `check_plans`. A
+    head that keeps every position holds read-only views of the block's
+    rows, in its dtype; other heads hold float64 copies of the rows they
+    keep, gathered from the block and then widened.
+    """
+    n_seq = block.shape[1]
+    idx, groups, _ = check_head_plan(plan, layer, head, n_seq)
+    keys, values = block[1], block[2]
+    synthetic = np.zeros(idx.size, dtype=bool)
+    if keeps_every_position(plan, head, n_seq):
+        return CacheEntry(keys, values, idx, synthetic)
+    k_rows = np.asarray(keys[idx], dtype=np.float64)
+    v_rows = np.asarray(values[idx], dtype=np.float64)
+    positions = idx
+    if len(groups):
+        k_rows = np.concatenate([k_rows, group_means(keys, groups)])
+        v_rows = np.concatenate([v_rows, group_means(values, groups)])
+        positions = np.concatenate([positions, groups[:, 0]])
+        synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
+        order = np.argsort(positions, kind="stable")
+        k_rows, v_rows = k_rows[order], v_rows[order]
+        positions, synthetic = positions[order], synthetic[order]
+    return CacheEntry(k_rows, v_rows, positions, synthetic)
+
+
+def decode_output(inputs: AttentionInputs, decode_queries: int) -> np.ndarray:
+    """Full-cache attention outputs of the last `decode_queries` query rows,
+    shape (decode_queries, d): one masked softmax over every key, times V."""
+    return attention_weights(inputs, decode_queries) @ inputs.values
+
+
+def decode_outputs(layer, decode_queries):
+    """`decode_output` of every head of a checked (n, 3, N, d) layer, shape
+    (n, decode_queries, d)."""
+    return np.stack(
+        [decode_output(widen_head(block, decode_queries), decode_queries) for block in layer]
+    )
+
+
 def built_entries(trace, plans):
     """Every head's `build_head_entry`, [layer][head]: the whole cache at once."""
     return [
@@ -353,6 +430,43 @@ class TestFidelityFromPlans:
             fidelity_eval(trace, plans[:1], 8)
 
 
+# How far `_HeadNumerators.full` may move from the `decode_output` oracle,
+# per head, as a fraction of the head's largest |o|: it sums the softmax
+# in blocks of keys under the same row max, and divides after the V
+# product. Measured maxima: 2.5e-15 over the `TestFidelityFromPlans` traces
+# at every decode count below, 1.2e-14 on the benchmark's two traces.
+FULL_OUTPUT_TOL = 5e-14
+
+
+class TestFullOutputs:
+    """The full-cache decode outputs have one home, `_HeadNumerators`; the
+    one masked softmax per head they replaced is the oracle."""
+
+    @pytest.mark.parametrize("decode_queries", [1, 5, 16, 128])  # 16 is the window, 128 N
+    @pytest.mark.parametrize("name", sorted(TestFidelityFromPlans.TRACES))
+    def test_full_outputs_match_decode_output_oracle(self, name, decode_queries):
+        trace = TestFidelityFromPlans.TRACES[name]()
+        for layer in trace.data:
+            expected = decode_outputs(layer, decode_queries)
+            for h, block in enumerate(layer):
+                full = _HeadNumerators(block, decode_queries).full
+                scale = np.abs(expected[h]).max()
+                assert np.all(np.abs(full - expected[h]) <= FULL_OUTPUT_TOL * scale)
+
+    @pytest.mark.parametrize("count", [0, 129])
+    def test_decode_count_outside_one_to_n_rejected(self, count):
+        trace = TestFidelityFromPlans.TRACES["clustered"]()
+        plans = compress_run(clustered_config(), trace).plans[("task-kv", 0.6)]
+        message = f"decode_queries {count} outside \\[1, 128\\]"
+        with pytest.raises(ParameterError, match=message):
+            check_decode_queries(count, trace.seq_len)
+        with pytest.raises(ParameterError, match=message):
+            fidelity_eval(trace, plans, count)
+        with pytest.raises(ParameterError, match=message):
+            score_plans(trace.layers(), [plans], count)
+        assert check_decode_queries(128, 128) == 128
+
+
 class TestPlanMemory:
     def test_memory_tokens_equal_built_cache_rows(self):
         cfg = clustered_config(
@@ -425,20 +539,17 @@ class TestFloat32Storage:
         assert reports[0] == reports[1]
 
     @staticmethod
-    def count_attention(monkeypatch):
+    def count_softmax(monkeypatch):
         import semkv.linalg
-        import semkv.separator
-        import semkv.trace
 
         calls = []
-        original = semkv.linalg.attention_weights
+        original = semkv.linalg.masked_softmax
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (semkv.separator, semkv.trace):
-            monkeypatch.setattr(module, "attention_weights", counted)
+        monkeypatch.setattr(semkv.linalg, "masked_softmax", counted)
         return calls
 
     @staticmethod
@@ -455,16 +566,16 @@ class TestFloat32Storage:
                 fid.per_head_cosine.tolist()
             )
 
-    @pytest.mark.parametrize("decode_queries", [16, 5])
+    @pytest.mark.parametrize("decode_queries", [16, 5, 1, 128])
     def test_fused_decode_outputs_equal_standalone(self, decode_queries, monkeypatch):
         cfg = clustered_config(seed=31, decode_queries=decode_queries)
         assert cfg.window_len == 16
         trace = load_trace_for(cfg)
-        calls = self.count_attention(monkeypatch)
+        calls = self.count_softmax(monkeypatch)
         report, result = run_all(cfg, trace, return_result=True)
-        heads = trace.num_layers * trace.num_heads
-        # one masked softmax per head when the decode rows are the window rows
-        assert len(calls) == (heads if decode_queries == 16 else 2 * heads)
+        # one masked softmax per head, over its window, for every decode
+        # count: the full-cache outputs come from the scoring numerators
+        assert len(calls) == trace.num_layers * trace.num_heads
         self.assert_report_fidelity_equals_standalone(cfg, trace, report, result)
 
     def test_fused_outputs_match_float64_trace(self):
@@ -614,11 +725,63 @@ class TestReportFixture:
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == REPORT_FIXTURE_SHA256
 
+    def test_one_home_moved_only_fidelity_floats(self, monkeypatch):
+        """The parse-compare behind the last re-freeze: with the full-cache
+        outputs taken from the `decode_output` oracle instead of
+        `_HeadNumerators`, the fixture report is the one frozen before,
+        bit for bit; against it, the current report moves only the four
+        fidelity floats, each within FIXTURE_RTOL (L2) or FIXTURE_ATOL
+        (cosine)."""
+        cfg = RunConfig(**self.FIXTURE_CONFIG)
+        trace = load_trace_for(cfg)
+        new = run_all(cfg, trace)
+
+        class OracleFull(_HeadNumerators):
+            def __init__(self, block, decode_queries):
+                super().__init__(block, decode_queries)
+                self.full = decode_output(widen_head(block, decode_queries), decode_queries)
+
+        monkeypatch.setattr("semkv.harness._HeadNumerators", OracleFull)
+        old = run_all(cfg, trace)
+        buf = io.BytesIO()
+        export_report(old, "json", buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == REPORT_BEFORE_ONE_HOME_SHA256
+        moved = []
+
+        def compare(a, b, key=None):
+            assert type(a) is type(b), key
+            if isinstance(a, dict):
+                assert list(a) == list(b)
+                for k in a:
+                    compare(a[k], b[k], k)
+            elif isinstance(a, list):
+                assert len(a) == len(b)
+                for x, y in zip(a, b):
+                    compare(x, y, key)
+            elif key in ("l2_error", "mean_l2"):
+                assert abs(a - b) <= FIXTURE_RTOL * abs(a), (key, a, b)
+                moved.append(a != b)
+            elif key in ("cosine_similarity", "mean_cosine"):
+                assert abs(a - b) <= FIXTURE_ATOL, (key, a, b)
+                moved.append(a != b)
+            else:
+                assert a == b, key
+
+        compare(json.loads(json.dumps(old)), json.loads(json.dumps(new)))
+        assert len(moved) == 2 * (2 + 2 * 8 * 2)  # means and per-head cells of 2 cells
+        assert any(moved)
+
 
 # The `pca` block this pins agrees with the power-iteration oracle to 3.0e-10
 # of the largest coordinate (tests/test_linalg.py::TestPCAOracle). Its
-# fidelity floats come from head-major scoring: against the per-cell
-# scoring they replaced, only `l2_error`, `cosine_similarity` and `mean_l2`
-# moved, by at most 7.1e-16 relative, within ORACLE_RTOL; every other key
-# is unchanged.
-REPORT_FIXTURE_SHA256 = "b35e6fd206825a517f36a25bdc98d54b5623812277acb3dee47f65f8668a9eed"
+# fidelity floats come from head-major scoring, with the full-cache outputs
+# from the scoring numerators (`_HeadNumerators.full`). Against the report
+# whose full outputs came from one masked softmax per head
+# (`REPORT_BEFORE_ONE_HOME_SHA256`, reproduced by
+# `test_one_home_moved_only_fidelity_floats`), only `l2_error`,
+# `cosine_similarity`, `mean_l2` and `mean_cosine` moved (29 of their 68
+# values): L2 by at most 7.0e-16 relative, cosine by at most 2.2e-16
+# absolute. FIXTURE_RTOL and FIXTURE_ATOL bound them.
+REPORT_FIXTURE_SHA256 = "439b2eb471f7a74b048fafeebca7dbd34cb75308e140b20d0af644d14fc064c7"
+REPORT_BEFORE_ONE_HOME_SHA256 = "b35e6fd206825a517f36a25bdc98d54b5623812277acb3dee47f65f8668a9eed"
+FIXTURE_RTOL, FIXTURE_ATOL = 1e-14, 1e-15

@@ -13,7 +13,6 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from semkv.linalg import attention_weights
 from semkv.separator import head_distances, semantic_vector_full, window_column_scores
 from semkv.trace import (
     HEADER_BYTES,
@@ -23,7 +22,6 @@ from semkv.trace import (
     TraceHeader,
     TraceReader,
     clustered_planted_heads,
-    decode_outputs,
     gen_synthetic_trace,
     read_trace,
     seeded_rng,
@@ -373,21 +371,6 @@ class TestSharedDerivedData:
             inputs = wide.head_inputs(1, h)
             assert np.shares_memory(inputs.keys, wide.data)
             np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
-
-    def test_full_decode_outputs_match_per_head_attention(self):
-        trace = self.make()
-        for r in range(2):
-            out = decode_outputs(trace.data[r], 5)
-            assert out.shape == (3, 5, 4)
-            for h in range(3):
-                inputs = trace.head_inputs(r, h)
-                w = attention_weights(inputs, 5)
-                assert np.array_equal(out[h], w @ inputs.values)
-
-    @pytest.mark.parametrize("count", [0, 21])
-    def test_full_decode_outputs_validate_count(self, count):
-        with pytest.raises(ParameterError):
-            decode_outputs(self.make().data[0], count)
 
 
 class TestFloat32AtRest:
