@@ -253,11 +253,10 @@ _UNREAD = {
 
 def _check_unread_flags(args, cfg: RunConfig) -> None:
     unread = dict(_UNREAD.get(args.command, {}))
-    if args.command == "eval":
-        if cfg.trace_path is not None:
-            unread["seed"] = "--seed"  # seeds only a synthetic trace
-        if cfg.decode_queries is not None:
-            unread["window_len"] = "--window"  # only sets the default decode rows
+    if args.command in ("compress", "eval", "pca") and cfg.trace_path is not None:
+        unread["seed"] = "--seed"  # seeds only a synthetic trace
+    if args.command == "eval" and cfg.decode_queries is not None:
+        unread["window_len"] = "--window"  # only sets the default decode rows
     given = [flag for dest, flag in unread.items() if getattr(args, dest) is not None]
     if given:
         raise ParameterError(f"{args.command} does not read {', '.join(given)}")
@@ -372,25 +371,22 @@ def _infeasible_note(result, listed_in: str) -> str:
     return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
 
 
-def _run_and_write_plans(cfg, header, layers, outputs, files, score: bool) -> RunResult:
-    """`run_steps` over `layers`, each layer's plans appended to the cells'
-    plans files before the next layer is read."""
-    result = start_run(cfg, header, score=score)
+def _run_and_write_plans(cfg, header, result: RunResult, layers, outputs, files) -> None:
+    """`run_steps` of the started `result` over `layers`, each layer's plans
+    appended to the cells' plans files before the next layer is read."""
     plans_files = _PlansFiles(files, outputs, header, result.cells)
     for step in run_steps(cfg, result, layers):
         plans_files.add(step.plans)
     plans_files.finish()
-    return result
 
 
 def _cmd_compress(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
+        result = start_run(cfg, source.header, score=False)
         out = _outdir(args)
         with _Outputs(out) as outputs, contextlib.ExitStack() as files:
-            result = _run_and_write_plans(
-                cfg, source.header, source.layers(), outputs, files, score=False
-            )
+            _run_and_write_plans(cfg, source.header, result, source.layers(), outputs, files)
             memory_rows = [
                 {
                     "policy": policy,
@@ -437,7 +433,6 @@ def _cmd_eval(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
         header = source.header
-        out = _outdir(args)
         plan_sets = [_read_plans(path, header) for path in args.plans]
         reports = score_plans(
             source.layers(), [plans for _, _, plans in plan_sets], decode_count(cfg, header)
@@ -447,6 +442,7 @@ def _cmd_eval(args) -> int:
          **fid.to_json_dict()}
         for path, (policy, ratio, _), fid in zip(args.plans, plan_sets, reports)
     ]
+    out = _outdir(args)
     with _Outputs(out) as outputs:
         _write_json(outputs.path("fidelity.json"), {"fidelity": fidelity_rows})
     print(f"wrote fidelity.json to {out}")
@@ -473,11 +469,11 @@ def _cmd_contrib(args) -> int:
 def _cmd_pca(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
-        out = _outdir(args)
         result = start_run(cfg, source.header, plan=False, score=False)
         for _ in run_steps(cfg, result, source.layers()):
             pass
         report = build_eval_report(cfg, source.header, result)
+    out = _outdir(args)
     with _Outputs(out) as outputs:
         export_pca_csv(report, outputs.path("pca.csv"))
     print(f"wrote {os.path.join(out, 'pca.csv')}")
@@ -487,6 +483,7 @@ def _cmd_pca(args) -> int:
 def _cmd_all(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
+        result = start_run(cfg, source.header)
         out = _outdir(args)
         with _Outputs(out) as outputs:
             with contextlib.ExitStack() as files:
@@ -495,9 +492,7 @@ def _cmd_all(args) -> int:
                     # a generated trace is saved as its layers are drawn
                     sink = files.enter_context(open(outputs.path("trace.tkv"), "wb"))
                     layers = written_blocks(source.header, layers, sink)
-                result = _run_and_write_plans(
-                    cfg, source.header, layers, outputs, files, score=True
-                )
+                _run_and_write_plans(cfg, source.header, result, layers, outputs, files)
             report = build_eval_report(cfg, source.header, result, bound_suite(cfg))
             export_report(report, "json", outputs.path("report.json"))
             export_report(report, "csv", outputs.path("report.csv"))

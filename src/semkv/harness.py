@@ -56,7 +56,7 @@ from .allocator import (
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import pca_2d
+from .linalg import AttentionInputs, _key_blocks, pca_2d
 from .separator import (
     HeadProfile,
     HeterogeneitySchedule,
@@ -77,7 +77,6 @@ from .trace import (
     TraceReader,
     gen_synthetic_trace,
     read_trace,
-    widen_head,
 )
 
 DEFAULT_POLICIES = (PolicyKind.TASK_KV, PolicyKind.STREAMING)
@@ -255,12 +254,15 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
 def _head_pass(
     block: np.ndarray, window_len: int, top_t: int
 ) -> tuple[WindowScores, SemanticVector]:
-    """One head's window scores and top-t semantic vector.
+    """One head's window scores and top-t semantic vector, from the head's
+    (3, N, d) block as stored.
 
-    Only K, V and the window's query rows are widened. The widened rows die
-    with the call, so one head's float64 copy is alive at a time.
+    The head is never widened whole: `attention_weights` widens K one key
+    block at a time into the window's score matrix, and
+    `approx_semantic_vector` widens only the top-t V rows.
     """
-    inputs = widen_head(block, window_len)
+    q, k, v = block
+    inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
     scores = WindowScores.from_weights(window_weights(inputs, window_len))
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
@@ -275,18 +277,20 @@ def layer_step(
 ) -> LayerStep:
     """One layer of a run, on its checked (n, 3, N, d) `data`.
 
-    One pass over the heads widens each head once and takes, from one
-    masked softmax over its observation window, the pooled window scores
-    and the top-t semantic vector. The layer's heads are classified from
-    f(r), every cell is planned from the pooled scores alone and, when
-    fidelity is scored (`decode_queries`), `score_layer` scores each plan.
+    One pass over the heads takes, from one causal softmax over each
+    head's observation window, its window scores and top-t semantic
+    vector; the scores are pooled only when some cell is planned. The
+    layer's heads are classified from f(r), every cell is planned from the
+    pooled scores alone and, when fidelity is scored (`decode_queries`),
+    `score_layer` scores each plan.
     """
     window_len = min(config.window_len, data.shape[2])
     pooled, vectors = [], []
     try:
         for block in data:
             score, vector = _head_pass(block, window_len, config.top_t)
-            pooled.append(pool_scores(score.column_means, config.kernel))
+            if cells:
+                pooled.append(pool_scores(score.column_means, config.kernel))
             vectors.append(vector)
         profiles = build_layer_profiles(layer, vectors, schedule.count_for_layer(layer))
     except SemkvError as exc:
@@ -401,11 +405,6 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # retained max.
 _SAFE = 2.0**600
 
-# Keys are widened and scored this many at a time, so each widened block
-# is still in cache when it is scored.
-_KEY_BLOCK = 512
-
-
 class _HeadNumerators:
     """One head's causal decode scores, softmax numerators and full-cache
     decode outputs, shared by every cell that scores the head.
@@ -425,9 +424,8 @@ class _HeadNumerators:
         first_row = seq_len - decode_queries
         q = np.asarray(block[0, first_row:], dtype=np.float64).T / np.sqrt(float(head_dim))
         self.scores = np.empty((seq_len, decode_queries))
-        for a in range(0, seq_len, _KEY_BLOCK):
-            keys = np.asarray(block[1, a : a + _KEY_BLOCK], dtype=np.float64)
-            np.matmul(keys, q, out=self.scores[a : a + _KEY_BLOCK])
+        for at, keys in _key_blocks(block[1]):
+            np.matmul(keys, q, out=self.scores[at])
         self.rows = np.arange(first_row, seq_len)  # each decode row's position
         # key first_row + t is hidden from decode row i when t > i
         hidden = np.arange(decode_queries)[:, None] > np.arange(decode_queries)
@@ -439,9 +437,8 @@ class _HeadNumerators:
             np.exp(self.numerators, out=self.numerators)
         self.numerators[first_row:][hidden] = 0.0
         self.full = np.zeros((decode_queries, head_dim))
-        for a in range(0, seq_len, _KEY_BLOCK):
-            values = np.asarray(block[2, a : a + _KEY_BLOCK], dtype=np.float64)
-            self.full += self.numerators[a : a + _KEY_BLOCK].T @ values
+        for at, values in _key_blocks(block[2]):
+            self.full += self.numerators[at].T @ values
         self.full /= self.numerators.sum(axis=0)[:, None]
 
     def retained_output(self, values: np.ndarray, head: HeadPlan) -> np.ndarray:

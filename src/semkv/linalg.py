@@ -1,12 +1,16 @@
 """Dense linear-algebra kernels: masked attention, PCA, spectral norm.
 
-Matrices are 2-D float64 C-order ndarrays throughout. Everything computes in
-float64 regardless of how traces are stored, so results do not depend on
-accumulation order quirks of narrower types.
+Everything computes in float64 regardless of how traces are stored, so
+results do not depend on accumulation order quirks of narrower types.
+Attention inputs may hold a trace's float32 K and V at rest: the kernels
+widen what they read, K one `_KEY_BLOCK` of keys at a time into the score
+matrix. Widening is exact, so the bits are those of a float64 trace of the
+same values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +18,10 @@ import numpy as np
 from .errors import DimensionError, EmptyInputError
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
+def _as_matrix(a, name: str, keep_float32: bool = False) -> np.ndarray:
+    m = np.asarray(a)
+    if not (keep_float32 and m.dtype == np.float32):
+        m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     return m
@@ -33,9 +39,10 @@ class AttentionInputs:
 
     `keys` and `values` have shape (seq_len, head_dim). `queries` holds the
     last rows of the sequence: every row, or only the trailing rows a caller
-    attends from. Data a caller passes in is checked to be finite;
-    `checked=True` marks data already checked, such as a trace's, and skips
-    that pass.
+    attends from. float32 states stay float32, the form a trace holds at
+    rest; any other dtype is widened to float64. Data a caller passes in is
+    checked to be finite; `checked=True` marks data already checked, such as
+    a trace's, and skips that pass.
     """
 
     queries: np.ndarray
@@ -44,9 +51,9 @@ class AttentionInputs:
     checked: bool = False
 
     def __post_init__(self):
-        q = _as_matrix(self.queries, "queries")
-        k = _as_matrix(self.keys, "keys")
-        v = _as_matrix(self.values, "values")
+        q = _as_matrix(self.queries, "queries", keep_float32=True)
+        k = _as_matrix(self.keys, "keys", keep_float32=True)
+        v = _as_matrix(self.values, "values", keep_float32=True)
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "keys", k)
         object.__setattr__(self, "values", v)
@@ -67,6 +74,34 @@ class AttentionInputs:
         return self.keys.shape[1]
 
 
+# Keys are widened and scored this many at a time, so each widened block
+# is still in cache when it is scored.
+_KEY_BLOCK = 512
+
+
+def _key_blocks(rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """`rows` (N, d) in float64, `_KEY_BLOCK` rows at a time: each block's
+    slice of the N rows and its rows, widened into one buffer that the next
+    block overwrites, so one block is alive at a time."""
+    buffer = np.empty((min(_KEY_BLOCK, len(rows)), rows.shape[1]))
+    for a in range(0, len(rows), _KEY_BLOCK):
+        block = buffer[: len(rows) - a]
+        np.copyto(block, rows[a : a + _KEY_BLOCK])
+        yield slice(a, a + _KEY_BLOCK), block
+
+
+def _softmax_rows(out: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of `out` in place; -inf entries become exactly 0.
+
+    Subtracts each row's max before exponentiating so large score
+    magnitudes cannot overflow. Every row needs a finite entry.
+    """
+    out -= np.max(out, axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=1, keepdims=True)
+    return _require_finite(out, "softmax output")
+
+
 def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Row-wise softmax over allowed entries; blocked entries are exactly 0.
 
@@ -80,26 +115,31 @@ def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
         )
     if not allowed.any(axis=1).all():
         raise EmptyInputError("every row must have at least one allowed entry")
-    # one buffer, updated in place: the same values as fresh arrays, with
-    # no page faults for three more score-sized temporaries
-    out = np.where(allowed, scores, -np.inf)
-    out -= np.max(out, axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=1, keepdims=True)
-    return _require_finite(out, "softmax output")
+    return _softmax_rows(np.where(allowed, scores, -np.inf))
 
 
 def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
     """Causal attention softmax(Q K^T / sqrt(d)) of the last `rows` query
     rows over every key, shape (rows, N); `rows` defaults to every query row
-    `inputs` holds. Row i attends the keys up to its own position."""
+    `inputs` holds. Row i attends the keys up to its own position.
+
+    K is widened one `_KEY_BLOCK` at a time into the score matrix, and
+    only the causal triangle among the last `rows` keys is masked: every
+    earlier key is seen by every row.
+    """
     n, held = inputs.seq_len, len(inputs.queries)
     rows = held if rows is None else rows
     if not 1 <= rows <= held:
         raise DimensionError(f"rows {rows} outside [1, {held}]")
-    scores = (inputs.queries[held - rows :] @ inputs.keys.T) / np.sqrt(float(inputs.head_dim))
-    allowed = np.arange(n)[None, :] <= np.arange(n - rows, n)[:, None]
-    return masked_softmax(scores, allowed)
+    queries = np.asarray(inputs.queries[held - rows :], dtype=np.float64)
+    weights = np.empty((rows, n))
+    for at, keys in _key_blocks(inputs.keys):
+        np.matmul(queries, keys.T, out=weights[:, at])
+    weights /= np.sqrt(float(inputs.head_dim))
+    # row i sits at position n - rows + i, so it does not see key n - rows + j for j > i
+    hidden = np.arange(rows)[:, None] < np.arange(rows)
+    np.copyto(weights[:, n - rows :], -np.inf, where=hidden)
+    return _softmax_rows(weights)
 
 
 def _fix_sign(axis: np.ndarray) -> np.ndarray:

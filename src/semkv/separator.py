@@ -112,15 +112,16 @@ def approx_semantic_vector(
 ) -> SemanticVector:
     """Windowed top-t semantic vector: sum of C[i] * V[i] over the selected set.
 
-    Weights are the raw column means, deliberately not renormalized.
+    Weights are the raw column means, deliberately not renormalized. Only
+    the selected V rows are widened to float64.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     if values.shape[0] != scores.column_means.shape[0]:
         raise ParameterError(
             f"values rows {values.shape[0]} != score length {scores.column_means.shape[0]}"
         )
     selected = top_t_indices(scores.column_means, t)
-    vec = scores.column_means[selected] @ values[selected]
+    vec = scores.column_means[selected] @ np.asarray(values[selected], dtype=np.float64)
     return SemanticVector(values=vec, source="approximated")
 
 

@@ -182,11 +182,19 @@ class AttentionTrace:
         return self.header == other.header and np.array_equal(self.data, other.data)
 
 
+# Values are checked this many at a time: a chunk's max is taken while its
+# min has left it in cache, so the data crosses memory once.
+_FINITE_CHUNK = 1 << 17
+
+
 def _check_finite(data: np.ndarray) -> None:
     # NaN propagates through min/max and an infinity is one of them, so
     # this needs no mask as large as the data
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        raise TraceFormatError("trace contains NaN/Inf entries")
+    flat = data.reshape(-1)
+    for a in range(0, flat.size, _FINITE_CHUNK):
+        chunk = flat[a : a + _FINITE_CHUNK]
+        if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+            raise TraceFormatError("trace contains NaN/Inf entries")
 
 
 def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs:
@@ -199,7 +207,8 @@ def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs
     """
     q, k, v = block
     first = 0 if queries is None else len(q) - queries
-    return AttentionInputs(q[first:], k, v, checked=True)
+    widened = (np.asarray(m, dtype=np.float64) for m in (q[first:], k, v))
+    return AttentionInputs(*widened, checked=True)
 
 
 @dataclass(frozen=True)

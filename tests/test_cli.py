@@ -423,6 +423,20 @@ class TestConfigFile:
         assert (out / "plans_task-kv_0.5.json").exists()
         assert not (out / "plans_streaming_0.5.json").exists()
 
+    def test_gen_reads_seed_beside_a_config_trace_path(self, trace_file, tmp_path, capsys):
+        # a shared config file's trace path does not make gen's --seed unread
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trace_path": str(trace_file)}))
+        seeded = []
+        for seed in ("3", "4"):
+            out = tmp_path / f"g{seed}.tkv"
+            code, _, err = run_cli(
+                capsys, "gen", "--config", str(cfg_path), "--profile", "uniform-random",
+                "--shape", "1,2,8,4", "--seed", seed, "--out", str(out),
+            )
+            assert code == 0, err
+            seeded.append(out.read_bytes())
+        assert seeded[0] != seeded[1]
 
     @pytest.mark.parametrize(
         "extra, bad",
@@ -599,7 +613,7 @@ class TestErrorReporting:
             payload = json.loads(err)
             assert payload["error"] == "ParameterError"
             assert "sinks and recents must be >= 0" in payload["message"]
-            assert os.listdir(out) == []
+            assert not out.exists()
 
     def test_unknown_trace_version_is_a_json_error(self, trace_file, tmp_path, capsys):
         data = bytearray(trace_file.read_bytes())
@@ -687,7 +701,7 @@ class TestErrorReporting:
         payload = json.loads(err)
         assert payload["error"] == "ParameterError"
         assert payload["message"].startswith(name)
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -1157,6 +1171,8 @@ class TestInputLimits:
         "command, flag, value",
         [
             ("compress", "--decode-queries", "5"),
+            ("compress", "--seed", "4"),
+            ("pca", "--seed", "4"),
             ("pca", "--policy", "no-cache"),
             ("pca", "--budget", "0.1"),
             ("pca", "--sinks", "999"),
@@ -1175,7 +1191,7 @@ class TestInputLimits:
         assert json.loads(err) == {
             "error": "ParameterError", "message": f"{command} does not read {flag}"
         }
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     def test_compress_and_pca_accept_a_shared_config_file(self, trace_file, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -1210,7 +1226,36 @@ class TestInputLimits:
         assert json.loads(err) == {
             "error": "ParameterError", "message": f"decode_queries {count} outside [1, 96]"
         }
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, error, message",
+        [
+            ("all", "--decode-queries", "97", "ParameterError",
+             "decode_queries 97 outside [1, 96]"),
+            ("compress", "--top-t", "0", "ParameterError", "top_t must be >= 1, got 0"),
+            ("pca", "--window", "0", "ParameterError", "window_len 0 outside [1, 96]"),
+            ("eval", "--plans", "{}", "PlanFormatError", "not a plans file"),
+        ],
+    )
+    def test_a_rejected_run_leaves_no_out_directory(
+        self, trace_file, tmp_path, capsys, command, flag, value, error, message
+    ):
+        # the run's parameters are checked before --out is created
+        if flag == "--plans":
+            not_plans = tmp_path / "not-plans.json"
+            not_plans.write_text(value)
+            value = str(not_plans)
+        argv = ["--trace", str(trace_file)]
+        if command != "eval":
+            argv += CLASSIFY_ARGS if command == "pca" else PLAN_ARGS
+        argv += [flag, value]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 1
+        reported = json.loads(err)
+        assert reported["error"] == error and message in reported["message"]
+        assert not out.exists()
 
 
 class TestOutputSchema:
@@ -1218,12 +1263,13 @@ class TestOutputSchema:
     and in order, so a field added to a type reaches disk unedited."""
 
     ARGS = ["--budget", "0.5", "--beta", "0.375", "--m-top", "3", "--window", "16",
-            "--kernel", "3", "--sinks", "4", "--recents", "8", "--seed", "3"]
+            "--kernel", "3", "--sinks", "4", "--recents", "8"]
 
     @pytest.mark.parametrize("policy", [p.value for p in PolicyKind])
     def test_written_records_are_their_types_fields(self, trace_file, tmp_path, capsys, policy):
         argv = ["--trace", str(trace_file), "--policy", policy, *self.ARGS]
-        for command, extra in (("all", ["--contrib-trials", "2"]), ("compress", [])):
+        all_flags = ["--seed", "3", "--contrib-trials", "2"]
+        for command, extra in (("all", all_flags), ("compress", [])):
             code, _, err = run_cli(capsys, command, *argv, *extra, "--out", str(tmp_path / command))
             assert code == 0, err
         code, _, err = run_cli(
@@ -1232,7 +1278,7 @@ class TestOutputSchema:
         assert code == 0, err
         report = json.loads((tmp_path / "all" / "report.json").read_text())
 
-        cfg = _config_from(build_parser().parse_args(["all", *argv, "--contrib-trials", "2"]))
+        cfg = _config_from(build_parser().parse_args(["all", *argv, *all_flags]))
         assert report["config"] == _as_json(dataclasses.asdict(cfg))
         assert report["schedule"] == _as_json(
             dataclasses.asdict(heterogeneous_schedule(8, 0.375, 3, 1))

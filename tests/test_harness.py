@@ -28,6 +28,7 @@ from semkv.errors import (
     TraceTruncationError,
 )
 from semkv.harness import (
+    _head_pass,
     RunConfig,
     _HeadNumerators,
     _rows_cosine,
@@ -41,8 +42,8 @@ from semkv.harness import (
     run_all,
     score_plans,
 )
-from semkv.linalg import AttentionInputs, attention_weights, masked_softmax
-from semkv.separator import HeadClass
+from semkv.linalg import _KEY_BLOCK, AttentionInputs, attention_weights, masked_softmax
+from semkv.separator import HeadClass, top_t_indices
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -543,13 +544,13 @@ class TestFloat32Storage:
         import semkv.linalg
 
         calls = []
-        original = semkv.linalg.masked_softmax
+        original = semkv.linalg._softmax_rows
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(semkv.linalg, "masked_softmax", counted)
+        monkeypatch.setattr(semkv.linalg, "_softmax_rows", counted)
         return calls
 
     @staticmethod
@@ -573,7 +574,7 @@ class TestFloat32Storage:
         trace = load_trace_for(cfg)
         calls = self.count_softmax(monkeypatch)
         report, result = run_all(cfg, trace, return_result=True)
-        # one masked softmax per head, over its window, for every decode
+        # one softmax per head, over its window, for every decode
         # count: the full-cache outputs come from the scoring numerators
         assert len(calls) == trace.num_layers * trace.num_heads
         self.assert_report_fidelity_equals_standalone(cfg, trace, report, result)
@@ -585,9 +586,14 @@ class TestFloat32Storage:
             report, result = run_all(cfg, wide, return_result=True)
             self.assert_report_fidelity_equals_standalone(cfg, wide, report, result)
 
-    def test_compress_run_widens_one_head_at_a_time(self):
+    @staticmethod
+    def compress_run_peak(window_len):
+        """`compress_run`'s peak above what it keeps, and the head pass's
+        working set: the window's float64 scores, one widened key block,
+        the top-t V rows (gathered in float32, then widened) and eight
+        key-length float64 vectors (column means, their ranking, pooling)."""
         shape = (1, 4, 2048, 64)
-        cfg = clustered_config(seed=33, planted=1, shape=shape, top_t=256)
+        cfg = clustered_config(seed=33, planted=1, shape=shape, top_t=256, window_len=window_len)
         small = dataclasses.replace(cfg, shape=(1, 4, 64, 8))
         compress_run(small, load_trace_for(small))
         trace = load_trace_for(cfg)
@@ -597,29 +603,19 @@ class TestFloat32Storage:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one head's float64 Q/K/V plus the window softmax's temporaries;
-        # a second widened head alive at once would exceed it
-        head_block = 3 * shape[2] * shape[3] * 8
-        softmax_temps = 8 * cfg.window_len * shape[2] * 8
-        assert peak - held <= head_block + softmax_temps
+        n, d = shape[2], shape[3]
+        working_set = (window_len * n + _KEY_BLOCK * d) * 8 + cfg.top_t * d * 12 + 8 * n * 8
+        return peak - held, working_set
+
+    def test_compress_run_widens_one_head_at_a_time(self):
+        # a head's whole float64 K or V (N d 8 bytes) would exceed it
+        peak, working_set = self.compress_run_peak(16)
+        assert peak <= working_set
 
     def test_head_pass_widens_keys_values_and_window_rows_only(self):
-        shape = (1, 4, 2048, 64)
-        cfg = clustered_config(seed=33, planted=1, shape=shape, top_t=256, window_len=4)
-        small = dataclasses.replace(cfg, shape=(1, 4, 64, 8))
-        compress_run(small, load_trace_for(small))
-        trace = load_trace_for(cfg)
-        tracemalloc.start()
-        try:
-            compress_run(cfg, trace)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one head's float64 K and V and the window softmax's temporaries;
-        # its widened query block (N d 8 bytes) would exceed the slack
-        kv_block = 2 * shape[2] * shape[3] * 8
-        softmax_temps = 8 * cfg.window_len * shape[2] * 8
-        assert peak - held <= kv_block + softmax_temps + shape[2] * shape[3] * 8 // 4
+        # and so would its widened query block
+        peak, working_set = self.compress_run_peak(4)
+        assert peak <= working_set
 
     def test_run_all_holds_one_head_entry_on_float64_values(self):
         shape = (2, 16, 256, 128)
@@ -638,6 +634,67 @@ class TestFloat32Storage:
             tracemalloc.stop()
         # the same allowance as on the float32 trace: one head's entry
         assert peak - held <= 4 * (2 * shape[2] * shape[3] * 8)
+
+
+def whole_head_pass(block, window_len, top_t):
+    """The head pass that widens the whole head: `widen_head`'s float64 K
+    and V, one masked softmax under the full (window, N) causal mask, and
+    the top-t rows of the widened V. Returns the column means and the
+    semantic vector."""
+    inputs = widen_head(block, window_len)
+    n = inputs.seq_len
+    scores = (inputs.queries @ inputs.keys.T) / np.sqrt(float(inputs.head_dim))
+    allowed = np.arange(n)[None, :] <= np.arange(n - window_len, n)[:, None]
+    column_means = masked_softmax(scores, allowed).mean(axis=0)
+    selected = top_t_indices(column_means, top_t)
+    return column_means, column_means[selected] @ inputs.values[selected]
+
+
+class TestLeanHeadPass:
+    """The head pass widens K one key block at a time and V only at its
+    top-t rows, and masks only the window's causal tail, with the bits of
+    the whole-head pass."""
+
+    LAYOUTS = {
+        "float32": lambda block: block,
+        "float64": lambda block: block.astype(np.float64),
+        "fortran-float32": np.asfortranarray,
+        "fortran-float64": lambda block: np.asfortranarray(block, dtype=np.float64),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize(
+        "seq_len, head_dim, window_len, top_t",
+        [
+            (2 * _KEY_BLOCK + 77, 16, 32, 64),  # N not a multiple of the key block
+            (_KEY_BLOCK // 5, 16, 8, 16),  # N below one key block
+            (_KEY_BLOCK + 3, 1, 16, 32),  # head_dim 1
+            (96, 8, 96, 24),  # the window is every row
+            (96, 8, 16, 96),  # top-t is N
+            (96, 8, 16, 500),  # top-t past N
+        ],
+    )
+    def test_equals_the_whole_head_pass(self, layout, seq_len, head_dim, window_len, top_t):
+        rng = np.random.default_rng(seq_len * head_dim + window_len)
+        raw = 3 * rng.standard_normal((3, seq_len, head_dim)).astype(np.float32)
+        block = self.LAYOUTS[layout](raw)
+        scores, vector = _head_pass(block, window_len, top_t)
+        column_means, semantic = whole_head_pass(block, window_len, top_t)
+        assert scores.column_means.tobytes() == column_means.tobytes()
+        assert vector.values.tobytes() == semantic.tobytes()
+
+    def test_trace_heads_equal_the_whole_head_pass(self):
+        # every head of a float32 trace, of its float64 copy and of a trace
+        # built from a Fortran-order array
+        trace = load_trace_for(clustered_config(seed=34, shape=(2, 4, _KEY_BLOCK + 40, 16)))
+        wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
+        fortran = AttentionTrace(trace.header, np.asfortranarray(trace.data))
+        for source in (trace, wide, fortran):
+            for block in source.data.reshape(-1, *source.data.shape[2:]):
+                scores, vector = _head_pass(block, 16, 64)
+                column_means, semantic = whole_head_pass(block, 16, 64)
+                assert scores.column_means.tobytes() == column_means.tobytes()
+                assert vector.values.tobytes() == semantic.tobytes()
 
 
 class TestEvalReport:
