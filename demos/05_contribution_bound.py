@@ -1,34 +1,33 @@
 """Head-removal contributions and their offset-driven upper bound.
 
-Builds one single-layer MHA instance, removes each head in turn, and compares
-the exact output change against the (||center|| + ||offset||)^2 * C^2 bound.
-Then runs the randomized suite to confirm the bound never fails and to report
-how offset norms track contributions.
+Builds one single-layer MHA instance, takes every head's exact output change
+on removal (closed form and long form) and its (||center|| + ||offset||)^2 * C^2
+bound as arrays over the heads, and prints them side by side. Then runs the
+randomized suite to confirm the bound never fails and to report how offset
+norms track contributions.
 """
 
 import numpy as np
 
 from semkv import (
-    contribution_bound,
-    head_contribution,
-    head_contribution_longform,
+    contribution_bounds,
+    head_contributions,
+    head_contributions_longform,
     verify_bound_suite,
 )
-from semkv.contribution import max_block_norm, offsets_from_center, random_instance
+from semkv.contribution import random_instance
 
 rng = np.random.default_rng(5)
 inst = random_instance(rng, n=8, d=16, out_dim=32, spread=1.0)
-c_bound = max_block_norm(inst)
-_, offsets = offsets_from_center(inst)
+offset_norms = np.linalg.norm(inst.head_values - inst.head_values.mean(axis=0), axis=1)
+closed = head_contributions(inst)
+longform = head_contributions_longform(inst)
+bounds = contribution_bounds(inst)
 
 print("per-head removal contribution vs bound (one seeded instance):")
 print(f"{'head':>4s} {'|offset|':>9s} {'closed':>9s} {'long form':>9s} {'bound':>9s} {'ratio':>6s}")
-for j in range(inst.num_heads):
-    closed = head_contribution(inst, j)
-    longform = head_contribution_longform(inst, j)
-    bound = contribution_bound(inst, j, c_bound=c_bound)
-    print(f"{j:>4d} {np.linalg.norm(offsets[j]):>9.3f} {closed:>9.3f} "
-          f"{longform:>9.3f} {bound:>9.3f} {closed / bound:>6.3f}")
+for j, (offset, c, lf, b) in enumerate(zip(offset_norms, closed, longform, bounds)):
+    print(f"{j:>4d} {offset:>9.3f} {c:>9.3f} {lf:>9.3f} {b:>9.3f} {c / b:>6.3f}")
 
 print("\nrandomized suite (200 instances, n=8, d=16, out_dim=32):")
 report = verify_bound_suite(seed=5, trials=200, n=8, d=16, out_dim=32)

@@ -23,9 +23,9 @@ from .allocator import (
 from .contribution import (
     BoundSuiteReport,
     MHAInstance,
-    contribution_bound,
-    head_contribution,
-    head_contribution_longform,
+    contribution_bounds,
+    head_contributions,
+    head_contributions_longform,
     verify_bound_suite,
 )
 from .errors import (
@@ -56,7 +56,6 @@ from .harness import (
 from .linalg import (
     AttentionInputs,
     attention_weights,
-    masked_softmax,
     pca_2d,
     spectral_norm,
 )

@@ -244,6 +244,7 @@ _UNREAD = {
     "pca": {
         "policies": "--policy",
         "budget_ratios": "--budget",
+        "kernel": "--kernel",
         "sinks": "--sinks",
         "recents": "--recents",
         "decode_queries": "--decode-queries",
@@ -306,8 +307,18 @@ class _Outputs:
                     os.remove(temporary)
 
 
-def _plan_filename(policy: str, ratio: float) -> str:
-    return f"plans_{policy}_{ratio:g}.json"
+def _plan_filenames(cells) -> dict:
+    """Each cell's plans file name, `plans_{policy}_{ratio:g}.json`. Two
+    budgets that print alike would share one file, so they fail."""
+    names, ratios = {}, {}
+    for policy, ratio in cells:
+        name = names[(policy, ratio)] = f"plans_{policy}_{ratio:g}.json"
+        other = ratios.setdefault(name, ratio)
+        if other != ratio:
+            raise ParameterError(
+                f"budgets {other!r} and {ratio!r} would share the plans file {name}"
+            )
+    return names
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -341,11 +352,10 @@ class _PlansFiles:
     plan, then the list's and object's closing brackets.
     """
 
-    def __init__(self, files: contextlib.ExitStack, outputs: _Outputs, header, cells):
+    def __init__(self, files: contextlib.ExitStack, outputs: _Outputs, header, names: dict):
         self._files = {}
-        for policy, ratio in cells:
-            path = outputs.path(_plan_filename(policy, ratio))
-            f = self._files[(policy, ratio)] = files.enter_context(open(path, "w"))
+        for (policy, ratio), name in names.items():
+            f = self._files[(policy, ratio)] = files.enter_context(open(outputs.path(name), "w"))
             payload = {
                 "policy": policy,
                 "budget_ratio": ratio,
@@ -371,10 +381,10 @@ def _infeasible_note(result, listed_in: str) -> str:
     return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
 
 
-def _run_and_write_plans(cfg, header, result: RunResult, layers, outputs, files) -> None:
+def _run_and_write_plans(cfg, header, result: RunResult, names, layers, outputs, files) -> None:
     """`run_steps` of the started `result` over `layers`, each layer's plans
-    appended to the cells' plans files before the next layer is read."""
-    plans_files = _PlansFiles(files, outputs, header, result.cells)
+    appended to the cells' plans files (`names`) before the next layer is read."""
+    plans_files = _PlansFiles(files, outputs, header, names)
     for step in run_steps(cfg, result, layers):
         plans_files.add(step.plans)
     plans_files.finish()
@@ -384,9 +394,12 @@ def _cmd_compress(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
         result = start_run(cfg, source.header, score=False)
+        names = _plan_filenames(result.cells)
         out = _outdir(args)
         with _Outputs(out) as outputs, contextlib.ExitStack() as files:
-            _run_and_write_plans(cfg, source.header, result, source.layers(), outputs, files)
+            _run_and_write_plans(
+                cfg, source.header, result, names, source.layers(), outputs, files
+            )
             memory_rows = [
                 {
                     "policy": policy,
@@ -484,6 +497,7 @@ def _cmd_all(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
         result = start_run(cfg, source.header)
+        names = _plan_filenames(result.cells)
         out = _outdir(args)
         with _Outputs(out) as outputs:
             with contextlib.ExitStack() as files:
@@ -492,7 +506,7 @@ def _cmd_all(args) -> int:
                     # a generated trace is saved as its layers are drawn
                     sink = files.enter_context(open(outputs.path("trace.tkv"), "wb"))
                     layers = written_blocks(source.header, layers, sink)
-                _run_and_write_plans(cfg, source.header, result, layers, outputs, files)
+                _run_and_write_plans(cfg, source.header, result, names, layers, outputs, files)
             report = build_eval_report(cfg, source.header, result, bound_suite(cfg))
             export_report(report, "json", outputs.path("report.json"))
             export_report(report, "csv", outputs.path("report.csv"))

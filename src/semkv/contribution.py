@@ -46,53 +46,59 @@ class MHAInstance:
     def num_heads(self) -> int:
         return self.head_values.shape[0]
 
-    def combined_output(self) -> np.ndarray:
-        return np.einsum("nd,ndo->o", self.head_values, self.out_blocks)
 
-    def output_without(self, j: int) -> np.ndarray:
-        keep = [i for i in range(self.num_heads) if i != j]
-        return np.einsum("nd,ndo->o", self.head_values[keep], self.out_blocks[keep])
+def _projected(instance: MHAInstance) -> np.ndarray:
+    """Every head's projected row v_j W_j, (n, out)."""
+    return np.einsum("nd,ndo->no", instance.head_values, instance.out_blocks)
 
 
-def head_contribution(instance: MHAInstance, j: int) -> float:
-    """Closed-form removal contribution ||v_j W_j||^2."""
-    if not 0 <= j < instance.num_heads:
-        raise IndexError(f"head {j} outside [0, {instance.num_heads})")
-    projected = instance.head_values[j] @ instance.out_blocks[j]
-    return float(projected @ projected)
+def head_contributions(instance: MHAInstance) -> np.ndarray:
+    """Closed-form removal contribution ||v_j W_j||^2 of every head, (n,)."""
+    projected = _projected(instance)
+    return np.einsum("no,no->n", projected, projected)
 
 
-def head_contribution_longform(instance: MHAInstance, j: int) -> float:
-    """Removal contribution computed the long way: ||y - y_without_j||^2."""
-    if not 0 <= j < instance.num_heads:
-        raise IndexError(f"head {j} outside [0, {instance.num_heads})")
-    delta = instance.combined_output() - instance.output_without(j)
-    return float(delta @ delta)
+def head_contributions_longform(instance: MHAInstance) -> np.ndarray:
+    """Removal contribution of every head the long way, ||y - y_without_j||^2.
 
-
-def offsets_from_center(instance: MHAInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Mean head-value vector and per-head offsets from it."""
-    center = instance.head_values.mean(axis=0)
-    return center, instance.head_values - center
-
-
-def contribution_bound(instance: MHAInstance, j: int, c_bound: float | None = None) -> float:
-    """Upper bound (||mean|| + ||offset_j||)^2 * C^2 on the removal contribution.
-
-    C defaults to the max spectral norm over all blocks (the uniform bound);
-    pass a precomputed value when bounding many heads of one instance.
+    y sums every head's projected row and y_without_j the other heads'
+    rows: the rows before j (a prefix sum) plus the rows after j (a suffix
+    sum), so no (n, n * d) masked copy is built.
     """
-    if not 0 <= j < instance.num_heads:
-        raise IndexError(f"head {j} outside [0, {instance.num_heads})")
+    projected = _projected(instance)
+    zero = np.zeros((1, projected.shape[1]))
+    before = np.cumsum(np.concatenate([zero, projected]), axis=0)  # row j: heads < j
+    after = np.cumsum(np.concatenate([zero, projected[::-1]]), axis=0)[::-1]  # row j: heads >= j
+    delta = before[-1] - (before[:-1] + after[1:])
+    return np.einsum("no,no->n", delta, delta)
+
+
+def _center_and_offset_norms(instance: MHAInstance) -> tuple[float, np.ndarray]:
+    """||center|| of the mean head-value vector and every head's ||offset_j|| from it."""
+    center = instance.head_values.mean(axis=0)
+    return np.linalg.norm(center), np.linalg.norm(instance.head_values - center, axis=1)
+
+
+def contribution_bounds(
+    instance: MHAInstance, c_bound: float | np.ndarray | None = None
+) -> np.ndarray:
+    """Upper bound (||center|| + ||offset_j||)^2 * C^2 on every head's
+    removal contribution, (n,).
+
+    C defaults to the largest block spectral norm (the uniform bound); it
+    may also be a float, or the (n,) per-head block norms.
+    """
     if c_bound is None:
-        c_bound = max_block_norm(instance)
-    center, offsets = offsets_from_center(instance)
-    radius = np.linalg.norm(center) + np.linalg.norm(offsets[j])
-    return float(radius * radius * c_bound * c_bound)
+        c_bound = spectral_norm(instance.out_blocks).max()
+    center_norm, offset_norms = _center_and_offset_norms(instance)
+    radius = center_norm + offset_norms
+    return radius * radius * c_bound * c_bound
 
 
-def max_block_norm(instance: MHAInstance) -> float:
-    return float(spectral_norm(instance.out_blocks).max())
+def _positive_ratios(contribs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """contribution/bound of the heads whose bound is positive."""
+    positive = bounds > 0
+    return contribs[positive] / bounds[positive]
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,36 +156,26 @@ def verify_bound_suite(
         raise ParameterError("trials must be >= 1")
     if min(n, d, out_dim) < 1:
         raise ParameterError(f"heads, dim and out_dim must be >= 1, got {n}, {d}, {out_dim}")
-    violations = 0
-    max_ratio = 0.0
-    max_form_gap = 0.0
+    violations, max_ratio, max_form_gap = 0, 0.0, 0.0
     corrs = []
-    tight_uniform = []
-    tight_per_head = []
+    # sum and count of contribution/bound over positive bounds: uniform C, per-head C
+    tight_sum, tight_count = np.zeros(2), np.zeros(2)
     for trial in range(trials):
-        rng = seeded_rng(seed, trial)
-        inst = random_instance(rng, n, d, out_dim, spread)
+        inst = random_instance(seeded_rng(seed, trial), n, d, out_dim, spread)
         block_norms = spectral_norm(inst.out_blocks)
-        c_uniform = float(block_norms.max())
-        _, offsets = offsets_from_center(inst)
-        contribs = np.empty(n)
-        for j in range(n):
-            contrib = head_contribution(inst, j)
-            longform = head_contribution_longform(inst, j)
-            scale = max(abs(contrib), abs(longform), 1e-300)
-            max_form_gap = max(max_form_gap, abs(contrib - longform) / scale)
-            bound = contribution_bound(inst, j, c_bound=c_uniform)
-            bound_per_head = contribution_bound(inst, j, c_bound=block_norms[j])
-            if contrib > bound * (1 + 1e-9):
-                violations += 1
-            if bound > 0:
-                max_ratio = max(max_ratio, contrib / bound)
-                tight_uniform.append(contrib / bound)
-            if bound_per_head > 0:
-                tight_per_head.append(contrib / bound_per_head)
-            contribs[j] = contrib
-        offset_norms = np.linalg.norm(offsets, axis=1)
-        corrs.append(_spearman(offset_norms, contribs))
+        contribs = head_contributions(inst)
+        longform = head_contributions_longform(inst)
+        scale = np.maximum(np.maximum(np.abs(contribs), np.abs(longform)), 1e-300)
+        max_form_gap = max(max_form_gap, float((np.abs(contribs - longform) / scale).max()))
+        uniform = contribution_bounds(inst, block_norms.max())
+        violations += int(np.count_nonzero(contribs > uniform * (1 + 1e-9)))
+        ratios = _positive_ratios(contribs, uniform)
+        per_head = _positive_ratios(contribs, contribution_bounds(inst, block_norms))
+        max_ratio = max(max_ratio, float(ratios.max(initial=0.0)))
+        tight_sum += ratios.sum(), per_head.sum()
+        tight_count += ratios.size, per_head.size
+        corrs.append(_spearman(_center_and_offset_norms(inst)[1], contribs))
+    mean_uniform, mean_per_head = tight_sum / tight_count
     return BoundSuiteReport(
         trials=trials,
         num_heads=n,
@@ -190,6 +186,6 @@ def verify_bound_suite(
         max_ratio=max_ratio,
         rank_corr=float(np.mean(corrs)),
         max_form_gap=max_form_gap,
-        mean_tightness_uniform=float(np.mean(tight_uniform)),
-        mean_tightness_per_head=float(np.mean(tight_per_head)),
+        mean_tightness_uniform=float(mean_uniform),
+        mean_tightness_per_head=float(mean_per_head),
     )

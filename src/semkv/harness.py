@@ -67,7 +67,7 @@ from .separator import (
     check_top_t,
     check_window_len,
     heterogeneous_schedule,
-    window_weights,
+    window_column_scores,
 )
 from .trace import (
     AttentionTrace,
@@ -188,11 +188,12 @@ def start_run(
     """Everything a run decides from the header alone, before any layer is read.
 
     The config's parameters are checked first: a non-empty policy and
-    budget list, and the window, kernel and top-t the layers will use.
-    With `plan`, each (policy, budget) cell passes `check_cell`: the cells
-    whose budget cannot hold some layer's heterogeneous heads are listed
-    in `infeasible`, and when no cell is feasible the first one's error is
-    raised. With `score`, the decode-query count is checked.
+    budget list, and the window, top-t and, with `plan`, the pooling kernel
+    the layers will use. With `plan`, each distinct (policy, budget) cell
+    passes `check_cell`: the cells whose budget cannot hold some layer's
+    heterogeneous heads are listed once each in `infeasible`, and when no
+    cell is feasible the first one's error is raised. With `score`, the
+    decode-query count is checked.
     """
     if config.contrib_trials < 0:
         raise ParameterError(f"contrib_trials must be >= 0, got {config.contrib_trials}")
@@ -200,32 +201,34 @@ def start_run(
         if not values:
             raise ParameterError(f"{name} must not be empty")
     check_window_len(min(config.window_len, header.seq_len), header.seq_len)
-    check_kernel(config.kernel)
+    if plan:
+        check_kernel(config.kernel)
     check_top_t(config.top_t)
     schedule = heterogeneous_schedule(
         header.num_heads, config.beta, config.top_m, header.num_layers
     )
     result = RunResult(schedule)
-    for policy in config.policies if plan else ():
-        for ratio in config.budget_ratios:
-            cell = (PolicyKind(policy).value, ratio)
-            try:
-                check_cell(
-                    policy,
-                    ratio,
-                    header.seq_len,
-                    header.num_heads,
-                    schedule.per_layer_counts,
-                    config.sinks,
-                    config.recents,
-                )
-            except InfeasibleBudgetError as exc:
-                result.infeasible.append(
-                    {"policy": cell[0], "budget_ratio": ratio, "message": str(exc)}
-                )
-            else:
-                if cell not in result.cells:
-                    result.cells.append(cell)
+    # each distinct cell once, in the order the config first names it
+    cells = dict.fromkeys(
+        (PolicyKind(policy).value, ratio)
+        for policy in (config.policies if plan else ())
+        for ratio in config.budget_ratios
+    )
+    for policy, ratio in cells:
+        try:
+            check_cell(
+                policy,
+                ratio,
+                header.seq_len,
+                header.num_heads,
+                schedule.per_layer_counts,
+                config.sinks,
+                config.recents,
+            )
+        except InfeasibleBudgetError as exc:
+            result.infeasible.append({"policy": policy, "budget_ratio": ratio, "message": str(exc)})
+        else:
+            result.cells.append((policy, ratio))
     if result.infeasible and not result.cells:
         raise InfeasibleBudgetError(result.infeasible[0]["message"])
     if score:
@@ -263,7 +266,7 @@ def _head_pass(
     """
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
-    scores = WindowScores.from_weights(window_weights(inputs, window_len))
+    scores = window_column_scores(inputs, window_len)
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 

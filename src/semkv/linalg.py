@@ -102,22 +102,6 @@ def _softmax_rows(out: np.ndarray) -> np.ndarray:
     return _require_finite(out, "softmax output")
 
 
-def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over allowed entries; blocked entries are exactly 0.
-
-    Subtracts the per-row max of the allowed entries before exponentiating
-    so large score magnitudes cannot overflow.
-    """
-    scores = _as_matrix(scores, "scores")
-    if allowed.shape != scores.shape:
-        raise DimensionError(
-            f"mask shape {allowed.shape} does not match scores {scores.shape}"
-        )
-    if not allowed.any(axis=1).all():
-        raise EmptyInputError("every row must have at least one allowed entry")
-    return _softmax_rows(np.where(allowed, scores, -np.inf))
-
-
 def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
     """Causal attention softmax(Q K^T / sqrt(d)) of the last `rows` query
     rows over every key, shape (rows, N); `rows` defaults to every query row

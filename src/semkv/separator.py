@@ -33,11 +33,6 @@ class WindowScores:
     window_len: int
     column_means: np.ndarray
 
-    @classmethod
-    def from_weights(cls, weights: np.ndarray) -> "WindowScores":
-        """Scores of a (window_len, N) block of window attention weights."""
-        return cls(window_len=weights.shape[0], column_means=weights.mean(axis=0))
-
 
 @dataclass(frozen=True)
 class SemanticVector:
@@ -83,15 +78,11 @@ def check_window_len(window_len: int, seq_len: int) -> None:
         raise ParameterError(f"window_len {window_len} outside [1, {seq_len}]")
 
 
-def window_weights(inputs: AttentionInputs, window_len: int) -> np.ndarray:
-    """Attention of the last `window_len` query rows over every key, (window_len, N)."""
-    check_window_len(window_len, inputs.seq_len)
-    return attention_weights(inputs, window_len)
-
-
 def window_column_scores(inputs: AttentionInputs, window_len: int) -> WindowScores:
     """Per-key attention mass averaged over the last `window_len` query rows."""
-    return WindowScores.from_weights(window_weights(inputs, window_len))
+    check_window_len(window_len, inputs.seq_len)
+    weights = attention_weights(inputs, window_len)
+    return WindowScores(window_len=window_len, column_means=weights.mean(axis=0))
 
 
 def check_top_t(t: int) -> None:

@@ -51,13 +51,13 @@ CLASSIFY_ARGS = [
     "--m-top", "3",
     "--top-t", "96",
     "--window", "16",
-    "--kernel", "3",
 ]
 # and the flags that plan each cell, which `compress` reads too
 PLAN_ARGS = [
     "--policy", "task-kv,streaming",
     "--budget", "0.5",
     *CLASSIFY_ARGS,
+    "--kernel", "3",
     "--sinks", "4",
     "--recents", "8",
 ]
@@ -396,6 +396,39 @@ class TestAll:
         )[0] == 0
         assert "infeasible" not in json.loads((feasible / "memory.json").read_text())
 
+    def test_a_repeated_infeasible_cell_is_listed_once(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "compress", "--trace", str(trace_file), "--policy", "task-kv",
+            "--budget", "0.05,0.05,0.5,0.5", *CLASSIFY_ARGS,
+            "--kernel", "3", "--sinks", "4", "--recents", "8", "--out", str(out),
+        )
+        assert code == 0, err
+        assert "wrote 1 plan file(s)" in stdout
+        assert "; 1 infeasible cell(s) listed in memory.json" in stdout
+        memory = json.loads((out / "memory.json").read_text())
+        assert [(m["policy"], m["budget_ratio"]) for m in memory["memory"]] == [("task-kv", 0.5)]
+        assert [(c["policy"], c["budget_ratio"]) for c in memory["infeasible"]] == [
+            ("task-kv", 0.05)
+        ]
+
+    @pytest.mark.parametrize("command", ["compress", "all"])
+    def test_budgets_that_share_a_plans_file_fail(self, trace_file, tmp_path, capsys, command):
+        # both budgets print as 0.5, so one cell's plans would overwrite the other's
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, command, "--trace", str(trace_file), "--policy", "task-kv",
+            "--budget", "0.5000001,0.5000002", *CLASSIFY_ARGS,
+            "--kernel", "3", "--sinks", "4", "--recents", "8", "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError",
+            "message": "budgets 0.5000001 and 0.5000002 would share the plans file "
+            "plans_task-kv_0.5.json",
+        }
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, trace_file, tmp_path, capsys):
@@ -700,7 +733,11 @@ class TestErrorReporting:
         assert code == 1
         payload = json.loads(err)
         assert payload["error"] == "ParameterError"
-        assert payload["message"].startswith(name)
+        if (command, flag) == ("pca", "--kernel"):
+            # pca pools nothing, so it rejects the kernel flag unread
+            assert payload["message"] == "pca does not read --kernel"
+        else:
+            assert payload["message"].startswith(name)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -810,11 +847,10 @@ def assert_outputs(out, expected):
 ALL_POLICIES = ",".join(p.value for p in PolicyKind)
 LAYERED = ["--profile", "clustered-heads", "--shape", "3,8,128,8", "--planted", "2",
            "--spread", "0.1", "--seed", "6"]
-LAYERED_CLASSIFY = ["--beta", "0.375", "--m-top", "2", "--top-t", "64", "--window", "16",
-                    "--kernel", "3"]
+LAYERED_CLASSIFY = ["--beta", "0.375", "--m-top", "2", "--top-t", "64", "--window", "16"]
 LAYERED_ARGS = [
-    "--policy", ALL_POLICIES, "--budget", "0.3,0.6", *LAYERED_CLASSIFY, "--sinks", "4",
-    "--recents", "8",
+    "--policy", ALL_POLICIES, "--budget", "0.3,0.6", *LAYERED_CLASSIFY, "--kernel", "3",
+    "--sinks", "4", "--recents", "8",
 ]
 # `pca` reads only the flags that classify heads
 LAYERED_FOR = {"pca": LAYERED_CLASSIFY}
@@ -1178,6 +1214,7 @@ class TestInputLimits:
             ("pca", "--sinks", "999"),
             ("pca", "--recents", "-5"),
             ("pca", "--decode-queries", "7"),
+            ("pca", "--kernel", "5"),
         ],
     )
     def test_compress_and_pca_reject_flags_they_do_not_read(
@@ -1197,7 +1234,7 @@ class TestInputLimits:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "policies": ["task-kv"], "budget_ratios": [0.5], "beta": 0.375, "top_m": 3,
-            "sinks": 4, "recents": 8, "decode_queries": 8,
+            "kernel": 3, "sinks": 4, "recents": 8, "decode_queries": 8,
         }))
         for command in ("compress", "pca"):
             out = tmp_path / command
@@ -1206,6 +1243,17 @@ class TestInputLimits:
                 "--out", str(out),
             )
             assert code == 0, err
+
+    def test_pca_does_not_check_a_config_files_kernel(self, trace_file, tmp_path, capsys):
+        # pca pools nothing: a shared config's kernel, even one planning rejects, is not read
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"kernel": 4}))
+        argv = ["--config", str(config), "--trace", str(trace_file)]
+        code, _, err = run_cli(capsys, "pca", *argv, "--out", str(tmp_path / "pca"))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "compress", *argv, "--out", str(tmp_path / "compress"))
+        assert code == 1
+        assert json.loads(err)["message"].startswith("kernel")
 
     @pytest.mark.parametrize("count", ["0", "97"])
     @pytest.mark.parametrize("command", ["all", "eval"])

@@ -42,7 +42,7 @@ from semkv.harness import (
     run_all,
     score_plans,
 )
-from semkv.linalg import _KEY_BLOCK, AttentionInputs, attention_weights, masked_softmax
+from semkv.linalg import _KEY_BLOCK, AttentionInputs, attention_weights
 from semkv.separator import HeadClass, top_t_indices
 from semkv.trace import (
     AttentionTrace,
@@ -52,6 +52,9 @@ from semkv.trace import (
     gen_synthetic_trace,
     widen_head,
 )
+
+# the softmax oracle that masks the whole score matrix
+from test_linalg import masked_softmax
 
 ALL_POLICIES = tuple(PolicyKind)
 

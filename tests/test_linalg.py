@@ -13,11 +13,18 @@ from semkv.trace import SyntheticProfile
 from semkv.linalg import (
     AttentionInputs,
     _fix_sign,
+    _softmax_rows,
     attention_weights,
-    masked_softmax,
     pca_2d,
     spectral_norm,
 )
+
+
+def masked_softmax(scores, allowed):
+    """Row-wise softmax over the `allowed` entries of a whole score matrix,
+    blocked entries exactly 0: the oracle `attention_weights`, which masks
+    only the window's causal tail, is held to."""
+    return _softmax_rows(np.where(allowed, np.asarray(scores, dtype=np.float64), -np.inf))
 
 
 def naive_attention_weights(q, k, offset):

@@ -39,4 +39,6 @@ def test_traced_all_runs_and_records_layer_steps(tmp_path, capsys):
     assert names.count(tracing.POST_INIT) > 0
     metrics = tracing.command_metrics(tracer.spans, plans_bytes=0)
     assert metrics["linalg.attention_weights.calls"] > 0
+    # one window-score pass per head: 2 layers of 8 heads
+    assert metrics["separator.window_scores.calls"] == 16
     assert metrics["contribution.trials"] == 2
