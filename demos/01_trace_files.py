@@ -53,5 +53,5 @@ from semkv import window_column_scores
 
 scores = window_column_scores(inputs, 32)
 print(f"\nplanted-needle: window scores peak at position "
-      f"{int(np.argmax(scores.column_means))} (planted at {needle.needle_position}), "
-      f"holding {scores.column_means.max():.1%} of the window mass")
+      f"{int(np.argmax(scores))} (planted at {needle.needle_position}), "
+      f"holding {scores.max():.1%} of the window mass")

@@ -32,9 +32,9 @@ print("(top-t keeps raw column-mean weights, so diffuse heads shrink in norm;")
 print(" directions survive, which is what the distance ranking uses)")
 for h in range(shape[1]):
     inputs = trace.head_inputs(0, h)
-    exact = semantic_vector_full(inputs).values
+    exact = semantic_vector_full(inputs)
     scores = window_column_scores(inputs, 32)
-    approx = approx_semantic_vector(scores, inputs.values, 64).values
+    approx = approx_semantic_vector(scores, inputs.values, 64)
     rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
     cos = float(approx @ exact / (np.linalg.norm(approx) * np.linalg.norm(exact)))
     print(f"  head {h}: |exact|={np.linalg.norm(exact):6.3f}  "
@@ -44,27 +44,28 @@ schedule = heterogeneous_schedule(shape[1], beta=0.375, m=2, num_layers=shape[0]
 print(f"\nschedule beta=0.375, m=2 over {shape[0]} layers -> f(r) = "
       f"{list(schedule.per_layer_counts)}")
 
-print("\nclassification per layer (windowed top-t path):")
-for r in range(shape[0]):
-    vectors = []
+
+def layer_vectors(r):
+    """Layer r's (n, d) windowed top-t semantic vectors, one row per head."""
+    rows = []
     for h in range(shape[1]):
         inputs = trace.head_inputs(r, h)
-        scores = window_column_scores(inputs, 32)
-        vectors.append(approx_semantic_vector(scores, inputs.values, 256))
-    _, distances = head_distances(vectors)
-    classes = classify_heads(distances, schedule.count_for_layer(r))
+        rows.append(approx_semantic_vector(window_column_scores(inputs, 32), inputs.values, 256))
+    return np.asarray(rows)
+
+
+print("\nclassification per layer (windowed top-t path):")
+for r in range(shape[0]):
+    _, distances = head_distances(layer_vectors(r))
+    classes = classify_heads(distances, schedule.per_layer_counts[r])
     het = [h for h, c in enumerate(classes) if c == HeadClass.HETEROGENEOUS]
     print(f"  layer {r}: heterogeneous {het}  (planted {planted[r]}, "
           f"closest head {int(np.argmin(distances))})")
 
 print("\nPCA coordinates, layer 0 (x, y, class) — planted heads sit far out:")
-vectors = []
-for h in range(shape[1]):
-    inputs = trace.head_inputs(0, h)
-    scores = window_column_scores(inputs, 32)
-    vectors.append(approx_semantic_vector(scores, inputs.values, 256).values)
-coords = pca_2d(np.asarray(vectors))
-_, distances = head_distances([v for v in np.asarray(vectors)])
-classes = classify_heads(distances, schedule.count_for_layer(0))
+vectors = layer_vectors(0)
+coords = pca_2d(vectors)
+_, distances = head_distances(vectors)
+classes = classify_heads(distances, schedule.per_layer_counts[0])
 for h in range(shape[1]):
     print(f"  head {h}: ({coords[h, 0]:+7.3f}, {coords[h, 1]:+7.3f})  {classes[h].value}")

@@ -34,7 +34,7 @@ classes = [
 ]
 sinks, recents, window, kernel = 4, 16, 16, 7
 pooled = [
-    pool_scores(window_column_scores(h, window).column_means, kernel)
+    pool_scores(window_column_scores(h, window), kernel)
     for h in (trace.head_inputs(0, i) for i in range(8))
 ]
 budget = int(np.floor(0.4 * 256 * 8))

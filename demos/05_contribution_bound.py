@@ -18,7 +18,7 @@ from semkv import (
 from semkv.contribution import random_instance
 
 rng = np.random.default_rng(5)
-inst = random_instance(rng, n=8, d=16, out_dim=32, spread=1.0)
+inst = random_instance(rng, n=8, d=16, out_dim=32)
 offset_norms = np.linalg.norm(inst.head_values - inst.head_values.mean(axis=0), axis=1)
 closed = head_contributions(inst)
 longform = head_contributions_longform(inst)

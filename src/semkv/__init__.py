@@ -61,10 +61,7 @@ from .linalg import (
 )
 from .separator import (
     HeadClass,
-    HeadProfile,
     HeterogeneitySchedule,
-    SemanticVector,
-    WindowScores,
     approx_semantic_vector,
     build_layer_profiles,
     classify_heads,

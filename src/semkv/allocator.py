@@ -81,8 +81,8 @@ def pool_scores(scores: np.ndarray, kernel: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if kernel == 1:
         return scores.copy()
-    half = kernel // 2
     n = scores.shape[0]
+    half = min(kernel // 2, n)  # past N every window already spans [0, N)
     cumsum = np.concatenate([[0.0], np.cumsum(scores)])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)

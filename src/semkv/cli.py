@@ -252,10 +252,25 @@ _UNREAD = {
 }
 
 
+# The flags that only shape a synthetic trace, by argparse dest.
+_PROFILE_FLAGS = {
+    "kind": "--profile",
+    "shape": "--shape",
+    "planted": "--planted",
+    "spread": "--spread",
+    "needle_position": "--needle-pos",
+    "needle_strength": "--needle-strength",
+    "tail_len": "--tail",
+}
+
+
 def _check_unread_flags(args, cfg: RunConfig) -> None:
     unread = dict(_UNREAD.get(args.command, {}))
-    if args.command in ("compress", "eval", "pca") and cfg.trace_path is not None:
-        unread["seed"] = "--seed"  # seeds only a synthetic trace
+    if cfg.trace_path is not None:
+        if args.command in ("compress", "eval", "pca"):
+            unread["seed"] = "--seed"  # seeds only a synthetic trace
+        if args.command in ("compress", "pca", "all"):
+            unread.update(_PROFILE_FLAGS)
     if args.command == "eval" and cfg.decode_queries is not None:
         unread["window_len"] = "--window"  # only sets the default decode rows
     given = [flag for dest, flag in unread.items() if getattr(args, dest) is not None]
@@ -331,15 +346,12 @@ def _cmd_gen(args) -> int:
     cfg = _config_from(args)
     if cfg.profile is None or cfg.shape is None:
         raise ParameterError("gen needs --profile and --shape")
+    if os.path.isdir(args.out):
+        raise ParameterError(f"gen --out {args.out} is a directory, not a trace file")
     source = SyntheticSource(cfg.profile, cfg.shape)
-    try:
-        written = write_trace(source, args.out)
-    except (SemkvError, MemoryError):
-        # a head block that fails its check, or cannot be allocated, leaves
-        # no part-written trace
-        if os.path.isfile(args.out):
-            os.remove(args.out)
-        raise
+    out, name = os.path.split(args.out)
+    with _Outputs(out or ".") as outputs:
+        written = write_trace(source, outputs.path(name))
     print(f"wrote {args.out} ({written} bytes)")
     return 0
 

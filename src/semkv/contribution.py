@@ -112,12 +112,10 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float((ra @ rb) / denom)
 
 
-def random_instance(
-    rng: np.random.Generator, n: int, d: int, out_dim: int, spread: float = 1.0
-) -> MHAInstance:
-    """Instance whose head values share a common component plus per-head noise."""
+def random_instance(rng: np.random.Generator, n: int, d: int, out_dim: int) -> MHAInstance:
+    """Instance whose head values share a common component plus unit per-head noise."""
     common = rng.standard_normal(d)
-    head_values = common[None, :] + spread * rng.standard_normal((n, d))
+    head_values = common + rng.standard_normal((n, d))
     out_blocks = rng.standard_normal((n, d, out_dim)) / np.sqrt(d)
     return MHAInstance(head_values, out_blocks)
 
@@ -138,12 +136,7 @@ class BoundSuiteReport:
 
 
 def verify_bound_suite(
-    seed: int,
-    trials: int,
-    n: int = 8,
-    d: int = 16,
-    out_dim: int = 32,
-    spread: float = 1.0,
+    seed: int, trials: int, n: int = 8, d: int = 16, out_dim: int = 32
 ) -> BoundSuiteReport:
     """Run seeded random instances and tally bound violations.
 
@@ -156,12 +149,14 @@ def verify_bound_suite(
         raise ParameterError("trials must be >= 1")
     if min(n, d, out_dim) < 1:
         raise ParameterError(f"heads, dim and out_dim must be >= 1, got {n}, {d}, {out_dim}")
+    if n * d * out_dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"{n} x {d} x {out_dim} float64 blocks exceed the address space")
     violations, max_ratio, max_form_gap = 0, 0.0, 0.0
     corrs = []
     # sum and count of contribution/bound over positive bounds: uniform C, per-head C
     tight_sum, tight_count = np.zeros(2), np.zeros(2)
     for trial in range(trials):
-        inst = random_instance(seeded_rng(seed, trial), n, d, out_dim, spread)
+        inst = random_instance(seeded_rng(seed, trial), n, d, out_dim)
         block_norms = spectral_norm(inst.out_blocks)
         contribs = head_contributions(inst)
         longform = head_contributions_longform(inst)

@@ -58,10 +58,8 @@ from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
 from .linalg import AttentionInputs, _key_blocks, pca_2d
 from .separator import (
-    HeadProfile,
+    HeadClass,
     HeterogeneitySchedule,
-    SemanticVector,
-    WindowScores,
     approx_semantic_vector,
     build_layer_profiles,
     check_top_t,
@@ -134,11 +132,14 @@ Cell = tuple[str, float]
 
 @dataclass
 class LayerStep:
-    """What one layer contributes to a run: its head profiles, a plan per
-    feasible cell and, when the run scores fidelity, each plan's per-head
-    (L2, cosine) arrays."""
+    """What one layer contributes to a run: its heads' (n, d) semantic
+    vectors, (n,) distances to the layer's semantic center and classes, a
+    plan per feasible cell and, when the run scores fidelity, each plan's
+    per-head (L2, cosine) arrays."""
 
-    profiles: list[HeadProfile]
+    vectors: np.ndarray
+    distances: np.ndarray
+    classes: list[HeadClass]
     plans: dict[Cell, BudgetPlan]
     scores: dict[Cell, tuple[np.ndarray, np.ndarray]]
 
@@ -151,7 +152,9 @@ class RunResult:
     schedule, the feasible cells, the infeasible ones (one {"policy",
     "budget_ratio", "message"} entry per cell left unplanned because its
     budget cannot hold the heterogeneous heads) and the decode-query count
-    when fidelity is scored. `plans` holds every layer's plan per cell only
+    when fidelity is scored. `vectors`, `distances` and `classes` hold
+    each layer's (n, d) semantic vectors, (n,) distances to its semantic
+    center and head classes. `plans` holds every layer's plan per cell only
     for callers that keep them; `head_tokens` and `scores` hold what a
     report needs of them.
     """
@@ -160,13 +163,17 @@ class RunResult:
     cells: list[Cell] = field(default_factory=list)
     infeasible: list[dict] = field(default_factory=list)
     decode_queries: int | None = None
-    profiles: list[list[HeadProfile]] = field(default_factory=list)
+    vectors: list[np.ndarray] = field(default_factory=list)
+    distances: list[np.ndarray] = field(default_factory=list)
+    classes: list[list[HeadClass]] = field(default_factory=list)
     plans: dict[Cell, list[BudgetPlan]] = field(default_factory=dict)
     head_tokens: dict[Cell, list[list[int]]] = field(default_factory=dict)
     scores: dict[Cell, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict)
 
     def add(self, step: LayerStep, keep_plans: bool) -> None:
-        self.profiles.append(step.profiles)
+        self.vectors.append(step.vectors)
+        self.distances.append(step.distances)
+        self.classes.append(step.classes)
         for cell, plan in step.plans.items():
             heads = range(len(plan.per_head_runs))
             self.head_tokens.setdefault(cell, []).append([plan.head_tokens(h) for h in heads])
@@ -254,9 +261,7 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
     return check_decode_queries(config.decode_queries, header.seq_len)
 
 
-def _head_pass(
-    block: np.ndarray, window_len: int, top_t: int
-) -> tuple[WindowScores, SemanticVector]:
+def _head_pass(block: np.ndarray, window_len: int, top_t: int) -> tuple[np.ndarray, np.ndarray]:
     """One head's window scores and top-t semantic vector, from the head's
     (3, N, d) block as stored.
 
@@ -288,17 +293,15 @@ def layer_step(
     `score_layer` scores each plan.
     """
     window_len = min(config.window_len, data.shape[2])
-    pooled, vectors = [], []
+    pooled, vectors = [], np.empty((data.shape[0], data.shape[3]))
     try:
-        for block in data:
-            score, vector = _head_pass(block, window_len, config.top_t)
+        for h, block in enumerate(data):
+            score, vectors[h] = _head_pass(block, window_len, config.top_t)
             if cells:
-                pooled.append(pool_scores(score.column_means, config.kernel))
-            vectors.append(vector)
-        profiles = build_layer_profiles(layer, vectors, schedule.count_for_layer(layer))
+                pooled.append(pool_scores(score, config.kernel))
+        distances, classes = build_layer_profiles(vectors, schedule.per_layer_counts[layer])
     except SemkvError as exc:
         raise type(exc)(f"layer {layer}: {exc}") from exc
-    classes = [p.head_class for p in profiles]
     plans = {
         cell: apply_policy(
             layer, classes, cell[0], cell[1], config.sinks, config.recents, window_len, pooled
@@ -308,7 +311,7 @@ def layer_step(
     scores = {}
     if decode_queries is not None:
         scores = dict(zip(plans, score_layer(data, layer, list(plans.values()), decode_queries)))
-    return LayerStep(profiles, plans, scores)
+    return LayerStep(vectors, distances, classes, plans, scores)
 
 
 def run_steps(
@@ -563,19 +566,14 @@ def build_eval_report(
     `infeasible` is there only when a cell was skipped, and `contribution`
     only when a bound suite ran."""
     pca_blocks = []
-    for r, layer in enumerate(result.profiles):
-        coords = pca_2d(np.asarray([p.semantic.values for p in layer]))
+    for r, (vectors, classes) in enumerate(zip(result.vectors, result.classes)):
+        coords = pca_2d(vectors)
         pca_blocks.append(
             {
                 "layer": r,
                 "points": [
-                    {
-                        "head": h,
-                        "x": float(coords[h, 0]),
-                        "y": float(coords[h, 1]),
-                        "class": layer[h].head_class.value,
-                    }
-                    for h in range(len(layer))
+                    {"head": h, "x": float(x), "y": float(y), "class": head_class.value}
+                    for h, ((x, y), head_class) in enumerate(zip(coords, classes))
                 ],
             }
         )
@@ -603,8 +601,8 @@ def build_eval_report(
         "config": config.to_json_dict(),
         "trace": {**header.dims, "source": config.trace_path or "synthetic"},
         "schedule": asdict(result.schedule),
-        "classifications": [[p.head_class.value for p in layer] for layer in result.profiles],
-        "distances": [[p.distance_to_center for p in layer] for layer in result.profiles],
+        "classifications": [[c.value for c in classes] for classes in result.classes],
+        "distances": [distances.tolist() for distances in result.distances],
         "pca": pca_blocks,
         "policies": policy_entries,
     }

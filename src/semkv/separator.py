@@ -23,33 +23,6 @@ class HeadClass(str, Enum):
 
 
 @dataclass(frozen=True)
-class WindowScores:
-    """Column-mean attention mass from the last `window_len` query rows.
-
-    `column_means` sums to at most 1 (each averaged row sums to 1; columns
-    blocked for every window row contribute 0).
-    """
-
-    window_len: int
-    column_means: np.ndarray
-
-
-@dataclass(frozen=True)
-class SemanticVector:
-    values: np.ndarray
-    source: str  # "exact" | "approximated"
-
-
-@dataclass(frozen=True)
-class HeadProfile:
-    layer: int
-    head: int
-    semantic: SemanticVector
-    distance_to_center: float
-    head_class: HeadClass
-
-
-@dataclass(frozen=True)
 class HeterogeneitySchedule:
     """Per-layer heterogeneous-head counts, linearly interpolated.
 
@@ -62,15 +35,10 @@ class HeterogeneitySchedule:
     top_m: int
     per_layer_counts: tuple[int, ...]
 
-    def count_for_layer(self, layer: int) -> int:
-        return self.per_layer_counts[layer]
 
-
-def semantic_vector_full(inputs: AttentionInputs) -> SemanticVector:
-    """Exact semantic vector: (column-mean of full causal attention) @ V."""
-    weights = attention_weights(inputs, inputs.seq_len)
-    col_means = weights.mean(axis=0)
-    return SemanticVector(values=col_means @ inputs.values, source="exact")
+def semantic_vector_full(inputs: AttentionInputs) -> np.ndarray:
+    """Exact (d,) semantic vector: (column-mean of full causal attention) @ V."""
+    return attention_weights(inputs, inputs.seq_len).mean(axis=0) @ inputs.values
 
 
 def check_window_len(window_len: int, seq_len: int) -> None:
@@ -78,11 +46,14 @@ def check_window_len(window_len: int, seq_len: int) -> None:
         raise ParameterError(f"window_len {window_len} outside [1, {seq_len}]")
 
 
-def window_column_scores(inputs: AttentionInputs, window_len: int) -> WindowScores:
-    """Per-key attention mass averaged over the last `window_len` query rows."""
+def window_column_scores(inputs: AttentionInputs, window_len: int) -> np.ndarray:
+    """(N,) per-key attention mass averaged over the last `window_len` query rows.
+
+    The scores sum to at most 1: each averaged row sums to 1, and a column
+    blocked for every window row gets 0.
+    """
     check_window_len(window_len, inputs.seq_len)
-    weights = attention_weights(inputs, window_len)
-    return WindowScores(window_len=window_len, column_means=weights.mean(axis=0))
+    return attention_weights(inputs, window_len).mean(axis=0)
 
 
 def check_top_t(t: int) -> None:
@@ -98,33 +69,28 @@ def top_t_indices(values: np.ndarray, t: int) -> np.ndarray:
     return np.sort(order[: min(t, values.shape[0])])
 
 
-def approx_semantic_vector(
-    scores: WindowScores, values: np.ndarray, t: int
-) -> SemanticVector:
-    """Windowed top-t semantic vector: sum of C[i] * V[i] over the selected set.
+def approx_semantic_vector(scores: np.ndarray, values: np.ndarray, t: int) -> np.ndarray:
+    """Windowed top-t (d,) semantic vector: sum of C[i] * V[i] over the
+    top-t window scores C.
 
     Weights are the raw column means, deliberately not renormalized. Only
     the selected V rows are widened to float64.
     """
     values = np.asarray(values)
-    if values.shape[0] != scores.column_means.shape[0]:
-        raise ParameterError(
-            f"values rows {values.shape[0]} != score length {scores.column_means.shape[0]}"
-        )
-    selected = top_t_indices(scores.column_means, t)
-    vec = scores.column_means[selected] @ np.asarray(values[selected], dtype=np.float64)
-    return SemanticVector(values=vec, source="approximated")
+    if values.shape[0] != scores.shape[0]:
+        raise ParameterError(f"values rows {values.shape[0]} != score length {scores.shape[0]}")
+    selected = top_t_indices(scores, t)
+    return scores[selected] @ np.asarray(values[selected], dtype=np.float64)
 
 
-def head_distances(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Layer semantic center (mean vector) and each head's Euclidean distance to it."""
-    arrs = [v.values if isinstance(v, SemanticVector) else np.asarray(v) for v in vectors]
-    if len(arrs) == 0:
+def head_distances(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's semantic center (the mean of its (n, d) head vectors) and
+    each head's Euclidean distance to it."""
+    stacked = np.asarray(vectors, dtype=np.float64)
+    if len(stacked) == 0:
         raise EmptyInputError("head_distances needs at least one vector")
-    stacked = np.asarray(arrs, dtype=np.float64)
     center = stacked.mean(axis=0)
-    distances = np.linalg.norm(stacked - center, axis=1)
-    return center, distances
+    return center, np.linalg.norm(stacked - center, axis=1)
 
 
 def _round_half_away(x: float) -> int:
@@ -183,26 +149,14 @@ def classify_heads(distances: np.ndarray, f_r: int) -> list[HeadClass]:
     return classes
 
 
-def build_layer_profiles(
-    layer: int, vectors: list[SemanticVector], f_r: int
-) -> list[HeadProfile]:
-    """Distances to the layer's semantic center -> classification for one layer.
+def build_layer_profiles(vectors: np.ndarray, f_r: int) -> tuple[np.ndarray, list[HeadClass]]:
+    """One layer's classification from its (n, d) semantic vectors: each
+    head's distance to the layer's semantic center, and its class.
 
     f_r == 0 marks every head non-heterogeneous without invoking the
     ranking rule.
     """
     _, distances = head_distances(vectors)
     if f_r == 0:
-        classes = [HeadClass.NON_HETEROGENEOUS] * len(vectors)
-    else:
-        classes = classify_heads(distances, f_r)
-    return [
-        HeadProfile(
-            layer=layer,
-            head=h,
-            semantic=vectors[h],
-            distance_to_center=float(distances[h]),
-            head_class=classes[h],
-        )
-        for h in range(len(vectors))
-    ]
+        return distances, [HeadClass.NON_HETEROGENEOUS] * len(distances)
+    return distances, classify_heads(distances, f_r)

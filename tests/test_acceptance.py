@@ -54,9 +54,9 @@ def test_criterion_01_approximation_oracle():
         )
         for h in range(2):
             inputs = trace.head_inputs(0, h)
-            exact = semantic_vector_full(inputs).values
+            exact = semantic_vector_full(inputs)
             scores = window_column_scores(inputs, seq_len)
-            approx = approx_semantic_vector(scores, inputs.values, seq_len).values
+            approx = approx_semantic_vector(scores, inputs.values, seq_len)
             rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
             worst = max(worst, rel)
             assert rel <= 1e-9
@@ -133,7 +133,7 @@ def test_criterion_05_budget_soundness():
             for h in range(n)
         ]
         pooled = [
-            pool_scores(window_column_scores(h, min(8, seq)).column_means, 3)
+            pool_scores(window_column_scores(h, min(8, seq)), 3)
             for h in (trace.head_inputs(0, i) for i in range(n))
         ]
         for policy in policies:
@@ -193,10 +193,10 @@ def test_criterion_07_heterogeneous_exactness():
     key = ("task-kv", 0.4)
     fid = fidelity_eval(trace, result.plans[key], 32)
     het_errors = []
-    for layer in result.profiles:
-        for p in layer:
-            if p.head_class == HeadClass.HETEROGENEOUS:
-                err = fid.per_head_l2[p.layer, p.head]
+    for r, classes in enumerate(result.classes):
+        for h, head_class in enumerate(classes):
+            if head_class == HeadClass.HETEROGENEOUS:
+                err = fid.per_head_l2[r, h]
                 assert err <= 1e-9
                 het_errors.append(err)
     assert het_errors

@@ -142,7 +142,7 @@ def small_trace(seed=0, shape=(1, 4, 48, 6), kind="uniform-random", **kw):
 def layer_pooled(trace, layer, window, kernel):
     """The layer's per-head pooled window scores, as `compress_run` computes them."""
     return [
-        pool_scores(window_column_scores(h, window).column_means, kernel)
+        pool_scores(window_column_scores(h, window), kernel)
         for h in (trace.head_inputs(layer, i) for i in range(trace.num_heads))
     ]
 
@@ -813,7 +813,9 @@ class TestMemoryFootprint:
         # the accounting a run reports, gathered layer by layer
         result = RunResult(schedule=None)
         for plan in plans:
-            result.add(LayerStep([], {(policy.value, 0.5): plan}, {}), keep_plans=False)
+            cells = {(policy.value, 0.5): plan}
+            step = LayerStep(np.empty((8, 0)), np.empty(8), classes, cells, {})
+            result.add(step, keep_plans=False)
         assert result.memory((policy.value, 0.5), trace.header) == built_footprint(trace, plans)
         cache = built_entries(trace, plans)
         for r, plan in enumerate(plans):

@@ -429,6 +429,34 @@ class TestAll:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("m_top, budget", [(0, "0.1"), (2, "0.3")])
+    def test_a_clamped_head_aware_cell_keeps_more_than_its_budget(
+        self, tmp_path, capsys, m_top, budget
+    ):
+        # the default 16 sinks and 256 recents outrun each head's share of
+        # B, so k clamps at 0 and every non-heterogeneous head keeps them all
+        n, seq_len, f = 8, 1024, m_top  # one layer: f(0) = m
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "all", "--profile", "clustered-heads", "--shape", f"1,{n},{seq_len},32",
+            "--policy", "task-kv,no-cache,compressed-cache", "--budget", budget,
+            "--m-top", str(m_top), "--out", str(out),
+        )
+        assert code == 0, err
+        budget_tokens = int(np.floor(float(budget) * seq_len * n))
+        kept = seq_len * f + (n - f) * min(seq_len, 16 + 256)
+        assert kept > budget_tokens
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(entry["policy"] for entry in report["policies"]) == [
+            "compressed-cache", "no-cache", "task-kv"
+        ]
+        for entry in report["policies"]:
+            assert entry["memory"]["tokens_retained"] == kept
+            plans = json.loads((out / f"plans_{entry['policy']}_{budget}.json").read_text())
+            [layer] = plans["layers"]
+            assert layer["total_budget"] == budget_tokens
+            assert (layer["middle_k"], layer["clamped"]) == (0, True)
+
 
 class TestConfigFile:
     def test_flags_override_config(self, trace_file, tmp_path, capsys):
@@ -697,6 +725,9 @@ class TestErrorReporting:
              "seq_len must be in [1, 2^32 - 1]"),
             (["all", "--profile", "uniform-random", "--shape", "4294967296,1,8,1"], None,
              "num_layers must be in [1, 2^32 - 1]"),
+            (["contrib", "--heads", str(10**20)], None, "exceed the address space"),
+            (["contrib", "--dim", str(10**20)], None, "exceed the address space"),
+            (["contrib", "--out-dim", str(10**20)], None, "exceed the address space"),
         ],
     )
     def test_malformed_numbers_are_json_errors(self, tmp_path, capsys, argv, config, message):
@@ -1126,21 +1157,64 @@ class TestInputLimits:
         assert code == 0, err
         assert json.loads(out)["seed"] == 2**63 - 1
 
-    def test_memory_error_is_a_json_error_and_leaves_no_trace(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    GEN_TINY = ["gen", "--profile", "uniform-random", "--shape", "1,1,8,2"]
+
+    @staticmethod
+    def fail_mid_write(monkeypatch, error):
+        """`gen`'s writer starts the trace, then raises `error`."""
+
         def exhausted(source, destination):
             Path(destination).write_bytes(b"TKV1")
-            raise MemoryError()
+            raise error
 
         monkeypatch.setattr("semkv.cli.write_trace", exhausted)
-        path = tmp_path / "g.tkv"
-        code, _, err = run_cli(
-            capsys, "gen", "--profile", "uniform-random", "--shape", "1,1,8,2", "--out", str(path)
-        )
+
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError(), OSError(28, "No space left on device")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_memory_error_is_a_json_error_and_leaves_no_trace(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        self.fail_mid_write(monkeypatch, error)
+        code, _, err = run_cli(capsys, *self.GEN_TINY, "--out", str(tmp_path / "g.tkv"))
         assert code == 1
-        assert json.loads(err) == {"error": "MemoryError", "message": ""}
-        assert not path.exists()
+        assert json.loads(err) == {"error": type(error).__name__, "message": str(error)}
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failed_gen_keeps_the_trace_already_at_out(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.tkv"
+        assert run_cli(capsys, *self.GEN_TINY, "--out", str(path))[0] == 0
+        good = path.read_bytes()
+        self.fail_mid_write(monkeypatch, OSError(28, "No space left on device"))
+        code, _, err = run_cli(capsys, *self.GEN_TINY, "--seed", "9", "--out", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "OSError"
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["g.tkv"]
+
+    def test_gen_into_a_directory_fails_and_writes_nothing(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, *self.GEN_TINY, "--out", str(tmp_path))
+        assert code == 1
+        assert json.loads(err)["error"] == "ParameterError"
+        assert os.listdir(tmp_path) == []
+
+    def test_a_kernel_past_the_sequence_plans_like_kernel_2n_plus_1(
+        self, trace_file, tmp_path, capsys
+    ):
+        # every pooling window of kernel >= 2N + 1 already spans [0, N)
+        plans = {}
+        for kernel in (2 * 96 + 1, 10**20 + 1):
+            out = tmp_path / str(kernel)
+            code, _, err = run_cli(
+                capsys, "all", "--trace", str(trace_file), *PIPE_ARGS, "--kernel", str(kernel),
+                "--out", str(out),
+            )
+            assert code == 0, err
+            plans[kernel] = {p.name: p.read_bytes() for p in sorted(out.glob("plans_*.json"))}
+        assert len(plans[193]) == 2
+        assert plans[193] == plans[10**20 + 1]
 
     @pytest.mark.parametrize("window", ["0", "-4"])
     def test_eval_window_is_checked_as_the_window(self, trace_file, tmp_path, capsys, window):
@@ -1215,6 +1289,15 @@ class TestInputLimits:
             ("pca", "--recents", "-5"),
             ("pca", "--decode-queries", "7"),
             ("pca", "--kernel", "5"),
+            # a trace file is not drawn, so the synthetic-trace flags go unread
+            ("compress", "--shape", "9,9,9,9"),
+            ("compress", "--needle-pos", "3"),
+            ("pca", "--planted", "1"),
+            ("pca", "--needle-strength", "2"),
+            ("all", "--profile", "uniform-random"),
+            ("all", "--shape", "1,8,1024,32"),
+            ("all", "--spread", "0.5"),
+            ("all", "--tail", "4"),
         ],
     )
     def test_compress_and_pca_reject_flags_they_do_not_read(
@@ -1235,6 +1318,7 @@ class TestInputLimits:
         config.write_text(json.dumps({
             "policies": ["task-kv"], "budget_ratios": [0.5], "beta": 0.375, "top_m": 3,
             "kernel": 3, "sinks": 4, "recents": 8, "decode_queries": 8,
+            "profile": {"kind": "uniform-random", "seed": 3}, "shape": [9, 9, 9, 9],
         }))
         for command in ("compress", "pca"):
             out = tmp_path / command

@@ -57,14 +57,14 @@ def oracle_bound(instance, j, c_bound):
     return float(radius * radius * c_bound * c_bound)
 
 
-def oracle_bound_suite(seed, trials, n=8, d=16, out_dim=32, spread=1.0):
+def oracle_bound_suite(seed, trials, n=8, d=16, out_dim=32):
     """`verify_bound_suite` as a loop over the heads of each trial."""
     violations = 0
     max_ratio = 0.0
     max_form_gap = 0.0
     corrs, tight_uniform, tight_per_head = [], [], []
     for trial in range(trials):
-        inst = random_instance(seeded_rng(seed, trial), n, d, out_dim, spread)
+        inst = random_instance(seeded_rng(seed, trial), n, d, out_dim)
         block_norms = spectral_norm(inst.out_blocks)
         c_uniform = float(block_norms.max())
         center = inst.head_values.mean(axis=0)

@@ -103,9 +103,8 @@ class TestCompressRun:
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
         planted = clustered_planted_heads(cfg.profile, 2, 8)
-        for r, layer in enumerate(result.profiles):
-            het = {p.head for p in layer if p.head_class == HeadClass.HETEROGENEOUS}
-            distances = [p.distance_to_center for p in layer]
+        for r, (classes, distances) in enumerate(zip(result.classes, result.distances)):
+            het = {h for h, c in enumerate(classes) if c == HeadClass.HETEROGENEOUS}
             closest = int(np.argmin(distances))
             assert het == set(planted[r]) | {closest}
 
@@ -113,8 +112,8 @@ class TestCompressRun:
         cfg = clustered_config(seed=5, shape=(3, 8, 96, 8), beta=0.5, top_m=2)
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
-        for r, layer in enumerate(result.profiles):
-            het = sum(p.head_class == HeadClass.HETEROGENEOUS for p in layer)
+        for r, classes in enumerate(result.classes):
+            het = sum(c == HeadClass.HETEROGENEOUS for c in classes)
             assert het == result.schedule.per_layer_counts[r]
 
 
@@ -165,11 +164,11 @@ class TestFidelityEval:
         trace = load_trace_for(cfg)
         result = compress_run(cfg, trace)
         fid = fidelity_eval(trace, result.plans[("task-kv", 0.6)], 8)
-        for r, layer in enumerate(result.profiles):
-            for p in layer:
-                if p.head_class == HeadClass.HETEROGENEOUS:
-                    assert fid.per_head_l2[r, p.head] == 0.0
-                    assert fid.per_head_cosine[r, p.head] == 1.0
+        for r, classes in enumerate(result.classes):
+            for h, head_class in enumerate(classes):
+                if head_class == HeadClass.HETEROGENEOUS:
+                    assert fid.per_head_l2[r, h] == 0.0
+                    assert fid.per_head_cosine[r, h] == 1.0
 
     def test_error_shrinks_with_budget(self):
         cfg = clustered_config(
@@ -683,8 +682,8 @@ class TestLeanHeadPass:
         block = self.LAYOUTS[layout](raw)
         scores, vector = _head_pass(block, window_len, top_t)
         column_means, semantic = whole_head_pass(block, window_len, top_t)
-        assert scores.column_means.tobytes() == column_means.tobytes()
-        assert vector.values.tobytes() == semantic.tobytes()
+        assert scores.tobytes() == column_means.tobytes()
+        assert vector.tobytes() == semantic.tobytes()
 
     def test_trace_heads_equal_the_whole_head_pass(self):
         # every head of a float32 trace, of its float64 copy and of a trace
@@ -696,8 +695,8 @@ class TestLeanHeadPass:
             for block in source.data.reshape(-1, *source.data.shape[2:]):
                 scores, vector = _head_pass(block, 16, 64)
                 column_means, semantic = whole_head_pass(block, 16, 64)
-                assert scores.column_means.tobytes() == column_means.tobytes()
-                assert vector.values.tobytes() == semantic.tobytes()
+                assert scores.tobytes() == column_means.tobytes()
+                assert vector.tobytes() == semantic.tobytes()
 
 
 class TestEvalReport:

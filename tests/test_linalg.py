@@ -266,7 +266,7 @@ class TestPCAOracle:
     @staticmethod
     def semantic_vectors(cfg):
         result = compress_run(cfg, load_trace_for(cfg))
-        return [np.asarray([p.semantic.values for p in layer]) for layer in result.profiles]
+        return result.vectors
 
     @pytest.mark.parametrize(
         "cfg",

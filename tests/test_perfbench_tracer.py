@@ -41,4 +41,7 @@ def test_traced_all_runs_and_records_layer_steps(tmp_path, capsys):
     assert metrics["linalg.attention_weights.calls"] > 0
     # one window-score pass per head: 2 layers of 8 heads
     assert metrics["separator.window_scores.calls"] == 16
+    # the traced separator names still resolve, so their times are not 0
+    assert metrics["separator.window_scores_s"] > 0
+    assert metrics["separator.profiles_s"] > 0
     assert metrics["contribution.trials"] == 2

@@ -9,7 +9,6 @@ from semkv.errors import EmptyInputError, ParameterError
 from semkv.linalg import AttentionInputs
 from semkv.separator import (
     HeadClass,
-    SemanticVector,
     approx_semantic_vector,
     classify_heads,
     head_distances,
@@ -49,22 +48,21 @@ class TestSemanticVectorFull:
         rng = np.random.default_rng(0)
         inputs = make_inputs(rng, 1, 4)
         vec = semantic_vector_full(inputs)
-        np.testing.assert_array_equal(vec.values, inputs.values[0])
-        assert vec.source == "exact"
+        np.testing.assert_array_equal(vec, inputs.values[0])
 
     def test_two_tokens_zero_queries(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((2, 3))
         inputs = AttentionInputs(queries=np.zeros((2, 3)), keys=rng.standard_normal((2, 3)), values=v)
         vec = semantic_vector_full(inputs)
-        np.testing.assert_allclose(vec.values, 0.75 * v[0] + 0.25 * v[1], rtol=1e-12)
+        np.testing.assert_allclose(vec, 0.75 * v[0] + 0.25 * v[1], rtol=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(16)
         inputs = make_inputs(rng, 16, 8)
         vec = semantic_vector_full(inputs)
         expected = naive_semantic_vector(inputs.queries, inputs.keys, inputs.values)
-        np.testing.assert_allclose(vec.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(vec, expected, rtol=1e-12)
 
 
 class TestWindowColumnScores:
@@ -73,7 +71,7 @@ class TestWindowColumnScores:
         inputs = make_inputs(rng, 12, 4)
         scores = window_column_scores(inputs, 12)
         full = semantic_vector_full(inputs)
-        np.testing.assert_allclose(scores.column_means @ inputs.values, full.values, rtol=1e-12)
+        np.testing.assert_allclose(scores @ inputs.values, full, rtol=1e-12)
 
     def test_window_one_is_last_query_row(self):
         rng = np.random.default_rng(3)
@@ -82,21 +80,21 @@ class TestWindowColumnScores:
         from semkv.linalg import attention_weights
 
         last = attention_weights(inputs, 1)[0]
-        np.testing.assert_allclose(scores.column_means, last, rtol=1e-12)
+        np.testing.assert_allclose(scores, last, rtol=1e-12)
 
     def test_mass_sums_to_one(self):
         rng = np.random.default_rng(4)
         inputs = make_inputs(rng, 20, 4)
         scores = window_column_scores(inputs, 5)
-        assert scores.column_means.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (scores.column_means >= 0).all()
+        assert scores.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (scores >= 0).all()
 
     def test_needle_is_argmax(self):
         profile = SyntheticProfile("planted-needle", seed=5, needle_position=11, tail_len=8)
         trace = gen_synthetic_trace(profile, (1, 3, 48, 4))
         for h in range(3):
             scores = window_column_scores(trace.head_inputs(0, h), 8)
-            assert int(np.argmax(scores.column_means)) == 11
+            assert int(np.argmax(scores)) == 11
 
     def test_window_out_of_range(self):
         rng = np.random.default_rng(6)
@@ -119,7 +117,7 @@ class TestTopTSelection:
     def test_selected_mass_monotone_in_t(self):
         rng = np.random.default_rng(7)
         inputs = make_inputs(rng, 64, 4)
-        c = window_column_scores(inputs, 16).column_means
+        c = window_column_scores(inputs, 16)
         masses = [c[top_t_indices(c, t)].sum() for t in (1, 4, 16, 64)]
         assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
         assert masses[-1] == pytest.approx(c.sum(), abs=1e-12)
@@ -132,58 +130,54 @@ class TestApproxSemanticVector:
         scores = window_column_scores(inputs, 32)
         approx = approx_semantic_vector(scores, inputs.values, 32)
         exact = semantic_vector_full(inputs)
-        rel = np.linalg.norm(approx.values - exact.values) / np.linalg.norm(exact.values)
+        rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-9
-        assert approx.source == "approximated"
 
     def test_t_one_is_single_weighted_row(self):
         rng = np.random.default_rng(9)
         inputs = make_inputs(rng, 10, 4)
         scores = window_column_scores(inputs, 4)
-        best = int(np.argmax(scores.column_means))
+        best = int(np.argmax(scores))
         approx = approx_semantic_vector(scores, inputs.values, 1)
         np.testing.assert_allclose(
-            approx.values, scores.column_means[best] * inputs.values[best], rtol=1e-12
+            approx, scores[best] * inputs.values[best], rtol=1e-12
         )
 
     def test_error_decreases_with_t(self):
         rng = np.random.default_rng(512)
         inputs = make_inputs(rng, 512, 16)
         scores = window_column_scores(inputs, 512)
-        exact = semantic_vector_full(inputs).values
+        exact = semantic_vector_full(inputs)
         errs = []
         for t in (16, 64, 256, 512):
-            approx = approx_semantic_vector(scores, inputs.values, t).values
+            approx = approx_semantic_vector(scores, inputs.values, t)
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert errs[0] > errs[1] > errs[2] > errs[3]
         assert errs[3] <= 1e-12
 
     def test_weights_not_renormalized(self):
-        from semkv.separator import WindowScores
-
-        scores = WindowScores(window_len=3, column_means=np.array([0.5, 0.3, 0.2]))
-        approx = approx_semantic_vector(scores, np.eye(3, 2), 1)
+        approx = approx_semantic_vector(np.array([0.5, 0.3, 0.2]), np.eye(3, 2), 1)
         # raw C value 0.5 scales the picked row; no renormalization to 1
-        np.testing.assert_allclose(approx.values, [0.5, 0.0])
+        np.testing.assert_allclose(approx, [0.5, 0.0])
 
 
 class TestHeadDistances:
     def test_identical_vectors_zero_distance(self):
-        vecs = [SemanticVector(np.ones(4), "exact") for _ in range(5)]
+        vecs = np.ones((5, 4))
         center, dist = head_distances(vecs)
         np.testing.assert_array_equal(dist, np.zeros(5))
         np.testing.assert_array_equal(center, np.ones(4))
 
     def test_symmetric_pair_equal_distance(self):
         u = np.array([1.0, -2.0, 0.5])
-        vecs = [SemanticVector(u, "exact"), SemanticVector(-u, "exact")]
+        vecs = np.array([u, -u])
         _, dist = head_distances(vecs)
         assert dist[0] == pytest.approx(dist[1], rel=1e-12)
 
     def test_matches_manual_norms(self):
         rng = np.random.default_rng(10)
         arrs = rng.standard_normal((6, 8))
-        center, dist = head_distances([SemanticVector(a, "exact") for a in arrs])
+        center, dist = head_distances(arrs)
         expected_center = arrs.mean(axis=0)
         np.testing.assert_allclose(center, expected_center, rtol=1e-12)
         for j in range(6):
@@ -193,9 +187,9 @@ class TestHeadDistances:
     def test_translation_leaves_distances_unchanged(self):
         rng = np.random.default_rng(11)
         arrs = rng.standard_normal((5, 6))
-        _, base = head_distances([SemanticVector(a, "exact") for a in arrs])
+        _, base = head_distances(arrs)
         shift = rng.standard_normal(6) * 10
-        _, moved = head_distances([SemanticVector(a + shift, "exact") for a in arrs])
+        _, moved = head_distances(arrs + shift)
         np.testing.assert_allclose(base, moved, atol=1e-9)
 
     def test_empty_rejected(self):

@@ -305,7 +305,7 @@ class TestPlantedNeedle:
         for r in range(2):
             for h in range(4):
                 scores = window_column_scores(trace.head_inputs(r, h), 16)
-                assert int(np.argmax(scores.column_means)) == 7
+                assert int(np.argmax(scores)) == 7
 
     def test_needle_visibility_validated(self):
         profile = SyntheticProfile("planted-needle", seed=0, needle_position=60, tail_len=16)
