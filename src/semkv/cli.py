@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -298,8 +299,14 @@ def _outdir(args) -> str:
 
 class _Outputs:
     """A command's output files, written in `out` under temporary names and
-    renamed into place together once the command succeeds. On failure they
-    are removed, so a failed run leaves no output under a final name."""
+    renamed into place together once the command succeeds.
+
+    Every final name is checked before the first rename: a directory there
+    fails the command. A rename that still fails undoes the ones before it
+    and puts back each file they replaced, which waits under a backup name
+    until every rename is done. On any failure the staged files are
+    removed, so a failed run leaves `out` as it found it.
+    """
 
     def __init__(self, out: str):
         self.out = out
@@ -314,12 +321,42 @@ class _Outputs:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        for final, temporary in self._staged.items():
-            if exc_type is None:
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            self._commit()
+        except OSError:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        for temporary in self._staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+
+    def _commit(self) -> None:
+        for final in self._staged:
+            if os.path.isdir(final):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), final)
+        done = []  # (final, its backup or None), in rename order
+        try:
+            for final, temporary in self._staged.items():
+                backup = f"{temporary}.old" if os.path.lexists(final) else None
+                if backup:
+                    os.replace(final, backup)
+                done.append((final, backup))
                 os.replace(temporary, final)
-            else:
+        except OSError:
+            for final, backup in reversed(done):
                 with contextlib.suppress(FileNotFoundError):
-                    os.remove(temporary)
+                    os.remove(final)
+                if backup:
+                    os.replace(backup, final)
+            raise
+        for _, backup in done:
+            if backup:
+                os.remove(backup)
 
 
 def _plan_filenames(cells) -> dict:

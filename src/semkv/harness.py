@@ -18,13 +18,16 @@ compared against outputs over the full cache. This is a proxy for task-level
 quality; it needs no language model.
 
 `score_layer` scores a layer head-major, every cell at once. Each head's
-causal decode scores S and softmax numerators exp(S - m) are formed once,
-under the shift m of each decode row's full-cache max. The full cache's
-outputs renormalise them over every row; this is the one place they are
-computed. Every cell renormalises the numerators over its own retained
-rows (a group's mean row weighs exp of the mean of its keys' scores - m).
-A decode row whose retained numerators underflow under the shared shift
-is rescored with the cell's own retained max.
+causal decode scores S and softmax numerators E = exp(S - m) are formed
+once, under the shift m of each decode row's full-cache max. Then one
+pass over the head's V, one key block at a time, gives the full cache's
+outputs and every cell's: each block's E[b]^T V[b] and row sums add up to
+the full outputs, this being the one place they are computed, and a cell
+adds them for a block it keeps whole or gathers the rows it keeps of the
+widened block. Each cell renormalises over its own retained rows (a
+group's mean row weighs exp of the mean of its keys' scores - m). A
+decode row whose retained numerators underflow under the shared shift is
+rescored with the cell's own retained max.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .allocator import (
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import AttentionInputs, _key_blocks, pca_2d
+from .linalg import _KEY_BLOCK, AttentionInputs, _key_blocks, pca_2d
 from .separator import (
     HeadClass,
     HeterogeneitySchedule,
@@ -411,21 +414,32 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # retained max.
 _SAFE = 2.0**600
 
+
 class _HeadNumerators:
-    """One head's causal decode scores, softmax numerators and full-cache
-    decode outputs, shared by every cell that scores the head.
+    """One head's causal decode scores and softmax numerators, and the
+    decode outputs of its full cache and of each cell's retained cache,
+    from one pass over its K and one over its V.
 
     `scores` holds S = Q K^T / sqrt(d) of the decode rows against every
     key, key-major: shape (N, decode_queries), so a cell's retained keys
     are a row gather. `shift` is each decode row's max over the keys it
     sees, and `numerators` is exp(S - shift), 0 where a row does not see
     the key. `full` is the full cache's outputs, numerators^T V / their
-    sum, (decode_queries, d): the all-rows case of the renormalisation a
-    cell's retained output makes over its own rows. K and V are each
-    widened one block of keys at a time.
+    sum, (decode_queries, d). `retained` holds, in order, the outputs over
+    each of `heads` (each a cell's checked `HeadPlan`): its retained rows
+    and group means, renormalised over its own rows.
     """
 
-    def __init__(self, block: np.ndarray, decode_queries: int):
+    def __init__(self, block: np.ndarray, decode_queries: int, heads=()):
+        self._numerators(block, decode_queries)
+        products, totals = self._value_pass(block[2], heads)
+        self.retained = [
+            self._cell_output(block[2], *cell) for cell in zip(heads, products, totals)
+        ]
+
+    def _numerators(self, block: np.ndarray, decode_queries: int) -> None:
+        """`scores`, `shift` and `numerators`, with K widened one key block
+        at a time into S."""
         seq_len, head_dim = block.shape[1:]
         first_row = seq_len - decode_queries
         q = np.asarray(block[0, first_row:], dtype=np.float64).T / np.sqrt(float(head_dim))
@@ -442,46 +456,81 @@ class _HeadNumerators:
         with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
             np.exp(self.numerators, out=self.numerators)
         self.numerators[first_row:][hidden] = 0.0
-        self.full = np.zeros((decode_queries, head_dim))
-        for at, values in _key_blocks(block[2]):
-            self.full += self.numerators[at].T @ values
-        self.full /= self.numerators.sum(axis=0)[:, None]
 
-    def retained_output(self, values: np.ndarray, head: HeadPlan) -> np.ndarray:
-        """Decode outputs over the head's retained rows and group means, (decode_queries, d).
+    def _value_pass(self, values: np.ndarray, heads) -> tuple[list, list]:
+        """`full`, and each head's products of its retained rows' numerators
+        and V rows, (decode_queries, d), and their sums, (decode_queries,).
 
-        A retained row weighs its shared numerator. A group's mean row
-        weighs exp(mean of its keys' scores - shift), since the score of a
-        mean key is the mean of the keys' scores. The V rows and group
-        means are gathered and widened for this call alone. A decode row
-        before the head's first cache position sees nothing, and its
-        output stays zero.
+        V is widened one key block at a time, once for every head. A
+        block's numerators give its partial product E[b]^T V[b] and row
+        sums, which `full` adds up. A head that keeps the whole block adds
+        that partial and those sums, with no gather; a head that keeps part
+        of it gathers only those rows from the widened block.
         """
-        out = np.zeros((len(self.rows), values.shape[1]))
+        decode_queries, head_dim = self.numerators.shape[1], values.shape[1]
+        # each head's retained positions cut at the key-block edges
+        edges = np.append(np.arange(0, len(values), _KEY_BLOCK), len(values))
+        cuts = [np.searchsorted(head.retained, edges) for head in heads]
+        products = [np.zeros((decode_queries, head_dim)) for _ in heads]
+        totals = [np.zeros(decode_queries) for _ in heads]
+        self.full = np.zeros((decode_queries, head_dim))
+        for b, (at, rows) in enumerate(_key_blocks(values)):
+            weights = self.numerators[at]
+            partial = weights.T @ rows
+            self.full += partial
+            row_sums = weights.sum(axis=0)
+            for head, cut, out, total in zip(heads, cuts, products, totals):
+                lo, hi = cut[b], cut[b + 1]
+                if hi - lo == len(rows):
+                    out += partial
+                    total += row_sums
+                elif hi > lo:
+                    kept = head.retained[lo:hi]
+                    picked = self.numerators[kept]
+                    out += picked.T @ rows[kept - at.start]
+                    total += picked.sum(axis=0)
+        self.full /= self.numerators.sum(axis=0)[:, None]
+        return products, totals
+
+    def _cell_output(
+        self, values: np.ndarray, head: HeadPlan, out: np.ndarray, total: np.ndarray
+    ) -> np.ndarray:
+        """Decode outputs over the head's retained rows and group means,
+        (decode_queries, d), finished in place in `out`, the product of its
+        retained rows' numerators and V rows, with `total`, their sums.
+
+        A group's mean row weighs exp(mean of its keys' scores - shift),
+        since the score of a mean key is the mean of the keys' scores. A
+        decode row before the head's first cache position sees nothing,
+        and its output is zero. A row whose total leaves [1 / _SAFE, _SAFE]
+        is rescored with its own retained max over the gathered rows.
+        """
+        idx, groups = head.retained, head.groups
         first = int(head.positions[0]) if head.positions.size else int(self.rows[-1]) + 1
         blind = min(max(first - int(self.rows[0]), 0), len(self.rows))
-        if blind == len(self.rows):
-            return out
-        idx, groups, rows = head.retained, head.groups, self.rows[blind:]
-        starts = groups[:, 0]
-        group_scores = np.empty((0, len(rows)))
-        weights = self.numerators[idx, blind:]
-        v = np.asarray(values[idx], dtype=np.float64)
+        group_scores = np.empty((0, len(self.rows)))
+        group_values = np.empty((0, values.shape[1]))
         if len(groups):
-            group_scores = group_means(self.scores, groups)[:, blind:]
+            # V's group means first: their float32 gather and widening is the
+            # largest temporary, so no group array of scores is alive then
+            group_values = group_means(values, groups)
+            group_scores = group_means(self.scores, groups)
             with np.errstate(over="ignore"):  # a hidden group's exponential is discarded
-                group_weights = np.exp(group_scores - self.shift[blind:])
-            group_weights[starts[:, None] > rows] = 0.0
-            weights = np.concatenate([weights, group_weights])
-            v = np.concatenate([v, group_means(values, groups)])
-        total = weights.sum(axis=0)
-        rescue = ~((total >= 1 / _SAFE) & (total <= _SAFE))
-        if rescue.any():
-            own = np.concatenate([self.scores[idx, blind:][:, rescue], group_scores[:, rescue]])
-            own[np.concatenate([idx, starts])[:, None] > rows[rescue]] = -np.inf
-            weights[:, rescue] = np.exp(own - own.max(axis=0))
-            total[rescue] = weights[:, rescue].sum(axis=0)
-        out[blind:] = (weights.T @ v) / total[:, None]
+                group_weights = np.exp(group_scores - self.shift)
+            group_weights[groups[:, :1] > self.rows] = 0.0
+            out += group_weights.T @ group_values
+            total += group_weights.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # blind and rescued rows are rewritten
+            out /= total[:, None]
+        out[:blind] = 0.0
+        seen = total[blind:]
+        rescue = blind + np.flatnonzero(~((seen >= 1 / _SAFE) & (seen <= _SAFE)))
+        if rescue.size:
+            own = np.concatenate([self.scores[np.ix_(idx, rescue)], group_scores[:, rescue]])
+            own[np.concatenate([idx, groups[:, 0]])[:, None] > self.rows[rescue]] = -np.inf
+            weights = np.exp(own - own.max(axis=0))
+            kept = np.concatenate([np.asarray(values[idx], dtype=np.float64), group_values])
+            out[rescue] = (weights.T @ kept) / weights.sum(axis=0)[:, None]
         return out
 
 
@@ -491,31 +540,38 @@ def score_layer(
     """Per-head decode L2 error and cosine of each of one layer's `plans`
     against the full cache, over the last `decode_queries` query rows.
 
-    Scoring is head-major. Each head's decode scores, softmax numerators
-    and full-cache outputs o are formed once, under each decode row's
-    full-cache max (`_HeadNumerators`). A head that keeps every position
-    attends exactly like the full cache, so it scores L2 0 and the
-    self-cosine of o. Every other cell renormalises the numerators over
-    its own retained rows: the rescaled-exponent identity softmax merges
+    Scoring is head-major. Every scored head's plan passes
+    `check_head_plan` first. A head that keeps every position attends
+    exactly like the full cache, so it scores L2 0 and the self-cosine of
+    the full outputs o. For the others, `_HeadNumerators` forms the head's
+    decode scores and softmax numerators once, under each decode row's
+    full-cache max, and one pass over its V key blocks gives o and every
+    cell's retained outputs: the rescaled-exponent identity softmax merges
     partial sums with. A row whose retained numerators underflow under
     that shared shift is rescored with the cell's own retained max. A
     decode row that sees no retained key attends to nothing: its retained
-    output is zero, so it scores L2 = ||o|| and cosine 0. Every scored
-    head's plan passes `check_head_plan`.
+    output is zero, so it scores L2 = ||o|| and cosine 0. Each head's
+    scores and numerators are dropped before the next head's are formed.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
-        head = _HeadNumerators(block, decode_queries)
+        cells = {
+            c: check_head_plan(plan, layer, h, seq_len)
+            for c, plan in enumerate(plans)
+            if not keeps_every_position(plan, h, seq_len)
+        }
+        head = _HeadNumerators(block, decode_queries, list(cells.values()))
+        full, retained = head.full, dict(zip(cells, head.retained))
+        del head  # its scores and numerators go before the next head's are formed
         # the self-cosine of a row is not always exactly 1
-        self_cosine = float(_rows_cosine(head.full, head.full).mean())
-        for (l2, cos), plan in zip(scores, plans):
-            if keeps_every_position(plan, h, seq_len):
+        self_cosine = float(_rows_cosine(full, full).mean())
+        for c, (l2, cos) in enumerate(scores):
+            if c not in retained:
                 l2[h], cos[h] = 0.0, self_cosine
                 continue
-            retained_out = head.retained_output(block[2], check_head_plan(plan, layer, h, seq_len))
-            l2[h] = float(np.linalg.norm(head.full - retained_out, axis=1).mean())
-            cos[h] = float(_rows_cosine(head.full, retained_out).mean())
+            l2[h] = float(np.linalg.norm(full - retained[c], axis=1).mean())
+            cos[h] = float(_rows_cosine(full, retained[c]).mean())
     return scores
 
 

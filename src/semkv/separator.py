@@ -62,11 +62,22 @@ def check_top_t(t: int) -> None:
 
 
 def top_t_indices(values: np.ndarray, t: int) -> np.ndarray:
-    """Sorted indices of the min(t, len) largest entries; ties favor lower index."""
+    """Sorted indices of the min(t, len) largest entries; ties favor lower index.
+
+    One `np.partition` finds the t-th largest value, with no full sort:
+    every entry above it is kept, then the lowest-index entries equal to
+    it until t are kept (-0.0 equals 0.0).
+    """
     check_top_t(t)
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(-values, kind="stable")
-    return np.sort(order[: min(t, values.shape[0])])
+    n = values.shape[0]
+    if t >= n:
+        return np.arange(n)
+    kth = np.partition(values, n - t)[n - t]
+    keep = values > kth
+    ties = np.flatnonzero(values == kth)
+    keep[ties[: t - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def approx_semantic_vector(scores: np.ndarray, values: np.ndarray, t: int) -> np.ndarray:

@@ -1194,6 +1194,43 @@ class TestInputLimits:
         assert path.read_bytes() == good
         assert os.listdir(tmp_path) == ["g.tkv"]
 
+    ALL_TINY = [
+        "all", "--profile", "uniform-random", "--shape", "1,8,16,4", "--policy", "full",
+        "--budget", "0.5", "--contrib-trials", "0",
+    ]
+
+    def test_a_directory_at_an_output_name_fails_before_any_rename(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "report.json").mkdir(parents=True)
+        code, _, err = run_cli(capsys, *self.ALL_TINY, "--out", str(out))
+        assert code == 1
+        assert json.loads(err)["error"] == "IsADirectoryError"
+        assert os.listdir(out) == ["report.json"]
+        assert os.listdir(out / "report.json") == []
+
+    @pytest.mark.parametrize("failing", [1, 3, 5])
+    def test_a_failed_rename_puts_back_the_outputs_it_replaced(
+        self, tmp_path, capsys, monkeypatch, failing
+    ):
+        out = tmp_path / "o"
+        assert run_cli(capsys, *self.ALL_TINY, "--out", str(out))[0] == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 5
+        replace, renamed = os.replace, []
+
+        def fail_one(src, dst):
+            if str(src).endswith(".partial"):
+                renamed.append(src)
+                if len(renamed) == failing:
+                    raise OSError(5, "Input/output error")
+            replace(src, dst)
+
+        monkeypatch.setattr("semkv.cli.os.replace", fail_one)
+        code, _, err = run_cli(capsys, *self.ALL_TINY, "--seed", "1", "--out", str(out))
+        assert code == 1
+        assert json.loads(err)["error"] == "OSError"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_gen_into_a_directory_fails_and_writes_nothing(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, *self.GEN_TINY, "--out", str(tmp_path))
         assert code == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semkv.errors import EmptyInputError, ParameterError
 from semkv.linalg import AttentionInputs
@@ -113,6 +115,23 @@ class TestTopTSelection:
     def test_t_larger_than_length(self):
         idx = top_t_indices(np.array([3.0, 1.0]), 10)
         np.testing.assert_array_equal(idx, [0, 1])
+
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf]) | st.floats(allow_nan=False),
+            max_size=40,
+        ),
+        t=st.integers(1, 50),
+    )
+    @example(values=[0.0, -0.0, 0.0, -0.0, 1.0], t=3)
+    @example(values=[-0.0, 0.0, -1.0], t=1)
+    @example(values=[2.0, 1.0, 2.0], t=3)
+    @example(values=[], t=1)
+    def test_matches_the_argsort_oracle(self, values, t):
+        # the full stable sort it replaced: every tie, +-0.0 included, to the lower index
+        values = np.array(values, dtype=np.float64)
+        expected = np.sort(np.argsort(-values, kind="stable")[: min(t, len(values))])
+        np.testing.assert_array_equal(top_t_indices(values, t), expected)
 
     def test_selected_mass_monotone_in_t(self):
         rng = np.random.default_rng(7)
