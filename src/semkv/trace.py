@@ -35,7 +35,9 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import mmap
 import os
+import stat
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -478,11 +480,23 @@ class TraceReader:
     The header is read and checked on construction, and a source that can
     seek (a path or bytes) is checked against the payload size the header
     declares, all before any layer is read. Layers are contiguous in the
-    payload, so `layers()` reads each layer's float32 (n, 3, N, d) block in
-    turn into one reused buffer and yields it checked and read-only: a pass
-    over the layers holds one layer's payload. The buffer of a stream that
-    cannot seek (a pipe) grows with the bytes that actually arrive, so a
-    header that claims more than arrives allocates nothing for the rest.
+    payload, so `layers()` yields each layer's float32 (n, 3, N, d) block in
+    turn, checked and read-only, and a pass over the layers holds one
+    layer's payload:
+
+    - A regular file (a path, or a binary file object whose `fileno()` is
+      one) is mapped read-only and never copied: each layer is a view of
+      the mapping, and the pages of the layers before it are released
+      before it is touched. A layer kept past the next one, or past
+      `close()`, still reads the file's values. The file must not be
+      truncated or rewritten in place while it is read: a layer cut off
+      before it is reached raises `TraceTruncationError`, but a change
+      under a layer already yielded is not seen.
+    - Bytes and other streams are read into one reused buffer. The buffer
+      of a stream that cannot seek (a pipe) grows with the bytes that
+      actually arrive, so a header that claims more than arrives
+      allocates nothing for the rest.
+
     The layers can be read once. As a context manager the reader closes a
     file it opened.
     """
@@ -553,6 +567,35 @@ class TraceReader:
         return np.frombuffer(payload, dtype="<f4")
 
     def layers(self) -> Iterator[np.ndarray]:
+        fileno = _regular_fileno(self._stream)
+        if fileno is not None:
+            return self._mapped_layers(fileno)
+        return self._copied_layers()
+
+    def _mapped_layers(self, fileno: int) -> Iterator[np.ndarray]:
+        header = self.header
+        start = self._stream.tell()
+        layer_bytes = header.payload_bytes // header.num_layers
+        # not closed by `close()`: the layers yielded are views of it
+        mapped = mmap.mmap(fileno, start + header.payload_bytes, access=mmap.ACCESS_READ)
+        released = 0
+        for r in range(header.num_layers):
+            first = start + r * layer_bytes
+            # drop the pages wholly before this layer from the process;
+            # the file's values come back from the page cache if touched
+            page = first - first % mmap.PAGESIZE
+            mapped.madvise(mmap.MADV_DONTNEED, released, page - released)
+            released = page
+            size = os.fstat(self._stream.fileno()).st_size
+            if size < first + layer_bytes:
+                # touching a page past the end of the file would be a SIGBUS
+                raise TraceTruncationError(header.payload_bytes, max(size - start, 0))
+            layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, first)
+            layer = layer.reshape(self.layer_shape)
+            _check_finite(layer)
+            yield layer
+
+    def _copied_layers(self) -> Iterator[np.ndarray]:
         layer = self.read_layer()
         view = _read_only(layer)
         for r in range(self.header.num_layers):
@@ -596,6 +639,15 @@ def _read_header(stream) -> TraceHeader:
         return TraceHeader(layers, heads, seq_len, head_dim, version, dtype_code)
     except ParameterError as exc:
         raise TraceFormatError(str(exc)) from exc
+
+
+def _regular_fileno(stream) -> int | None:
+    """The stream's file descriptor if it is a regular file, else None."""
+    try:
+        fileno = stream.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
+    return fileno if stat.S_ISREG(os.fstat(fileno).st_mode) else None
 
 
 def _bytes_left(stream) -> int | None:

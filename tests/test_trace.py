@@ -1,7 +1,9 @@
 """Trace format round-trips, corruption handling, synthetic ground truths."""
 
+import contextlib
 import hashlib
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -34,6 +36,15 @@ def trace_bytes(trace):
     buf = io.BytesIO()
     write_trace(trace, buf)
     return buf.getvalue()
+
+
+def vm_rss() -> int:
+    """This process's resident set in bytes, mapped file pages included."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line in /proc/self/status")
 
 
 class TrickleStream(io.RawIOBase):
@@ -449,24 +460,68 @@ class TestLayerSources:
     def profile(kind):
         return SyntheticProfile(kind, seed=51, planted=1, spread=0.1, tail_len=8)
 
-    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, TrickleStream, "path"])
+    # a file of four 15.7 MB layers, and what the resident set may gain over
+    # one of them (allocator and page-table noise) while a pass reads it
+    MAPPED_SHAPE = (4, 4, 4096, 80)
+    RSS_SLACK = 8 << 20
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, TrickleStream, "path", "file"])
     def test_reader_yields_each_layer_in_one_reused_buffer(self, wrap, tmp_path):
-        trace = gen_synthetic_trace(self.profile("clustered-heads"), self.SHAPE)
-        data = trace_bytes(trace)
-        if wrap == "path":
-            source = tmp_path / "t.tkv"
-            source.write_bytes(data)
-        else:
-            source = wrap(data)
-        with TraceReader(source) as reader:
+        # a regular file (a path or an open file) is mapped, and its layers
+        # are views of the mapping rather than of one buffer: for it, the
+        # resident set is checked to hold one layer at a time instead
+        mapped = wrap in ("path", "file")
+        shape = self.MAPPED_SHAPE if mapped else self.SHAPE
+        trace = gen_synthetic_trace(self.profile("clustered-heads"), shape)
+        with contextlib.ExitStack() as stack:
+            if mapped:
+                source = tmp_path / "t.tkv"
+                write_trace(trace, source)
+                if wrap == "file":
+                    source = stack.enter_context(open(source, "rb"))
+            else:
+                source = wrap(trace_bytes(trace))
+            base = vm_rss()
+            reader = stack.enter_context(TraceReader(source))
             assert reader.header == trace.header
-            layers = []
+            layers, growth = [], 0
             for r, layer in enumerate(reader.layers()):
+                growth = max(growth, vm_rss() - base)
                 assert layer.dtype == np.float32 and not layer.flags.writeable
                 assert np.array_equal(layer, trace.data[r])
                 layers.append(layer)
-        assert len(layers) == 3
-        assert all(np.shares_memory(layers[0], layer) for layer in layers)
+        assert len(layers) == shape[0]
+        assert growth <= layers[0].nbytes + self.RSS_SLACK
+        if not mapped:
+            assert all(np.shares_memory(layers[0], layer) for layer in layers)
+
+    def test_file_cut_short_between_layers_fails_on_the_next(self, tmp_path):
+        trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
+        path = tmp_path / "t.tkv"
+        write_trace(trace, path)
+        layer_bytes = trace.header.payload_bytes // 3
+        with TraceReader(path) as reader:
+            layers = reader.layers()
+            assert np.array_equal(next(layers), trace.data[0])
+            os.truncate(path, HEADER_BYTES + layer_bytes + 5)
+            with pytest.raises(TraceTruncationError) as err:
+                next(layers)
+        assert (err.value.expected, err.value.actual) == (
+            trace.header.payload_bytes,
+            layer_bytes + 5,
+        )
+
+    def test_mapped_layer_outlives_the_next_layer_and_the_reader(self, tmp_path):
+        trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
+        path = tmp_path / "t.tkv"
+        write_trace(trace, path)
+        reader = TraceReader(path)
+        layers = reader.layers()
+        first = next(layers)
+        for _ in layers:  # each releases the pages of the layers before it
+            pass
+        reader.close()
+        assert np.array_equal(first, trace.data[0])
 
     @pytest.mark.parametrize("wrap", [bytes, TrickleStream], ids=["bytes", "trickle"])
     def test_nonfinite_value_fails_when_its_layer_arrives(self, wrap):
