@@ -243,9 +243,27 @@ def _ranges_per_head(name: str):
 
 _groups_from_json = _ranges_per_head("per_head_groups")
 
+
+def _checked(name: str, ok, what: str):
+    """A plans file's `name` value as is when `ok(value)`; anything else
+    raises TypeError naming the field."""
+
+    def convert(value):
+        if not ok(value):
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return convert
+
+
 # How a plans file's value becomes the `BudgetPlan` field of its key, for
-# each field that JSON does not hold as is.
+# each field that JSON does not hold as is, or whose type it checks.
 _PLAN_FROM_JSON = {
+    **{
+        name: _checked(name, lambda v: type(v) is int and v >= 0, "a non-negative integer")
+        for name in ("layer", "total_budget", "sinks", "recents", "middle_k")
+    },
+    "clamped": _checked("clamped", lambda v: type(v) is bool, "true or false"),
     "policy": PolicyKind,
     "head_classes": lambda classes: [HeadClass(c) for c in classes],
     "per_head_runs": _ranges_per_head("per_head_runs"),

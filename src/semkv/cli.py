@@ -265,18 +265,35 @@ _PROFILE_FLAGS = {
 }
 
 
+# The synthetic-trace flags only one profile kind reads, by argparse dest.
+_KIND_FLAGS = {
+    "clustered-heads": ("planted", "spread"),
+    "planted-needle": ("needle_position", "needle_strength", "tail_len"),
+}
+
+
+def _given(args, flags: dict) -> str:
+    return ", ".join(flag for dest, flag in flags.items() if getattr(args, dest, None) is not None)
+
+
 def _check_unread_flags(args, cfg: RunConfig) -> None:
     unread = dict(_UNREAD.get(args.command, {}))
-    if cfg.trace_path is not None:
+    if cfg.trace_path is not None and args.command != "gen":
         if args.command in ("compress", "eval", "pca"):
             unread["seed"] = "--seed"  # seeds only a synthetic trace
         if args.command in ("compress", "pca", "all"):
             unread.update(_PROFILE_FLAGS)
+    elif cfg.profile is not None:  # a drawn trace reads only its own profile kind's flags
+        kind = cfg.profile.kind
+        dests = [d for k, flags in _KIND_FLAGS.items() if k != kind for d in flags]
+        other = _given(args, {d: _PROFILE_FLAGS[d] for d in dests})
+        if other:
+            raise ParameterError(f"profile {kind} does not read {other}")
     if args.command == "eval" and cfg.decode_queries is not None:
         unread["window_len"] = "--window"  # only sets the default decode rows
-    given = [flag for dest, flag in unread.items() if getattr(args, dest) is not None]
+    given = _given(args, unread)
     if given:
-        raise ParameterError(f"{args.command} does not read {', '.join(given)}")
+        raise ParameterError(f"{args.command} does not read {given}")
 
 
 def _config_from(args) -> RunConfig:
@@ -478,6 +495,8 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
         dims = payload["trace"]
     except (KeyError, TypeError) as exc:
         raise PlanFormatError(f"{path}: not a plans file ({exc!r})") from exc
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) or not 0 < ratio <= 1:
+        raise PlanFormatError(f"{path}: budget_ratio must be a number in (0, 1], got {ratio!r}")
     if not isinstance(layers, list):
         raise PlanFormatError(f"{path}: layers must be a list, got {type(layers).__name__}")
     if dims != header.dims:
@@ -512,19 +531,19 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_contrib(args) -> int:
-    report = verify_bound_suite(
-        args.seed, args.trials, args.heads, args.dim, args.out_dim
-    )
+    report = verify_bound_suite(args.seed, args.trials, args.heads, args.dim, args.out_dim)
     payload = dataclasses.asdict(report)
-    if args.out:
-        path = args.out
-        if os.path.isdir(path) or not path.endswith(".json"):
-            os.makedirs(path, exist_ok=True)
-            path = os.path.join(path, "contribution.json")
-        _write_json(path, payload)
-        print(f"wrote {path}")
-    else:
+    if not args.out:
         print(json.dumps(payload, indent=2))
+        return 0
+    path = args.out
+    if os.path.isdir(path) or not path.endswith(".json"):
+        os.makedirs(path, exist_ok=True)
+        path = os.path.join(path, "contribution.json")
+    out, name = os.path.split(path)
+    with _Outputs(out or ".") as outputs:
+        _write_json(outputs.path(name), payload)
+    print(f"wrote {path}")
     return 0
 
 

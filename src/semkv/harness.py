@@ -17,17 +17,9 @@ entries (softmax renormalized over the retained, causally visible set) are
 compared against outputs over the full cache. This is a proxy for task-level
 quality; it needs no language model.
 
-`score_layer` scores a layer head-major, every cell at once. Each head's
-causal decode scores S and softmax numerators E = exp(S - m) are formed
-once, under the shift m of each decode row's full-cache max. Then one
-pass over the head's V, one key block at a time, gives the full cache's
-outputs and every cell's: each block's E[b]^T V[b] and row sums add up to
-the full outputs, this being the one place they are computed, and a cell
-adds them for a block it keeps whole or gathers the rows it keeps of the
-widened block. Each cell renormalises over its own retained rows (a
-group's mean row weighs exp of the mean of its keys' scores - m). A
-decode row whose retained numerators underflow under the shared shift is
-rescored with the cell's own retained max.
+A head's keys meet queries in one kernel, `linalg.causal_scores`, called
+twice per scored head: over the observation window in the head pass and
+over the decode rows in `score_layer` (see `_HeadNumerators`).
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from .allocator import (
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import _KEY_BLOCK, AttentionInputs, _key_blocks, pca_2d
+from .linalg import _KEY_BLOCK, AttentionInputs, _hidden_keys, _key_blocks, causal_scores, pca_2d
 from .separator import (
     HeadClass,
     HeterogeneitySchedule,
@@ -227,13 +219,8 @@ def start_run(
     for policy, ratio in cells:
         try:
             check_cell(
-                policy,
-                ratio,
-                header.seq_len,
-                header.num_heads,
-                schedule.per_layer_counts,
-                config.sinks,
-                config.recents,
+                policy, ratio, header.seq_len, header.num_heads, schedule.per_layer_counts,
+                config.sinks, config.recents,
             )
         except InfeasibleBudgetError as exc:
             result.infeasible.append({"policy": policy, "budget_ratio": ratio, "message": str(exc)})
@@ -268,9 +255,11 @@ def _head_pass(block: np.ndarray, window_len: int, top_t: int) -> tuple[np.ndarr
     """One head's window scores and top-t semantic vector, from the head's
     (3, N, d) block as stored.
 
-    The head is never widened whole: `attention_weights` widens K one key
-    block at a time into the window's score matrix, and
-    `approx_semantic_vector` widens only the top-t V rows.
+    The head is never widened whole: `causal_scores`, through
+    `window_column_scores`, widens K one key block at a time, and
+    `approx_semantic_vector` only the top-t V rows. `score_layer` forms the
+    decode rows' scores again rather than hold a layer's (n, N, W) window
+    scores across classification.
     """
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
@@ -420,42 +409,27 @@ class _HeadNumerators:
     decode outputs of its full cache and of each cell's retained cache,
     from one pass over its K and one over its V.
 
-    `scores` holds S = Q K^T / sqrt(d) of the decode rows against every
-    key, key-major: shape (N, decode_queries), so a cell's retained keys
-    are a row gather. `shift` is each decode row's max over the keys it
-    sees, and `numerators` is exp(S - shift), 0 where a row does not see
-    the key. `full` is the full cache's outputs, numerators^T V / their
-    sum, (decode_queries, d). `retained` holds, in order, the outputs over
-    each of `heads` (each a cell's checked `HeadPlan`): its retained rows
-    and group means, renormalised over its own rows.
+    `scores` and `shift` are `causal_scores` of the decode rows: S, shape
+    (N, decode_queries), and each row's max over the keys it sees.
+    `numerators` is exp(S - shift), 0 where a row does not see the key.
+    `full` is the full cache's outputs, numerators^T V / their sum,
+    (decode_queries, d). `retained` holds, in order, the outputs over each
+    of `heads` (each a cell's checked `HeadPlan`): its retained rows and
+    group means, renormalised over its own rows.
     """
 
     def __init__(self, block: np.ndarray, decode_queries: int, heads=()):
-        self._numerators(block, decode_queries)
+        first_row = block.shape[1] - decode_queries
+        self.scores, self.shift = causal_scores(block[0, first_row:], block[1])
+        self.rows = np.arange(first_row, block.shape[1])  # each decode row's position
+        self.numerators = self.scores - self.shift
+        with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
+            np.exp(self.numerators, out=self.numerators)
+        self.numerators[first_row:][_hidden_keys(decode_queries)] = 0.0
         products, totals = self._value_pass(block[2], heads)
         self.retained = [
             self._cell_output(block[2], *cell) for cell in zip(heads, products, totals)
         ]
-
-    def _numerators(self, block: np.ndarray, decode_queries: int) -> None:
-        """`scores`, `shift` and `numerators`, with K widened one key block
-        at a time into S."""
-        seq_len, head_dim = block.shape[1:]
-        first_row = seq_len - decode_queries
-        q = np.asarray(block[0, first_row:], dtype=np.float64).T / np.sqrt(float(head_dim))
-        self.scores = np.empty((seq_len, decode_queries))
-        for at, keys in _key_blocks(block[1]):
-            np.matmul(keys, q, out=self.scores[at])
-        self.rows = np.arange(first_row, seq_len)  # each decode row's position
-        # key first_row + t is hidden from decode row i when t > i
-        hidden = np.arange(decode_queries)[:, None] > np.arange(decode_queries)
-        self.shift = np.where(hidden, -np.inf, self.scores[first_row:]).max(axis=0)
-        if first_row:
-            np.maximum(self.shift, self.scores[:first_row].max(axis=0), out=self.shift)
-        self.numerators = self.scores - self.shift
-        with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
-            np.exp(self.numerators, out=self.numerators)
-        self.numerators[first_row:][hidden] = 0.0
 
     def _value_pass(self, values: np.ndarray, heads) -> tuple[list, list]:
         """`full`, and each head's products of its retained rows' numerators
@@ -544,10 +518,10 @@ def score_layer(
     `check_head_plan` first. A head that keeps every position attends
     exactly like the full cache, so it scores L2 0 and the self-cosine of
     the full outputs o. For the others, `_HeadNumerators` forms the head's
-    decode scores and softmax numerators once, under each decode row's
-    full-cache max, and one pass over its V key blocks gives o and every
-    cell's retained outputs: the rescaled-exponent identity softmax merges
-    partial sums with. A row whose retained numerators underflow under
+    decode scores (`causal_scores`) and softmax numerators once, under each
+    decode row's full-cache max, and one pass over its V key blocks gives
+    o and every cell's retained outputs, each block's E[b]^T V[b] and row
+    sums adding up to o. A row whose retained numerators underflow under
     that shared shift is rescored with the cell's own retained max. A
     decode row that sees no retained key attends to nothing: its retained
     output is zero, so it scores L2 = ||o|| and cosine 0. Each head's
@@ -708,15 +682,8 @@ def export_pca_csv(report: dict, destination) -> int:
     writer.writerow(PCA_HEADER)
     for block in report["pca"]:
         for point in block["points"]:
-            writer.writerow(
-                [
-                    block["layer"],
-                    point["head"],
-                    _csv_cell(point["x"]),
-                    _csv_cell(point["y"]),
-                    point["class"],
-                ]
-            )
+            x, y = _csv_cell(point["x"]), _csv_cell(point["y"])
+            writer.writerow([block["layer"], point["head"], x, y, point["class"]])
     return _write_bytes(destination, buf.getvalue().encode())
 
 

@@ -18,19 +18,18 @@ import numpy as np
 from .errors import DimensionError, EmptyInputError
 
 
-def _as_matrix(a, name: str, keep_float32: bool = False) -> np.ndarray:
+def _as_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a)
-    if not (keep_float32 and m.dtype == np.float32):
+    if m.dtype != np.float32:
         m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     return m
 
 
-def _require_finite(a: np.ndarray, name: str) -> np.ndarray:
+def _require_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN/Inf entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -51,18 +50,16 @@ class AttentionInputs:
     checked: bool = False
 
     def __post_init__(self):
-        q = _as_matrix(self.queries, "queries", keep_float32=True)
-        k = _as_matrix(self.keys, "keys", keep_float32=True)
-        v = _as_matrix(self.values, "values", keep_float32=True)
-        object.__setattr__(self, "queries", q)
-        object.__setattr__(self, "keys", k)
-        object.__setattr__(self, "values", v)
+        names = ("queries", "keys", "values")
+        for name in names:
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
+        q, k, v = self.queries, self.keys, self.values
         if q.shape[0] == 0 or k.shape[0] == 0 or k.shape[1] == 0:
             raise EmptyInputError("attention inputs need seq_len >= 1 and head_dim >= 1")
         if not (k.shape == v.shape and q.shape[1] == k.shape[1] and q.shape[0] <= k.shape[0]):
             raise DimensionError(f"Q/K/V shapes differ: {q.shape}, {k.shape}, {v.shape}")
         if not self.checked:
-            for name, m in (("queries", q), ("keys", k), ("values", v)):
+            for name, m in zip(names, (q, k, v)):
                 _require_finite(m, name)
 
     @property
@@ -90,16 +87,29 @@ def _key_blocks(rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield slice(a, a + _KEY_BLOCK), block
 
 
-def _softmax_rows(out: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of `out` in place; -inf entries become exactly 0.
+def _hidden_keys(rows: int) -> np.ndarray:
+    """Key-major causal triangle of the last `rows` keys: key N - rows + t
+    is hidden from query row i, at position N - rows + i, when t > i."""
+    return np.arange(rows)[:, None] > np.arange(rows)
 
-    Subtracts each row's max before exponentiating so large score
-    magnitudes cannot overflow. Every row needs a finite entry.
+
+def causal_scores(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one product of queries and keys: key-major scores
+    S = K (Q^T / sqrt(d)), (N, rows), of the trailing query `rows` of the
+    sequence whose (N, d) `keys` they attend, and each row's max over the
+    keys it sees, (rows,). K is widened one `_KEY_BLOCK` at a time into S.
+    S holds the hidden keys' scores too; only the max leaves them out.
     """
-    out -= np.max(out, axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=1, keepdims=True)
-    return _require_finite(out, "softmax output")
+    n, rows = len(keys), len(queries)
+    q = np.asarray(queries, dtype=np.float64).T / np.sqrt(float(keys.shape[1]))
+    scores = np.empty((n, rows))
+    for at, block in _key_blocks(keys):
+        np.matmul(block, q, out=scores[at])
+    # a masked max, so no float copy of the (rows, rows) tail is made
+    shift = scores[n - rows :].max(axis=0, initial=-np.inf, where=~_hidden_keys(rows))
+    if n > rows:
+        np.maximum(shift, scores[: n - rows].max(axis=0), out=shift)
+    return scores, shift
 
 
 def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
@@ -107,23 +117,21 @@ def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.nd
     rows over every key, shape (rows, N); `rows` defaults to every query row
     `inputs` holds. Row i attends the keys up to its own position.
 
-    K is widened one `_KEY_BLOCK` at a time into the score matrix, and
-    only the causal triangle among the last `rows` keys is masked: every
-    earlier key is seen by every row.
+    The softmax is done in place on `causal_scores`' S, and the result is
+    its transposed view.
     """
     n, held = inputs.seq_len, len(inputs.queries)
     rows = held if rows is None else rows
     if not 1 <= rows <= held:
         raise DimensionError(f"rows {rows} outside [1, {held}]")
-    queries = np.asarray(inputs.queries[held - rows :], dtype=np.float64)
-    weights = np.empty((rows, n))
-    for at, keys in _key_blocks(inputs.keys):
-        np.matmul(queries, keys.T, out=weights[:, at])
-    weights /= np.sqrt(float(inputs.head_dim))
-    # row i sits at position n - rows + i, so it does not see key n - rows + j for j > i
-    hidden = np.arange(rows)[:, None] < np.arange(rows)
-    np.copyto(weights[:, n - rows :], -np.inf, where=hidden)
-    return _softmax_rows(weights)
+    weights, shift = causal_scores(inputs.queries[held - rows :], inputs.keys)
+    # with finite scores, a finite row max means a finite softmax row
+    _require_finite(shift, "attention row max")
+    np.copyto(weights[n - rows :], -np.inf, where=_hidden_keys(rows))
+    weights -= shift
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=0)
+    return weights.T
 
 
 def _fix_sign(axis: np.ndarray) -> np.ndarray:

@@ -105,15 +105,7 @@ class TraceHeader:
         return {name: getattr(self, name) for name in _DIMS}
 
     def pack(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC,
-            self.version,
-            self.num_layers,
-            self.num_heads,
-            self.seq_len,
-            self.head_dim,
-            self.dtype_code,
-        )
+        return _HEADER.pack(MAGIC, self.version, *self.dims.values(), self.dtype_code)
 
 
 class AttentionTrace:
@@ -137,13 +129,7 @@ class AttentionTrace:
         data = np.asarray(data)
         dtype = np.float32 if data.dtype == np.float32 else np.float64
         data = np.ascontiguousarray(data, dtype=dtype).view()
-        expected = (
-            header.num_layers,
-            header.num_heads,
-            3,
-            header.seq_len,
-            header.head_dim,
-        )
+        expected = (header.num_layers, header.num_heads, 3, header.seq_len, header.head_dim)
         if data.shape != expected:
             raise TraceFormatError(f"trace data shape {data.shape} != {expected}")
         _check_finite(data)

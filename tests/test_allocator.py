@@ -848,8 +848,14 @@ class TestPlanSerialization:
             (lambda d: d["head_classes"].__setitem__(0, "chaotic"), "chaotic"),
             (lambda d: d.pop("middle_k"), "middle_k"),
             (lambda d: d.update(per_head_groups=[[[1]]] * 4), "bad plan"),
+            (lambda d: d.update(total_budget="lots"), "total_budget must be a non-negative"),
+            (lambda d: d.update(middle_k=-5), "middle_k must be a non-negative integer"),
+            (lambda d: d.update(sinks=True), "sinks must be a non-negative integer"),
+            (lambda d: d.update(clamped="maybe"), "clamped must be true or false"),
+            (lambda d: d.update(clamped=0), "clamped must be true or false"),
         ],
-        ids=["policy", "head-class", "missing-key", "group-shape"],
+        ids=["policy", "head-class", "missing-key", "group-shape", "budget-text",
+             "negative-k", "bool-sinks", "clamped-text", "clamped-int"],
     )
     def test_malformed_plan_raises_plan_format_error(self, edit, needle):
         trace = small_trace(seed=61)

@@ -249,9 +249,28 @@ class TestEval:
              "PlanFormatError", "policy 'streaming', file has 'task-kv'"),
             (lambda p: TestEval._to_index_lists(p["layers"][0]),
              "PlanFormatError", "missing key 'per_head_runs'"),
+            *[
+                (lambda p, ratio=ratio: p.update(budget_ratio=ratio),
+                 "PlanFormatError", "budget_ratio must be a number in (0, 1]")
+                for ratio in ("abc", -3, {"x": 1}, None, True, 0, 1.5)
+            ],
+            *[
+                (lambda p, edit=edit: p["layers"][0].update(edit), "PlanFormatError", needle)
+                for edit, needle in [
+                    ({"total_budget": "lots"}, "total_budget must be a non-negative integer"),
+                    ({"middle_k": -5}, "middle_k must be a non-negative integer"),
+                    ({"sinks": -1}, "sinks must be a non-negative integer"),
+                    ({"recents": 2.0}, "recents must be a non-negative integer"),
+                    ({"layer": False}, "layer must be a non-negative integer"),
+                    ({"clamped": "maybe"}, "clamped must be true or false"),
+                ]
+            ],
         ],
         ids=["layers-not-a-list", "nested-runs", "float-runs", "bool-runs", "flat-runs",
-             "short-head-classes", "wrong-layer-index", "other-policy", "index-lists"],
+             "short-head-classes", "wrong-layer-index", "other-policy", "index-lists",
+             "ratio-text", "ratio-negative", "ratio-object", "ratio-null", "ratio-bool",
+             "ratio-zero", "ratio-above-one", "budget-text", "negative-k", "negative-sinks",
+             "float-recents", "bool-layer", "clamped-text"],
     )
     def test_malformed_plans_file_is_one_json_error(
         self, trace_file, tmp_path, capsys, edit, error, needle
@@ -283,6 +302,32 @@ class TestContrib:
         report = json.loads((out / "contribution.json").read_text())
         assert report["violations"] == 0
         assert report["trials"] == 5
+
+    @pytest.mark.parametrize("name", [None, "suite.json"])
+    def test_a_failed_write_keeps_the_report_already_at_out(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        out = tmp_path / "c"
+        out.mkdir()
+        target = out / (name or "contribution.json")
+        argv = ["contrib", "--seed", "3", "--trials", "2", "--out", str(target if name else out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        good = target.read_bytes()
+        real_open = open
+
+        def full_disk(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            if "w" in mode:  # fails once the file is open, and so truncated
+                f.close()
+                raise OSError(28, "No space left on device")
+            return f
+
+        monkeypatch.setattr("semkv.cli.open", full_disk, raising=False)
+        code, _, err = run_cli(capsys, *argv[:2], "4", *argv[3:])
+        assert code == 1
+        assert json.loads(err)["error"] == "OSError"
+        assert target.read_bytes() == good
+        assert os.listdir(out) == [target.name]
 
     def test_prints_json_without_out(self, capsys):
         code, out, _ = run_cli(capsys, "contrib", "--seed", "3", "--trials", "2")
@@ -610,7 +655,9 @@ class TestConfigSchema:
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SyntheticProfile)])
     def test_profile_field_round_trips(self, tmp_path, name):
         value = PROFILE_FIELD_VALUES[name]
-        base = SyntheticProfile("clustered-heads")
+        # a flag is read only under the profile kind that reads its field
+        needle = name in ("needle_position", "needle_strength", "tail_len")
+        base = SyntheticProfile("planted-needle" if needle else "clustered-heads")
         cfg = RunConfig(profile=dataclasses.replace(base, **{name: value}))
         assert cfg.profile != base
         assert self.through_file(tmp_path, cfg) == cfg
@@ -1349,6 +1396,55 @@ class TestInputLimits:
             "error": "ParameterError", "message": f"{command} does not read {flag}"
         }
         assert not out.exists()
+
+    # each synthetic-trace flag under a profile kind that does not read it
+    OTHER_KIND_FLAGS = [
+        ("uniform-random", "--planted", "3"),
+        ("uniform-random", "--spread", "9"),
+        ("uniform-random", "--needle-pos", "2"),
+        ("uniform-random", "--needle-strength", "4"),
+        ("uniform-random", "--tail", "3"),
+        ("clustered-heads", "--needle-pos", "2"),
+        ("clustered-heads", "--needle-strength", "4"),
+        ("clustered-heads", "--tail", "3"),
+        ("planted-needle", "--planted", "3"),
+        ("planted-needle", "--spread", "9"),
+    ]
+
+    @pytest.mark.parametrize("command", ["gen", "all"])
+    @pytest.mark.parametrize("kind, flag, value", OTHER_KIND_FLAGS)
+    def test_a_drawn_trace_rejects_another_profile_kinds_flags(
+        self, tmp_path, capsys, command, kind, flag, value
+    ):
+        out = tmp_path / ("t.tkv" if command == "gen" else "out")
+        argv = [] if command == "gen" else ["--policy", "full", "--budget", "0.5"]
+        code, _, err = run_cli(
+            capsys, command, "--profile", kind, "--shape", "1,4,16,4", *argv, flag, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"profile {kind} does not read {flag}"
+        }
+        assert not out.exists()
+
+    def test_a_config_files_other_profile_keys_stay_accepted(self, tmp_path, capsys):
+        # like every key a command does not read, a shared config file may hold them
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"profile": {
+            "kind": "uniform-random", "seed": 4, "planted": 3, "spread": 9.0,
+            "needle_position": 2, "needle_strength": 4.0, "tail_len": 3,
+        }}))
+        traces = {}
+        for name, extra in (("file", ["--config", str(config)]), ("flags", ["--seed", "4"])):
+            path = tmp_path / f"{name}.tkv"
+            code, _, err = run_cli(
+                capsys, "gen", *extra, "--profile", "uniform-random", "--shape", "1,4,16,4",
+                "--out", str(path),
+            )
+            assert code == 0, err
+            traces[name] = path.read_bytes()
+        assert traces["file"] == traces["flags"]
 
     def test_compress_and_pca_accept_a_shared_config_file(self, trace_file, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -45,7 +45,7 @@ from semkv.harness import (
     score_layer,
     score_plans,
 )
-from semkv.linalg import _KEY_BLOCK, AttentionInputs, attention_weights
+from semkv.linalg import _KEY_BLOCK, AttentionInputs
 from semkv.separator import HeadClass, top_t_indices
 from semkv.trace import (
     AttentionTrace,
@@ -56,8 +56,8 @@ from semkv.trace import (
     widen_head,
 )
 
-# the softmax oracle that masks the whole score matrix
-from test_linalg import masked_softmax
+# the softmax oracles that mask the whole score matrix
+from test_linalg import masked_softmax, row_major_attention_weights
 
 ALL_POLICIES = tuple(PolicyKind)
 
@@ -281,8 +281,9 @@ def build_head_entry(block, plan, layer, head) -> CacheEntry:
 
 def decode_output(inputs: AttentionInputs, decode_queries: int) -> np.ndarray:
     """Full-cache attention outputs of the last `decode_queries` query rows,
-    shape (decode_queries, d): one masked softmax over every key, times V."""
-    return attention_weights(inputs, decode_queries) @ inputs.values
+    shape (decode_queries, d): one row-major masked softmax over every key,
+    times V."""
+    return row_major_attention_weights(inputs, decode_queries) @ inputs.values
 
 
 def decode_outputs(layer, decode_queries):
@@ -757,17 +758,20 @@ class TestFloat32Storage:
         assert reports[0] == reports[1]
 
     @staticmethod
-    def count_softmax(monkeypatch):
+    def count_causal_scores(monkeypatch):
+        """Count `causal_scores` calls, at every module that holds it."""
+        import semkv.harness
         import semkv.linalg
 
         calls = []
-        original = semkv.linalg._softmax_rows
+        original = semkv.linalg.causal_scores
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(semkv.linalg, "_softmax_rows", counted)
+        for module in (semkv.linalg, semkv.harness):
+            monkeypatch.setattr(module, "causal_scores", counted)
         return calls
 
     @staticmethod
@@ -789,12 +793,19 @@ class TestFloat32Storage:
         cfg = clustered_config(seed=31, decode_queries=decode_queries)
         assert cfg.window_len == 16
         trace = load_trace_for(cfg)
-        calls = self.count_softmax(monkeypatch)
+        calls = self.count_causal_scores(monkeypatch)
         report, result = run_all(cfg, trace, return_result=True)
-        # one softmax per head, over its window, for every decode
-        # count: the full-cache outputs come from the scoring numerators
-        assert len(calls) == trace.num_layers * trace.num_heads
+        # two per head at every decode count: its window's scores in the
+        # head pass and its decode rows' in fidelity scoring
+        assert len(calls) == 2 * trace.num_layers * trace.num_heads
         self.assert_report_fidelity_equals_standalone(cfg, trace, report, result)
+
+    def test_compress_run_scores_each_head_once(self, monkeypatch):
+        cfg = clustered_config(seed=31)
+        trace = load_trace_for(cfg)
+        calls = self.count_causal_scores(monkeypatch)
+        compress_run(cfg, trace)
+        assert len(calls) == trace.num_layers * trace.num_heads
 
     def test_fused_outputs_match_float64_trace(self):
         for decode_queries in (16, 5):
@@ -855,22 +866,34 @@ class TestFloat32Storage:
 
 def whole_head_pass(block, window_len, top_t):
     """The head pass that widens the whole head: `widen_head`'s float64 K
-    and V, one masked softmax under the full (window, N) causal mask, and
-    the top-t rows of the widened V. Returns the column means and the
-    semantic vector."""
+    and V, one row-major masked softmax under the full (window, N) causal
+    mask, and the top-t rows of the widened V. Returns the column means and
+    the semantic vector; these are the head pass's bits before
+    `causal_scores`."""
     inputs = widen_head(block, window_len)
-    n = inputs.seq_len
-    scores = (inputs.queries @ inputs.keys.T) / np.sqrt(float(inputs.head_dim))
-    allowed = np.arange(n)[None, :] <= np.arange(n - window_len, n)[:, None]
-    column_means = masked_softmax(scores, allowed).mean(axis=0)
+    column_means = row_major_attention_weights(inputs, window_len).mean(axis=0)
     selected = top_t_indices(column_means, top_t)
     return column_means, column_means[selected] @ inputs.values[selected]
 
 
+# How far the head pass may move from `whole_head_pass`: its key-major
+# scores scale Q before the product and sum each row's exponentials down a
+# column. Measured maxima over the cases below: 5.9e-15 relative on window
+# scores, 2.3e-15 of the largest semantic-vector entry.
+HEAD_PASS_RTOL, HEAD_PASS_TOL = 1e-13, 1e-13
+
+
+def assert_near_whole_head_pass(block, window_len, top_t, scores, vector):
+    column_means, semantic = whole_head_pass(block, window_len, top_t)
+    assert np.all(np.abs(scores - column_means) <= HEAD_PASS_RTOL * column_means)
+    assert np.all(np.abs(vector - semantic) <= HEAD_PASS_TOL * np.abs(semantic).max())
+
+
 class TestLeanHeadPass:
     """The head pass widens K one key block at a time and V only at its
-    top-t rows, and masks only the window's causal tail, with the bits of
-    the whole-head pass."""
+    top-t rows, and masks only the window's causal tail: every layout of a
+    head gives the bits of its float32 form, within HEAD_PASS_RTOL and
+    HEAD_PASS_TOL of the whole-head pass."""
 
     LAYOUTS = {
         "float32": lambda block: block,
@@ -894,24 +917,24 @@ class TestLeanHeadPass:
     def test_equals_the_whole_head_pass(self, layout, seq_len, head_dim, window_len, top_t):
         rng = np.random.default_rng(seq_len * head_dim + window_len)
         raw = 3 * rng.standard_normal((3, seq_len, head_dim)).astype(np.float32)
-        block = self.LAYOUTS[layout](raw)
-        scores, vector = _head_pass(block, window_len, top_t)
-        column_means, semantic = whole_head_pass(block, window_len, top_t)
-        assert scores.tobytes() == column_means.tobytes()
-        assert vector.tobytes() == semantic.tobytes()
+        scores, vector = _head_pass(self.LAYOUTS[layout](raw), window_len, top_t)
+        narrow_scores, narrow_vector = _head_pass(raw, window_len, top_t)
+        assert scores.tobytes() == narrow_scores.tobytes()
+        assert vector.tobytes() == narrow_vector.tobytes()
+        assert_near_whole_head_pass(raw, window_len, top_t, scores, vector)
 
     def test_trace_heads_equal_the_whole_head_pass(self):
         # every head of a float32 trace, of its float64 copy and of a trace
         # built from a Fortran-order array
         trace = load_trace_for(clustered_config(seed=34, shape=(2, 4, _KEY_BLOCK + 40, 16)))
-        wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
-        fortran = AttentionTrace(trace.header, np.asfortranarray(trace.data))
-        for source in (trace, wide, fortran):
-            for block in source.data.reshape(-1, *source.data.shape[2:]):
-                scores, vector = _head_pass(block, 16, 64)
-                column_means, semantic = whole_head_pass(block, 16, 64)
-                assert scores.tobytes() == column_means.tobytes()
-                assert vector.tobytes() == semantic.tobytes()
+        blocks = trace.data.reshape(-1, *trace.data.shape[2:])
+        for block in blocks:
+            scores, vector = _head_pass(block, 16, 64)
+            for same in (block.astype(np.float64), np.asfortranarray(block)):
+                again = _head_pass(same, 16, 64)
+                assert scores.tobytes() == again[0].tobytes()
+                assert vector.tobytes() == again[1].tobytes()
+            assert_near_whole_head_pass(block, 16, 64, scores, vector)
 
 
 class TestEvalReport:
@@ -1011,25 +1034,41 @@ class TestReportFixture:
         """The fixture report scored by `oracle_score_layer` (the per-cell
         gather the block pass replaced), then by it with `OracleFull`
         numerators as well (the masked softmax `_HeadNumerators` replaced),
-        each with its SHA-256."""
+        each with its SHA-256. Both take their window scores from
+        `whole_head_pass`, as the head pass did before `causal_scores`."""
         cfg = RunConfig(**self.FIXTURE_CONFIG)
         trace = load_trace_for(cfg)
         reports = []
         for numerators in (_HeadNumerators, self.OracleFull):
             score = functools.partial(oracle_score_layer, numerators=numerators)
+            monkeypatch.setattr("semkv.harness._head_pass", whole_head_pass)
             monkeypatch.setattr("semkv.harness.score_layer", score)
-            report = run_all(cfg, trace)
-            buf = io.BytesIO()
-            export_report(report, "json", buf)
-            reports.append((report, hashlib.sha256(buf.getvalue()).hexdigest()))
+            reports.append(self.report_and_hash(cfg, trace))
         monkeypatch.undo()
         return reports
 
+    def before_one_kernel(self, monkeypatch):
+        """The fixture report with the head pass of `whole_head_pass`, the
+        row-major softmax `causal_scores` replaced, and its SHA-256."""
+        cfg = RunConfig(**self.FIXTURE_CONFIG)
+        monkeypatch.setattr("semkv.harness._head_pass", whole_head_pass)
+        report = self.report_and_hash(cfg, load_trace_for(cfg))
+        monkeypatch.undo()
+        return report
+
     @staticmethod
-    def assert_only_fidelity_floats_moved(old, new, rtol, atol) -> int:
-        """Every key of the two reports but `l2_error` and `mean_l2` (within
-        `rtol` relative) and `cosine_similarity` and `mean_cosine` (within
-        `atol`) is equal; returns how many of those four moved."""
+    def report_and_hash(cfg, trace):
+        report = run_all(cfg, trace)
+        buf = io.BytesIO()
+        export_report(report, "json", buf)
+        return report, hashlib.sha256(buf.getvalue()).hexdigest()
+
+    @staticmethod
+    def moved_floats(old, new, bounds) -> list:
+        """Every value of the two reports is equal but the floats under the
+        keys of `bounds`, each of which moves by at most its key's
+        rtol * |old| + atol; returns, for each of those floats, whether it
+        moved."""
         moved = []
 
         def compare(a, b, key=None):
@@ -1042,16 +1081,23 @@ class TestReportFixture:
                 assert len(a) == len(b)
                 for x, y in zip(a, b):
                     compare(x, y, key)
-            elif key in ("l2_error", "mean_l2"):
-                assert abs(a - b) <= rtol * abs(a), (key, a, b)
-                moved.append(a != b)
-            elif key in ("cosine_similarity", "mean_cosine"):
-                assert abs(a - b) <= atol, (key, a, b)
+            elif key in bounds and isinstance(a, float):
+                rtol, atol = bounds[key]
+                assert abs(a - b) <= rtol * abs(a) + atol, (key, a, b)
                 moved.append(a != b)
             else:
                 assert a == b, key
 
         compare(json.loads(json.dumps(old)), json.loads(json.dumps(new)))
+        return moved
+
+    def assert_only_fidelity_floats_moved(self, old, new, rtol, atol) -> int:
+        """Every key of the two reports but `l2_error` and `mean_l2` (within
+        `rtol` relative) and `cosine_similarity` and `mean_cosine` (within
+        `atol`) is equal; returns how many of those four moved."""
+        l2, cosine = (rtol, 0.0), (0.0, atol)
+        bounds = {"l2_error": l2, "mean_l2": l2, "cosine_similarity": cosine, "mean_cosine": cosine}
+        moved = self.moved_floats(old, new, bounds)
         assert len(moved) == 2 * (2 + 2 * 8 * 2)  # means and per-head cells of 2 cells
         return sum(moved)
 
@@ -1059,6 +1105,7 @@ class TestReportFixture:
         (_, before_block_pass), (_, before_one_home) = self.oracle_reports(monkeypatch)
         assert before_block_pass == REPORT_BEFORE_BLOCK_PASS_SHA256
         assert before_one_home == REPORT_BEFORE_ONE_HOME_SHA256
+        assert self.before_one_kernel(monkeypatch)[1] == REPORT_BEFORE_ONE_KERNEL_SHA256
 
     def test_one_home_moved_only_fidelity_floats(self, monkeypatch):
         """The parse-compare behind the re-freeze that gave the full-cache
@@ -1070,35 +1117,60 @@ class TestReportFixture:
         assert self.assert_only_fidelity_floats_moved(before, after, FIXTURE_RTOL, FIXTURE_ATOL)
 
     def test_block_pass_moved_only_fidelity_floats(self, monkeypatch):
-        """The parse-compare behind the last re-freeze: against the report
-        scored by the per-cell gather, the block pass moves only the four
-        fidelity floats, each within BLOCK_FIXTURE_RTOL (L2) or
+        """The parse-compare behind the re-freeze before last: against the
+        report scored by the per-cell gather, the block pass moves only the
+        four fidelity floats, each within BLOCK_FIXTURE_RTOL (L2) or
         FIXTURE_ATOL (cosine)."""
         (before, _), _ = self.oracle_reports(monkeypatch)
-        cfg = RunConfig(**self.FIXTURE_CONFIG)
-        after = run_all(cfg, load_trace_for(cfg))
+        after, _ = self.before_one_kernel(monkeypatch)
         moved = self.assert_only_fidelity_floats_moved(
             before, after, BLOCK_FIXTURE_RTOL, FIXTURE_ATOL
         )
         assert moved == 37
 
+    def test_one_kernel_moved_only_distances_and_pca(self, monkeypatch):
+        """The parse-compare behind the last re-freeze: against the report
+        whose window scores came from the row-major softmax, the head pass
+        through `causal_scores` moves only `distances` (within
+        KERNEL_FIXTURE_RTOL) and the pca `x` and `y` (within
+        KERNEL_FIXTURE_ATOL); plans, classes and fidelity keep their bits."""
+        before, _ = self.before_one_kernel(monkeypatch)
+        cfg = RunConfig(**self.FIXTURE_CONFIG)
+        after = run_all(cfg, load_trace_for(cfg))
+        coordinate = (0.0, KERNEL_FIXTURE_ATOL)
+        bounds = {"distances": (KERNEL_FIXTURE_RTOL, 0.0), "x": coordinate, "y": coordinate}
+        moved = self.moved_floats(before, after, bounds)
+        assert len(moved) == 2 * 8 * 3  # each head's distance and two coordinates
+        assert any(moved)
+
 
 # The `pca` block this pins agrees with the power-iteration oracle to 3.0e-10
 # of the largest coordinate (tests/test_linalg.py::TestPCAOracle). Its
-# fidelity floats come from the block pass: one pass over each head's V key
-# blocks gives the full-cache outputs and every cell's retained outputs.
-# Against the report scored by the per-cell gather of every retained V row
-# (`REPORT_BEFORE_BLOCK_PASS_SHA256`, reproduced through
-# `oracle_score_layer`), only `l2_error`, `cosine_similarity`, `mean_l2` and
-# `mean_cosine` moved (37 of their 68 values): L2 by at most 5.5e-16
-# relative, cosine by at most 2.2e-16 absolute. On the benchmark's two
-# traces (seed 606) L2 moved by up to 5.3e-14 relative and cosine by 1.1e-16
-# absolute, so BLOCK_FIXTURE_RTOL is 1e-12. The report before that had
-# moved from `REPORT_BEFORE_ONE_HOME_SHA256`, whose full outputs came from
-# one masked softmax per head, by at most 7.0e-16 relative (L2) and
+# window scores come from `causal_scores`, the key-major product that
+# fidelity scoring shares. Against the report whose head pass took the
+# row-major softmax (`REPORT_BEFORE_ONE_KERNEL_SHA256`, reproduced through
+# `whole_head_pass`), only `distances` and the pca `x` and `y` moved:
+# distances by at most 6.1e-16 relative, coordinates by 1.0e-16 absolute
+# (of coordinates up to 0.076); every class, plan and fidelity float kept
+# its bits. On the benchmark's two traces (seed 606) distances moved by up
+# to 6.1e-15 relative, so KERNEL_FIXTURE_RTOL is 1e-13.
+#
+# Before that, the fidelity floats came from the block pass: one pass over
+# each head's V key blocks gives the full-cache outputs and every cell's
+# retained outputs. Against the report scored by the per-cell gather of
+# every retained V row (`REPORT_BEFORE_BLOCK_PASS_SHA256`, reproduced
+# through `oracle_score_layer`), only `l2_error`, `cosine_similarity`,
+# `mean_l2` and `mean_cosine` moved (37 of their 68 values): L2 by at most
+# 5.5e-16 relative, cosine by at most 2.2e-16 absolute. On the benchmark's
+# two traces (seed 606) L2 moved by up to 5.3e-14 relative and cosine by
+# 1.1e-16 absolute, so BLOCK_FIXTURE_RTOL is 1e-12. The report before that
+# had moved from `REPORT_BEFORE_ONE_HOME_SHA256`, whose full outputs came
+# from one masked softmax per head, by at most 7.0e-16 relative (L2) and
 # 2.2e-16 absolute (cosine): FIXTURE_RTOL and FIXTURE_ATOL.
-REPORT_FIXTURE_SHA256 = "31306f77d6c0bbba1c30d8100938442ccf6fed02c876852aa69f13ffe9cbb937"
+REPORT_FIXTURE_SHA256 = "4005cac7e6bdbebce33248b451837041a7db5049a7bc722870894bbde94d03f0"
+REPORT_BEFORE_ONE_KERNEL_SHA256 = "31306f77d6c0bbba1c30d8100938442ccf6fed02c876852aa69f13ffe9cbb937"
 REPORT_BEFORE_BLOCK_PASS_SHA256 = "439b2eb471f7a74b048fafeebca7dbd34cb75308e140b20d0af644d14fc064c7"
 REPORT_BEFORE_ONE_HOME_SHA256 = "b35e6fd206825a517f36a25bdc98d54b5623812277acb3dee47f65f8668a9eed"
 FIXTURE_RTOL, FIXTURE_ATOL = 1e-14, 1e-15
 BLOCK_FIXTURE_RTOL = 1e-12
+KERNEL_FIXTURE_RTOL, KERNEL_FIXTURE_ATOL = 1e-13, 1e-15

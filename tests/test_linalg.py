@@ -1,6 +1,7 @@
 """Kernel tests: masked attention, PCA, spectral norm against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from semkv.errors import DimensionError, EmptyInputError
 from semkv.harness import RunConfig, compress_run, load_trace_for
 from semkv.trace import SyntheticProfile
 from semkv.linalg import (
+    _KEY_BLOCK,
     AttentionInputs,
     _fix_sign,
-    _softmax_rows,
     attention_weights,
+    causal_scores,
     pca_2d,
     spectral_norm,
 )
@@ -23,8 +25,29 @@ from semkv.linalg import (
 def masked_softmax(scores, allowed):
     """Row-wise softmax over the `allowed` entries of a whole score matrix,
     blocked entries exactly 0: the oracle `attention_weights`, which masks
-    only the window's causal tail, is held to."""
-    return _softmax_rows(np.where(allowed, np.asarray(scores, dtype=np.float64), -np.inf))
+    only the window's causal tail, is held to.
+
+    Row-major, as `attention_weights` computed it before `causal_scores`:
+    each row shifted by its max, exponentiated, divided by its sum."""
+    out = np.where(allowed, np.asarray(scores, dtype=np.float64), -np.inf)
+    out -= np.max(out, axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=1, keepdims=True)
+    assert np.all(np.isfinite(out))
+    return out
+
+
+def row_major_attention_weights(inputs, rows):
+    """`attention_weights` as it was before `causal_scores`: the whole
+    (rows, N) product Q K^T, then the scale, then `masked_softmax` under the
+    full causal mask. Widened inputs give its bits."""
+    n = inputs.seq_len
+    queries = np.asarray(inputs.queries[len(inputs.queries) - rows :], dtype=np.float64)
+    scores = (queries @ np.asarray(inputs.keys, dtype=np.float64).T) / np.sqrt(
+        float(inputs.head_dim)
+    )
+    allowed = np.arange(n)[None, :] <= np.arange(n - rows, n)[:, None]
+    return masked_softmax(scores, allowed)
 
 
 def naive_attention_weights(q, k, offset):
@@ -152,6 +175,79 @@ class TestAttentionWeights:
             AttentionInputs(
                 queries=np.zeros((2, 2)), keys=np.zeros((2, 3)), values=np.zeros((2, 2))
             )
+
+
+class TestCausalScores:
+    """`causal_scores`, the one product of queries and keys."""
+
+    @staticmethod
+    def draw(seq_len, rows, head_dim=8, seed=0):
+        rng = np.random.default_rng(seed)
+        queries = 3 * rng.standard_normal((rows, head_dim)).astype(np.float32)
+        keys = 3 * rng.standard_normal((seq_len, head_dim)).astype(np.float32)
+        return queries, keys
+
+    @pytest.mark.parametrize(
+        "seq_len, rows",
+        [
+            (2 * _KEY_BLOCK + 77, 16),  # N not a multiple of the key block
+            (_KEY_BLOCK // 5, 8),  # N below one key block
+            (_KEY_BLOCK + 3, 1),  # one row
+            (_KEY_BLOCK + 3, _KEY_BLOCK + 3),  # every row
+        ],
+    )
+    def test_scores_and_shift_against_the_whole_product(self, seq_len, rows):
+        queries, keys = self.draw(seq_len, rows)
+        scores, shift = causal_scores(queries, keys)
+        assert scores.shape == (seq_len, rows) and shift.shape == (rows,)
+        q = queries.astype(np.float64).T / np.sqrt(8.0)
+        whole = keys.astype(np.float64) @ q
+        np.testing.assert_allclose(scores, whole, rtol=1e-13, atol=1e-13)
+        # the shift is exactly the max over the keys each row sees
+        seen = np.arange(seq_len)[:, None] <= np.arange(seq_len - rows, seq_len)
+        assert np.array_equal(shift, np.where(seen, scores, -np.inf).max(axis=0))
+
+    def test_float32_and_float64_keys_give_the_same_bits(self):
+        queries, keys = self.draw(2 * _KEY_BLOCK + 77, 16, seed=1)
+        narrow = causal_scores(queries, keys)
+        for wide in (
+            causal_scores(queries.astype(np.float64), keys.astype(np.float64)),
+            causal_scores(queries, np.asfortranarray(keys, dtype=np.float64)),
+        ):
+            assert narrow[0].tobytes() == wide[0].tobytes()
+            assert narrow[1].tobytes() == wide[1].tobytes()
+
+    def test_attention_weights_finish_the_softmax_on_the_scores(self):
+        queries, keys = self.draw(_KEY_BLOCK + 40, 16, seed=2)
+        inputs = AttentionInputs(queries, keys, keys)
+        scores, shift = causal_scores(queries, keys)
+        seen = np.arange(len(keys))[:, None] <= np.arange(len(keys) - 16, len(keys))
+        numerators = np.where(seen, np.exp(np.minimum(scores - shift, 0)), 0.0)
+        expected = (numerators / numerators.sum(axis=0)).T
+        assert attention_weights(inputs).tobytes() == expected.tobytes()
+        oracle = row_major_attention_weights(inputs, 16)
+        np.testing.assert_allclose(attention_weights(inputs), oracle, rtol=1e-13, atol=1e-300)
+
+    def test_every_row_holds_one_score_matrix(self):
+        # the scores, finished in place, plus two (N, N) bool masks of the
+        # causal triangle: no float copy of it
+        queries, keys = self.draw(1024, 1024, seed=3)
+        inputs = AttentionInputs(queries, keys, keys)
+        attention_weights(inputs, 8)
+        tracemalloc.start()
+        try:
+            weights = attention_weights(inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights.nbytes + 2 * 1024 * 1024 + (1 << 18)
+
+    def test_non_finite_row_max_rejected(self):
+        keys = np.ones((4, 2))
+        keys[1, 0] = np.inf  # seen by both rows; `checked` skips the input check
+        inputs = AttentionInputs(np.ones((2, 2)), keys, keys, checked=True)
+        with pytest.raises(ValueError, match="attention row max"):
+            attention_weights(inputs)
 
 
 def _dominant_eigpair(sym, need_vector=False):
