@@ -17,9 +17,12 @@ entries (softmax renormalized over the retained, causally visible set) are
 compared against outputs over the full cache. This is a proxy for task-level
 quality; it needs no language model.
 
-A head's keys meet queries in one kernel, `linalg.causal_scores`, called
-twice per scored head: over the observation window in the head pass and
-over the decode rows in `score_layer` (see `_HeadNumerators`).
+A head's keys meet queries in one kernel, `linalg.causal_scores`. When
+fidelity is scored on the window's own rows, the default decode rows, the
+head pass's call is the head's only one: the run holds each head's window
+scores for `score_layer` (see `_held_scores`), and a mapped trace gives back
+the head's K pages once its scores are held. Any other decode count has
+`score_layer` form the decode rows' scores again (see `_HeadNumerators`).
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ from .trace import (
     SyntheticSource,
     TraceHeader,
     TraceReader,
+    check_seed,
     gen_synthetic_trace,
+    give_back_pages,
     read_trace,
 )
 
@@ -96,6 +101,10 @@ class RunConfig:
     decode_queries: int | None = None  # None -> window_len
     seed: int = 0
     contrib_trials: int = 0  # 0 skips the bound suite in `all` runs
+
+    def __post_init__(self):
+        # checked even when no run draws from it, since reports record it
+        check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
         """Every field by name, the profile's nested: what a config file holds."""
@@ -251,19 +260,40 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
     return check_decode_queries(config.decode_queries, header.seq_len)
 
 
-def _head_pass(block: np.ndarray, window_len: int, top_t: int) -> tuple[np.ndarray, np.ndarray]:
+# A head's causal window scores S, (N, W), and each row's max, (W,).
+Held = tuple[np.ndarray, np.ndarray]
+
+
+def _held_scores(config: RunConfig, decode_queries: int | None, shape) -> list[Held] | None:
+    """Where a run over (n, 3, N, d) layers of `shape` holds each head's
+    window scores for `score_layer`: views of one float64 (n, N, W) buffer
+    and one (n, W), which serve every layer. None unless fidelity is scored
+    on the window's own rows."""
+    n, _, seq_len, _ = shape
+    window_len = min(config.window_len, seq_len)
+    if decode_queries != window_len:
+        return None
+    return list(zip(np.empty((n, seq_len, window_len)), np.empty((n, window_len))))
+
+
+def _head_pass(
+    block: np.ndarray, window_len: int, top_t: int, held: Held | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """One head's window scores and top-t semantic vector, from the head's
     (3, N, d) block as stored.
 
     The head is never widened whole: `causal_scores`, through
     `window_column_scores`, widens K one key block at a time, and
-    `approx_semantic_vector` only the top-t V rows. `score_layer` forms the
-    decode rows' scores again rather than hold a layer's (n, N, W) window
-    scores across classification.
+    `approx_semantic_vector` only the top-t V rows. `held`, the head's
+    slot of `_held_scores`, keeps its causal window scores and their row
+    max; nothing reads K again in this layer, so its pages are given back
+    (`give_back_pages`).
     """
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
-    scores = window_column_scores(inputs, window_len)
+    scores = window_column_scores(inputs, window_len, held)
+    if held is not None:
+        give_back_pages(k)
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 
@@ -274,6 +304,7 @@ def layer_step(
     data: np.ndarray,
     cells: list[Cell],
     decode_queries: int | None = None,
+    held: list[Held] | None = None,
 ) -> LayerStep:
     """One layer of a run, on its checked (n, 3, N, d) `data`.
 
@@ -282,13 +313,15 @@ def layer_step(
     vector; the scores are pooled only when some cell is planned. The
     layer's heads are classified from f(r), every cell is planned from the
     pooled scores alone and, when fidelity is scored (`decode_queries`),
-    `score_layer` scores each plan.
+    `score_layer` scores each plan. With `held` (`_held_scores`), the head
+    pass keeps each head's window scores there and `score_layer` reads them.
     """
     window_len = min(config.window_len, data.shape[2])
     pooled, vectors = [], np.empty((data.shape[0], data.shape[3]))
     try:
         for h, block in enumerate(data):
-            score, vectors[h] = _head_pass(block, window_len, config.top_t)
+            slot = held[h] if held else None
+            score, vectors[h] = _head_pass(block, window_len, config.top_t, slot)
             if cells:
                 pooled.append(pool_scores(score, config.kernel))
         distances, classes = build_layer_profiles(vectors, schedule.per_layer_counts[layer])
@@ -302,7 +335,8 @@ def layer_step(
     }
     scores = {}
     if decode_queries is not None:
-        scores = dict(zip(plans, score_layer(data, layer, list(plans.values()), decode_queries)))
+        scored = score_layer(data, layer, list(plans.values()), decode_queries, held=held)
+        scores = dict(zip(plans, scored))
     return LayerStep(vectors, distances, classes, plans, scores)
 
 
@@ -313,10 +347,15 @@ def run_steps(
 
     Each step is yielded before the next layer is read or drawn, so a
     caller can write that layer's plans out; without `keep_plans` nothing
-    else holds them.
+    else holds them. The `_held_scores` buffers, if the run scores the
+    window's own rows, are made at the first layer and reused for each.
     """
     for r, data in enumerate(layers):
-        step = layer_step(config, result.schedule, r, data, result.cells, result.decode_queries)
+        if r == 0:
+            held = _held_scores(config, result.decode_queries, data.shape)
+        step = layer_step(
+            config, result.schedule, r, data, result.cells, result.decode_queries, held
+        )
         result.add(step, keep_plans)
         yield step
 
@@ -407,10 +446,13 @@ _SAFE = 2.0**600
 class _HeadNumerators:
     """One head's causal decode scores and softmax numerators, and the
     decode outputs of its full cache and of each cell's retained cache,
-    from one pass over its K and one over its V.
+    from one pass over its K, or the scores the head pass held, and one
+    over its V.
 
     `scores` and `shift` are `causal_scores` of the decode rows: S, shape
-    (N, decode_queries), and each row's max over the keys it sees.
+    (N, decode_queries), and each row's max over the keys it sees, formed
+    here or taken from `held`, the pair the head pass kept when the decode
+    rows are the window's.
     `numerators` is exp(S - shift), 0 where a row does not see the key.
     `full` is the full cache's outputs, numerators^T V / their sum,
     (decode_queries, d). `retained` holds, in order, the outputs over each
@@ -418,9 +460,13 @@ class _HeadNumerators:
     group means, renormalised over its own rows.
     """
 
-    def __init__(self, block: np.ndarray, decode_queries: int, heads=()):
+    def __init__(
+        self, block: np.ndarray, decode_queries: int, heads=(), held: Held | None = None
+    ):
         first_row = block.shape[1] - decode_queries
-        self.scores, self.shift = causal_scores(block[0, first_row:], block[1])
+        if held is None:
+            held = causal_scores(block[0, first_row:], block[1])
+        self.scores, self.shift = held
         self.rows = np.arange(first_row, block.shape[1])  # each decode row's position
         self.numerators = self.scores - self.shift
         with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
@@ -509,7 +555,11 @@ class _HeadNumerators:
 
 
 def score_layer(
-    data: np.ndarray, layer: int, plans: list[BudgetPlan], decode_queries: int
+    data: np.ndarray,
+    layer: int,
+    plans: list[BudgetPlan],
+    decode_queries: int,
+    held: list[Held] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-head decode L2 error and cosine of each of one layer's `plans`
     against the full cache, over the last `decode_queries` query rows.
@@ -517,15 +567,17 @@ def score_layer(
     Scoring is head-major. Every scored head's plan passes
     `check_head_plan` first. A head that keeps every position attends
     exactly like the full cache, so it scores L2 0 and the self-cosine of
-    the full outputs o. For the others, `_HeadNumerators` forms the head's
-    decode scores (`causal_scores`) and softmax numerators once, under each
-    decode row's full-cache max, and one pass over its V key blocks gives
-    o and every cell's retained outputs, each block's E[b]^T V[b] and row
-    sums adding up to o. A row whose retained numerators underflow under
-    that shared shift is rescored with the cell's own retained max. A
-    decode row that sees no retained key attends to nothing: its retained
-    output is zero, so it scores L2 = ||o|| and cosine 0. Each head's
-    scores and numerators are dropped before the next head's are formed.
+    the full outputs o. For the others, `_HeadNumerators` takes the head's
+    decode scores from `held` (the head pass's, when the decode rows are
+    the window's) or forms them (`causal_scores`), then its softmax
+    numerators once, under each decode row's full-cache max, and one pass
+    over its V key blocks gives o and every cell's retained outputs, each
+    block's E[b]^T V[b] and row sums adding up to o. A row whose retained
+    numerators underflow under that shared shift is rescored with the
+    cell's own retained max. A decode row that sees no retained key attends
+    to nothing: its retained output is zero, so it scores L2 = ||o|| and
+    cosine 0. Each head's numerators, and scores it formed, are dropped
+    before the next head's are formed.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
@@ -535,7 +587,8 @@ def score_layer(
             for c, plan in enumerate(plans)
             if not keeps_every_position(plan, h, seq_len)
         }
-        head = _HeadNumerators(block, decode_queries, list(cells.values()))
+        slot = held[h] if held else None
+        head = _HeadNumerators(block, decode_queries, list(cells.values()), slot)
         full, retained = head.full, dict(zip(cells, head.retained))
         del head  # its scores and numerators go before the next head's are formed
         # the self-cosine of a row is not always exactly 1

@@ -93,42 +93,51 @@ def _hidden_keys(rows: int) -> np.ndarray:
     return np.arange(rows)[:, None] > np.arange(rows)
 
 
-def causal_scores(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def causal_scores(
+    queries: np.ndarray, keys: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The one product of queries and keys: key-major scores
     S = K (Q^T / sqrt(d)), (N, rows), of the trailing query `rows` of the
     sequence whose (N, d) `keys` they attend, and each row's max over the
     keys it sees, (rows,). K is widened one `_KEY_BLOCK` at a time into S.
     S holds the hidden keys' scores too; only the max leaves them out.
+    `out`, a C-contiguous float64 (N, rows) array and a (rows,) one,
+    receives S and the max in place of new arrays.
     """
     n, rows = len(keys), len(queries)
     q = np.asarray(queries, dtype=np.float64).T / np.sqrt(float(keys.shape[1]))
-    scores = np.empty((n, rows))
+    scores, shift = (np.empty((n, rows)), np.empty(rows)) if out is None else out
     for at, block in _key_blocks(keys):
         np.matmul(block, q, out=scores[at])
     # a masked max, so no float copy of the (rows, rows) tail is made
-    shift = scores[n - rows :].max(axis=0, initial=-np.inf, where=~_hidden_keys(rows))
+    scores[n - rows :].max(axis=0, initial=-np.inf, where=~_hidden_keys(rows), out=shift)
     if n > rows:
         np.maximum(shift, scores[: n - rows].max(axis=0), out=shift)
     return scores, shift
 
 
-def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
+def attention_weights(
+    inputs: AttentionInputs,
+    rows: int | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Causal attention softmax(Q K^T / sqrt(d)) of the last `rows` query
     rows over every key, shape (rows, N); `rows` defaults to every query row
     `inputs` holds. Row i attends the keys up to its own position.
 
-    The softmax is done in place on `causal_scores`' S, and the result is
-    its transposed view.
+    The result is the transposed view of the softmax, done in place on
+    `causal_scores`' S or, when `out` receives S and its row max (see
+    `causal_scores`), in a new array that leaves them as they are.
     """
     n, held = inputs.seq_len, len(inputs.queries)
     rows = held if rows is None else rows
     if not 1 <= rows <= held:
         raise DimensionError(f"rows {rows} outside [1, {held}]")
-    weights, shift = causal_scores(inputs.queries[held - rows :], inputs.keys)
+    scores, shift = causal_scores(inputs.queries[held - rows :], inputs.keys, out)
     # with finite scores, a finite row max means a finite softmax row
     _require_finite(shift, "attention row max")
+    weights = np.subtract(scores, shift, out=scores if out is None else None)
     np.copyto(weights[n - rows :], -np.inf, where=_hidden_keys(rows))
-    weights -= shift
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=0)
     return weights.T

@@ -46,14 +46,17 @@ def check_window_len(window_len: int, seq_len: int) -> None:
         raise ParameterError(f"window_len {window_len} outside [1, {seq_len}]")
 
 
-def window_column_scores(inputs: AttentionInputs, window_len: int) -> np.ndarray:
+def window_column_scores(
+    inputs: AttentionInputs, window_len: int, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """(N,) per-key attention mass averaged over the last `window_len` query rows.
 
     The scores sum to at most 1: each averaged row sums to 1, and a column
-    blocked for every window row gets 0.
+    blocked for every window row gets 0. `out` keeps the window's causal
+    scores and their row max, as `attention_weights` leaves them.
     """
     check_window_len(window_len, inputs.seq_len)
-    return attention_weights(inputs, window_len).mean(axis=0)
+    return attention_weights(inputs, window_len, out).mean(axis=0)
 
 
 def check_top_t(t: int) -> None:

@@ -225,7 +225,7 @@ class SyntheticProfile:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"unknown profile kind {self.kind!r}")
-        _check_seed(self.seed)
+        check_seed(self.seed)
         for name in ("spread", "needle_strength"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -244,7 +244,7 @@ class SyntheticProfile:
                 raise ParameterError("tail_len must be >= 1")
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     """Seeds are the non-negative int64 values: numpy would turn a larger
     key word into a float, and two seeds could share one key."""
     if not 0 <= seed < 2**63:
@@ -253,7 +253,7 @@ def _check_seed(seed: int) -> None:
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     """The Philox4x64 generator keyed by (seed, stream), with the seed checked."""
-    _check_seed(seed)
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -456,6 +456,24 @@ def write_trace(trace, destination) -> int:
     return trace.header.file_bytes
 
 
+def give_back_pages(view: np.ndarray) -> None:
+    """Give back the process's pages that lie wholly inside `view`, a
+    C-contiguous view of a trace file that `TraceReader` maps; the file's
+    values come back from the page cache if the view is read again. Any
+    other array, one held in memory, is left as it is."""
+    owner = view
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    mapped = owner.obj if isinstance(owner, memoryview) else None
+    if not isinstance(mapped, mmap.mmap) or not view.flags.c_contiguous:
+        return
+    first = view.ctypes.data - np.frombuffer(owner, np.uint8, 1).ctypes.data
+    start = -(-first // mmap.PAGESIZE) * mmap.PAGESIZE
+    stop = (first + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if stop > start:
+        mapped.madvise(mmap.MADV_DONTNEED, start, stop - start)
+
+
 # bytes read from a non-seekable stream at a time while its buffer grows
 _STREAM_CHUNK = 1 << 20
 
@@ -473,7 +491,9 @@ class TraceReader:
     - A regular file (a path, or a binary file object whose `fileno()` is
       one) is mapped read-only and never copied: each layer is a view of
       the mapping, and the pages of the layers before it are released
-      before it is touched. A layer kept past the next one, or past
+      before it is touched. The layer is checked one head block at a time,
+      and each head's query pages are given back (`give_back_pages`) once
+      checked. A layer kept past the next one, or past
       `close()`, still reads the file's values. The file must not be
       truncated or rewritten in place while it is read: a layer cut off
       before it is reached raises `TraceTruncationError`, but a change
@@ -578,7 +598,11 @@ class TraceReader:
                 raise TraceTruncationError(header.payload_bytes, max(size - start, 0))
             layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, first)
             layer = layer.reshape(self.layer_shape)
-            _check_finite(layer)
+            for block in layer:
+                _check_finite(block)
+                # a run reads only the trailing query rows, and those come
+                # back from the page cache when it does
+                give_back_pages(block[0])
             yield layer
 
     def _copied_layers(self) -> Iterator[np.ndarray]:

@@ -792,6 +792,28 @@ class TestErrorReporting:
         assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize(
+        "flags, config, seed",
+        [(["--seed", "-1"], None, -1), ([], {"seed": -4}, -4), ([], {"seed": 2**63}, 2**63)],
+    )
+    def test_out_of_range_seed_fails_on_a_trace_run(
+        self, trace_file, tmp_path, capsys, flags, config, seed
+    ):
+        # with --trace and no bound suite nothing is drawn from the seed,
+        # but report.json would record it
+        argv = ["all", "--trace", str(trace_file), "--policy", "streaming", "--budget", "0.5"]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(path)]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, *flags, "--out", str(out))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ParameterError", "message": f"seed {seed} outside [0, 2^63)"
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flag, value, name",
         [("--window", "0", "window_len"), ("--kernel", "4", "kernel"), ("--top-t", "0", "top_t")],
     )
@@ -1072,11 +1094,14 @@ class TestLayerMemory:
             "--budget", "0.5", "--m-top", "1", "--out", str(tmp_path / "out"),
         ])
         assert code == 0, capsys.readouterr().err
-        # one head's float64 K and V, and the window softmax's temporaries
+        # one head's float64 K and V, and the window softmax's temporaries,
+        # plus the layer's window scores, which the run holds for fidelity
+        # scoring on the window's rows: exactly n N W 8 bytes
         head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
-        assert peak <= self.LAYER_BYTES + head
+        held = self.N_HEADS * self.SEQ * self.WINDOW * 8
+        assert peak <= self.LAYER_BYTES + head + held
         # which is far below the payload a whole-trace read would hold
-        assert self.LAYER_BYTES + head < self.R * self.LAYER_BYTES / 2
+        assert self.LAYER_BYTES + head + held < self.R * self.LAYER_BYTES / 2
 
     def test_gen_peak_is_one_head_block_plus_its_scratch(self, trace_path, tmp_path, capsys):
         code, peak = _traced_peak([

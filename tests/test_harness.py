@@ -45,7 +45,7 @@ from semkv.harness import (
     score_layer,
     score_plans,
 )
-from semkv.linalg import _KEY_BLOCK, AttentionInputs
+from semkv.linalg import _KEY_BLOCK, AttentionInputs, causal_scores
 from semkv.separator import HeadClass, top_t_indices
 from semkv.trace import (
     AttentionTrace,
@@ -492,10 +492,13 @@ def oracle_retained_output(head, values, plan) -> np.ndarray:
     return out
 
 
-def oracle_score_layer(data, layer, plans, decode_queries, numerators=_HeadNumerators):
+def oracle_score_layer(
+    data, layer, plans, decode_queries, numerators=_HeadNumerators, held=None
+):
     """`score_layer` as it was before the block pass: each head's full
     outputs from `numerators(block, decode_queries).full`, and each cell's
-    retained outputs from `oracle_retained_output`."""
+    retained outputs from `oracle_retained_output`. It forms its own
+    decode scores, so it leaves the head pass's `held` unread."""
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
@@ -674,11 +677,12 @@ class TestPlanMemory:
                 rows = [len(e.positions) for e in cache[r]]
                 assert [cell["retained_tokens"] for cell in layer] == rows
 
-    def test_run_all_holds_one_head_entry_at_a_time(self):
+    @pytest.mark.parametrize("decode_queries", [8, 16])  # 16 is the window
+    def test_run_all_holds_one_head_entry_at_a_time(self, decode_queries):
         shape = (2, 16, 256, 128)
         cfg = clustered_config(
             seed=25, shape=shape, policies=ALL_POLICIES, budget_ratios=(0.5, 0.7),
-            beta=3 / 16, top_t=256,
+            beta=3 / 16, top_t=256, decode_queries=decode_queries,
         )
         # a small run first, so modules numpy imports on first use are not counted
         small = dataclasses.replace(cfg, shape=(2, 16, 64, 8), top_t=64)
@@ -694,7 +698,10 @@ class TestPlanMemory:
         # peak is one head's entry with its gather and sort temporaries
         head_kv_bytes = 2 * shape[2] * shape[3] * 8
         allowance = 4 * head_kv_bytes
-        assert peak - held <= allowance
+        # and, when the decode rows are the window's, the layer's window
+        # scores held for fidelity scoring: exactly n N W 8 bytes
+        window_scores = shape[1] * shape[2] * cfg.window_len * 8
+        assert peak - held <= allowance + (decode_queries == cfg.window_len) * window_scores
         # and far below the rows any single cell other than full copies
         for (policy, _), plans in kept[1].plans.items():
             entries = [e for layer in built_entries(trace, plans) for e in layer]
@@ -795,9 +802,11 @@ class TestFloat32Storage:
         trace = load_trace_for(cfg)
         calls = self.count_causal_scores(monkeypatch)
         report, result = run_all(cfg, trace, return_result=True)
-        # two per head at every decode count: its window's scores in the
-        # head pass and its decode rows' in fidelity scoring
-        assert len(calls) == 2 * trace.num_layers * trace.num_heads
+        # one per head when the decode rows are the window's, whose scores
+        # the head pass holds for fidelity scoring; else two, the window's
+        # and the decode rows'
+        per_head = 1 if decode_queries == cfg.window_len else 2
+        assert len(calls) == per_head * trace.num_layers * trace.num_heads
         self.assert_report_fidelity_equals_standalone(cfg, trace, report, result)
 
     def test_compress_run_scores_each_head_once(self, monkeypatch):
@@ -864,12 +873,15 @@ class TestFloat32Storage:
         assert peak - held <= 4 * (2 * shape[2] * shape[3] * 8)
 
 
-def whole_head_pass(block, window_len, top_t):
+def whole_head_pass(block, window_len, top_t, held=None):
     """The head pass that widens the whole head: `widen_head`'s float64 K
     and V, one row-major masked softmax under the full (window, N) causal
     mask, and the top-t rows of the widened V. Returns the column means and
     the semantic vector; these are the head pass's bits before
-    `causal_scores`."""
+    `causal_scores`. With `held`, it keeps the window's `causal_scores`
+    there too, as the head pass does, for `score_layer` to read."""
+    if held is not None:
+        causal_scores(block[0, len(block[0]) - window_len :], block[1], held)
     inputs = widen_head(block, window_len)
     column_means = row_major_attention_weights(inputs, window_len).mean(axis=0)
     selected = top_t_indices(column_means, top_t)

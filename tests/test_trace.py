@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import mmap
 import os
 import tracemalloc
 
@@ -15,6 +16,7 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
+from semkv.harness import _head_pass
 from semkv.separator import head_distances, semantic_vector_full, window_column_scores
 from semkv.trace import (
     HEADER_BYTES,
@@ -25,6 +27,7 @@ from semkv.trace import (
     TraceReader,
     clustered_planted_heads,
     gen_synthetic_trace,
+    give_back_pages,
     read_trace,
     seeded_rng,
     widen_head,
@@ -45,6 +48,20 @@ def vm_rss() -> int:
             if line.startswith("VmRSS:"):
                 return int(line.split()[1]) * 1024
     raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+def mapped_rss(path) -> int:
+    """This process's resident bytes of its mappings of the file at `path`,
+    the Rss lines of /proc/self/smaps under that file's mappings."""
+    name, total, inside = os.path.realpath(path), 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            key = line.split(maxsplit=1)[0]
+            if "-" in key and not key.endswith(":"):  # a mapping's address range
+                inside = line.rstrip("\n").endswith(" " + name)
+            elif inside and key == "Rss:":
+                total += int(line.split()[1]) * 1024
+    return total
 
 
 class TrickleStream(io.RawIOBase):
@@ -600,3 +617,40 @@ class TestLayerSources:
         assert inputs.seq_len == 40 and inputs.queries.shape == (5, 6)
         assert np.array_equal(inputs.queries, trace.data[2, 1, 0, 35:])
         assert np.array_equal(inputs.keys, trace.data[2, 1, 1])
+
+
+class TestPageGiveBack:
+    """A mapped trace's pages leave the process once no pass of the layer
+    reads them again: every head's Q after the reader checks the layer, and
+    its K after a head pass that holds its window scores."""
+
+    SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
+    WINDOW = 32
+    # per head, two 2 MiB huge pages: the kernel may map a file's pages a
+    # huge page at a time, and unmaps one whole when part of it is given
+    # back, so a tensor's edge can stay or come back with its neighbour's
+    SLACK_PER_HEAD = 2 * (2 << 20)
+
+    def test_query_and_key_pages_leave_once_read(self, tmp_path):
+        source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
+        path = tmp_path / "t.tkv"
+        write_trace(source, path)
+        _, n, seq_len, dim = self.SHAPE
+        tensor, slack = seq_len * dim * 4, n * self.SLACK_PER_HEAD
+        held = np.empty((seq_len, self.WINDOW)), np.empty(self.WINDOW)
+        with TraceReader(path) as reader:
+            for layer, drawn in zip(reader.layers(), source.layers()):
+                # checked: K and V are resident, no Q page is
+                assert mapped_rss(path) <= 2 * n * tensor + slack
+                for block in layer:
+                    _head_pass(block, self.WINDOW, 64, held)
+                # and after the head passes no K page is
+                assert mapped_rss(path) <= n * tensor + slack
+                # what left comes back from the page cache when read
+                assert np.array_equal(layer, drawn)
+
+    def test_arrays_in_memory_are_left_alone(self):
+        trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=62), (1, 1, 4096, 8))
+        before = trace.data.copy()
+        give_back_pages(trace.data[0, 0, 1])
+        assert np.array_equal(trace.data, before)
