@@ -14,7 +14,6 @@ from .allocator import (
     apply_policy,
     check_plans,
     expand_runs,
-    keeps_every_position,
     middle_activation_count,
     pool_scores,
     runs_of,

@@ -508,14 +508,6 @@ def check_plans(trace, plans) -> list[BudgetPlan]:
     return plans
 
 
-def keeps_every_position(plan: BudgetPlan, head: int, seq_len: int) -> bool:
-    """Whether the head's cache is the whole sequence and nothing else: its
-    runs are the one run [0, N) and it has no groups."""
-    runs = plan.per_head_runs[head]
-    whole = runs.shape == (1, 2) and runs[0, 0] == 0 and runs[0, 1] == seq_len
-    return bool(whole) and (plan.per_head_groups is None or not len(plan.per_head_groups[head]))
-
-
 class HeadPlan(NamedTuple):
     """One head's checked share of a layer plan: its retained positions
     (its runs expanded), its groups as (g, 2) [start, stop) bounds and the

@@ -301,7 +301,7 @@ def _config_from(args) -> RunConfig:
     a flag the command never reads fails (`_check_unread_flags`)."""
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             file_cfg = _object(json.load(f), args.config)
     cfg = _merged(RunConfig, args, file_cfg)
     _check_unread_flags(args, cfg)
@@ -488,7 +488,7 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
     trace `header`: a file that is not a plans file, or whose layers do not
     all name its policy, raises PlanFormatError; plans that do not fit the
     trace raise CacheConsistencyError."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         payload = json.load(f)
     try:
         policy, ratio, layers = payload["policy"], payload["budget_ratio"], payload["layers"]
@@ -599,7 +599,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SemkvError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (SemkvError, OSError, MemoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -20,9 +20,9 @@ quality; it needs no language model.
 A head's keys meet queries in one kernel, `linalg.causal_scores`. When
 fidelity is scored on the window's own rows, the default decode rows, the
 head pass's call is the head's only one: the run holds each head's window
-scores for `score_layer` (see `_held_scores`), and a mapped trace gives back
-the head's K pages once its scores are held. Any other decode count has
-`score_layer` form the decode rows' scores again (see `_HeadNumerators`).
+scores for `score_layer` (see `_held_scores`). Any other decode count has
+`score_layer` form the decode rows' scores again (see `_HeadNumerators`). A
+mapped trace gives back each head's K pages after its head pass.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .allocator import (
+    _NO_RANGES,
     BudgetPlan,
     HeadPlan,
     MemoryFootprint,
@@ -49,7 +50,6 @@ from .allocator import (
     check_plans,
     footprint,
     group_means,
-    keeps_every_position,
     pool_scores,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
@@ -286,14 +286,13 @@ def _head_pass(
     `window_column_scores`, widens K one key block at a time, and
     `approx_semantic_vector` only the top-t V rows. `held`, the head's
     slot of `_held_scores`, keeps its causal window scores and their row
-    max; nothing reads K again in this layer, so its pages are given back
-    (`give_back_pages`).
+    max. K's pages are then given back (`give_back_pages`), to come back
+    from the page cache if fidelity scoring forms its own decode scores.
     """
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
     scores = window_column_scores(inputs, window_len, held)
-    if held is not None:
-        give_back_pages(k)
+    give_back_pages(k)
     return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 
@@ -454,38 +453,42 @@ class _HeadNumerators:
     here or taken from `held`, the pair the head pass kept when the decode
     rows are the window's.
     `numerators` is exp(S - shift), 0 where a row does not see the key.
-    `full` is the full cache's outputs, numerators^T V / their sum,
-    (decode_queries, d). `retained` holds, in order, the outputs over each
-    of `heads` (each a cell's checked `HeadPlan`): its retained rows and
-    group means, renormalised over its own rows.
+    The full cache is one more plan, the first: every position, no groups.
+    `full` is its outputs, (decode_queries, d), and `retained` holds, in
+    order, the outputs over each of `heads` (each a cell's checked
+    `HeadPlan`): its retained rows and group means, renormalised over its
+    own rows. A head that keeps every position adds what the full plan
+    adds, in the same order, so its outputs are `full`'s bits.
     """
 
     def __init__(
         self, block: np.ndarray, decode_queries: int, heads=(), held: Held | None = None
     ):
-        first_row = block.shape[1] - decode_queries
+        every = np.arange(block.shape[1])  # each key's position
+        first_row = len(every) - decode_queries
         if held is None:
             held = causal_scores(block[0, first_row:], block[1])
         self.scores, self.shift = held
-        self.rows = np.arange(first_row, block.shape[1])  # each decode row's position
+        self.rows = every[first_row:]  # each decode row's position
         self.numerators = self.scores - self.shift
         with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
             np.exp(self.numerators, out=self.numerators)
         self.numerators[first_row:][_hidden_keys(decode_queries)] = 0.0
+        heads = [HeadPlan(every, _NO_RANGES, every), *heads]
         products, totals = self._value_pass(block[2], heads)
-        self.retained = [
+        self.full, *self.retained = [
             self._cell_output(block[2], *cell) for cell in zip(heads, products, totals)
         ]
 
     def _value_pass(self, values: np.ndarray, heads) -> tuple[list, list]:
-        """`full`, and each head's products of its retained rows' numerators
-        and V rows, (decode_queries, d), and their sums, (decode_queries,).
+        """Each head's products of its retained rows' numerators and V rows,
+        (decode_queries, d), and their sums, (decode_queries,).
 
         V is widened one key block at a time, once for every head. A
         block's numerators give its partial product E[b]^T V[b] and row
-        sums, which `full` adds up. A head that keeps the whole block adds
-        that partial and those sums, with no gather; a head that keeps part
-        of it gathers only those rows from the widened block.
+        sums. A head that keeps the whole block adds that partial and those
+        sums, with no gather; a head that keeps part of it gathers only
+        those rows from the widened block.
         """
         decode_queries, head_dim = self.numerators.shape[1], values.shape[1]
         # each head's retained positions cut at the key-block edges
@@ -493,11 +496,9 @@ class _HeadNumerators:
         cuts = [np.searchsorted(head.retained, edges) for head in heads]
         products = [np.zeros((decode_queries, head_dim)) for _ in heads]
         totals = [np.zeros(decode_queries) for _ in heads]
-        self.full = np.zeros((decode_queries, head_dim))
         for b, (at, rows) in enumerate(_key_blocks(values)):
             weights = self.numerators[at]
             partial = weights.T @ rows
-            self.full += partial
             row_sums = weights.sum(axis=0)
             for head, cut, out, total in zip(heads, cuts, products, totals):
                 lo, hi = cut[b], cut[b + 1]
@@ -509,7 +510,6 @@ class _HeadNumerators:
                     picked = self.numerators[kept]
                     out += picked.T @ rows[kept - at.start]
                     total += picked.sum(axis=0)
-        self.full /= self.numerators.sum(axis=0)[:, None]
         return products, totals
 
     def _cell_output(
@@ -565,40 +565,29 @@ def score_layer(
     against the full cache, over the last `decode_queries` query rows.
 
     Scoring is head-major. Every scored head's plan passes
-    `check_head_plan` first. A head that keeps every position attends
-    exactly like the full cache, so it scores L2 0 and the self-cosine of
-    the full outputs o. For the others, `_HeadNumerators` takes the head's
-    decode scores from `held` (the head pass's, when the decode rows are
-    the window's) or forms them (`causal_scores`), then its softmax
-    numerators once, under each decode row's full-cache max, and one pass
-    over its V key blocks gives o and every cell's retained outputs, each
-    block's E[b]^T V[b] and row sums adding up to o. A row whose retained
-    numerators underflow under that shared shift is rescored with the
-    cell's own retained max. A decode row that sees no retained key attends
-    to nothing: its retained output is zero, so it scores L2 = ||o|| and
-    cosine 0. Each head's numerators, and scores it formed, are dropped
-    before the next head's are formed.
+    `check_head_plan` first. `_HeadNumerators` takes the head's decode
+    scores from `held` (the head pass's, when the decode rows are the
+    window's) or forms them (`causal_scores`), then its softmax numerators
+    once, under each decode row's full-cache max, and one pass over its V
+    key blocks gives the full cache's outputs o, as the plan that keeps
+    every position, and every cell's retained outputs: a cell that keeps
+    every position gets o's bits, L2 0 and o's self-cosine (not always 1).
+    A row whose retained numerators underflow under that shared shift is
+    rescored with the cell's own retained max. A decode row that sees no
+    retained key attends to nothing: its retained output is zero, so it
+    scores L2 = ||o|| and cosine 0. Each head's numerators, and scores it
+    formed, are dropped before the next head's are formed.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
-        cells = {
-            c: check_head_plan(plan, layer, h, seq_len)
-            for c, plan in enumerate(plans)
-            if not keeps_every_position(plan, h, seq_len)
-        }
-        slot = held[h] if held else None
-        head = _HeadNumerators(block, decode_queries, list(cells.values()), slot)
-        full, retained = head.full, dict(zip(cells, head.retained))
+        cells = [check_head_plan(plan, layer, h, seq_len) for plan in plans]
+        head = _HeadNumerators(block, decode_queries, cells, held[h] if held else None)
+        full, retained = head.full, head.retained
         del head  # its scores and numerators go before the next head's are formed
-        # the self-cosine of a row is not always exactly 1
-        self_cosine = float(_rows_cosine(full, full).mean())
-        for c, (l2, cos) in enumerate(scores):
-            if c not in retained:
-                l2[h], cos[h] = 0.0, self_cosine
-                continue
-            l2[h] = float(np.linalg.norm(full - retained[c], axis=1).mean())
-            cos[h] = float(_rows_cosine(full, retained[c]).mean())
+        for (l2, cos), out in zip(scores, retained):
+            l2[h] = float(np.linalg.norm(full - out, axis=1).mean())
+            cos[h] = float(_rows_cosine(full, out).mean())
     return scores
 
 

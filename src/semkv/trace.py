@@ -79,12 +79,12 @@ _DIMS = ("num_layers", "num_heads", "seq_len", "head_dim")
 
 @dataclass(frozen=True)
 class TraceHeader:
+    """A trace's shape; `pack` writes the format's `VERSION` and `DTYPE_FLOAT32`."""
+
     num_layers: int
     num_heads: int
     seq_len: int
     head_dim: int
-    version: int = VERSION
-    dtype_code: int = DTYPE_FLOAT32
 
     def __post_init__(self):
         for name in _DIMS:
@@ -105,7 +105,7 @@ class TraceHeader:
         return {name: getattr(self, name) for name in _DIMS}
 
     def pack(self) -> bytes:
-        return _HEADER.pack(MAGIC, self.version, *self.dims.values(), self.dtype_code)
+        return _HEADER.pack(MAGIC, VERSION, *self.dims.values(), DTYPE_FLOAT32)
 
 
 class AttentionTrace:
@@ -646,7 +646,7 @@ def _read_header(stream) -> TraceHeader:
     if dtype_code != DTYPE_FLOAT32:
         raise UnsupportedDtypeError(f"unsupported dtype code {dtype_code}")
     try:
-        return TraceHeader(layers, heads, seq_len, head_dim, version, dtype_code)
+        return TraceHeader(layers, heads, seq_len, head_dim)
     except ParameterError as exc:
         raise TraceFormatError(str(exc)) from exc
 

@@ -20,7 +20,6 @@ from semkv.allocator import (
     check_plans,
     expand_runs,
     footprint,
-    keeps_every_position,
     middle_activation_count,
     pool_scores,
     runs_of,
@@ -740,7 +739,7 @@ class TestRuns:
     @example((8, [5]))
     @example((9, [0, 1, 3, 4, 5, 8]))
     def test_runs_are_maximal_and_expand_to_the_set(self, case):
-        seq_len, positions = case
+        _, positions = case
         runs = runs_of(positions)
         assert runs.dtype == np.intp and runs.shape == (len(runs), 2)
         assert (runs[:, 1] > runs[:, 0]).all()  # non-empty
@@ -752,11 +751,9 @@ class TestRuns:
             0, PolicyKind.TASK_KV, 0, 0, 0, 0, False, [HeadClass.NON_HETEROGENEOUS], [runs]
         )
         assert plan.head_tokens(0) == len(positions)
-        assert keeps_every_position(plan, 0, seq_len) == (positions == list(range(seq_len)))
-        # the same ranges as groups: one more cache row each, and never keep-all
+        # the same ranges as groups: one more cache row each
         grouped = dataclasses.replace(plan, per_head_groups=[runs])
         assert grouped.head_tokens(0) == len(positions) + len(runs)
-        assert not keeps_every_position(grouped, 0, seq_len)
         for original in (plan, grouped):
             clone = BudgetPlan.from_json_dict(json.loads(json.dumps(original.to_json_dict())))
             assert clone.to_json_dict() == original.to_json_dict()

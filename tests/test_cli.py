@@ -677,6 +677,22 @@ class TestErrorReporting:
         payload = json.loads(err)
         assert "error" in payload and "message" in payload
 
+    @pytest.mark.parametrize("command, flag", [("eval", "--plans"), ("all", "--config")])
+    def test_json_file_that_is_not_utf8_is_one_json_error(
+        self, trace_file, tmp_path, capsys, command, flag
+    ):
+        # the trace itself where a JSON file goes: its float32 payload is not UTF-8
+        with pytest.raises(UnicodeDecodeError):
+            trace_file.read_bytes().decode()
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, command, "--trace", str(trace_file), flag, str(trace_file), "--out", str(out)
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UnicodeDecodeError"
+        assert not out.exists()
+
     def test_unknown_policy(self, trace_file, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "compress", "--trace", str(trace_file),

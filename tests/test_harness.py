@@ -12,15 +12,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semkv.allocator import (
+    HEAD_AWARE_SLOTS,
     BudgetPlan,
     PolicyKind,
     check_head_plan,
     expand_runs,
     footprint,
     group_means,
-    keeps_every_position,
 )
 from semkv.errors import (
     CacheConsistencyError,
@@ -45,7 +47,7 @@ from semkv.harness import (
     score_layer,
     score_plans,
 )
-from semkv.linalg import _KEY_BLOCK, AttentionInputs, causal_scores
+from semkv.linalg import _KEY_BLOCK, AttentionInputs, _key_blocks, causal_scores
 from semkv.separator import HeadClass, top_t_indices
 from semkv.trace import (
     AttentionTrace,
@@ -250,6 +252,15 @@ class CacheEntry:
             raise CacheConsistencyError("cache positions must be strictly increasing")
 
 
+def keeps_every_position(plan, head, seq_len) -> bool:
+    """Whether the head's cache is the whole sequence and nothing else: its
+    runs are the one run [0, N) and it has no groups. Scoring branched on
+    it before the full cache was a plan of the block pass."""
+    runs = plan.per_head_runs[head]
+    whole = runs.shape == (1, 2) and runs[0, 0] == 0 and runs[0, 1] == seq_len
+    return bool(whole) and (plan.per_head_groups is None or not len(plan.per_head_groups[head]))
+
+
 def build_head_entry(block, plan, layer, head) -> CacheEntry:
     """One head's retained K/V rows (plus synthetic group means) out of its
     (3, N, d) Q/K/V block.
@@ -423,9 +434,10 @@ class TestFidelityFromPlans:
 
 # How far `_HeadNumerators.full` may move from the `decode_output` oracle,
 # per head, as a fraction of the head's largest |o|: it sums the softmax
-# in blocks of keys under the same row max, and divides after the V
-# product. Measured maxima: 2.5e-15 over the `TestFidelityFromPlans` traces
-# at every decode count below, 1.2e-14 on the benchmark's two traces.
+# and its V product in blocks of keys under the same row max, and divides
+# after the V product. Measured maxima: 2.5e-15 over the
+# `TestFidelityFromPlans` traces at every decode count below, 1.2e-15 on
+# the benchmark's two traces (1.2e-14 with `PreChangeFull`'s denominator).
 FULL_OUTPUT_TOL = 5e-14
 
 
@@ -492,8 +504,47 @@ def oracle_retained_output(head, values, plan) -> np.ndarray:
     return out
 
 
+class PreChangeFull(_HeadNumerators):
+    """Numerators whose full-cache outputs are summed as they were before
+    the full cache was a plan of the block pass: each key block's
+    E[b]^T V[b] added up, then divided by one sum of every numerator,
+    E^T V / sum E, where the block pass adds up each block's row sums."""
+
+    def __init__(self, block, decode_queries, heads=(), held=None):
+        super().__init__(block, decode_queries, heads, held)
+        self.full = np.zeros_like(self.full)
+        for at, rows in _key_blocks(block[2]):
+            self.full += self.numerators[at].T @ rows
+        self.full /= self.numerators.sum(axis=0)[:, None]
+
+
+def pre_change_score_layer(data, layer, plans, decode_queries, held=None):
+    """`score_layer` as it was before the full cache was a plan of the
+    block pass, kept bit for bit: `PreChangeFull`'s full outputs, and a
+    head that keeps every position scored L2 0 and their self-cosine
+    without a pass of its own."""
+    n_heads, _, seq_len, _ = data.shape
+    scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
+    for h, block in enumerate(data):
+        cells = {
+            c: check_head_plan(plan, layer, h, seq_len)
+            for c, plan in enumerate(plans)
+            if not keeps_every_position(plan, h, seq_len)
+        }
+        head = PreChangeFull(block, decode_queries, list(cells.values()), held[h] if held else None)
+        full, retained = head.full, dict(zip(cells, head.retained))
+        self_cosine = float(_rows_cosine(full, full).mean())
+        for c, (l2, cos) in enumerate(scores):
+            if c not in retained:
+                l2[h], cos[h] = 0.0, self_cosine
+                continue
+            l2[h] = float(np.linalg.norm(full - retained[c], axis=1).mean())
+            cos[h] = float(_rows_cosine(full, retained[c]).mean())
+    return scores
+
+
 def oracle_score_layer(
-    data, layer, plans, decode_queries, numerators=_HeadNumerators, held=None
+    data, layer, plans, decode_queries, numerators=PreChangeFull, held=None
 ):
     """`score_layer` as it was before the block pass: each head's full
     outputs from `numerators(block, decode_queries).full`, and each cell's
@@ -557,8 +608,8 @@ class TestBlockPass:
 
     @staticmethod
     def assert_matches_oracle(trace, plans, decode_queries):
-        """Every non-keep-all head of every plan: the block pass's retained
-        outputs against `oracle_retained_output` within BLOCK_PASS_TOL, and
+        """Every head of every plan: the block pass's retained outputs
+        against `oracle_retained_output` within BLOCK_PASS_TOL, and
         `score_layer` against `oracle_score_layer` on the same scale.
         Returns how many (head, key block) pairs a cell keeps whole and in
         part."""
@@ -566,11 +617,7 @@ class TestBlockPass:
         sizes = np.bincount(np.arange(trace.seq_len) // _KEY_BLOCK)  # each key block's length
         for r, layer in enumerate(trace.data):
             for h, block in enumerate(layer):
-                heads = [
-                    check_head_plan(plan[r], r, h, trace.seq_len)
-                    for plan in plans
-                    if not keeps_every_position(plan[r], h, trace.seq_len)
-                ]
+                heads = [check_head_plan(plan[r], r, h, trace.seq_len) for plan in plans]
                 numerators = _HeadNumerators(block, decode_queries, heads)
                 oracle = _HeadNumerators(block, decode_queries)
                 assert np.array_equal(numerators.full, oracle.full)
@@ -654,6 +701,42 @@ class TestBlockPass:
             total = head.numerators[check_head_plan(plan[0], 0, 0, 64).retained].sum(axis=0)
             assert np.all(total < 1 / _SAFE)  # every decode row is rescued
         self.assert_matches_oracle(trace, plans, 8)
+
+
+class TestKeepAllHeads:
+    """A head that keeps every position is scored as one more plan of the
+    block pass, like the full cache itself, so it scores L2 exactly 0 and
+    the full outputs' own cosine, which is not always exactly 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        policy=st.sampled_from(ALL_POLICIES),
+        ratio=st.sampled_from((0.5, 0.7, 1.0)),
+        decode=st.sampled_from(("one", "window", "all")),
+    )
+    def test_full_and_heterogeneous_heads_score_the_full_cache(
+        self, seed, policy, ratio, decode
+    ):
+        cfg = clustered_config(seed=seed, policies=(policy,), budget_ratios=(ratio,))
+        trace = load_trace_for(cfg)
+        decode_queries = {"one": 1, "window": cfg.window_len, "all": trace.seq_len}[decode]
+        cfg = dataclasses.replace(cfg, decode_queries=decode_queries)
+        _, result = run_all(cfg, trace, return_result=True)
+        fid = result.fidelity((policy.value, ratio))
+        checked = 0
+        for r, classes in enumerate(result.classes):
+            for h, head_class in enumerate(classes):
+                keeps_all = policy == PolicyKind.FULL or (
+                    policy in HEAD_AWARE_SLOTS and head_class == HeadClass.HETEROGENEOUS
+                )
+                if not keeps_all:
+                    continue
+                full = _HeadNumerators(trace.data[r, h], decode_queries).full
+                assert fid.per_head_l2[r, h] == 0.0
+                assert fid.per_head_cosine[r, h] == _rows_cosine(full, full).mean()
+                checked += 1
+        assert checked or policy in (PolicyKind.STREAMING, PolicyKind.UNIFORM_TOPK)
 
 
 class TestPlanMemory:
@@ -1042,31 +1125,43 @@ class TestReportFixture:
             super().__init__(block, decode_queries)
             self.full = decode_output(widen_head(block, decode_queries), decode_queries)
 
+    def patched_report(self, monkeypatch, **patches):
+        """The fixture report with each of `patches` set on `semkv.harness`
+        under its name, and its SHA-256."""
+        cfg = RunConfig(**self.FIXTURE_CONFIG)
+        for name, value in patches.items():
+            monkeypatch.setattr(f"semkv.harness.{name}", value)
+        report = self.report_and_hash(cfg, load_trace_for(cfg))
+        monkeypatch.undo()
+        return report
+
     def oracle_reports(self, monkeypatch):
         """The fixture report scored by `oracle_score_layer` (the per-cell
         gather the block pass replaced), then by it with `OracleFull`
         numerators as well (the masked softmax `_HeadNumerators` replaced),
         each with its SHA-256. Both take their window scores from
         `whole_head_pass`, as the head pass did before `causal_scores`."""
-        cfg = RunConfig(**self.FIXTURE_CONFIG)
-        trace = load_trace_for(cfg)
-        reports = []
-        for numerators in (_HeadNumerators, self.OracleFull):
-            score = functools.partial(oracle_score_layer, numerators=numerators)
-            monkeypatch.setattr("semkv.harness._head_pass", whole_head_pass)
-            monkeypatch.setattr("semkv.harness.score_layer", score)
-            reports.append(self.report_and_hash(cfg, trace))
-        monkeypatch.undo()
-        return reports
+        return [
+            self.patched_report(
+                monkeypatch,
+                _head_pass=whole_head_pass,
+                score_layer=functools.partial(oracle_score_layer, numerators=numerators),
+            )
+            for numerators in (PreChangeFull, self.OracleFull)
+        ]
 
     def before_one_kernel(self, monkeypatch):
         """The fixture report with the head pass of `whole_head_pass`, the
-        row-major softmax `causal_scores` replaced, and its SHA-256."""
-        cfg = RunConfig(**self.FIXTURE_CONFIG)
-        monkeypatch.setattr("semkv.harness._head_pass", whole_head_pass)
-        report = self.report_and_hash(cfg, load_trace_for(cfg))
-        monkeypatch.undo()
-        return report
+        row-major softmax `causal_scores` replaced, scored by
+        `pre_change_score_layer`, and its SHA-256."""
+        return self.patched_report(
+            monkeypatch, _head_pass=whole_head_pass, score_layer=pre_change_score_layer
+        )
+
+    def before_full_plan(self, monkeypatch):
+        """The fixture report scored by `pre_change_score_layer`, before the
+        full cache was a plan of the block pass, and its SHA-256."""
+        return self.patched_report(monkeypatch, score_layer=pre_change_score_layer)
 
     @staticmethod
     def report_and_hash(cfg, trace):
@@ -1118,6 +1213,7 @@ class TestReportFixture:
         assert before_block_pass == REPORT_BEFORE_BLOCK_PASS_SHA256
         assert before_one_home == REPORT_BEFORE_ONE_HOME_SHA256
         assert self.before_one_kernel(monkeypatch)[1] == REPORT_BEFORE_ONE_KERNEL_SHA256
+        assert self.before_full_plan(monkeypatch)[1] == REPORT_BEFORE_FULL_PLAN_SHA256
 
     def test_one_home_moved_only_fidelity_floats(self, monkeypatch):
         """The parse-compare behind the re-freeze that gave the full-cache
@@ -1129,7 +1225,7 @@ class TestReportFixture:
         assert self.assert_only_fidelity_floats_moved(before, after, FIXTURE_RTOL, FIXTURE_ATOL)
 
     def test_block_pass_moved_only_fidelity_floats(self, monkeypatch):
-        """The parse-compare behind the re-freeze before last: against the
+        """The parse-compare behind the block pass's re-freeze: against the
         report scored by the per-cell gather, the block pass moves only the
         four fidelity floats, each within BLOCK_FIXTURE_RTOL (L2) or
         FIXTURE_ATOL (cosine)."""
@@ -1141,25 +1237,49 @@ class TestReportFixture:
         assert moved == 37
 
     def test_one_kernel_moved_only_distances_and_pca(self, monkeypatch):
-        """The parse-compare behind the last re-freeze: against the report
-        whose window scores came from the row-major softmax, the head pass
-        through `causal_scores` moves only `distances` (within
+        """The parse-compare behind the re-freeze before last: against the
+        report whose window scores came from the row-major softmax, the head
+        pass through `causal_scores` moves only `distances` (within
         KERNEL_FIXTURE_RTOL) and the pca `x` and `y` (within
         KERNEL_FIXTURE_ATOL); plans, classes and fidelity keep their bits."""
         before, _ = self.before_one_kernel(monkeypatch)
-        cfg = RunConfig(**self.FIXTURE_CONFIG)
-        after = run_all(cfg, load_trace_for(cfg))
+        after, _ = self.before_full_plan(monkeypatch)
         coordinate = (0.0, KERNEL_FIXTURE_ATOL)
         bounds = {"distances": (KERNEL_FIXTURE_RTOL, 0.0), "x": coordinate, "y": coordinate}
         moved = self.moved_floats(before, after, bounds)
         assert len(moved) == 2 * 8 * 3  # each head's distance and two coordinates
         assert any(moved)
 
+    def test_full_plan_moved_only_fidelity_floats(self, monkeypatch):
+        """The parse-compare behind the last re-freeze: against the report
+        scored by `pre_change_score_layer`, scoring the full cache as a plan
+        of the block pass moves only the four fidelity floats, each within
+        BLOCK_FIXTURE_RTOL (L2) or FIXTURE_ATOL (cosine)."""
+        before, _ = self.before_full_plan(monkeypatch)
+        cfg = RunConfig(**self.FIXTURE_CONFIG)
+        after = run_all(cfg, load_trace_for(cfg))
+        moved = self.assert_only_fidelity_floats_moved(
+            before, after, BLOCK_FIXTURE_RTOL, FIXTURE_ATOL
+        )
+        assert moved == 19
 
-# The `pca` block this pins agrees with the power-iteration oracle to 3.0e-10
-# of the largest coordinate (tests/test_linalg.py::TestPCAOracle). Its
-# window scores come from `causal_scores`, the key-major product that
-# fidelity scoring shares. Against the report whose head pass took the
+
+# The fidelity floats this pins score the full cache as one more plan of
+# the block pass: its denominator is the sum of each key block's row sums,
+# and a head that keeps every position adds the same products and sums.
+# Against the report whose full outputs divided by one sum of every
+# numerator, with keep-all heads scored apart
+# (`REPORT_BEFORE_FULL_PLAN_SHA256`, reproduced through
+# `pre_change_score_layer`), only `l2_error`, `cosine_similarity`,
+# `mean_l2` and `mean_cosine` moved (19 of their 68 values): L2 by at most
+# 3.5e-16 relative, cosine by at most 1.1e-16 absolute. On the benchmark's
+# two traces (seeds 606 and 7) L2 moved by up to 1.4e-13 relative and
+# cosine by 2.2e-16 absolute, within BLOCK_FIXTURE_RTOL and FIXTURE_ATOL.
+#
+# The `pca` block agrees with the power-iteration oracle to 3.0e-10 of the
+# largest coordinate (tests/test_linalg.py::TestPCAOracle). Its window
+# scores come from `causal_scores`, the key-major product that fidelity
+# scoring shares. Against the report whose head pass took the
 # row-major softmax (`REPORT_BEFORE_ONE_KERNEL_SHA256`, reproduced through
 # `whole_head_pass`), only `distances` and the pca `x` and `y` moved:
 # distances by at most 6.1e-16 relative, coordinates by 1.0e-16 absolute
@@ -1179,7 +1299,8 @@ class TestReportFixture:
 # had moved from `REPORT_BEFORE_ONE_HOME_SHA256`, whose full outputs came
 # from one masked softmax per head, by at most 7.0e-16 relative (L2) and
 # 2.2e-16 absolute (cosine): FIXTURE_RTOL and FIXTURE_ATOL.
-REPORT_FIXTURE_SHA256 = "4005cac7e6bdbebce33248b451837041a7db5049a7bc722870894bbde94d03f0"
+REPORT_FIXTURE_SHA256 = "7792533c10621c73af23c88009a04b324696aecc96d5a97ac38f4d6f481822dc"
+REPORT_BEFORE_FULL_PLAN_SHA256 = "4005cac7e6bdbebce33248b451837041a7db5049a7bc722870894bbde94d03f0"
 REPORT_BEFORE_ONE_KERNEL_SHA256 = "31306f77d6c0bbba1c30d8100938442ccf6fed02c876852aa69f13ffe9cbb937"
 REPORT_BEFORE_BLOCK_PASS_SHA256 = "439b2eb471f7a74b048fafeebca7dbd34cb75308e140b20d0af644d14fc064c7"
 REPORT_BEFORE_ONE_HOME_SHA256 = "b35e6fd206825a517f36a25bdc98d54b5623812277acb3dee47f65f8668a9eed"

@@ -1,6 +1,7 @@
 """Trace format round-trips, corruption handling, synthetic ground truths."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import mmap
@@ -211,6 +212,18 @@ class TestFileFormat:
         data[22] = 9
         with pytest.raises(UnsupportedDtypeError):
             read_trace(bytes(data))
+
+    @pytest.mark.parametrize("field", ["version", "dtype_code"])
+    def test_header_holds_only_the_dimensions(self, field):
+        # a header that could hold another version or dtype code would write
+        # a file the reader rejects; the header is the shape, the format the rest
+        with pytest.raises(TypeError):
+            TraceHeader(1, 1, 4, 2, **{field: 7})
+        header = TraceHeader(1, 1, 4, 2)
+        assert [f.name for f in dataclasses.fields(header)] == list(header.dims)
+        buf = io.BytesIO()
+        write_trace(AttentionTrace(header, np.zeros((1, 1, 3, 4, 2))), buf)
+        assert read_trace(buf.getvalue()).header == header
 
 
 class TestSyntheticDeterminism:
@@ -620,9 +633,9 @@ class TestLayerSources:
 
 
 class TestPageGiveBack:
-    """A mapped trace's pages leave the process once no pass of the layer
-    reads them again: every head's Q after the reader checks the layer, and
-    its K after a head pass that holds its window scores."""
+    """A mapped trace's pages leave the process once the pass that reads
+    them is done: every head's Q after the reader checks the layer, and its
+    K after its head pass, whether or not that holds its window scores."""
 
     SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
     WINDOW = 32
@@ -631,13 +644,14 @@ class TestPageGiveBack:
     # back, so a tensor's edge can stay or come back with its neighbour's
     SLACK_PER_HEAD = 2 * (2 << 20)
 
-    def test_query_and_key_pages_leave_once_read(self, tmp_path):
+    @pytest.mark.parametrize("hold", [True, False], ids=["held-scores", "no-held-scores"])
+    def test_query_and_key_pages_leave_once_read(self, tmp_path, hold):
         source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
         path = tmp_path / "t.tkv"
         write_trace(source, path)
         _, n, seq_len, dim = self.SHAPE
         tensor, slack = seq_len * dim * 4, n * self.SLACK_PER_HEAD
-        held = np.empty((seq_len, self.WINDOW)), np.empty(self.WINDOW)
+        held = (np.empty((seq_len, self.WINDOW)), np.empty(self.WINDOW)) if hold else None
         with TraceReader(path) as reader:
             for layer, drawn in zip(reader.layers(), source.layers()):
                 # checked: K and V are resident, no Q page is
