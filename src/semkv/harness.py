@@ -286,14 +286,17 @@ def _head_pass(
     `window_column_scores`, widens K one key block at a time, and
     `approx_semantic_vector` only the top-t V rows. `held`, the head's
     slot of `_held_scores`, keeps its causal window scores and their row
-    max. K's pages are then given back (`give_back_pages`), to come back
-    from the page cache if fidelity scoring forms its own decode scores.
+    max. The whole block's pages are then given back (`give_back_pages`),
+    to come back from the page cache when fidelity scoring reads V, and K
+    if it forms its own decode scores; the pass holds the held window
+    scores plus one head's block and its temporaries.
     """
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
     scores = window_column_scores(inputs, window_len, held)
-    give_back_pages(k)
-    return scores, approx_semantic_vector(scores, inputs.values, top_t)
+    vector = approx_semantic_vector(scores, inputs.values, top_t)
+    give_back_pages(block)
+    return scores, vector
 
 
 def layer_step(
@@ -575,14 +578,18 @@ def score_layer(
     A row whose retained numerators underflow under that shared shift is
     rescored with the cell's own retained max. A decode row that sees no
     retained key attends to nothing: its retained output is zero, so it
-    scores L2 = ||o|| and cosine 0. Each head's numerators, and scores it
-    formed, are dropped before the next head's are formed.
+    scores L2 = ||o|| and cosine 0. Each head's block pages are given
+    back (`give_back_pages`) once its outputs are formed, and its
+    numerators, and scores it formed, are dropped before the next head's
+    are formed, so scoring holds the held window scores plus one head's
+    block and its temporaries.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
         cells = [check_head_plan(plan, layer, h, seq_len) for plan in plans]
         head = _HeadNumerators(block, decode_queries, cells, held[h] if held else None)
+        give_back_pages(block)
         full, retained = head.full, head.retained
         del head  # its scores and numerators go before the next head's are formed
         for (l2, cos), out in zip(scores, retained):

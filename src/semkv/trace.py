@@ -485,19 +485,22 @@ class TraceReader:
     seek (a path or bytes) is checked against the payload size the header
     declares, all before any layer is read. Layers are contiguous in the
     payload, so `layers()` yields each layer's float32 (n, 3, N, d) block in
-    turn, checked and read-only, and a pass over the layers holds one
-    layer's payload:
+    turn, checked and read-only:
 
     - A regular file (a path, or a binary file object whose `fileno()` is
       one) is mapped read-only and never copied: each layer is a view of
       the mapping, and the pages of the layers before it are released
       before it is touched. The layer is checked one head block at a time,
-      and each head's query pages are given back (`give_back_pages`) once
-      checked. A layer kept past the next one, or past
-      `close()`, still reads the file's values. The file must not be
-      truncated or rewritten in place while it is read: a layer cut off
-      before it is reached raises `TraceTruncationError`, but a change
-      under a layer already yielded is not seen.
+      and each head's whole (3, N, d) block is given back
+      (`give_back_pages`) once checked. Every later pass that reads a head
+      block faults in what it reads and gives the block back when done,
+      so a command's peak is its held window scores (n·N·W·8 bytes) plus
+      one head's block and its temporaries, not a layer's payload. A layer
+      kept past the next one, or past `close()`, still reads the file's
+      values. The file must not be truncated or rewritten in place while
+      it is read: a layer cut off before it is reached raises
+      `TraceTruncationError`, but a change under a layer already yielded
+      is not seen.
     - Bytes and other streams are read into one reused buffer. The buffer
       of a stream that cannot seek (a pipe) grows with the bytes that
       actually arrive, so a header that claims more than arrives
@@ -600,9 +603,8 @@ class TraceReader:
             layer = layer.reshape(self.layer_shape)
             for block in layer:
                 _check_finite(block)
-                # a run reads only the trailing query rows, and those come
-                # back from the page cache when it does
-                give_back_pages(block[0])
+                # each pass that reads the block faults in what it reads
+                give_back_pages(block)
             yield layer
 
     def _copied_layers(self) -> Iterator[np.ndarray]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semkv import harness
 from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, expand_runs, footprint
 from semkv.cli import _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
@@ -29,6 +30,9 @@ from semkv.harness import (
 )
 from semkv.separator import HeadClass, heterogeneous_schedule
 from semkv.trace import HEADER_BYTES, SyntheticProfile, read_trace, write_trace
+
+# the mapped-page probe and its slack, as `TestPageGiveBack` uses them
+from test_trace import PAGE_SLACK_PER_HEAD, mapped_rss
 
 
 def run_cli(capsys, *argv):
@@ -1088,9 +1092,13 @@ def _traced_peak(argv):
 
 
 class TestLayerMemory:
+    """Peaks of the arrays a command allocates, as tracemalloc counts them.
+    A mapped trace's pages are not among them: `TestMappedResidency` bounds
+    those."""
+
     SHAPE = (8, 4, 4096, 32)
     R, N_HEADS, SEQ, DIM = SHAPE
-    LAYER_BYTES = N_HEADS * 3 * SEQ * DIM * 4
+    PAYLOAD_BYTES = R * N_HEADS * 3 * SEQ * DIM * 4
     WINDOW = 32
 
     @pytest.fixture
@@ -1115,9 +1123,9 @@ class TestLayerMemory:
         # scoring on the window's rows: exactly n N W 8 bytes
         head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
         held = self.N_HEADS * self.SEQ * self.WINDOW * 8
-        assert peak <= self.LAYER_BYTES + head + held
+        assert peak <= head + held
         # which is far below the payload a whole-trace read would hold
-        assert self.LAYER_BYTES + head + held < self.R * self.LAYER_BYTES / 2
+        assert head + held < self.PAYLOAD_BYTES / 2
 
     def test_gen_peak_is_one_head_block_plus_its_scratch(self, trace_path, tmp_path, capsys):
         code, peak = _traced_peak([
@@ -1128,6 +1136,51 @@ class TestLayerMemory:
         # a float32 head block, two N x d float64 scratch blocks, and small change
         block, scratch = 3 * self.SEQ * self.DIM * 4, 2 * self.SEQ * self.DIM * 8
         assert peak <= block + scratch + 256 * 1024
+
+
+class TestMappedResidency:
+    """A command over a mapped trace holds one head's pages at a time.
+    Sampled after each window score pass, head pass, head's numerators and
+    `score_layer`, the trace's resident bytes never exceed one head block
+    plus the page slack of each head's block edge."""
+
+    SHAPE = (2, 4, 8192, 128)  # each head block is 12 MiB, a layer's K and V 32 MiB
+    SAMPLED = ("window_column_scores", "_head_pass", "_HeadNumerators", "score_layer")
+
+    @pytest.fixture(scope="class")
+    def trace_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("mapped")
+        assert main([
+            "gen", "--profile", "clustered-heads", "--seed", "8",
+            "--shape", ",".join(map(str, self.SHAPE)), "--out", str(out / "t.tkv"),
+        ]) == 0
+        assert main(["compress", "--trace", str(out / "t.tkv"), "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", ["all", "compress", "eval"])
+    def test_peak_is_one_head_block(self, trace_dir, tmp_path, monkeypatch, capsys, command):
+        path = trace_dir / "t.tkv"
+        samples = []
+
+        def sampled(call):
+            def wrapper(*args, **kwargs):
+                out = call(*args, **kwargs)
+                samples.append(mapped_rss(path))
+                return out
+            return wrapper
+
+        for name in self.SAMPLED:
+            monkeypatch.setattr(harness, name, sampled(getattr(harness, name)))
+        argv = [command, "--trace", str(path), "--out", str(tmp_path)]
+        if command == "eval":
+            argv += ["--plans", str(trace_dir / "plans_streaming_0.4.json")]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert samples
+        _, n, seq_len, dim = self.SHAPE
+        block = 3 * seq_len * dim * 4
+        assert max(samples) <= block + n * PAGE_SLACK_PER_HEAD
+        # which is less than a layer's K and V
+        assert block + n * PAGE_SLACK_PER_HEAD < 2 * n * seq_len * dim * 4
 
 
 def _as_json(value):

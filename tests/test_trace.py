@@ -17,7 +17,7 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from semkv.harness import _head_pass
+from semkv.harness import _head_pass, score_layer
 from semkv.separator import head_distances, semantic_vector_full, window_column_scores
 from semkv.trace import (
     HEADER_BYTES,
@@ -63,6 +63,13 @@ def mapped_rss(path) -> int:
             elif inside and key == "Rss:":
                 total += int(line.split()[1]) * 1024
     return total
+
+
+# a mapped trace's pages that may stay resident per head once its block is
+# given back: one 2 MiB huge page. The kernel may map a file's pages a huge
+# page at a time, so the one across a head block's edge, which neither
+# block gives back whole, can stay or come back with its neighbour
+PAGE_SLACK_PER_HEAD = 2 << 20
 
 
 class TrickleStream(io.RawIOBase):
@@ -634,32 +641,34 @@ class TestLayerSources:
 
 class TestPageGiveBack:
     """A mapped trace's pages leave the process once the pass that reads
-    them is done: every head's Q after the reader checks the layer, and its
-    K after its head pass, whether or not that holds its window scores."""
+    them is done: each head's whole block after the reader checks it, after
+    its head pass, whether or not that holds its window scores, and after
+    `score_layer` scores it, from the held scores or from K read again."""
 
     SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
     WINDOW = 32
-    # per head, two 2 MiB huge pages: the kernel may map a file's pages a
-    # huge page at a time, and unmaps one whole when part of it is given
-    # back, so a tensor's edge can stay or come back with its neighbour's
-    SLACK_PER_HEAD = 2 * (2 << 20)
 
-    @pytest.mark.parametrize("hold", [True, False], ids=["held-scores", "no-held-scores"])
-    def test_query_and_key_pages_leave_once_read(self, tmp_path, hold):
+    @pytest.mark.parametrize("decode_queries", [WINDOW, 64], ids=["held-scores", "decode-64"])
+    def test_head_blocks_leave_once_read(self, tmp_path, decode_queries):
         source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
         path = tmp_path / "t.tkv"
         write_trace(source, path)
-        _, n, seq_len, dim = self.SHAPE
-        tensor, slack = seq_len * dim * 4, n * self.SLACK_PER_HEAD
-        held = (np.empty((seq_len, self.WINDOW)), np.empty(self.WINDOW)) if hold else None
+        _, n, seq_len, _ = self.SHAPE
+        slack = n * PAGE_SLACK_PER_HEAD
+        held = None
+        if decode_queries == self.WINDOW:
+            held = list(zip(np.empty((n, seq_len, self.WINDOW)), np.empty((n, self.WINDOW))))
         with TraceReader(path) as reader:
-            for layer, drawn in zip(reader.layers(), source.layers()):
-                # checked: K and V are resident, no Q page is
-                assert mapped_rss(path) <= 2 * n * tensor + slack
-                for block in layer:
-                    _head_pass(block, self.WINDOW, 64, held)
-                # and after the head passes no K page is
-                assert mapped_rss(path) <= n * tensor + slack
+            for r, (layer, drawn) in enumerate(zip(reader.layers(), source.layers())):
+                # checked: no page of the layer is resident
+                assert mapped_rss(path) <= slack
+                for block, slot in zip(layer, held or [None] * n):
+                    _head_pass(block, self.WINDOW, 64, slot)
+                    assert mapped_rss(path) <= slack
+                # scoring reads each head's V, and K too when it forms
+                # its own scores, and gives them back head by head
+                score_layer(layer, r, [], decode_queries, held)
+                assert mapped_rss(path) <= slack
                 # what left comes back from the page cache when read
                 assert np.array_equal(layer, drawn)
 
