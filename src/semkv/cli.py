@@ -130,8 +130,16 @@ def _add_profile_flags(parser: argparse.ArgumentParser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise `ParameterError`, which `main`
+    reports like any other failure; its subcommands' parsers are one too."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semkv",
         description="Head-aware KV-cache compression engine over attention traces.",
     )
@@ -265,13 +273,6 @@ _PROFILE_FLAGS = {
 }
 
 
-# The synthetic-trace flags only one profile kind reads, by argparse dest.
-_KIND_FLAGS = {
-    "clustered-heads": ("planted", "spread"),
-    "planted-needle": ("needle_position", "needle_strength", "tail_len"),
-}
-
-
 def _given(args, flags: dict) -> str:
     return ", ".join(flag for dest, flag in flags.items() if getattr(args, dest, None) is not None)
 
@@ -284,9 +285,9 @@ def _check_unread_flags(args, cfg: RunConfig) -> None:
         if args.command in ("compress", "pca", "all"):
             unread.update(_PROFILE_FLAGS)
     elif cfg.profile is not None:  # a drawn trace reads only its own profile kind's flags
-        kind = cfg.profile.kind
-        dests = [d for k, flags in _KIND_FLAGS.items() if k != kind for d in flags]
-        other = _given(args, {d: _PROFILE_FLAGS[d] for d in dests})
+        kinds, kind = SyntheticProfile._KINDS, cfg.profile.kind
+        dests = set().union(*kinds.values()) - set(kinds[kind])
+        other = _given(args, {d: flag for d, flag in _PROFILE_FLAGS.items() if d in dests})
         if other:
             raise ParameterError(f"profile {kind} does not read {other}")
     if args.command == "eval" and cfg.decode_queries is not None:
@@ -447,10 +448,10 @@ def _infeasible_note(result, listed_in: str) -> str:
     return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
 
 
-def _run_and_write_plans(cfg, header, result: RunResult, names, layers, outputs, files) -> None:
+def _run_and_write_plans(cfg, result: RunResult, names, layers, outputs, files) -> None:
     """`run_steps` of the started `result` over `layers`, each layer's plans
     appended to the cells' plans files (`names`) before the next layer is read."""
-    plans_files = _PlansFiles(files, outputs, header, names)
+    plans_files = _PlansFiles(files, outputs, result.header, names)
     for step in run_steps(cfg, result, layers):
         plans_files.add(step.plans)
     plans_files.finish()
@@ -463,14 +464,12 @@ def _cmd_compress(args) -> int:
         names = _plan_filenames(result.cells)
         out = _outdir(args)
         with _Outputs(out) as outputs, contextlib.ExitStack() as files:
-            _run_and_write_plans(
-                cfg, source.header, result, names, source.layers(), outputs, files
-            )
+            _run_and_write_plans(cfg, result, names, source.layers(), outputs, files)
             memory_rows = [
                 {
                     "policy": policy,
                     "budget_ratio": ratio,
-                    **result.memory((policy, ratio), source.header)._asdict(),
+                    **result.memory((policy, ratio))._asdict(),
                 }
                 for policy, ratio in sorted(result.cells)
             ]
@@ -553,7 +552,7 @@ def _cmd_pca(args) -> int:
         result = start_run(cfg, source.header, plan=False, score=False)
         for _ in run_steps(cfg, result, source.layers()):
             pass
-        report = build_eval_report(cfg, source.header, result)
+        report = build_eval_report(cfg, result)
     out = _outdir(args)
     with _Outputs(out) as outputs:
         export_pca_csv(report, outputs.path("pca.csv"))
@@ -574,8 +573,8 @@ def _cmd_all(args) -> int:
                     # a generated trace is saved as its layers are drawn
                     sink = files.enter_context(open(outputs.path("trace.tkv"), "wb"))
                     layers = written_blocks(source.header, layers, sink)
-                _run_and_write_plans(cfg, source.header, result, names, layers, outputs, files)
-            report = build_eval_report(cfg, source.header, result, bound_suite(cfg))
+                _run_and_write_plans(cfg, result, names, layers, outputs, files)
+            report = build_eval_report(cfg, result, bound_suite(cfg))
             export_report(report, "json", outputs.path("report.json"))
             export_report(report, "csv", outputs.path("report.csv"))
             export_pca_csv(report, outputs.path("pca.csv"))
@@ -595,9 +594,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (SemkvError, OSError, MemoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(

@@ -22,7 +22,8 @@ fidelity is scored on the window's own rows, the default decode rows, the
 head pass's call is the head's only one: the run holds each head's window
 scores for `score_layer` (see `_held_scores`). Any other decode count has
 `score_layer` form the decode rows' scores again (see `_HeadNumerators`). A
-mapped trace gives back each head's K pages after its head pass.
+mapped trace gives back each head's block pages after each pass that reads
+them.
 """
 
 from __future__ import annotations
@@ -153,17 +154,20 @@ class RunResult:
     """A run's results, gathered one `LayerStep` at a time.
 
     Everything a run decides before it reads a layer comes first: the
-    schedule, the feasible cells, the infeasible ones (one {"policy",
-    "budget_ratio", "message"} entry per cell left unplanned because its
-    budget cannot hold the heterogeneous heads) and the decode-query count
-    when fidelity is scored. `vectors`, `distances` and `classes` hold
-    each layer's (n, d) semantic vectors, (n,) distances to its semantic
-    center and head classes. `plans` holds every layer's plan per cell only
-    for callers that keep them; `head_tokens` and `scores` hold what a
-    report needs of them.
+    trace's header, the schedule, the observation window's rows
+    (`window_rows`), the feasible cells, the infeasible ones (one
+    {"policy", "budget_ratio", "message"} entry per cell left unplanned
+    because its budget cannot hold the heterogeneous heads) and the
+    decode-query count when fidelity is scored. `vectors`, `distances` and
+    `classes` hold each layer's (n, d) semantic vectors, (n,) distances to
+    its semantic center and head classes. `plans` holds every layer's plan
+    per cell only for callers that keep them; `head_tokens` and `scores`
+    hold what a report needs of them.
     """
 
+    header: TraceHeader
     schedule: HeterogeneitySchedule
+    window_len: int
     cells: list[Cell] = field(default_factory=list)
     infeasible: list[dict] = field(default_factory=list)
     decode_queries: int | None = None
@@ -189,8 +193,8 @@ class RunResult:
     def fidelity(self, cell: Cell) -> "FidelityReport":
         return FidelityReport.from_layers(self.decode_queries, self.scores[cell])
 
-    def memory(self, cell: Cell, header: TraceHeader) -> MemoryFootprint:
-        return footprint(sum(map(sum, self.head_tokens[cell])), header)
+    def memory(self, cell: Cell) -> MemoryFootprint:
+        return footprint(sum(map(sum, self.head_tokens[cell])), self.header)
 
 
 def start_run(
@@ -211,14 +215,14 @@ def start_run(
     for name, values in (("policies", config.policies), ("budget_ratios", config.budget_ratios)):
         if not values:
             raise ParameterError(f"{name} must not be empty")
-    check_window_len(min(config.window_len, header.seq_len), header.seq_len)
+    window_len = window_rows(config, header)
     if plan:
         check_kernel(config.kernel)
     check_top_t(config.top_t)
     schedule = heterogeneous_schedule(
         header.num_heads, config.beta, config.top_m, header.num_layers
     )
-    result = RunResult(schedule)
+    result = RunResult(header, schedule, window_len)
     # each distinct cell once, in the order the config first names it
     cells = dict.fromkeys(
         (PolicyKind(policy).value, ratio)
@@ -249,14 +253,18 @@ def check_decode_queries(count: int, seq_len: int) -> int:
     return count
 
 
+def window_rows(config: RunConfig, header: TraceHeader) -> int:
+    """The observation window's query rows, min(window_len, N), checked."""
+    rows = min(config.window_len, header.seq_len)
+    check_window_len(rows, header.seq_len)
+    return rows
+
+
 def decode_count(config: RunConfig, header: TraceHeader) -> int:
-    """The decode-query rows fidelity is scored on. By default they are the
-    window's rows, min(window_len, N), so the window is checked; an explicit
-    count is checked against N."""
+    """The decode-query rows fidelity is scored on: by default the window's
+    rows (`window_rows`); an explicit count is checked against N."""
     if config.decode_queries is None:
-        count = min(config.window_len, header.seq_len)
-        check_window_len(count, header.seq_len)
-        return count
+        return window_rows(config, header)
     return check_decode_queries(config.decode_queries, header.seq_len)
 
 
@@ -264,14 +272,13 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
 Held = tuple[np.ndarray, np.ndarray]
 
 
-def _held_scores(config: RunConfig, decode_queries: int | None, shape) -> list[Held] | None:
-    """Where a run over (n, 3, N, d) layers of `shape` holds each head's
-    window scores for `score_layer`: views of one float64 (n, N, W) buffer
-    and one (n, W), which serve every layer. None unless fidelity is scored
-    on the window's own rows."""
-    n, _, seq_len, _ = shape
-    window_len = min(config.window_len, seq_len)
-    if decode_queries != window_len:
+def _held_scores(result: RunResult) -> list[Held] | None:
+    """Where a started run holds each head's window scores for
+    `score_layer`: views of one float64 (n, N, W) buffer and one (n, W),
+    which serve every layer. None unless fidelity is scored on the
+    window's own rows."""
+    n, seq_len, window_len = result.header.num_heads, result.header.seq_len, result.window_len
+    if result.decode_queries != window_len:
         return None
     return list(zip(np.empty((n, seq_len, window_len)), np.empty((n, window_len))))
 
@@ -301,24 +308,23 @@ def _head_pass(
 
 def layer_step(
     config: RunConfig,
-    schedule: HeterogeneitySchedule,
+    result: RunResult,
     layer: int,
     data: np.ndarray,
-    cells: list[Cell],
-    decode_queries: int | None = None,
     held: list[Held] | None = None,
 ) -> LayerStep:
-    """One layer of a run, on its checked (n, 3, N, d) `data`.
+    """One layer of the started run `result`, on its checked (n, 3, N, d) `data`.
 
     One pass over the heads takes, from one causal softmax over each
     head's observation window, its window scores and top-t semantic
     vector; the scores are pooled only when some cell is planned. The
     layer's heads are classified from f(r), every cell is planned from the
-    pooled scores alone and, when fidelity is scored (`decode_queries`),
-    `score_layer` scores each plan. With `held` (`_held_scores`), the head
-    pass keeps each head's window scores there and `score_layer` reads them.
+    pooled scores alone and, when fidelity is scored (the run's
+    `decode_queries`), `score_layer` scores each plan. With `held`
+    (`_held_scores`), the head pass keeps each head's window scores there
+    and `score_layer` reads them.
     """
-    window_len = min(config.window_len, data.shape[2])
+    window_len, cells = result.window_len, result.cells
     pooled, vectors = [], np.empty((data.shape[0], data.shape[3]))
     try:
         for h, block in enumerate(data):
@@ -326,7 +332,7 @@ def layer_step(
             score, vectors[h] = _head_pass(block, window_len, config.top_t, slot)
             if cells:
                 pooled.append(pool_scores(score, config.kernel))
-        distances, classes = build_layer_profiles(vectors, schedule.per_layer_counts[layer])
+        distances, classes = build_layer_profiles(vectors, result.schedule.per_layer_counts[layer])
     except SemkvError as exc:
         raise type(exc)(f"layer {layer}: {exc}") from exc
     plans = {
@@ -336,8 +342,8 @@ def layer_step(
         for cell in cells
     }
     scores = {}
-    if decode_queries is not None:
-        scored = score_layer(data, layer, list(plans.values()), decode_queries, held=held)
+    if result.decode_queries is not None:
+        scored = score_layer(data, layer, list(plans.values()), result.decode_queries, held=held)
         scores = dict(zip(plans, scored))
     return LayerStep(vectors, distances, classes, plans, scores)
 
@@ -350,14 +356,11 @@ def run_steps(
     Each step is yielded before the next layer is read or drawn, so a
     caller can write that layer's plans out; without `keep_plans` nothing
     else holds them. The `_held_scores` buffers, if the run scores the
-    window's own rows, are made at the first layer and reused for each.
+    window's own rows, are made before the first layer and reused for each.
     """
+    held = _held_scores(result)
     for r, data in enumerate(layers):
-        if r == 0:
-            held = _held_scores(config, result.decode_queries, data.shape)
-        step = layer_step(
-            config, result.schedule, r, data, result.cells, result.decode_queries, held
-        )
+        step = layer_step(config, result, r, data, held)
         result.add(step, keep_plans)
         yield step
 
@@ -635,15 +638,13 @@ PCA_HEADER = ["layer", "head", "x", "y", "class"]
 
 
 def build_eval_report(
-    config: RunConfig,
-    header: TraceHeader,
-    result: RunResult,
-    contribution: BoundSuiteReport | None = None,
+    config: RunConfig, result: RunResult, contribution: BoundSuiteReport | None = None
 ) -> dict:
     """A run's report, the JSON object `report.json` holds. Its `schedule`,
     `memory` and `contribution` blocks are their records' fields;
     `infeasible` is there only when a cell was skipped, and `contribution`
     only when a bound suite ran."""
+    header = result.header
     pca_blocks = []
     for r, (vectors, classes) in enumerate(zip(result.vectors, result.classes)):
         coords = pca_2d(vectors)
@@ -672,7 +673,7 @@ def build_eval_report(
             {
                 "policy": policy,
                 "budget_ratio": ratio,
-                "memory": result.memory(cell, header)._asdict(),
+                "memory": result.memory(cell)._asdict(),
                 "fidelity": {**fid.summary(), "per_head": per_head},
             }
         )
@@ -708,38 +709,34 @@ def _write_bytes(destination, payload: bytes) -> int:
     return destination.write(payload)
 
 
+def _write_csv(destination, header: list[str], rows) -> int:
+    """`header`, then `rows`, as CSV: each row ends in a bare newline and
+    each float is written as its `repr`. Returns the bytes written."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
+    return _write_bytes(destination, buf.getvalue().encode())
+
+
 def export_report(report: dict, fmt: str, destination) -> int:
     """Serialize a report as canonical JSON or flat CSV; returns bytes written."""
     if fmt == "json":
-        payload = (json.dumps(report, indent=2) + "\n").encode()
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in _csv_rows(report):
-            writer.writerow([_csv_cell(c) for c in row])
-        payload = buf.getvalue().encode()
-    else:
-        raise ParameterError(f"unknown report format {fmt!r}")
-    return _write_bytes(destination, payload)
+        return _write_bytes(destination, (json.dumps(report, indent=2) + "\n").encode())
+    if fmt == "csv":
+        return _write_csv(destination, CSV_HEADER, _csv_rows(report))
+    raise ParameterError(f"unknown report format {fmt!r}")
 
 
 def export_pca_csv(report: dict, destination) -> int:
     """Per-head 2-D semantic coordinates, one row per (layer, head)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PCA_HEADER)
-    for block in report["pca"]:
-        for point in block["points"]:
-            x, y = _csv_cell(point["x"]), _csv_cell(point["y"])
-            writer.writerow([block["layer"], point["head"], x, y, point["class"]])
-    return _write_bytes(destination, buf.getvalue().encode())
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    rows = (
+        [block["layer"], point["head"], point["x"], point["y"], point["class"]]
+        for block in report["pca"]
+        for point in block["points"]
+    )
+    return _write_csv(destination, PCA_HEADER, rows)
 
 
 def run_all(config: RunConfig, trace: AttentionTrace, return_result: bool = False):
@@ -748,7 +745,7 @@ def run_all(config: RunConfig, trace: AttentionTrace, return_result: bool = Fals
     result = start_run(config, trace.header)
     for _ in run_steps(config, result, trace.layers(), keep_plans=return_result):
         pass
-    report = build_eval_report(config, trace.header, result, bound_suite(config))
+    report = build_eval_report(config, result, bound_suite(config))
     if return_result:
         return report, result
     return report

@@ -23,7 +23,7 @@ Layers are contiguous in the payload, so a run never needs a whole trace:
 `TraceReader` (a file, bytes or a pipe), `SyntheticSource` (a seeded
 profile) and an in-memory `AttentionTrace` are all layer sources, with a
 `header` and a `layers()` iterator over checked, read-only (n, 3, N, d)
-layers.
+layers. `TraceHeader.shape` spells the payload's layout.
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -39,6 +39,7 @@ import mmap
 import os
 import stat
 import struct
+import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -92,8 +93,13 @@ class TraceHeader:
                 raise ParameterError(f"{name} must be in [1, 2^32 - 1]")
 
     @property
+    def shape(self) -> tuple[int, int, int, int, int]:
+        """The payload's layout, (R, n, 3, N, d): per layer, per head, Q, K, V."""
+        return (self.num_layers, self.num_heads, 3, self.seq_len, self.head_dim)
+
+    @property
     def payload_bytes(self) -> int:
-        return self.num_layers * self.num_heads * 3 * self.seq_len * self.head_dim * 4
+        return math.prod(self.shape) * 4
 
     @property
     def file_bytes(self) -> int:
@@ -129,9 +135,8 @@ class AttentionTrace:
         data = np.asarray(data)
         dtype = np.float32 if data.dtype == np.float32 else np.float64
         data = np.ascontiguousarray(data, dtype=dtype).view()
-        expected = (header.num_layers, header.num_heads, 3, header.seq_len, header.head_dim)
-        if data.shape != expected:
-            raise TraceFormatError(f"trace data shape {data.shape} != {expected}")
+        if data.shape != header.shape:
+            raise TraceFormatError(f"trace data shape {data.shape} != {header.shape}")
         _check_finite(data)
         data.flags.writeable = False
         self.header = header
@@ -220,7 +225,12 @@ class SyntheticProfile:
     needle_strength: float = 10.0
     tail_len: int = 32
 
-    _KINDS = ("uniform-random", "clustered-heads", "planted-needle")
+    # each kind and the fields it reads besides its seed
+    _KINDS = {
+        "uniform-random": (),
+        "clustered-heads": ("planted", "spread"),
+        "planted-needle": ("needle_position", "needle_strength", "tail_len"),
+    }
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -378,26 +388,17 @@ class SyntheticSource:
                 yield out
 
     def head_blocks(self) -> Iterator[np.ndarray]:
-        header = self.header
-        block = np.empty((3, header.seq_len, header.head_dim), dtype=np.float32)
+        block = np.empty(self.header.shape[2:], dtype=np.float32)
         return self._drawn(itertools.repeat(block))
 
     def layers(self) -> Iterator[np.ndarray]:
-        header = self.header
-        layer = np.empty(
-            (header.num_heads, 3, header.seq_len, header.head_dim), dtype=np.float32
-        )
-        view = _read_only(layer)
+        layer = np.empty(self.header.shape[1:], dtype=np.float32)
+        view = layer.view()
+        view.flags.writeable = False
         heads = itertools.chain.from_iterable(itertools.repeat(layer))
         for i, _ in enumerate(self._drawn(heads), 1):
-            if i % header.num_heads == 0:
+            if i % self.header.num_heads == 0:
                 yield view
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
 
 
 def gen_synthetic_trace(
@@ -409,14 +410,10 @@ def gen_synthetic_trace(
     is the float32 trace plus two N x d float64 blocks.
     """
     source = SyntheticSource(profile, shape)
-    header = source.header
-    data = np.empty(
-        (header.num_layers, header.num_heads, 3, header.seq_len, header.head_dim),
-        dtype=np.float32,
-    )
+    data = np.empty(source.header.shape, dtype=np.float32)
     for _ in source._drawn(iter(_head_blocks(data))):
         pass
-    return AttentionTrace(header, data)
+    return AttentionTrace(source.header, data)
 
 
 def _open_sink(destination):
@@ -474,61 +471,60 @@ def give_back_pages(view: np.ndarray) -> None:
         mapped.madvise(mmap.MADV_DONTNEED, start, stop - start)
 
 
-# bytes read from a non-seekable stream at a time while its buffer grows
+# bytes copied from a stream into its temporary file at a time
 _STREAM_CHUNK = 1 << 20
 
 
 class TraceReader:
     """A .tkv trace read one layer at a time from a path, binary stream or bytes.
 
-    The header is read and checked on construction, and a source that can
-    seek (a path or bytes) is checked against the payload size the header
-    declares, all before any layer is read. Layers are contiguous in the
-    payload, so `layers()` yields each layer's float32 (n, 3, N, d) block in
-    turn, checked and read-only:
+    The header is read and checked on construction, and so is the payload's
+    size, before any layer is read. A source that is not a regular file
+    (bytes, `BytesIO`, a pipe or any other stream) is first copied into an
+    unlinked temporary file, `_STREAM_CHUNK` bytes at a time and no more
+    than the header's payload, and from then on read like any trace file.
+    So a stream needs that much free space in the temporary directory, its
+    first layer is read only once its whole payload has arrived, and one
+    that ends early fails here with the bytes it held.
 
-    - A regular file (a path, or a binary file object whose `fileno()` is
-      one) is mapped read-only and never copied: each layer is a view of
-      the mapping, and the pages of the layers before it are released
-      before it is touched. The layer is checked one head block at a time,
-      and each head's whole (3, N, d) block is given back
-      (`give_back_pages`) once checked. Every later pass that reads a head
-      block faults in what it reads and gives the block back when done,
-      so a command's peak is its held window scores (n·N·W·8 bytes) plus
-      one head's block and its temporaries, not a layer's payload. A layer
-      kept past the next one, or past `close()`, still reads the file's
-      values. The file must not be truncated or rewritten in place while
-      it is read: a layer cut off before it is reached raises
-      `TraceTruncationError`, but a change under a layer already yielded
-      is not seen.
-    - Bytes and other streams are read into one reused buffer. The buffer
-      of a stream that cannot seek (a pipe) grows with the bytes that
-      actually arrive, so a header that claims more than arrives
-      allocates nothing for the rest.
+    Layers are contiguous in the payload, so `layers()` yields each
+    layer's float32 (n, 3, N, d) block in turn, checked and read-only. The
+    file is mapped read-only and never copied: each layer is a view of the
+    mapping, and the pages of the layers before it are released before it
+    is touched. The layer is checked one head block at a time, and each
+    head's whole (3, N, d) block is given back (`give_back_pages`) once
+    checked. Every later pass that reads a head block faults in what it
+    reads and gives the block back when done, so a command's peak is its
+    held window scores (n·N·W·8 bytes) plus one head's block and its
+    temporaries, not a layer's payload. A layer kept past the next one, or
+    past `close()`, still reads the file's values. The file must not be
+    truncated or rewritten in place while it is read: a layer cut off
+    before it is reached raises `TraceTruncationError`, but a change under
+    a layer already yielded is not seen.
 
-    The layers can be read once. As a context manager the reader closes a
-    file it opened.
+    As a context manager the reader closes a file it opened.
     """
 
     def __init__(self, source):
         if isinstance(source, (bytes, bytearray)):
-            stream, self._owned = io.BytesIO(source), True
-        elif isinstance(source, (str, os.PathLike)):
+            source = io.BytesIO(source)
+        if isinstance(source, (str, os.PathLike)):
             stream, self._owned = open(source, "rb"), True
         else:
             stream, self._owned = source, False
         self._stream = stream
-        self._received = 0
         try:
             self.header = _read_header(stream)
-            left = _bytes_left(stream)
-            if left is not None and left < self.header.payload_bytes:
-                # fail before allocating room for a payload that is not there
+            if not _is_regular_file(stream):
+                spool = _spooled(stream, self.header)
+                self.close()
+                self._stream, self._owned = spool, True
+            left = os.fstat(self._stream.fileno()).st_size - self._stream.tell()
+            if left < self.header.payload_bytes:
                 raise TraceTruncationError(self.header.payload_bytes, left)
         except BaseException:
             self.close()
             raise
-        self.sized = left is not None
 
     def close(self) -> None:
         if self._owned:
@@ -540,53 +536,14 @@ class TraceReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def layer_shape(self) -> tuple[int, int, int, int]:
-        header = self.header
-        return (header.num_heads, 3, header.seq_len, header.head_dim)
-
-    def read_layer(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Read the next layer's float32 values, unchecked, into `out` (a
-        writable C-contiguous float32 array of `layer_shape`) or a new
-        array, which grows with the arriving bytes if the size is unknown."""
-        if out is None and not self.sized:
-            return self._grown(1).reshape(self.layer_shape)
-        if out is None:
-            out = np.empty(self.layer_shape, dtype="<f4")
-        got = _read_into(self._stream, out)
-        self._received += got
-        if got < out.nbytes:
-            raise TraceTruncationError(self.header.payload_bytes, self._received)
-        return out
-
-    def _grown(self, layers: int) -> np.ndarray:
-        """The next `layers` layers' float32 values, flat, in a buffer that
-        grows with the arriving bytes."""
-        want = layers * int(np.prod(self.layer_shape)) * 4
-        payload = bytearray()
-        chunk = memoryview(bytearray(min(_STREAM_CHUNK, want)))
-        while len(payload) < want:
-            got = _read_into(self._stream, chunk[: want - len(payload)])
-            if not got:
-                break
-            payload += chunk[:got]
-        self._received += len(payload)
-        if len(payload) < want:
-            raise TraceTruncationError(self.header.payload_bytes, self._received)
-        return np.frombuffer(payload, dtype="<f4")
-
     def layers(self) -> Iterator[np.ndarray]:
-        fileno = _regular_fileno(self._stream)
-        if fileno is not None:
-            return self._mapped_layers(fileno)
-        return self._copied_layers()
-
-    def _mapped_layers(self, fileno: int) -> Iterator[np.ndarray]:
         header = self.header
         start = self._stream.tell()
         layer_bytes = header.payload_bytes // header.num_layers
         # not closed by `close()`: the layers yielded are views of it
-        mapped = mmap.mmap(fileno, start + header.payload_bytes, access=mmap.ACCESS_READ)
+        mapped = mmap.mmap(
+            self._stream.fileno(), start + header.payload_bytes, access=mmap.ACCESS_READ
+        )
         released = 0
         for r in range(header.num_layers):
             first = start + r * layer_bytes
@@ -600,39 +557,52 @@ class TraceReader:
                 # touching a page past the end of the file would be a SIGBUS
                 raise TraceTruncationError(header.payload_bytes, max(size - start, 0))
             layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, first)
-            layer = layer.reshape(self.layer_shape)
+            layer = layer.reshape(header.shape[1:])
             for block in layer:
                 _check_finite(block)
                 # each pass that reads the block faults in what it reads
                 give_back_pages(block)
             yield layer
 
-    def _copied_layers(self) -> Iterator[np.ndarray]:
-        layer = self.read_layer()
-        view = _read_only(layer)
-        for r in range(self.header.num_layers):
-            if r:
-                self.read_layer(layer)
-            _check_finite(view)
-            yield view
+
+def _spooled(stream, header: TraceHeader):
+    """An unlinked temporary trace file holding `header` and the payload
+    that follows it in `stream`, positioned at the payload. At most the
+    payload's bytes are read, `_STREAM_CHUNK` at a time; a stream that ends
+    before them raises `TraceTruncationError` with the bytes received."""
+    spool = tempfile.TemporaryFile()
+    try:
+        spool.write(header.pack())
+        left = header.payload_bytes
+        chunk = memoryview(bytearray(min(_STREAM_CHUNK, left)))
+        while left:
+            got = _read_into(stream, chunk[: min(left, len(chunk))])
+            if not got:
+                raise TraceTruncationError(header.payload_bytes, header.payload_bytes - left)
+            spool.write(chunk[:got])
+            left -= got
+        spool.seek(HEADER_BYTES)  # flushes what is buffered, for the mapping
+    except BaseException:
+        spool.close()
+        raise
+    return spool
 
 
 def read_trace(source) -> AttentionTrace:
     """Read a whole trace from a path, binary stream, or bytes; the data stays float32.
 
-    `TraceReader`'s layers are read straight into one array. The array of a
-    stream that cannot seek grows with the bytes that actually arrive.
+    `TraceReader`'s checked layers are copied into one array a head block
+    at a time, each block's pages given back once copied, so the peak is
+    the payload, and a trace that outlives the read is not a mapping of a
+    file that `write_trace` may later rewrite in place.
     """
     with TraceReader(source) as reader:
-        header = reader.header
-        shape = (header.num_layers, *reader.layer_shape)
-        if reader.sized:
-            data = np.empty(shape, dtype="<f4")
-            for layer in data:
-                reader.read_layer(layer)
-        else:
-            data = reader._grown(header.num_layers).reshape(shape)
-    return AttentionTrace(header, data)
+        data = np.empty(reader.header.shape, dtype=np.float32)
+        blocks = itertools.chain.from_iterable(reader.layers())
+        for out, block in zip(_head_blocks(data), blocks):
+            out[...] = block
+            give_back_pages(block)
+    return AttentionTrace(reader.header, data)
 
 
 def _read_header(stream) -> TraceHeader:
@@ -653,23 +623,11 @@ def _read_header(stream) -> TraceHeader:
         raise TraceFormatError(str(exc)) from exc
 
 
-def _regular_fileno(stream) -> int | None:
-    """The stream's file descriptor if it is a regular file, else None."""
+def _is_regular_file(stream) -> bool:
     try:
-        fileno = stream.fileno()
+        return stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
     except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
-        return None
-    return fileno if stat.S_ISREG(os.fstat(fileno).st_mode) else None
-
-
-def _bytes_left(stream) -> int | None:
-    """Bytes from the stream's position to its end, or None if it cannot seek."""
-    if not stream.seekable():
-        return None
-    here = stream.tell()
-    end = stream.seek(0, io.SEEK_END)
-    stream.seek(here)
-    return end - here
+        return False
 
 
 def _read_into(stream, buffer) -> int:

@@ -260,7 +260,7 @@ def test_criterion_10_selective_beats_compressed():
         for cell in (("task-kv", 0.4), ("compressed-cache", 0.4)):
             (plan,) = result.plans[cell]
             rows = plan.retained_tokens()
-            assert rows == result.memory(cell, trace.header).tokens_retained
+            assert rows == result.memory(cell).tokens_retained
             tokens.append(rows)
         assert tokens[0] == tokens[1]  # budget-matched comparison
         sel = fidelity_eval(trace, result.plans[("task-kv", 0.4)], 32).mean_l2

@@ -808,12 +808,12 @@ class TestMemoryFootprint:
             for r in range(2)
         ]
         # the accounting a run reports, gathered layer by layer
-        result = RunResult(schedule=None)
+        result = RunResult(trace.header, schedule=None, window_len=8)
         for plan in plans:
             cells = {(policy.value, 0.5): plan}
             step = LayerStep(np.empty((8, 0)), np.empty(8), classes, cells, {})
             result.add(step, keep_plans=False)
-        assert result.memory((policy.value, 0.5), trace.header) == built_footprint(trace, plans)
+        assert result.memory((policy.value, 0.5)) == built_footprint(trace, plans)
         cache = built_entries(trace, plans)
         for r, plan in enumerate(plans):
             for h in range(8):

@@ -377,8 +377,14 @@ class TestAll:
 
     def test_format_flag_is_gone(self, trace_file, tmp_path, capsys):
         # every run writes report.json and report.csv; the flag chose nothing
-        with pytest.raises(SystemExit):
-            main(["all", "--trace", str(trace_file), "--format", "json", "--out", str(tmp_path)])
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "all", "--trace", str(trace_file), "--format", "json", "--out", str(out)
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError" and "--format" in payload["message"]
+        assert not out.exists()
 
     def test_identical_runs_are_byte_identical(self, trace_file, tmp_path, capsys):
         outs = []
@@ -672,6 +678,31 @@ class TestConfigSchema:
 
 
 class TestErrorReporting:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["all", "--kernel", "abc"], "--kernel"),
+            (["all", "--no-such-flag"], "--no-such-flag"),
+            (["gen", "--profile", "uniform-random", "--shape", "1,1,4,2"], "--out"),
+            (["compress", "--profile", "no-such-kind"], "--profile"),
+            ([], "command"),
+        ],
+        ids=["bad-int", "unknown-flag", "missing-out", "bad-choice", "no-command"],
+    )
+    def test_usage_errors_are_one_json_line(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError" and needle in payload["message"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["all", "-h"]])
+    def test_help_still_prints_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: semkv" in capsys.readouterr().out
+
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "compress", "--trace", str(tmp_path / "nope.tkv"),
@@ -939,7 +970,7 @@ def in_memory_outputs(command, argv, trace, plans_files=()):
     if command == "compress":
         memory = []
         for (policy, ratio), plans in sorted(result.plans.items()):
-            mem = result.memory((policy, ratio), trace.header)
+            mem = result.memory((policy, ratio))
             memory.append({
                 "policy": policy, "budget_ratio": ratio, "tokens_retained": mem.tokens_retained,
                 "bytes": mem.bytes, "ratio_vs_full": mem.ratio_vs_full,

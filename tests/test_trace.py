@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import mmap
@@ -20,6 +21,7 @@ from semkv.errors import (
 from semkv.harness import _head_pass, score_layer
 from semkv.separator import head_distances, semantic_vector_full, window_column_scores
 from semkv.trace import (
+    _STREAM_CHUNK,
     HEADER_BYTES,
     AttentionTrace,
     SyntheticProfile,
@@ -73,16 +75,17 @@ PAGE_SLACK_PER_HEAD = 2 << 20
 
 
 class TrickleStream(io.RawIOBase):
-    """Non-seekable stream that returns at most 7 bytes per read, like a pipe."""
+    """Non-seekable stream that returns at most `step` bytes per read, like a pipe."""
 
-    def __init__(self, data):
+    def __init__(self, data, step=7):
         self._source = io.BytesIO(data)
+        self._step = step
 
     def readable(self):
         return True
 
     def readinto(self, buffer):
-        return self._source.readinto(memoryview(buffer)[:7])
+        return self._source.readinto(memoryview(buffer)[: self._step])
 
 
 class TestFileFormat:
@@ -502,16 +505,19 @@ class TestLayerSources:
     MAPPED_SHAPE = (4, 4, 4096, 80)
     RSS_SLACK = 8 << 20
 
-    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, TrickleStream, "path", "file"])
+    @pytest.mark.parametrize(
+        "wrap",
+        # the pipe-like stream reads an odd number of bytes at a time, so its
+        # reads straddle the reader's chunks; 7 at a time would take seconds here
+        [bytes, io.BytesIO, functools.partial(TrickleStream, step=65521), "path", "file"],
+        ids=["bytes", "BytesIO", "TrickleStream", "path", "file"],
+    )
     def test_reader_yields_each_layer_in_one_reused_buffer(self, wrap, tmp_path):
-        # a regular file (a path or an open file) is mapped, and its layers
-        # are views of the mapping rather than of one buffer: for it, the
-        # resident set is checked to hold one layer at a time instead
-        mapped = wrap in ("path", "file")
-        shape = self.MAPPED_SHAPE if mapped else self.SHAPE
-        trace = gen_synthetic_trace(self.profile("clustered-heads"), shape)
+        # every source is read from a mapped file, its own or a temporary
+        # copy of a stream, so the resident set holds one layer at a time
+        trace = gen_synthetic_trace(self.profile("clustered-heads"), self.MAPPED_SHAPE)
         with contextlib.ExitStack() as stack:
-            if mapped:
+            if wrap in ("path", "file"):
                 source = tmp_path / "t.tkv"
                 write_trace(trace, source)
                 if wrap == "file":
@@ -527,10 +533,25 @@ class TestLayerSources:
                 assert layer.dtype == np.float32 and not layer.flags.writeable
                 assert np.array_equal(layer, trace.data[r])
                 layers.append(layer)
-        assert len(layers) == shape[0]
+        assert len(layers) == self.MAPPED_SHAPE[0]
         assert growth <= layers[0].nbytes + self.RSS_SLACK
-        if not mapped:
-            assert all(np.shares_memory(layers[0], layer) for layer in layers)
+
+    def test_stream_fed_head_passes_hold_one_head_block(self):
+        # a 25 MB layer: the stream is copied to a temporary file a chunk at
+        # a time, so reading it and passing over its heads never allocates
+        # more than one head's float64 block and the copy's chunk
+        shape = (2, 8, 4096, 64)
+        data = trace_bytes(SyntheticSource(self.profile("uniform-random"), shape))
+        head_block = 3 * 4096 * 64 * 8
+
+        def read_and_pass():
+            with TraceReader(io.BytesIO(data)) as reader:
+                for layer in reader.layers():
+                    for block in layer:
+                        _head_pass(block, 32, 64)
+
+        _, peak = traced_peak(read_and_pass)
+        assert peak <= head_block + _STREAM_CHUNK
 
     def test_file_cut_short_between_layers_fails_on_the_next(self, tmp_path):
         trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
@@ -572,14 +593,13 @@ class TestLayerSources:
             with pytest.raises(TraceFormatError, match="NaN/Inf"):
                 next(layers)
 
-    def test_truncated_last_layer_fails_when_it_arrives(self):
+    def test_stream_cut_short_fails_before_any_layer(self):
+        # a stream is copied whole before its first layer is read, so a cut
+        # in its last layer fails in the reader's construction
         trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
         payload = trace.header.payload_bytes
-        with TraceReader(TrickleStream(trace_bytes(trace)[:-5])) as reader:
-            layers = reader.layers()
-            next(layers), next(layers)
-            with pytest.raises(TraceTruncationError) as err:
-                next(layers)
+        with pytest.raises(TraceTruncationError) as err:
+            TraceReader(TrickleStream(trace_bytes(trace)[:-5]))
         assert (err.value.expected, err.value.actual) == (payload, payload - 5)
 
     def test_sized_source_is_checked_before_any_layer(self, tmp_path):
