@@ -4,12 +4,13 @@ A run is one loop over a trace's layers. `start_run` decides from the
 header alone, before any layer is read, the schedule f(r), which
 (policy, budget) cells are feasible and the decode-query count. Then
 `layer_step` runs on each layer in turn: the head pass, classification,
-a plan per cell and each plan's fidelity. A layer's payload and plans are
-dropped before the next layer is read, so the CLI's peak memory follows
-one layer. The library functions (`compress_run`, `run_all`) are the
-same loop over an in-memory `AttentionTrace`. Saved plans are scored by
-`score_plans`, one layer at a time, for `fidelity_eval` and `semkv eval`
-alike.
+a plan per cell and each plan's fidelity. A layer's plans are dropped
+before the next layer is read. The CLI reads every trace, drawn ones
+too, as a mapped file, so its peak is the held window scores plus one
+head's block and its temporaries. The library functions (`compress_run`,
+`run_all`) are the same loop over an in-memory `AttentionTrace`. Saved
+plans are scored by `score_plans`, one layer at a time, for
+`fidelity_eval` and `semkv eval` alike.
 
 Fidelity is measured the way a decoder with an evicted cache behaves: for the
 last `decode_queries` query rows, attention outputs over the retained K/V
@@ -114,7 +115,8 @@ class RunConfig:
 
 def open_source(config: RunConfig):
     """The config's trace as a layer source, for a `with` block: a
-    `TraceReader` over its file, or a `SyntheticSource`."""
+    `TraceReader` over its file, or a `SyntheticSource`, whose layers are
+    read the same way from a temporary file it draws the trace into."""
     if config.trace_path is not None:
         return TraceReader(config.trace_path)
     if config.profile is not None and config.shape is not None:
@@ -353,10 +355,10 @@ def run_steps(
 ) -> Iterator[LayerStep]:
     """`layer_step` on each of `layers` in turn, gathered into `result`.
 
-    Each step is yielded before the next layer is read or drawn, so a
-    caller can write that layer's plans out; without `keep_plans` nothing
-    else holds them. The `_held_scores` buffers, if the run scores the
-    window's own rows, are made before the first layer and reused for each.
+    Each step is yielded before the next layer is read, so a caller can
+    write that layer's plans out; without `keep_plans` nothing else holds
+    them. The `_held_scores` buffers, if the run scores the window's own
+    rows, are made before the first layer and reused for each.
     """
     held = _held_scores(result)
     for r, data in enumerate(layers):

@@ -23,7 +23,11 @@ Layers are contiguous in the payload, so a run never needs a whole trace:
 `TraceReader` (a file, bytes or a pipe), `SyntheticSource` (a seeded
 profile) and an in-memory `AttentionTrace` are all layer sources, with a
 `header` and a `layers()` iterator over checked, read-only (n, 3, N, d)
-layers. `TraceHeader.shape` spells the payload's layout.
+layers. A reader maps its file, or a temporary copy of a stream, and a
+synthetic source writes its trace to a temporary file and reads that, so
+every source but an `AttentionTrace` yields views of a mapped file.
+`write_trace` is the one writer. `TraceHeader.shape` spells the payload's
+layout.
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -32,6 +36,7 @@ produces the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
@@ -333,13 +338,17 @@ class SyntheticSource:
 
     The profile is checked against the shape on construction. Each Q, K or
     V block is drawn into a float64 scratch block and stored as float32, in
-    one Philox order whatever the destination, so `gen_synthetic_trace`,
-    `head_blocks()` (one reused (3, N, d) block, which `write_trace` writes
-    as soon as it is drawn) and `layers()` (one reused (n, 3, N, d) layer)
-    all give the same bytes. An array either method yields is overwritten
-    by the next draw. Each head block is checked for NaN/Inf (a profile
-    whose values overflow float32) as soon as it is drawn, so no source
-    yields, and no writer writes, a block that a reader would reject.
+    one Philox order whatever the destination, so `gen_synthetic_trace` and
+    `head_blocks()` give the same bytes. `head_blocks()` yields one reused
+    (3, N, d) block, which the next draw overwrites and `write_trace`
+    writes as soon as it is drawn. `layers()` draws nothing until its
+    first layer is asked for; then it writes the trace with `write_trace`
+    into an unlinked temporary file, which needs the payload's bytes of
+    space in the temporary directory, and yields that file's mapped layers
+    from `TraceReader`.
+    Each head block is checked for NaN/Inf (a profile whose values
+    overflow float32) as soon as it is drawn, so no source yields, and no
+    writer writes, a block that a reader would reject.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -392,13 +401,10 @@ class SyntheticSource:
         return self._drawn(itertools.repeat(block))
 
     def layers(self) -> Iterator[np.ndarray]:
-        layer = np.empty(self.header.shape[1:], dtype=np.float32)
-        view = layer.view()
-        view.flags.writeable = False
-        heads = itertools.chain.from_iterable(itertools.repeat(layer))
-        for i, _ in enumerate(self._drawn(heads), 1):
-            if i % self.header.num_heads == 0:
-                yield view
+        with tempfile.TemporaryFile() as spool:
+            write_trace(self, spool)
+            spool.seek(0)  # flushes what is buffered, for the mapping
+            yield from TraceReader(spool).layers()
 
 
 def gen_synthetic_trace(
@@ -416,41 +422,25 @@ def gen_synthetic_trace(
     return AttentionTrace(source.header, data)
 
 
-def _open_sink(destination):
-    if isinstance(destination, (str, os.PathLike)):
-        return open(destination, "wb"), True
-    return destination, False
-
-
-def written_blocks(header: TraceHeader, blocks, sink) -> Iterator[np.ndarray]:
-    """Pass `blocks` through, writing `header` and then each block's float32
-    bytes to the binary `sink` as it is yielded.
-
-    The blocks are head blocks or whole layers, either in payload order:
-    float32 data is written straight from its buffer and float64 data
-    narrowed one block at a time. A short write raises `IOError` once the
-    blocks are exhausted.
-    """
-    written = sink.write(header.pack())
-    for block in blocks:
-        written += sink.write(np.asarray(block, dtype="<f4").view(np.uint8))
-        yield block
-    if written != header.file_bytes:
-        raise IOError(f"short write: {written} of {header.file_bytes} bytes")
-
-
 def write_trace(trace, destination) -> int:
     """Write an `AttentionTrace` or a `SyntheticSource` to a path or binary
-    sink through `written_blocks`; returns the byte count. A synthetic
-    source's head blocks are written as soon as they are drawn."""
-    sink, owned = _open_sink(destination)
-    try:
-        for _ in written_blocks(trace.header, trace.head_blocks(), sink):
-            pass
-    finally:
-        if owned:
-            sink.close()
-    return trace.header.file_bytes
+    sink; returns the byte count.
+
+    The header is written, then each of `head_blocks()` in payload order:
+    float32 data straight from its buffer, float64 data narrowed one block
+    at a time, and a synthetic source's blocks as soon as they are drawn.
+    A short write raises `IOError`.
+    """
+    header = trace.header
+    with contextlib.ExitStack() as stack:
+        if isinstance(destination, (str, os.PathLike)):
+            destination = stack.enter_context(open(destination, "wb"))
+        written = destination.write(header.pack())
+        for block in trace.head_blocks():
+            written += destination.write(np.asarray(block, dtype="<f4").view(np.uint8))
+    if written != header.file_bytes:
+        raise IOError(f"short write: {written} of {header.file_bytes} bytes")
+    return written
 
 
 def give_back_pages(view: np.ndarray) -> None:

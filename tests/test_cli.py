@@ -2,9 +2,11 @@
 
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import os
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -29,7 +31,13 @@ from semkv.harness import (
     run_all,
 )
 from semkv.separator import HeadClass, heterogeneous_schedule
-from semkv.trace import HEADER_BYTES, SyntheticProfile, read_trace, write_trace
+from semkv.trace import (
+    HEADER_BYTES,
+    SyntheticProfile,
+    SyntheticSource,
+    read_trace,
+    write_trace,
+)
 
 # the mapped-page probe and its slack, as `TestPageGiveBack` uses them
 from test_trace import PAGE_SLACK_PER_HEAD, mapped_rss
@@ -1063,6 +1071,8 @@ class TestLayerStreaming:
             ("all", NEEDLE, NEEDLE_ARGS),
             ("compress", LAYERED, LAYERED_ARGS),
             ("compress", NEEDLE, NEEDLE_PLAN),
+            ("pca", LAYERED, LAYERED_CLASSIFY),
+            ("pca", NEEDLE, []),
         ],
     )
     def test_profile_source_outputs_equal_in_memory_path(
@@ -1074,6 +1084,24 @@ class TestLayerStreaming:
         assert code == 0, err
         trace = load_trace_for(_config_from(build_parser().parse_args([command, *source])))
         assert_outputs(out, in_memory_outputs(command, [*source, *args], trace))
+
+    @pytest.mark.parametrize(
+        "source, args", [(LAYERED, LAYERED_ARGS), (NEEDLE, NEEDLE_PLAN)], ids=["layered", "needle"]
+    )
+    def test_eval_of_a_config_profile_equals_in_memory_path(
+        self, tmp_path, capsys, source, args
+    ):
+        # `eval` has no profile flags: its drawn trace comes from --config
+        plans_dir = tmp_path / "plans"
+        assert run_cli(capsys, "compress", *source, *args, "--out", str(plans_dir))[0] == 0
+        plans = sorted(str(p) for p in plans_dir.glob("plans_*.json"))
+        flags = [f for path in plans for f in ("--plans", path)]
+        argv = ["--config", str(profile_config(tmp_path, source)), "--decode-queries", "7", *flags]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "eval", *argv, "--out", str(out))
+        assert code == 0, err
+        trace = load_trace_for(_config_from(build_parser().parse_args(["compress", *source])))
+        assert_outputs(out, in_memory_outputs("eval", argv, trace, plans))
 
     def test_non_seekable_stream_outputs_equal_in_memory_path(self, layered, tmp_path, capsys):
         fifo = tmp_path / "pipe.tkv"
@@ -1120,6 +1148,102 @@ def _traced_peak(argv):
         return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def profile_config(tmp_path, source):
+    """A config file that names the profile and shape of the flags `source`."""
+    cfg = _config_from(build_parser().parse_args(["compress", *source]))
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"profile": dataclasses.asdict(cfg.profile), "shape": cfg.shape}))
+    return path
+
+
+class TestDrawnTrace:
+    """A `--profile` run writes its trace to a temporary file, or `all` to
+    its staged trace.tkv, and maps it like any trace file: its peak is
+    never a layer's payload."""
+
+    SHAPE = (2, 16, 4096, 64)  # a 48 MiB layer; each head block is 3 MiB
+    R, N_HEADS, SEQ, DIM = SHAPE
+    WINDOW = 32
+    PROFILE = ["--profile", "clustered-heads", "--planted", "1", "--seed", "8", "--m-top", "1"]
+    PLAN = ["--policy", "task-kv,streaming,compressed-cache", "--budget", "0.5"]
+
+    @pytest.fixture
+    def warm(self, tmp_path, capsys):
+        # a small run first, so modules numpy imports on first use are not counted
+        assert main(["all", *self.PROFILE, "--shape", "2,4,64,8", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["compress", "pca", "all"])
+    def test_peak_is_one_head_block_not_a_layer(self, warm, tmp_path, capsys, command):
+        shape = ",".join(map(str, self.SHAPE))
+        plan = [] if command == "pca" else self.PLAN
+        code, peak = _traced_peak([
+            command, *self.PROFILE, "--shape", shape, *plan, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0, capsys.readouterr().err
+        # drawing holds a float32 head block, `gen`'s two N x d float64
+        # scratch blocks and small change; the head passes that follow hold
+        # one head's float64 K and V and the window softmax's temporaries
+        block, scratch = 3 * self.SEQ * self.DIM * 4, 2 * self.SEQ * self.DIM * 8
+        draw = block + scratch + 256 * 1024
+        head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
+        # `all` scores fidelity on the window's rows, so it holds the window
+        # scores, made after the trace is drawn
+        held = self.N_HEADS * self.SEQ * self.WINDOW * 8 if command == "all" else 0
+        assert peak <= held + max(draw, head)
+        # which is less than one layer's payload
+        assert held + max(draw, head) < self.N_HEADS * block
+
+    @pytest.mark.parametrize("command", ["compress", "pca", "eval"])
+    def test_unwritable_temporary_file_is_a_json_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        argv = [*LAYERED, *LAYERED_FOR.get(command, LAYERED_ARGS)]
+        if command == "eval":
+            assert run_cli(capsys, "compress", *argv, "--out", str(tmp_path / "plans"))[0] == 0
+            plans = tmp_path / "plans" / "plans_streaming_0.3.json"
+            argv = ["--config", str(profile_config(tmp_path, LAYERED)), "--plans", str(plans)]
+        monkeypatch.setattr(tempfile, "TemporaryFile", FullDisk)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "OSError", "message": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        }
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "command, flag, value, name",
+        [
+            ("compress", "--kernel", "4", "kernel"),
+            ("all", "--kernel", "4", "kernel"),
+            ("compress", "--top-t", "0", "top_t"),
+            ("pca", "--top-t", "0", "top_t"),
+            ("all", "--top-t", "0", "top_t"),
+        ],
+    )
+    def test_bad_kernel_and_top_t_fail_before_any_head_is_drawn(
+        self, tmp_path, capsys, monkeypatch, command, flag, value, name
+    ):
+        def drawn(source, blocks):
+            raise AssertionError("a head block was drawn")
+
+        monkeypatch.setattr(SyntheticSource, "_drawn", drawn)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, *LAYERED, flag, value, "--out", str(out))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["message"].startswith(name)
+        assert not out.exists()
 
 
 class TestLayerMemory:
