@@ -1,8 +1,11 @@
 """Command-line entry points.
 
-Subcommands: gen, compress, eval, contrib, pca, all. Shared flags can also
-come from a JSON config file (--config); explicit flags win over the file.
-Failures print one machine-readable JSON object on stderr and exit nonzero.
+Subcommands: gen, compress, eval, contrib, pca, all. `_FLAGS` is the one
+home of every flag's spelling but contrib's own: each command's parser,
+its -h and its "does not read" errors are built from it. Shared flags can
+also come from a JSON config file (--config); explicit flags win over the
+file. Failures print one machine-readable JSON object on stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
@@ -94,40 +97,66 @@ def _file_shape(value, what: str) -> tuple[int, int, int, int]:
     return shape  # type: ignore[return-value]
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    # a config flag's dest is the name of the `RunConfig` field it sets
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--trace", dest="trace_path", help="input .tkv trace file")
-    parser.add_argument(
-        "--policy", dest="policies", action="append", help="policy name (repeatable)"
-    )
-    parser.add_argument(
-        "--budget", dest="budget_ratios", action="append", help="budget ratio (repeatable)"
-    )
-    parser.add_argument("--beta", type=float, help="bottom-layer heterogeneous fraction")
-    parser.add_argument("--m-top", type=int, dest="top_m", help="top-layer heterogeneous count")
-    parser.add_argument("--top-t", type=int, help="top-t keys for semantic vectors")
-    parser.add_argument("--window", type=int, dest="window_len", help="observation window length")
-    parser.add_argument("--kernel", type=int, help="pooling kernel (odd)")
-    parser.add_argument("--sinks", type=int, help="sink tokens retained")
-    parser.add_argument("--recents", type=int, help="recent tokens retained")
-    parser.add_argument("--decode-queries", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output file or directory")
+_RUN = ("compress", "eval", "pca", "all")  # the commands that read a trace
+_DRAWN = ("gen", "compress", "pca", "all")  # the commands that can draw a trace
+
+# Every flag of every command but contrib, keyed by argparse dest: a config
+# flag's dest is the name of the `RunConfig` or `SyntheticProfile` field it
+# sets. Each entry is (flag, the commands that parse it, argparse keywords).
+# A command's -h lists its flags, and a "does not read" error names them,
+# in this order.
+_FLAGS = {
+    "config": ("--config", ("gen", *_RUN), dict(help="JSON config file; flags override it")),
+    "trace_path": ("--trace", _RUN, dict(help="input .tkv trace file")),
+    "policies": ("--policy", _RUN, dict(action="append", help="policy name (repeatable)")),
+    "budget_ratios": ("--budget", _RUN, dict(action="append", help="budget ratio (repeatable)")),
+    "beta": ("--beta", _RUN, dict(type=float, help="bottom-layer heterogeneous fraction")),
+    "top_m": ("--m-top", _RUN, dict(type=int, help="top-layer heterogeneous count")),
+    "top_t": ("--top-t", _RUN, dict(type=int, help="top-t keys for semantic vectors")),
+    "kernel": ("--kernel", _RUN, dict(type=int, help="pooling kernel (odd)")),
+    "sinks": ("--sinks", _RUN, dict(type=int, help="sink tokens retained")),
+    "recents": ("--recents", _RUN, dict(type=int, help="recent tokens retained")),
+    "decode_queries": ("--decode-queries", _RUN, dict(type=int)),
+    "seed": ("--seed", ("gen", *_RUN), dict(type=int)),
+    "window_len": ("--window", _RUN, dict(type=int, help="observation window length")),
+    "kind": (
+        "--profile", _DRAWN, dict(choices=SyntheticProfile._KINDS, help="synthetic trace recipe")
+    ),
+    "shape": ("--shape", _DRAWN, dict(help="R,n,N,d for synthetic traces")),
+    "planted": ("--planted", _DRAWN, dict(type=int, help="planted heads per layer")),
+    "spread": ("--spread", _DRAWN, dict(type=float, help="clustered-heads noise level")),
+    "needle_position": ("--needle-pos", _DRAWN, dict(type=int)),
+    "needle_strength": ("--needle-strength", _DRAWN, dict(type=float)),
+    "tail_len": ("--tail", _DRAWN, dict(type=int, help="aligned tail rows for planted-needle")),
+    "plans": (
+        "--plans", ("eval",), dict(action="append", required=True, help="plans JSON (repeatable)")
+    ),
+    "contrib_trials": ("--contrib-trials", ("all",), dict(type=int)),
+    "out": ("--out", ("gen", *_RUN), dict(help="output file or directory")),
+}
+
+# The flags that only shape a synthetic trace, by dest.
+_SYNTHETIC = {"shape", *(f.name for f in dataclasses.fields(SyntheticProfile))} - {"seed"}
+
+# The run flags each command never reads, by dest. Each one parses but is
+# hidden from the command's -h, and given on its command line it fails
+# instead of being ignored; a shared config file may still hold its key.
+_UNREAD = {
+    "compress": ("decode_queries",),
+    "eval": ("policies", "budget_ratios", "beta", "top_m", "top_t", "kernel", "sinks", "recents"),
+    "pca": ("policies", "budget_ratios", "kernel", "sinks", "recents", "decode_queries"),
+}
 
 
-def _add_profile_flags(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--profile", dest="kind", choices=SyntheticProfile._KINDS, help="synthetic trace recipe"
-    )
-    parser.add_argument("--shape", help="R,n,N,d for synthetic traces")
-    parser.add_argument("--planted", type=int, help="planted heads per layer")
-    parser.add_argument("--spread", type=float, help="clustered-heads noise level")
-    parser.add_argument("--needle-pos", type=int, dest="needle_position")
-    parser.add_argument("--needle-strength", type=float)
-    parser.add_argument(
-        "--tail", type=int, dest="tail_len", help="aligned tail rows for planted-needle"
-    )
+def _add_flags(parser: argparse.ArgumentParser, command: str, **overrides) -> None:
+    """`command`'s flags from `_FLAGS`, each with its table keywords and
+    then those `overrides` gives its dest; one it never reads has no help."""
+    for dest, (flag, commands, keywords) in _FLAGS.items():
+        if command in commands:
+            hidden = {"help": argparse.SUPPRESS} if dest in _UNREAD.get(command, ()) else {}
+            parser.add_argument(
+                flag, dest=dest, **{**keywords, **hidden, **overrides.get(dest, {})}
+            )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,18 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic .tkv trace")
-    _add_profile_flags(p_gen)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--out", required=True, help="destination .tkv path")
-    p_gen.add_argument("--config", help="JSON config file; flags override it")
-
-    p_compress = sub.add_parser("compress", help="plan budgets and report memory")
-    _add_common(p_compress)
-    _add_profile_flags(p_compress)
-
-    p_eval = sub.add_parser("eval", help="fidelity of saved plans against a trace")
-    _add_common(p_eval)
-    p_eval.add_argument("--plans", action="append", required=True, help="plans JSON (repeatable)")
+    _add_flags(p_gen, "gen", out=dict(required=True, help="destination .tkv path"))
+    _add_flags(sub.add_parser("compress", help="plan budgets and report memory"), "compress")
+    _add_flags(sub.add_parser("eval", help="fidelity of saved plans against a trace"), "eval")
 
     p_contrib = sub.add_parser("contrib", help="head-removal contribution bound suite")
     p_contrib.add_argument("--seed", type=int, default=42)
@@ -167,15 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_contrib.add_argument("--out-dim", type=int, default=32)
     p_contrib.add_argument("--out", help="output file or directory")
 
-    p_pca = sub.add_parser("pca", help="2-D semantic-vector coordinates per head")
-    _add_common(p_pca)
-    _add_profile_flags(p_pca)
-
-    p_all = sub.add_parser("all", help="full pipeline: plans, memory, fidelity, pca")
-    _add_common(p_all)
-    _add_profile_flags(p_all)
-    p_all.add_argument("--contrib-trials", type=int)
-
+    _add_flags(sub.add_parser("pca", help="2-D semantic-vector coordinates per head"), "pca")
+    _add_flags(sub.add_parser("all", help="full pipeline: plans, memory, fidelity, pca"), "all")
     return parser
 
 
@@ -235,63 +248,28 @@ def _merged(cls, args, file_values: dict, prefix: str = ""):
     return cls(**values)
 
 
-# The shared run flags each command never reads, by argparse dest. Each one
-# given on the command line fails instead of being ignored; a shared config
-# file may still hold their keys.
-_UNREAD = {
-    "compress": {"decode_queries": "--decode-queries"},
-    "eval": {
-        "policies": "--policy",
-        "budget_ratios": "--budget",
-        "beta": "--beta",
-        "top_m": "--m-top",
-        "top_t": "--top-t",
-        "kernel": "--kernel",
-        "sinks": "--sinks",
-        "recents": "--recents",
-    },
-    "pca": {
-        "policies": "--policy",
-        "budget_ratios": "--budget",
-        "kernel": "--kernel",
-        "sinks": "--sinks",
-        "recents": "--recents",
-        "decode_queries": "--decode-queries",
-    },
-}
-
-
-# The flags that only shape a synthetic trace, by argparse dest.
-_PROFILE_FLAGS = {
-    "kind": "--profile",
-    "shape": "--shape",
-    "planted": "--planted",
-    "spread": "--spread",
-    "needle_position": "--needle-pos",
-    "needle_strength": "--needle-strength",
-    "tail_len": "--tail",
-}
-
-
-def _given(args, flags: dict) -> str:
-    return ", ".join(flag for dest, flag in flags.items() if getattr(args, dest, None) is not None)
+def _given(args, dests) -> str:
+    """The flags of `dests` given on the command line, in `_FLAGS` order."""
+    return ", ".join(
+        flag for dest, (flag, _, _) in _FLAGS.items()
+        if dest in dests and getattr(args, dest, None) is not None
+    )
 
 
 def _check_unread_flags(args, cfg: RunConfig) -> None:
-    unread = dict(_UNREAD.get(args.command, {}))
+    unread = set(_UNREAD.get(args.command, ()))
     if cfg.trace_path is not None and args.command != "gen":
         if args.command in ("compress", "eval", "pca"):
-            unread["seed"] = "--seed"  # seeds only a synthetic trace
-        if args.command in ("compress", "pca", "all"):
-            unread.update(_PROFILE_FLAGS)
+            unread.add("seed")  # seeds only a synthetic trace
+        if args.command in _DRAWN:
+            unread |= _SYNTHETIC
     elif cfg.profile is not None:  # a drawn trace reads only its own profile kind's flags
         kinds, kind = SyntheticProfile._KINDS, cfg.profile.kind
-        dests = set().union(*kinds.values()) - set(kinds[kind])
-        other = _given(args, {d: flag for d, flag in _PROFILE_FLAGS.items() if d in dests})
+        other = _given(args, set().union(*kinds.values()) - set(kinds[kind]))
         if other:
             raise ParameterError(f"profile {kind} does not read {other}")
     if args.command == "eval" and cfg.decode_queries is not None:
-        unread["window_len"] = "--window"  # only sets the default decode rows
+        unread.add("window_len")  # only sets the default decode rows
     given = _given(args, unread)
     if given:
         raise ParameterError(f"{args.command} does not read {given}")
@@ -452,8 +430,8 @@ def _run_and_write_plans(cfg, result: RunResult, names, layers, outputs, files) 
     """`run_steps` of the started `result` over `layers`, each layer's plans
     appended to the cells' plans files (`names`) before the next layer is read."""
     plans_files = _PlansFiles(files, outputs, result.header, names)
-    for step in run_steps(cfg, result, layers):
-        plans_files.add(step.plans)
+    for plans in run_steps(cfg, result, layers):
+        plans_files.add(plans)
     plans_files.finish()
 
 

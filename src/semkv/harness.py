@@ -138,22 +138,8 @@ Cell = tuple[str, float]
 
 
 @dataclass
-class LayerStep:
-    """What one layer contributes to a run: its heads' (n, d) semantic
-    vectors, (n,) distances to the layer's semantic center and classes, a
-    plan per feasible cell and, when the run scores fidelity, each plan's
-    per-head (L2, cosine) arrays."""
-
-    vectors: np.ndarray
-    distances: np.ndarray
-    classes: list[HeadClass]
-    plans: dict[Cell, BudgetPlan]
-    scores: dict[Cell, tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
 class RunResult:
-    """A run's results, gathered one `LayerStep` at a time.
+    """A run's results, gathered one `layer_step` at a time.
 
     Everything a run decides before it reads a layer comes first: the
     trace's header, the schedule, the observation window's rows
@@ -180,17 +166,11 @@ class RunResult:
     head_tokens: dict[Cell, list[list[int]]] = field(default_factory=dict)
     scores: dict[Cell, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict)
 
-    def add(self, step: LayerStep, keep_plans: bool) -> None:
-        self.vectors.append(step.vectors)
-        self.distances.append(step.distances)
-        self.classes.append(step.classes)
-        for cell, plan in step.plans.items():
+    def add_head_tokens(self, plans: dict[Cell, BudgetPlan]) -> None:
+        """Each head's retained tokens in one layer's plan per cell."""
+        for cell, plan in plans.items():
             heads = range(len(plan.per_head_runs))
             self.head_tokens.setdefault(cell, []).append([plan.head_tokens(h) for h in heads])
-            if keep_plans:
-                self.plans.setdefault(cell, []).append(plan)
-        for cell, score in step.scores.items():
-            self.scores.setdefault(cell, []).append(score)
 
     def fidelity(self, cell: Cell) -> "FidelityReport":
         return FidelityReport.from_layers(self.decode_queries, self.scores[cell])
@@ -314,8 +294,9 @@ def layer_step(
     layer: int,
     data: np.ndarray,
     held: list[Held] | None = None,
-) -> LayerStep:
-    """One layer of the started run `result`, on its checked (n, 3, N, d) `data`.
+) -> dict[Cell, BudgetPlan]:
+    """One layer of the started run `result`, on its checked (n, 3, N, d)
+    `data`, recorded into `result`; returns the layer's plan per cell.
 
     One pass over the heads takes, from one causal softmax over each
     head's observation window, its window scores and top-t semantic
@@ -324,7 +305,9 @@ def layer_step(
     pooled scores alone and, when fidelity is scored (the run's
     `decode_queries`), `score_layer` scores each plan. With `held`
     (`_held_scores`), the head pass keeps each head's window scores there
-    and `score_layer` reads them.
+    and `score_layer` reads them. `result` gets the layer's semantic
+    vectors, distances to its semantic center, head classes, each plan's
+    per-head tokens and, when scored, its per-head (L2, cosine) arrays.
     """
     window_len, cells = result.window_len, result.cells
     pooled, vectors = [], np.empty((data.shape[0], data.shape[3]))
@@ -343,28 +326,34 @@ def layer_step(
         )
         for cell in cells
     }
-    scores = {}
+    result.vectors.append(vectors)
+    result.distances.append(distances)
+    result.classes.append(classes)
+    result.add_head_tokens(plans)
     if result.decode_queries is not None:
         scored = score_layer(data, layer, list(plans.values()), result.decode_queries, held=held)
-        scores = dict(zip(plans, scored))
-    return LayerStep(vectors, distances, classes, plans, scores)
+        for cell, score in zip(plans, scored):
+            result.scores.setdefault(cell, []).append(score)
+    return plans
 
 
 def run_steps(
     config: RunConfig, result: RunResult, layers, keep_plans: bool = False
-) -> Iterator[LayerStep]:
-    """`layer_step` on each of `layers` in turn, gathered into `result`.
+) -> Iterator[dict[Cell, BudgetPlan]]:
+    """`layer_step` on each of `layers` in turn, recorded into `result`.
 
-    Each step is yielded before the next layer is read, so a caller can
-    write that layer's plans out; without `keep_plans` nothing else holds
-    them. The `_held_scores` buffers, if the run scores the window's own
-    rows, are made before the first layer and reused for each.
+    Each layer's plans are yielded before the next layer is read, so a
+    caller can write them out; only with `keep_plans` does `result.plans`
+    hold them too. The `_held_scores` buffers, if the run scores the
+    window's own rows, are made before the first layer and reused for each.
     """
     held = _held_scores(result)
     for r, data in enumerate(layers):
-        step = layer_step(config, result, r, data, held)
-        result.add(step, keep_plans)
-        yield step
+        plans = layer_step(config, result, r, data, held)
+        if keep_plans:
+            for cell, plan in plans.items():
+                result.plans.setdefault(cell, []).append(plan)
+        yield plans
 
 
 def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:

@@ -27,9 +27,24 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return m
 
 
-def _require_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN/Inf entries")
+# Values are checked this many at a time: a chunk's max is taken while its
+# min has left it in cache, so the data crosses memory once.
+_FINITE_CHUNK = 1 << 17
+
+
+def _require_finite(a: np.ndarray, name: str, error: type[Exception] = ValueError) -> None:
+    """Raise `error` unless every value of `a` is finite.
+
+    NaN propagates through min/max and an infinity is one of them, so no
+    mask as large as `a` is made: `a` is read in memory order, one chunk
+    at a time, and only a chunk of a strided or unaligned `a` is copied.
+    """
+    chunks = np.nditer(
+        a, flags=["external_loop", "buffered", "zerosize_ok"], buffersize=_FINITE_CHUNK
+    )
+    for chunk in chunks:
+        if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+            raise error(f"{name} contains NaN/Inf entries")
 
 
 @dataclass(frozen=True)

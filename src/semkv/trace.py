@@ -56,7 +56,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs
+from .linalg import AttentionInputs, _require_finite
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -142,7 +142,7 @@ class AttentionTrace:
         data = np.ascontiguousarray(data, dtype=dtype).view()
         if data.shape != header.shape:
             raise TraceFormatError(f"trace data shape {data.shape} != {header.shape}")
-        _check_finite(data)
+        _require_finite(data, "trace", TraceFormatError)
         data.flags.writeable = False
         self.header = header
         self.data = data
@@ -178,21 +178,6 @@ class AttentionTrace:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
         return self.header == other.header and np.array_equal(self.data, other.data)
-
-
-# Values are checked this many at a time: a chunk's max is taken while its
-# min has left it in cache, so the data crosses memory once.
-_FINITE_CHUNK = 1 << 17
-
-
-def _check_finite(data: np.ndarray) -> None:
-    # NaN propagates through min/max and an infinity is one of them, so
-    # this needs no mask as large as the data
-    flat = data.reshape(-1)
-    for a in range(0, flat.size, _FINITE_CHUNK):
-        chunk = flat[a : a + _FINITE_CHUNK]
-        if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
-            raise TraceFormatError("trace contains NaN/Inf entries")
 
 
 def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs:
@@ -393,7 +378,7 @@ class SyntheticSource:
                         _draw(rng, scratch[0], tensor)
                     if profile.kind == "planted-needle":
                         _plant_needle(rng, out, profile)
-                _check_finite(out)
+                _require_finite(out, "trace", TraceFormatError)
                 yield out
 
     def head_blocks(self) -> Iterator[np.ndarray]:
@@ -549,7 +534,7 @@ class TraceReader:
             layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, first)
             layer = layer.reshape(header.shape[1:])
             for block in layer:
-                _check_finite(block)
+                _require_finite(block, "trace", TraceFormatError)
                 # each pass that reads the block faults in what it reads
                 give_back_pages(block)
             yield layer

@@ -33,7 +33,7 @@ from semkv.errors import (
     PlanFormatError,
     SemkvError,
 )
-from semkv.harness import LayerStep, RunResult
+from semkv.harness import RunResult
 from semkv.separator import HeadClass, window_column_scores
 from semkv.trace import (
     AttentionTrace,
@@ -810,9 +810,7 @@ class TestMemoryFootprint:
         # the accounting a run reports, gathered layer by layer
         result = RunResult(trace.header, schedule=None, window_len=8)
         for plan in plans:
-            cells = {(policy.value, 0.5): plan}
-            step = LayerStep(np.empty((8, 0)), np.empty(8), classes, cells, {})
-            result.add(step, keep_plans=False)
+            result.add_head_tokens({(policy.value, 0.5): plan})
         assert result.memory((policy.value, 0.5)) == built_footprint(trace, plans)
         cache = built_entries(trace, plans)
         for r, plan in enumerate(plans):

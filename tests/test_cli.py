@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -16,8 +17,9 @@ import pytest
 
 from semkv import harness
 from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, expand_runs, footprint
-from semkv.cli import _config_from, build_parser, main
+from semkv.cli import _FLAGS, _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
+from semkv.errors import ParameterError
 from semkv.harness import (
     FidelityReport,
     RunConfig,
@@ -633,12 +635,16 @@ PROFILE_FIELD_VALUES = {
 }
 
 
-def _flag_for(dest: str) -> str | None:
-    """The `all` command's flag that sets config field `dest`, if any."""
+def _subparser(command: str) -> argparse.ArgumentParser:
     commands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    actions = commands.choices["all"]._actions
+    return commands.choices[command]
+
+
+def _flag_for(dest: str) -> str | None:
+    """The `all` command's flag that sets config field `dest`, if any."""
+    actions = _subparser("all")._actions
     return next((a.option_strings[0] for a in actions if a.dest == dest), None)
 
 
@@ -683,6 +689,77 @@ class TestConfigSchema:
         run_fields = {f.name for f in dataclasses.fields(RunConfig)}
         expected = dataclasses.replace(cfg, **{name: value} if name in run_fields else {})
         assert self.through_flag(name, value, "--profile", base.kind) == expected
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestFlagTable:
+    """The CLI's flag table against README's flag/config-key table and each
+    command's -h."""
+
+    def readme_flag_keys(self) -> dict:
+        """Each flag in README §CLI's flag/config-key table, by its key cell."""
+        section = README.read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+        keys = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0].startswith("`--"):
+                for flag, key in (cells[:2], cells[2:]):
+                    keys[re.match(r"`(--[a-z-]+)`", flag)[1]] = key
+        return keys
+
+    def test_readme_flag_table_lists_the_cli_tables_config_flags(self):
+        # a flag's key: its dest under each config object that has the field
+        objects = [("", RunConfig), ("profile.", SyntheticProfile)]
+        expected = {}
+        for dest, (flag, _, _) in _FLAGS.items():
+            keys = [
+                f"`{prefix}{dest}`" for prefix, cls in objects
+                if dest in {f.name for f in dataclasses.fields(cls)}
+            ]
+            if keys:
+                expected[flag] = " and ".join(keys)
+        assert expected["--seed"] == "`seed` and `profile.seed`"
+        assert self.readme_flag_keys() == expected
+
+    # the flags each command never reads, as README §CLI names them
+    NEVER_READ = {
+        "compress": {"--decode-queries"},
+        "eval": {
+            "--policy", "--budget", "--beta", "--m-top", "--top-t", "--kernel", "--sinks",
+            "--recents",
+        },
+        "pca": {"--policy", "--budget", "--kernel", "--sinks", "--recents", "--decode-queries"},
+        "all": set(),
+    }
+
+    VALUES = {
+        "--policy": "full", "--budget": "0.5", "--beta": "0.5", "--m-top": "1",
+        "--top-t": "8", "--kernel": "3", "--sinks": "2", "--recents": "3",
+        "--decode-queries": "4",
+    }
+
+    @pytest.mark.parametrize("command", list(NEVER_READ))
+    def test_help_lists_only_the_flags_a_command_reads(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        parsed = {f for a in _subparser(command)._actions for f in a.option_strings}
+        assert listed == parsed - {"-h"} - self.NEVER_READ[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in NEVER_READ.items() for flag in sorted(flags)],
+    )
+    def test_a_flag_left_out_of_help_still_parses_and_fails_by_name(self, command, flag):
+        argv = [command, "--profile", "uniform-random", "--shape", "1,4,64,8", flag]
+        if command == "eval":
+            argv = ["eval", "--trace", "t.tkv", "--plans", "p.json", flag]
+        args = build_parser().parse_args([*argv, self.VALUES[flag]])
+        with pytest.raises(ParameterError, match=f"^{command} does not read {flag}$"):
+            _config_from(args)
 
 
 class TestErrorReporting:

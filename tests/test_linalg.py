@@ -170,6 +170,31 @@ class TestAttentionWeights:
         inputs = AttentionInputs(np.zeros((3, 2)), keys, np.zeros((3, 2)), checked=True)
         assert np.isnan(inputs.keys[1, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+    def test_finiteness_pass_finds_a_value_in_any_chunk(self, bad, layout):
+        # past the first chunk of values, and in a view that is not C-contiguous
+        states = np.zeros((3, 4096, 64))
+        view = {
+            "c": lambda a: a,
+            "transposed": lambda a: a.T.copy().T,
+            "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        }[layout]
+        keys = view(states[1])
+        keys[4000, 63] = bad
+        with pytest.raises(ValueError, match="keys contains NaN/Inf entries"):
+            AttentionInputs(view(states[0]), keys, view(states[2]))
+
+    def test_finiteness_pass_makes_no_mask_as_large_as_its_input(self):
+        q, k, v = np.random.default_rng(4).standard_normal((3, 4096, 64))
+        tracemalloc.start()
+        try:
+            AttentionInputs(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q.nbytes / 64
+
     def test_mismatched_qkv_shapes(self):
         with pytest.raises(DimensionError):
             AttentionInputs(
