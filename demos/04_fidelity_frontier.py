@@ -6,7 +6,7 @@ ratio-1.0 corner; the head-aware policy should sit below the uniform
 baselines wherever planted structure exists.
 """
 
-from semkv import PolicyKind, RunConfig, SyntheticProfile, load_trace_for, run_all
+from semkv import PolicyKind, RunConfig, SyntheticProfile, open_source, run_all
 
 config = RunConfig(
     profile=SyntheticProfile("clustered-heads", seed=31, planted=2),
@@ -30,8 +30,8 @@ config = RunConfig(
     decode_queries=32,
 )
 
-trace = load_trace_for(config)
-report = run_all(config, trace)
+with open_source(config) as trace:
+    report = run_all(config, trace)
 
 print(f"trace {config.shape}, schedule f(r) = {report['schedule']['per_layer_counts']}\n")
 print(f"{'policy':18s} {'budget':>6s} {'mem ratio':>9s} {'mean L2':>9s} {'mean cos':>9s}")

@@ -49,7 +49,7 @@ from .harness import (
     export_pca_csv,
     export_report,
     fidelity_eval,
-    load_trace_for,
+    open_source,
     run_all,
 )
 from .linalg import (

@@ -8,7 +8,8 @@ a plan per cell and each plan's fidelity. A layer's plans are dropped
 before the next layer is read. The CLI reads every trace, drawn ones
 too, as a mapped file, so its peak is the held window scores plus one
 head's block and its temporaries. The library functions (`compress_run`,
-`run_all`) are the same loop over an in-memory `AttentionTrace`. Saved
+`run_all`, `fidelity_eval`) take any layer source: an `AttentionTrace` in
+memory, or the source `open_source` gives for a config. Saved
 plans are scored by `score_plans`, one layer at a time, for
 `fidelity_eval` and `semkv eval` alike.
 
@@ -22,9 +23,9 @@ A head's keys meet queries in one kernel, `linalg.causal_scores`. When
 fidelity is scored on the window's own rows, the default decode rows, the
 head pass's call is the head's only one: the run holds each head's window
 scores for `score_layer` (see `_held_scores`). Any other decode count has
-`score_layer` form the decode rows' scores again (see `_HeadNumerators`). A
-mapped trace gives back each head's block pages after each pass that reads
-them.
+`score_layer` form the decode rows' scores again (see `_HeadNumerators`).
+Both passes walk a layer's heads through `trace.each_head`, which owns each
+head block's residency.
 """
 
 from __future__ import annotations
@@ -68,15 +69,12 @@ from .separator import (
     window_column_scores,
 )
 from .trace import (
-    AttentionTrace,
     SyntheticProfile,
     SyntheticSource,
     TraceHeader,
     TraceReader,
     check_seed,
-    gen_synthetic_trace,
-    give_back_pages,
-    read_trace,
+    each_head,
 )
 
 DEFAULT_POLICIES = (PolicyKind.TASK_KV, PolicyKind.STREAMING)
@@ -122,15 +120,6 @@ def open_source(config: RunConfig):
     if config.profile is not None and config.shape is not None:
         return contextlib.nullcontext(SyntheticSource(config.profile, config.shape))
     raise ParameterError("config needs either trace_path or profile+shape")
-
-
-def load_trace_for(config: RunConfig) -> AttentionTrace:
-    """The config's whole trace in memory: `read_trace` of its file, or
-    `gen_synthetic_trace` of its profile and shape."""
-    if config.trace_path is not None:
-        return read_trace(config.trace_path)
-    with open_source(config) as source:  # a SyntheticSource, or the config's error
-        return gen_synthetic_trace(source.profile, config.shape)
 
 
 # a (policy, budget ratio) cell of a run
@@ -275,17 +264,12 @@ def _head_pass(
     `window_column_scores`, widens K one key block at a time, and
     `approx_semantic_vector` only the top-t V rows. `held`, the head's
     slot of `_held_scores`, keeps its causal window scores and their row
-    max. The whole block's pages are then given back (`give_back_pages`),
-    to come back from the page cache when fidelity scoring reads V, and K
-    if it forms its own decode scores; the pass holds the held window
-    scores plus one head's block and its temporaries.
+    max.
     """
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
     scores = window_column_scores(inputs, window_len, held)
-    vector = approx_semantic_vector(scores, inputs.values, top_t)
-    give_back_pages(block)
-    return scores, vector
+    return scores, approx_semantic_vector(scores, inputs.values, top_t)
 
 
 def layer_step(
@@ -312,7 +296,7 @@ def layer_step(
     window_len, cells = result.window_len, result.cells
     pooled, vectors = [], np.empty((data.shape[0], data.shape[3]))
     try:
-        for h, block in enumerate(data):
+        for h, block in enumerate(each_head(data)):
             slot = held[h] if held else None
             score, vectors[h] = _head_pass(block, window_len, config.top_t, slot)
             if cells:
@@ -356,8 +340,9 @@ def run_steps(
         yield plans
 
 
-def compress_run(config: RunConfig, trace: AttentionTrace) -> RunResult:
-    """Window scores -> semantic vectors -> classification -> plans, layer by layer.
+def compress_run(config: RunConfig, trace) -> RunResult:
+    """Window scores -> semantic vectors -> classification -> plans, layer by
+    layer, over `trace`, any layer source.
 
     A cell whose budget cannot hold its heterogeneous heads is recorded in
     `infeasible` and the other cells are planned; when no cell is feasible
@@ -572,18 +557,16 @@ def score_layer(
     A row whose retained numerators underflow under that shared shift is
     rescored with the cell's own retained max. A decode row that sees no
     retained key attends to nothing: its retained output is zero, so it
-    scores L2 = ||o|| and cosine 0. Each head's block pages are given
-    back (`give_back_pages`) once its outputs are formed, and its
-    numerators, and scores it formed, are dropped before the next head's
-    are formed, so scoring holds the held window scores plus one head's
-    block and its temporaries.
+    scores L2 = ||o|| and cosine 0. A head's numerators, and scores it
+    formed, are dropped before the next head's are formed, so scoring
+    holds the held window scores plus one head's block and its
+    temporaries.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
-    for h, block in enumerate(data):
+    for h, block in enumerate(each_head(data)):
         cells = [check_head_plan(plan, layer, h, seq_len) for plan in plans]
         head = _HeadNumerators(block, decode_queries, cells, held[h] if held else None)
-        give_back_pages(block)
         full, retained = head.full, head.retained
         del head  # its scores and numerators go before the next head's are formed
         for (l2, cos), out in zip(scores, retained):
@@ -608,12 +591,10 @@ def score_plans(
     return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
 
 
-def fidelity_eval(
-    trace: AttentionTrace, plans: list[BudgetPlan], decode_queries: int
-) -> FidelityReport:
+def fidelity_eval(trace, plans: list[BudgetPlan], decode_queries: int) -> FidelityReport:
     """Decode-attention reconstruction error of the plans' cache vs the full
-    one: `score_plans` of the one plan set."""
-    return score_plans(trace.layers(), [check_plans(trace, plans)], decode_queries)[0]
+    one over `trace`, any layer source: `score_plans` of the one plan set."""
+    return score_plans(trace.layers(), [check_plans(trace.header, plans)], decode_queries)[0]
 
 
 CSV_HEADER = [
@@ -730,9 +711,9 @@ def export_pca_csv(report: dict, destination) -> int:
     return _write_csv(destination, PCA_HEADER, rows)
 
 
-def run_all(config: RunConfig, trace: AttentionTrace, return_result: bool = False):
-    """The full pipeline over an in-memory trace, including the optional
-    bound suite: `run_steps` with fidelity scored, then the report."""
+def run_all(config: RunConfig, trace, return_result: bool = False):
+    """The full pipeline over `trace`, any layer source, including the
+    optional bound suite: `run_steps` with fidelity scored, then the report."""
     result = start_run(config, trace.header)
     for _ in run_steps(config, result, trace.layers(), keep_plans=return_result):
         pass

@@ -150,8 +150,6 @@ def classify_heads(distances: np.ndarray, f_r: int) -> list[HeadClass]:
     if not 1 <= f_r <= n:
         raise ParameterError(f"f_r {f_r} outside [1, {n}]")
     classes = [HeadClass.NON_HETEROGENEOUS] * n
-    if f_r == n:
-        return [HeadClass.HETEROGENEOUS] * n
     by_far = np.argsort(-distances, kind="stable")
     chosen = set(by_far[: f_r - 1].tolist())
     for idx in np.argsort(distances, kind="stable"):

@@ -27,7 +27,11 @@ layers. A reader maps its file, or a temporary copy of a stream, and a
 synthetic source writes its trace to a temporary file and reads that, so
 every source but an `AttentionTrace` yields views of a mapped file.
 `write_trace` is the one writer. `TraceHeader.shape` spells the payload's
-layout.
+layout. Each value is checked for NaN/Inf once, by the code that first
+receives it: `TraceReader.layers()` file and stream bytes,
+`SyntheticSource.head_blocks()` drawn values, `AttentionTrace` arrays in
+memory. Every pass over a layer's heads walks it through `each_head`, the
+one code that gives a mapped head block's pages back.
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -326,14 +330,12 @@ class SyntheticSource:
     one Philox order whatever the destination, so `gen_synthetic_trace` and
     `head_blocks()` give the same bytes. `head_blocks()` yields one reused
     (3, N, d) block, which the next draw overwrites and `write_trace`
-    writes as soon as it is drawn. `layers()` draws nothing until its
-    first layer is asked for; then it writes the trace with `write_trace`
-    into an unlinked temporary file, which needs the payload's bytes of
-    space in the temporary directory, and yields that file's mapped layers
-    from `TraceReader`.
-    Each head block is checked for NaN/Inf (a profile whose values
-    overflow float32) as soon as it is drawn, so no source yields, and no
-    writer writes, a block that a reader would reject.
+    writes as soon as it is drawn, checked for NaN/Inf (a profile whose
+    values overflow float32) so that no writer writes a block a reader
+    would reject. `layers()` draws nothing until its first layer is asked
+    for; then it writes the trace with `write_trace` into an unlinked
+    temporary file, which needs the payload's bytes of space in the
+    temporary directory, and yields that file's mapped layers unchecked.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -359,7 +361,7 @@ class SyntheticSource:
 
     def _drawn(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
         """Draw every head, layer by layer, into the next of `blocks`
-        (writable float32 (3, N, d) arrays) and yield it."""
+        (writable float32 (3, N, d) arrays) and yield it, unchecked."""
         header, profile = self.header, self.profile
         rng = seeded_rng(profile.seed, _STREAM_DATA)
         scratch = np.empty((2, header.seq_len, header.head_dim))
@@ -378,18 +380,19 @@ class SyntheticSource:
                         _draw(rng, scratch[0], tensor)
                     if profile.kind == "planted-needle":
                         _plant_needle(rng, out, profile)
-                _require_finite(out, "trace", TraceFormatError)
                 yield out
 
     def head_blocks(self) -> Iterator[np.ndarray]:
         block = np.empty(self.header.shape[2:], dtype=np.float32)
-        return self._drawn(itertools.repeat(block))
+        for out in self._drawn(itertools.repeat(block)):
+            _require_finite(out, "trace", TraceFormatError)
+            yield out
 
     def layers(self) -> Iterator[np.ndarray]:
         with tempfile.TemporaryFile() as spool:
             write_trace(self, spool)
             spool.seek(0)  # flushes what is buffered, for the mapping
-            yield from TraceReader(spool).layers()
+            yield from TraceReader(spool)._mapped_layers()
 
 
 def gen_synthetic_trace(
@@ -398,7 +401,8 @@ def gen_synthetic_trace(
     """Build a seeded synthetic trace of shape (R, n, N, d), held in float32.
 
     `SyntheticSource` draws each head straight into the trace, so the peak
-    is the float32 trace plus two N x d float64 blocks.
+    is the float32 trace plus two N x d float64 blocks. `AttentionTrace`
+    checks the drawn values.
     """
     source = SyntheticSource(profile, shape)
     data = np.empty(source.header.shape, dtype=np.float32)
@@ -426,6 +430,18 @@ def write_trace(trace, destination) -> int:
     if written != header.file_bytes:
         raise IOError(f"short write: {written} of {header.file_bytes} bytes")
     return written
+
+
+def each_head(layer: np.ndarray) -> Iterator[np.ndarray]:
+    """Each head's (3, N, d) block of a layer's (n, 3, N, d) data in turn,
+    its pages given back (`give_back_pages`) once the caller asks for the
+    next block or stops, by a `break` or an error: a pass over a mapped
+    layer holds one head's pages at a time."""
+    for block in layer:
+        try:
+            yield block
+        finally:
+            give_back_pages(block)
 
 
 def give_back_pages(view: np.ndarray) -> None:
@@ -466,16 +482,15 @@ class TraceReader:
     layer's float32 (n, 3, N, d) block in turn, checked and read-only. The
     file is mapped read-only and never copied: each layer is a view of the
     mapping, and the pages of the layers before it are released before it
-    is touched. The layer is checked one head block at a time, and each
-    head's whole (3, N, d) block is given back (`give_back_pages`) once
-    checked. Every later pass that reads a head block faults in what it
-    reads and gives the block back when done, so a command's peak is its
-    held window scores (n·N·W·8 bytes) plus one head's block and its
-    temporaries, not a layer's payload. A layer kept past the next one, or
-    past `close()`, still reads the file's values. The file must not be
-    truncated or rewritten in place while it is read: a layer cut off
-    before it is reached raises `TraceTruncationError`, but a change under
-    a layer already yielded is not seen.
+    is touched. The layer is checked one head block at a time through
+    `each_head`, which gives each block back once checked. Every later
+    pass that reads a head block walks the layer through `each_head` too,
+    so a command's peak is its held window scores (n·N·W·8 bytes) plus one
+    head's block and its temporaries, not a layer's payload. A layer kept
+    past the next one, or past `close()`, still reads the file's values.
+    The file must not be truncated or rewritten in place while it is read:
+    a layer cut off before it is reached raises `TraceTruncationError`,
+    but a change under a layer already yielded is not seen.
 
     As a context manager the reader closes a file it opened.
     """
@@ -512,6 +527,14 @@ class TraceReader:
         self.close()
 
     def layers(self) -> Iterator[np.ndarray]:
+        for layer in self._mapped_layers():
+            for block in each_head(layer):
+                _require_finite(block, "trace", TraceFormatError)
+            yield layer
+
+    def _mapped_layers(self) -> Iterator[np.ndarray]:
+        """`layers()` unchecked, for a source that checks the values
+        itself or has checked them already."""
         header = self.header
         start = self._stream.tell()
         layer_bytes = header.payload_bytes // header.num_layers
@@ -532,12 +555,7 @@ class TraceReader:
                 # touching a page past the end of the file would be a SIGBUS
                 raise TraceTruncationError(header.payload_bytes, max(size - start, 0))
             layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, first)
-            layer = layer.reshape(header.shape[1:])
-            for block in layer:
-                _require_finite(block, "trace", TraceFormatError)
-                # each pass that reads the block faults in what it reads
-                give_back_pages(block)
-            yield layer
+            yield layer.reshape(header.shape[1:])
 
 
 def _spooled(stream, header: TraceHeader):
@@ -566,17 +584,16 @@ def _spooled(stream, header: TraceHeader):
 def read_trace(source) -> AttentionTrace:
     """Read a whole trace from a path, binary stream, or bytes; the data stays float32.
 
-    `TraceReader`'s checked layers are copied into one array a head block
-    at a time, each block's pages given back once copied, so the peak is
-    the payload, and a trace that outlives the read is not a mapping of a
-    file that `write_trace` may later rewrite in place.
+    `TraceReader`'s mapped layers are copied into one array a head block
+    at a time through `each_head`, so the peak is the payload, and a trace
+    that outlives the read is not a mapping of a file that `write_trace`
+    may later rewrite in place. `AttentionTrace` checks the copy.
     """
     with TraceReader(source) as reader:
         data = np.empty(reader.header.shape, dtype=np.float32)
-        blocks = itertools.chain.from_iterable(reader.layers())
-        for out, block in zip(_head_blocks(data), blocks):
-            out[...] = block
-            give_back_pages(block)
+        for out, layer in zip(data, reader._mapped_layers()):
+            for h, block in enumerate(each_head(layer)):
+                out[h] = block
     return AttentionTrace(reader.header, data)
 
 

@@ -18,7 +18,7 @@ from semkv.allocator import (
 )
 from semkv.cli import main as cli_main
 from semkv.errors import InfeasibleBudgetError
-from semkv.harness import RunConfig, compress_run, fidelity_eval, load_trace_for
+from semkv.harness import RunConfig, compress_run, fidelity_eval
 from semkv.linalg import AttentionInputs
 from semkv.separator import (
     HeadClass,
@@ -183,7 +183,7 @@ def _clustered_run(seed, planted, budget_ratios, n=16, seq=512, dim=16):
         recents=16,
         decode_queries=32,
     )
-    trace = load_trace_for(config)
+    trace = gen_synthetic_trace(config.profile, config.shape)
     return config, trace, compress_run(config, trace)
 
 
@@ -254,7 +254,7 @@ def test_criterion_10_selective_beats_compressed():
             recents=16,
             decode_queries=32,
         )
-        trace = load_trace_for(config)
+        trace = gen_synthetic_trace(config.profile, config.shape)
         result = compress_run(config, trace)
         tokens = []
         for cell in (("task-kv", 0.4), ("compressed-cache", 0.4)):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from semkv import harness
+from semkv import trace as trace_module
 from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, expand_runs, footprint
 from semkv.cli import _FLAGS, _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
@@ -29,7 +30,6 @@ from semkv.harness import (
     export_pca_csv,
     export_report,
     fidelity_eval,
-    load_trace_for,
     run_all,
 )
 from semkv.separator import HeadClass, heterogeneous_schedule
@@ -37,6 +37,8 @@ from semkv.trace import (
     HEADER_BYTES,
     SyntheticProfile,
     SyntheticSource,
+    TraceHeader,
+    gen_synthetic_trace,
     read_trace,
     write_trace,
 )
@@ -1159,7 +1161,8 @@ class TestLayerStreaming:
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, command, *source, *args, "--out", str(out))
         assert code == 0, err
-        trace = load_trace_for(_config_from(build_parser().parse_args([command, *source])))
+        cfg = _config_from(build_parser().parse_args([command, *source]))
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         assert_outputs(out, in_memory_outputs(command, [*source, *args], trace))
 
     @pytest.mark.parametrize(
@@ -1177,7 +1180,8 @@ class TestLayerStreaming:
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "eval", *argv, "--out", str(out))
         assert code == 0, err
-        trace = load_trace_for(_config_from(build_parser().parse_args(["compress", *source])))
+        cfg = _config_from(build_parser().parse_args(["compress", *source]))
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         assert_outputs(out, in_memory_outputs("eval", argv, trace, plans))
 
     def test_non_seekable_stream_outputs_equal_in_memory_path(self, layered, tmp_path, capsys):
@@ -1413,6 +1417,68 @@ class TestMappedResidency:
         assert max(samples) <= block + n * PAGE_SLACK_PER_HEAD
         # which is less than a layer's K and V
         assert block + n * PAGE_SLACK_PER_HEAD < 2 * n * seq_len * dim * 4
+
+
+class TestCheckedOnce:
+    """Each trace value is checked for NaN/Inf once, by the code that first
+    receives it, counted as the values `trace._require_finite` reads per
+    payload value. `all --profile` saves its drawn trace as trace.tkv and
+    reads it back through the checking reader, like any trace file, so its
+    values are checked twice."""
+
+    SOURCE = ["--profile", "clustered-heads", "--seed", "4", "--shape", "2,4,64,8"]
+    PROFILE, SHAPE = SyntheticProfile("clustered-heads", seed=4), (2, 4, 64, 8)
+
+    @pytest.fixture
+    def counted(self, tmp_path, monkeypatch):
+        """Writes t.tkv, its plans and a config file naming SOURCE's profile,
+        then counts; returns the checks per payload value since its last call."""
+        assert main(["gen", *self.SOURCE, "--out", str(tmp_path / "t.tkv")]) == 0
+        assert main(["compress", "--trace", str(tmp_path / "t.tkv"), "--out", str(tmp_path)]) == 0
+        profile_config(tmp_path, self.SOURCE)
+        values = []
+        check = trace_module._require_finite
+
+        def counting(a, *args):
+            values.append(a.size)
+            return check(a, *args)
+
+        monkeypatch.setattr(trace_module, "_require_finite", counting)
+
+        def checks_per_value():
+            total = sum(values)
+            values.clear()
+            return total / np.prod(TraceHeader(*self.SHAPE).shape)
+
+        return checks_per_value
+
+    @pytest.mark.parametrize("read", ["read_trace", "gen_synthetic_trace"])
+    def test_library_traces(self, tmp_path, counted, read):
+        if read == "read_trace":
+            read_trace(tmp_path / "t.tkv")
+        else:
+            gen_synthetic_trace(self.PROFILE, self.SHAPE)
+        assert counted() == 1
+
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (["gen", *SOURCE, "--out", "{dir}/again.tkv"], 1),
+            (["compress", *SOURCE], 1),
+            (["pca", *SOURCE], 1),
+            (["eval", "--config", "{dir}/profile.json",
+              "--plans", "{dir}/plans_streaming_0.4.json"], 1),
+            (["all", "--trace", "{dir}/t.tkv"], 1),
+            (["all", *SOURCE], 2),
+        ],
+        ids=["gen", "compress-profile", "pca-profile", "eval-profile", "all-trace", "all-profile"],
+    )
+    def test_commands(self, tmp_path, capsys, counted, argv, checks):
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        if argv[0] != "gen":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert counted() == checks
 
 
 def _as_json(value):

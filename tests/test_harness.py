@@ -42,7 +42,7 @@ from semkv.harness import (
     export_pca_csv,
     export_report,
     fidelity_eval,
-    load_trace_for,
+    open_source,
     run_all,
     score_layer,
     score_plans,
@@ -55,6 +55,7 @@ from semkv.trace import (
     TraceHeader,
     clustered_planted_heads,
     gen_synthetic_trace,
+    read_trace,
     widen_head,
 )
 
@@ -86,7 +87,7 @@ def clustered_config(seed=0, planted=2, shape=(2, 8, 128, 8), **overrides):
 class TestCompressRun:
     def test_full_policy_retains_everything(self):
         cfg = clustered_config(policies=(PolicyKind.FULL,), budget_ratios=(1.0,))
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         for plan in result.plans[("full", 1.0)]:
             for runs in plan.per_head_runs:
@@ -95,7 +96,7 @@ class TestCompressRun:
 
     def test_deterministic_plans(self):
         cfg = clustered_config(seed=3)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         a = compress_run(cfg, trace)
         b = compress_run(cfg, trace)
         for key in a.plans:
@@ -105,7 +106,7 @@ class TestCompressRun:
 
     def test_classification_matches_planted_heads(self):
         cfg = clustered_config(seed=4)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         planted = clustered_planted_heads(cfg.profile, 2, 8)
         for r, (classes, distances) in enumerate(zip(result.classes, result.distances)):
@@ -115,7 +116,7 @@ class TestCompressRun:
 
     def test_schedule_follows_layer_counts(self):
         cfg = clustered_config(seed=5, shape=(3, 8, 96, 8), beta=0.5, top_m=2)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         for r, classes in enumerate(result.classes):
             het = sum(c == HeadClass.HETEROGENEOUS for c in classes)
@@ -126,7 +127,7 @@ class TestCompressRun:
         cfg = clustered_config(
             seed=10, policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING), budget_ratios=(0.2, 0.6)
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         assert sorted(result.plans) == [("streaming", 0.2), ("streaming", 0.6), ("task-kv", 0.6)]
         assert result.infeasible == [
@@ -143,7 +144,7 @@ class TestCompressRun:
 
     def test_feasible_run_reports_no_infeasible_cells(self):
         cfg = clustered_config(seed=10)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         assert compress_run(cfg, trace).infeasible == []
         assert "infeasible" not in run_all(cfg, trace)
 
@@ -152,13 +153,13 @@ class TestCompressRun:
             seed=10, policies=(PolicyKind.TASK_KV, PolicyKind.NO_CACHE), budget_ratios=(0.1, 0.2)
         )
         with pytest.raises(InfeasibleBudgetError, match="^layer 0: budget 102 < 384"):
-            compress_run(cfg, load_trace_for(cfg))
+            compress_run(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
 
 
 class TestFidelityEval:
     def test_full_cache_is_exact(self):
         cfg = clustered_config(seed=6, policies=(PolicyKind.FULL,), budget_ratios=(1.0,))
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         fid = fidelity_eval(trace, result.plans[("full", 1.0)], 8)
         assert fid.mean_l2 == 0.0
@@ -166,7 +167,7 @@ class TestFidelityEval:
 
     def test_heterogeneous_heads_exact_under_task_kv(self):
         cfg = clustered_config(seed=7, policies=(PolicyKind.TASK_KV,), budget_ratios=(0.6,))
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         fid = fidelity_eval(trace, result.plans[("task-kv", 0.6)], 8)
         for r, classes in enumerate(result.classes):
@@ -181,7 +182,7 @@ class TestFidelityEval:
             policies=(PolicyKind.TASK_KV,), budget_ratios=(0.2, 0.4, 0.6, 0.8),
             beta=2 / 16, top_m=2,
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         errors = []
         for ratio in cfg.budget_ratios:
@@ -191,7 +192,7 @@ class TestFidelityEval:
 
     def test_decode_queries_validated(self):
         cfg = clustered_config(seed=9, shape=(1, 8, 64, 8))
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         key = ("task-kv", 0.6)
         with pytest.raises(ParameterError):
@@ -201,7 +202,7 @@ class TestFidelityEval:
         cfg = clustered_config(
             seed=10, policies=(PolicyKind.COMPRESSED_CACHE,), budget_ratios=(0.6,)
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         result = compress_run(cfg, trace)
         fid = fidelity_eval(trace, result.plans[("compressed-cache", 0.6)], 8)
         assert np.isfinite(fid.per_head_l2).all()
@@ -216,7 +217,7 @@ class TestFidelityEval:
         others = [("streaming", 0.6), ("compressed-cache", 0.6)]
 
         def evaluate(before):
-            trace = load_trace_for(cfg)
+            trace = gen_synthetic_trace(cfg.profile, cfg.shape)
             result = compress_run(cfg, trace)
             for other, dq in before:
                 fidelity_eval(trace, result.plans[other], dq)
@@ -367,7 +368,7 @@ def fortran_float64_trace(seed, shape):
     return AttentionTrace(TraceHeader(r, n, seq_len, d), np.asfortranarray(data))
 
 
-class TestLoadTraceFor:
+class TestConfigTraces:
     def test_pipe_claiming_more_layers_than_arrive_is_truncated(self, tmp_path):
         # the header claims 6 PiB; one layer arrives before the end of the stream
         fifo = tmp_path / "pipe.tkv"
@@ -383,14 +384,28 @@ class TestLoadTraceFor:
         writer.start()
         try:
             with pytest.raises(TraceTruncationError):
-                load_trace_for(RunConfig(trace_path=str(fifo)))
+                read_trace(str(fifo))
         finally:
             writer.join(timeout=30)
         assert not writer.is_alive()
 
     def test_needs_a_trace_or_a_profile_and_shape(self):
         with pytest.raises(ParameterError):
-            load_trace_for(RunConfig(profile=SyntheticProfile("uniform-random")))
+            open_source(RunConfig(profile=SyntheticProfile("uniform-random")))
+
+    def test_library_runs_take_any_layer_source(self):
+        cfg = clustered_config(seed=9)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
+        cell = (cfg.policies[0].value, cfg.budget_ratios[0])
+        plans = compress_run(cfg, trace).plans[cell]
+        with open_source(cfg) as source:
+            drawn = compress_run(cfg, source).plans[cell]
+        assert [p.to_json_dict() for p in drawn] == [p.to_json_dict() for p in plans]
+        with open_source(cfg) as source:
+            assert run_all(cfg, source) == run_all(cfg, trace)
+        with open_source(cfg) as source:
+            mapped = fidelity_eval(source, plans, 8).to_json_dict()
+        assert mapped == fidelity_eval(trace, plans, 8).to_json_dict()
 
 
 class TestFidelityFromPlans:
@@ -426,7 +441,7 @@ class TestFidelityFromPlans:
 
     def test_layer_count_mismatch_rejected(self):
         cfg = clustered_config(seed=23)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = compress_run(cfg, trace).plans[("task-kv", 0.6)]
         with pytest.raises(CacheConsistencyError):
             fidelity_eval(trace, plans[:1], 8)
@@ -649,7 +664,7 @@ class TestBlockPass:
             seed=40, shape=(1, 4, _KEY_BLOCK + 40, 8), planted=1, beta=2 / 4, top_m=2,
             policies=ALL_POLICIES, budget_ratios=(0.2, 0.5, 0.95), decode_queries=decode_queries,
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = list(compress_run(cfg, trace).plans.values())
         assert any(plan[0].per_head_groups is not None for plan in plans)
         whole, partial = self.assert_matches_oracle(trace, plans, decode_queries)
@@ -672,7 +687,7 @@ class TestBlockPass:
             profile=SyntheticProfile("uniform-random", seed=42), shape=(2, 4, _KEY_BLOCK + 40, 1),
             beta=2 / 4, top_m=2, policies=ALL_POLICIES, budget_ratios=(0.3, 0.95),
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         self.assert_matches_oracle(trace, list(compress_run(cfg, trace).plans.values()), 8)
 
     def test_blind_decode_rows(self):
@@ -719,7 +734,7 @@ class TestKeepAllHeads:
         self, seed, policy, ratio, decode
     ):
         cfg = clustered_config(seed=seed, policies=(policy,), budget_ratios=(ratio,))
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         decode_queries = {"one": 1, "window": cfg.window_len, "all": trace.seq_len}[decode]
         cfg = dataclasses.replace(cfg, decode_queries=decode_queries)
         _, result = run_all(cfg, trace, return_result=True)
@@ -744,7 +759,7 @@ class TestPlanMemory:
         cfg = clustered_config(
             seed=24, policies=ALL_POLICIES, budget_ratios=(0.4, 0.7, 1.0)
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         report, result = run_all(cfg, trace, return_result=True)
         assert len(report["policies"]) == 18
         for entry in report["policies"]:
@@ -769,8 +784,8 @@ class TestPlanMemory:
         )
         # a small run first, so modules numpy imports on first use are not counted
         small = dataclasses.replace(cfg, shape=(2, 16, 64, 8), top_t=64)
-        run_all(small, load_trace_for(small))
-        trace = load_trace_for(cfg)
+        run_all(small, gen_synthetic_trace(small.profile, small.shape))
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         tracemalloc.start()
         try:
             kept = run_all(cfg, trace, return_result=True)
@@ -804,7 +819,7 @@ class TestPlanMemory:
             policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING, PolicyKind.UNIFORM_TOPK),
             budget_ratios=(ratio,), decode_queries=decode_queries,
         )
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = [plan[0] for plan in compress_run(cfg, trace).plans.values()]
         score_layer(trace.data[0], 0, plans, decode_queries)  # numpy's first-use imports
         tracemalloc.start()
@@ -838,7 +853,7 @@ class TestFloat32Storage:
 
     def test_report_bytes_equal_float64_copy(self):
         cfg = clustered_config(seed=30, policies=ALL_POLICIES, budget_ratios=(0.4, 0.7))
-        single = load_trace_for(cfg)
+        single = gen_synthetic_trace(cfg.profile, cfg.shape)
         assert single.data.dtype == np.float32
         reports = []
         for trace in (single, self.widened(single)):
@@ -882,7 +897,7 @@ class TestFloat32Storage:
     def test_fused_decode_outputs_equal_standalone(self, decode_queries, monkeypatch):
         cfg = clustered_config(seed=31, decode_queries=decode_queries)
         assert cfg.window_len == 16
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         calls = self.count_causal_scores(monkeypatch)
         report, result = run_all(cfg, trace, return_result=True)
         # one per head when the decode rows are the window's, whose scores
@@ -894,7 +909,7 @@ class TestFloat32Storage:
 
     def test_compress_run_scores_each_head_once(self, monkeypatch):
         cfg = clustered_config(seed=31)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         calls = self.count_causal_scores(monkeypatch)
         compress_run(cfg, trace)
         assert len(calls) == trace.num_layers * trace.num_heads
@@ -902,7 +917,7 @@ class TestFloat32Storage:
     def test_fused_outputs_match_float64_trace(self):
         for decode_queries in (16, 5):
             cfg = clustered_config(seed=32, decode_queries=decode_queries)
-            wide = self.widened(load_trace_for(cfg))
+            wide = self.widened(gen_synthetic_trace(cfg.profile, cfg.shape))
             report, result = run_all(cfg, wide, return_result=True)
             self.assert_report_fidelity_equals_standalone(cfg, wide, report, result)
 
@@ -915,8 +930,8 @@ class TestFloat32Storage:
         shape = (1, 4, 2048, 64)
         cfg = clustered_config(seed=33, planted=1, shape=shape, top_t=256, window_len=window_len)
         small = dataclasses.replace(cfg, shape=(1, 4, 64, 8))
-        compress_run(small, load_trace_for(small))
-        trace = load_trace_for(cfg)
+        compress_run(small, gen_synthetic_trace(small.profile, small.shape))
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         tracemalloc.start()
         try:
             compress_run(cfg, trace)
@@ -944,8 +959,8 @@ class TestFloat32Storage:
             beta=3 / 16, top_t=256,
         )
         small = dataclasses.replace(cfg, shape=(2, 16, 64, 8), top_t=64)
-        run_all(small, load_trace_for(small))
-        trace = self.widened(load_trace_for(cfg))
+        run_all(small, gen_synthetic_trace(small.profile, small.shape))
+        trace = self.widened(gen_synthetic_trace(cfg.profile, cfg.shape))
         tracemalloc.start()
         try:
             run_all(cfg, trace)
@@ -1021,7 +1036,8 @@ class TestLeanHeadPass:
     def test_trace_heads_equal_the_whole_head_pass(self):
         # every head of a float32 trace, of its float64 copy and of a trace
         # built from a Fortran-order array
-        trace = load_trace_for(clustered_config(seed=34, shape=(2, 4, _KEY_BLOCK + 40, 16)))
+        cfg = clustered_config(seed=34, shape=(2, 4, _KEY_BLOCK + 40, 16))
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         blocks = trace.data.reshape(-1, *trace.data.shape[2:])
         for block in blocks:
             scores, vector = _head_pass(block, 16, 64)
@@ -1035,7 +1051,7 @@ class TestLeanHeadPass:
 class TestEvalReport:
     def make_report(self, seed=11):
         cfg = clustered_config(seed=seed)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         return run_all(cfg, trace), cfg, trace
 
     def test_full_policy_rows_are_exact(self):
@@ -1101,7 +1117,7 @@ class TestReportFixture:
 
     def test_report_bytes_are_reproducible(self):
         cfg = RunConfig(**self.FIXTURE_CONFIG)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         bufs = []
         for _ in range(2):
             buf = io.BytesIO()
@@ -1111,7 +1127,7 @@ class TestReportFixture:
 
     def test_report_hash_matches_frozen_fixture(self):
         cfg = RunConfig(**self.FIXTURE_CONFIG)
-        trace = load_trace_for(cfg)
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         buf = io.BytesIO()
         export_report(run_all(cfg, trace), "json", buf)
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
@@ -1131,7 +1147,7 @@ class TestReportFixture:
         cfg = RunConfig(**self.FIXTURE_CONFIG)
         for name, value in patches.items():
             monkeypatch.setattr(f"semkv.harness.{name}", value)
-        report = self.report_and_hash(cfg, load_trace_for(cfg))
+        report = self.report_and_hash(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
         monkeypatch.undo()
         return report
 
@@ -1257,7 +1273,7 @@ class TestReportFixture:
         BLOCK_FIXTURE_RTOL (L2) or FIXTURE_ATOL (cosine)."""
         before, _ = self.before_full_plan(monkeypatch)
         cfg = RunConfig(**self.FIXTURE_CONFIG)
-        after = run_all(cfg, load_trace_for(cfg))
+        after = run_all(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
         moved = self.assert_only_fidelity_floats_moved(
             before, after, BLOCK_FIXTURE_RTOL, FIXTURE_ATOL
         )

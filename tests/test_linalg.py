@@ -9,8 +9,8 @@ import pytest
 from semkv.allocator import PolicyKind
 from semkv.contribution import random_instance
 from semkv.errors import DimensionError, EmptyInputError
-from semkv.harness import RunConfig, compress_run, load_trace_for
-from semkv.trace import SyntheticProfile
+from semkv.harness import RunConfig, compress_run
+from semkv.trace import SyntheticProfile, gen_synthetic_trace
 from semkv.linalg import (
     _KEY_BLOCK,
     AttentionInputs,
@@ -386,7 +386,7 @@ class TestPCAOracle:
 
     @staticmethod
     def semantic_vectors(cfg):
-        result = compress_run(cfg, load_trace_for(cfg))
+        result = compress_run(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
         return result.vectors
 
     @pytest.mark.parametrize(

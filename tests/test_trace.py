@@ -29,6 +29,7 @@ from semkv.trace import (
     TraceHeader,
     TraceReader,
     clustered_planted_heads,
+    each_head,
     gen_synthetic_trace,
     give_back_pages,
     read_trace,
@@ -661,18 +662,24 @@ class TestLayerSources:
 
 class TestPageGiveBack:
     """A mapped trace's pages leave the process once the pass that reads
-    them is done: each head's whole block after the reader checks it, after
-    its head pass, whether or not that holds its window scores, and after
-    `score_layer` scores it, from the held scores or from K read again."""
+    them moves on: `each_head` gives each head's whole block back when its
+    caller asks for the next one or stops, after the reader checks it,
+    after its head pass, whether or not that holds its window scores, and
+    after `score_layer` scores it, from the held scores or from K read
+    again."""
 
     SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
     WINDOW = 32
 
-    @pytest.mark.parametrize("decode_queries", [WINDOW, 64], ids=["held-scores", "decode-64"])
-    def test_head_blocks_leave_once_read(self, tmp_path, decode_queries):
-        source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
+    @pytest.fixture
+    def path(self, tmp_path):
         path = tmp_path / "t.tkv"
-        write_trace(source, path)
+        write_trace(SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE), path)
+        return path
+
+    @pytest.mark.parametrize("decode_queries", [WINDOW, 64], ids=["held-scores", "decode-64"])
+    def test_head_blocks_leave_once_read(self, path, decode_queries):
+        source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
         _, n, seq_len, _ = self.SHAPE
         slack = n * PAGE_SLACK_PER_HEAD
         held = None
@@ -682,15 +689,38 @@ class TestPageGiveBack:
             for r, (layer, drawn) in enumerate(zip(reader.layers(), source.layers())):
                 # checked: no page of the layer is resident
                 assert mapped_rss(path) <= slack
-                for block, slot in zip(layer, held or [None] * n):
-                    _head_pass(block, self.WINDOW, 64, slot)
+                for block, slot in zip(each_head(layer), held or [None] * n):
+                    # the blocks before this one left when it was asked for
                     assert mapped_rss(path) <= slack
+                    _head_pass(block, self.WINDOW, 64, slot)
+                assert mapped_rss(path) <= slack
                 # scoring reads each head's V, and K too when it forms
                 # its own scores, and gives them back head by head
                 score_layer(layer, r, [], decode_queries, held)
                 assert mapped_rss(path) <= slack
                 # what left comes back from the page cache when read
                 assert np.array_equal(layer, drawn)
+
+    def test_a_pass_that_breaks_gives_its_block_back(self, path):
+        slack = self.SHAPE[1] * PAGE_SLACK_PER_HEAD
+        with TraceReader(path) as reader:
+            layer = next(reader.layers())
+            for block in each_head(layer):
+                block.sum()  # faults the whole block in
+                assert mapped_rss(path) > slack
+                break
+            assert mapped_rss(path) <= slack
+
+    def test_a_pass_that_raises_mid_layer_gives_its_block_back(self, path):
+        slack = self.SHAPE[1] * PAGE_SLACK_PER_HEAD
+        with TraceReader(path) as reader:
+            layer = next(reader.layers())
+            with pytest.raises(ZeroDivisionError):
+                for h, block in enumerate(each_head(layer)):
+                    block.sum()
+                    if h == 0:
+                        raise ZeroDivisionError
+            assert mapped_rss(path) <= slack
 
     def test_arrays_in_memory_are_left_alone(self):
         trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=62), (1, 1, 4096, 8))
