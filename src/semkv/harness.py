@@ -6,11 +6,11 @@ header alone, before any layer is read, the schedule f(r), which
 `layer_step` runs on each layer in turn: the head pass, classification,
 a plan per cell and each plan's fidelity. A layer's plans are dropped
 before the next layer is read. The CLI reads every trace, drawn ones
-too, as a mapped file, so its peak is the held window scores plus one
-head's block and its temporaries. The library functions (`compress_run`,
-`run_all`, `fidelity_eval`) take any layer source: an `AttentionTrace` in
-memory, or the source `open_source` gives for a config. Saved
-plans are scored by `score_plans`, one layer at a time, for
+too, as a mapped file, so its peak is the held window numerators plus
+one of a head's arrays and its temporaries. The library functions
+(`compress_run`, `run_all`, `fidelity_eval`) take any layer source: an
+`AttentionTrace` in memory, or the source `open_source` gives for a
+config. Saved plans are scored by `score_plans`, one layer at a time, for
 `fidelity_eval` and `semkv eval` alike.
 
 Fidelity is measured the way a decoder with an evicted cache behaves: for the
@@ -21,11 +21,14 @@ quality; it needs no language model.
 
 A head's keys meet queries in one kernel, `linalg.causal_scores`. When
 fidelity is scored on the window's own rows, the default decode rows, the
-head pass's call is the head's only one: the run holds each head's window
-scores for `score_layer` (see `_held_scores`). Any other decode count has
-`score_layer` form the decode rows' scores again (see `_HeadNumerators`).
-Both passes walk a layer's heads through `trace.each_head`, which owns each
-head block's residency.
+head pass's call is the head's only one unless a cell has groups: the run
+holds each head's window softmax numerators for `score_layer` (see
+`_held_numerators`). Any other decode count has `score_layer` form the
+decode rows' scores again (see `_HeadNumerators`). Every pass walks a
+layer's heads through `trace.each_head`, which owns each head block's
+residency, and reads one of a head's arrays at a time: the head pass
+walks the heads twice, over K for the window scores, then over V for the
+semantic vectors, and scoring is done with a head's K before it reads V.
 """
 
 from __future__ import annotations
@@ -57,7 +60,14 @@ from .allocator import (
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import _KEY_BLOCK, AttentionInputs, _hidden_keys, _key_blocks, causal_scores, pca_2d
+from .linalg import (
+    _KEY_BLOCK,
+    AttentionInputs,
+    _key_blocks,
+    causal_numerators,
+    causal_scores,
+    pca_2d,
+)
 from .separator import (
     HeadClass,
     HeterogeneitySchedule,
@@ -75,6 +85,7 @@ from .trace import (
     TraceReader,
     check_seed,
     each_head,
+    given_back,
 )
 
 DEFAULT_POLICIES = (PolicyKind.TASK_KV, PolicyKind.STREAMING)
@@ -239,12 +250,13 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
     return check_decode_queries(config.decode_queries, header.seq_len)
 
 
-# A head's causal window scores S, (N, W), and each row's max, (W,).
+# A head's softmax numerators E = exp(S - m) of its causal window scores S,
+# (N, W), 0 where a row does not see the key, and each row's max m, (W,).
 Held = tuple[np.ndarray, np.ndarray]
 
 
-def _held_scores(result: RunResult) -> list[Held] | None:
-    """Where a started run holds each head's window scores for
+def _held_numerators(result: RunResult) -> list[Held] | None:
+    """Where a started run holds each head's window numerators for
     `score_layer`: views of one float64 (n, N, W) buffer and one (n, W),
     which serve every layer. None unless fidelity is scored on the
     window's own rows."""
@@ -254,22 +266,15 @@ def _held_scores(result: RunResult) -> list[Held] | None:
     return list(zip(np.empty((n, seq_len, window_len)), np.empty((n, window_len))))
 
 
-def _head_pass(
-    block: np.ndarray, window_len: int, top_t: int, held: Held | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One head's window scores and top-t semantic vector, from the head's
-    (3, N, d) block as stored.
-
-    The head is never widened whole: `causal_scores`, through
-    `window_column_scores`, widens K one key block at a time, and
-    `approx_semantic_vector` only the top-t V rows. `held`, the head's
-    slot of `_held_scores`, keeps its causal window scores and their row
-    max.
-    """
+def _window_scores(block: np.ndarray, window_len: int, held: Held | None = None) -> np.ndarray:
+    """One head's (N,) window scores, from the head's (3, N, d) block as
+    stored: `causal_scores`, through `window_column_scores`, reads the
+    window's query rows and widens K one key block at a time, and V is not
+    read. `held`, the head's slot of `_held_numerators`, keeps the window's
+    softmax numerators and their row max."""
     q, k, v = block
     inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
-    scores = window_column_scores(inputs, window_len, held)
-    return scores, approx_semantic_vector(scores, inputs.values, top_t)
+    return window_column_scores(inputs, window_len, held)
 
 
 def layer_step(
@@ -282,25 +287,29 @@ def layer_step(
     """One layer of the started run `result`, on its checked (n, 3, N, d)
     `data`, recorded into `result`; returns the layer's plan per cell.
 
-    One pass over the heads takes, from one causal softmax over each
-    head's observation window, its window scores and top-t semantic
-    vector; the scores are pooled only when some cell is planned. The
-    layer's heads are classified from f(r), every cell is planned from the
-    pooled scores alone and, when fidelity is scored (the run's
-    `decode_queries`), `score_layer` scores each plan. With `held`
-    (`_held_scores`), the head pass keeps each head's window scores there
-    and `score_layer` reads them. `result` gets the layer's semantic
-    vectors, distances to its semantic center, head classes, each plan's
-    per-head tokens and, when scored, its per-head (L2, cosine) arrays.
+    The head pass walks the heads twice, so a mapped head holds the pages
+    of one of its arrays at a time: over K, one causal softmax over each
+    head's observation window gives its window scores, pooled only when
+    some cell is planned; then over V, each head's top-t semantic vector
+    from its scores. The layer's heads are classified from f(r), every
+    cell is planned from the pooled scores alone and, when fidelity is
+    scored (the run's `decode_queries`), `score_layer` scores each plan.
+    With `held` (`_held_numerators`), the first walk keeps each head's
+    window numerators there and `score_layer` reads them. `result` gets
+    the layer's semantic vectors, distances to its semantic center, head
+    classes, each plan's per-head tokens and, when scored, its per-head
+    (L2, cosine) arrays.
     """
     window_len, cells = result.window_len, result.cells
-    pooled, vectors = [], np.empty((data.shape[0], data.shape[3]))
+    slots = held or [None] * data.shape[0]
+    vectors = np.empty((data.shape[0], data.shape[3]))
     try:
-        for h, block in enumerate(each_head(data)):
-            slot = held[h] if held else None
-            score, vectors[h] = _head_pass(block, window_len, config.top_t, slot)
-            if cells:
-                pooled.append(pool_scores(score, config.kernel))
+        scores = [
+            _window_scores(block, window_len, slot) for block, slot in zip(each_head(data), slots)
+        ]
+        pooled = [pool_scores(score, config.kernel) for score in scores] if cells else []
+        for h, (block, score) in enumerate(zip(each_head(data), scores)):
+            vectors[h] = approx_semantic_vector(score, block[2], config.top_t)
         distances, classes = build_layer_profiles(vectors, result.schedule.per_layer_counts[layer])
     except SemkvError as exc:
         raise type(exc)(f"layer {layer}: {exc}") from exc
@@ -310,6 +319,7 @@ def layer_step(
         )
         for cell in cells
     }
+    del scores, pooled  # scoring needs neither
     result.vectors.append(vectors)
     result.distances.append(distances)
     result.classes.append(classes)
@@ -328,10 +338,10 @@ def run_steps(
 
     Each layer's plans are yielded before the next layer is read, so a
     caller can write them out; only with `keep_plans` does `result.plans`
-    hold them too. The `_held_scores` buffers, if the run scores the
+    hold them too. The `_held_numerators` buffers, if the run scores the
     window's own rows, are made before the first layer and reused for each.
     """
-    held = _held_scores(result)
+    held = _held_numerators(result)
     for r, data in enumerate(layers):
         plans = layer_step(config, result, r, data, held)
         if keep_plans:
@@ -424,17 +434,40 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _SAFE = 2.0**600
 
 
-class _HeadNumerators:
-    """One head's causal decode scores and softmax numerators, and the
-    decode outputs of its full cache and of each cell's retained cache,
-    from one pass over its K, or the scores the head pass held, and one
-    over its V.
+def _decode_scores(block: np.ndarray, decode_queries: int) -> Held:
+    """`causal_scores` of a head's last `decode_queries` query rows over its
+    keys: S, (N, decode_queries), and each row's max over the keys it sees."""
+    return causal_scores(block[0, block.shape[1] - decode_queries :], block[1])
 
-    `scores` and `shift` are `causal_scores` of the decode rows: S, shape
-    (N, decode_queries), and each row's max over the keys it sees, formed
-    here or taken from `held`, the pair the head pass kept when the decode
-    rows are the window's.
-    `numerators` is exp(S - shift), 0 where a row does not see the key.
+
+def _group_scores(
+    block: np.ndarray, decode_queries: int, groups, scores: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """The scores of each of `groups`' ((g, 2) [start, stop) bounds) mean
+    keys, (g, decode_queries): the mean of its keys' decode scores, since a
+    mean key scores the mean of its keys' scores. S is `scores` or, only
+    when some group is given, formed again (`_decode_scores`)."""
+    if not any(map(len, groups)):
+        return [np.empty((0, decode_queries))] * len(groups)
+    if scores is None:
+        scores = _decode_scores(block, decode_queries)[0]
+    return [group_means(scores, bounds) for bounds in groups]
+
+
+class _HeadNumerators:
+    """One head's softmax numerators over its decode rows, and the decode
+    outputs of its full cache and of each cell's retained cache, from one
+    pass over its V, and one over its K unless the head pass held the
+    numerators and no cell has groups.
+
+    `numerators` is E = exp(S - shift), (N, decode_queries), 0 where a row
+    does not see the key, of the decode rows' causal scores S, and `shift`
+    each row's max over the keys it sees: `held`, the pair the head pass
+    kept when the decode rows are the window's, or formed here in place on
+    S. S itself is formed again (`scores`) only for what E cannot give:
+    each cell's group scores (`_group_scores`), and a rescued row's own
+    max. E and the group scores are formed first, and Q's and K's pages
+    given back, before V is read; only a rescue reads K again.
     The full cache is one more plan, the first: every position, no groups.
     `full` is its outputs, (decode_queries, d), and `retained` holds, in
     order, the outputs over each of `heads` (each a cell's checked
@@ -447,20 +480,28 @@ class _HeadNumerators:
         self, block: np.ndarray, decode_queries: int, heads=(), held: Held | None = None
     ):
         every = np.arange(block.shape[1])  # each key's position
-        first_row = len(every) - decode_queries
-        if held is None:
-            held = causal_scores(block[0, first_row:], block[1])
-        self.scores, self.shift = held
-        self.rows = every[first_row:]  # each decode row's position
-        self.numerators = self.scores - self.shift
-        with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
-            np.exp(self.numerators, out=self.numerators)
-        self.numerators[first_row:][_hidden_keys(decode_queries)] = 0.0
+        self._block, self.rows = block, every[len(every) - decode_queries :]
+        groups = [head.groups for head in heads]
+        with given_back(block[:2]):  # Q and K are done with before V is read
+            if held is None:
+                held = _decode_scores(block, decode_queries)
+                group_scores = _group_scores(block, decode_queries, groups, held[0])
+                causal_numerators(*held)
+            else:
+                group_scores = _group_scores(block, decode_queries, groups)
+        self.numerators, self.shift = held
         heads = [HeadPlan(every, _NO_RANGES, every), *heads]
+        group_scores = [np.empty((0, decode_queries)), *group_scores]
         products, totals = self._value_pass(block[2], heads)
         self.full, *self.retained = [
-            self._cell_output(block[2], *cell) for cell in zip(heads, products, totals)
+            self._cell_output(block[2], *cell)
+            for cell in zip(heads, group_scores, products, totals)
         ]
+
+    def scores(self) -> np.ndarray:
+        """The decode rows' causal scores S, (N, decode_queries), formed
+        again: the bits E was formed from."""
+        return _decode_scores(self._block, len(self.rows))[0]
 
     def _value_pass(self, values: np.ndarray, heads) -> tuple[list, list]:
         """Each head's products of its retained rows' numerators and V rows,
@@ -495,28 +536,29 @@ class _HeadNumerators:
         return products, totals
 
     def _cell_output(
-        self, values: np.ndarray, head: HeadPlan, out: np.ndarray, total: np.ndarray
+        self,
+        values: np.ndarray,
+        head: HeadPlan,
+        group_scores: np.ndarray,
+        out: np.ndarray,
+        total: np.ndarray,
     ) -> np.ndarray:
         """Decode outputs over the head's retained rows and group means,
         (decode_queries, d), finished in place in `out`, the product of its
         retained rows' numerators and V rows, with `total`, their sums.
 
-        A group's mean row weighs exp(mean of its keys' scores - shift),
-        since the score of a mean key is the mean of the keys' scores. A
-        decode row before the head's first cache position sees nothing,
-        and its output is zero. A row whose total leaves [1 / _SAFE, _SAFE]
-        is rescored with its own retained max over the gathered rows.
+        A group's mean row weighs exp(its `group_scores` - shift), since the
+        score of a mean key is the mean of the keys' scores. A decode row
+        before the head's first cache position sees nothing, and its output
+        is zero. A row whose total leaves [1 / _SAFE, _SAFE] is rescored
+        with its own retained max over the gathered rows.
         """
         idx, groups = head.retained, head.groups
         first = int(head.positions[0]) if head.positions.size else int(self.rows[-1]) + 1
         blind = min(max(first - int(self.rows[0]), 0), len(self.rows))
-        group_scores = np.empty((0, len(self.rows)))
         group_values = np.empty((0, values.shape[1]))
         if len(groups):
-            # V's group means first: their float32 gather and widening is the
-            # largest temporary, so no group array of scores is alive then
             group_values = group_means(values, groups)
-            group_scores = group_means(self.scores, groups)
             with np.errstate(over="ignore"):  # a hidden group's exponential is discarded
                 group_weights = np.exp(group_scores - self.shift)
             group_weights[groups[:, :1] > self.rows] = 0.0
@@ -528,7 +570,7 @@ class _HeadNumerators:
         seen = total[blind:]
         rescue = blind + np.flatnonzero(~((seen >= 1 / _SAFE) & (seen <= _SAFE)))
         if rescue.size:
-            own = np.concatenate([self.scores[np.ix_(idx, rescue)], group_scores[:, rescue]])
+            own = np.concatenate([self.scores()[np.ix_(idx, rescue)], group_scores[:, rescue]])
             own[np.concatenate([idx, groups[:, 0]])[:, None] > self.rows[rescue]] = -np.inf
             weights = np.exp(own - own.max(axis=0))
             kept = np.concatenate([np.asarray(values[idx], dtype=np.float64), group_values])
@@ -547,20 +589,20 @@ def score_layer(
     against the full cache, over the last `decode_queries` query rows.
 
     Scoring is head-major. Every scored head's plan passes
-    `check_head_plan` first. `_HeadNumerators` takes the head's decode
-    scores from `held` (the head pass's, when the decode rows are the
-    window's) or forms them (`causal_scores`), then its softmax numerators
-    once, under each decode row's full-cache max, and one pass over its V
-    key blocks gives the full cache's outputs o, as the plan that keeps
-    every position, and every cell's retained outputs: a cell that keeps
-    every position gets o's bits, L2 0 and o's self-cosine (not always 1).
-    A row whose retained numerators underflow under that shared shift is
+    `check_head_plan` first. `_HeadNumerators` takes the head's softmax
+    numerators, under each decode row's full-cache max, from `held` (the
+    head pass's, when the decode rows are the window's) or forms them from
+    the decode scores (`causal_scores`), and one pass over its V key
+    blocks gives the full cache's outputs o, as the plan that keeps every
+    position, and every cell's retained outputs: a cell that keeps every
+    position gets o's bits, L2 0 and o's self-cosine (not always 1). A row
+    whose retained numerators underflow under that shared shift is
     rescored with the cell's own retained max. A decode row that sees no
     retained key attends to nothing: its retained output is zero, so it
-    scores L2 = ||o|| and cosine 0. A head's numerators, and scores it
-    formed, are dropped before the next head's are formed, so scoring
-    holds the held window scores plus one head's block and its
-    temporaries.
+    scores L2 = ||o|| and cosine 0. A head's numerators, unless held, and
+    any scores it formed are dropped before the next head's are formed,
+    so scoring holds the held numerators plus one of a head's arrays
+    (two only while a rescue reads K again) and their temporaries.
     """
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
@@ -568,7 +610,7 @@ def score_layer(
         cells = [check_head_plan(plan, layer, h, seq_len) for plan in plans]
         head = _HeadNumerators(block, decode_queries, cells, held[h] if held else None)
         full, retained = head.full, head.retained
-        del head  # its scores and numerators go before the next head's are formed
+        del head  # its numerators go before the next head's are formed
         for (l2, cos), out in zip(scores, retained):
             l2[h] = float(np.linalg.norm(full - out, axis=1).mean())
             cos[h] = float(_rows_cosine(full, out).mean())

@@ -131,6 +131,16 @@ def causal_scores(
     return scores, shift
 
 
+def causal_numerators(scores: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The softmax numerators E = exp(S - shift) of a `causal_scores` pair,
+    formed in place on S and returned: 0 where a row does not see the key,
+    at most 1 elsewhere."""
+    rows = len(shift)
+    np.subtract(scores, shift, out=scores)
+    np.copyto(scores[len(scores) - rows :], -np.inf, where=_hidden_keys(rows))
+    return np.exp(scores, out=scores)
+
+
 def attention_weights(
     inputs: AttentionInputs,
     rows: int | None = None,
@@ -140,22 +150,21 @@ def attention_weights(
     rows over every key, shape (rows, N); `rows` defaults to every query row
     `inputs` holds. Row i attends the keys up to its own position.
 
-    The result is the transposed view of the softmax, done in place on
-    `causal_scores`' S or, when `out` receives S and its row max (see
-    `causal_scores`), in a new array that leaves them as they are.
+    The result is the transposed view of the softmax, normalised in place
+    on `causal_numerators` of `causal_scores`' S or, when `out` is given
+    (see `causal_scores`), in a new array: `out` is left holding the
+    numerators E and the row max.
     """
-    n, held = inputs.seq_len, len(inputs.queries)
+    held = len(inputs.queries)
     rows = held if rows is None else rows
     if not 1 <= rows <= held:
         raise DimensionError(f"rows {rows} outside [1, {held}]")
     scores, shift = causal_scores(inputs.queries[held - rows :], inputs.keys, out)
     # with finite scores, a finite row max means a finite softmax row
     _require_finite(shift, "attention row max")
-    weights = np.subtract(scores, shift, out=scores if out is None else None)
-    np.copyto(weights[n - rows :], -np.inf, where=_hidden_keys(rows))
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=0)
-    return weights.T
+    numerators = causal_numerators(scores, shift)
+    totals = numerators.sum(axis=0)
+    return np.divide(numerators, totals, out=numerators if out is None else None).T
 
 
 def _fix_sign(axis: np.ndarray) -> np.ndarray:

@@ -52,8 +52,8 @@ def window_column_scores(
     """(N,) per-key attention mass averaged over the last `window_len` query rows.
 
     The scores sum to at most 1: each averaged row sums to 1, and a column
-    blocked for every window row gets 0. `out` keeps the window's causal
-    scores and their row max, as `attention_weights` leaves them.
+    blocked for every window row gets 0. `out` keeps the window's softmax
+    numerators and their row max, as `attention_weights` leaves them.
     """
     check_window_len(window_len, inputs.seq_len)
     return attention_weights(inputs, window_len, out).mean(axis=0)

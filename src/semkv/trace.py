@@ -30,8 +30,9 @@ every source but an `AttentionTrace` yields views of a mapped file.
 layout. Each value is checked for NaN/Inf once, by the code that first
 receives it: `TraceReader.layers()` file and stream bytes,
 `SyntheticSource.head_blocks()` drawn values, `AttentionTrace` arrays in
-memory. Every pass over a layer's heads walks it through `each_head`, the
-one code that gives a mapped head block's pages back.
+memory. Every pass over a layer's heads walks it through `each_head`, or
+`each_array` for each head's Q, K and V, and `given_back` is the one code
+that gives a mapped trace's pages back.
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -434,14 +435,32 @@ def write_trace(trace, destination) -> int:
 
 def each_head(layer: np.ndarray) -> Iterator[np.ndarray]:
     """Each head's (3, N, d) block of a layer's (n, 3, N, d) data in turn,
-    its pages given back (`give_back_pages`) once the caller asks for the
-    next block or stops, by a `break` or an error: a pass over a mapped
-    layer holds one head's pages at a time."""
+    `given_back` once the caller asks for the next block or stops, by a
+    `break` or an error: a pass over a mapped layer holds one head's pages
+    at a time, and only the ones it reads."""
     for block in layer:
-        try:
+        with given_back(block):
             yield block
-        finally:
-            give_back_pages(block)
+
+
+def each_array(layer: np.ndarray) -> Iterator[np.ndarray]:
+    """Each head's Q, K and V, (N, d), of a layer's (n, 3, N, d) data in
+    turn, each given back like `each_head`'s blocks: a pass that reads
+    every value holds one array's pages at a time."""
+    for block in layer:
+        for array in block:
+            with given_back(array):
+                yield array
+
+
+@contextlib.contextmanager
+def given_back(view: np.ndarray) -> Iterator[np.ndarray]:
+    """`view`, for a `with` block that reads it, its pages given back
+    (`give_back_pages`) when the block ends, by an error too."""
+    try:
+        yield view
+    finally:
+        give_back_pages(view)
 
 
 def give_back_pages(view: np.ndarray) -> None:
@@ -482,11 +501,11 @@ class TraceReader:
     layer's float32 (n, 3, N, d) block in turn, checked and read-only. The
     file is mapped read-only and never copied: each layer is a view of the
     mapping, and the pages of the layers before it are released before it
-    is touched. The layer is checked one head block at a time through
-    `each_head`, which gives each block back once checked. Every later
-    pass that reads a head block walks the layer through `each_head` too,
-    so a command's peak is its held window scores (n·N·W·8 bytes) plus one
-    head's block and its temporaries, not a layer's payload. A layer kept
+    is touched. The layer is checked one Q, K or V array at a time through
+    `each_array`, which gives each array back once checked. Every later
+    pass that reads a head block walks the layer through `each_head`, so a
+    command's peak is its held window numerators (n·N·W·8 bytes) plus one
+    of a head's arrays and its temporaries, not a layer's payload. A layer kept
     past the next one, or past `close()`, still reads the file's values.
     The file must not be truncated or rewritten in place while it is read:
     a layer cut off before it is reached raises `TraceTruncationError`,
@@ -528,8 +547,8 @@ class TraceReader:
 
     def layers(self) -> Iterator[np.ndarray]:
         for layer in self._mapped_layers():
-            for block in each_head(layer):
-                _require_finite(block, "trace", TraceFormatError)
+            for array in each_array(layer):
+                _require_finite(array, "trace", TraceFormatError)
             yield layer
 
     def _mapped_layers(self) -> Iterator[np.ndarray]:

@@ -38,6 +38,7 @@ from semkv.trace import (
     SyntheticProfile,
     SyntheticSource,
     TraceHeader,
+    TraceReader,
     gen_synthetic_trace,
     read_trace,
     write_trace,
@@ -1375,13 +1376,26 @@ class TestLayerMemory:
 
 
 class TestMappedResidency:
-    """A command over a mapped trace holds one head's pages at a time.
-    Sampled after each window score pass, head pass, head's numerators and
-    `score_layer`, the trace's resident bytes never exceed one head block
-    plus the page slack of each head's block edge."""
+    """A command over a mapped trace holds the pages of one of a head's
+    (N, d) arrays at a time: the reader checks Q, K and V one at a time,
+    the head pass walks the heads over K and then over V, and scoring
+    forms a head's numerators and group scores over K before it reads V.
+    Sampled after each of those steps and after `score_layer`, the
+    trace's resident bytes never exceed one (N, d) array plus the page
+    slack of each head's block edge."""
 
-    SHAPE = (2, 4, 8192, 128)  # each head block is 12 MiB, a layer's K and V 32 MiB
-    SAMPLED = ("window_column_scores", "_head_pass", "_HeadNumerators", "score_layer")
+    SHAPE = (2, 4, 16384, 128)  # each head's Q, K and V are 8 MiB, a head block 24 MiB
+    # each sampled function and the module that holds the name the command calls
+    SAMPLED = {
+        "_require_finite": trace_module,
+        "_window_scores": harness,
+        "approx_semantic_vector": harness,
+        "_group_scores": harness,
+        "_HeadNumerators": harness,
+        "score_layer": harness,
+    }
+    # cells whose plans have groups, for which scoring forms S again
+    PLAN = ["--policy", "streaming,compressed-cache", "--m-top", "1"]
 
     @pytest.fixture(scope="class")
     def trace_dir(self, tmp_path_factory):
@@ -1390,33 +1404,53 @@ class TestMappedResidency:
             "gen", "--profile", "clustered-heads", "--seed", "8",
             "--shape", ",".join(map(str, self.SHAPE)), "--out", str(out / "t.tkv"),
         ]) == 0
-        assert main(["compress", "--trace", str(out / "t.tkv"), "--out", str(out)]) == 0
+        assert main(["compress", "--trace", str(out / "t.tkv"), *self.PLAN, "--out", str(out)]) == 0
         return out
 
     @pytest.mark.parametrize("command", ["all", "compress", "eval"])
     def test_peak_is_one_head_block(self, trace_dir, tmp_path, monkeypatch, capsys, command):
         path = trace_dir / "t.tkv"
-        samples = []
+        samples = {}
 
-        def sampled(call):
+        def sampled(call, name):
             def wrapper(*args, **kwargs):
                 out = call(*args, **kwargs)
-                samples.append(mapped_rss(path))
+                samples.setdefault(name, []).append(mapped_rss(path))
                 return out
             return wrapper
 
-        for name in self.SAMPLED:
-            monkeypatch.setattr(harness, name, sampled(getattr(harness, name)))
+        for name, module in self.SAMPLED.items():
+            monkeypatch.setattr(module, name, sampled(getattr(module, name), name))
         argv = [command, "--trace", str(path), "--out", str(tmp_path)]
         if command == "eval":
-            argv += ["--plans", str(trace_dir / "plans_streaming_0.4.json")]
+            argv += ["--plans", str(trace_dir / "plans_compressed-cache_0.4.json")]
+        else:
+            argv += self.PLAN
         assert main(argv) == 0, capsys.readouterr().err
-        assert samples
+        uncalled = {
+            "all": (),
+            "compress": ("_group_scores", "_HeadNumerators", "score_layer"),
+            "eval": ("_window_scores", "approx_semantic_vector"),
+        }[command]
+        assert set(samples) == set(self.SAMPLED) - set(uncalled)
         _, n, seq_len, dim = self.SHAPE
-        block = 3 * seq_len * dim * 4
-        assert max(samples) <= block + n * PAGE_SLACK_PER_HEAD
-        # which is less than a layer's K and V
-        assert block + n * PAGE_SLACK_PER_HEAD < 2 * n * seq_len * dim * 4
+        array, slack = seq_len * dim * 4, n * PAGE_SLACK_PER_HEAD
+        assert max(max(rss) for rss in samples.values()) <= array + slack
+        # which a head's K and V, with the huge page its window's query rows
+        # fault in, exceed
+        assert array + slack < 2 * array + PAGE_SLACK_PER_HEAD
+
+    def test_the_reader_gives_back_each_array_it_checks(self, trace_dir, monkeypatch):
+        given = []
+        monkeypatch.setattr(trace_module, "give_back_pages", given.append)
+        _, n, seq_len, dim = self.SHAPE
+        with TraceReader(trace_dir / "t.tkv") as reader:
+            for layer in reader.layers():
+                # Q, K and V of each head, in payload order
+                assert [view.shape for view in given] == [(seq_len, dim)] * 3 * n
+                starts = [view.ctypes.data - layer.ctypes.data for view in given]
+                assert starts == list(range(0, layer.nbytes, seq_len * dim * 4))
+                given.clear()
 
 
 class TestCheckedOnce:

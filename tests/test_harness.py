@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semkv import harness
 from semkv.allocator import (
     HEAD_AWARE_SLOTS,
     BudgetPlan,
@@ -31,11 +32,11 @@ from semkv.errors import (
     TraceTruncationError,
 )
 from semkv.harness import (
-    _head_pass,
     RunConfig,
     _SAFE,
     _HeadNumerators,
     _rows_cosine,
+    _window_scores,
     build_eval_report,
     check_decode_queries,
     compress_run,
@@ -47,8 +48,14 @@ from semkv.harness import (
     score_layer,
     score_plans,
 )
-from semkv.linalg import _KEY_BLOCK, AttentionInputs, _key_blocks, causal_scores
-from semkv.separator import HeadClass, top_t_indices
+from semkv.linalg import (
+    _KEY_BLOCK,
+    AttentionInputs,
+    _key_blocks,
+    causal_numerators,
+    causal_scores,
+)
+from semkv.separator import HeadClass, approx_semantic_vector, top_t_indices
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -502,7 +509,7 @@ def oracle_retained_output(head, values, plan) -> np.ndarray:
     weights = head.numerators[idx, blind:]
     v = np.asarray(values[idx], dtype=np.float64)
     if len(groups):
-        group_scores = group_means(head.scores, groups)[:, blind:]
+        group_scores = group_means(head.scores(), groups)[:, blind:]
         with np.errstate(over="ignore"):
             group_weights = np.exp(group_scores - head.shift[blind:])
         group_weights[starts[:, None] > rows] = 0.0
@@ -511,7 +518,7 @@ def oracle_retained_output(head, values, plan) -> np.ndarray:
     total = weights.sum(axis=0)
     rescue = ~((total >= 1 / _SAFE) & (total <= _SAFE))
     if rescue.any():
-        own = np.concatenate([head.scores[idx, blind:][:, rescue], group_scores[:, rescue]])
+        own = np.concatenate([head.scores()[idx, blind:][:, rescue], group_scores[:, rescue]])
         own[np.concatenate([idx, starts])[:, None] > rows[rescue]] = -np.inf
         weights[:, rescue] = np.exp(own - own.max(axis=0))
         total[rescue] = weights[:, rescue].sum(axis=0)
@@ -718,6 +725,84 @@ class TestBlockPass:
         self.assert_matches_oracle(trace, plans, 8)
 
 
+class TestHeldNumerators:
+    """The head pass holds each head's window softmax numerators E for
+    scoring, not its scores S: numerators taken from it give the bits of
+    numerators formed from the decode scores, and the run holds them in
+    one buffer, with no second softmax array alive while V is read."""
+
+    @staticmethod
+    def assert_held_equals_formed(trace, plans, window_len):
+        for r, layer in enumerate(trace.data):
+            for h, block in enumerate(layer):
+                heads = [check_head_plan(plan[r], r, h, trace.seq_len) for plan in plans]
+                held = (np.empty((trace.seq_len, window_len)), np.empty(window_len))
+                _window_scores(block, window_len, held)
+                kept = _HeadNumerators(block, window_len, heads, held)
+                formed = _HeadNumerators(block, window_len, heads)
+                assert kept.numerators.tobytes() == formed.numerators.tobytes()
+                assert kept.shift.tobytes() == formed.shift.tobytes()
+                for a, b in zip([kept.full, *kept.retained], [formed.full, *formed.retained]):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_every_policy_gets_the_bits_of_formed_numerators(self):
+        cfg = clustered_config(
+            seed=47, shape=(2, 4, _KEY_BLOCK + 40, 8), planted=1, beta=2 / 4, top_m=2,
+            policies=ALL_POLICIES, budget_ratios=(0.3, 0.6), decode_queries=16,
+        )
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
+        plans = list(compress_run(cfg, trace).plans.values())
+        assert any(plan[0].per_head_groups is not None for plan in plans)
+        self.assert_held_equals_formed(trace, plans, cfg.window_len)
+
+    def test_rescued_rows_get_the_bits_of_formed_numerators(self):
+        trace = underflow_trace()
+        plans = [
+            [head_plan([[0, 4], [56, 64]])],
+            [head_plan([[0, 4], [56, 64]], [[4, 20], [20, 56]])],
+        ]
+        head = _HeadNumerators(trace.data[0, 0], 8)
+        total = head.numerators[check_head_plan(plans[0][0], 0, 0, 64).retained].sum(axis=0)
+        assert np.all(total < 1 / _SAFE)  # every decode row is rescued
+        self.assert_held_equals_formed(trace, plans, 8)
+
+    def test_the_run_holds_one_numerator_buffer(self, monkeypatch):
+        # one head's window scores, or its numerators, are one (N, W) array
+        shape, window_len = (2, 4, 4096, 8), 32
+        cfg = clustered_config(
+            seed=48, shape=shape, window_len=window_len, decode_queries=window_len,
+            policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING, PolicyKind.FULL),
+        )
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
+        _, n, seq_len, _ = shape
+        softmax_bytes = seq_len * window_len * 8
+        made, alive = [], []
+        make, value_pass = harness._held_numerators, _HeadNumerators._value_pass
+
+        def counted(result):
+            held = make(result)
+            made.append({id(a.base): a.base.nbytes for slot in held for a in slot})
+            return held
+
+        def sampled(head, values, heads):
+            traces = tracemalloc.take_snapshot().traces
+            alive.append(sorted(t.size for t in traces if t.size >= softmax_bytes))
+            return value_pass(head, values, heads)
+
+        monkeypatch.setattr(harness, "_held_numerators", counted)
+        monkeypatch.setattr(_HeadNumerators, "_value_pass", sampled)
+        tracemalloc.start()
+        try:
+            run_all(cfg, trace)
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 1
+        assert sum(made[0].values()) == n * seq_len * window_len * 8 + n * window_len * 8
+        # while each head's V is read, the held numerators are the one
+        # softmax-sized allocation alive
+        assert alive == [[n * softmax_bytes]] * shape[0] * n
+
+
 class TestKeepAllHeads:
     """A head that keeps every position is scored as one more plan of the
     block pass, like the full cache itself, so it scores L2 exactly 0 and
@@ -797,9 +882,9 @@ class TestPlanMemory:
         head_kv_bytes = 2 * shape[2] * shape[3] * 8
         allowance = 4 * head_kv_bytes
         # and, when the decode rows are the window's, the layer's window
-        # scores held for fidelity scoring: exactly n N W 8 bytes
-        window_scores = shape[1] * shape[2] * cfg.window_len * 8
-        assert peak - held <= allowance + (decode_queries == cfg.window_len) * window_scores
+        # numerators held for fidelity scoring: exactly n N W 8 bytes
+        window_numerators = shape[1] * shape[2] * cfg.window_len * 8
+        assert peak - held <= allowance + (decode_queries == cfg.window_len) * window_numerators
         # and far below the rows any single cell other than full copies
         for (policy, _), plans in kept[1].plans.items():
             entries = [e for layer in built_entries(trace, plans) for e in layer]
@@ -828,15 +913,15 @@ class TestPlanMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # above what it keeps, the peak is one head's S and E, one widened V
-        # block and the rows gathered from it (with their numerators), each
-        # cell's retained positions and its (decode_queries, d) outputs (the
-        # last head's too), and four more such arrays (q, the full outputs
-        # and two products); a cell's whole retained V (R d 8 bytes) would
-        # exceed it
+        # above what it keeps, the peak is one head's numerators (formed in
+        # place on its scores), one widened V block and the rows gathered
+        # from it (with their numerators), each cell's retained positions
+        # and its (decode_queries, d) outputs (the last head's too), and
+        # four more such arrays (q, the full outputs and two products); a
+        # cell's whole retained V (R d 8 bytes) would exceed it
         n, d = shape[2], shape[3]
         bound = (
-            2 * n * decode_queries * 8
+            n * decode_queries * 8
             + 2 * _KEY_BLOCK * (d + decode_queries) * 8
             + len(plans) * 2 * n * 8
             + (2 * len(plans) + 4) * decode_queries * d * 8
@@ -971,19 +1056,31 @@ class TestFloat32Storage:
         assert peak - held <= 4 * (2 * shape[2] * shape[3] * 8)
 
 
-def whole_head_pass(block, window_len, top_t, held=None):
-    """The head pass that widens the whole head: `widen_head`'s float64 K
-    and V, one row-major masked softmax under the full (window, N) causal
-    mask, and the top-t rows of the widened V. Returns the column means and
-    the semantic vector; these are the head pass's bits before
-    `causal_scores`. With `held`, it keeps the window's `causal_scores`
+def whole_window_scores(block, window_len, held=None):
+    """The window scores of the head pass that widens the whole head:
+    `widen_head`'s float64 K and V and one row-major masked softmax under
+    the full (window, N) causal mask; these are the head pass's bits before
+    `causal_scores`. With `held`, it keeps the window's softmax numerators
     there too, as the head pass does, for `score_layer` to read."""
     if held is not None:
-        causal_scores(block[0, len(block[0]) - window_len :], block[1], held)
+        causal_numerators(*causal_scores(block[0, len(block[0]) - window_len :], block[1], held))
     inputs = widen_head(block, window_len)
-    column_means = row_major_attention_weights(inputs, window_len).mean(axis=0)
+    return row_major_attention_weights(inputs, window_len).mean(axis=0)
+
+
+def whole_head_pass(block, window_len, top_t):
+    """`whole_window_scores` and the semantic vector from the top-t rows of
+    the widened V."""
+    column_means = whole_window_scores(block, window_len)
     selected = top_t_indices(column_means, top_t)
-    return column_means, column_means[selected] @ inputs.values[selected]
+    return column_means, column_means[selected] @ widen_head(block).values[selected]
+
+
+def head_pass(block, window_len, top_t):
+    """The head pass of one head, both walks: its window scores and its
+    top-t semantic vector."""
+    scores = _window_scores(block, window_len)
+    return scores, approx_semantic_vector(scores, block[2], top_t)
 
 
 # How far the head pass may move from `whole_head_pass`: its key-major
@@ -1027,8 +1124,8 @@ class TestLeanHeadPass:
     def test_equals_the_whole_head_pass(self, layout, seq_len, head_dim, window_len, top_t):
         rng = np.random.default_rng(seq_len * head_dim + window_len)
         raw = 3 * rng.standard_normal((3, seq_len, head_dim)).astype(np.float32)
-        scores, vector = _head_pass(self.LAYOUTS[layout](raw), window_len, top_t)
-        narrow_scores, narrow_vector = _head_pass(raw, window_len, top_t)
+        scores, vector = head_pass(self.LAYOUTS[layout](raw), window_len, top_t)
+        narrow_scores, narrow_vector = head_pass(raw, window_len, top_t)
         assert scores.tobytes() == narrow_scores.tobytes()
         assert vector.tobytes() == narrow_vector.tobytes()
         assert_near_whole_head_pass(raw, window_len, top_t, scores, vector)
@@ -1040,9 +1137,9 @@ class TestLeanHeadPass:
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         blocks = trace.data.reshape(-1, *trace.data.shape[2:])
         for block in blocks:
-            scores, vector = _head_pass(block, 16, 64)
+            scores, vector = head_pass(block, 16, 64)
             for same in (block.astype(np.float64), np.asfortranarray(block)):
-                again = _head_pass(same, 16, 64)
+                again = head_pass(same, 16, 64)
                 assert scores.tobytes() == again[0].tobytes()
                 assert vector.tobytes() == again[1].tobytes()
             assert_near_whole_head_pass(block, 16, 64, scores, vector)
@@ -1156,22 +1253,22 @@ class TestReportFixture:
         gather the block pass replaced), then by it with `OracleFull`
         numerators as well (the masked softmax `_HeadNumerators` replaced),
         each with its SHA-256. Both take their window scores from
-        `whole_head_pass`, as the head pass did before `causal_scores`."""
+        `whole_window_scores`, as the head pass did before `causal_scores`."""
         return [
             self.patched_report(
                 monkeypatch,
-                _head_pass=whole_head_pass,
+                _window_scores=whole_window_scores,
                 score_layer=functools.partial(oracle_score_layer, numerators=numerators),
             )
             for numerators in (PreChangeFull, self.OracleFull)
         ]
 
     def before_one_kernel(self, monkeypatch):
-        """The fixture report with the head pass of `whole_head_pass`, the
+        """The fixture report with the window scores of `whole_window_scores`, the
         row-major softmax `causal_scores` replaced, scored by
         `pre_change_score_layer`, and its SHA-256."""
         return self.patched_report(
-            monkeypatch, _head_pass=whole_head_pass, score_layer=pre_change_score_layer
+            monkeypatch, _window_scores=whole_window_scores, score_layer=pre_change_score_layer
         )
 
     def before_full_plan(self, monkeypatch):
@@ -1297,7 +1394,7 @@ class TestReportFixture:
 # scores come from `causal_scores`, the key-major product that fidelity
 # scoring shares. Against the report whose head pass took the
 # row-major softmax (`REPORT_BEFORE_ONE_KERNEL_SHA256`, reproduced through
-# `whole_head_pass`), only `distances` and the pca `x` and `y` moved:
+# `whole_window_scores`), only `distances` and the pca `x` and `y` moved:
 # distances by at most 6.1e-16 relative, coordinates by 1.0e-16 absolute
 # (of coordinates up to 0.076); every class, plan and fidelity float kept
 # its bits. On the benchmark's two traces (seed 606) distances moved by up

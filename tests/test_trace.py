@@ -18,8 +18,13 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from semkv.harness import _head_pass, score_layer
-from semkv.separator import head_distances, semantic_vector_full, window_column_scores
+from semkv.harness import _window_scores, score_layer
+from semkv.separator import (
+    approx_semantic_vector,
+    head_distances,
+    semantic_vector_full,
+    window_column_scores,
+)
 from semkv.trace import (
     _STREAM_CHUNK,
     HEADER_BYTES,
@@ -549,7 +554,7 @@ class TestLayerSources:
             with TraceReader(io.BytesIO(data)) as reader:
                 for layer in reader.layers():
                     for block in layer:
-                        _head_pass(block, 32, 64)
+                        approx_semantic_vector(_window_scores(block, 32), block[2], 64)
 
         _, peak = traced_peak(read_and_pass)
         assert peak <= head_block + _STREAM_CHUNK
@@ -663,10 +668,10 @@ class TestLayerSources:
 class TestPageGiveBack:
     """A mapped trace's pages leave the process once the pass that reads
     them moves on: `each_head` gives each head's whole block back when its
-    caller asks for the next one or stops, after the reader checks it,
-    after its head pass, whether or not that holds its window scores, and
-    after `score_layer` scores it, from the held scores or from K read
-    again."""
+    caller asks for the next one or stops, after each walk of its head
+    pass, whether or not that holds its window numerators, and after
+    `score_layer` scores it, from the held numerators or from K read
+    again; the reader gives back each of its Q, K and V once checked."""
 
     SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
     WINDOW = 32
@@ -689,10 +694,16 @@ class TestPageGiveBack:
             for r, (layer, drawn) in enumerate(zip(reader.layers(), source.layers())):
                 # checked: no page of the layer is resident
                 assert mapped_rss(path) <= slack
+                # the head pass's two walks, over K and then over V
+                scores = []
                 for block, slot in zip(each_head(layer), held or [None] * n):
                     # the blocks before this one left when it was asked for
                     assert mapped_rss(path) <= slack
-                    _head_pass(block, self.WINDOW, 64, slot)
+                    scores.append(_window_scores(block, self.WINDOW, slot))
+                assert mapped_rss(path) <= slack
+                for block, score in zip(each_head(layer), scores):
+                    assert mapped_rss(path) <= slack
+                    approx_semantic_vector(score, block[2], 64)
                 assert mapped_rss(path) <= slack
                 # scoring reads each head's V, and K too when it forms
                 # its own scores, and gives them back head by head
