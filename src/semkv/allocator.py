@@ -10,8 +10,9 @@ A plan holds what each head keeps as ranges: its retained positions as an
 (r, 2) array of maximal [start, stop) runs, and its compressed-cache
 groups as a (g, 2) array of [start, stop) bounds. Everything, sinks,
 recents and the observation window are one run each; only top-k picks
-are scattered. Positions are expanded (`expand_runs`) only where rows are
-gathered, in `check_head_plan`.
+are scattered. `check_plans` is the one check of a plan, made on the runs
+and groups themselves where plans enter; positions are expanded
+(`expand_runs`) only where rows are gathered, in `BudgetPlan.head_plan`.
 """
 
 from __future__ import annotations
@@ -164,6 +165,14 @@ def _middle_groups(seq_len: int, sinks: int, recents: int, k: int) -> np.ndarray
     return groups[groups[:, 1] > groups[:, 0]]
 
 
+class HeadPlan(NamedTuple):
+    """One head's share of a layer plan: its retained positions (its runs
+    expanded) and its groups as (g, 2) [start, stop) bounds."""
+
+    retained: np.ndarray
+    groups: np.ndarray
+
+
 @dataclass
 class BudgetPlan:
     """Retained-token decision for one layer under one policy: per head,
@@ -187,6 +196,11 @@ class BudgetPlan:
         runs = self.per_head_runs[head]
         groups = 0 if self.per_head_groups is None else len(self.per_head_groups[head])
         return int((runs[:, 1] - runs[:, 0]).sum()) + groups
+
+    def head_plan(self, head: int) -> HeadPlan:
+        """Head `head`'s share of the plan, as scoring reads it."""
+        groups = _NO_RANGES if self.per_head_groups is None else self.per_head_groups[head]
+        return HeadPlan(expand_runs(self.per_head_runs[head]), groups)
 
     def retained_tokens(self) -> int:
         return sum(self.head_tokens(h) for h in range(len(self.per_head_runs)))
@@ -487,7 +501,12 @@ def group_means(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 def check_plans(trace, plans) -> list[BudgetPlan]:
     """The plans as a list, one per layer of `trace` (an `AttentionTrace` or
-    a `TraceHeader`), plan r for layer r, each covering every head."""
+    a `TraceHeader`), plan r for layer r, each covering every head, whose
+    every run and group is non-empty, sorted, non-overlapping and inside
+    [0, N), whose runs are maximal (apart, so keeping everything is always
+    [[0, N]]) and whose groups start on no retained position: the one
+    check of a plan, made before any layer is read. Scoring reads plans
+    that pass, and those `apply_policy` builds, as they are."""
     plans = list(plans)
     if len(plans) != trace.num_layers:
         raise CacheConsistencyError(f"{len(plans)} plans for {trace.num_layers} layers")
@@ -505,44 +524,21 @@ def check_plans(trace, plans) -> list[BudgetPlan]:
                 raise CacheConsistencyError(
                     f"layer {r}: plan {what} cover {len(per_head)} heads, trace has {n_heads}"
                 )
+    for r, plan in enumerate(plans):
+        for h, runs in enumerate(plan.per_head_runs):
+            where = f"layer {r} head {h}"
+            _check_groups(runs, trace.seq_len, where, "run")
+            touching = np.flatnonzero(runs[1:, 0] == runs[:-1, 1])
+            if touching.size:
+                a, b = runs[touching[0] + 1]
+                raise CacheConsistencyError(f"{where}: run [{a}, {b}) touches the run before it")
+            groups = _NO_RANGES if plan.per_head_groups is None else plan.per_head_groups[h]
+            _check_groups(groups, trace.seq_len, where)
+            # a start inside a run is before the stop of the last run at or before it
+            at = np.searchsorted(runs[:, 0], groups[:, 0], side="right")
+            if np.any(groups[:, 0] < np.concatenate([[0], runs[:, 1]])[at]):
+                raise CacheConsistencyError(f"{where}: cache positions must be strictly increasing")
     return plans
-
-
-class HeadPlan(NamedTuple):
-    """One head's checked share of a layer plan: its retained positions
-    (its runs expanded), its groups as (g, 2) [start, stop) bounds and the
-    sorted positions of its cache rows (the retained positions and each
-    group's start)."""
-
-    retained: np.ndarray
-    groups: np.ndarray
-    positions: np.ndarray
-
-
-def check_head_plan(plan: BudgetPlan, layer: int, head: int, seq_len: int) -> HeadPlan:
-    """Head `head`'s share of layer `layer`'s plan, checked against N.
-
-    A run or a group that is empty, out of [0, N), unsorted or overlapping,
-    a run that touches the one before it (runs are maximal, so a head that
-    keeps everything is always [[0, N]]), and a group that starts on a
-    retained position (so cache positions are not strictly increasing)
-    each raise CacheConsistencyError naming the layer and head.
-    """
-    where = f"layer {layer} head {head}"
-    runs = plan.per_head_runs[head]
-    _check_groups(runs, seq_len, where, "run")
-    touching = np.flatnonzero(runs[1:, 0] == runs[:-1, 1])
-    if touching.size:
-        a, b = runs[touching[0] + 1]
-        raise CacheConsistencyError(f"{where}: run [{a}, {b}) touches the run before it")
-    groups = _NO_RANGES if plan.per_head_groups is None else plan.per_head_groups[head]
-    _check_groups(groups, seq_len, where)
-    idx = positions = expand_runs(runs)
-    if len(groups):
-        positions = np.sort(np.concatenate([idx, groups[:, 0]]))
-        if np.any(np.diff(positions) <= 0):
-            raise CacheConsistencyError(f"{where}: cache positions must be strictly increasing")
-    return HeadPlan(idx, groups, positions)
 
 
 class MemoryFootprint(NamedTuple):

@@ -34,7 +34,7 @@ from .harness import (
     score_plans,
     start_run,
 )
-from .trace import SyntheticProfile, SyntheticSource, TraceReader, write_trace
+from .trace import SyntheticProfile, SyntheticSource, write_trace
 
 
 def _parse_shape(text: str) -> tuple[int, int, int, int]:
@@ -547,11 +547,12 @@ def _cmd_all(args) -> int:
         with _Outputs(out) as outputs:
             with contextlib.ExitStack() as files:
                 if cfg.trace_path is None:
-                    # a drawn trace is saved, then read back like any trace file
-                    saved = outputs.path("trace.tkv")
-                    write_trace(source, saved)
-                    source = files.enter_context(TraceReader(saved))
-                _run_and_write_plans(cfg, result, names, source.layers(), outputs, files)
+                    # a drawn trace is saved, and its layers mapped from there
+                    saved = files.enter_context(open(outputs.path("trace.tkv"), "w+b"))
+                    layers = source._drawn_into(saved)
+                else:
+                    layers = source.layers()
+                _run_and_write_plans(cfg, result, names, layers, outputs, files)
             report = build_eval_report(cfg, result, bound_suite(cfg))
             export_report(report, "json", outputs.path("report.json"))
             export_report(report, "csv", outputs.path("report.csv"))

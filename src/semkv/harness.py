@@ -51,7 +51,6 @@ from .allocator import (
     PolicyKind,
     apply_policy,
     check_cell,
-    check_head_plan,
     check_kernel,
     check_plans,
     footprint,
@@ -325,7 +324,7 @@ def layer_step(
     result.classes.append(classes)
     result.add_head_tokens(plans)
     if result.decode_queries is not None:
-        scored = score_layer(data, layer, list(plans.values()), result.decode_queries, held=held)
+        scored = score_layer(data, list(plans.values()), result.decode_queries, held=held)
         for cell, score in zip(plans, scored):
             result.scores.setdefault(cell, []).append(score)
     return plans
@@ -470,10 +469,10 @@ class _HeadNumerators:
     given back, before V is read; only a rescue reads K again.
     The full cache is one more plan, the first: every position, no groups.
     `full` is its outputs, (decode_queries, d), and `retained` holds, in
-    order, the outputs over each of `heads` (each a cell's checked
-    `HeadPlan`): its retained rows and group means, renormalised over its
-    own rows. A head that keeps every position adds what the full plan
-    adds, in the same order, so its outputs are `full`'s bits.
+    order, the outputs over each of `heads` (each a cell's `HeadPlan`):
+    its retained rows and group means, renormalised over its own rows. A
+    head that keeps every position adds what the full plan adds, in the
+    same order, so its outputs are `full`'s bits.
     """
 
     def __init__(
@@ -490,7 +489,7 @@ class _HeadNumerators:
             else:
                 group_scores = _group_scores(block, decode_queries, groups)
         self.numerators, self.shift = held
-        heads = [HeadPlan(every, _NO_RANGES, every), *heads]
+        heads = [HeadPlan(every, _NO_RANGES), *heads]
         group_scores = [np.empty((0, decode_queries)), *group_scores]
         products, totals = self._value_pass(block[2], heads)
         self.full, *self.retained = [
@@ -554,7 +553,7 @@ class _HeadNumerators:
         with its own retained max over the gathered rows.
         """
         idx, groups = head.retained, head.groups
-        first = int(head.positions[0]) if head.positions.size else int(self.rows[-1]) + 1
+        first = int(min([*idx[:1], *groups[:1, 0]], default=self.rows[-1] + 1))
         blind = min(max(first - int(self.rows[0]), 0), len(self.rows))
         group_values = np.empty((0, values.shape[1]))
         if len(groups):
@@ -580,7 +579,6 @@ class _HeadNumerators:
 
 def score_layer(
     data: np.ndarray,
-    layer: int,
     plans: list[BudgetPlan],
     decode_queries: int,
     held: list[Held] | None = None,
@@ -588,8 +586,8 @@ def score_layer(
     """Per-head decode L2 error and cosine of each of one layer's `plans`
     against the full cache, over the last `decode_queries` query rows.
 
-    Scoring is head-major. Every scored head's plan passes
-    `check_head_plan` first. `_HeadNumerators` takes the head's softmax
+    Plans are read unchecked: `check_plans` passed them or `apply_policy` built them.
+    Scoring is head-major. `_HeadNumerators` takes the head's softmax
     numerators, under each decode row's full-cache max, from `held` (the
     head pass's, when the decode rows are the window's) or forms them from
     the decode scores (`causal_scores`), and one pass over its V key
@@ -604,10 +602,9 @@ def score_layer(
     so scoring holds the held numerators plus one of a head's arrays
     (two only while a rescue reads K again) and their temporaries.
     """
-    n_heads, _, seq_len, _ = data.shape
-    scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
+    scores = [(np.empty(len(data)), np.empty(len(data))) for _ in plans]
     for h, block in enumerate(each_head(data)):
-        cells = [check_head_plan(plan, layer, h, seq_len) for plan in plans]
+        cells = [plan.head_plan(h) for plan in plans]
         head = _HeadNumerators(block, decode_queries, cells, held[h] if held else None)
         full, retained = head.full, head.retained
         del head  # its numerators go before the next head's are formed
@@ -628,7 +625,7 @@ def score_plans(
     for r, data in enumerate(layers):
         check_decode_queries(decode_queries, data.shape[2])
         layer_plans = [plans[r] for plans in plan_sets]
-        for layer_scores, score in zip(scores, score_layer(data, r, layer_plans, decode_queries)):
+        for layer_scores, score in zip(scores, score_layer(data, layer_plans, decode_queries)):
             layer_scores.append(score)
     return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
 

@@ -294,22 +294,21 @@ def _fill_clustered_head(
     amp: float,
     spread: float,
 ) -> None:
-    """Draw one head into `out`, a float32 (3, N, d) block; `scratch` is (2, N, d)."""
+    """Draw one head into `out`, a float32 (3, N, d) block; `scratch` is (N, d)."""
     q, k, v = out
-    draw, noise = scratch
-    seq_len = draw.shape[0]
-    _draw(rng, draw, q)
-    _draw(rng, draw, k)
-    # V rows are mags[i] times the unit vector along `axis`
-    mags = _CLUSTER_BASE + amp * rng.uniform(-1.0, 1.0, size=seq_len)
-    draw.fill(0.0)
-    draw[:, axis] = mags
+    _draw(rng, scratch, q)
+    _draw(rng, scratch, k)
+    # V rows are mags[i] times the unit vector along `axis`, plus the noise
+    mags = _CLUSTER_BASE + amp * rng.uniform(-1.0, 1.0, size=scratch.shape[0])
     if spread > 0:
-        rng.standard_normal(out=noise)
-        noise *= spread
-        draw += noise
+        rng.standard_normal(out=scratch)
+        scratch *= spread
+        scratch += 0.0  # a -0.0 product is +0.0, as when the noise is added to zeros
+    else:
+        scratch.fill(0.0)
+    scratch[:, axis] += mags
     with np.errstate(over="ignore"):  # past float32's range is inf, rejected once drawn
-        v[...] = draw
+        v[...] = scratch
 
 
 def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticProfile) -> None:
@@ -365,7 +364,7 @@ class SyntheticSource:
         (writable float32 (3, N, d) arrays) and yield it, unchecked."""
         header, profile = self.header, self.profile
         rng = seeded_rng(profile.seed, _STREAM_DATA)
-        scratch = np.empty((2, header.seq_len, header.head_dim))
+        scratch = np.empty((header.seq_len, header.head_dim))
         for r in range(header.num_layers):
             if self._planted is not None:
                 rank = {h: i for i, h in enumerate(self._planted[r])}
@@ -378,7 +377,7 @@ class SyntheticSource:
                     _fill_clustered_head(rng, scratch, out, axis, amp, profile.spread)
                 else:
                     for tensor in out:
-                        _draw(rng, scratch[0], tensor)
+                        _draw(rng, scratch, tensor)
                     if profile.kind == "planted-needle":
                         _plant_needle(rng, out, profile)
                 yield out
@@ -391,9 +390,15 @@ class SyntheticSource:
 
     def layers(self) -> Iterator[np.ndarray]:
         with tempfile.TemporaryFile() as spool:
-            write_trace(self, spool)
-            spool.seek(0)  # flushes what is buffered, for the mapping
-            yield from TraceReader(spool)._mapped_layers()
+            yield from self._drawn_into(spool)
+
+    def _drawn_into(self, file) -> Iterator[np.ndarray]:
+        """Write the trace into `file`, open for binary writing and reading,
+        when the first layer is asked for, then yield its mapped layers
+        unchecked: `head_blocks()` checked every value as it was drawn."""
+        write_trace(self, file)
+        file.seek(0)  # flushes what is buffered, for the mapping
+        yield from TraceReader(file)._mapped_layers()
 
 
 def gen_synthetic_trace(
@@ -402,7 +407,7 @@ def gen_synthetic_trace(
     """Build a seeded synthetic trace of shape (R, n, N, d), held in float32.
 
     `SyntheticSource` draws each head straight into the trace, so the peak
-    is the float32 trace plus two N x d float64 blocks. `AttentionTrace`
+    is the float32 trace plus one N x d float64 block. `AttentionTrace`
     checks the drawn values.
     """
     source = SyntheticSource(profile, shape)

@@ -44,7 +44,7 @@ from semkv.trace import (
 )
 
 # the cache oracle: a plan's rows, gathered per head as fidelity scoring sees them
-from test_harness import build_head_entry
+from test_harness import built_entries
 
 
 def classes_with_het(n, het):
@@ -383,6 +383,51 @@ PLANS_GRID_SHA256 = "932bb9efa6cf4015a1be3a72027744630ddbf37c3536f267af1ee6a9380
 PLANS_RUNS_GRID_SHA256 = "26900e9ef903c67d0c36ac49fc79bd39bf428e3e599430970995795feb1fa59d"
 
 
+@st.composite
+def policy_layers(draw):
+    """A layer's (n heads, N, head classes, pooled window scores) and a
+    cell's budget ratio, sinks, recents and window: scores are eighths, so
+    ties are common, pooled with an odd kernel."""
+    n = draw(st.integers(1, 8))
+    seq_len = draw(st.integers(1, 64))
+    het = draw(st.sets(st.integers(0, n - 1)))
+    kernel = draw(st.sampled_from([1, 3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = [pool_scores(rng.integers(0, 8, size=seq_len) / 8, kernel) for _ in range(n)]
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True))
+    sinks, recents = draw(st.integers(0, seq_len + 2)), draw(st.integers(0, seq_len + 2))
+    window = draw(st.integers(1, seq_len))
+    return n, seq_len, classes_with_het(n, het), pooled, ratio, sinks, recents, window
+
+
+class TestPlansPassTheirCheck:
+    """Scoring reads the plans `apply_policy` builds without checking them:
+    every feasible cell's plans pass `check_plans`, clamped ones too, and
+    an infeasible cell raises, as `check_cell` decides from the shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(policy_layers())
+    # a clamped task-kv cell (B = 57: k = floor(9 / 3) - 2 - 4 < 0), an
+    # infeasible one (57 < 3 * 48), and every head heterogeneous
+    @example((4, 48, classes_with_het(4, {0}), [np.arange(48.0)] * 4, 0.3, 2, 4, 8))
+    @example((4, 48, classes_with_het(4, {0, 1, 2}), [np.ones(48)] * 4, 0.3, 2, 4, 48))
+    @example((2, 8, classes_with_het(2, {0, 1}), [np.ones(8)] * 2, 1.0, 0, 0, 1))
+    def test_every_feasible_plan_passes_check_plans(self, layer):
+        n, seq_len, classes, pooled, ratio, sinks, recents, window = layer
+        header = TraceHeader(1, n, seq_len, 1)
+        f_r = classes.count(HeadClass.HETEROGENEOUS)
+        for policy in PolicyKind:
+            try:
+                check_cell(policy, ratio, seq_len, n, [f_r], sinks, recents)
+            except InfeasibleBudgetError as exc:
+                with pytest.raises(InfeasibleBudgetError) as err:
+                    apply_policy(0, classes, policy, ratio, sinks, recents, window, pooled)
+                assert str(err.value) == str(exc)
+                continue
+            plan = apply_policy(0, classes, policy, ratio, sinks, recents, window, pooled)
+            assert check_plans(header, [plan]) == [plan]
+
+
 class TestBudgetProperties:
     POLICIES = [
         PolicyKind.TASK_KV,
@@ -438,16 +483,6 @@ class TestBudgetProperties:
             plan = plan_for(trace, classes, policy, 1.0)
             for idx in retained(plan):
                 np.testing.assert_array_equal(idx, np.arange(48))
-
-
-def built_entries(trace, plans):
-    """Every head's `build_head_entry`, [layer][head]: the whole cache the
-    plans describe, built at once as the oracle for the per-head path."""
-    plans = check_plans(trace, plans)
-    return [
-        [build_head_entry(trace.data[r, h], plan, r, h) for h in range(trace.num_heads)]
-        for r, plan in enumerate(plans)
-    ]
 
 
 def built_footprint(trace, plans):
@@ -669,7 +704,7 @@ class TestPlanConsistency:
     def test_head_count_mismatch_rejected(self, retained, groups):
         trace = small_trace(seed=80)
         with pytest.raises(CacheConsistencyError, match="heads"):
-            built_entries(trace, [_plan_with(retained, groups)])
+            check_plans(trace, [_plan_with(retained, groups)])
 
     @pytest.mark.parametrize(
         "bad",
@@ -687,7 +722,7 @@ class TestPlanConsistency:
         trace = small_trace(seed=81)
         groups = [[], bad, [], []]
         with pytest.raises(CacheConsistencyError, match="layer 0 head 1: group"):
-            built_entries(trace, [_plan_with([[0]] * 4, groups)])
+            check_plans(trace, [_plan_with([[0]] * 4, groups)])
 
     @pytest.mark.parametrize(
         "runs, groups, message",
@@ -706,20 +741,36 @@ class TestPlanConsistency:
         trace = small_trace(seed=82)
         plan = _plan_with([[0]] * 4, [[], groups, [], []], runs=[[(0, 1)], runs, [], []])
         with pytest.raises(CacheConsistencyError, match="^layer 0 head 1: " + message):
-            built_entries(trace, [plan])
+            check_plans(trace, [plan])
+
+    @given(st.data())
+    def test_group_starts_are_checked_against_the_expanded_positions(self, data):
+        # the expansion `check_plans` leaves out: a group may not start on
+        # any retained position, and may start anywhere else
+        seq_len = 24
+        kept = sorted(data.draw(st.sets(st.integers(0, seq_len - 1))))
+        bounds = sorted(data.draw(st.sets(st.integers(0, seq_len))))
+        groups = list(zip(bounds[0::2], bounds[1::2]))
+        plan = _plan_with([kept], [groups])
+        header = TraceHeader(1, 1, seq_len, 1)
+        if set(kept) & {a for a, _ in groups}:
+            with pytest.raises(CacheConsistencyError, match="strictly increasing"):
+                check_plans(header, [plan])
+        else:
+            assert check_plans(header, [plan]) == [plan]
 
     def test_head_classes_count_mismatch_rejected(self):
         trace = small_trace(seed=83)
         plan = _plan_with([[0, 1]] * 4)
         plan.head_classes.pop()
         with pytest.raises(CacheConsistencyError, match="head classes cover 3 heads"):
-            built_entries(trace, [plan])
+            check_plans(trace, [plan])
 
     def test_plan_for_another_layer_rejected(self):
         trace = small_trace(seed=84, shape=(2, 4, 48, 6))
         plans = [_plan_with([[0, 1]] * 4), _plan_with([[0, 1]] * 4)]
         with pytest.raises(CacheConsistencyError, match="plan 1 is for layer 0"):
-            built_entries(trace, plans)
+            check_plans(trace, plans)
 
 
 @st.composite

@@ -168,6 +168,34 @@ class TestEval:
         assert code == 1
         assert json.loads(err)["error"] == "CacheConsistencyError"
 
+    def test_a_bad_run_in_the_last_layer_fails_before_any_layer_is_scored(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        trace = tmp_path / "t2.tkv"
+        gen = [*GEN_ARGS[:4], "2,8,96,8", *GEN_ARGS[5:]]
+        assert run_cli(capsys, *gen, "--out", str(trace))[0] == 0
+        out = tmp_path / "out"
+        run_cli(capsys, "compress", "--trace", str(trace), *PLAN_ARGS, "--out", str(out))
+        plans_path = out / "plans_task-kv_0.5.json"
+        payload = json.loads(plans_path.read_text())
+        payload["layers"][-1]["per_head_runs"][3] = [[0, 5], [5, 96]]
+        plans_path.write_text(json.dumps(payload))
+        scored, score_layer = [], harness.score_layer
+
+        def counting(*args, **kwargs):
+            scored.append(args)
+            return score_layer(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "score_layer", counting)
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace), "--plans", str(plans_path), "--out", str(out),
+        )
+        assert code == 1
+        message = "layer 1 head 3: run [5, 96) touches the run before it"
+        assert err == json.dumps({"error": "CacheConsistencyError", "message": message}) + "\n"
+        assert scored == []
+        assert not (out / "fidelity.json").exists()
+
     @pytest.mark.parametrize("other_shape", ["1,8,512,16", "1,8,256,8"], ids=["N", "d"])
     def test_plans_for_another_trace_shape_fail_with_json_error(
         self, tmp_path, capsys, other_shape
@@ -1456,9 +1484,8 @@ class TestMappedResidency:
 class TestCheckedOnce:
     """Each trace value is checked for NaN/Inf once, by the code that first
     receives it, counted as the values `trace._require_finite` reads per
-    payload value. `all --profile` saves its drawn trace as trace.tkv and
-    reads it back through the checking reader, like any trace file, so its
-    values are checked twice."""
+    payload value. `all --profile` checks its values as they are drawn and
+    maps the trace.tkv it saves them to unchecked."""
 
     SOURCE = ["--profile", "clustered-heads", "--seed", "4", "--shape", "2,4,64,8"]
     PROFILE, SHAPE = SyntheticProfile("clustered-heads", seed=4), (2, 4, 64, 8)
@@ -1503,7 +1530,7 @@ class TestCheckedOnce:
             (["eval", "--config", "{dir}/profile.json",
               "--plans", "{dir}/plans_streaming_0.4.json"], 1),
             (["all", "--trace", "{dir}/t.tkv"], 1),
-            (["all", *SOURCE], 2),
+            (["all", *SOURCE], 1),
         ],
         ids=["gen", "compress-profile", "pca-profile", "eval-profile", "all-trace", "all-profile"],
     )

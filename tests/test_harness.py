@@ -20,7 +20,7 @@ from semkv.allocator import (
     HEAD_AWARE_SLOTS,
     BudgetPlan,
     PolicyKind,
-    check_head_plan,
+    check_plans,
     expand_runs,
     footprint,
     group_means,
@@ -269,17 +269,17 @@ def keeps_every_position(plan, head, seq_len) -> bool:
     return bool(whole) and (plan.per_head_groups is None or not len(plan.per_head_groups[head]))
 
 
-def build_head_entry(block, plan, layer, head) -> CacheEntry:
+def build_head_entry(block, plan, head) -> CacheEntry:
     """One head's retained K/V rows (plus synthetic group means) out of its
     (3, N, d) Q/K/V block.
 
-    `plan` is layer `layer`'s plan, already passed through `check_plans`. A
+    `plan` is the block's layer plan, already passed through `check_plans`. A
     head that keeps every position holds read-only views of the block's
     rows, in its dtype; other heads hold float64 copies of the rows they
     keep, gathered from the block and then widened.
     """
     n_seq = block.shape[1]
-    idx, groups, _ = check_head_plan(plan, layer, head, n_seq)
+    idx, groups = plan.head_plan(head)
     keys, values = block[1], block[2]
     synthetic = np.zeros(idx.size, dtype=bool)
     if keeps_every_position(plan, head, n_seq):
@@ -314,10 +314,11 @@ def decode_outputs(layer, decode_queries):
 
 
 def built_entries(trace, plans):
-    """Every head's `build_head_entry`, [layer][head]: the whole cache at once."""
+    """Every head's `build_head_entry`, [layer][head]: the whole cache the
+    plans describe, built at once, once they pass `check_plans`."""
     return [
-        [build_head_entry(trace.data[r, h], plan, r, h) for h in range(trace.num_heads)]
-        for r, plan in enumerate(plans)
+        [build_head_entry(trace.data[r, h], plan, h) for h in range(trace.num_heads)]
+        for r, plan in enumerate(check_plans(trace, plans))
     ]
 
 
@@ -493,13 +494,15 @@ class TestFullOutputs:
 
 
 def oracle_retained_output(head, values, plan) -> np.ndarray:
-    """Decode outputs over a checked `HeadPlan`'s retained rows and group
-    means, (decode_queries, d), from `head`'s numerators (a
+    """Decode outputs over a checked plan's `HeadPlan`'s retained rows and
+    group means, (decode_queries, d), from `head`'s numerators (a
     `_HeadNumerators`), with every retained V row gathered and widened and
     one product over all of them: the per-cell scoring the block pass
-    replaced, kept bit for bit."""
+    replaced, kept bit for bit. The first cache position is the first of
+    the sorted positions of its cache rows."""
     out = np.zeros((len(head.rows), values.shape[1]))
-    first = int(plan.positions[0]) if plan.positions.size else int(head.rows[-1]) + 1
+    positions = np.sort(np.concatenate([plan.retained, plan.groups[:, 0]]))
+    first = int(positions[0]) if positions.size else int(head.rows[-1]) + 1
     blind = min(max(first - int(head.rows[0]), 0), len(head.rows))
     if blind == len(head.rows):
         return out
@@ -540,7 +543,7 @@ class PreChangeFull(_HeadNumerators):
         self.full /= self.numerators.sum(axis=0)[:, None]
 
 
-def pre_change_score_layer(data, layer, plans, decode_queries, held=None):
+def pre_change_score_layer(data, plans, decode_queries, held=None):
     """`score_layer` as it was before the full cache was a plan of the
     block pass, kept bit for bit: `PreChangeFull`'s full outputs, and a
     head that keeps every position scored L2 0 and their self-cosine
@@ -549,7 +552,7 @@ def pre_change_score_layer(data, layer, plans, decode_queries, held=None):
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
         cells = {
-            c: check_head_plan(plan, layer, h, seq_len)
+            c: plan.head_plan(h)
             for c, plan in enumerate(plans)
             if not keeps_every_position(plan, h, seq_len)
         }
@@ -565,9 +568,7 @@ def pre_change_score_layer(data, layer, plans, decode_queries, held=None):
     return scores
 
 
-def oracle_score_layer(
-    data, layer, plans, decode_queries, numerators=PreChangeFull, held=None
-):
+def oracle_score_layer(data, plans, decode_queries, numerators=PreChangeFull, held=None):
     """`score_layer` as it was before the block pass: each head's full
     outputs from `numerators(block, decode_queries).full`, and each cell's
     retained outputs from `oracle_retained_output`. It forms its own
@@ -581,9 +582,7 @@ def oracle_score_layer(
             if keeps_every_position(plan, h, seq_len):
                 l2[h], cos[h] = 0.0, self_cosine
                 continue
-            retained_out = oracle_retained_output(
-                head, block[2], check_head_plan(plan, layer, h, seq_len)
-            )
+            retained_out = oracle_retained_output(head, block[2], plan.head_plan(h))
             l2[h] = float(np.linalg.norm(head.full - retained_out, axis=1).mean())
             cos[h] = float(_rows_cosine(head.full, retained_out).mean())
     return scores
@@ -635,11 +634,13 @@ class TestBlockPass:
         `score_layer` against `oracle_score_layer` on the same scale.
         Returns how many (head, key block) pairs a cell keeps whole and in
         part."""
+        for plan in plans:
+            check_plans(trace, plan)  # hand-made plans too
         whole = partial = 0
         sizes = np.bincount(np.arange(trace.seq_len) // _KEY_BLOCK)  # each key block's length
         for r, layer in enumerate(trace.data):
             for h, block in enumerate(layer):
-                heads = [check_head_plan(plan[r], r, h, trace.seq_len) for plan in plans]
+                heads = [plan[r].head_plan(h) for plan in plans]
                 numerators = _HeadNumerators(block, decode_queries, heads)
                 oracle = _HeadNumerators(block, decode_queries)
                 assert np.array_equal(numerators.full, oracle.full)
@@ -656,9 +657,9 @@ class TestBlockPass:
         scale = np.sqrt(trace.head_dim) * np.abs(full).max(axis=(-2, -1))
         for r, layer in enumerate(trace.data):
             layer_plans = [plan[r] for plan in plans]
-            expected = oracle_score_layer(layer, r, layer_plans, decode_queries)
+            expected = oracle_score_layer(layer, layer_plans, decode_queries)
             for (l2, cos), (l2_oracle, cos_oracle) in zip(
-                score_layer(layer, r, layer_plans, decode_queries), expected
+                score_layer(layer, layer_plans, decode_queries), expected
             ):
                 assert np.all(np.abs(l2 - l2_oracle) <= BLOCK_PASS_TOL * scale[r])
                 assert np.all(np.abs(cos - cos_oracle) <= BLOCK_PASS_TOL)
@@ -707,7 +708,7 @@ class TestBlockPass:
         ]
         self.assert_matches_oracle(trace, plans, 8)
         for plan in plans:
-            head = check_head_plan(plan[0], 0, 0, seq_len)
+            head = plan[0].head_plan(0)
             out = _HeadNumerators(trace.data[0, 0], 8, [head]).retained[0]
             blind = 5 if plan[0].per_head_groups is None else 3
             assert not out[:blind].any() and np.all(np.abs(out[blind:]).sum(axis=1) > 0)
@@ -720,7 +721,7 @@ class TestBlockPass:
         ]
         for plan in plans:
             head = _HeadNumerators(trace.data[0, 0], 8)
-            total = head.numerators[check_head_plan(plan[0], 0, 0, 64).retained].sum(axis=0)
+            total = head.numerators[plan[0].head_plan(0).retained].sum(axis=0)
             assert np.all(total < 1 / _SAFE)  # every decode row is rescued
         self.assert_matches_oracle(trace, plans, 8)
 
@@ -735,7 +736,7 @@ class TestHeldNumerators:
     def assert_held_equals_formed(trace, plans, window_len):
         for r, layer in enumerate(trace.data):
             for h, block in enumerate(layer):
-                heads = [check_head_plan(plan[r], r, h, trace.seq_len) for plan in plans]
+                heads = [plan[r].head_plan(h) for plan in plans]
                 held = (np.empty((trace.seq_len, window_len)), np.empty(window_len))
                 _window_scores(block, window_len, held)
                 kept = _HeadNumerators(block, window_len, heads, held)
@@ -762,7 +763,7 @@ class TestHeldNumerators:
             [head_plan([[0, 4], [56, 64]], [[4, 20], [20, 56]])],
         ]
         head = _HeadNumerators(trace.data[0, 0], 8)
-        total = head.numerators[check_head_plan(plans[0][0], 0, 0, 64).retained].sum(axis=0)
+        total = head.numerators[plans[0][0].head_plan(0).retained].sum(axis=0)
         assert np.all(total < 1 / _SAFE)  # every decode row is rescued
         self.assert_held_equals_formed(trace, plans, 8)
 
@@ -906,10 +907,10 @@ class TestPlanMemory:
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = [plan[0] for plan in compress_run(cfg, trace).plans.values()]
-        score_layer(trace.data[0], 0, plans, decode_queries)  # numpy's first-use imports
+        score_layer(trace.data[0], plans, decode_queries)  # numpy's first-use imports
         tracemalloc.start()
         try:
-            score_layer(trace.data[0], 0, plans, decode_queries)
+            score_layer(trace.data[0], plans, decode_queries)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
