@@ -282,9 +282,8 @@ class TestFrozenBytes:
          "ab23791610f44400f81bbc556641692019ab6e4376a5e27436d14bb7ccc85601"),
         ("planted-needle", dict(seed=25, needle_position=5, tail_len=8), (2, 3, 40, 5),
          "0a7813153e196e6c8d66bba35daec67a91a36538855790b40dd4f996c94351ab"),
-        # the smallest spread: most noise products round to zero, some of
-        # them -0.0, which V holds as +0.0, as when a (2, N, d) scratch
-        # added the noise to zeros
+        # the smallest spread: most noise products round to zero, and the
+        # negative ones to -0.0, which V holds as +0.0
         ("clustered-heads", dict(seed=26, planted=1, spread=5e-324), (2, 4, 40, 5),
          "89e903083aa3fe94935f8753e9d160272239a3f3d330a51a9590427ea611f41a"),
     ]
