@@ -1,10 +1,14 @@
 """Per-head retained-token selection under the head-aware policy and baselines.
 
-`POLICIES` holds one planning function per `PolicyKind`, row for row the
+`POLICIES` holds one per-head keep per `PolicyKind`, row for row the
 README's policy table: heterogeneous heads keep everything under the
 head-aware policies (task-kv, no-cache, compressed-cache), and the other
 heads keep sinks, recents and k middle slots. The layer budget is
-B = floor(budget_ratio * N * n) tokens.
+B = floor(budget_ratio * N * n) tokens. What a cell fixes for a layer
+before any head is planned (B, k, the clamp, whether every head keeps
+everything) is its `LayerFacts`; a head's keep needs only those, its
+class and its pooled scores, so a head can be planned under each class
+before the layer is classified, and `apply_policy` is the loop over heads.
 
 A plan holds what each head keeps as ranges: its retained positions as an
 (r, 2) array of maximal [start, stop) runs, and its compressed-cache
@@ -166,11 +170,17 @@ def _middle_groups(seq_len: int, sinks: int, recents: int, k: int) -> np.ndarray
 
 
 class HeadPlan(NamedTuple):
-    """One head's share of a layer plan: its retained positions (its runs
-    expanded) and its groups as (g, 2) [start, stop) bounds."""
+    """One head's share of a layer plan as scoring reads it: its retained
+    positions (its runs expanded) and its groups as (g, 2) [start, stop)
+    bounds."""
 
     retained: np.ndarray
     groups: np.ndarray
+
+    @classmethod
+    def of(cls, runs: np.ndarray, groups: np.ndarray | None) -> "HeadPlan":
+        """A head's runs and groups (or None) with the runs expanded."""
+        return cls(expand_runs(runs), _NO_RANGES if groups is None else groups)
 
 
 @dataclass
@@ -197,10 +207,15 @@ class BudgetPlan:
         groups = 0 if self.per_head_groups is None else len(self.per_head_groups[head])
         return int((runs[:, 1] - runs[:, 0]).sum()) + groups
 
+    def head_keep(self, head: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Head `head`'s runs and groups (None when the plan has none), as
+        a policy's per-head keep (`LayerFacts.keep`) gives them."""
+        groups = None if self.per_head_groups is None else self.per_head_groups[head]
+        return self.per_head_runs[head], groups
+
     def head_plan(self, head: int) -> HeadPlan:
-        """Head `head`'s share of the plan, as scoring reads it."""
-        groups = _NO_RANGES if self.per_head_groups is None else self.per_head_groups[head]
-        return HeadPlan(expand_runs(self.per_head_runs[head]), groups)
+        """Head `head`'s share of the plan with its runs expanded."""
+        return HeadPlan.of(*self.head_keep(head))
 
     def retained_tokens(self) -> int:
         return sum(self.head_tokens(h) for h in range(len(self.per_head_runs)))
@@ -285,21 +300,66 @@ _PLAN_FROM_JSON = {
 }
 
 
-class PolicyKeep(NamedTuple):
-    """What a policy keeps in one layer: runs and groups per head, k, clamp."""
+class LayerFacts(NamedTuple):
+    """What a (policy, budget) cell fixes in one layer before any head is
+    planned (`layer_facts`): the policy, the layer budget B, the heads n,
+    N, sinks, recents, the window, the middle count k with its clamp flag,
+    and whether the budget has every head keep everything. A head's keep
+    (`keep`) needs these, its class and its pooled scores; a layer's plan
+    (`plan`) is every head's keep."""
 
-    runs: list[np.ndarray]
-    groups: list[np.ndarray] | None
-    k: int
-    clamped: bool
+    policy: PolicyKind
+    budget: int
+    heads: int
+    seq_len: int
+    sinks: int
+    recents: int
+    window_len: int
+    k: int = 0
+    clamped: bool = False
+    everything: bool = False
+
+    def keep(self, head_class: HeadClass, pooled: np.ndarray) -> tuple:
+        """One head's (r, 2) runs and, under compressed-cache, its (g, 2)
+        groups (else None)."""
+        if self.everything:
+            return _everything_runs(self.seq_len), None
+        return POLICIES[self.policy](self, head_class, pooled)
+
+    def keep_by_class(self, pooled: np.ndarray) -> dict[HeadClass, tuple]:
+        """A head's keep under each class it may be given, planned before
+        the layer is classified: one keep for both when its class does not
+        change it."""
+        if self.everything or self.policy not in HEAD_AWARE_SLOTS:
+            return dict.fromkeys(HeadClass, self.keep(HeadClass.NON_HETEROGENEOUS, pooled))
+        return {head_class: self.keep(head_class, pooled) for head_class in HeadClass}
+
+    def groups(self) -> np.ndarray:
+        """The (g, 2) groups every head that summarises the middle keeps,
+        known before any head is planned: compressed-cache's, or none."""
+        if self.policy != PolicyKind.COMPRESSED_CACHE or self.everything:
+            return _NO_RANGES
+        return _middle_groups(self.seq_len, self.sinks, self.recents, self.k)
+
+    def plan(self, layer: int, head_classes: list[HeadClass], keeps) -> BudgetPlan:
+        """The layer's plan from each head's keep, in head order."""
+        groups = [g for _, g in keeps]  # every head's are arrays, or every head's None
+        return BudgetPlan(
+            layer,
+            self.policy,
+            self.budget,
+            self.sinks,
+            self.recents,
+            self.k,
+            self.clamped,
+            list(head_classes),
+            [r for r, _ in keeps],
+            None if groups[0] is None else groups,
+        )
 
 
-def _everything(n: int, seq_len: int) -> PolicyKeep:
-    return PolicyKeep([_everything_runs(seq_len) for _ in range(n)], None, 0, False)
-
-
-def _full(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
-    return _everything(len(pooled), len(pooled[0]))
+def _full(facts: LayerFacts, head_class, pooled):
+    return _everything_runs(facts.seq_len), None
 
 
 def _sinks_then_recents(scores, per_head, sinks, window_len):
@@ -321,69 +381,53 @@ def _window_then_top(scores, per_head, sinks, window_len):
 
 def _uniform(keep):
     """streaming and uniform-topk: every head, whatever its class, keeps
-    `keep` of its B // n positions, or everything when B // n covers N."""
+    `keep` of its B // n positions (`layer_facts` has every head keep
+    everything when B // n covers N)."""
 
-    def plan(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
-        n, seq_len = len(pooled), len(pooled[0])
-        per_head = budget // n
-        if per_head >= seq_len:
-            return _everything(n, seq_len)
-        return PolicyKeep([keep(p, per_head, sinks, window_len) for p in pooled], None, 0, False)
+    def plan(facts: LayerFacts, head_class, pooled):
+        return keep(pooled, facts.budget // facts.heads, facts.sinks, facts.window_len), None
 
     return plan
 
 
-def _top_k_slots(head_class, scores, seq_len, sinks, recents, k):
+def _top_k_slots(facts: LayerFacts, head_class, pooled):
     """task-kv: the k highest pooled middle scores."""
-    return select_retained_runs(head_class, scores, seq_len, sinks, recents, k), None
+    runs = select_retained_runs(
+        head_class, pooled, facts.seq_len, facts.sinks, facts.recents, facts.k
+    )
+    return runs, None
 
 
-def _recent_slots(head_class, scores, seq_len, sinks, recents, k):
+def _recent_slots(facts: LayerFacts, head_class, pooled):
     """no-cache: k more recents."""
-    return select_retained_runs(head_class, scores, seq_len, sinks, recents + k, 0), None
+    runs = select_retained_runs(
+        head_class, pooled, facts.seq_len, facts.sinks, facts.recents + facts.k, 0
+    )
+    return runs, None
 
 
-def _group_mean_slots(head_class, scores, seq_len, sinks, recents, k):
+def _group_mean_slots(facts: LayerFacts, head_class, pooled):
     """compressed-cache: up to k synthetic group means over the middle."""
-    kept = select_retained_runs(head_class, scores, seq_len, sinks, recents, 0)
-    if head_class == HeadClass.HETEROGENEOUS:
-        return kept, _NO_RANGES
-    return kept, _middle_groups(seq_len, sinks, recents, k)
+    kept = select_retained_runs(head_class, pooled, facts.seq_len, facts.sinks, facts.recents, 0)
+    return kept, _NO_RANGES if head_class == HeadClass.HETEROGENEOUS else facts.groups()
 
 
-def _head_aware(slots):
-    """task-kv and its compensation variants, which differ only in `slots`:
-    what a head does with the k middle slots it gets beyond sinks and recents."""
-
-    def plan(head_classes, pooled, budget, sinks, recents, window_len) -> PolicyKeep:
-        n, seq_len = len(pooled), len(pooled[0])
-        f_r = sum(1 for c in head_classes if c == HeadClass.HETEROGENEOUS)
-        try:
-            k, clamped = middle_activation_count(budget, seq_len, f_r, n, sinks, recents)
-        except AllHeadsHeterogeneousError:
-            return _everything(n, seq_len)
-        kept = [slots(c, p, seq_len, sinks, recents, k) for c, p in zip(head_classes, pooled)]
-        groups = [g for _, g in kept]  # every head's are lists, or every head's None
-        return PolicyKeep([r for r, _ in kept], None if groups[0] is None else groups, k, clamped)
-
-    return plan
-
-
-# What a non-heterogeneous head does with its k middle slots under each
-# head-aware policy; these are the policies whose budget must first hold
-# the heterogeneous heads.
+# What a head does with the k middle slots it gets beyond sinks and
+# recents under each head-aware policy, where heterogeneous heads keep
+# everything; these are the policies whose budget must first hold the
+# heterogeneous heads.
 HEAD_AWARE_SLOTS = {
     PolicyKind.TASK_KV: _top_k_slots,
     PolicyKind.NO_CACHE: _recent_slots,
     PolicyKind.COMPRESSED_CACHE: _group_mean_slots,
 }
 
-# One entry per row of the README's policy table. Each maps (head classes,
-# per-head pooled window scores, layer budget B, sinks, recents, window) to
-# what the layer keeps.
+# One entry per row of the README's policy table. Each maps (a layer's
+# facts, a head's class, its pooled window scores) to what the head keeps,
+# when the facts do not have every head keep everything.
 POLICIES = {
     PolicyKind.FULL: _full,
-    **{kind: _head_aware(slots) for kind, slots in HEAD_AWARE_SLOTS.items()},
+    **HEAD_AWARE_SLOTS,
     PolicyKind.STREAMING: _uniform(_sinks_then_recents),
     PolicyKind.UNIFORM_TOPK: _uniform(_window_then_top),
 }
@@ -432,6 +476,40 @@ def check_cell(
             raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
 
 
+def layer_facts(
+    layer: int,
+    policy,
+    budget_ratio: float,
+    seq_len: int,
+    n: int,
+    f_r: int,
+    sinks: int,
+    recents: int,
+    window_len: int,
+) -> LayerFacts:
+    """What a (policy, budget) cell fixes in layer `layer`, whose schedule
+    gives f_r heterogeneous heads of n, before any head is planned.
+
+    Under a head-aware policy, a budget that cannot hold the heterogeneous
+    heads raises InfeasibleBudgetError naming the layer, and f_r == n has
+    every head keep everything; under streaming and uniform-topk, so does
+    B // n >= N.
+    """
+    policy, budget = _cell_budget(policy, budget_ratio, seq_len, n, sinks, recents)
+    facts = LayerFacts(policy, budget, n, seq_len, sinks, recents, window_len)
+    if policy == PolicyKind.FULL:
+        return facts
+    if policy not in HEAD_AWARE_SLOTS:
+        return facts._replace(everything=budget // n >= seq_len)
+    try:
+        k, clamped = middle_activation_count(budget, seq_len, f_r, n, sinks, recents)
+    except AllHeadsHeterogeneousError:
+        return facts._replace(everything=True)
+    except InfeasibleBudgetError as exc:
+        raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
+    return facts._replace(k=k, clamped=clamped)
+
+
 def apply_policy(
     layer: int,
     head_classes: list[HeadClass],
@@ -442,25 +520,13 @@ def apply_policy(
     window_len: int,
     pooled: list[np.ndarray],
 ) -> BudgetPlan:
-    """Plan one layer under `policy` from its heads' pooled window scores."""
+    """Plan one layer under `policy` from its heads' pooled window scores:
+    the layer's facts, then each head's keep."""
     n, seq_len = len(pooled), len(pooled[0])
-    policy, budget = _cell_budget(policy, budget_ratio, seq_len, n, sinks, recents)
-    try:
-        keep = POLICIES[policy](head_classes, pooled, budget, sinks, recents, window_len)
-    except InfeasibleBudgetError as exc:
-        raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
-    return BudgetPlan(
-        layer,
-        policy,
-        budget,
-        sinks,
-        recents,
-        keep.k,
-        keep.clamped,
-        list(head_classes),
-        keep.runs,
-        keep.groups,
-    )
+    f_r = sum(1 for c in head_classes if c == HeadClass.HETEROGENEOUS)
+    facts = layer_facts(layer, policy, budget_ratio, seq_len, n, f_r, sinks, recents, window_len)
+    keeps = [facts.keep(c, p) for c, p in zip(head_classes, pooled)]
+    return facts.plan(layer, head_classes, keeps)
 
 
 def _check_groups(bounds: np.ndarray, seq_len: int, where: str, what: str = "group") -> None:
@@ -477,6 +543,10 @@ def _check_groups(bounds: np.ndarray, seq_len: int, where: str, what: str = "gro
         raise CacheConsistencyError(f"{where}: {what} [{a}, {b}) {kind}")
 
 
+# The longest group `group_means` sums one row at a time, with no gathered block.
+_SHORT_GROUP = 16
+
+
 def group_means(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """Float64 mean row of each checked [start, stop) group, a row of the
     (g, 2) `groups`, of C-contiguous `rows`.
@@ -488,14 +558,23 @@ def group_means(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
     for bit, and float32 rows give the bits of the same values in float64.
     np.add.reduceat and cumsum differences add in other orders and round
     differently on float64 data. Plans from `_middle_groups` have at most
-    two lengths.
+    two lengths. When d > 1, groups of up to `_SHORT_GROUP` rows are summed
+    one row of each at a time instead, in that same order, with no block.
     """
     starts, lengths = groups[:, 0], groups[:, 1] - groups[:, 0]
     means = np.empty((len(groups), rows.shape[1]))
     for length in np.unique(lengths):
         pick = lengths == length
-        block = np.asarray(rows[starts[pick, None] + np.arange(length)], dtype=np.float64)
-        means[pick] = np.add.reduce(block, axis=1) / length
+        at = starts[pick]
+        if length <= _SHORT_GROUP and rows.shape[1] > 1:
+            total = np.zeros((len(at), rows.shape[1]))  # the reduction starts from 0.0 too
+            for offset in range(length):
+                total += rows[at + offset]
+        else:
+            total = np.add.reduce(
+                np.asarray(rows[at[:, None] + np.arange(length)], dtype=np.float64), axis=1
+            )
+        means[pick] = total / length
     return means
 
 
@@ -506,7 +585,7 @@ def check_plans(trace, plans) -> list[BudgetPlan]:
     [0, N), whose runs are maximal (apart, so keeping everything is always
     [[0, N]]) and whose groups start on no retained position: the one
     check of a plan, made before any layer is read. Scoring reads plans
-    that pass, and those `apply_policy` builds, as they are."""
+    that pass, and the keeps a run plans its heads with, as they are."""
     plans = list(plans)
     if len(plans) != trace.num_layers:
         raise CacheConsistencyError(f"{len(plans)} plans for {trace.num_layers} layers")

@@ -3,11 +3,12 @@
 A run is one loop over a trace's layers. `start_run` decides from the
 header alone, before any layer is read, the schedule f(r), which
 (policy, budget) cells are feasible and the decode-query count. Then
-`layer_step` runs on each layer in turn: the head pass, classification,
-a plan per cell and each plan's fidelity. A layer's plans are dropped
-before the next layer is read. The CLI reads every trace, drawn ones
-too, as a mapped file, so its peak is the held window numerators plus
-one of a head's arrays and its temporaries. The library functions
+`layer_step` runs on each layer in turn: one visit of each head, which
+scores it and plans it under each class, then classification and a plan
+per cell from its heads' keeps. A layer's plans are dropped before the
+next layer is read. The CLI reads every trace, drawn ones too, as a
+mapped file, so its peak is one head's visit: a few MiB of one of its
+arrays, its numerators and their temporaries. The library functions
 (`compress_run`, `run_all`, `fidelity_eval`) take any layer source: an
 `AttentionTrace` in memory, or the source `open_source` gives for a
 config. Saved plans are scored by `score_plans`, one layer at a time, for
@@ -20,15 +21,14 @@ compared against outputs over the full cache. This is a proxy for task-level
 quality; it needs no language model.
 
 A head's keys meet queries in one kernel, `linalg.causal_scores`. When
-fidelity is scored on the window's own rows, the default decode rows, the
-head pass's call is the head's only one unless a cell has groups: the run
-holds each head's window softmax numerators for `score_layer` (see
-`_held_numerators`). Any other decode count has `score_layer` form the
-decode rows' scores again (see `_HeadNumerators`). Every pass walks a
+fidelity is scored on the window's own rows, the default decode rows, a
+head's visit calls it once: the window's softmax numerators give both its
+window scores and its fidelity, and the group scores are taken from the
+scores before the exp. Any other decode count forms the decode rows'
+scores with a second call (see `_HeadNumerators`). Every pass walks a
 layer's heads through `trace.each_head`, which owns each head block's
-residency, and reads one of a head's arrays at a time: the head pass
-walks the heads twice, over K for the window scores, then over V for the
-semantic vectors, and scoring is done with a head's K before it reads V.
+residency, and reads one of a head's arrays at a time: a visit, like
+`score_layer`, is done with a head's Q and K before it reads V.
 """
 
 from __future__ import annotations
@@ -49,24 +49,17 @@ from .allocator import (
     HeadPlan,
     MemoryFootprint,
     PolicyKind,
-    apply_policy,
     check_cell,
     check_kernel,
     check_plans,
     footprint,
     group_means,
+    layer_facts,
     pool_scores,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
-from .linalg import (
-    _KEY_BLOCK,
-    AttentionInputs,
-    _key_blocks,
-    causal_numerators,
-    causal_scores,
-    pca_2d,
-)
+from .linalg import _KEY_BLOCK, _key_blocks, causal_numerators, causal_scores, pca_2d
 from .separator import (
     HeadClass,
     HeterogeneitySchedule,
@@ -74,8 +67,8 @@ from .separator import (
     build_layer_profiles,
     check_top_t,
     check_window_len,
+    column_scores,
     heterogeneous_schedule,
-    window_column_scores,
 )
 from .trace import (
     SyntheticProfile,
@@ -249,85 +242,92 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
     return check_decode_queries(config.decode_queries, header.seq_len)
 
 
-# A head's softmax numerators E = exp(S - m) of its causal window scores S,
-# (N, W), 0 where a row does not see the key, and each row's max m, (W,).
-Held = tuple[np.ndarray, np.ndarray]
-
-
-def _held_numerators(result: RunResult) -> list[Held] | None:
-    """Where a started run holds each head's window numerators for
-    `score_layer`: views of one float64 (n, N, W) buffer and one (n, W),
-    which serve every layer. None unless fidelity is scored on the
-    window's own rows."""
-    n, seq_len, window_len = result.header.num_heads, result.header.seq_len, result.window_len
-    if result.decode_queries != window_len:
-        return None
-    return list(zip(np.empty((n, seq_len, window_len)), np.empty((n, window_len))))
-
-
-def _window_scores(block: np.ndarray, window_len: int, held: Held | None = None) -> np.ndarray:
-    """One head's (N,) window scores, from the head's (3, N, d) block as
-    stored: `causal_scores`, through `window_column_scores`, reads the
-    window's query rows and widens K one key block at a time, and V is not
-    read. `held`, the head's slot of `_held_numerators`, keeps the window's
-    softmax numerators and their row max."""
-    q, k, v = block
-    inputs = AttentionInputs(q[len(q) - window_len :], k, v, checked=True)
-    return window_column_scores(inputs, window_len, held)
-
-
 def layer_step(
-    config: RunConfig,
-    result: RunResult,
-    layer: int,
-    data: np.ndarray,
-    held: list[Held] | None = None,
+    config: RunConfig, result: RunResult, layer: int, data: np.ndarray
 ) -> dict[Cell, BudgetPlan]:
     """One layer of the started run `result`, on its checked (n, 3, N, d)
     `data`, recorded into `result`; returns the layer's plan per cell.
 
-    The head pass walks the heads twice, so a mapped head holds the pages
-    of one of its arrays at a time: over K, one causal softmax over each
-    head's observation window gives its window scores, pooled only when
-    some cell is planned; then over V, each head's top-t semantic vector
-    from its scores. The layer's heads are classified from f(r), every
-    cell is planned from the pooled scores alone and, when fidelity is
-    scored (the run's `decode_queries`), `score_layer` scores each plan.
-    With `held` (`_held_numerators`), the first walk keeps each head's
-    window numerators there and `score_layer` reads them. `result` gets
-    the layer's semantic vectors, distances to its semantic center, head
+    Each head is visited once (`_visit_head`), which reads its Q and K,
+    then its V: its window scores, its keep under each class for every
+    cell, its top-t semantic vector and, when fidelity is scored (the run's
+    `decode_queries`), each keep's scores. A cell's layer facts (B, k, the
+    clamp) come from the header and f(r) alone, so every head is planned
+    before the layer is classified. After the last head, the heads are
+    classified from f(r), and each cell's plan is its heads' keeps under
+    their classes, scored with those keeps' scores. `result` gets the
+    layer's semantic vectors, distances to its semantic center, head
     classes, each plan's per-head tokens and, when scored, its per-head
     (L2, cosine) arrays.
     """
-    window_len, cells = result.window_len, result.cells
-    slots = held or [None] * data.shape[0]
-    vectors = np.empty((data.shape[0], data.shape[3]))
+    n, _, seq_len, head_dim = data.shape
+    f_r = result.schedule.per_layer_counts[layer]
+    facts = {
+        cell: layer_facts(
+            layer, *cell, seq_len, n, f_r, config.sinks, config.recents, result.window_len
+        )
+        for cell in result.cells
+    }
+    groups = [f.groups() for f in facts.values()]
+    vectors = np.empty((n, head_dim))
+    keeps, scored = [], []
     try:
-        scores = [
-            _window_scores(block, window_len, slot) for block, slot in zip(each_head(data), slots)
-        ]
-        pooled = [pool_scores(score, config.kernel) for score in scores] if cells else []
-        for h, (block, score) in enumerate(zip(each_head(data), scores)):
-            vectors[h] = approx_semantic_vector(score, block[2], config.top_t)
-        distances, classes = build_layer_profiles(vectors, result.schedule.per_layer_counts[layer])
+        for h, block in enumerate(each_head(data)):
+            vectors[h], head_keeps, head_scores = _visit_head(config, result, facts, groups, block)
+            keeps.append(head_keeps)
+            scored.append(head_scores)
+        distances, classes = build_layer_profiles(vectors, f_r)
     except SemkvError as exc:
         raise type(exc)(f"layer {layer}: {exc}") from exc
     plans = {
-        cell: apply_policy(
-            layer, classes, cell[0], cell[1], config.sinks, config.recents, window_len, pooled
-        )
-        for cell in cells
+        cell: f.plan(layer, classes, [k[cell][c] for k, c in zip(keeps, classes)])
+        for cell, f in facts.items()
     }
-    del scores, pooled  # scoring needs neither
     result.vectors.append(vectors)
     result.distances.append(distances)
     result.classes.append(classes)
     result.add_head_tokens(plans)
     if result.decode_queries is not None:
-        scored = score_layer(data, list(plans.values()), result.decode_queries, held=held)
-        for cell, score in zip(plans, scored):
-            result.scores.setdefault(cell, []).append(score)
+        for cell in plans:
+            pairs = [head_scores[cell][c] for head_scores, c in zip(scored, classes)]
+            result.scores.setdefault(cell, []).append(tuple(map(np.array, zip(*pairs))))
     return plans
+
+
+def _visit_head(config: RunConfig, result: RunResult, facts: dict, groups: list, block):
+    """One head's visit in `layer_step`, from its (3, N, d) block as stored:
+    its (d,) semantic vector, its keep under each class per cell
+    (`LayerFacts.keep_by_class`) and, when fidelity is scored, each of
+    those keeps' (L2, cosine), likewise per cell and class (else None).
+
+    Over Q's last rows and K, `_HeadNumerators` forms the window's softmax
+    numerators, taking first the scores of `groups` (each cell's
+    `LayerFacts.groups`) from the window scores S when the decode rows are
+    the window's, and `column_scores` gives the head's window scores from
+    them. When the decode rows are not the window's, the window's
+    numerators are dropped and the decode rows' formed in their place.
+    Then Q's and K's pages are given back. The window scores, pooled when
+    some cell is planned, give every keep. Over V: the top-t semantic
+    vector, then one value pass that scores each distinct keep
+    (`_HeadNumerators.fidelity`).
+    """
+    window_len, decode_queries = result.window_len, result.decode_queries
+    head = None
+    with given_back(block[:2]):  # Q and K are done with before V is read
+        if decode_queries == window_len:
+            head = _HeadNumerators(block, window_len, groups)
+            scores = column_scores(head.numerators)
+        else:
+            scores = column_scores(_HeadNumerators(block, window_len).numerators)
+            if decode_queries is not None:
+                head = _HeadNumerators(block, decode_queries, groups)
+    pooled = pool_scores(scores, config.kernel) if facts else None
+    keeps = {cell: f.keep_by_class(pooled) for cell, f in facts.items()}
+    vector = approx_semantic_vector(scores, block[2], config.top_t)
+    if head is None:
+        return vector, keeps, None
+    scored = iter(head.fidelity([keep for by_class in keeps.values() for keep in by_class.values()]))
+    return vector, keeps, {cell: dict(zip(by_class, scored)) for cell, by_class in keeps.items()}
 
 
 def run_steps(
@@ -337,12 +337,10 @@ def run_steps(
 
     Each layer's plans are yielded before the next layer is read, so a
     caller can write them out; only with `keep_plans` does `result.plans`
-    hold them too. The `_held_numerators` buffers, if the run scores the
-    window's own rows, are made before the first layer and reused for each.
+    hold them too.
     """
-    held = _held_numerators(result)
     for r, data in enumerate(layers):
-        plans = layer_step(config, result, r, data, held)
+        plans = layer_step(config, result, r, data)
         if keep_plans:
             for cell, plan in plans.items():
                 result.plans.setdefault(cell, []).append(plan)
@@ -417,11 +415,14 @@ class FidelityReport:
 
 
 def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    out = np.ones(a.shape[0])
+    """The cosine of each row of (rows, d) `a` with the same row of `b`,
+    (..., rows, d): 1 where both rows are zero, 0 where one is."""
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    out = np.ones(nb.shape)
     both = (na > 0) & (nb > 0)
-    out[both] = np.sum(a[both] * b[both], axis=1) / (na[both] * nb[both])
+    a, na = np.broadcast_to(a, b.shape), np.broadcast_to(na, nb.shape)
+    out[both] = np.sum(a[both] * b[both], axis=-1) / (na[both] * nb[both])
     out[(na > 0) ^ (nb > 0)] = 0.0
     return out
 
@@ -433,78 +434,74 @@ def _rows_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _SAFE = 2.0**600
 
 
-def _decode_scores(block: np.ndarray, decode_queries: int) -> Held:
-    """`causal_scores` of a head's last `decode_queries` query rows over its
-    keys: S, (N, decode_queries), and each row's max over the keys it sees."""
-    return causal_scores(block[0, block.shape[1] - decode_queries :], block[1])
-
-
-def _group_scores(
-    block: np.ndarray, decode_queries: int, groups, scores: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """The scores of each of `groups`' ((g, 2) [start, stop) bounds) mean
-    keys, (g, decode_queries): the mean of its keys' decode scores, since a
-    mean key scores the mean of its keys' scores. S is `scores` or, only
-    when some group is given, formed again (`_decode_scores`)."""
-    if not any(map(len, groups)):
-        return [np.empty((0, decode_queries))] * len(groups)
-    if scores is None:
-        scores = _decode_scores(block, decode_queries)[0]
-    return [group_means(scores, bounds) for bounds in groups]
-
-
 class _HeadNumerators:
-    """One head's softmax numerators over its decode rows, and the decode
-    outputs of its full cache and of each cell's retained cache, from one
-    pass over its V, and one over its K unless the head pass held the
-    numerators and no cell has groups.
+    """One head's softmax numerators over its last `decode_queries` query
+    rows, formed over those rows of Q and over K, and the decode outputs of
+    its full cache and of any of its plans from one pass over its V.
 
-    `numerators` is E = exp(S - shift), (N, decode_queries), 0 where a row
-    does not see the key, of the decode rows' causal scores S, and `shift`
-    each row's max over the keys it sees: `held`, the pair the head pass
-    kept when the decode rows are the window's, or formed here in place on
-    S. S itself is formed again (`scores`) only for what E cannot give:
-    each cell's group scores (`_group_scores`), and a rescued row's own
-    max. E and the group scores are formed first, and Q's and K's pages
-    given back, before V is read; only a rescue reads K again.
-    The full cache is one more plan, the first: every position, no groups.
-    `full` is its outputs, (decode_queries, d), and `retained` holds, in
-    order, the outputs over each of `heads` (each a cell's `HeadPlan`):
-    its retained rows and group means, renormalised over its own rows. A
-    head that keeps every position adds what the full plan adds, in the
-    same order, so its outputs are `full`'s bits.
+    The decode rows' causal scores S (`causal_scores`), (N, decode_queries),
+    first give the scores of each distinct non-empty one of `groups` ((g, 2)
+    [start, stop) bounds) that the plans scored later may hold: the mean
+    of its keys' scores, since a mean key scores the mean of its keys'
+    scores. Then `numerators` is E = exp(S - shift) formed in place on S, 0
+    where a row does not see the key, and `shift` each row's max over the
+    keys it sees. Q and K are not read again, unless a rescued row needs
+    S's own bits (`scores`).
     """
 
-    def __init__(
-        self, block: np.ndarray, decode_queries: int, heads=(), held: Held | None = None
-    ):
-        every = np.arange(block.shape[1])  # each key's position
-        self._block, self.rows = block, every[len(every) - decode_queries :]
-        groups = [head.groups for head in heads]
-        with given_back(block[:2]):  # Q and K are done with before V is read
-            if held is None:
-                held = _decode_scores(block, decode_queries)
-                group_scores = _group_scores(block, decode_queries, groups, held[0])
-                causal_numerators(*held)
-            else:
-                group_scores = _group_scores(block, decode_queries, groups)
-        self.numerators, self.shift = held
-        heads = [HeadPlan(every, _NO_RANGES), *heads]
-        group_scores = [np.empty((0, decode_queries)), *group_scores]
-        products, totals = self._value_pass(block[2], heads)
-        self.full, *self.retained = [
-            self._cell_output(block[2], *cell)
-            for cell in zip(heads, group_scores, products, totals)
-        ]
+    def __init__(self, block: np.ndarray, decode_queries: int, groups=()):
+        seq_len = block.shape[1]
+        self._block, self.rows = block, np.arange(seq_len - decode_queries, seq_len)
+        scores, self.shift = causal_scores(block[0, seq_len - decode_queries :], block[1])
+        self._group_scores = {}
+        for bounds in groups:
+            if len(bounds) and bounds.tobytes() not in self._group_scores:
+                self._group_scores[bounds.tobytes()] = group_means(scores, bounds)
+        self.numerators = causal_numerators(scores, self.shift)
 
     def scores(self) -> np.ndarray:
         """The decode rows' causal scores S, (N, decode_queries), formed
         again: the bits E was formed from."""
-        return _decode_scores(self._block, len(self.rows))[0]
+        return causal_scores(self._block[0, self.rows[0] :], self._block[1])[0]
 
-    def _value_pass(self, values: np.ndarray, heads) -> tuple[list, list]:
+    def fidelity(self, keeps) -> list[tuple[float, float]]:
+        """Each of `keeps`' (its (r, 2) runs and (g, 2) groups, or None)
+        decode L2 error and cosine against the full cache, each a mean over
+        the decode rows. Each distinct keep is scored once, and one that
+        keeps every position is the full cache itself: L2 0 and the full
+        outputs' own cosine, which is not always exactly 1."""
+        seq_len = self._block.shape[1]
+        index = {(np.array([[0, seq_len]], dtype=np.intp).tobytes(), b""): 0}
+        heads, at = [], []
+        for runs, groups in keeps:
+            key = (runs.tobytes(), b"" if groups is None else groups.tobytes())
+            if key not in index:
+                index[key] = len(index)
+                heads.append(HeadPlan.of(runs, groups))
+            at.append(index[key])
+        outputs = self.outputs(heads)
+        full = outputs[0]
+        l2 = np.linalg.norm(full - outputs, axis=-1).mean(axis=-1)
+        cosine = _rows_cosine(full, outputs).mean(axis=-1)
+        return [(float(l2[i]), float(cosine[i])) for i in at]
+
+    def outputs(self, heads=()) -> np.ndarray:
+        """The decode outputs, (1 + len(heads), decode_queries, d), of the
+        full cache, the plan that keeps every position with no groups, then
+        of each of `heads` (each a `HeadPlan`): its retained rows and group
+        means, renormalised over its own rows. A head that keeps every
+        position adds what the full plan adds, in the same order, so its
+        outputs are the full cache's bits."""
+        values = self._block[2]
+        heads = [HeadPlan(np.arange(len(values)), _NO_RANGES), *heads]
+        outputs, totals = self._value_pass(values, heads)
+        for head, out, total in zip(heads, outputs, totals):
+            self._cell_output(values, head, out, total)
+        return outputs
+
+    def _value_pass(self, values: np.ndarray, heads) -> tuple[np.ndarray, np.ndarray]:
         """Each head's products of its retained rows' numerators and V rows,
-        (decode_queries, d), and their sums, (decode_queries,).
+        (heads, decode_queries, d), and their sums, (heads, decode_queries).
 
         V is widened one key block at a time, once for every head. A
         block's numerators give its partial product E[b]^T V[b] and row
@@ -515,38 +512,31 @@ class _HeadNumerators:
         decode_queries, head_dim = self.numerators.shape[1], values.shape[1]
         # each head's retained positions cut at the key-block edges
         edges = np.append(np.arange(0, len(values), _KEY_BLOCK), len(values))
-        cuts = [np.searchsorted(head.retained, edges) for head in heads]
-        products = [np.zeros((decode_queries, head_dim)) for _ in heads]
-        totals = [np.zeros(decode_queries) for _ in heads]
+        cuts = np.array([np.searchsorted(head.retained, edges) for head in heads])
+        products = np.zeros((len(heads), decode_queries, head_dim))
+        totals = np.zeros((len(heads), decode_queries))
         for b, (at, rows) in enumerate(_key_blocks(values)):
             weights = self.numerators[at]
-            partial = weights.T @ rows
-            row_sums = weights.sum(axis=0)
-            for head, cut, out, total in zip(heads, cuts, products, totals):
-                lo, hi = cut[b], cut[b + 1]
+            partial, row_sums = weights.T @ rows, weights.sum(axis=0)
+            for h, (lo, hi) in enumerate(cuts[:, b : b + 2]):
                 if hi - lo == len(rows):
-                    out += partial
-                    total += row_sums
+                    products[h] += partial
+                    totals[h] += row_sums
                 elif hi > lo:
-                    kept = head.retained[lo:hi]
-                    picked = self.numerators[kept]
-                    out += picked.T @ rows[kept - at.start]
-                    total += picked.sum(axis=0)
+                    kept = heads[h].retained[lo:hi]
+                    picked = weights[kept - at.start]
+                    products[h] += picked.T @ rows[kept - at.start]
+                    totals[h] += picked.sum(axis=0)
         return products, totals
 
     def _cell_output(
-        self,
-        values: np.ndarray,
-        head: HeadPlan,
-        group_scores: np.ndarray,
-        out: np.ndarray,
-        total: np.ndarray,
+        self, values: np.ndarray, head: HeadPlan, out: np.ndarray, total: np.ndarray
     ) -> np.ndarray:
         """Decode outputs over the head's retained rows and group means,
         (decode_queries, d), finished in place in `out`, the product of its
         retained rows' numerators and V rows, with `total`, their sums.
 
-        A group's mean row weighs exp(its `group_scores` - shift), since the
+        A group's mean row weighs exp(its group score - shift), since the
         score of a mean key is the mean of the keys' scores. A decode row
         before the head's first cache position sees nothing, and its output
         is zero. A row whose total leaves [1 / _SAFE, _SAFE] is rescored
@@ -555,8 +545,10 @@ class _HeadNumerators:
         idx, groups = head.retained, head.groups
         first = int(min([*idx[:1], *groups[:1, 0]], default=self.rows[-1] + 1))
         blind = min(max(first - int(self.rows[0]), 0), len(self.rows))
+        group_scores = np.empty((0, len(self.rows)))
         group_values = np.empty((0, values.shape[1]))
         if len(groups):
+            group_scores = self._group_scores[groups.tobytes()]
             group_values = group_means(values, groups)
             with np.errstate(over="ignore"):  # a hidden group's exponential is discarded
                 group_weights = np.exp(group_scores - self.shift)
@@ -578,39 +570,35 @@ class _HeadNumerators:
 
 
 def score_layer(
-    data: np.ndarray,
-    plans: list[BudgetPlan],
-    decode_queries: int,
-    held: list[Held] | None = None,
+    data: np.ndarray, plans: list[BudgetPlan], decode_queries: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-head decode L2 error and cosine of each of one layer's `plans`
     against the full cache, over the last `decode_queries` query rows.
 
-    Plans are read unchecked: `check_plans` passed them or `apply_policy` built them.
-    Scoring is head-major. `_HeadNumerators` takes the head's softmax
-    numerators, under each decode row's full-cache max, from `held` (the
-    head pass's, when the decode rows are the window's) or forms them from
-    the decode scores (`causal_scores`), and one pass over its V key
-    blocks gives the full cache's outputs o, as the plan that keeps every
-    position, and every cell's retained outputs: a cell that keeps every
-    position gets o's bits, L2 0 and o's self-cosine (not always 1). A row
-    whose retained numerators underflow under that shared shift is
-    rescored with the cell's own retained max. A decode row that sees no
-    retained key attends to nothing: its retained output is zero, so it
-    scores L2 = ||o|| and cosine 0. A head's numerators, unless held, and
-    any scores it formed are dropped before the next head's are formed,
-    so scoring holds the held numerators plus one of a head's arrays
-    (two only while a rescue reads K again) and their temporaries.
+    Plans are read unchecked: `check_plans` passed them or a run built them.
+    Scoring is head-major, with the per-head scorer a run's head visit
+    uses, given one keep per plan: `_HeadNumerators` forms the head's
+    softmax numerators, under each decode row's full-cache max, and the
+    scores of its plans' groups, over its decode rows of Q and its K, whose
+    pages are then given back; one pass over its V key blocks gives the
+    full cache's outputs o and every distinct keep's retained outputs
+    (`_HeadNumerators.fidelity`): a plan that keeps every position is o
+    itself, L2 0 and o's self-cosine (not always 1). A row whose retained
+    numerators underflow under that shared shift is rescored with the
+    cell's own retained max. A decode row that sees no retained key
+    attends to nothing: its retained output is zero, so it scores
+    L2 = ||o|| and cosine 0. A head's numerators are dropped before the
+    next head's are formed, so scoring holds one of a head's arrays (two
+    only while a rescue reads K again) and their temporaries.
     """
     scores = [(np.empty(len(data)), np.empty(len(data))) for _ in plans]
     for h, block in enumerate(each_head(data)):
-        cells = [plan.head_plan(h) for plan in plans]
-        head = _HeadNumerators(block, decode_queries, cells, held[h] if held else None)
-        full, retained = head.full, head.retained
+        keeps = [plan.head_keep(h) for plan in plans]
+        with given_back(block[:2]):  # Q and K are done with before V is read
+            head = _HeadNumerators(block, decode_queries, [g for _, g in keeps if g is not None])
+        for (l2, cos), (l2_h, cos_h) in zip(scores, head.fidelity(keeps)):
+            l2[h], cos[h] = l2_h, cos_h
         del head  # its numerators go before the next head's are formed
-        for (l2, cos), out in zip(scores, retained):
-            l2[h] = float(np.linalg.norm(full - out, axis=1).mean())
-            cos[h] = float(_rows_cosine(full, out).mean())
     return scores
 
 

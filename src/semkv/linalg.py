@@ -5,11 +5,14 @@ results do not depend on accumulation order quirks of narrower types.
 Attention inputs may hold a trace's float32 K and V at rest: the kernels
 widen what they read, K one `_KEY_BLOCK` of keys at a time into the score
 matrix. Widening is exact, so the bits are those of a float64 trace of the
-same values.
+same values. A walk over a mapped trace's rows gives their pages back
+(`give_back_pages`) each `_GIVE_BACK_BYTES` it has read, so it holds that
+much of an array at a time, not all of it.
 """
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -86,20 +89,69 @@ class AttentionInputs:
         return self.keys.shape[1]
 
 
+def give_back_pages(view: np.ndarray) -> None:
+    """Give back the process's pages that lie wholly inside `view`, a
+    C-contiguous view of a trace file that `TraceReader` maps; the file's
+    values come back from the page cache if the view is read again. Any
+    other array, one held in memory, is left as it is."""
+    owner = view
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    mapped = owner.obj if isinstance(owner, memoryview) else None
+    if not isinstance(mapped, mmap.mmap) or not view.flags.c_contiguous:
+        return
+    first = view.ctypes.data - np.frombuffer(owner, np.uint8, 1).ctypes.data
+    start = -(-first // mmap.PAGESIZE) * mmap.PAGESIZE
+    stop = (first + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if stop > start:
+        mapped.madvise(mmap.MADV_DONTNEED, start, stop - start)
+
+
+# A walk over a mapped array's rows gives back the rows it has read each
+# time they reach this many bytes, so it holds this much of the array.
+_GIVE_BACK_BYTES = 2 << 20
+
 # Keys are widened and scored this many at a time, so each widened block
 # is still in cache when it is scored.
 _KEY_BLOCK = 512
 
 
+def _rows_per_give_back(rows: np.ndarray) -> int:
+    """How many of `rows`' rows make `_GIVE_BACK_BYTES`, at least one."""
+    return max(_GIVE_BACK_BYTES // max(rows.shape[1] * rows.itemsize, 1), 1)
+
+
 def _key_blocks(rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """`rows` (N, d) in float64, `_KEY_BLOCK` rows at a time: each block's
     slice of the N rows and its rows, widened into one buffer that the next
-    block overwrites, so one block is alive at a time."""
+    block overwrites, so one block is alive at a time. The rows read so far
+    are given back each time they reach `_GIVE_BACK_BYTES`, and at the end."""
     buffer = np.empty((min(_KEY_BLOCK, len(rows)), rows.shape[1]))
+    per_give_back, given = _rows_per_give_back(rows), 0
     for a in range(0, len(rows), _KEY_BLOCK):
         block = buffer[: len(rows) - a]
         np.copyto(block, rows[a : a + _KEY_BLOCK])
         yield slice(a, a + _KEY_BLOCK), block
+        if a + _KEY_BLOCK - given >= per_give_back:
+            given = a + _KEY_BLOCK
+            give_back_pages(rows[:given])
+    give_back_pages(rows)
+
+
+def gathered_rows(rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """`rows[picks]` of sorted `picks`, widened to float64, (len(picks), d):
+    gathered one `_GIVE_BACK_BYTES` stretch of rows at a time, each stretch
+    given back once its picks are copied."""
+    out = np.empty((len(picks), rows.shape[1]))
+    per_give_back = _rows_per_give_back(rows)
+    stops = np.arange(per_give_back, len(rows) + per_give_back, per_give_back)
+    lo = 0
+    for stop, hi in zip(stops, np.searchsorted(picks, stops)):
+        if hi > lo:
+            out[lo:hi] = rows[picks[lo:hi]]
+            give_back_pages(rows[:stop])
+        lo = hi
+    return out
 
 
 def _hidden_keys(rows: int) -> np.ndarray:
@@ -108,20 +160,16 @@ def _hidden_keys(rows: int) -> np.ndarray:
     return np.arange(rows)[:, None] > np.arange(rows)
 
 
-def causal_scores(
-    queries: np.ndarray, keys: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def causal_scores(queries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one product of queries and keys: key-major scores
     S = K (Q^T / sqrt(d)), (N, rows), of the trailing query `rows` of the
     sequence whose (N, d) `keys` they attend, and each row's max over the
     keys it sees, (rows,). K is widened one `_KEY_BLOCK` at a time into S.
     S holds the hidden keys' scores too; only the max leaves them out.
-    `out`, a C-contiguous float64 (N, rows) array and a (rows,) one,
-    receives S and the max in place of new arrays.
     """
     n, rows = len(keys), len(queries)
     q = np.asarray(queries, dtype=np.float64).T / np.sqrt(float(keys.shape[1]))
-    scores, shift = (np.empty((n, rows)), np.empty(rows)) if out is None else out
+    scores, shift = np.empty((n, rows)), np.empty(rows)
     for at, block in _key_blocks(keys):
         np.matmul(block, q, out=scores[at])
     # a masked max, so no float copy of the (rows, rows) tail is made
@@ -134,37 +182,36 @@ def causal_scores(
 def causal_numerators(scores: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """The softmax numerators E = exp(S - shift) of a `causal_scores` pair,
     formed in place on S and returned: 0 where a row does not see the key,
-    at most 1 elsewhere."""
+    at most 1 elsewhere. With finite scores, a finite row max means a
+    finite softmax row, so the max is checked first."""
+    _require_finite(shift, "attention row max")
     rows = len(shift)
     np.subtract(scores, shift, out=scores)
     np.copyto(scores[len(scores) - rows :], -np.inf, where=_hidden_keys(rows))
     return np.exp(scores, out=scores)
 
 
-def attention_weights(
-    inputs: AttentionInputs,
-    rows: int | None = None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def attention_numerators(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
+    """The causal softmax numerators E, (N, rows), of the last `rows` query
+    rows over every key (`causal_numerators` of `causal_scores`); `rows`
+    defaults to every query row `inputs` holds."""
+    held = len(inputs.queries)
+    rows = held if rows is None else rows
+    if not 1 <= rows <= held:
+        raise DimensionError(f"rows {rows} outside [1, {held}]")
+    return causal_numerators(*causal_scores(inputs.queries[held - rows :], inputs.keys))
+
+
+def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
     """Causal attention softmax(Q K^T / sqrt(d)) of the last `rows` query
     rows over every key, shape (rows, N); `rows` defaults to every query row
     `inputs` holds. Row i attends the keys up to its own position.
 
     The result is the transposed view of the softmax, normalised in place
-    on `causal_numerators` of `causal_scores`' S or, when `out` is given
-    (see `causal_scores`), in a new array: `out` is left holding the
-    numerators E and the row max.
+    on `attention_numerators`.
     """
-    held = len(inputs.queries)
-    rows = held if rows is None else rows
-    if not 1 <= rows <= held:
-        raise DimensionError(f"rows {rows} outside [1, {held}]")
-    scores, shift = causal_scores(inputs.queries[held - rows :], inputs.keys, out)
-    # with finite scores, a finite row max means a finite softmax row
-    _require_finite(shift, "attention row max")
-    numerators = causal_numerators(scores, shift)
-    totals = numerators.sum(axis=0)
-    return np.divide(numerators, totals, out=numerators if out is None else None).T
+    numerators = attention_numerators(inputs, rows)
+    return np.divide(numerators, numerators.sum(axis=0), out=numerators).T
 
 
 def _fix_sign(axis: np.ndarray) -> np.ndarray:

@@ -14,7 +14,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyInputError, ParameterError
-from .linalg import AttentionInputs, attention_weights
+from .linalg import (
+    AttentionInputs,
+    _rows_per_give_back,
+    attention_numerators,
+    attention_weights,
+    gathered_rows,
+)
 
 
 class HeadClass(str, Enum):
@@ -46,17 +52,29 @@ def check_window_len(window_len: int, seq_len: int) -> None:
         raise ParameterError(f"window_len {window_len} outside [1, {seq_len}]")
 
 
-def window_column_scores(
-    inputs: AttentionInputs, window_len: int, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """(N,) per-key attention mass averaged over the last `window_len` query rows.
+def column_scores(numerators: np.ndarray) -> np.ndarray:
+    """(N,) per-key attention mass averaged over the window rows whose
+    (N, rows) causal softmax numerators E are given: the mean over the rows
+    of E / (its column sums), divided `_GIVE_BACK_BYTES` of weights at a
+    time, so no (N, rows) array of weights is made.
 
-    The scores sum to at most 1: each averaged row sums to 1, and a column
-    blocked for every window row gets 0. `out` keeps the window's softmax
-    numerators and their row max, as `attention_weights` leaves them.
+    The scores sum to at most 1: each averaged row sums to 1, and a key
+    hidden from every window row gets 0.
     """
+    totals = numerators.sum(axis=0)
+    scores = np.empty(len(numerators))
+    step = _rows_per_give_back(numerators)
+    for a in range(0, len(numerators), step):
+        keys = slice(a, a + step)
+        np.divide(numerators[keys], totals).mean(axis=1, out=scores[keys])
+    return scores
+
+
+def window_column_scores(inputs: AttentionInputs, window_len: int) -> np.ndarray:
+    """(N,) per-key attention mass averaged over the last `window_len`
+    query rows: `column_scores` of their softmax numerators."""
     check_window_len(window_len, inputs.seq_len)
-    return attention_weights(inputs, window_len, out).mean(axis=0)
+    return column_scores(attention_numerators(inputs, window_len))
 
 
 def check_top_t(t: int) -> None:
@@ -88,13 +106,14 @@ def approx_semantic_vector(scores: np.ndarray, values: np.ndarray, t: int) -> np
     top-t window scores C.
 
     Weights are the raw column means, deliberately not renormalized. Only
-    the selected V rows are widened to float64.
+    the selected V rows are widened to float64, gathered (`gathered_rows`)
+    one stretch of V at a time.
     """
     values = np.asarray(values)
     if values.shape[0] != scores.shape[0]:
         raise ParameterError(f"values rows {values.shape[0]} != score length {scores.shape[0]}")
     selected = top_t_indices(scores, t)
-    return scores[selected] @ np.asarray(values[selected], dtype=np.float64)
+    return scores[selected] @ gathered_rows(values, selected)
 
 
 def head_distances(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,8 +31,10 @@ layout. Each value is checked for NaN/Inf once, by the code that first
 receives it: `TraceReader.layers()` file and stream bytes,
 `SyntheticSource.head_blocks()` drawn values, `AttentionTrace` arrays in
 memory. Every pass over a layer's heads walks it through `each_head`, or
-`each_array` for each head's Q, K and V, and `given_back` is the one code
-that gives a mapped trace's pages back.
+`each_array` for each head's Q, K and V, and `given_back` gives a block's
+or an array's pages back when the pass is done with it
+(`linalg.give_back_pages`, which the walks over an array's rows also call
+as they go).
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -61,7 +63,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs, _require_finite
+from .linalg import AttentionInputs, _require_finite, give_back_pages
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -468,24 +470,6 @@ def given_back(view: np.ndarray) -> Iterator[np.ndarray]:
         give_back_pages(view)
 
 
-def give_back_pages(view: np.ndarray) -> None:
-    """Give back the process's pages that lie wholly inside `view`, a
-    C-contiguous view of a trace file that `TraceReader` maps; the file's
-    values come back from the page cache if the view is read again. Any
-    other array, one held in memory, is left as it is."""
-    owner = view
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    mapped = owner.obj if isinstance(owner, memoryview) else None
-    if not isinstance(mapped, mmap.mmap) or not view.flags.c_contiguous:
-        return
-    first = view.ctypes.data - np.frombuffer(owner, np.uint8, 1).ctypes.data
-    start = -(-first // mmap.PAGESIZE) * mmap.PAGESIZE
-    stop = (first + view.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
-    if stop > start:
-        mapped.madvise(mmap.MADV_DONTNEED, start, stop - start)
-
-
 # bytes copied from a stream into its temporary file at a time
 _STREAM_CHUNK = 1 << 20
 
@@ -509,8 +493,8 @@ class TraceReader:
     is touched. The layer is checked one Q, K or V array at a time through
     `each_array`, which gives each array back once checked. Every later
     pass that reads a head block walks the layer through `each_head`, so a
-    command's peak is its held window numerators (n·N·W·8 bytes) plus one
-    of a head's arrays and its temporaries, not a layer's payload. A layer kept
+    command's peak is a few MiB of one of a head's arrays and that head's
+    temporaries, not a layer's payload. A layer kept
     past the next one, or past `close()`, still reads the file's values.
     The file must not be truncated or rewritten in place while it is read:
     a layer cut off before it is reached raises `TraceTruncationError`,

@@ -20,6 +20,8 @@ from semkv.allocator import (
     check_plans,
     expand_runs,
     footprint,
+    group_means,
+    layer_facts,
     middle_activation_count,
     pool_scores,
     runs_of,
@@ -428,6 +430,38 @@ class TestPlansPassTheirCheck:
             assert check_plans(header, [plan]) == [plan]
 
 
+class TestKeepsByClass:
+    """A run plans each head under each class before the layer is
+    classified (`LayerFacts.keep_by_class`, from the layer's facts, which
+    need only the shape and f(r)), then takes each head's keep under its
+    class: whichever f(r) heads turn out heterogeneous, the plan is
+    `apply_policy`'s, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(policy_layers(), st.randoms(use_true_random=False))
+    @example((4, 48, classes_with_het(4, {0}), [np.arange(48.0)] * 4, 0.3, 2, 4, 8), None)
+    @example((2, 8, classes_with_het(2, {0, 1}), [np.ones(8)] * 2, 1.0, 0, 0, 1), None)
+    @example((3, 40, classes_with_het(3, set()), [np.arange(40.0)] * 3, 0.5, 30, 20, 40), None)
+    def test_keeps_assembled_by_class_are_apply_policys_plans(self, layer, random):
+        n, seq_len, classes, pooled, ratio, sinks, recents, window = layer
+        f_r = classes.count(HeadClass.HETEROGENEOUS)
+        # the drawn classes, and another layer of the same f(r)
+        shuffled = classes[:] if random is None else random.sample(classes, n)
+        for policy in PolicyKind:
+            try:
+                facts = layer_facts(0, policy, ratio, seq_len, n, f_r, sinks, recents, window)
+            except InfeasibleBudgetError:
+                continue
+            by_class = [facts.keep_by_class(p) for p in pooled]
+            for head_classes in (classes, shuffled):
+                keeps = [keep[c] for keep, c in zip(by_class, head_classes)]
+                plan = facts.plan(0, head_classes, keeps)
+                expected = apply_policy(
+                    0, head_classes, policy, ratio, sinks, recents, window, pooled
+                )
+                assert json.dumps(plan.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
 class TestBudgetProperties:
     POLICIES = [
         PolicyKind.TASK_KV,
@@ -652,6 +686,16 @@ class TestGroupMeans:
         groups = [(int(a) + 3, int(b) + 3) for a, b in zip(bounds[:-1], bounds[1:])]
         trace = self.float64_trace(75, (1, 2, 600, head_dim))
         self.assert_means(trace, groups, heads=2)
+
+    @pytest.mark.parametrize("head_dim", [1, 5])
+    def test_signed_zero_rows_mean_plus_zero(self, head_dim):
+        # a per-group mean adds from 0.0, short groups summed a row at a
+        # time too, so a group of -0.0 rows means +0.0
+        rows = np.full((self.N, head_dim), -0.0)
+        groups = np.array(self.CASES["adjacent-short"] + [(12, 30)], dtype=np.intp)
+        expected = self.oracle(rows, groups)
+        assert not np.signbit(expected).any()
+        assert group_means(rows, groups).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("head_dim", [1, 5])
     def test_fortran_ordered_input(self, head_dim):

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from semkv import harness
+from semkv import linalg as linalg_module
 from semkv import trace as trace_module
 from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, expand_runs, footprint
 from semkv.cli import _FLAGS, _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
 from semkv.errors import ParameterError
+from semkv.linalg import _KEY_BLOCK
 from semkv.harness import (
     FidelityReport,
     RunConfig,
@@ -153,6 +155,32 @@ class TestEval:
         assert row["policy"] == "task-kv"
         assert row["mean_l2"] >= 0.0
         assert len(row["per_head_l2"][0]) == 8
+
+    @pytest.mark.parametrize("decode", [[], ["--decode-queries", "64"]], ids=["window", "64"])
+    def test_eval_of_all_plans_gives_the_reports_bits(self, tmp_path, capsys, decode):
+        # `all` scores each head in its one visit, `eval` each saved plan
+        # with the same per-head scorer, one keep per plan
+        out, scored = tmp_path / "out", tmp_path / "eval"
+        code, _, err = run_cli(
+            capsys, "all", *LAYERED, *LAYERED_ARGS, *decode, "--out", str(out)
+        )
+        assert code == 0, err
+        report = json.loads((out / "report.json").read_text())
+        # every policy, compressed-cache's groups too (head-aware cells at 0.3 are infeasible)
+        assert {entry["policy"] for entry in report["policies"]} == set(ALL_POLICIES.split(","))
+        for entry in report["policies"]:
+            plans = out / f"plans_{entry['policy']}_{entry['budget_ratio']:g}.json"
+            code, _, err = run_cli(
+                capsys, "eval", "--trace", str(out / "trace.tkv"), "--plans", str(plans),
+                *(decode or ["--window", "16"]), "--out", str(scored),
+            )
+            assert code == 0, err
+            row = json.loads((scored / "fidelity.json").read_text())["fidelity"][0]
+            per_head = entry["fidelity"]["per_head"]
+            assert row["per_head_l2"] == [[c["l2_error"] for c in layer] for layer in per_head]
+            assert row["per_head_cosine"] == [
+                [c["cosine_similarity"] for c in layer] for layer in per_head
+            ]
 
     def test_short_plans_file_fails_with_json_error(self, trace_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1294,17 +1322,16 @@ class TestDrawnTrace:
         ])
         assert code == 0, capsys.readouterr().err
         # drawing holds a float32 head block, `gen`'s two N x d float64
-        # scratch blocks and small change; the head passes that follow hold
-        # one head's float64 K and V and the window softmax's temporaries
+        # scratch blocks and small change; the head visits that follow hold
+        # one head's float64 K and V and the window softmax's temporaries,
+        # `all`'s too: it scores each head in its visit, holding no layer's
+        # window numerators
         block, scratch = 3 * self.SEQ * self.DIM * 4, 2 * self.SEQ * self.DIM * 8
         draw = block + scratch + 256 * 1024
         head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
-        # `all` scores fidelity on the window's rows, so it holds the window
-        # scores, made after the trace is drawn
-        held = self.N_HEADS * self.SEQ * self.WINDOW * 8 if command == "all" else 0
-        assert peak <= held + max(draw, head)
+        assert peak <= max(draw, head)
         # which is less than one layer's payload
-        assert held + max(draw, head) < self.N_HEADS * block
+        assert max(draw, head) < self.N_HEADS * block
 
     @pytest.mark.parametrize("command", ["compress", "pca", "eval"])
     def test_unwritable_temporary_file_is_a_json_error(
@@ -1383,14 +1410,14 @@ class TestLayerMemory:
             "--budget", "0.5", "--m-top", "1", "--out", str(tmp_path / "out"),
         ])
         assert code == 0, capsys.readouterr().err
-        # one head's float64 K and V, and the window softmax's temporaries,
-        # plus the layer's window scores, which the run holds for fidelity
-        # scoring on the window's rows: exactly n N W 8 bytes
-        head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
-        held = self.N_HEADS * self.SEQ * self.WINDOW * 8
-        assert peak <= head + held
+        # one head's visit: its window numerators and the gather of their
+        # group means' scores, two (N, W) float64 arrays, then the gather
+        # of its V rows' group means, at most its float64 K and V; no
+        # layer's window numerators are held for fidelity scoring
+        head = 2 * self.SEQ * self.DIM * 8 + 2 * self.WINDOW * self.SEQ * 8
+        assert peak <= head
         # which is far below the payload a whole-trace read would hold
-        assert head + held < self.PAYLOAD_BYTES / 2
+        assert head < self.PAYLOAD_BYTES / 2
 
     def test_gen_peak_is_one_head_block_plus_its_scratch(self, trace_path, tmp_path, capsys):
         code, peak = _traced_peak([
@@ -1406,23 +1433,23 @@ class TestLayerMemory:
 class TestMappedResidency:
     """A command over a mapped trace holds the pages of one of a head's
     (N, d) arrays at a time: the reader checks Q, K and V one at a time,
-    the head pass walks the heads over K and then over V, and scoring
-    forms a head's numerators and group scores over K before it reads V.
-    Sampled after each of those steps and after `score_layer`, the
-    trace's resident bytes never exceed one (N, d) array plus the page
-    slack of each head's block edge."""
+    and a head's visit, or its scoring, forms its numerators and group
+    scores over K and gives Q and K back before it reads V. Sampled after
+    each of those steps and after `score_layer`, the trace's resident
+    bytes never exceed one (N, d) array plus the page slack of each head's
+    block edge. Within a walk over K or V a block of keys at a time, the
+    rows already read are given back every `_GIVE_BACK_BYTES`."""
 
     SHAPE = (2, 4, 16384, 128)  # each head's Q, K and V are 8 MiB, a head block 24 MiB
     # each sampled function and the module that holds the name the command calls
     SAMPLED = {
         "_require_finite": trace_module,
-        "_window_scores": harness,
-        "approx_semantic_vector": harness,
-        "_group_scores": harness,
         "_HeadNumerators": harness,
+        "approx_semantic_vector": harness,
+        "_visit_head": harness,
         "score_layer": harness,
     }
-    # cells whose plans have groups, for which scoring forms S again
+    # cells whose plans have groups, whose scores are taken from S
     PLAN = ["--policy", "streaming,compressed-cache", "--m-top", "1"]
 
     @pytest.fixture(scope="class")
@@ -1456,9 +1483,9 @@ class TestMappedResidency:
             argv += self.PLAN
         assert main(argv) == 0, capsys.readouterr().err
         uncalled = {
-            "all": (),
-            "compress": ("_group_scores", "_HeadNumerators", "score_layer"),
-            "eval": ("_window_scores", "approx_semantic_vector"),
+            "all": ("score_layer",),
+            "compress": ("score_layer",),
+            "eval": ("_visit_head", "approx_semantic_vector"),
         }[command]
         assert set(samples) == set(self.SAMPLED) - set(uncalled)
         _, n, seq_len, dim = self.SHAPE
@@ -1467,6 +1494,37 @@ class TestMappedResidency:
         # which a head's K and V, with the huge page its window's query rows
         # fault in, exceed
         assert array + slack < 2 * array + PAGE_SLACK_PER_HEAD
+
+    @pytest.mark.parametrize("command", ["all", "compress", "eval"])
+    def test_key_block_walks_hold_two_mib(
+        self, trace_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        path = trace_dir / "t.tkv"
+        samples, key_blocks = [], linalg_module._key_blocks
+
+        def sampled(rows):
+            for at, block in key_blocks(rows):
+                samples.append(mapped_rss(path))
+                yield at, block
+
+        for module in (linalg_module, harness):
+            monkeypatch.setattr(module, "_key_blocks", sampled)
+        argv = [command, "--trace", str(path), "--out", str(tmp_path)]
+        if command == "eval":
+            argv += ["--plans", str(trace_dir / "plans_compressed-cache_0.4.json")]
+        else:
+            argv += self.PLAN
+        assert main(argv) == 0, capsys.readouterr().err
+        _, n, seq_len, dim = self.SHAPE
+        # at most 2 MiB of rows read and not yet given back and the block
+        # just read, plus two huge pages of slack: the one the window's
+        # query rows fault in, and the rest of the one the block was read
+        # from, which a read maps whole
+        bound = linalg_module._GIVE_BACK_BYTES + _KEY_BLOCK * dim * 4 + 2 * PAGE_SLACK_PER_HEAD
+        assert len(samples) >= 2 * n * seq_len // _KEY_BLOCK  # K and V of every head
+        assert max(samples) <= bound
+        # which the whole of one (N, d) array exceeds
+        assert bound < seq_len * dim * 4
 
     def test_the_reader_gives_back_each_array_it_checks(self, trace_dir, monkeypatch):
         given = []

@@ -20,10 +20,12 @@ from semkv.allocator import (
     HEAD_AWARE_SLOTS,
     BudgetPlan,
     PolicyKind,
+    apply_policy,
     check_plans,
     expand_runs,
     footprint,
     group_means,
+    pool_scores,
 )
 from semkv.errors import (
     CacheConsistencyError,
@@ -36,7 +38,6 @@ from semkv.harness import (
     _SAFE,
     _HeadNumerators,
     _rows_cosine,
-    _window_scores,
     build_eval_report,
     check_decode_queries,
     compress_run,
@@ -48,14 +49,14 @@ from semkv.harness import (
     score_layer,
     score_plans,
 )
-from semkv.linalg import (
-    _KEY_BLOCK,
-    AttentionInputs,
-    _key_blocks,
-    causal_numerators,
-    causal_scores,
+from semkv.linalg import _KEY_BLOCK, AttentionInputs, _key_blocks
+from semkv.separator import (
+    HeadClass,
+    approx_semantic_vector,
+    build_layer_profiles,
+    column_scores,
+    top_t_indices,
 )
-from semkv.separator import HeadClass, approx_semantic_vector, top_t_indices
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -475,7 +476,7 @@ class TestFullOutputs:
         for layer in trace.data:
             expected = decode_outputs(layer, decode_queries)
             for h, block in enumerate(layer):
-                full = _HeadNumerators(block, decode_queries).full
+                full = full_outputs(block, decode_queries)
                 scale = np.abs(expected[h]).max()
                 assert np.all(np.abs(full - expected[h]) <= FULL_OUTPUT_TOL * scale)
 
@@ -491,6 +492,20 @@ class TestFullOutputs:
         with pytest.raises(ParameterError, match=message):
             score_plans(trace.layers(), [plans], count)
         assert check_decode_queries(128, 128) == 128
+
+
+def full_outputs(block, decode_queries):
+    """A head's full-cache decode outputs, the first of `_HeadNumerators.outputs`."""
+    return _HeadNumerators(block, decode_queries).outputs()[0]
+
+
+def head_outputs(block, decode_queries, heads):
+    """One `_HeadNumerators` over the head's decode rows with the groups of
+    `heads` (each a `HeadPlan`), its full outputs and each head's retained
+    outputs, from one value pass."""
+    numerators = _HeadNumerators(block, decode_queries, [head.groups for head in heads])
+    full, *retained = numerators.outputs(heads)
+    return numerators, full, retained
 
 
 def oracle_retained_output(head, values, plan) -> np.ndarray:
@@ -535,15 +550,17 @@ class PreChangeFull(_HeadNumerators):
     E[b]^T V[b] added up, then divided by one sum of every numerator,
     E^T V / sum E, where the block pass adds up each block's row sums."""
 
-    def __init__(self, block, decode_queries, heads=(), held=None):
-        super().__init__(block, decode_queries, heads, held)
-        self.full = np.zeros_like(self.full)
-        for at, rows in _key_blocks(block[2]):
-            self.full += self.numerators[at].T @ rows
-        self.full /= self.numerators.sum(axis=0)[:, None]
+    def outputs(self, heads=()):
+        outputs = super().outputs(heads)
+        full = np.zeros_like(outputs[0])
+        for at, rows in _key_blocks(self._block[2]):
+            full += self.numerators[at].T @ rows
+        full /= self.numerators.sum(axis=0)[:, None]
+        outputs[0] = full
+        return outputs
 
 
-def pre_change_score_layer(data, plans, decode_queries, held=None):
+def pre_change_score_layer(data, plans, decode_queries):
     """`score_layer` as it was before the full cache was a plan of the
     block pass, kept bit for bit: `PreChangeFull`'s full outputs, and a
     head that keeps every position scored L2 0 and their self-cosine
@@ -556,8 +573,10 @@ def pre_change_score_layer(data, plans, decode_queries, held=None):
             for c, plan in enumerate(plans)
             if not keeps_every_position(plan, h, seq_len)
         }
-        head = PreChangeFull(block, decode_queries, list(cells.values()), held[h] if held else None)
-        full, retained = head.full, dict(zip(cells, head.retained))
+        heads = list(cells.values())
+        head = PreChangeFull(block, decode_queries, [c.groups for c in heads])
+        full, *retained = head.outputs(heads)
+        retained = dict(zip(cells, retained))
         self_cosine = float(_rows_cosine(full, full).mean())
         for c, (l2, cos) in enumerate(scores):
             if c not in retained:
@@ -568,23 +587,23 @@ def pre_change_score_layer(data, plans, decode_queries, held=None):
     return scores
 
 
-def oracle_score_layer(data, plans, decode_queries, numerators=PreChangeFull, held=None):
+def oracle_score_layer(data, plans, decode_queries, numerators=PreChangeFull):
     """`score_layer` as it was before the block pass: each head's full
-    outputs from `numerators(block, decode_queries).full`, and each cell's
-    retained outputs from `oracle_retained_output`. It forms its own
-    decode scores, so it leaves the head pass's `held` unread."""
+    outputs from `numerators(block, decode_queries).outputs()`, and each
+    cell's retained outputs from `oracle_retained_output`."""
     n_heads, _, seq_len, _ = data.shape
     scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
     for h, block in enumerate(data):
         head = numerators(block, decode_queries)
-        self_cosine = float(_rows_cosine(head.full, head.full).mean())
+        full = head.outputs()[0]
+        self_cosine = float(_rows_cosine(full, full).mean())
         for (l2, cos), plan in zip(scores, plans):
             if keeps_every_position(plan, h, seq_len):
                 l2[h], cos[h] = 0.0, self_cosine
                 continue
             retained_out = oracle_retained_output(head, block[2], plan.head_plan(h))
-            l2[h] = float(np.linalg.norm(head.full - retained_out, axis=1).mean())
-            cos[h] = float(_rows_cosine(head.full, retained_out).mean())
+            l2[h] = float(np.linalg.norm(full - retained_out, axis=1).mean())
+            cos[h] = float(_rows_cosine(full, retained_out).mean())
     return scores
 
 
@@ -641,11 +660,11 @@ class TestBlockPass:
         for r, layer in enumerate(trace.data):
             for h, block in enumerate(layer):
                 heads = [plan[r].head_plan(h) for plan in plans]
-                numerators = _HeadNumerators(block, decode_queries, heads)
+                _, full, retained_outputs = head_outputs(block, decode_queries, heads)
                 oracle = _HeadNumerators(block, decode_queries)
-                assert np.array_equal(numerators.full, oracle.full)
-                scale = np.abs(oracle.full).max()
-                for plan, retained in zip(heads, numerators.retained):
+                assert np.array_equal(full, oracle.outputs()[0])
+                scale = np.abs(full).max()
+                for plan, retained in zip(heads, retained_outputs):
                     expected = oracle_retained_output(oracle, block[2], plan)
                     assert np.all(np.abs(retained - expected) <= BLOCK_PASS_TOL * scale)
                     counts = np.bincount(plan.retained // _KEY_BLOCK, minlength=len(sizes))
@@ -709,7 +728,7 @@ class TestBlockPass:
         self.assert_matches_oracle(trace, plans, 8)
         for plan in plans:
             head = plan[0].head_plan(0)
-            out = _HeadNumerators(trace.data[0, 0], 8, [head]).retained[0]
+            out = head_outputs(trace.data[0, 0], 8, [head])[2][0]
             blind = 5 if plan[0].per_head_groups is None else 3
             assert not out[:blind].any() and np.all(np.abs(out[blind:]).sum(axis=1) > 0)
 
@@ -726,82 +745,149 @@ class TestBlockPass:
         self.assert_matches_oracle(trace, plans, 8)
 
 
-class TestHeldNumerators:
-    """The head pass holds each head's window softmax numerators E for
-    scoring, not its scores S: numerators taken from it give the bits of
-    numerators formed from the decode scores, and the run holds them in
-    one buffer, with no second softmax array alive while V is read."""
+def head_window_scores(block, window_len):
+    """One head's (N,) window scores as the run's head visit takes them:
+    `column_scores` of the window rows' numerators, formed over K."""
+    return column_scores(_HeadNumerators(block, window_len).numerators)
+
+
+def two_pass_layer_step(window_scores=head_window_scores, score=score_layer):
+    """`layer_step` as two passes over a layer's heads, as it ran before
+    each head was visited once: each head's window scores
+    (`window_scores(block, window_len)`) and semantic vector, the layer's
+    classes, `apply_policy` of every cell from the pooled scores, then
+    `score(data, plans, decode_queries)`. With the defaults it is the
+    oracle of the one visit; with the oracles of earlier steps it is their
+    report's path."""
+
+    def step(config, result, layer, data):
+        window_len, cells = result.window_len, result.cells
+        scores = [window_scores(block, window_len) for block in data]
+        pooled = [pool_scores(score, config.kernel) for score in scores] if cells else []
+        vectors = np.array([
+            approx_semantic_vector(score, block[2], config.top_t)
+            for score, block in zip(scores, data)
+        ])
+        f_r = result.schedule.per_layer_counts[layer]
+        distances, classes = build_layer_profiles(vectors, f_r)
+        plans = {
+            cell: apply_policy(
+                layer, classes, *cell, config.sinks, config.recents, window_len, pooled
+            )
+            for cell in cells
+        }
+        result.vectors.append(vectors)
+        result.distances.append(distances)
+        result.classes.append(classes)
+        result.add_head_tokens(plans)
+        if result.decode_queries is not None:
+            scored = score(data, list(plans.values()), result.decode_queries)
+            for cell, cell_scores in zip(plans, scored):
+                result.scores.setdefault(cell, []).append(cell_scores)
+        return plans
+
+    return step
+
+
+def report_and_plans(cfg, trace):
+    """`run_all`'s report bytes over `trace` and every plan it built, as JSON."""
+    report, result = run_all(cfg, trace, return_result=True)
+    buf = io.BytesIO()
+    export_report(report, "json", buf)
+    plans = {
+        cell: [json.dumps(p.to_json_dict()) for p in kept] for cell, kept in result.plans.items()
+    }
+    return buf.getvalue(), plans
+
+
+class TestOneVisit:
+    """`layer_step` visits each head once: it plans the head under each
+    class, scores each distinct keep, and picks the keeps and scores of
+    the head's class once the layer is classified. Its reports and plans
+    are those of the two-pass step, bit for bit, and no layer-wide buffer
+    is alive while a head's V is read."""
 
     @staticmethod
-    def assert_held_equals_formed(trace, plans, window_len):
-        for r, layer in enumerate(trace.data):
-            for h, block in enumerate(layer):
-                heads = [plan[r].head_plan(h) for plan in plans]
-                held = (np.empty((trace.seq_len, window_len)), np.empty(window_len))
-                _window_scores(block, window_len, held)
-                kept = _HeadNumerators(block, window_len, heads, held)
-                formed = _HeadNumerators(block, window_len, heads)
-                assert kept.numerators.tobytes() == formed.numerators.tobytes()
-                assert kept.shift.tobytes() == formed.shift.tobytes()
-                for a, b in zip([kept.full, *kept.retained], [formed.full, *formed.retained]):
-                    assert a.tobytes() == b.tobytes()
+    def assert_one_visit_is_two_passes(monkeypatch, cfg, trace):
+        one = report_and_plans(cfg, trace)
+        monkeypatch.setattr(harness, "layer_step", two_pass_layer_step())
+        two = report_and_plans(cfg, trace)
+        monkeypatch.undo()
+        assert one == two
 
-    def test_every_policy_gets_the_bits_of_formed_numerators(self):
+    @pytest.mark.parametrize("decode_queries", [16, 5, _KEY_BLOCK + 40])  # the window, N
+    def test_every_policy_gets_the_bits_of_two_passes(self, monkeypatch, decode_queries):
         cfg = clustered_config(
             seed=47, shape=(2, 4, _KEY_BLOCK + 40, 8), planted=1, beta=2 / 4, top_m=2,
-            policies=ALL_POLICIES, budget_ratios=(0.3, 0.6), decode_queries=16,
+            policies=ALL_POLICIES, budget_ratios=(0.3, 0.6, 0.95), decode_queries=decode_queries,
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-        plans = list(compress_run(cfg, trace).plans.values())
-        assert any(plan[0].per_head_groups is not None for plan in plans)
-        self.assert_held_equals_formed(trace, plans, cfg.window_len)
+        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
 
-    def test_rescued_rows_get_the_bits_of_formed_numerators(self):
+    def test_a_layer_of_heterogeneous_heads(self, monkeypatch):
+        # f(0) = n: every head of layer 0 keeps everything
+        cfg = clustered_config(
+            seed=49, shape=(3, 4, 128, 8), planted=1, beta=1.0, top_m=1,
+            policies=ALL_POLICIES, budget_ratios=(1.0,),
+        )
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
+        plans = compress_run(cfg, trace).plans[("task-kv", 1.0)]
+        assert plans[0].head_classes == [HeadClass.HETEROGENEOUS] * 4
+        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
+
+    def test_a_clamped_layer(self, monkeypatch):
+        # layer 0: k = (281 - 2 * 128) // 2 - 4 - 16 < 0
+        cfg = clustered_config(
+            seed=50, shape=(2, 4, 128, 8), planted=1, beta=0.5, top_m=1, recents=16,
+            policies=ALL_POLICIES, budget_ratios=(0.55,),
+        )
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
+        plans = compress_run(cfg, trace).plans[("task-kv", 0.55)]
+        assert [plan.clamped for plan in plans] == [True, False]
+        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
+
+    def test_rescued_rows_get_the_bits_of_two_passes(self, monkeypatch):
+        # streaming keeps [0, 4) and [52, 64) of `underflow_trace`, not key 10
         trace = underflow_trace()
-        plans = [
-            [head_plan([[0, 4], [56, 64]])],
-            [head_plan([[0, 4], [56, 64]], [[4, 20], [20, 56]])],
-        ]
+        cfg = clustered_config(
+            shape=(1, 1, 64, 4), beta=1.0, top_m=0,
+            window_len=8, decode_queries=8, top_t=8, budget_ratios=(0.2,),
+            policies=(PolicyKind.STREAMING, PolicyKind.COMPRESSED_CACHE),
+        )
+        plan = compress_run(cfg, trace).plans[("streaming", 0.2)][0]
         head = _HeadNumerators(trace.data[0, 0], 8)
-        total = head.numerators[plans[0][0].head_plan(0).retained].sum(axis=0)
+        total = head.numerators[plan.head_plan(0).retained].sum(axis=0)
         assert np.all(total < 1 / _SAFE)  # every decode row is rescued
-        self.assert_held_equals_formed(trace, plans, 8)
+        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
 
-    def test_the_run_holds_one_numerator_buffer(self, monkeypatch):
-        # one head's window scores, or its numerators, are one (N, W) array
+    @pytest.mark.parametrize("decode_queries", [32, 8])  # the window, other rows
+    def test_the_run_holds_one_heads_numerators(self, monkeypatch, decode_queries):
+        # one head's window numerators, or its decode rows', are one array
         shape, window_len = (2, 4, 4096, 8), 32
         cfg = clustered_config(
-            seed=48, shape=shape, window_len=window_len, decode_queries=window_len,
-            policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING, PolicyKind.FULL),
+            seed=48, shape=shape, window_len=window_len, decode_queries=decode_queries,
+            policies=(PolicyKind.TASK_KV, PolicyKind.STREAMING, PolicyKind.COMPRESSED_CACHE),
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         _, n, seq_len, _ = shape
-        softmax_bytes = seq_len * window_len * 8
-        made, alive = [], []
-        make, value_pass = harness._held_numerators, _HeadNumerators._value_pass
-
-        def counted(result):
-            held = make(result)
-            made.append({id(a.base): a.base.nbytes for slot in held for a in slot})
-            return held
+        softmax_bytes = seq_len * decode_queries * 8
+        alive = []
+        value_pass = _HeadNumerators._value_pass
 
         def sampled(head, values, heads):
             traces = tracemalloc.take_snapshot().traces
             alive.append(sorted(t.size for t in traces if t.size >= softmax_bytes))
             return value_pass(head, values, heads)
 
-        monkeypatch.setattr(harness, "_held_numerators", counted)
         monkeypatch.setattr(_HeadNumerators, "_value_pass", sampled)
         tracemalloc.start()
         try:
             run_all(cfg, trace)
         finally:
             tracemalloc.stop()
-        assert len(made) == 1
-        assert sum(made[0].values()) == n * seq_len * window_len * 8 + n * window_len * 8
-        # while each head's V is read, the held numerators are the one
+        # while each head's V is read, its own numerators are the one
         # softmax-sized allocation alive
-        assert alive == [[n * softmax_bytes]] * shape[0] * n
+        assert alive == [[softmax_bytes]] * shape[0] * n
 
 
 class TestKeepAllHeads:
@@ -833,7 +919,7 @@ class TestKeepAllHeads:
                 )
                 if not keeps_all:
                     continue
-                full = _HeadNumerators(trace.data[r, h], decode_queries).full
+                full = full_outputs(trace.data[r, h], decode_queries)
                 assert fid.per_head_l2[r, h] == 0.0
                 assert fid.per_head_cosine[r, h] == _rows_cosine(full, full).mean()
                 checked += 1
@@ -878,14 +964,12 @@ class TestPlanMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # above what the run keeps (plans and report), the
-        # peak is one head's entry with its gather and sort temporaries
+        # above what the run keeps (plans and report), the peak is one
+        # head's entry with its gather and sort temporaries, whatever the
+        # decode rows: no layer's window numerators are held
         head_kv_bytes = 2 * shape[2] * shape[3] * 8
         allowance = 4 * head_kv_bytes
-        # and, when the decode rows are the window's, the layer's window
-        # numerators held for fidelity scoring: exactly n N W 8 bytes
-        window_numerators = shape[1] * shape[2] * cfg.window_len * 8
-        assert peak - held <= allowance + (decode_queries == cfg.window_len) * window_numerators
+        assert peak - held <= allowance
         # and far below the rows any single cell other than full copies
         for (policy, _), plans in kept[1].plans.items():
             entries = [e for layer in built_entries(trace, plans) for e in layer]
@@ -1057,14 +1141,11 @@ class TestFloat32Storage:
         assert peak - held <= 4 * (2 * shape[2] * shape[3] * 8)
 
 
-def whole_window_scores(block, window_len, held=None):
+def whole_window_scores(block, window_len):
     """The window scores of the head pass that widens the whole head:
     `widen_head`'s float64 K and V and one row-major masked softmax under
     the full (window, N) causal mask; these are the head pass's bits before
-    `causal_scores`. With `held`, it keeps the window's softmax numerators
-    there too, as the head pass does, for `score_layer` to read."""
-    if held is not None:
-        causal_numerators(*causal_scores(block[0, len(block[0]) - window_len :], block[1], held))
+    `causal_scores`."""
     inputs = widen_head(block, window_len)
     return row_major_attention_weights(inputs, window_len).mean(axis=0)
 
@@ -1078,9 +1159,9 @@ def whole_head_pass(block, window_len, top_t):
 
 
 def head_pass(block, window_len, top_t):
-    """The head pass of one head, both walks: its window scores and its
-    top-t semantic vector."""
-    scores = _window_scores(block, window_len)
+    """The head pass of one head: its window scores and its top-t semantic
+    vector."""
+    scores = head_window_scores(block, window_len)
     return scores, approx_semantic_vector(scores, block[2], top_t)
 
 
@@ -1235,16 +1316,15 @@ class TestReportFixture:
         """Numerators whose full-cache outputs come from the `decode_output`
         oracle, one masked softmax per head."""
 
-        def __init__(self, block, decode_queries):
-            super().__init__(block, decode_queries)
-            self.full = decode_output(widen_head(block, decode_queries), decode_queries)
+        def outputs(self, heads=()):
+            outputs = super().outputs(heads)
+            outputs[0] = decode_output(widen_head(self._block, len(self.rows)), len(self.rows))
+            return outputs
 
-    def patched_report(self, monkeypatch, **patches):
-        """The fixture report with each of `patches` set on `semkv.harness`
-        under its name, and its SHA-256."""
+    def patched_report(self, monkeypatch, **passes):
+        """The fixture report of `two_pass_layer_step(**passes)`, and its SHA-256."""
         cfg = RunConfig(**self.FIXTURE_CONFIG)
-        for name, value in patches.items():
-            monkeypatch.setattr(f"semkv.harness.{name}", value)
+        monkeypatch.setattr(harness, "layer_step", two_pass_layer_step(**passes))
         report = self.report_and_hash(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
         monkeypatch.undo()
         return report
@@ -1258,8 +1338,8 @@ class TestReportFixture:
         return [
             self.patched_report(
                 monkeypatch,
-                _window_scores=whole_window_scores,
-                score_layer=functools.partial(oracle_score_layer, numerators=numerators),
+                window_scores=whole_window_scores,
+                score=functools.partial(oracle_score_layer, numerators=numerators),
             )
             for numerators in (PreChangeFull, self.OracleFull)
         ]
@@ -1269,13 +1349,13 @@ class TestReportFixture:
         row-major softmax `causal_scores` replaced, scored by
         `pre_change_score_layer`, and its SHA-256."""
         return self.patched_report(
-            monkeypatch, _window_scores=whole_window_scores, score_layer=pre_change_score_layer
+            monkeypatch, window_scores=whole_window_scores, score=pre_change_score_layer
         )
 
     def before_full_plan(self, monkeypatch):
         """The fixture report scored by `pre_change_score_layer`, before the
         full cache was a plan of the block pass, and its SHA-256."""
-        return self.patched_report(monkeypatch, score_layer=pre_change_score_layer)
+        return self.patched_report(monkeypatch, score=pre_change_score_layer)
 
     @staticmethod
     def report_and_hash(cfg, trace):
@@ -1323,6 +1403,8 @@ class TestReportFixture:
         return sum(moved)
 
     def test_oracle_paths_reproduce_the_earlier_fixtures(self, monkeypatch):
+        # the two-pass step with today's window scores and scoring is the fixture
+        assert self.patched_report(monkeypatch)[1] == REPORT_FIXTURE_SHA256
         (_, before_block_pass), (_, before_one_home) = self.oracle_reports(monkeypatch)
         assert before_block_pass == REPORT_BEFORE_BLOCK_PASS_SHA256
         assert before_one_home == REPORT_BEFORE_ONE_HOME_SHA256

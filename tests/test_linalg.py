@@ -15,6 +15,7 @@ from semkv.linalg import (
     _KEY_BLOCK,
     AttentionInputs,
     _fix_sign,
+    attention_numerators,
     attention_weights,
     causal_numerators,
     causal_scores,
@@ -255,20 +256,19 @@ class TestCausalScores:
         np.testing.assert_allclose(attention_weights(inputs), oracle, rtol=1e-13, atol=1e-300)
 
     @pytest.mark.parametrize("seq_len, rows", [(_KEY_BLOCK + 40, 16), (96, 96)])
-    def test_out_keeps_the_numerators(self, seq_len, rows):
+    def test_numerators_are_the_weights_before_their_sums(self, seq_len, rows):
         queries, keys = self.draw(seq_len, rows, seed=4)
         inputs = AttentionInputs(queries, keys, keys)
-        out = (np.empty((seq_len, rows)), np.empty(rows))
-        weights = attention_weights(inputs, rows, out)
-        assert weights.tobytes() == attention_weights(inputs, rows).tobytes()
+        numerators = attention_numerators(inputs, rows)
         scores, shift = causal_scores(queries, keys)
-        assert out[1].tobytes() == shift.tobytes()
         # exactly exp(S - m) where a row sees the key, exactly 0 elsewhere
         seen = np.arange(seq_len)[:, None] <= np.arange(seq_len - rows, seq_len)
         with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
             expected = np.where(seen, np.exp(scores - shift), 0.0)
-        assert out[0].tobytes() == expected.tobytes()
+        assert numerators.tobytes() == expected.tobytes()
         assert np.array_equal(causal_numerators(scores, shift), expected)
+        weights = (numerators / numerators.sum(axis=0)).T
+        assert attention_weights(inputs, rows).tobytes() == weights.tobytes()
 
     def test_every_row_holds_one_score_matrix(self):
         # the scores, finished in place, plus two (N, N) bool masks of the

@@ -8,7 +8,10 @@ benchmark runs fails here.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import semkv.cli
+from semkv.linalg import AttentionInputs
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,17 +34,17 @@ def test_traced_all_runs_and_records_layer_steps(tmp_path, capsys):
             "--sinks", "4", "--recents", "8", "--top-t", "64", "--kernel", "3",
             "--contrib-trials", "2", "--out", str(tmp_path / "out"),
         ])
+        # `all` builds no `AttentionInputs`; the wrapped constructor still runs
+        AttentionInputs(np.ones((1, 2)), np.ones((3, 2)), np.ones((3, 2)))
     finally:
         tracer.uninstall()
     assert code == 0, capsys.readouterr().err
     names = [span[0] for span in tracer.spans]
     assert names.count("harness.layer_step") == 2
-    assert names.count(tracing.POST_INIT) > 0
+    assert names.count(tracing.POST_INIT) == 1
     metrics = tracing.command_metrics(tracer.spans, plans_bytes=0)
-    assert metrics["linalg.attention_weights.calls"] > 0
-    # one window-score pass per head: 2 layers of 8 heads
-    assert metrics["separator.window_scores.calls"] == 16
+    # one window-score pass per head, in its one visit: 2 layers of 8 heads
+    assert names.count("separator.column_scores") == 16
     # the traced separator names still resolve, so their times are not 0
-    assert metrics["separator.window_scores_s"] > 0
     assert metrics["separator.profiles_s"] > 0
     assert metrics["contribution.trials"] == 2

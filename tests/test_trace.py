@@ -18,9 +18,12 @@ from semkv.errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from semkv.harness import _window_scores, score_layer
+from semkv import harness
+from semkv.allocator import PolicyKind
+from semkv.harness import _HeadNumerators, RunConfig, score_layer
 from semkv.separator import (
     approx_semantic_vector,
+    column_scores,
     head_distances,
     semantic_vector_full,
     window_column_scores,
@@ -571,7 +574,8 @@ class TestLayerSources:
             with TraceReader(io.BytesIO(data)) as reader:
                 for layer in reader.layers():
                     for block in layer:
-                        approx_semantic_vector(_window_scores(block, 32), block[2], 64)
+                        scores = column_scores(_HeadNumerators(block, 32).numerators)
+                        approx_semantic_vector(scores, block[2], 64)
 
         _, peak = traced_peak(read_and_pass)
         assert peak <= head_block + _STREAM_CHUNK
@@ -685,10 +689,10 @@ class TestLayerSources:
 class TestPageGiveBack:
     """A mapped trace's pages leave the process once the pass that reads
     them moves on: `each_head` gives each head's whole block back when its
-    caller asks for the next one or stops, after each walk of its head
-    pass, whether or not that holds its window numerators, and after
-    `score_layer` scores it, from the held numerators or from K read
-    again; the reader gives back each of its Q, K and V once checked."""
+    caller asks for the next one or stops, after a run's one visit of the
+    head and after `score_layer` scores it, whether the decode rows are the
+    window's or not; the reader gives back each of its Q, K and V once
+    checked."""
 
     SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
     WINDOW = 32
@@ -699,35 +703,40 @@ class TestPageGiveBack:
         write_trace(SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE), path)
         return path
 
-    @pytest.mark.parametrize("decode_queries", [WINDOW, 64], ids=["held-scores", "decode-64"])
-    def test_head_blocks_leave_once_read(self, path, decode_queries):
+    @pytest.mark.parametrize("decode_queries", [WINDOW, 64], ids=["window-rows", "decode-64"])
+    def test_head_blocks_leave_once_read(self, path, monkeypatch, decode_queries):
         source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
         _, n, seq_len, _ = self.SHAPE
         slack = n * PAGE_SLACK_PER_HEAD
-        held = None
-        if decode_queries == self.WINDOW:
-            held = list(zip(np.empty((n, seq_len, self.WINDOW)), np.empty((n, self.WINDOW))))
+        config = RunConfig(
+            trace_path=str(path), policies=(PolicyKind.TASK_KV, PolicyKind.COMPRESSED_CACHE),
+            budget_ratios=(0.6,), beta=0.5, top_m=1, window_len=self.WINDOW,
+            decode_queries=decode_queries,
+        )
+        visit, visited = harness._visit_head, []
+
+        def sampled(*args):
+            # the blocks before this one left when it was asked for
+            assert mapped_rss(path) <= slack
+            visited.append(args[-1].shape)
+            return visit(*args)
+
+        monkeypatch.setattr(harness, "_visit_head", sampled)
         with TraceReader(path) as reader:
+            result = harness.start_run(config, reader.header)
             for r, (layer, drawn) in enumerate(zip(reader.layers(), source.layers())):
                 # checked: no page of the layer is resident
                 assert mapped_rss(path) <= slack
-                # the head pass's two walks, over K and then over V
-                scores = []
-                for block, slot in zip(each_head(layer), held or [None] * n):
-                    # the blocks before this one left when it was asked for
-                    assert mapped_rss(path) <= slack
-                    scores.append(_window_scores(block, self.WINDOW, slot))
+                # each head's one visit reads its Q and K, then its V
+                plans = harness.layer_step(config, result, r, layer)
                 assert mapped_rss(path) <= slack
-                for block, score in zip(each_head(layer), scores):
-                    assert mapped_rss(path) <= slack
-                    approx_semantic_vector(score, block[2], 64)
-                assert mapped_rss(path) <= slack
-                # scoring reads each head's V, and K too when it forms
-                # its own scores, and gives them back head by head
-                score_layer(layer, [], decode_queries, held)
+                # scoring saved plans reads each head's K and V again, and
+                # gives them back head by head
+                score_layer(layer, list(plans.values()), decode_queries)
                 assert mapped_rss(path) <= slack
                 # what left comes back from the page cache when read
                 assert np.array_equal(layer, drawn)
+        assert len(visited) == self.SHAPE[0] * n
 
     def test_a_pass_that_breaks_gives_its_block_back(self, path):
         slack = self.SHAPE[1] * PAGE_SLACK_PER_HEAD
