@@ -6,9 +6,12 @@ head-aware policies (task-kv, no-cache, compressed-cache), and the other
 heads keep sinks, recents and k middle slots. The layer budget is
 B = floor(budget_ratio * N * n) tokens. What a cell fixes for a layer
 before any head is planned (B, k, the clamp, whether every head keeps
-everything) is its `LayerFacts`; a head's keep needs only those, its
-class and its pooled scores, so a head can be planned under each class
-before the layer is classified, and `apply_policy` is the loop over heads.
+everything) is its `LayerFacts`, and `layer_facts` is the one place that
+decides them and the cell's feasibility there: a run maps it over f(r)
+before any layer is read, and `apply_policy` calls it for its layer. A
+head's keep needs only the facts, its class and its pooled scores, so a
+head can be planned under each class before the layer is classified, and
+`apply_policy` is the loop over heads.
 
 A plan holds what each head keeps as ranges: its retained positions as an
 (r, 2) array of maximal [start, stop) runs, and its compressed-cache
@@ -234,15 +237,22 @@ class BudgetPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BudgetPlan":
-        """Inverse of `to_json_dict`; malformed input raises PlanFormatError."""
+        """Inverse of `to_json_dict`; malformed input raises PlanFormatError,
+        a missing key before an unknown one."""
         try:
             values = {f.name: d[f.name] for f in fields(cls) if f.default is MISSING or f.name in d}
+        except KeyError as exc:
+            raise PlanFormatError(f"plan is missing key {exc}") from exc
+        except TypeError as exc:
+            raise PlanFormatError(f"bad plan: {exc}") from exc
+        unknown = sorted(set(d) - set(values))
+        if unknown:
+            raise PlanFormatError(f"plan has unknown key(s) {', '.join(unknown)}")
+        try:
             for name, convert in _PLAN_FROM_JSON.items():
                 if name in values:
                     values[name] = convert(values[name])
             return cls(**values)
-        except KeyError as exc:
-            raise PlanFormatError(f"plan is missing key {exc}") from exc
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise PlanFormatError(f"bad plan: {exc}") from exc
 
@@ -433,47 +443,13 @@ POLICIES = {
 }
 
 
-def _cell_budget(
-    policy, budget_ratio: float, seq_len: int, n: int, sinks: int, recents: int
-) -> tuple[PolicyKind, int]:
-    """The policy and layer budget B of a (policy, budget) cell, with its parameters checked."""
+def policy_kind(policy) -> PolicyKind:
+    """`policy`, a `PolicyKind` or its name, as a `PolicyKind`; an unknown
+    name raises ParameterError."""
     try:
-        policy = PolicyKind(policy)
+        return PolicyKind(policy)
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
-    if not 0 < budget_ratio <= 1:
-        raise ParameterError(f"budget_ratio {budget_ratio} outside (0, 1]")
-    if sinks < 0 or recents < 0:
-        raise ParameterError(f"sinks and recents must be >= 0, got {sinks} and {recents}")
-    return policy, int(np.floor(budget_ratio * seq_len * n))
-
-
-def check_cell(
-    policy,
-    budget_ratio: float,
-    seq_len: int,
-    n: int,
-    heterogeneous_counts,
-    sinks: int,
-    recents: int,
-) -> None:
-    """Check a (policy, budget) cell against every layer before any is read.
-
-    Needs only the trace's shape and the schedule f(r): a bad parameter
-    raises ParameterError, and a head-aware budget that cannot hold a
-    layer's heterogeneous heads raises, for the first such layer, the
-    InfeasibleBudgetError `apply_policy` would raise there.
-    """
-    policy, budget = _cell_budget(policy, budget_ratio, seq_len, n, sinks, recents)
-    if policy not in HEAD_AWARE_SLOTS:
-        return
-    for layer, f_r in enumerate(heterogeneous_counts):
-        try:
-            middle_activation_count(budget, seq_len, f_r, n, sinks, recents)
-        except AllHeadsHeterogeneousError:
-            pass
-        except InfeasibleBudgetError as exc:
-            raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
 
 
 def layer_facts(
@@ -495,7 +471,12 @@ def layer_facts(
     every head keep everything; under streaming and uniform-topk, so does
     B // n >= N.
     """
-    policy, budget = _cell_budget(policy, budget_ratio, seq_len, n, sinks, recents)
+    policy = policy_kind(policy)
+    if not 0 < budget_ratio <= 1:
+        raise ParameterError(f"budget_ratio {budget_ratio} outside (0, 1]")
+    if sinks < 0 or recents < 0:
+        raise ParameterError(f"sinks and recents must be >= 0, got {sinks} and {recents}")
+    budget = int(np.floor(budget_ratio * seq_len * n))
     facts = LayerFacts(policy, budget, n, seq_len, sinks, recents, window_len)
     if policy == PolicyKind.FULL:
         return facts

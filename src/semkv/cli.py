@@ -309,7 +309,12 @@ class _Outputs:
         self._staged: dict[str, str] = {}
 
     def path(self, name: str) -> str:
+        """Where to write the output `name`: its temporary file. When `out`
+        is not a directory, the error names the output, not that file."""
         final = os.path.join(self.out, name)
+        if not os.path.isdir(self.out):
+            code = errno.ENOTDIR if os.path.exists(self.out) else errno.ENOENT
+            raise OSError(code, os.strerror(code), final)
         self._staged[final] = os.path.join(self.out, f".{name}.partial")
         return self._staged[final]
 
@@ -379,10 +384,10 @@ def _cmd_gen(args) -> int:
     cfg = _config_from(args)
     if cfg.profile is None or cfg.shape is None:
         raise ParameterError("gen needs --profile and --shape")
-    if os.path.isdir(args.out):
+    out, name = os.path.split(args.out)
+    if not name or os.path.isdir(args.out):
         raise ParameterError(f"gen --out {args.out} is a directory, not a trace file")
     source = SyntheticSource(cfg.profile, cfg.shape)
-    out, name = os.path.split(args.out)
     with _Outputs(out or ".") as outputs:
         written = write_trace(source, outputs.path(name))
     print(f"wrote {args.out} ({written} bytes)")
@@ -439,7 +444,7 @@ def _cmd_compress(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
         result = start_run(cfg, source.header, score=False)
-        names = _plan_filenames(result.cells)
+        names = _plan_filenames(result.facts)
         out = _outdir(args)
         with _Outputs(out) as outputs, contextlib.ExitStack() as files:
             _run_and_write_plans(cfg, result, names, source.layers(), outputs, files)
@@ -449,7 +454,7 @@ def _cmd_compress(args) -> int:
                     "budget_ratio": ratio,
                     **result.memory((policy, ratio))._asdict(),
                 }
-                for policy, ratio in sorted(result.cells)
+                for policy, ratio in sorted(result.facts)
             ]
             payload = {"memory": memory_rows}
             if result.infeasible:
@@ -462,9 +467,10 @@ def _cmd_compress(args) -> int:
 
 def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
     """A plans file's policy, budget ratio and plans, checked against the
-    trace `header`: a file that is not a plans file, or whose layers do not
-    all name its policy, raises PlanFormatError; plans that do not fit the
-    trace raise CacheConsistencyError."""
+    trace `header`: a file that is not a plans file, has a key a plans file
+    does not, or whose layers do not all name its policy, raises
+    PlanFormatError; plans that do not fit the trace raise
+    CacheConsistencyError."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
     try:
@@ -472,6 +478,9 @@ def _read_plans(path: str, header) -> tuple[str, float, list[BudgetPlan]]:
         dims = payload["trace"]
     except (KeyError, TypeError) as exc:
         raise PlanFormatError(f"{path}: not a plans file ({exc!r})") from exc
+    unknown = sorted(set(payload) - {"policy", "budget_ratio", "trace", "layers"})
+    if unknown:
+        raise PlanFormatError(f"{path}: unknown key(s) {', '.join(unknown)}")
     if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) or not 0 < ratio <= 1:
         raise PlanFormatError(f"{path}: budget_ratio must be a number in (0, 1], got {ratio!r}")
     if not isinstance(layers, list):
@@ -542,7 +551,7 @@ def _cmd_all(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
         result = start_run(cfg, source.header)
-        names = _plan_filenames(result.cells)
+        names = _plan_filenames(result.facts)
         out = _outdir(args)
         with _Outputs(out) as outputs:
             with contextlib.ExitStack() as files:

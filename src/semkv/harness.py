@@ -1,14 +1,16 @@
 """Pipeline orchestration: classify heads, plan budgets, score fidelity, export.
 
 A run is one loop over a trace's layers. `start_run` decides from the
-header alone, before any layer is read, the schedule f(r), which
-(policy, budget) cells are feasible and the decode-query count. Then
-`layer_step` runs on each layer in turn: one visit of each head, which
-scores it and plans it under each class, then classification and a plan
-per cell from its heads' keeps. A layer's plans are dropped before the
-next layer is read. The CLI reads every trace, drawn ones too, as a
-mapped file, so its peak is one head's visit: a few MiB of one of its
-arrays, its numerators and their temporaries. The library functions
+header alone, before any layer is read, the schedule f(r), each
+(policy, budget) cell's facts for every layer (`allocator.layer_facts`:
+B, k, the clamp, or the error that makes the cell infeasible) and the
+decode-query count. Then `layer_step` runs on each layer in turn: one
+visit of each head, which scores it and plans it under each class from
+its cells' facts for the layer, then classification and a plan per cell
+from its heads' keeps. A layer's plans are dropped before the next
+layer is read. The CLI reads every trace, drawn ones too, as a mapped
+file, so its peak is one head's visit: a few MiB of one of its arrays,
+its numerators and their temporaries. The library functions
 (`compress_run`, `run_all`, `fidelity_eval`) take any layer source: an
 `AttentionTrace` in memory, or the source `open_source` gives for a
 config. Saved plans are scored by `score_plans`, one layer at a time, for
@@ -47,15 +49,16 @@ from .allocator import (
     _NO_RANGES,
     BudgetPlan,
     HeadPlan,
+    LayerFacts,
     MemoryFootprint,
     PolicyKind,
-    check_cell,
     check_kernel,
     check_plans,
     footprint,
     group_means,
     layer_facts,
     pool_scores,
+    policy_kind,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
 from .errors import InfeasibleBudgetError, ParameterError, SemkvError
@@ -135,20 +138,21 @@ class RunResult:
 
     Everything a run decides before it reads a layer comes first: the
     trace's header, the schedule, the observation window's rows
-    (`window_rows`), the feasible cells, the infeasible ones (one
-    {"policy", "budget_ratio", "message"} entry per cell left unplanned
-    because its budget cannot hold the heterogeneous heads) and the
-    decode-query count when fidelity is scored. `vectors`, `distances` and
-    `classes` hold each layer's (n, d) semantic vectors, (n,) distances to
-    its semantic center and head classes. `plans` holds every layer's plan
-    per cell only for callers that keep them; `head_tokens` and `scores`
-    hold what a report needs of them.
+    (`window_rows`), each feasible cell's `LayerFacts` per layer (`facts`),
+    the infeasible cells (one {"policy", "budget_ratio", "message"} entry
+    per cell left unplanned because its budget cannot hold some layer's
+    heterogeneous heads) and the decode-query count when fidelity is
+    scored. `vectors`, `distances` and `classes` hold each layer's (n, d)
+    semantic vectors, (n,) distances to its semantic center and head
+    classes. `plans` holds every layer's plan per cell only for callers
+    that keep them; `head_tokens` and `scores` hold what a report needs of
+    them.
     """
 
     header: TraceHeader
     schedule: HeterogeneitySchedule
     window_len: int
-    cells: list[Cell] = field(default_factory=list)
+    facts: dict[Cell, list[LayerFacts]] = field(default_factory=dict)
     infeasible: list[dict] = field(default_factory=list)
     decode_queries: int | None = None
     vectors: list[np.ndarray] = field(default_factory=list)
@@ -179,10 +183,12 @@ def start_run(
     The config's parameters are checked first: a non-empty policy and
     budget list, and the window, top-t and, with `plan`, the pooling kernel
     the layers will use. With `plan`, each distinct (policy, budget) cell
-    passes `check_cell`: the cells whose budget cannot hold some layer's
-    heterogeneous heads are listed once each in `infeasible`, and when no
-    cell is feasible the first one's error is raised. With `score`, the
-    decode-query count is checked.
+    gets its facts for every layer, `layer_facts` mapped over f(r): a bad
+    parameter raises ParameterError, the cells whose budget cannot hold
+    some layer's heterogeneous heads are listed once each in `infeasible`,
+    with the error of the first such layer, and when no cell is feasible
+    the first one's error is raised. With `score`, the decode-query count
+    is checked.
     """
     if config.contrib_trials < 0:
         raise ParameterError(f"contrib_trials must be >= 0, got {config.contrib_trials}")
@@ -199,21 +205,22 @@ def start_run(
     result = RunResult(header, schedule, window_len)
     # each distinct cell once, in the order the config first names it
     cells = dict.fromkeys(
-        (PolicyKind(policy).value, ratio)
+        (policy_kind(policy).value, ratio)
         for policy in (config.policies if plan else ())
         for ratio in config.budget_ratios
     )
     for policy, ratio in cells:
         try:
-            check_cell(
-                policy, ratio, header.seq_len, header.num_heads, schedule.per_layer_counts,
-                config.sinks, config.recents,
-            )
+            result.facts[(policy, ratio)] = [
+                layer_facts(
+                    r, policy, ratio, header.seq_len, header.num_heads, f_r,
+                    config.sinks, config.recents, window_len,
+                )
+                for r, f_r in enumerate(schedule.per_layer_counts)
+            ]
         except InfeasibleBudgetError as exc:
             result.infeasible.append({"policy": policy, "budget_ratio": ratio, "message": str(exc)})
-        else:
-            result.cells.append((policy, ratio))
-    if result.infeasible and not result.cells:
+    if result.infeasible and not result.facts:
         raise InfeasibleBudgetError(result.infeasible[0]["message"])
     if score:
         result.decode_queries = decode_count(config, header)
@@ -251,23 +258,19 @@ def layer_step(
     Each head is visited once (`_visit_head`), which reads its Q and K,
     then its V: its window scores, its keep under each class for every
     cell, its top-t semantic vector and, when fidelity is scored (the run's
-    `decode_queries`), each keep's scores. A cell's layer facts (B, k, the
-    clamp) come from the header and f(r) alone, so every head is planned
-    before the layer is classified. After the last head, the heads are
-    classified from f(r), and each cell's plan is its heads' keeps under
-    their classes, scored with those keeps' scores. `result` gets the
+    `decode_queries`), each keep's scores. Each cell's facts for the layer
+    (B, k, the clamp) are read from `result.facts`, which `start_run`
+    fixed from the header and f(r), so every head is planned before the
+    layer is classified. After the last head, the heads are classified
+    from f(r), and each cell's plan is its heads' keeps under their
+    classes, scored with those keeps' scores. `result` gets the
     layer's semantic vectors, distances to its semantic center, head
     classes, each plan's per-head tokens and, when scored, its per-head
     (L2, cosine) arrays.
     """
-    n, _, seq_len, head_dim = data.shape
+    n, _, _, head_dim = data.shape
     f_r = result.schedule.per_layer_counts[layer]
-    facts = {
-        cell: layer_facts(
-            layer, *cell, seq_len, n, f_r, config.sinks, config.recents, result.window_len
-        )
-        for cell in result.cells
-    }
+    facts = {cell: layers[layer] for cell, layers in result.facts.items()}
     groups = [f.groups() for f in facts.values()]
     vectors = np.empty((n, head_dim))
     keeps, scored = [], []

@@ -33,8 +33,7 @@ class HeterogeneitySchedule:
     """Per-layer heterogeneous-head counts, linearly interpolated.
 
     Layer 0 gets round(n * beta) heads, the top layer gets `top_m`, interior
-    layers follow the line between them, rounded half-away-from-zero and
-    clamped to [0, n].
+    layers follow the line between them, rounded half-away-from-zero.
     """
 
     beta: float
@@ -136,24 +135,22 @@ def heterogeneous_schedule(
 ) -> HeterogeneitySchedule:
     """Heterogeneous-head count per layer: n*beta at the bottom, m at the top.
 
-    f(r) = n*beta - (n*beta - m) / (R - 1) * r, rounded half-away-from-zero
-    and clamped to [0, n]. A single-layer model degenerates to f(0) = m.
+    f(r) = n*beta - (n*beta - m) / (R - 1) * r, rounded half-away-from-zero,
+    which lies in [0, n] since both ends do. A single-layer model
+    degenerates to f(0) = m.
     """
     if num_layers < 1:
         raise ParameterError("num_layers must be >= 1")
     if not 0 < beta <= 1:
         raise ParameterError(f"beta {beta} outside (0, 1]")
     if not 0 <= m <= n:
-        raise ParameterError(f"m {m} outside [0, {n}]")
+        raise ParameterError(f"top_m {m} outside [0, {n}]")
     if num_layers == 1:
-        counts = (min(max(m, 0), n),)
+        counts = (m,)
     else:
         nb = n * beta
         slope = (nb - m) / (num_layers - 1)
-        counts = tuple(
-            min(max(_round_half_away(nb - slope * r), 0), n)
-            for r in range(num_layers)
-        )
+        counts = tuple(_round_half_away(nb - slope * r) for r in range(num_layers))
     return HeterogeneitySchedule(beta=beta, top_m=m, per_layer_counts=counts)
 
 

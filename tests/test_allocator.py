@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semkv.allocator import (
+    HEAD_AWARE_SLOTS,
     POLICIES,
     BudgetPlan,
     PolicyKind,
     apply_policy,
-    check_cell,
     check_plans,
     expand_runs,
     footprint,
@@ -35,8 +35,9 @@ from semkv.errors import (
     PlanFormatError,
     SemkvError,
 )
-from semkv.harness import RunResult
-from semkv.separator import HeadClass, window_column_scores
+from semkv import harness
+from semkv.harness import RunConfig, RunResult, run_steps, start_run
+from semkv.separator import HeadClass, heterogeneous_schedule, window_column_scores
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -265,44 +266,122 @@ class TestApplyPolicy:
             plan_for(trace, classes_with_het(4, {0, 1, 2}), PolicyKind.NO_CACHE, 0.3, layer=1)
 
 
-class TestCellCheck:
-    """`check_cell` decides a cell from the shape and f(r) before any layer is read."""
+def cell_config(policies, ratios, sinks=2, recents=4, window=8, beta=0.25, top_m=1):
+    return RunConfig(
+        policies=tuple(policies), budget_ratios=tuple(ratios), beta=beta, top_m=top_m,
+        window_len=window, kernel=3, sinks=sinks, recents=recents,
+    )
+
+
+class TestCellFacts:
+    """`start_run` fixes each cell's facts for every layer, and decides its
+    feasibility, from the shape and f(r) before any layer is read."""
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
     @pytest.mark.parametrize("sinks, recents", [(-3, 4), (2, -3)])
     def test_negative_sinks_or_recents_rejected_for_every_policy(self, policy, sinks, recents):
+        config = cell_config([policy], [0.5], sinks=sinks, recents=recents)
         with pytest.raises(ParameterError, match="sinks and recents must be >= 0"):
-            check_cell(policy, 0.5, 64, 4, [1], sinks, recents)
+            start_run(config, TraceHeader(1, 4, 64, 6))
         trace = small_trace(seed=14, shape=(1, 4, 64, 6))
         with pytest.raises(ParameterError, match="sinks and recents must be >= 0"):
             plan_for(trace, classes_with_het(4, {0}), policy, 0.5, sinks=sinks, recents=recents)
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_infeasible_layers_match_apply_policy(self, policy):
-        # f(r) = 1, 3, 2 over three layers; B = 57 holds one heterogeneous head of 48
-        counts = [1, 3, 2]
+        # f(r) = 1, 2, 3 over three layers; B = 57 holds one heterogeneous head of 48
+        config = cell_config([policy, PolicyKind.FULL], [0.3], top_m=3)
+        result = start_run(config, TraceHeader(3, 4, 48, 6), score=False)
+        assert result.schedule.per_layer_counts == (1, 2, 3)
         trace = small_trace(seed=15, shape=(3, 4, 48, 6))
         errors = []
-        for layer, f_r in enumerate(counts):
+        for layer, f_r in enumerate(result.schedule.per_layer_counts):
             try:
                 plan_for(
                     trace, classes_with_het(4, set(range(f_r))), policy, 0.3, layer=layer
                 )
             except InfeasibleBudgetError as exc:
                 errors.append(str(exc))
+        assert (PolicyKind.FULL.value, 0.3) in result.facts
         if not errors:
-            check_cell(policy, 0.3, 48, 4, counts, 2, 4)
+            assert (policy.value, 0.3) in result.facts and not result.infeasible
             return
-        with pytest.raises(InfeasibleBudgetError) as err:
-            check_cell(policy, 0.3, 48, 4, counts, 2, 4)
-        assert str(err.value) == errors[0]
-        assert errors[0] == "layer 1: budget 57 < 144 needed by 3 heterogeneous heads"
+        assert (policy.value, 0.3) not in result.facts
+        assert result.infeasible == [
+            {"policy": policy.value, "budget_ratio": 0.3, "message": errors[0]}
+        ]
+        assert errors[0] == "layer 1: budget 57 < 96 needed by 2 heterogeneous heads"
 
     def test_bad_ratio_and_policy_rejected(self):
-        with pytest.raises(ParameterError):
-            check_cell(PolicyKind.FULL, 1.5, 48, 4, [1], 2, 4)
-        with pytest.raises(ParameterError):
-            check_cell("magic", 0.5, 48, 4, [1], 2, 4)
+        header = TraceHeader(1, 4, 48, 6)
+        with pytest.raises(ParameterError, match=r"budget_ratio 1.5 outside \(0, 1\]"):
+            start_run(cell_config([PolicyKind.FULL], [1.5]), header)
+        with pytest.raises(ParameterError, match="'magic' is not a valid PolicyKind"):
+            start_run(cell_config(["magic"], [0.5]), header)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 40)),
+        policies=st.lists(st.sampled_from(list(PolicyKind)), min_size=1, max_size=4),
+        ratios=st.lists(
+            st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.8, 1.0, 1.2]),
+            min_size=1, max_size=3,
+        ),
+        beta=st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]),
+        top_m=st.integers(0, 6),
+        sinks=st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 8, 10]),
+        recents=st.sampled_from([-2, 0, 1, 2, 4, 8, 12, 16, 20]),
+        window=st.integers(1, 48),
+    )
+    def test_cells_are_layer_facts_over_the_schedule(
+        self, dims, policies, ratios, beta, top_m, sinks, recents, window
+    ):
+        layers, n, seq_len = dims
+        top_m = min(top_m, n)
+        config = cell_config(policies, ratios, sinks, recents, window, beta=beta, top_m=top_m)
+        header = TraceHeader(layers, n, seq_len, 2)
+        counts = heterogeneous_schedule(n, beta, top_m, layers).per_layer_counts
+        facts, infeasible, error = {}, [], None
+        cells = dict.fromkeys((PolicyKind(p).value, ratio) for p in policies for ratio in ratios)
+        for cell in cells:
+            try:
+                facts[cell] = [
+                    layer_facts(layer, *cell, seq_len, n, f_r, sinks, recents, min(window, seq_len))
+                    for layer, f_r in enumerate(counts)
+                ]
+            except InfeasibleBudgetError as exc:
+                infeasible.append({"policy": cell[0], "budget_ratio": cell[1], "message": str(exc)})
+            except ParameterError as exc:
+                error = exc
+                break
+        if error is None and not facts:
+            error = InfeasibleBudgetError(infeasible[0]["message"])
+        if error is not None:
+            with pytest.raises(type(error)) as raised:
+                start_run(config, header)
+            assert str(raised.value) == str(error)
+            return
+        result = start_run(config, header)
+        assert result.facts == facts
+        assert result.infeasible == infeasible
+
+    def test_a_run_fixes_each_cells_facts_once_per_layer(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:3])
+            return layer_facts(*args)
+
+        monkeypatch.setattr(harness, "layer_facts", counted)
+        config = cell_config([PolicyKind.TASK_KV, PolicyKind.STREAMING], [0.4, 0.6])
+        trace = small_trace(seed=16, shape=(3, 4, 48, 6))
+        result = start_run(config, trace.header)
+        cells = [(p, r) for p in ("task-kv", "streaming") for r in (0.4, 0.6)]
+        assert calls == [(layer, *cell) for cell in cells for layer in range(3)]
+        for _ in run_steps(config, result, trace.layers()):
+            pass
+        assert len(calls) == len(cells) * 3  # `layer_step` reads the run's facts
+        assert sorted(result.scores) == sorted(cells)
 
 
 class TestPolicyTable:
@@ -405,7 +484,7 @@ def policy_layers(draw):
 class TestPlansPassTheirCheck:
     """Scoring reads the plans `apply_policy` builds without checking them:
     every feasible cell's plans pass `check_plans`, clamped ones too, and
-    an infeasible cell raises, as `check_cell` decides from the shape."""
+    a cell raises exactly when its policy is head-aware and B < N f(r)."""
 
     @settings(max_examples=300, deadline=None)
     @given(policy_layers())
@@ -418,13 +497,12 @@ class TestPlansPassTheirCheck:
         n, seq_len, classes, pooled, ratio, sinks, recents, window = layer
         header = TraceHeader(1, n, seq_len, 1)
         f_r = classes.count(HeadClass.HETEROGENEOUS)
+        budget = int(np.floor(ratio * seq_len * n))
         for policy in PolicyKind:
-            try:
-                check_cell(policy, ratio, seq_len, n, [f_r], sinks, recents)
-            except InfeasibleBudgetError as exc:
-                with pytest.raises(InfeasibleBudgetError) as err:
+            if policy in HEAD_AWARE_SLOTS and budget < seq_len * f_r:
+                needed = f"budget {budget} < {seq_len * f_r} needed by {f_r} heterogeneous heads"
+                with pytest.raises(InfeasibleBudgetError, match=f"^layer 0: {needed}$"):
                     apply_policy(0, classes, policy, ratio, sinks, recents, window, pooled)
-                assert str(err.value) == str(exc)
                 continue
             plan = apply_policy(0, classes, policy, ratio, sinks, recents, window, pooled)
             assert check_plans(header, [plan]) == [plan]
@@ -943,9 +1021,13 @@ class TestPlanSerialization:
             (lambda d: d.update(sinks=True), "sinks must be a non-negative integer"),
             (lambda d: d.update(clamped="maybe"), "clamped must be true or false"),
             (lambda d: d.update(clamped=0), "clamped must be true or false"),
+            (lambda d: d.update(per_head_group=d.pop("per_head_groups")),
+             r"^plan has unknown key\(s\) per_head_group$"),
+            (lambda d: d.update(sink=d.pop("sinks")), "^plan is missing key 'sinks'$"),
         ],
         ids=["policy", "head-class", "missing-key", "group-shape", "budget-text",
-             "negative-k", "bool-sinks", "clamped-text", "clamped-int"],
+             "negative-k", "bool-sinks", "clamped-text", "clamped-int", "unknown-key",
+             "missing-before-unknown"],
     )
     def test_malformed_plan_raises_plan_format_error(self, edit, needle):
         trace = small_trace(seed=61)

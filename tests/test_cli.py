@@ -296,6 +296,45 @@ class TestEval:
         assert error["error"] == "PlanFormatError"
         assert "sinks" in error["message"]
 
+    @pytest.mark.parametrize(
+        "misspell, message",
+        [
+            (lambda p: p["layers"][0].update(per_head_group=p["layers"][0].pop("per_head_groups")),
+             "plan has unknown key(s) per_head_group"),
+            (lambda p: p.update(budget=p.pop("budget_ratio"), layer=0), None),
+            (lambda p: p.update(layer=0, trace_dims=p["trace"]),
+             "unknown key(s) layer, trace_dims"),
+        ],
+        ids=["layer-key", "missing-top-level-key", "top-level-keys"],
+    )
+    def test_misspelt_plans_keys_fail_naming_them(
+        self, trace_file, tmp_path, capsys, misspell, message
+    ):
+        # a plan without its groups, or a file with a stray key, is not scored
+        out = tmp_path / "out"
+        argv = ["--policy", "compressed-cache", "--budget", "0.6", "--sinks", "2", "--recents", "4"]
+        code, _, err = run_cli(
+            capsys, "compress", "--trace", str(trace_file), *argv, "--m-top", "1",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        plans_path = out / "plans_compressed-cache_0.6.json"
+        payload = json.loads(plans_path.read_text())
+        misspell(payload)
+        plans_path.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, "eval", "--trace", str(trace_file), "--plans", str(plans_path),
+            "--out", str(out),
+        )
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "PlanFormatError"
+        if message is None:  # a missing key is named before an unknown one
+            assert "not a plans file (KeyError('budget_ratio'))" in error["message"]
+        else:
+            assert error["message"].endswith(message)
+        assert not (out / "fidelity.json").exists()
+
     @staticmethod
     def _to_index_lists(layer):
         # the plans format before runs: each head's positions spelled out
@@ -952,6 +991,9 @@ class TestErrorReporting:
             (["all", *SMALL, "--kernel", "4"], None, "kernel"),
             (["pca", *SMALL, "--kernel", "0"], None, "kernel"),
             (["all", *SMALL, "--top-t", "0"], None, "top_t"),
+            (["all", "--profile", "uniform-random", "--shape", "1,2,64,8"], None,
+             "top_m 4 outside [0, 2]"),
+            (["pca", *SMALL], {"top_m": -1}, "top_m -1 outside [0, "),
             (["compress", *SMALL], {"profile": 5}, "profile"),
             (["compress", *SMALL], {"policies": "task-kv"}, "policies"),
             (["compress", *SMALL, "--policy", ""], None, "policies must not be empty"),
@@ -1794,6 +1836,33 @@ class TestInputLimits:
         assert code == 1
         assert json.loads(err)["error"] == "ParameterError"
         assert os.listdir(tmp_path) == []
+
+    def test_gen_into_a_missing_directory_is_a_directory_error(self, tmp_path, capsys):
+        out = f"{tmp_path / 'nd'}{os.sep}"
+        code, _, err = run_cli(capsys, *self.GEN_TINY, "--out", out)
+        assert code == 1
+        message = f"gen --out {out} is a directory, not a trace file"
+        assert json.loads(err) == {"error": "ParameterError", "message": message}
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, name", [(GEN_TINY, "x.tkv"), (["contrib", "--trials", "2"], "c.json")]
+    )
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_an_output_file_in_no_directory_names_the_output(
+        self, tmp_path, capsys, argv, name, parent
+    ):
+        # not the temporary file the output is staged in
+        if parent == "a-file":
+            (tmp_path / parent).write_text("")
+        out = str(tmp_path / parent / name)
+        code, _, err = run_cli(capsys, *argv, "--out", out)
+        assert code == 1
+        error = json.loads(err)
+        expected = "NotADirectoryError" if parent == "a-file" else "FileNotFoundError"
+        assert error["error"] == expected
+        assert error["message"].endswith(f": {out!r}")
+        assert os.listdir(tmp_path) == ([parent] if parent == "a-file" else [])
 
     def test_a_kernel_past_the_sequence_plans_like_kernel_2n_plus_1(
         self, trace_file, tmp_path, capsys

@@ -761,7 +761,7 @@ def two_pass_layer_step(window_scores=head_window_scores, score=score_layer):
     report's path."""
 
     def step(config, result, layer, data):
-        window_len, cells = result.window_len, result.cells
+        window_len, cells = result.window_len, result.facts
         scores = [window_scores(block, window_len) for block in data]
         pooled = [pool_scores(score, config.kernel) for score in scores] if cells else []
         vectors = np.array([

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semkv.errors import EmptyInputError, ParameterError
@@ -252,10 +252,26 @@ class TestHeterogeneitySchedule:
             heterogeneous_schedule(8, 0.0, 2, 4)
         with pytest.raises(ParameterError):
             heterogeneous_schedule(8, 1.5, 2, 4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^top_m 9 outside \[0, 8\]$"):
             heterogeneous_schedule(8, 0.5, 9, 4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^top_m -1 outside \[0, 8\]$"):
             heterogeneous_schedule(8, 0.5, -1, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 128),
+        beta=st.floats(0, 1, exclude_min=True),
+        top=st.floats(0, 1),
+        layers=st.integers(1, 80),
+    )
+    def test_counts_lie_in_range_between_fixed_ends(self, n, beta, top, layers):
+        m = round(top * n)
+        counts = heterogeneous_schedule(n, beta, m, layers).per_layer_counts
+        assert len(counts) == layers
+        assert all(type(c) is int and 0 <= c <= n for c in counts)
+        if layers >= 2:
+            assert counts[0] == int(np.floor(n * beta + 0.5))
+        assert counts[-1] == m
 
 
 class TestClassifyHeads:
