@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .allocator import BudgetPlan, PolicyKind, check_plans
+from .allocator import BudgetPlan, check_plans, policy_kind
 from .contribution import verify_bound_suite
 from .errors import CacheConsistencyError, ParameterError, PlanFormatError, SemkvError
 from .harness import (
@@ -55,13 +55,6 @@ def _split_multi(values, cast):
         except ValueError as exc:
             raise ParameterError(f"bad value {v!r}: {exc}") from exc
     return out
-
-
-def _parse_policies(names) -> tuple[PolicyKind, ...]:
-    try:
-        return tuple(PolicyKind(p) for p in names)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(str(exc)) from exc
 
 
 def _number(value, what: str, integral: bool = True):
@@ -201,8 +194,8 @@ _FIELDS = {
     "kind": (str, _text),
     "shape": (_parse_shape, _file_shape),
     "policies": (
-        lambda texts: _parse_policies(_split_multi(texts, str)),
-        lambda value, what: _parse_policies(_list(value, what)),
+        lambda texts: tuple(map(policy_kind, _split_multi(texts, str))),
+        lambda value, what: tuple(map(policy_kind, _list(value, what))),
     ),
     "budget_ratios": (
         lambda texts: tuple(_split_multi(texts, float)),

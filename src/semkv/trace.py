@@ -26,15 +26,16 @@ profile) and an in-memory `AttentionTrace` are all layer sources, with a
 layers. A reader maps its file, or a temporary copy of a stream, and a
 synthetic source writes its trace to a temporary file and reads that, so
 every source but an `AttentionTrace` yields views of a mapped file.
-`write_trace` is the one writer. `TraceHeader.shape` spells the payload's
-layout. Each value is checked for NaN/Inf once, by the code that first
-receives it: `TraceReader.layers()` file and stream bytes,
-`SyntheticSource.head_blocks()` drawn values, `AttentionTrace` arrays in
-memory. Every pass over a layer's heads walks it through `each_head`, or
-`each_array` for each head's Q, K and V, and `given_back` gives a block's
-or an array's pages back when the pass is done with it
-(`linalg.give_back_pages`, which the walks over an array's rows also call
-as they go).
+`write_trace` is the one writer; it writes a trace's `pieces()`, at most
+`_STREAM_CHUNK` bytes of rows each, so no writer or generator holds a
+head's block. `TraceHeader.shape` spells the payload's layout. Each value
+is checked for NaN/Inf once, by the code that first receives it:
+`TraceReader.layers()` file and stream bytes, `SyntheticSource.pieces()`
+drawn values, `AttentionTrace` arrays in memory. Every pass over a
+layer's heads walks it through `each_head`, or `each_array` for each
+head's Q, K and V, and `given_back` gives a block's or an array's pages
+back when the pass is done with it (`linalg.give_back_pages`, which the
+walks over an array's rows also call as they go).
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import math
 import mmap
 import os
@@ -84,6 +84,10 @@ _STREAM_DATA = 1
 _CLUSTER_BASE = 4.0
 _CLUSTER_AMP_COMMON = 0.125
 _CLUSTER_AMP_PLANTED = 1.5
+
+# bytes of float32 rows in a payload piece that is written or drawn at a
+# time, and bytes copied from a stream into its temporary file at a time
+_STREAM_CHUNK = 1 << 20
 
 
 # the header fields that give the trace's shape (R, n, N, d)
@@ -136,20 +140,23 @@ class AttentionTrace:
     same as on a float64 trace of the same values. `data` is a read-only,
     C-contiguous view, so results depend on the values alone, not on the
     caller's memory layout. A C-contiguous float32 or float64 array passed
-    in is not copied, and its owner must therefore leave it unchanged.
+    in is not copied, and its owner must therefore leave it unchanged. The
+    data is checked to be finite; `checked=True` marks data whose every
+    value was checked as it was made, such as a drawn trace's.
 
     Like `TraceReader` and `SyntheticSource`, a trace is a layer source: a
     `header` and `layers()`, which yields each layer's checked, read-only
     (n, 3, N, d) data in turn.
     """
 
-    def __init__(self, header: TraceHeader, data: np.ndarray):
+    def __init__(self, header: TraceHeader, data: np.ndarray, checked: bool = False):
         data = np.asarray(data)
         dtype = np.float32 if data.dtype == np.float32 else np.float64
         data = np.ascontiguousarray(data, dtype=dtype).view()
         if data.shape != header.shape:
             raise TraceFormatError(f"trace data shape {data.shape} != {header.shape}")
-        _require_finite(data, "trace", TraceFormatError)
+        if not checked:
+            _require_finite(data, "trace", TraceFormatError)
         data.flags.writeable = False
         self.header = header
         self.data = data
@@ -173,9 +180,13 @@ class AttentionTrace:
     def layers(self) -> Iterator[np.ndarray]:
         return iter(self.data)
 
-    def head_blocks(self) -> Iterator[np.ndarray]:
-        """Each head's (3, N, d) block in file order."""
-        return iter(_head_blocks(self.data))
+    def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The payload as (row, rows) pairs, in order: the data's
+        (R n 3 N, d) rows from row `row` on, at most `_STREAM_CHUNK` bytes
+        of them as float32."""
+        rows = self.data.reshape(-1, self.head_dim)
+        for s in _row_slices(len(rows), _piece_rows(self.head_dim)):
+            yield s.start, rows[s]
 
     def head_inputs(self, layer: int, head: int) -> AttentionInputs:
         """One head's Q/K/V in float64 through `widen_head`."""
@@ -277,67 +288,86 @@ def clustered_planted_heads(
     ]
 
 
-def _head_blocks(data: np.ndarray) -> np.ndarray:
-    """(R * n, 3, N, d) view of C-contiguous (R, n, 3, N, d) trace data."""
-    return data.reshape(-1, *data.shape[2:])
+def _piece_rows(head_dim: int) -> int:
+    """Rows in a payload piece: `_STREAM_CHUNK` bytes of float32 rows, or
+    one row when a row is larger."""
+    return max(1, _STREAM_CHUNK // (4 * head_dim))
 
 
-def _draw(rng: np.random.Generator, scratch: np.ndarray, out: np.ndarray) -> None:
-    """Draw standard normals into the float64 `scratch` and store them in `out`."""
-    rng.standard_normal(out=scratch)
-    out[...] = scratch
+def _row_slices(rows: int, step: int) -> Iterator[slice]:
+    """`rows` rows as consecutive slices of at most `step` rows."""
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
-def _fill_clustered_head(
-    rng: np.random.Generator,
-    scratch: np.ndarray,
-    out: np.ndarray,
-    axis: int,
-    amp: float,
-    spread: float,
-) -> None:
-    """Draw one head into `out`, a float32 (3, N, d) block; `scratch` is (N, d)."""
-    q, k, v = out
-    _draw(rng, scratch, q)
-    _draw(rng, scratch, k)
-    # V rows are mags[i] times the unit vector along `axis`, plus the noise
-    mags = _CLUSTER_BASE + amp * rng.uniform(-1.0, 1.0, size=scratch.shape[0])
-    if spread > 0:
-        rng.standard_normal(out=scratch)
-        scratch *= spread
-        scratch += 0.0  # a -0.0 product is +0.0, as when the noise is added to zeros
-    else:
-        scratch.fill(0.0)
-    scratch[:, axis] += mags
-    with np.errstate(over="ignore"):  # past float32's range is inf, rejected once drawn
-        v[...] = scratch
+def _drawn_pieces(first: int, rows: int, fill, scratch: np.ndarray, piece: np.ndarray):
+    """Payload rows [first, first + rows) as checked (row, piece) pairs.
+
+    Each slice `s` of at most `len(scratch)` of the rows is filled in
+    float64 by `fill(part, s)`, `part` the float64 `scratch`'s first rows,
+    then stored in the float32 `piece`, which the next slice overwrites.
+    """
+    for s in _row_slices(rows, len(scratch)):
+        part = scratch[: s.stop - s.start]
+        fill(part, s)
+        out = piece[: len(part)]
+        with np.errstate(over="ignore"):  # past float32's range is inf, rejected here
+            out[...] = part
+        _require_finite(out, "trace", TraceFormatError)
+        yield first + s.start, out
 
 
-def _plant_needle(rng: np.random.Generator, out: np.ndarray, profile: SyntheticProfile) -> None:
-    """Align the tail queries and the needle key of a drawn (3, N, d) head block."""
-    q, k, _ = out
-    seq_len, head_dim = q.shape
-    axis = rng.standard_normal(head_dim)
-    axis /= np.linalg.norm(axis)
-    q[seq_len - min(profile.tail_len, seq_len) :] = np.sqrt(head_dim) * axis
-    with np.errstate(over="ignore"):  # past float32's range is inf, rejected once drawn
-        k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
+def _constant(value: np.ndarray):
+    """The fill of rows that all hold `value`."""
+
+    def fill(part: np.ndarray, _rows: slice) -> None:
+        part[...] = value
+
+    return fill
+
+
+def _clustered_values(
+    rng: np.random.Generator, seq_len: int, axis: int, amp: float, spread: float
+):
+    """The fill of a clustered head's V: rows mags[i] times the unit vector
+    along `axis`, plus `spread` times standard normal noise. The (N,)
+    magnitudes are drawn now, before any of the noise."""
+    mags = rng.uniform(-1.0, 1.0, size=seq_len)
+    mags *= amp
+    mags += _CLUSTER_BASE
+
+    def fill(part: np.ndarray, rows: slice) -> None:
+        if spread > 0:
+            rng.standard_normal(out=part)
+            part *= spread
+            part += 0.0  # a -0.0 product is +0.0, as when the noise is added to zeros
+        else:
+            part.fill(0.0)
+        part[:, axis] += mags[rows]
+
+    return fill
 
 
 class SyntheticSource:
-    """A seeded synthetic trace drawn one head block at a time, never held whole.
+    """A seeded synthetic trace drawn one piece of rows at a time, never held whole.
 
-    The profile is checked against the shape on construction. Each Q, K or
-    V block is drawn into a float64 scratch block and stored as float32, in
-    one Philox order whatever the destination, so `gen_synthetic_trace` and
-    `head_blocks()` give the same bytes. `head_blocks()` yields one reused
-    (3, N, d) block, which the next draw overwrites and `write_trace`
-    writes as soon as it is drawn, checked for NaN/Inf (a profile whose
-    values overflow float32) so that no writer writes a block a reader
-    would reject. `layers()` draws nothing until its first layer is asked
-    for; then it writes the trace with `write_trace` into an unlinked
-    temporary file, which needs the payload's bytes of space in the
-    temporary directory, and yields that file's mapped layers unchecked.
+    The profile is checked against the shape on construction. `pieces()`
+    draws the payload as (row, piece) pairs: `piece` holds float32 rows of
+    the payload's (R n 3 N, d) rows from row `row` on, at most
+    `_STREAM_CHUNK` bytes of them, drawn through one float64 scratch of the
+    same rows and checked for NaN/Inf (a profile whose values overflow
+    float32), so that no writer writes a value a reader would reject. The
+    pieces come in one Philox order, so `write_trace` and
+    `gen_synthetic_trace` give the same bytes, and each piece is one reused
+    buffer that the next draw overwrites. A planted-needle head's needle
+    axis is drawn after its V, so its Q tail rows and K needle row come
+    again after its V pieces, to be written over the normals drawn there
+    first: `write_trace` seeks back to them, so it needs a seekable sink
+    for such a source.
+
+    `layers()` draws nothing until its first layer is asked for; then it
+    writes the trace with `write_trace` into an unlinked temporary file,
+    which needs the payload's bytes of space in the temporary directory,
+    and yields that file's mapped layers unchecked.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -361,34 +391,49 @@ class SyntheticSource:
                     f"last {tail} rows of a length-{seq_len} sequence"
                 )
 
-    def _drawn(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        """Draw every head, layer by layer, into the next of `blocks`
-        (writable float32 (3, N, d) arrays) and yield it, unchecked."""
+    def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The drawn payload's checked (row, piece) pairs, in one Philox
+        order: a needle head's rewritten rows follow its V."""
         header, profile = self.header, self.profile
+        seq_len, head_dim = header.seq_len, header.head_dim
         rng = seeded_rng(profile.seed, _STREAM_DATA)
-        scratch = np.empty((header.seq_len, header.head_dim))
-        for r in range(header.num_layers):
-            if self._planted is not None:
-                rank = {h: i for i, h in enumerate(self._planted[r])}
-            for h, out in zip(range(header.num_heads), blocks):
-                if self._planted is not None:
-                    if h in rank:
-                        axis, amp = 1 + rank[h], _CLUSTER_AMP_PLANTED
-                    else:
-                        axis, amp = 0, _CLUSTER_AMP_COMMON
-                    _fill_clustered_head(rng, scratch, out, axis, amp, profile.spread)
-                else:
-                    for tensor in out:
-                        _draw(rng, scratch, tensor)
-                    if profile.kind == "planted-needle":
-                        _plant_needle(rng, out, profile)
-                yield out
+        scratch = np.empty((min(_piece_rows(head_dim), seq_len), head_dim))
+        buffers = scratch, np.empty(scratch.shape, dtype=np.float32)
 
-    def head_blocks(self) -> Iterator[np.ndarray]:
-        block = np.empty(self.header.shape[2:], dtype=np.float32)
-        for out in self._drawn(itertools.repeat(block)):
-            _require_finite(out, "trace", TraceFormatError)
-            yield out
+        def normals(part: np.ndarray, _rows: slice) -> None:
+            rng.standard_normal(out=part)
+
+        def values(r: int, h: int):
+            """The fill of layer r's head h's V rows. Called in the V draw's
+            arguments, so only that draw holds a clustered head's magnitudes."""
+            if self._planted is None:
+                return normals
+            planted = self._planted[r]
+            if h in planted:
+                axis, amp = 1 + planted.index(h), _CLUSTER_AMP_PLANTED
+            else:
+                axis, amp = 0, _CLUSTER_AMP_COMMON
+            return _clustered_values(rng, seq_len, axis, amp, profile.spread)
+
+        for head in range(header.num_layers * header.num_heads):
+            q = 3 * seq_len * head  # the payload row of the head's first query row
+            k, v = q + seq_len, q + 2 * seq_len
+            yield from _drawn_pieces(q, seq_len, normals, *buffers)
+            yield from _drawn_pieces(k, seq_len, normals, *buffers)
+            yield from _drawn_pieces(
+                v, seq_len, values(*divmod(head, header.num_heads)), *buffers
+            )
+            if profile.kind == "planted-needle":
+                # align the tail queries and the needle key with one axis
+                axis = rng.standard_normal(head_dim)
+                axis /= np.linalg.norm(axis)
+                tail = min(profile.tail_len, seq_len)
+                query = np.sqrt(head_dim) * axis
+                yield from _drawn_pieces(k - tail, tail, _constant(query), *buffers)
+                with np.errstate(over="ignore"):  # an inf is rejected once drawn
+                    key = profile.needle_strength * np.sqrt(head_dim) * axis
+                row = k + profile.needle_position
+                yield from _drawn_pieces(row, 1, _constant(key), *buffers)
 
     def layers(self) -> Iterator[np.ndarray]:
         with tempfile.TemporaryFile() as spool:
@@ -397,7 +442,7 @@ class SyntheticSource:
     def _drawn_into(self, file) -> Iterator[np.ndarray]:
         """Write the trace into `file`, open for binary writing and reading,
         when the first layer is asked for, then yield its mapped layers
-        unchecked: `head_blocks()` checked every value as it was drawn."""
+        unchecked: `pieces()` checked every value as it was drawn."""
         write_trace(self, file)
         file.seek(0)  # flushes what is buffered, for the mapping
         yield from TraceReader(file)._mapped_layers()
@@ -408,36 +453,62 @@ def gen_synthetic_trace(
 ) -> AttentionTrace:
     """Build a seeded synthetic trace of shape (R, n, N, d), held in float32.
 
-    `SyntheticSource` draws each head straight into the trace, so the peak
-    is the float32 trace plus one N x d float64 block. `AttentionTrace`
-    checks the drawn values.
+    Each of `SyntheticSource.pieces()` is copied into the trace as it is
+    drawn, so the peak is the float32 trace plus one piece, its float64
+    scratch and a clustered head's (N,) magnitudes. The pieces were
+    checked as they were drawn, so the trace does not check them again.
     """
     source = SyntheticSource(profile, shape)
     data = np.empty(source.header.shape, dtype=np.float32)
-    for _ in source._drawn(iter(_head_blocks(data))):
-        pass
-    return AttentionTrace(source.header, data)
+    rows = data.reshape(-1, source.header.head_dim)
+    for first, piece in source.pieces():
+        rows[first : first + len(piece)] = piece
+    return AttentionTrace(source.header, data, checked=True)
 
 
 def write_trace(trace, destination) -> int:
     """Write an `AttentionTrace` or a `SyntheticSource` to a path or binary
-    sink; returns the byte count.
+    sink; returns the byte count, the header's `file_bytes`.
 
-    The header is written, then each of `head_blocks()` in payload order:
-    float32 data straight from its buffer, float64 data narrowed one block
-    at a time, and a synthetic source's blocks as soon as they are drawn.
-    A short write raises `IOError`.
+    The header is written, then each of `pieces()` in turn, each at most
+    `_STREAM_CHUNK` bytes of float32 rows: float32 data straight from its
+    buffer, other data narrowed one piece at a time, and a synthetic
+    source's pieces as soon as they are drawn. A piece for rows already
+    written (a planted needle's) is written over them, by a seek back and
+    forth, so only such a source needs a seekable sink. A short write
+    raises `IOError`.
     """
     header = trace.header
+    row_bytes = 4 * header.head_dim
     with contextlib.ExitStack() as stack:
         if isinstance(destination, (str, os.PathLike)):
             destination = stack.enter_context(open(destination, "wb"))
         written = destination.write(header.pack())
-        for block in trace.head_blocks():
-            written += destination.write(np.asarray(block, dtype="<f4").view(np.uint8))
+        for first, piece in trace.pieces():
+            behind = written - HEADER_BYTES - first * row_bytes
+            if behind:
+                _write_back(destination, behind, _float32_bytes(piece))
+            else:
+                written += destination.write(_float32_bytes(piece))
     if written != header.file_bytes:
         raise IOError(f"short write: {written} of {header.file_bytes} bytes")
     return written
+
+
+def _float32_bytes(piece: np.ndarray) -> np.ndarray:
+    """`piece`'s little-endian float32 bytes: its own buffer when it is
+    float32, else a narrowed copy."""
+    return np.asarray(piece, dtype="<f4").view(np.uint8)
+
+
+def _write_back(destination, behind: int, data: np.ndarray) -> None:
+    """Write `data` over the bytes of `destination` that start `behind`
+    bytes before its position, then return to that position."""
+    end = destination.tell()
+    destination.seek(end - behind)
+    if destination.write(data) != data.nbytes:
+        raise IOError(f"short write: {data.nbytes} bytes not written back")
+    destination.seek(end)
 
 
 def each_head(layer: np.ndarray) -> Iterator[np.ndarray]:
@@ -468,10 +539,6 @@ def given_back(view: np.ndarray) -> Iterator[np.ndarray]:
         yield view
     finally:
         give_back_pages(view)
-
-
-# bytes copied from a stream into its temporary file at a time
-_STREAM_CHUNK = 1 << 20
 
 
 class TraceReader:

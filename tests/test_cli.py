@@ -21,7 +21,7 @@ from semkv import trace as trace_module
 from semkv.allocator import BudgetPlan, MemoryFootprint, PolicyKind, expand_runs, footprint
 from semkv.cli import _FLAGS, _config_from, build_parser, main
 from semkv.contribution import BoundSuiteReport, verify_bound_suite
-from semkv.errors import ParameterError
+from semkv.errors import ParameterError, TraceFormatError
 from semkv.linalg import _KEY_BLOCK
 from semkv.harness import (
     FidelityReport,
@@ -43,6 +43,7 @@ from semkv.trace import (
     TraceReader,
     gen_synthetic_trace,
     read_trace,
+    seeded_rng,
     write_trace,
 )
 
@@ -1029,6 +1030,26 @@ class TestErrorReporting:
         assert not out.exists() or os.listdir(out) == []
 
     @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--policy", "bogus"], None, "'bogus' is not a valid PolicyKind"),
+            ([], {"policies": [[1]]}, "[1] is not a valid PolicyKind"),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_unknown_policy_is_one_json_line(self, tmp_path, capsys, flags, config, message):
+        argv = ["compress", *self.SMALL, *flags]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert err == json.dumps({"error": "ParameterError", "message": message}) + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, config, seed",
         [(["--seed", "-1"], None, -1), ([], {"seed": -4}, -4), ([], {"seed": 2**63}, 2**63)],
     )
@@ -1363,13 +1384,13 @@ class TestDrawnTrace:
             command, *self.PROFILE, "--shape", shape, *plan, "--out", str(tmp_path / "out"),
         ])
         assert code == 0, capsys.readouterr().err
-        # drawing holds a float32 head block, `gen`'s two N x d float64
-        # scratch blocks and small change; the head visits that follow hold
-        # one head's float64 K and V and the window softmax's temporaries,
-        # `all`'s too: it scores each head in its visit, holding no layer's
-        # window numerators
-        block, scratch = 3 * self.SEQ * self.DIM * 4, 2 * self.SEQ * self.DIM * 8
-        draw = block + scratch + 256 * 1024
+        # drawing holds a 1 MiB float32 piece of rows, its float64 scratch,
+        # a clustered head's (N,) magnitudes and small change; the head
+        # visits that follow hold one head's float64 K and V and the window
+        # softmax's temporaries, `all`'s too: it scores each head in its
+        # visit, holding no layer's window numerators
+        block = 3 * self.SEQ * self.DIM * 4
+        draw = 3 * trace_module._STREAM_CHUNK + 8 * self.SEQ + 256 * 1024
         head = 2 * self.SEQ * self.DIM * 8 + 8 * self.WINDOW * self.SEQ * 8
         assert peak <= max(draw, head)
         # which is less than one layer's payload
@@ -1412,10 +1433,10 @@ class TestDrawnTrace:
     def test_bad_kernel_and_top_t_fail_before_any_head_is_drawn(
         self, tmp_path, capsys, monkeypatch, command, flag, value, name
     ):
-        def drawn(source, blocks):
-            raise AssertionError("a head block was drawn")
+        def drawn(source):
+            raise AssertionError("a piece was drawn")
 
-        monkeypatch.setattr(SyntheticSource, "_drawn", drawn)
+        monkeypatch.setattr(SyntheticSource, "pieces", drawn)
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, command, *LAYERED, flag, value, "--out", str(out))
         assert code == 1
@@ -1423,6 +1444,76 @@ class TestDrawnTrace:
         assert payload["error"] == "ParameterError"
         assert payload["message"].startswith(name)
         assert not out.exists()
+
+
+class TestNeedlePieces:
+    """A planted-needle head's needle axis is drawn after its V, so its Q
+    tail rows and K needle row are written over rows already drawn: every
+    writer gives the bytes of one whole (N, d) draw per array, wherever
+    those rows fall among the 1 MiB pieces."""
+
+    # each (5000, 64) array is drawn as a 4096-row piece and a 904-row one
+    SHAPE = (1, 2, 5000, 64)
+    FLAGS = ["--profile", "planted-needle", "--shape", "1,2,5000,64", "--seed", "9"]
+
+    @staticmethod
+    def whole_array_bytes(profile, shape):
+        """The trace file of `profile`, each Q, K and V drawn whole."""
+        header = TraceHeader(*shape)
+        _, _, seq_len, head_dim = shape
+        rng = seeded_rng(profile.seed, 1)
+        data = np.empty(header.shape, dtype=np.float32)
+        for q, k, v in data.reshape(-1, 3, seq_len, head_dim):
+            for array in (q, k, v):
+                array[...] = rng.standard_normal((seq_len, head_dim))
+            axis = rng.standard_normal(head_dim)
+            axis /= np.linalg.norm(axis)
+            q[seq_len - min(profile.tail_len, seq_len) :] = np.sqrt(head_dim) * axis
+            k[profile.needle_position] = profile.needle_strength * np.sqrt(head_dim) * axis
+        return header.pack() + data.tobytes()
+
+    @pytest.mark.parametrize(
+        "tail, position",
+        [(1000, 3), (5000, 0), (1, 4999)],
+        # the tail crosses Q's piece edge and the needle sits in K's first
+        # piece; the tail is all of Q; both are one row of a last piece
+        ids=["tail-across-an-edge", "tail-is-every-row", "last-rows"],
+    )
+    def test_every_writer_gives_the_whole_array_bytes(self, tmp_path, capsys, tail, position):
+        profile = SyntheticProfile(
+            "planted-needle", seed=9, needle_position=position, tail_len=tail
+        )
+        expected = self.whole_array_bytes(profile, self.SHAPE)
+        flags = [*self.FLAGS, "--needle-pos", str(position), "--tail", str(tail)]
+        assert run_cli(capsys, "gen", *flags, "--out", str(tmp_path / "gen.tkv"))[0] == 0
+        assert (tmp_path / "gen.tkv").read_bytes() == expected
+        out = tmp_path / "all"
+        code, _, err = run_cli(
+            capsys, "all", *flags, "--m-top", "1", "--policy", "streaming", "--budget", "0.5",
+            "--contrib-trials", "0", "--out", str(out),
+        )
+        assert code == 0, err
+        assert (out / "trace.tkv").read_bytes() == expected
+        buf = io.BytesIO()
+        assert write_trace(SyntheticSource(profile, self.SHAPE), buf) == len(expected)
+        assert buf.getvalue() == expected
+        assert _bytes_of(write_trace, gen_synthetic_trace(profile, self.SHAPE)) == expected
+
+    def test_a_needle_past_float32_fails_and_gen_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = [*self.FLAGS, "--needle-strength", "1e39"]
+        code, _, err = run_cli(capsys, "gen", *flags, "--out", str(out / "t.tkv"))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "TraceFormatError", "message": "trace contains NaN/Inf entries"
+        }
+        assert os.listdir(out) == []
+        profile = SyntheticProfile("planted-needle", seed=9, needle_strength=1e39)
+        with pytest.raises(TraceFormatError, match="NaN/Inf"):
+            gen_synthetic_trace(profile, self.SHAPE)
+        with pytest.raises(TraceFormatError, match="NaN/Inf"):
+            write_trace(SyntheticSource(profile, self.SHAPE), io.BytesIO())
 
 
 class TestLayerMemory:

@@ -310,34 +310,57 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def drawn_bound(shape):
+    """What drawing a trace of `shape` may hold besides what it returns:
+    one float32 piece of rows, its float64 scratch, a clustered head's
+    (N,) float64 magnitudes, and slack for the generator's state and file
+    buffering. No term grows with the trace but the magnitudes."""
+    _, _, seq_len, head_dim = shape
+    rows = min(_STREAM_CHUNK // (4 * head_dim), seq_len)
+    return rows * head_dim * (4 + 8) + 8 * seq_len + 64 * 1024
+
+
 class TestBoundedMemory:
     SHAPE = (2, 8, 256, 16)
     # one head's Q/K/V block in float64
     HEAD_BLOCK = 3 * 256 * 16 * 8
+    KINDS = ["uniform-random", "clustered-heads", "planted-needle"]
 
-    @pytest.mark.parametrize("kind", ["uniform-random", "clustered-heads", "planted-needle"])
-    def test_generator_peak_is_data_plus_one_head_block(self, kind):
-        profile = SyntheticProfile(kind, seed=3, spread=0.1, tail_len=16)
-        trace, peak = traced_peak(gen_synthetic_trace, profile, self.SHAPE)
-        assert peak <= trace.data.nbytes + self.HEAD_BLOCK
+    @staticmethod
+    def profile(kind):
+        return SyntheticProfile(kind, seed=6, planted=1, spread=0.1, tail_len=16)
 
-    @pytest.mark.parametrize("kind", ["uniform-random", "clustered-heads", "planted-needle"])
-    def test_drawn_head_blocks_peak_is_one_block_and_one_scratch(self, kind):
-        shape = (1, 2, 4096, 64)
-        array = shape[2] * shape[3]
-        profile = SyntheticProfile(kind, seed=6, planted=1, spread=0.1, tail_len=16)
-        source = SyntheticSource(profile, shape)
-        list(SyntheticSource(profile, (1, 2, 64, 4)).head_blocks())  # numpy's first-use imports
-        # the float32 (3, N, d) block and one float64 (N, d) scratch; the
-        # slack holds the (N,) magnitudes and the generator's state
-        _, peak = traced_peak(lambda: list(source.head_blocks()))
-        assert peak <= 3 * array * 4 + array * 8 + array
+    @pytest.fixture
+    def warm(self):
+        for kind in self.KINDS:  # numpy's first-use imports
+            write_trace(SyntheticSource(self.profile(kind), (1, 2, 64, 4)), io.BytesIO())
 
-    def test_writer_peak_is_one_head_block(self, tmp_path):
-        trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=4), self.SHAPE)
-        # a float32 copy of one head block plus its bytes, and file buffering
-        _, peak = traced_peak(write_trace, trace, tmp_path / "t.tkv")
-        assert peak <= 2 * self.HEAD_BLOCK
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generator_peak_is_data_plus_one_piece(self, warm, kind):
+        # each array is 4 MiB in float32, four pieces
+        shape = (1, 2, 16384, 64)
+        trace, peak = traced_peak(gen_synthetic_trace, self.profile(kind), shape)
+        assert peak <= trace.data.nbytes + drawn_bound(shape)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_drawn_peak_does_not_grow_with_seq_len(self, warm, tmp_path, kind):
+        # a head's block is 3 MiB at N = 4096 and 24 MiB at N = 32768
+        for shape in [(1, 2, 4096, 64), (1, 2, 32768, 64)]:
+            source = SyntheticSource(self.profile(kind), shape)
+            written, peak = traced_peak(write_trace, source, tmp_path / "t.tkv")
+            assert written == source.header.file_bytes
+            assert peak <= drawn_bound(shape)
+
+    def test_writer_narrows_one_piece_at_a_time(self, tmp_path):
+        # a float64 trace whose head block is 6 MiB in float32: each piece
+        # is narrowed to a float32 copy of at most 1 MiB and written
+        shape = (1, 2, 8192, 64)
+        trace = gen_synthetic_trace(self.profile("uniform-random"), shape)
+        wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
+        path = tmp_path / "t.tkv"
+        _, peak = traced_peak(write_trace, wide, path)
+        assert peak <= _STREAM_CHUNK + 64 * 1024
+        assert path.read_bytes() == trace_bytes(trace)
 
     def test_reader_peak_is_data_plus_one_head_block(self, tmp_path):
         path = tmp_path / "t.tkv"
@@ -641,8 +664,10 @@ class TestLayerSources:
         assert source.header == trace.header
         layers = [layer.copy() for layer in source.layers()]
         assert np.array_equal(np.stack(layers), trace.data)
-        blocks = [block.copy() for block in source.head_blocks()]
-        assert np.array_equal(np.stack(blocks), trace.data.reshape(-1, 3, 40, 6))
+        rows = len(trace.data.reshape(-1, 6))
+        for first, piece in source.pieces():
+            assert piece.dtype == np.float32 and piece.shape[1:] == (6,)
+            assert 0 <= first < first + len(piece) <= rows
         buf = io.BytesIO()
         assert write_trace(source, buf) == trace.header.file_bytes
         assert buf.getvalue() == trace_bytes(trace)
@@ -674,7 +699,7 @@ class TestLayerSources:
         source = SyntheticSource(profile, self.SHAPE)
         with pytest.raises(TraceFormatError, match="NaN/Inf"):
             next(source.layers())
-        # head blocks feed `gen`, which is checked as each block is drawn
+        # pieces feed `gen` and are checked as each is drawn
         with pytest.raises(TraceFormatError, match="NaN/Inf"):
             write_trace(source, io.BytesIO())
 
