@@ -24,13 +24,13 @@ from .errors import CacheConsistencyError, ParameterError, PlanFormatError, Semk
 from .harness import (
     RunConfig,
     RunResult,
-    bound_suite,
     build_eval_report,
     decode_count,
     export_pca_csv,
     export_report,
     open_source,
     run_steps,
+    run_with_suite,
     score_plans,
     start_run,
 )
@@ -424,13 +424,14 @@ def _infeasible_note(result, listed_in: str) -> str:
     return f"; {n} infeasible cell(s) listed in {listed_in}" if n else ""
 
 
-def _run_and_write_plans(cfg, result: RunResult, names, layers, outputs, files) -> None:
-    """`run_steps` of the started `result` over `layers`, each layer's plans
-    appended to the cells' plans files (`names`) before the next layer is read."""
+def _run_and_write_plans(cfg, result: RunResult, names, source, outputs, files):
+    """`run_with_suite` of the started `result` over `source`, each layer's
+    plans appended to the cells' plans files (`names`) before the next layer
+    is read; gives the bound suite's report, None unless `all` asks for one."""
     plans_files = _PlansFiles(files, outputs, result.header, names)
-    for plans in run_steps(cfg, result, layers):
-        plans_files.add(plans)
+    suite = run_with_suite(cfg, result, source, each_layer=plans_files.add)
     plans_files.finish()
+    return suite
 
 
 def _cmd_compress(args) -> int:
@@ -440,7 +441,7 @@ def _cmd_compress(args) -> int:
         names = _plan_filenames(result.facts)
         out = _outdir(args)
         with _Outputs(out) as outputs, contextlib.ExitStack() as files:
-            _run_and_write_plans(cfg, result, names, source.layers(), outputs, files)
+            _run_and_write_plans(cfg, result, names, source, outputs, files)
             memory_rows = [
                 {
                     "policy": policy,
@@ -495,7 +496,7 @@ def _cmd_eval(args) -> int:
         header = source.header
         plan_sets = [_read_plans(path, header) for path in args.plans]
         reports = score_plans(
-            source.layers(), [plans for _, _, plans in plan_sets], decode_count(cfg, header)
+            source, [plans for _, _, plans in plan_sets], decode_count(cfg, header)
         )
     fidelity_rows = [
         {"plans": os.path.basename(path), "policy": policy, "budget_ratio": ratio,
@@ -530,7 +531,7 @@ def _cmd_pca(args) -> int:
     cfg = _config_from(args)
     with open_source(cfg) as source:
         result = start_run(cfg, source.header, plan=False, score=False)
-        for _ in run_steps(cfg, result, source.layers()):
+        for _ in run_steps(cfg, result, source):
             pass
         report = build_eval_report(cfg, result)
     out = _outdir(args)
@@ -549,13 +550,11 @@ def _cmd_all(args) -> int:
         with _Outputs(out) as outputs:
             with contextlib.ExitStack() as files:
                 if cfg.trace_path is None:
-                    # a drawn trace is saved, and its layers mapped from there
+                    # a drawn trace is saved, and read from there
                     saved = files.enter_context(open(outputs.path("trace.tkv"), "w+b"))
-                    layers = source._drawn_into(saved)
-                else:
-                    layers = source.layers()
-                _run_and_write_plans(cfg, result, names, layers, outputs, files)
-            report = build_eval_report(cfg, result, bound_suite(cfg))
+                    source = source.drawn_into(saved)
+                suite = _run_and_write_plans(cfg, result, names, source, outputs, files)
+            report = build_eval_report(cfg, result, suite)
             export_report(report, "json", outputs.path("report.json"))
             export_report(report, "csv", outputs.path("report.csv"))
             export_pca_csv(report, outputs.path("pca.csv"))

@@ -28,6 +28,11 @@ class TraceTruncationError(TraceFormatError):
         super().__init__(f"truncated {what}: expected {expected} bytes, got {actual}")
         self.expected = expected
         self.actual = actual
+        self.what = what
+
+    def __reduce__(self):
+        # rebuilt from its fields, so one raised in a worker process reaches its parent
+        return type(self), (self.expected, self.actual, self.what)
 
 
 class UnsupportedDtypeError(TraceFormatError):
@@ -48,3 +53,7 @@ class CacheConsistencyError(SemkvError, RuntimeError):
 
 class PlanFormatError(SemkvError, ValueError):
     """A saved plan lacks a field or names an unknown policy or head class."""
+
+
+class WorkerError(SemkvError, RuntimeError):
+    """A worker process that visits heads ended before its visits were made."""

@@ -16,6 +16,16 @@ its numerators and their temporaries. The library functions
 config. Saved plans are scored by `score_plans`, one layer at a time, for
 `fidelity_eval` and `semkv eval` alike.
 
+Head visits are independent until a layer is classified. When BLAS
+leaves CPUs free (`head_workers`), `run_steps` and `score_plans` hand
+them to processes forked from the run, one per free CPU: each worker
+reads the heads it is given through its own reading of the source (its
+`head_reader`), which checks their values as the source's layers would
+be checked, and returns only a head's vector, keeps and scores. The
+parent takes them in (layer, head) order and makes each layer's plans
+from them as `layer_step` does, so every output is the in-process run's
+bytes at the same BLAS setting.
+
 Fidelity is measured the way a decoder with an evicted cache behaves: for the
 last `decode_queries` query rows, attention outputs over the retained K/V
 entries (softmax renormalized over the retained, causally visible set) are
@@ -37,10 +47,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
-from collections.abc import Iterator
+import sys
+import threading
+from collections.abc import Iterator, Mapping
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -61,7 +74,7 @@ from .allocator import (
     policy_kind,
 )
 from .contribution import BoundSuiteReport, verify_bound_suite
-from .errors import InfeasibleBudgetError, ParameterError, SemkvError
+from .errors import InfeasibleBudgetError, ParameterError, SemkvError, WorkerError
 from .linalg import _KEY_BLOCK, _key_blocks, causal_numerators, causal_scores, pca_2d
 from .separator import (
     HeadClass,
@@ -261,30 +274,50 @@ def layer_step(
     `decode_queries`), each keep's scores. Each cell's facts for the layer
     (B, k, the clamp) are read from `result.facts`, which `start_run`
     fixed from the header and f(r), so every head is planned before the
-    layer is classified. After the last head, the heads are classified
-    from f(r), and each cell's plan is its heads' keeps under their
-    classes, scored with those keeps' scores. `result` gets the
-    layer's semantic vectors, distances to its semantic center, head
-    classes, each plan's per-head tokens and, when scored, its per-head
-    (L2, cosine) arrays.
+    layer is classified. Then `_layer_plans` classifies the heads and plans
+    each cell from the visits.
     """
-    n, _, _, head_dim = data.shape
-    f_r = result.schedule.per_layer_counts[layer]
-    facts = {cell: layers[layer] for cell, layers in result.facts.items()}
-    groups = [f.groups() for f in facts.values()]
-    vectors = np.empty((n, head_dim))
-    keeps, scored = [], []
+    visit = _head_visit(config, result, layer)
+    with _in_layer(layer):
+        visits = [visit(block) for block in each_head(data)]
+    return _layer_plans(result, layer, visits)
+
+
+@contextlib.contextmanager
+def _in_layer(layer: int) -> Iterator[None]:
+    """A `with` block whose `SemkvError` is raised again naming `layer`."""
     try:
-        for h, block in enumerate(each_head(data)):
-            vectors[h], head_keeps, head_scores = _visit_head(config, result, facts, groups, block)
-            keeps.append(head_keeps)
-            scored.append(head_scores)
-        distances, classes = build_layer_profiles(vectors, f_r)
+        yield
     except SemkvError as exc:
         raise type(exc)(f"layer {layer}: {exc}") from exc
+
+
+def _head_visit(config: RunConfig, result: RunResult, layer: int):
+    """`_visit_head` of a block of layer `layer`, with the layer's facts
+    and groups per cell."""
+    facts = {cell: layers[layer] for cell, layers in result.facts.items()}
+    groups = [f.groups() for f in facts.values()]
+    return functools.partial(_visit_head, config, result, facts, groups)
+
+
+def _layer_plans(result: RunResult, layer: int, visits: list) -> dict[Cell, BudgetPlan]:
+    """Layer `layer`'s plan per cell from its heads' visits (`_visit_head`'s),
+    in head order, recorded into `result`.
+
+    The heads are classified from f(r), and each cell's plan is its heads'
+    keeps under their classes, scored with those keeps' scores. `result`
+    gets the layer's semantic vectors, distances to its semantic center,
+    head classes, each plan's per-head tokens and, when scored, its
+    per-head (L2, cosine) arrays.
+    """
+    vectors = np.array([vector for vector, _, _ in visits])
+    with _in_layer(layer):
+        distances, classes = build_layer_profiles(vectors, result.schedule.per_layer_counts[layer])
     plans = {
-        cell: f.plan(layer, classes, [k[cell][c] for k, c in zip(keeps, classes)])
-        for cell, f in facts.items()
+        cell: layers[layer].plan(
+            layer, classes, [keeps[cell][c] for (_, keeps, _), c in zip(visits, classes)]
+        )
+        for cell, layers in result.facts.items()
     }
     result.vectors.append(vectors)
     result.distances.append(distances)
@@ -292,7 +325,7 @@ def layer_step(
     result.add_head_tokens(plans)
     if result.decode_queries is not None:
         for cell in plans:
-            pairs = [head_scores[cell][c] for head_scores, c in zip(scored, classes)]
+            pairs = [scored[cell][c] for (_, _, scored), c in zip(visits, classes)]
             result.scores.setdefault(cell, []).append(tuple(map(np.array, zip(*pairs))))
     return plans
 
@@ -334,20 +367,171 @@ def _visit_head(config: RunConfig, result: RunResult, facts: dict, groups: list,
 
 
 def run_steps(
-    config: RunConfig, result: RunResult, layers, keep_plans: bool = False
+    config: RunConfig, result: RunResult, source, keep_plans: bool = False, meanwhile=None
 ) -> Iterator[dict[Cell, BudgetPlan]]:
-    """`layer_step` on each of `layers` in turn, recorded into `result`.
+    """`layer_step` on each layer of `source`, any layer source, in turn,
+    recorded into `result`.
 
     Each layer's plans are yielded before the next layer is read, so a
     caller can write them out; only with `keep_plans` does `result.plans`
-    hold them too.
+    hold them too. When `head_workers` gives more than one worker, forked
+    workers make the head visits instead (`_each_layer`), and each layer's
+    plans come from its visits by `_layer_plans`, as in `layer_step`.
+    `meanwhile`, if given, is called once: while workers make the visits,
+    or after the last layer when they are made in-process (`_each_layer`).
     """
-    for r, data in enumerate(layers):
-        plans = layer_step(config, result, r, data)
-        if keep_plans:
-            for cell, plan in plans.items():
-                result.plans.setdefault(cell, []).append(plan)
-        yield plans
+
+    def in_worker(layer: int, head: int, block: np.ndarray):
+        with _in_layer(layer):
+            return _head_visit(config, result, layer)(block)
+
+    in_process = functools.partial(layer_step, config, result)
+    from_visits = functools.partial(_layer_plans, result)
+    with _each_layer(source, in_process, in_worker, from_visits, meanwhile) as steps:
+        for plans in steps:
+            if keep_plans:
+                for cell, plan in plans.items():
+                    result.plans.setdefault(cell, []).append(plan)
+            yield plans
+
+
+# The variables OpenBLAS, numpy's BLAS, takes its thread count from, in the
+# order it reads them; a count below 1, or no count, is no setting.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def worker_count(visits: int, cpus: int, environ: Mapping[str, str], can_fork: bool) -> int:
+    """The processes that make `visits` head visits: one per CPU that BLAS
+    leaves free, `cpus // BLAS threads`, and at most one per visit, or 1 (the
+    visits are made in-process) without the `fork` start method. BLAS
+    threads are the first positive count of `_BLAS_THREAD_VARS` in
+    `environ`, else OpenBLAS's default of one per CPU, so with no setting
+    every visit is made in-process and no CPU runs two BLAS threads."""
+    if not can_fork:
+        return 1
+    counts = [_positive(environ.get(name)) for name in _BLAS_THREAD_VARS]
+    threads = next((n for n in counts if n), cpus)
+    return max(1, min(cpus // threads, visits))
+
+
+def _positive(text: str | None) -> int:
+    """`text` as a positive count, else 0."""
+    try:
+        return max(int(text), 0)
+    except (TypeError, ValueError):
+        return 0
+
+
+def head_workers(visits: int) -> int:
+    """`worker_count` on this process's usable CPUs, environment and start
+    methods. A process that runs another Python thread is not forked, since
+    the child would inherit that thread's locks as it held them; OpenBLAS's
+    own threads do not count, as its fork handler ends them before the fork."""
+    # the `fork` start method is `os.fork`; asking `multiprocessing` would
+    # load it into every run, where only `_forked` needs it
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    return worker_count(visits, _usable_cpus(), os.environ, can_fork)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's CPUs where the
+    platform cannot say (`os.sched_getaffinity` is not on macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _each_layer(
+    source, in_process, in_worker, from_visits, meanwhile=None
+) -> Iterator[Iterator]:
+    """For a `with` block, what each layer of `source`, any layer source,
+    gives, in layer order: `in_process(r, data)` of each of its layers,
+    or, when `head_workers` gives more than one worker for its head visits,
+    `from_visits(r, visits)` of the list of the layer's `in_worker(r, h,
+    block)`, in head order, made by that many processes forked on entry
+    (`_forked`). A worker reads each head's block through its own reading
+    of `source` (`head_reader`), which checks its values as the source's
+    layers are checked, and gives it back once visited (`_read_head`).
+    `meanwhile`, if given, is called once every head visit is handed out,
+    so it runs while the workers make them, or, in-process, once the `with`
+    block ends without an error.
+    """
+    header = source.header
+    tasks = [(r, h) for r in range(header.num_layers) for h in range(header.num_heads)]
+    workers = head_workers(len(tasks))
+    meanwhile = meanwhile or (lambda: None)
+    if workers == 1:
+        yield (in_process(r, data) for r, data in enumerate(source.layers()))
+        meanwhile()
+        return
+    with source.head_reader() as heads, _forked(
+        functools.partial(_read_head, heads, in_worker), tasks, workers
+    ) as visits:
+        meanwhile()
+        yield (
+            from_visits(r, [next(visits) for _ in range(header.num_heads)])
+            for r in range(header.num_layers)
+        )
+
+
+def _read_head(heads, visit, layer: int, head: int):
+    """`visit(layer, head, block)` of the block `heads(layer, head)` gives,
+    which is given back once visited."""
+    block = heads(layer, head)
+    with given_back(block):
+        return visit(layer, head, block)
+
+
+_task = None  # in a worker process, the function `_forked` maps
+
+_PR_SET_PDEATHSIG = 1  # Linux prctl(2): the signal a process gets when its parent ends
+
+
+def _start_worker(task, parent: int) -> None:
+    """A worker's start: it keeps `task` for `_call_task` and, on Linux,
+    is killed when its parent ends first, by SIGKILL too, which would
+    otherwise leave it waiting for tasks forever."""
+    import ctypes
+    import signal
+
+    global _task
+    _task = task
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # it ended before the worker asked
+            os._exit(1)
+
+
+def _call_task(args: tuple):
+    return _task(*args)
+
+
+@contextlib.contextmanager
+def _forked(task, tasks: list[tuple], workers: int) -> Iterator[Iterator]:
+    """For a `with` block, `task(*args)` of each of `tasks`, in order, made
+    by `workers` processes forked from this one as every task is handed
+    out, on entry. `task` reaches them through the fork, not by pickling,
+    and only the tasks' arguments and results are pickled. A worker's error
+    is raised when its result is reached, and a worker that dies raises
+    `WorkerError`. On leaving, by an error too, the tasks not yet started
+    are cancelled and the workers joined; a worker whose parent is killed
+    ends with it (`_start_worker`)."""
+    # imported here, so that a run that makes its visits in-process loads neither
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _start_worker, (task, os.getpid())
+    )
+    try:
+        yield pool.map(_call_task, tasks)
+    except BrokenExecutor as exc:
+        raise WorkerError(f"a worker process ended before its visits were made ({exc})") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def compress_run(config: RunConfig, trace) -> RunResult:
@@ -359,7 +543,7 @@ def compress_run(config: RunConfig, trace) -> RunResult:
     the first cell's error is raised before any layer is computed.
     """
     result = start_run(config, trace.header, score=False)
-    for _ in run_steps(config, result, trace.layers(), keep_plans=True):
+    for _ in run_steps(config, result, trace, keep_plans=True):
         pass
     return result
 
@@ -594,37 +778,61 @@ def score_layer(
     next head's are formed, so scoring holds one of a head's arrays (two
     only while a rescue reads K again) and their temporaries.
     """
-    scores = [(np.empty(len(data)), np.empty(len(data))) for _ in plans]
-    for h, block in enumerate(each_head(data)):
-        keeps = [plan.head_keep(h) for plan in plans]
-        with given_back(block[:2]):  # Q and K are done with before V is read
-            head = _HeadNumerators(block, decode_queries, [g for _, g in keeps if g is not None])
-        for (l2, cos), (l2_h, cos_h) in zip(scores, head.fidelity(keeps)):
-            l2[h], cos[h] = l2_h, cos_h
-        del head  # its numerators go before the next head's are formed
-    return scores
+    return _layer_scores(
+        [_score_head(plans, decode_queries, h, block) for h, block in enumerate(each_head(data))]
+    )
+
+
+def _score_head(plans: list[BudgetPlan], decode_queries: int, head: int, block: np.ndarray):
+    """Head `head`'s (L2, cosine) under each of `plans`, from its (3, N, d)
+    `block`, as `score_layer` scores it; its numerators are dropped on
+    return, before the next head's are formed."""
+    keeps = [plan.head_keep(head) for plan in plans]
+    with given_back(block[:2]):  # Q and K are done with before V is read
+        numerators = _HeadNumerators(block, decode_queries, [g for _, g in keeps if g is not None])
+    return numerators.fidelity(keeps)
+
+
+def _layer_scores(heads: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per plan, the (n,) L2 and cosine arrays of a layer's heads' (L2,
+    cosine) per plan, given in head order."""
+    return [tuple(map(np.array, zip(*pairs))) for pairs in zip(*heads)]
 
 
 def score_plans(
-    layers, plan_sets: list[list[BudgetPlan]], decode_queries: int
+    source, plan_sets: list[list[BudgetPlan]], decode_queries: int
 ) -> list[FidelityReport]:
-    """Each plan set's fidelity over `layers`, one layer at a time: one
-    `score_layer` of every set's plan for that layer. The sets are already
-    passed through `check_plans`, and `decode_queries` is checked against
-    each layer's N."""
+    """Each plan set's fidelity over `source`, any layer source, one layer
+    at a time: one `score_layer` of every set's plan for that layer, or,
+    when `head_workers` gives more than one worker, each head scored by a
+    forked worker (`_each_layer`). The sets are already passed through
+    `check_plans`; `decode_queries` is checked against N before any layer
+    is read."""
+    header = source.header
+    check_decode_queries(decode_queries, header.seq_len)
+    layer_plans = [[plans[r] for plans in plan_sets] for r in range(header.num_layers)]
     scores = [[] for _ in plan_sets]
-    for r, data in enumerate(layers):
-        check_decode_queries(decode_queries, data.shape[2])
-        layer_plans = [plans[r] for plans in plan_sets]
-        for layer_scores, score in zip(scores, score_layer(data, layer_plans, decode_queries)):
-            layer_scores.append(score)
+
+    def in_process(r: int, data: np.ndarray):
+        return score_layer(data, layer_plans[r], decode_queries)
+
+    def in_worker(r: int, h: int, block: np.ndarray):
+        return _score_head(layer_plans[r], decode_queries, h, block)
+
+    def from_visits(r: int, heads: list):
+        return _layer_scores(heads)
+
+    with _each_layer(source, in_process, in_worker, from_visits) as layers:
+        for layer_scores in layers:
+            for plan_scores, score in zip(scores, layer_scores):
+                plan_scores.append(score)
     return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
 
 
 def fidelity_eval(trace, plans: list[BudgetPlan], decode_queries: int) -> FidelityReport:
     """Decode-attention reconstruction error of the plans' cache vs the full
     one over `trace`, any layer source: `score_plans` of the one plan set."""
-    return score_plans(trace.layers(), [check_plans(trace.header, plans)], decode_queries)[0]
+    return score_plans(trace, [check_plans(trace.header, plans)], decode_queries)[0]
 
 
 CSV_HEADER = [
@@ -745,12 +953,28 @@ def run_all(config: RunConfig, trace, return_result: bool = False):
     """The full pipeline over `trace`, any layer source, including the
     optional bound suite: `run_steps` with fidelity scored, then the report."""
     result = start_run(config, trace.header)
-    for _ in run_steps(config, result, trace.layers(), keep_plans=return_result):
-        pass
-    report = build_eval_report(config, result, bound_suite(config))
+    suite = run_with_suite(config, result, trace, keep_plans=return_result)
+    report = build_eval_report(config, result, suite)
     if return_result:
         return report, result
     return report
+
+
+def run_with_suite(
+    config: RunConfig, result: RunResult, source, keep_plans: bool = False, each_layer=None
+) -> BoundSuiteReport | None:
+    """`run_steps` of the started `result` over `source`, each layer's plans
+    given to `each_layer`, if given, before the next layer is read; then
+    `bound_suite(config)`. The suite runs while workers visit the heads, on
+    the CPU their last visits leave idle, or in-process after the last
+    layer. An error in `each_layer` stops the steps, and any workers, at once.
+    """
+    suite = functools.cache(functools.partial(bound_suite, config))
+    with contextlib.closing(run_steps(config, result, source, keep_plans, suite)) as steps:
+        for plans in steps:
+            if each_layer is not None:
+                each_layer(plans)
+    return suite()
 
 
 def bound_suite(config: RunConfig) -> BoundSuiteReport | None:

@@ -25,12 +25,15 @@ profile) and an in-memory `AttentionTrace` are all layer sources, with a
 `header` and a `layers()` iterator over checked, read-only (n, 3, N, d)
 layers. A reader maps its file, or a temporary copy of a stream, and a
 synthetic source writes its trace to a temporary file and reads that, so
-every source but an `AttentionTrace` yields views of a mapped file.
+every source but an `AttentionTrace` yields views of a mapped file. Each
+source's `head_reader()` gives one head's block at a time instead, to a
+worker process forked from a run (`TraceReader.head`).
 `write_trace` is the one writer; it writes a trace's `pieces()`, at most
 `_STREAM_CHUNK` bytes of rows each, so no writer or generator holds a
 head's block. `TraceHeader.shape` spells the payload's layout. Each value
 is checked for NaN/Inf once, by the code that first receives it:
-`TraceReader.layers()` file and stream bytes, `SyntheticSource.pieces()`
+`TraceReader.layers()` (or, in a worker, `TraceReader.head`) file and
+stream bytes, `SyntheticSource.pieces()`
 drawn values, `AttentionTrace` arrays in memory. Every pass over a
 layer's heads walks it through `each_head`, or `each_array` for each
 head's Q, K and V, and `given_back` gives a block's or an array's pages
@@ -179,6 +182,12 @@ class AttentionTrace:
 
     def layers(self) -> Iterator[np.ndarray]:
         return iter(self.data)
+
+    def head_reader(self):
+        """For a `with` block, a function of (layer, head) that gives that
+        head's checked (3, N, d) block, which a forked worker reads through
+        the memory it shares with its parent."""
+        return contextlib.nullcontext(lambda layer, head: self.data[layer, head])
 
     def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
         """The payload as (row, rows) pairs, in order: the data's
@@ -367,7 +376,8 @@ class SyntheticSource:
     `layers()` draws nothing until its first layer is asked for; then it
     writes the trace with `write_trace` into an unlinked temporary file,
     which needs the payload's bytes of space in the temporary directory,
-    and yields that file's mapped layers unchecked.
+    and yields that file's mapped layers unchecked. `head_reader()` draws
+    into such a file at once, for worker processes to read.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -437,15 +447,23 @@ class SyntheticSource:
 
     def layers(self) -> Iterator[np.ndarray]:
         with tempfile.TemporaryFile() as spool:
-            yield from self._drawn_into(spool)
+            yield from self.drawn_into(spool).layers()
 
-    def _drawn_into(self, file) -> Iterator[np.ndarray]:
+    @contextlib.contextmanager
+    def head_reader(self):
+        """`TraceReader.head` of the trace drawn into an unlinked temporary
+        file, for a `with` block: a forked worker maps that file through
+        the descriptor it inherits."""
+        with tempfile.TemporaryFile() as spool:
+            yield self.drawn_into(spool).head
+
+    def drawn_into(self, file) -> "TraceReader":
         """Write the trace into `file`, open for binary writing and reading,
-        when the first layer is asked for, then yield its mapped layers
-        unchecked: `pieces()` checked every value as it was drawn."""
+        and return a reader of it whose values are not checked again:
+        `pieces()` checked every value as it was drawn."""
         write_trace(self, file)
         file.seek(0)  # flushes what is buffered, for the mapping
-        yield from TraceReader(file)._mapped_layers()
+        return TraceReader(file, checked=True)
 
 
 def gen_synthetic_trace(
@@ -563,14 +581,19 @@ class TraceReader:
     command's peak is a few MiB of one of a head's arrays and that head's
     temporaries, not a layer's payload. A layer kept
     past the next one, or past `close()`, still reads the file's values.
+    `head` reads one head's block instead, for a worker process.
     The file must not be truncated or rewritten in place while it is read:
     a layer cut off before it is reached raises `TraceTruncationError`,
     but a change under a layer already yielded is not seen.
 
-    As a context manager the reader closes a file it opened.
+    `checked=True` marks a file whose values were checked as they were
+    written, a drawn trace's, which `layers()` and `head` do not check
+    again. As a context manager the reader closes a file it opened.
     """
 
-    def __init__(self, source):
+    def __init__(self, source, checked: bool = False):
+        self._checked = checked
+        self._head_mapping = None  # `head`'s, made at its first call
         if isinstance(source, (bytes, bytearray)):
             source = io.BytesIO(source)
         if isinstance(source, (str, os.PathLike)):
@@ -584,7 +607,8 @@ class TraceReader:
                 spool = _spooled(stream, self.header)
                 self.close()
                 self._stream, self._owned = spool, True
-            left = os.fstat(self._stream.fileno()).st_size - self._stream.tell()
+            self._start = self._stream.tell()
+            left = os.fstat(self._stream.fileno()).st_size - self._start
             if left < self.header.payload_bytes:
                 raise TraceTruncationError(self.header.payload_bytes, left)
         except BaseException:
@@ -603,33 +627,67 @@ class TraceReader:
 
     def layers(self) -> Iterator[np.ndarray]:
         for layer in self._mapped_layers():
-            for array in each_array(layer):
-                _require_finite(array, "trace", TraceFormatError)
+            if not self._checked:
+                for array in each_array(layer):
+                    _require_finite(array, "trace", TraceFormatError)
             yield layer
+
+    def head_reader(self):
+        """For a `with` block, `head`, which a forked worker can call."""
+        return contextlib.nullcontext(self.head)
+
+    def head(self, layer: int, head: int) -> np.ndarray:
+        """Layer `layer`'s head `head`, a read-only float32 (3, N, d) block
+        of a mapping of the file made at the first call: a worker forked
+        from a reader that has not called it maps the file itself, through
+        the descriptor it inherits. Each of the block's Q, K and V is
+        checked, and given back, as `layers()` checks it, and the layer must
+        lie inside the file as there."""
+        if self._head_mapping is None:
+            self._head_mapping = self._mapping()
+        shape = self.header.shape[2:]
+        count = math.prod(shape)
+        first = self._layer_offset(layer) + 4 * count * head
+        block = np.frombuffer(self._head_mapping, "<f4", count, first).reshape(shape)
+        if not self._checked:
+            for array in block:
+                with given_back(array):
+                    _require_finite(array, "trace", TraceFormatError)
+        return block
+
+    def _mapping(self) -> mmap.mmap:
+        """A read-only mapping of the file up to the payload's end."""
+        return mmap.mmap(
+            self._stream.fileno(), self._start + self.header.payload_bytes, access=mmap.ACCESS_READ
+        )
+
+    def _layer_offset(self, layer: int) -> int:
+        """The file offset of layer `layer`'s first byte; the file must hold
+        the whole layer, since touching a mapped page past the end of the
+        file would be a SIGBUS."""
+        layer_bytes = self.header.payload_bytes // self.header.num_layers
+        first = self._start + layer * layer_bytes
+        size = os.fstat(self._stream.fileno()).st_size
+        if size < first + layer_bytes:
+            raise TraceTruncationError(self.header.payload_bytes, max(size - self._start, 0))
+        return first
 
     def _mapped_layers(self) -> Iterator[np.ndarray]:
         """`layers()` unchecked, for a source that checks the values
         itself or has checked them already."""
         header = self.header
-        start = self._stream.tell()
         layer_bytes = header.payload_bytes // header.num_layers
         # not closed by `close()`: the layers yielded are views of it
-        mapped = mmap.mmap(
-            self._stream.fileno(), start + header.payload_bytes, access=mmap.ACCESS_READ
-        )
+        mapped = self._mapping()
         released = 0
         for r in range(header.num_layers):
-            first = start + r * layer_bytes
+            first = self._start + r * layer_bytes
             # drop the pages wholly before this layer from the process;
             # the file's values come back from the page cache if touched
             page = first - first % mmap.PAGESIZE
             mapped.madvise(mmap.MADV_DONTNEED, released, page - released)
             released = page
-            size = os.fstat(self._stream.fileno()).st_size
-            if size < first + layer_bytes:
-                # touching a page past the end of the file would be a SIGBUS
-                raise TraceTruncationError(header.payload_bytes, max(size - start, 0))
-            layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, first)
+            layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, self._layer_offset(r))
             yield layer.reshape(header.shape[1:])
 
 

@@ -378,7 +378,7 @@ class TestCellFacts:
         result = start_run(config, trace.header)
         cells = [(p, r) for p in ("task-kv", "streaming") for r in (0.4, 0.6)]
         assert calls == [(layer, *cell) for cell in cells for layer in range(3)]
-        for _ in run_steps(config, result, trace.layers()):
+        for _ in run_steps(config, result, trace):
             pass
         assert len(calls) == len(cells) * 3  # `layer_step` reads the run's facts
         assert sorted(result.scores) == sorted(cells)

@@ -490,7 +490,7 @@ class TestFullOutputs:
         with pytest.raises(ParameterError, match=message):
             fidelity_eval(trace, plans, count)
         with pytest.raises(ParameterError, match=message):
-            score_plans(trace.layers(), [plans], count)
+            score_plans(trace, [plans], count)
         assert check_decode_queries(128, 128) == 128
 
 
