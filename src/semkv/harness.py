@@ -4,26 +4,27 @@ A run is one loop over a trace's layers. `start_run` decides from the
 header alone, before any layer is read, the schedule f(r), each
 (policy, budget) cell's facts for every layer (`allocator.layer_facts`:
 B, k, the clamp, or the error that makes the cell infeasible) and the
-decode-query count. Then `layer_step` runs on each layer in turn: one
-visit of each head, which scores it and plans it under each class from
-its cells' facts for the layer, then classification and a plan per cell
-from its heads' keeps. A layer's plans are dropped before the next
-layer is read. The CLI reads every trace, drawn ones too, as a mapped
-file, so its peak is one head's visit: a few MiB of one of its arrays,
-its numerators and their temporaries. The library functions
-(`compress_run`, `run_all`, `fidelity_eval`) take any layer source: an
-`AttentionTrace` in memory, or the source `open_source` gives for a
-config. Saved plans are scored by `score_plans`, one layer at a time, for
-`fidelity_eval` and `semkv eval` alike.
+decode-query count. Then each head is visited once, in (layer, head)
+order: the visit scores the head and plans it under each class from its
+cells' facts for the layer. Once a layer's heads are visited,
+`layer_step` classifies them and makes a plan per cell from their keeps.
+A layer's plans are dropped before the next layer is planned. The CLI
+reads every trace, drawn ones too, as a mapped file, so its peak is one
+head's visit: a few MiB of one of its arrays, its numerators and their
+temporaries. The library functions (`compress_run`, `run_all`,
+`fidelity_eval`) take any layer source: an `AttentionTrace` in memory,
+or the source `open_source` gives for a config. Saved plans are scored by
+`score_plans`, one head at a time, for `fidelity_eval` and `semkv eval`
+alike.
 
-Head visits are independent until a layer is classified. When BLAS
-leaves CPUs free (`head_workers`), `run_steps` and `score_plans` hand
-them to processes forked from the run, one per free CPU: each worker
-reads the heads it is given through its own reading of the source (its
-`head_reader`), which checks their values as the source's layers would
-be checked, and returns only a head's vector, keeps and scores. The
-parent takes them in (layer, head) order and makes each layer's plans
-from them as `layer_step` does, so every output is the in-process run's
+Every pass reads a head through its source's `head_reader`, which checks
+the head's values, and gives the head's pages back once it is visited
+(`_each_layer`). Head visits are independent until a layer is
+classified: when BLAS leaves CPUs free (`head_workers`), processes forked
+from the run make them, one per free CPU, each reading the heads it is
+given through its own `head_reader` and returning only a head's vector,
+keeps and scores; otherwise this process makes them in turn. Either way
+the visits come back in (layer, head) order, so every output is the same
 bytes at the same BLAS setting.
 
 Fidelity is measured the way a decoder with an evicted cache behaves: for the
@@ -37,10 +38,9 @@ fidelity is scored on the window's own rows, the default decode rows, a
 head's visit calls it once: the window's softmax numerators give both its
 window scores and its fidelity, and the group scores are taken from the
 scores before the exp. Any other decode count forms the decode rows'
-scores with a second call (see `_HeadNumerators`). Every pass walks a
-layer's heads through `trace.each_head`, which owns each head block's
-residency, and reads one of a head's arrays at a time: a visit, like
-`score_layer`, is done with a head's Q and K before it reads V.
+scores with a second call (see `_HeadNumerators`). A visit, like a
+head's scoring (`_score_head`), reads one of a head's arrays at a time:
+it is done with a head's Q and K before it reads V.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -92,7 +93,6 @@ from .trace import (
     TraceHeader,
     TraceReader,
     check_seed,
-    each_head,
     given_back,
 )
 
@@ -262,53 +262,22 @@ def decode_count(config: RunConfig, header: TraceHeader) -> int:
     return check_decode_queries(config.decode_queries, header.seq_len)
 
 
-def layer_step(
-    config: RunConfig, result: RunResult, layer: int, data: np.ndarray
-) -> dict[Cell, BudgetPlan]:
-    """One layer of the started run `result`, on its checked (n, 3, N, d)
-    `data`, recorded into `result`; returns the layer's plan per cell.
+def layer_step(result: RunResult, layer: int, visits: list) -> dict[Cell, BudgetPlan]:
+    """Layer `layer` of the started run `result`, planned from its heads'
+    visits (`_visit_head`'s), in head order, and recorded into `result`;
+    returns the layer's plan per cell.
 
-    Each head is visited once (`_visit_head`), which reads its Q and K,
-    then its V: its window scores, its keep under each class for every
-    cell, its top-t semantic vector and, when fidelity is scored (the run's
+    Each head was visited once, which read its Q and K, then its V: its
+    window scores, its keep under each class for every cell, its top-t
+    semantic vector and, when fidelity is scored (the run's
     `decode_queries`), each keep's scores. Each cell's facts for the layer
-    (B, k, the clamp) are read from `result.facts`, which `start_run`
-    fixed from the header and f(r), so every head is planned before the
-    layer is classified. Then `_layer_plans` classifies the heads and plans
-    each cell from the visits.
-    """
-    visit = _head_visit(config, result, layer)
-    with _in_layer(layer):
-        visits = [visit(block) for block in each_head(data)]
-    return _layer_plans(result, layer, visits)
-
-
-@contextlib.contextmanager
-def _in_layer(layer: int) -> Iterator[None]:
-    """A `with` block whose `SemkvError` is raised again naming `layer`."""
-    try:
-        yield
-    except SemkvError as exc:
-        raise type(exc)(f"layer {layer}: {exc}") from exc
-
-
-def _head_visit(config: RunConfig, result: RunResult, layer: int):
-    """`_visit_head` of a block of layer `layer`, with the layer's facts
-    and groups per cell."""
-    facts = {cell: layers[layer] for cell, layers in result.facts.items()}
-    groups = [f.groups() for f in facts.values()]
-    return functools.partial(_visit_head, config, result, facts, groups)
-
-
-def _layer_plans(result: RunResult, layer: int, visits: list) -> dict[Cell, BudgetPlan]:
-    """Layer `layer`'s plan per cell from its heads' visits (`_visit_head`'s),
-    in head order, recorded into `result`.
-
-    The heads are classified from f(r), and each cell's plan is its heads'
-    keeps under their classes, scored with those keeps' scores. `result`
-    gets the layer's semantic vectors, distances to its semantic center,
-    head classes, each plan's per-head tokens and, when scored, its
-    per-head (L2, cosine) arrays.
+    (B, k, the clamp) were read from `result.facts`, which `start_run`
+    fixed from the header and f(r), so every head was planned before the
+    layer is classified. Here the heads are classified from f(r), and each
+    cell's plan is its heads' keeps under their classes, scored with those
+    keeps' scores. `result` gets the layer's semantic vectors, distances to
+    its semantic center, head classes, each plan's per-head tokens and,
+    when scored, its per-head (L2, cosine) arrays.
     """
     vectors = np.array([vector for vector, _, _ in visits])
     with _in_layer(layer):
@@ -330,8 +299,17 @@ def _layer_plans(result: RunResult, layer: int, visits: list) -> dict[Cell, Budg
     return plans
 
 
+@contextlib.contextmanager
+def _in_layer(layer: int) -> Iterator[None]:
+    """A `with` block whose `SemkvError` is raised again naming `layer`."""
+    try:
+        yield
+    except SemkvError as exc:
+        raise type(exc)(f"layer {layer}: {exc}") from exc
+
+
 def _visit_head(config: RunConfig, result: RunResult, facts: dict, groups: list, block):
-    """One head's visit in `layer_step`, from its (3, N, d) block as stored:
+    """One head's visit in a run, from its (3, N, d) block as stored:
     its (d,) semantic vector, its keep under each class per cell
     (`LayerFacts.keep_by_class`) and, when fidelity is scored, each of
     those keeps' (L2, cosine), likewise per cell and class (else None).
@@ -369,26 +347,32 @@ def _visit_head(config: RunConfig, result: RunResult, facts: dict, groups: list,
 def run_steps(
     config: RunConfig, result: RunResult, source, keep_plans: bool = False, meanwhile=None
 ) -> Iterator[dict[Cell, BudgetPlan]]:
-    """`layer_step` on each layer of `source`, any layer source, in turn,
-    recorded into `result`.
+    """`layer_step` of each layer of `source`, any layer source, in turn,
+    from its heads' visits (`_visit_head`, under each cell's facts for the
+    layer), recorded into `result`.
 
-    Each layer's plans are yielded before the next layer is read, so a
+    Each layer's plans are yielded before the next layer is planned, so a
     caller can write them out; only with `keep_plans` does `result.plans`
-    hold them too. When `head_workers` gives more than one worker, forked
-    workers make the head visits instead (`_each_layer`), and each layer's
-    plans come from its visits by `_layer_plans`, as in `layer_step`.
-    `meanwhile`, if given, is called once: while workers make the visits,
-    or after the last layer when they are made in-process (`_each_layer`).
+    hold them too. `meanwhile`, if given, is called once, as `_each_layer`
+    calls it.
     """
 
-    def in_worker(layer: int, head: int, block: np.ndarray):
-        with _in_layer(layer):
-            return _head_visit(config, result, layer)(block)
+    facts = [
+        {cell: layers[r] for cell, layers in result.facts.items()}
+        for r in range(result.header.num_layers)
+    ]
 
-    in_process = functools.partial(layer_step, config, result)
-    from_visits = functools.partial(_layer_plans, result)
-    with _each_layer(source, in_process, in_worker, from_visits, meanwhile) as steps:
-        for plans in steps:
+    @functools.lru_cache(maxsize=1)  # a process visits its heads in layer order
+    def groups(layer: int) -> list:
+        return [f.groups() for f in facts[layer].values()]
+
+    def visit(layer: int, head: int, block: np.ndarray):
+        with _in_layer(layer):
+            return _visit_head(config, result, facts[layer], groups(layer), block)
+
+    with _each_layer(source, visit, meanwhile) as layers:
+        # mapped, so that no name holds a layer's visits while the next are made
+        for plans in map(functools.partial(layer_step, result), itertools.count(), layers):
             if keep_plans:
                 for cell, plan in plans.items():
                     result.plans.setdefault(cell, []).append(plan)
@@ -442,37 +426,32 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _each_layer(
-    source, in_process, in_worker, from_visits, meanwhile=None
-) -> Iterator[Iterator]:
-    """For a `with` block, what each layer of `source`, any layer source,
-    gives, in layer order: `in_process(r, data)` of each of its layers,
-    or, when `head_workers` gives more than one worker for its head visits,
-    `from_visits(r, visits)` of the list of the layer's `in_worker(r, h,
-    block)`, in head order, made by that many processes forked on entry
-    (`_forked`). A worker reads each head's block through its own reading
-    of `source` (`head_reader`), which checks its values as the source's
-    layers are checked, and gives it back once visited (`_read_head`).
-    `meanwhile`, if given, is called once every head visit is handed out,
-    so it runs while the workers make them, or, in-process, once the `with`
-    block ends without an error.
+def _each_layer(source, visit, meanwhile=None) -> Iterator[Iterator[list]]:
+    """For a `with` block, each layer of `source`, any layer source, in
+    turn: the list of `visit(r, h, block)` of its heads, in head order.
+    Each head's block comes from the source's `head_reader`, which checks
+    its values, and is given back once visited (`_read_head`). The visits
+    are made in turn by this process, or, when `head_workers` gives more
+    than one worker for them, by that many processes forked on entry
+    (`_forked`), each reading the source through its own `head_reader`.
+    `meanwhile`, if given, is called once: as soon as every visit is
+    handed out, so that it runs while the workers make them, or, when they
+    are made in-process, once the `with` block ends without an error.
     """
     header = source.header
     tasks = [(r, h) for r in range(header.num_layers) for h in range(header.num_heads)]
     workers = head_workers(len(tasks))
     meanwhile = meanwhile or (lambda: None)
+    with contextlib.ExitStack() as stack:
+        task = functools.partial(_read_head, stack.enter_context(source.head_reader()), visit)
+        if workers == 1:
+            visits = itertools.starmap(task, tasks)
+        else:
+            visits = stack.enter_context(_forked(task, tasks, workers))
+            meanwhile()
+        yield (list(itertools.islice(visits, header.num_heads)) for _ in range(header.num_layers))
     if workers == 1:
-        yield (in_process(r, data) for r, data in enumerate(source.layers()))
         meanwhile()
-        return
-    with source.head_reader() as heads, _forked(
-        functools.partial(_read_head, heads, in_worker), tasks, workers
-    ) as visits:
-        meanwhile()
-        yield (
-            from_visits(r, [next(visits) for _ in range(header.num_heads)])
-            for r in range(header.num_layers)
-        )
 
 
 def _read_head(heads, visit, layer: int, head: int):
@@ -569,7 +548,7 @@ class FidelityReport:
 
     @classmethod
     def from_layers(cls, decode_queries: int, layers) -> "FidelityReport":
-        """A report from each layer's `score_layer` arrays."""
+        """A report from each layer's (n,) L2 and cosine arrays."""
         return cls(decode_queries, *(np.array(metric) for metric in zip(*layers)))
 
     @classmethod
@@ -756,38 +735,30 @@ class _HeadNumerators:
         return out
 
 
-def score_layer(
-    data: np.ndarray, plans: list[BudgetPlan], decode_queries: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-head decode L2 error and cosine of each of one layer's `plans`
-    against the full cache, over the last `decode_queries` query rows.
+def _score_head(
+    plan_sets: list[list[BudgetPlan]], decode_queries: int, layer: int, head: int, block
+) -> list[tuple[float, float]]:
+    """Per-head decode L2 error and cosine, against the full cache over the
+    last `decode_queries` query rows, of head `head` of layer `layer`,
+    from its (3, N, d) `block`, under each set's plan for the layer.
 
     Plans are read unchecked: `check_plans` passed them or a run built them.
-    Scoring is head-major, with the per-head scorer a run's head visit
-    uses, given one keep per plan: `_HeadNumerators` forms the head's
-    softmax numerators, under each decode row's full-cache max, and the
-    scores of its plans' groups, over its decode rows of Q and its K, whose
-    pages are then given back; one pass over its V key blocks gives the
-    full cache's outputs o and every distinct keep's retained outputs
+    The head is scored with the per-head scorer a run's head visit uses,
+    given one keep per plan: `_HeadNumerators` forms the head's softmax
+    numerators, under each decode row's full-cache max, and the scores of
+    its plans' groups, over its decode rows of Q and its K, whose pages
+    are then given back; one pass over its V key blocks gives the full
+    cache's outputs o and every distinct keep's retained outputs
     (`_HeadNumerators.fidelity`): a plan that keeps every position is o
     itself, L2 0 and o's self-cosine (not always 1). A row whose retained
     numerators underflow under that shared shift is rescored with the
     cell's own retained max. A decode row that sees no retained key
     attends to nothing: its retained output is zero, so it scores
-    L2 = ||o|| and cosine 0. A head's numerators are dropped before the
-    next head's are formed, so scoring holds one of a head's arrays (two
-    only while a rescue reads K again) and their temporaries.
+    L2 = ||o|| and cosine 0. The head's numerators are dropped on return,
+    before the next head's are formed, so scoring holds one of a head's
+    arrays (two only while a rescue reads K again) and their temporaries.
     """
-    return _layer_scores(
-        [_score_head(plans, decode_queries, h, block) for h, block in enumerate(each_head(data))]
-    )
-
-
-def _score_head(plans: list[BudgetPlan], decode_queries: int, head: int, block: np.ndarray):
-    """Head `head`'s (L2, cosine) under each of `plans`, from its (3, N, d)
-    `block`, as `score_layer` scores it; its numerators are dropped on
-    return, before the next head's are formed."""
-    keeps = [plan.head_keep(head) for plan in plans]
+    keeps = [plans[layer].head_keep(head) for plans in plan_sets]
     with given_back(block[:2]):  # Q and K are done with before V is read
         numerators = _HeadNumerators(block, decode_queries, [g for _, g in keeps if g is not None])
     return numerators.fidelity(keeps)
@@ -802,31 +773,16 @@ def _layer_scores(heads: list) -> list[tuple[np.ndarray, np.ndarray]]:
 def score_plans(
     source, plan_sets: list[list[BudgetPlan]], decode_queries: int
 ) -> list[FidelityReport]:
-    """Each plan set's fidelity over `source`, any layer source, one layer
-    at a time: one `score_layer` of every set's plan for that layer, or,
-    when `head_workers` gives more than one worker, each head scored by a
-    forked worker (`_each_layer`). The sets are already passed through
-    `check_plans`; `decode_queries` is checked against N before any layer
-    is read."""
-    header = source.header
-    check_decode_queries(decode_queries, header.seq_len)
-    layer_plans = [[plans[r] for plans in plan_sets] for r in range(header.num_layers)]
-    scores = [[] for _ in plan_sets]
-
-    def in_process(r: int, data: np.ndarray):
-        return score_layer(data, layer_plans[r], decode_queries)
-
-    def in_worker(r: int, h: int, block: np.ndarray):
-        return _score_head(layer_plans[r], decode_queries, h, block)
-
-    def from_visits(r: int, heads: list):
-        return _layer_scores(heads)
-
-    with _each_layer(source, in_process, in_worker, from_visits) as layers:
-        for layer_scores in layers:
-            for plan_scores, score in zip(scores, layer_scores):
-                plan_scores.append(score)
-    return [FidelityReport.from_layers(decode_queries, layers) for layers in scores]
+    """Each plan set's fidelity over `source`, any layer source: each head
+    scored once under every set's plan for its layer (`_score_head`), in
+    this process or by forked workers (`_each_layer`). The sets are
+    already passed through `check_plans`; `decode_queries` is checked
+    against N before any head is read."""
+    check_decode_queries(decode_queries, source.header.seq_len)
+    visit = functools.partial(_score_head, plan_sets, decode_queries)
+    with _each_layer(source, visit) as layers:
+        scored = list(map(_layer_scores, layers))
+    return [FidelityReport.from_layers(decode_queries, layers) for layers in zip(*scored)]
 
 
 def fidelity_eval(trace, plans: list[BudgetPlan], decode_queries: int) -> FidelityReport:

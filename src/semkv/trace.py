@@ -19,26 +19,23 @@ Q/K/V is widened to float64 (exactly) only when that head is computed on.
 Generators draw in float64 and quantize to float32 at generation time, so
 write -> read round-trips are bit-exact.
 
-Layers are contiguous in the payload, so a run never needs a whole trace:
+Heads are contiguous in the payload, so a run never needs a whole trace:
 `TraceReader` (a file, bytes or a pipe), `SyntheticSource` (a seeded
 profile) and an in-memory `AttentionTrace` are all layer sources, with a
-`header` and a `layers()` iterator over checked, read-only (n, 3, N, d)
-layers. A reader maps its file, or a temporary copy of a stream, and a
-synthetic source writes its trace to a temporary file and reads that, so
-every source but an `AttentionTrace` yields views of a mapped file. Each
-source's `head_reader()` gives one head's block at a time instead, to a
-worker process forked from a run (`TraceReader.head`).
-`write_trace` is the one writer; it writes a trace's `pieces()`, at most
-`_STREAM_CHUNK` bytes of rows each, so no writer or generator holds a
-head's block. `TraceHeader.shape` spells the payload's layout. Each value
-is checked for NaN/Inf once, by the code that first receives it:
-`TraceReader.layers()` (or, in a worker, `TraceReader.head`) file and
-stream bytes, `SyntheticSource.pieces()`
-drawn values, `AttentionTrace` arrays in memory. Every pass over a
-layer's heads walks it through `each_head`, or `each_array` for each
-head's Q, K and V, and `given_back` gives a block's or an array's pages
-back when the pass is done with it (`linalg.give_back_pages`, which the
-walks over an array's rows also call as they go).
+`header` and a `head_reader()`, which gives any head's checked, read-only
+(3, N, d) block to the process that reads it, whether a run's own or a
+worker forked from it. A reader maps its file, or a temporary copy of a
+stream, and a synthetic source writes its trace to a temporary file and
+reads that, so every source but an `AttentionTrace` gives views of a
+mapped file (`TraceReader.head`). `write_trace` is the one writer; it
+writes a trace's `pieces()`, at most `_STREAM_CHUNK` bytes of rows each,
+so no writer or generator holds a head's block. `TraceHeader.shape`
+spells the payload's layout. Each value is checked for NaN/Inf once, by
+the code that first receives it: `TraceReader.head` file and stream
+bytes, `SyntheticSource.pieces()` drawn values, `AttentionTrace` arrays
+in memory. `given_back` gives a block's or an array's pages back when a
+pass is done with it (`linalg.give_back_pages`, which the walks over an
+array's rows also call as they go).
 
 Synthetic data comes from the counter-based Philox4x64 generator (NumPy's
 ``np.random.Philox``) keyed by (seed, stream), so the same profile always
@@ -66,7 +63,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs, _require_finite, give_back_pages
+from .linalg import AttentionInputs, _require_finite, _rows_per_give_back, give_back_pages
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -148,8 +145,8 @@ class AttentionTrace:
     value was checked as it was made, such as a drawn trace's.
 
     Like `TraceReader` and `SyntheticSource`, a trace is a layer source: a
-    `header` and `layers()`, which yields each layer's checked, read-only
-    (n, 3, N, d) data in turn.
+    `header` and `head_reader()`, which gives each head's checked,
+    read-only (3, N, d) data.
     """
 
     def __init__(self, header: TraceHeader, data: np.ndarray, checked: bool = False):
@@ -180,13 +177,10 @@ class AttentionTrace:
     def head_dim(self) -> int:
         return self.header.head_dim
 
-    def layers(self) -> Iterator[np.ndarray]:
-        return iter(self.data)
-
     def head_reader(self):
         """For a `with` block, a function of (layer, head) that gives that
-        head's checked (3, N, d) block, which a forked worker reads through
-        the memory it shares with its parent."""
+        head's checked (3, N, d) block: a view of `data`, which a forked
+        worker reads through the memory it shares with its parent."""
         return contextlib.nullcontext(lambda layer, head: self.data[layer, head])
 
     def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
@@ -373,11 +367,9 @@ class SyntheticSource:
     first: `write_trace` seeks back to them, so it needs a seekable sink
     for such a source.
 
-    `layers()` draws nothing until its first layer is asked for; then it
-    writes the trace with `write_trace` into an unlinked temporary file,
-    which needs the payload's bytes of space in the temporary directory,
-    and yields that file's mapped layers unchecked. `head_reader()` draws
-    into such a file at once, for worker processes to read.
+    `head_reader()` writes the trace with `write_trace` into an unlinked
+    temporary file, which needs the payload's bytes of space in the
+    temporary directory, and reads that file's mapped heads unchecked.
     """
 
     def __init__(self, profile: SyntheticProfile, shape: tuple[int, int, int, int]):
@@ -445,15 +437,11 @@ class SyntheticSource:
                 row = k + profile.needle_position
                 yield from _drawn_pieces(row, 1, _constant(key), *buffers)
 
-    def layers(self) -> Iterator[np.ndarray]:
-        with tempfile.TemporaryFile() as spool:
-            yield from self.drawn_into(spool).layers()
-
     @contextlib.contextmanager
     def head_reader(self):
         """`TraceReader.head` of the trace drawn into an unlinked temporary
-        file, for a `with` block: a forked worker maps that file through
-        the descriptor it inherits."""
+        file, for a `with` block: a worker forked from the run maps that
+        file through the descriptor it inherits."""
         with tempfile.TemporaryFile() as spool:
             yield self.drawn_into(spool).head
 
@@ -529,26 +517,6 @@ def _write_back(destination, behind: int, data: np.ndarray) -> None:
     destination.seek(end)
 
 
-def each_head(layer: np.ndarray) -> Iterator[np.ndarray]:
-    """Each head's (3, N, d) block of a layer's (n, 3, N, d) data in turn,
-    `given_back` once the caller asks for the next block or stops, by a
-    `break` or an error: a pass over a mapped layer holds one head's pages
-    at a time, and only the ones it reads."""
-    for block in layer:
-        with given_back(block):
-            yield block
-
-
-def each_array(layer: np.ndarray) -> Iterator[np.ndarray]:
-    """Each head's Q, K and V, (N, d), of a layer's (n, 3, N, d) data in
-    turn, each given back like `each_head`'s blocks: a pass that reads
-    every value holds one array's pages at a time."""
-    for block in layer:
-        for array in block:
-            with given_back(array):
-                yield array
-
-
 @contextlib.contextmanager
 def given_back(view: np.ndarray) -> Iterator[np.ndarray]:
     """`view`, for a `with` block that reads it, its pages given back
@@ -560,7 +528,7 @@ def given_back(view: np.ndarray) -> Iterator[np.ndarray]:
 
 
 class TraceReader:
-    """A .tkv trace read one layer at a time from a path, binary stream or bytes.
+    """A .tkv trace read one head at a time from a path, binary stream or bytes.
 
     The header is read and checked on construction, and so is the payload's
     size, before any layer is read. A source that is not a regular file
@@ -568,32 +536,31 @@ class TraceReader:
     unlinked temporary file, `_STREAM_CHUNK` bytes at a time and no more
     than the header's payload, and from then on read like any trace file.
     So a stream needs that much free space in the temporary directory, its
-    first layer is read only once its whole payload has arrived, and one
+    first head is read only once its whole payload has arrived, and one
     that ends early fails here with the bytes it held.
 
-    Layers are contiguous in the payload, so `layers()` yields each
-    layer's float32 (n, 3, N, d) block in turn, checked and read-only. The
-    file is mapped read-only and never copied: each layer is a view of the
-    mapping, and the pages of the layers before it are released before it
-    is touched. The layer is checked one Q, K or V array at a time through
-    `each_array`, which gives each array back once checked. Every later
-    pass that reads a head block walks the layer through `each_head`, so a
+    Heads are contiguous in the payload, so `head` gives any head's
+    float32 (3, N, d) block, checked and read-only. The file is mapped
+    read-only and never copied: each block is a view of the mapping. Each
+    of a block's Q, K and V is checked `_GIVE_BACK_BYTES` of rows at a
+    time, each stretch given back once checked, and a pass that reads the
+    block gives its pages back when done with it (`given_back`), so a
     command's peak is a few MiB of one of a head's arrays and that head's
-    temporaries, not a layer's payload. A layer kept
-    past the next one, or past `close()`, still reads the file's values.
-    `head` reads one head's block instead, for a worker process.
-    The file must not be truncated or rewritten in place while it is read:
-    a layer cut off before it is reached raises `TraceTruncationError`,
-    but a change under a layer already yielded is not seen.
+    temporaries, not a layer's payload. A block kept past `close()` still
+    reads the file's values. The file must not be truncated or rewritten in
+    place while it is read: a layer cut off before its first head is read
+    raises `TraceTruncationError`, but a change under a block already
+    given is not seen.
 
     `checked=True` marks a file whose values were checked as they were
-    written, a drawn trace's, which `layers()` and `head` do not check
-    again. As a context manager the reader closes a file it opened.
+    written, a drawn trace's, which `head` does not check again. As a
+    context manager the reader closes a file it opened.
     """
 
     def __init__(self, source, checked: bool = False):
         self._checked = checked
         self._head_mapping = None  # `head`'s, made at its first call
+        self._released = 0  # its bytes before this have left the process
         if isinstance(source, (bytes, bytearray)):
             source = io.BytesIO(source)
         if isinstance(source, (str, os.PathLike)):
@@ -625,13 +592,6 @@ class TraceReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def layers(self) -> Iterator[np.ndarray]:
-        for layer in self._mapped_layers():
-            if not self._checked:
-                for array in each_array(layer):
-                    _require_finite(array, "trace", TraceFormatError)
-            yield layer
-
     def head_reader(self):
         """For a `with` block, `head`, which a forked worker can call."""
         return contextlib.nullcontext(self.head)
@@ -641,25 +601,26 @@ class TraceReader:
         of a mapping of the file made at the first call: a worker forked
         from a reader that has not called it maps the file itself, through
         the descriptor it inherits. Each of the block's Q, K and V is
-        checked, and given back, as `layers()` checks it, and the layer must
-        lie inside the file as there."""
-        if self._head_mapping is None:
-            self._head_mapping = self._mapping()
+        checked (`_check_rows`), and the whole layer must lie inside the
+        file (`_layer_offset`). The pages wholly before the block's first
+        one leave the process: a pass reads heads in order, and the page
+        across a block's edge, which neither block gives back whole, would
+        otherwise stay for the rest of the pass."""
+        if self._head_mapping is None:  # up to the payload's end
+            size = self._start + self.header.payload_bytes
+            self._head_mapping = mmap.mmap(self._stream.fileno(), size, access=mmap.ACCESS_READ)
         shape = self.header.shape[2:]
         count = math.prod(shape)
         first = self._layer_offset(layer) + 4 * count * head
+        page = first - first % mmap.PAGESIZE
+        if page > self._released:  # the file's values come back if read again
+            self._head_mapping.madvise(mmap.MADV_DONTNEED, self._released, page - self._released)
+            self._released = page
         block = np.frombuffer(self._head_mapping, "<f4", count, first).reshape(shape)
         if not self._checked:
             for array in block:
-                with given_back(array):
-                    _require_finite(array, "trace", TraceFormatError)
+                _check_rows(array)
         return block
-
-    def _mapping(self) -> mmap.mmap:
-        """A read-only mapping of the file up to the payload's end."""
-        return mmap.mmap(
-            self._stream.fileno(), self._start + self.header.payload_bytes, access=mmap.ACCESS_READ
-        )
 
     def _layer_offset(self, layer: int) -> int:
         """The file offset of layer `layer`'s first byte; the file must hold
@@ -672,23 +633,16 @@ class TraceReader:
             raise TraceTruncationError(self.header.payload_bytes, max(size - self._start, 0))
         return first
 
-    def _mapped_layers(self) -> Iterator[np.ndarray]:
-        """`layers()` unchecked, for a source that checks the values
-        itself or has checked them already."""
-        header = self.header
-        layer_bytes = header.payload_bytes // header.num_layers
-        # not closed by `close()`: the layers yielded are views of it
-        mapped = self._mapping()
-        released = 0
-        for r in range(header.num_layers):
-            first = self._start + r * layer_bytes
-            # drop the pages wholly before this layer from the process;
-            # the file's values come back from the page cache if touched
-            page = first - first % mmap.PAGESIZE
-            mapped.madvise(mmap.MADV_DONTNEED, released, page - released)
-            released = page
-            layer = np.frombuffer(mapped, "<f4", layer_bytes // 4, self._layer_offset(r))
-            yield layer.reshape(header.shape[1:])
+
+def _check_rows(array: np.ndarray) -> None:
+    """Raise `TraceFormatError` unless every value of a mapped (N, d)
+    `array` is finite. Its rows are checked `_GIVE_BACK_BYTES` at a time,
+    and the rows checked so far are given back after each stretch, by an
+    error too, so a check holds one stretch of the array and a page."""
+    step = _rows_per_give_back(array)
+    for rows in _row_slices(len(array), step):
+        with given_back(array[: rows.stop]):
+            _require_finite(array[rows], "trace", TraceFormatError)
 
 
 def _spooled(stream, header: TraceHeader):
@@ -717,17 +671,17 @@ def _spooled(stream, header: TraceHeader):
 def read_trace(source) -> AttentionTrace:
     """Read a whole trace from a path, binary stream, or bytes; the data stays float32.
 
-    `TraceReader`'s mapped layers are copied into one array a head block
-    at a time through `each_head`, so the peak is the payload, and a trace
-    that outlives the read is not a mapping of a file that `write_trace`
-    may later rewrite in place. `AttentionTrace` checks the copy.
+    Each of `TraceReader.head`'s checked blocks is copied into one array
+    and given back, so the peak is the payload, each value is checked
+    once, and a trace that outlives the read is not a mapping of a file
+    that `write_trace` may later rewrite in place.
     """
     with TraceReader(source) as reader:
         data = np.empty(reader.header.shape, dtype=np.float32)
-        for out, layer in zip(data, reader._mapped_layers()):
-            for h, block in enumerate(each_head(layer)):
-                out[h] = block
-    return AttentionTrace(reader.header, data)
+        for r, h in np.ndindex(data.shape[:2]):
+            with given_back(reader.head(r, h)) as block:
+                data[r, h] = block
+    return AttentionTrace(reader.header, data, checked=True)
 
 
 def _read_header(stream) -> TraceHeader:

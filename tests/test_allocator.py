@@ -380,7 +380,7 @@ class TestCellFacts:
         assert calls == [(layer, *cell) for cell in cells for layer in range(3)]
         for _ in run_steps(config, result, trace):
             pass
-        assert len(calls) == len(cells) * 3  # `layer_step` reads the run's facts
+        assert len(calls) == len(cells) * 3  # the visits and `layer_step` read the run's facts
         assert sorted(result.scores) == sorted(cells)
 
 

@@ -209,13 +209,13 @@ class TestEval:
         payload = json.loads(plans_path.read_text())
         payload["layers"][-1]["per_head_runs"][3] = [[0, 5], [5, 96]]
         plans_path.write_text(json.dumps(payload))
-        scored, score_layer = [], harness.score_layer
+        scored, score_head = [], harness._score_head
 
         def counting(*args, **kwargs):
             scored.append(args)
-            return score_layer(*args, **kwargs)
+            return score_head(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "score_layer", counting)
+        monkeypatch.setattr(harness, "_score_head", counting)
         code, _, err = run_cli(
             capsys, "eval", "--trace", str(trace), "--plans", str(plans_path), "--out", str(out),
         )
@@ -1568,10 +1568,11 @@ class TestMappedResidency:
     (N, d) arrays at a time: the reader checks Q, K and V one at a time,
     and a head's visit, or its scoring, forms its numerators and group
     scores over K and gives Q and K back before it reads V. Sampled after
-    each of those steps and after `score_layer`, the trace's resident
+    each of those steps and after `_score_head`, the trace's resident
     bytes never exceed one (N, d) array plus the page slack of each head's
-    block edge. Within a walk over K or V a block of keys at a time, the
-    rows already read are given back every `_GIVE_BACK_BYTES`."""
+    block edge. Within a walk over K or V a block of keys at a time, and
+    within the reader's check of an array, the rows already read are given
+    back every `_GIVE_BACK_BYTES`."""
 
     SHAPE = (2, 4, 16384, 128)  # each head's Q, K and V are 8 MiB, a head block 24 MiB
     # each sampled function and the module that holds the name the command calls
@@ -1580,7 +1581,7 @@ class TestMappedResidency:
         "_HeadNumerators": harness,
         "approx_semantic_vector": harness,
         "_visit_head": harness,
-        "score_layer": harness,
+        "_score_head": harness,
     }
     # cells whose plans have groups, whose scores are taken from S
     PLAN = ["--policy", "streaming,compressed-cache", "--m-top", "1"]
@@ -1616,8 +1617,8 @@ class TestMappedResidency:
             argv += self.PLAN
         assert main(argv) == 0, capsys.readouterr().err
         uncalled = {
-            "all": ("score_layer",),
-            "compress": ("score_layer",),
+            "all": ("_score_head",),
+            "compress": ("_score_head",),
             "eval": ("_visit_head", "approx_semantic_vector"),
         }[command]
         assert set(samples) == set(self.SAMPLED) - set(uncalled)
@@ -1662,14 +1663,40 @@ class TestMappedResidency:
     def test_the_reader_gives_back_each_array_it_checks(self, trace_dir, monkeypatch):
         given = []
         monkeypatch.setattr(trace_module, "give_back_pages", given.append)
-        _, n, seq_len, dim = self.SHAPE
+        r, n, seq_len, dim = self.SHAPE
+        stretch = linalg_module._GIVE_BACK_BYTES // (dim * 4)  # rows
         with TraceReader(trace_dir / "t.tkv") as reader:
-            for layer in reader.layers():
-                # Q, K and V of each head, in payload order
-                assert [view.shape for view in given] == [(seq_len, dim)] * 3 * n
-                starts = [view.ctypes.data - layer.ctypes.data for view in given]
-                assert starts == list(range(0, layer.nbytes, seq_len * dim * 4))
+            for layer, head in np.ndindex(r, n):
+                block = reader.head(layer, head)
+                # Q, K and V in payload order, each given back from its first
+                # row on as each 2 MiB stretch of its rows is checked
+                ends = range(stretch, seq_len + 1, stretch)
+                assert [view.shape for view in given] == [(end, dim) for end in ends] * 3
+                starts = [view.ctypes.data - block.ctypes.data for view in given]
+                assert starts == [a * seq_len * dim * 4 for a in range(3) for _ in ends]
                 given.clear()
+
+    def test_the_reader_checks_an_array_one_stretch_at_a_time(self, trace_dir, monkeypatch):
+        path = trace_dir / "t.tkv"
+        samples, check = [], trace_module._require_finite
+
+        def sampled(a, *args):
+            check(a, *args)
+            samples.append(mapped_rss(path))  # before the stretch is given back
+
+        monkeypatch.setattr(trace_module, "_require_finite", sampled)
+        r, n, seq_len, dim = self.SHAPE
+        with TraceReader(path) as reader:
+            for layer, head in np.ndindex(r, n):
+                reader.head(layer, head)
+        # one stretch of rows, plus two huge pages of slack: the rest of the
+        # one the stretch was read from, and the one across its edge
+        bound = linalg_module._GIVE_BACK_BYTES + 2 * PAGE_SLACK_PER_HEAD
+        assert max(samples) <= bound
+        # which a whole (N, d) array exceeds
+        array = seq_len * dim * 4
+        assert bound < array
+        assert len(samples) == r * n * 3 * array // linalg_module._GIVE_BACK_BYTES
 
 
 class TestCheckedOnce:

@@ -46,7 +46,6 @@ from semkv.harness import (
     fidelity_eval,
     open_source,
     run_all,
-    score_layer,
     score_plans,
 )
 from semkv.linalg import _KEY_BLOCK, AttentionInputs, _key_blocks
@@ -494,6 +493,16 @@ class TestFullOutputs:
         assert check_decode_queries(128, 128) == 128
 
 
+def score_layer(data, plans, decode_queries):
+    """Per plan, the (n,) L2 and cosine arrays of one layer's (n, 3, N, d)
+    `data` under `plans`, each head scored once in turn by the run's
+    per-head scorer, `_score_head`."""
+    plan_sets = [[plan] for plan in plans]
+    return harness._layer_scores([
+        harness._score_head(plan_sets, decode_queries, 0, h, block) for h, block in enumerate(data)
+    ])
+
+
 def full_outputs(block, decode_queries):
     """A head's full-cache decode outputs, the first of `_HeadNumerators.outputs`."""
     return _HeadNumerators(block, decode_queries).outputs()[0]
@@ -650,7 +659,7 @@ class TestBlockPass:
     def assert_matches_oracle(trace, plans, decode_queries):
         """Every head of every plan: the block pass's retained outputs
         against `oracle_retained_output` within BLOCK_PASS_TOL, and
-        `score_layer` against `oracle_score_layer` on the same scale.
+        `score_plans` against `oracle_score_layer` on the same scale.
         Returns how many (head, key block) pairs a cell keeps whole and in
         part."""
         for plan in plans:
@@ -674,14 +683,12 @@ class TestBlockPass:
         # sqrt(d) of the outputs' largest move
         full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
         scale = np.sqrt(trace.head_dim) * np.abs(full).max(axis=(-2, -1))
+        reports = score_plans(trace, plans, decode_queries)
         for r, layer in enumerate(trace.data):
-            layer_plans = [plan[r] for plan in plans]
-            expected = oracle_score_layer(layer, layer_plans, decode_queries)
-            for (l2, cos), (l2_oracle, cos_oracle) in zip(
-                score_layer(layer, layer_plans, decode_queries), expected
-            ):
-                assert np.all(np.abs(l2 - l2_oracle) <= BLOCK_PASS_TOL * scale[r])
-                assert np.all(np.abs(cos - cos_oracle) <= BLOCK_PASS_TOL)
+            expected = oracle_score_layer(layer, [plan[r] for plan in plans], decode_queries)
+            for report, (l2_oracle, cos_oracle) in zip(reports, expected):
+                assert np.all(np.abs(report.per_head_l2[r] - l2_oracle) <= BLOCK_PASS_TOL * scale[r])
+                assert np.all(np.abs(report.per_head_cosine[r] - cos_oracle) <= BLOCK_PASS_TOL)
         return whole, partial
 
     @pytest.mark.parametrize("decode_queries", [1, 16, _KEY_BLOCK + 40])  # 16 is the window, N
@@ -751,47 +758,46 @@ def head_window_scores(block, window_len):
     return column_scores(_HeadNumerators(block, window_len).numerators)
 
 
-def two_pass_layer_step(window_scores=head_window_scores, score=score_layer):
-    """`layer_step` as two passes over a layer's heads, as it ran before
-    each head was visited once: each head's window scores
+def two_pass_run(cfg, trace, window_scores=head_window_scores, score=score_layer):
+    """`run_all(cfg, trace, return_result=True)` as it ran before each head
+    was visited once, a loop over the layers of `trace.data` with two
+    passes over each layer's heads: each head's window scores
     (`window_scores(block, window_len)`) and semantic vector, the layer's
     classes, `apply_policy` of every cell from the pooled scores, then
     `score(data, plans, decode_queries)`. With the defaults it is the
     oracle of the one visit; with the oracles of earlier steps it is their
     report's path."""
-
-    def step(config, result, layer, data):
-        window_len, cells = result.window_len, result.facts
+    result = harness.start_run(cfg, trace.header)
+    window_len, cells = result.window_len, result.facts
+    for layer, data in enumerate(trace.data):
         scores = [window_scores(block, window_len) for block in data]
-        pooled = [pool_scores(score, config.kernel) for score in scores] if cells else []
+        pooled = [pool_scores(score, cfg.kernel) for score in scores] if cells else []
         vectors = np.array([
-            approx_semantic_vector(score, block[2], config.top_t)
+            approx_semantic_vector(score, block[2], cfg.top_t)
             for score, block in zip(scores, data)
         ])
         f_r = result.schedule.per_layer_counts[layer]
         distances, classes = build_layer_profiles(vectors, f_r)
         plans = {
-            cell: apply_policy(
-                layer, classes, *cell, config.sinks, config.recents, window_len, pooled
-            )
+            cell: apply_policy(layer, classes, *cell, cfg.sinks, cfg.recents, window_len, pooled)
             for cell in cells
         }
         result.vectors.append(vectors)
         result.distances.append(distances)
         result.classes.append(classes)
         result.add_head_tokens(plans)
-        if result.decode_queries is not None:
-            scored = score(data, list(plans.values()), result.decode_queries)
-            for cell, cell_scores in zip(plans, scored):
-                result.scores.setdefault(cell, []).append(cell_scores)
-        return plans
+        for cell, plan in plans.items():
+            result.plans.setdefault(cell, []).append(plan)
+        scored = score(data, list(plans.values()), result.decode_queries)
+        for cell, cell_scores in zip(plans, scored):
+            result.scores.setdefault(cell, []).append(cell_scores)
+    return build_eval_report(cfg, result, harness.bound_suite(cfg)), result
 
-    return step
 
-
-def report_and_plans(cfg, trace):
-    """`run_all`'s report bytes over `trace` and every plan it built, as JSON."""
-    report, result = run_all(cfg, trace, return_result=True)
+def report_and_plans(cfg, trace, run=functools.partial(run_all, return_result=True)):
+    """The report bytes and every plan, as JSON, of `run(cfg, trace)`, a
+    (report, result) pair: by default `run_all`'s."""
+    report, result = run(cfg, trace)
     buf = io.BytesIO()
     export_report(report, "json", buf)
     plans = {
@@ -801,30 +807,26 @@ def report_and_plans(cfg, trace):
 
 
 class TestOneVisit:
-    """`layer_step` visits each head once: it plans the head under each
-    class, scores each distinct keep, and picks the keeps and scores of
-    the head's class once the layer is classified. Its reports and plans
-    are those of the two-pass step, bit for bit, and no layer-wide buffer
-    is alive while a head's V is read."""
+    """A run visits each head once: it plans the head under each class,
+    scores each distinct keep, and `layer_step` picks the keeps and scores
+    of the head's class once the layer is classified. Its reports and
+    plans are those of the two-pass run, bit for bit, and no layer-wide
+    buffer is alive while a head's V is read."""
 
     @staticmethod
-    def assert_one_visit_is_two_passes(monkeypatch, cfg, trace):
-        one = report_and_plans(cfg, trace)
-        monkeypatch.setattr(harness, "layer_step", two_pass_layer_step())
-        two = report_and_plans(cfg, trace)
-        monkeypatch.undo()
-        assert one == two
+    def assert_one_visit_is_two_passes(cfg, trace):
+        assert report_and_plans(cfg, trace) == report_and_plans(cfg, trace, two_pass_run)
 
     @pytest.mark.parametrize("decode_queries", [16, 5, _KEY_BLOCK + 40])  # the window, N
-    def test_every_policy_gets_the_bits_of_two_passes(self, monkeypatch, decode_queries):
+    def test_every_policy_gets_the_bits_of_two_passes(self, decode_queries):
         cfg = clustered_config(
             seed=47, shape=(2, 4, _KEY_BLOCK + 40, 8), planted=1, beta=2 / 4, top_m=2,
             policies=ALL_POLICIES, budget_ratios=(0.3, 0.6, 0.95), decode_queries=decode_queries,
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
+        self.assert_one_visit_is_two_passes(cfg, trace)
 
-    def test_a_layer_of_heterogeneous_heads(self, monkeypatch):
+    def test_a_layer_of_heterogeneous_heads(self):
         # f(0) = n: every head of layer 0 keeps everything
         cfg = clustered_config(
             seed=49, shape=(3, 4, 128, 8), planted=1, beta=1.0, top_m=1,
@@ -833,9 +835,9 @@ class TestOneVisit:
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = compress_run(cfg, trace).plans[("task-kv", 1.0)]
         assert plans[0].head_classes == [HeadClass.HETEROGENEOUS] * 4
-        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
+        self.assert_one_visit_is_two_passes(cfg, trace)
 
-    def test_a_clamped_layer(self, monkeypatch):
+    def test_a_clamped_layer(self):
         # layer 0: k = (281 - 2 * 128) // 2 - 4 - 16 < 0
         cfg = clustered_config(
             seed=50, shape=(2, 4, 128, 8), planted=1, beta=0.5, top_m=1, recents=16,
@@ -844,9 +846,9 @@ class TestOneVisit:
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = compress_run(cfg, trace).plans[("task-kv", 0.55)]
         assert [plan.clamped for plan in plans] == [True, False]
-        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
+        self.assert_one_visit_is_two_passes(cfg, trace)
 
-    def test_rescued_rows_get_the_bits_of_two_passes(self, monkeypatch):
+    def test_rescued_rows_get_the_bits_of_two_passes(self):
         # streaming keeps [0, 4) and [52, 64) of `underflow_trace`, not key 10
         trace = underflow_trace()
         cfg = clustered_config(
@@ -858,7 +860,7 @@ class TestOneVisit:
         head = _HeadNumerators(trace.data[0, 0], 8)
         total = head.numerators[plan.head_plan(0).retained].sum(axis=0)
         assert np.all(total < 1 / _SAFE)  # every decode row is rescued
-        self.assert_one_visit_is_two_passes(monkeypatch, cfg, trace)
+        self.assert_one_visit_is_two_passes(cfg, trace)
 
     @pytest.mark.parametrize("decode_queries", [32, 8])  # the window, other rows
     def test_the_run_holds_one_heads_numerators(self, monkeypatch, decode_queries):
@@ -982,7 +984,7 @@ class TestPlanMemory:
 
 
     @pytest.mark.parametrize("ratio", [0.3, 0.9])
-    def test_score_layer_peak_does_not_grow_with_the_budget(self, ratio):
+    def test_scoring_peak_does_not_grow_with_the_budget(self, ratio):
         shape, decode_queries = (1, 4, 4096, 128), 32
         cfg = clustered_config(
             seed=45, shape=shape, planted=1, beta=2 / 4, top_m=2, window_len=32, top_t=256,
@@ -990,11 +992,11 @@ class TestPlanMemory:
             budget_ratios=(ratio,), decode_queries=decode_queries,
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-        plans = [plan[0] for plan in compress_run(cfg, trace).plans.values()]
-        score_layer(trace.data[0], plans, decode_queries)  # numpy's first-use imports
+        plans = list(compress_run(cfg, trace).plans.values())
+        score_plans(trace, plans, decode_queries)  # numpy's first-use imports
         tracemalloc.start()
         try:
-            score_layer(trace.data[0], plans, decode_queries)
+            score_plans(trace, plans, decode_queries)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1321,48 +1323,44 @@ class TestReportFixture:
             outputs[0] = decode_output(widen_head(self._block, len(self.rows)), len(self.rows))
             return outputs
 
-    def patched_report(self, monkeypatch, **passes):
-        """The fixture report of `two_pass_layer_step(**passes)`, and its SHA-256."""
+    def two_pass_report(self, **passes):
+        """The fixture report of `two_pass_run(**passes)`, and its SHA-256."""
         cfg = RunConfig(**self.FIXTURE_CONFIG)
-        monkeypatch.setattr(harness, "layer_step", two_pass_layer_step(**passes))
-        report = self.report_and_hash(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
-        monkeypatch.undo()
-        return report
+        report, _ = two_pass_run(cfg, gen_synthetic_trace(cfg.profile, cfg.shape), **passes)
+        return report, self.report_hash(report)
 
-    def oracle_reports(self, monkeypatch):
+    def oracle_reports(self):
         """The fixture report scored by `oracle_score_layer` (the per-cell
         gather the block pass replaced), then by it with `OracleFull`
         numerators as well (the masked softmax `_HeadNumerators` replaced),
         each with its SHA-256. Both take their window scores from
         `whole_window_scores`, as the head pass did before `causal_scores`."""
         return [
-            self.patched_report(
-                monkeypatch,
+            self.two_pass_report(
                 window_scores=whole_window_scores,
                 score=functools.partial(oracle_score_layer, numerators=numerators),
             )
             for numerators in (PreChangeFull, self.OracleFull)
         ]
 
-    def before_one_kernel(self, monkeypatch):
+    def before_one_kernel(self):
         """The fixture report with the window scores of `whole_window_scores`, the
         row-major softmax `causal_scores` replaced, scored by
         `pre_change_score_layer`, and its SHA-256."""
-        return self.patched_report(
-            monkeypatch, window_scores=whole_window_scores, score=pre_change_score_layer
+        return self.two_pass_report(
+            window_scores=whole_window_scores, score=pre_change_score_layer
         )
 
-    def before_full_plan(self, monkeypatch):
+    def before_full_plan(self):
         """The fixture report scored by `pre_change_score_layer`, before the
         full cache was a plan of the block pass, and its SHA-256."""
-        return self.patched_report(monkeypatch, score=pre_change_score_layer)
+        return self.two_pass_report(score=pre_change_score_layer)
 
     @staticmethod
-    def report_and_hash(cfg, trace):
-        report = run_all(cfg, trace)
+    def report_hash(report):
         buf = io.BytesIO()
         export_report(report, "json", buf)
-        return report, hashlib.sha256(buf.getvalue()).hexdigest()
+        return hashlib.sha256(buf.getvalue()).hexdigest()
 
     @staticmethod
     def moved_floats(old, new, bounds) -> list:
@@ -1402,56 +1400,56 @@ class TestReportFixture:
         assert len(moved) == 2 * (2 + 2 * 8 * 2)  # means and per-head cells of 2 cells
         return sum(moved)
 
-    def test_oracle_paths_reproduce_the_earlier_fixtures(self, monkeypatch):
+    def test_oracle_paths_reproduce_the_earlier_fixtures(self):
         # the two-pass step with today's window scores and scoring is the fixture
-        assert self.patched_report(monkeypatch)[1] == REPORT_FIXTURE_SHA256
-        (_, before_block_pass), (_, before_one_home) = self.oracle_reports(monkeypatch)
+        assert self.two_pass_report()[1] == REPORT_FIXTURE_SHA256
+        (_, before_block_pass), (_, before_one_home) = self.oracle_reports()
         assert before_block_pass == REPORT_BEFORE_BLOCK_PASS_SHA256
         assert before_one_home == REPORT_BEFORE_ONE_HOME_SHA256
-        assert self.before_one_kernel(monkeypatch)[1] == REPORT_BEFORE_ONE_KERNEL_SHA256
-        assert self.before_full_plan(monkeypatch)[1] == REPORT_BEFORE_FULL_PLAN_SHA256
+        assert self.before_one_kernel()[1] == REPORT_BEFORE_ONE_KERNEL_SHA256
+        assert self.before_full_plan()[1] == REPORT_BEFORE_FULL_PLAN_SHA256
 
-    def test_one_home_moved_only_fidelity_floats(self, monkeypatch):
+    def test_one_home_moved_only_fidelity_floats(self):
         """The parse-compare behind the re-freeze that gave the full-cache
         outputs one home: against the report whose full outputs came from
         one masked softmax per head, moving them into `_HeadNumerators`
         moved only the four fidelity floats, each within FIXTURE_RTOL (L2)
         or FIXTURE_ATOL (cosine)."""
-        (after, _), (before, _) = self.oracle_reports(monkeypatch)
+        (after, _), (before, _) = self.oracle_reports()
         assert self.assert_only_fidelity_floats_moved(before, after, FIXTURE_RTOL, FIXTURE_ATOL)
 
-    def test_block_pass_moved_only_fidelity_floats(self, monkeypatch):
+    def test_block_pass_moved_only_fidelity_floats(self):
         """The parse-compare behind the block pass's re-freeze: against the
         report scored by the per-cell gather, the block pass moves only the
         four fidelity floats, each within BLOCK_FIXTURE_RTOL (L2) or
         FIXTURE_ATOL (cosine)."""
-        (before, _), _ = self.oracle_reports(monkeypatch)
-        after, _ = self.before_one_kernel(monkeypatch)
+        (before, _), _ = self.oracle_reports()
+        after, _ = self.before_one_kernel()
         moved = self.assert_only_fidelity_floats_moved(
             before, after, BLOCK_FIXTURE_RTOL, FIXTURE_ATOL
         )
         assert moved == 37
 
-    def test_one_kernel_moved_only_distances_and_pca(self, monkeypatch):
+    def test_one_kernel_moved_only_distances_and_pca(self):
         """The parse-compare behind the re-freeze before last: against the
         report whose window scores came from the row-major softmax, the head
         pass through `causal_scores` moves only `distances` (within
         KERNEL_FIXTURE_RTOL) and the pca `x` and `y` (within
         KERNEL_FIXTURE_ATOL); plans, classes and fidelity keep their bits."""
-        before, _ = self.before_one_kernel(monkeypatch)
-        after, _ = self.before_full_plan(monkeypatch)
+        before, _ = self.before_one_kernel()
+        after, _ = self.before_full_plan()
         coordinate = (0.0, KERNEL_FIXTURE_ATOL)
         bounds = {"distances": (KERNEL_FIXTURE_RTOL, 0.0), "x": coordinate, "y": coordinate}
         moved = self.moved_floats(before, after, bounds)
         assert len(moved) == 2 * 8 * 3  # each head's distance and two coordinates
         assert any(moved)
 
-    def test_full_plan_moved_only_fidelity_floats(self, monkeypatch):
+    def test_full_plan_moved_only_fidelity_floats(self):
         """The parse-compare behind the last re-freeze: against the report
         scored by `pre_change_score_layer`, scoring the full cache as a plan
         of the block pass moves only the four fidelity floats, each within
         BLOCK_FIXTURE_RTOL (L2) or FIXTURE_ATOL (cosine)."""
-        before, _ = self.before_full_plan(monkeypatch)
+        before, _ = self.before_full_plan()
         cfg = RunConfig(**self.FIXTURE_CONFIG)
         after = run_all(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
         moved = self.assert_only_fidelity_floats_moved(

@@ -20,7 +20,7 @@ from semkv.errors import (
 )
 from semkv import harness
 from semkv.allocator import PolicyKind
-from semkv.harness import _HeadNumerators, RunConfig, score_layer
+from semkv.harness import _HeadNumerators, RunConfig, score_plans
 from semkv.separator import (
     approx_semantic_vector,
     column_scores,
@@ -37,9 +37,9 @@ from semkv.trace import (
     TraceHeader,
     TraceReader,
     clustered_planted_heads,
-    each_head,
     gen_synthetic_trace,
     give_back_pages,
+    given_back,
     read_trace,
     seeded_rng,
     widen_head,
@@ -540,7 +540,8 @@ class TestFloat32AtRest:
 
 
 class TestLayerSources:
-    """Readers and generators deliver one layer at a time, in the file's order."""
+    """Readers and generators give any head of a trace, checked, from a
+    mapped file, and fail at the first head they cannot give."""
 
     SHAPE = (3, 4, 40, 6)
     KINDS = ["uniform-random", "clustered-heads", "planted-needle"]
@@ -549,8 +550,17 @@ class TestLayerSources:
     def profile(kind):
         return SyntheticProfile(kind, seed=51, planted=1, spread=0.1, tail_len=8)
 
-    # a file of four 15.7 MB layers, and what the resident set may gain over
-    # one of them (allocator and page-table noise) while a pass reads it
+    @staticmethod
+    def heads(source):
+        """Each head's block of `source`, a layer source, in payload order,
+        copied from its `head_reader`."""
+        r, n = source.header.shape[:2]
+        with source.head_reader() as heads:
+            return [heads(layer, head).copy() for layer, head in np.ndindex(r, n)]
+
+    # a file of four 15.7 MB layers of 3.9 MB head blocks, and what the
+    # resident set may gain over one block (allocator and page-table
+    # noise) while a pass reads it
     MAPPED_SHAPE = (4, 4, 4096, 80)
     RSS_SLACK = 8 << 20
 
@@ -561,9 +571,10 @@ class TestLayerSources:
         [bytes, io.BytesIO, functools.partial(TrickleStream, step=65521), "path", "file"],
         ids=["bytes", "BytesIO", "TrickleStream", "path", "file"],
     )
-    def test_reader_yields_each_layer_in_one_reused_buffer(self, wrap, tmp_path):
+    def test_reader_gives_each_head_of_a_mapped_file(self, wrap, tmp_path):
         # every source is read from a mapped file, its own or a temporary
-        # copy of a stream, so the resident set holds one layer at a time
+        # copy of a stream, so a pass that gives each head back once read
+        # holds one head block at a time
         trace = gen_synthetic_trace(self.profile("clustered-heads"), self.MAPPED_SHAPE)
         with contextlib.ExitStack() as stack:
             if wrap in ("path", "file"):
@@ -576,14 +587,13 @@ class TestLayerSources:
             base = vm_rss()
             reader = stack.enter_context(TraceReader(source))
             assert reader.header == trace.header
-            layers, growth = [], 0
-            for r, layer in enumerate(reader.layers()):
-                growth = max(growth, vm_rss() - base)
-                assert layer.dtype == np.float32 and not layer.flags.writeable
-                assert np.array_equal(layer, trace.data[r])
-                layers.append(layer)
-        assert len(layers) == self.MAPPED_SHAPE[0]
-        assert growth <= layers[0].nbytes + self.RSS_SLACK
+            heads, growth = stack.enter_context(reader.head_reader()), 0
+            for r, h in np.ndindex(self.MAPPED_SHAPE[:2]):
+                with given_back(heads(r, h)) as block:
+                    growth = max(growth, vm_rss() - base)
+                    assert block.dtype == np.float32 and not block.flags.writeable
+                    assert np.array_equal(block, trace.data[r, h])
+        assert growth <= trace.data[0, 0].nbytes + self.RSS_SLACK
 
     def test_stream_fed_head_passes_hold_one_head_block(self):
         # a 25 MB layer: the stream is copied to a temporary file a chunk at
@@ -595,10 +605,10 @@ class TestLayerSources:
 
         def read_and_pass():
             with TraceReader(io.BytesIO(data)) as reader:
-                for layer in reader.layers():
-                    for block in layer:
-                        scores = column_scores(_HeadNumerators(block, 32).numerators)
-                        approx_semantic_vector(scores, block[2], 64)
+                for r, h in np.ndindex(shape[:2]):
+                    block = reader.head(r, h)
+                    scores = column_scores(_HeadNumerators(block, 32).numerators)
+                    approx_semantic_vector(scores, block[2], 64)
 
         _, peak = traced_peak(read_and_pass)
         assert peak <= head_block + _STREAM_CHUNK
@@ -609,39 +619,39 @@ class TestLayerSources:
         write_trace(trace, path)
         layer_bytes = trace.header.payload_bytes // 3
         with TraceReader(path) as reader:
-            layers = reader.layers()
-            assert np.array_equal(next(layers), trace.data[0])
+            for h in range(4):
+                assert np.array_equal(reader.head(0, h), trace.data[0, h])
             os.truncate(path, HEADER_BYTES + layer_bytes + 5)
+            assert np.array_equal(reader.head(0, 3), trace.data[0, 3])
             with pytest.raises(TraceTruncationError) as err:
-                next(layers)
+                reader.head(1, 0)  # the first head of the layer cut short
         assert (err.value.expected, err.value.actual) == (
             trace.header.payload_bytes,
             layer_bytes + 5,
         )
 
-    def test_mapped_layer_outlives_the_next_layer_and_the_reader(self, tmp_path):
+    def test_mapped_block_outlives_the_reader(self, tmp_path):
         trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
         path = tmp_path / "t.tkv"
         write_trace(trace, path)
         reader = TraceReader(path)
-        layers = reader.layers()
-        first = next(layers)
-        for _ in layers:  # each releases the pages of the layers before it
-            pass
+        first = reader.head(0, 0)
+        for r, h in np.ndindex(self.SHAPE[:2]):
+            give_back_pages(reader.head(r, h))
         reader.close()
-        assert np.array_equal(first, trace.data[0])
+        assert np.array_equal(first, trace.data[0, 0])
 
     @pytest.mark.parametrize("wrap", [bytes, TrickleStream], ids=["bytes", "trickle"])
-    def test_nonfinite_value_fails_when_its_layer_arrives(self, wrap):
+    def test_nonfinite_value_fails_when_its_head_arrives(self, wrap):
         trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
         data = trace.data.copy()
         data[2, 3, 2, 39, 5] = np.inf
         with TraceReader(wrap(trace.header.pack() + data.tobytes())) as reader:
-            layers = reader.layers()
-            for r in range(2):
-                assert np.array_equal(next(layers), data[r])
+            heads = list(np.ndindex(self.SHAPE[:2]))
+            for r, h in heads[: heads.index((2, 3))]:
+                assert np.array_equal(reader.head(r, h), data[r, h])
             with pytest.raises(TraceFormatError, match="NaN/Inf"):
-                next(layers)
+                reader.head(2, 3)
 
     def test_stream_cut_short_fails_before_any_layer(self):
         # a stream is copied whole before its first layer is read, so a cut
@@ -662,8 +672,8 @@ class TestLayerSources:
         trace = gen_synthetic_trace(self.profile(kind), self.SHAPE)
         source = SyntheticSource(self.profile(kind), self.SHAPE)
         assert source.header == trace.header
-        layers = [layer.copy() for layer in source.layers()]
-        assert np.array_equal(np.stack(layers), trace.data)
+        heads = self.heads(source)
+        assert np.array_equal(np.reshape(heads, trace.data.shape), trace.data)
         rows = len(trace.data.reshape(-1, 6))
         for first, piece in source.pieces():
             assert piece.dtype == np.float32 and piece.shape[1:] == (6,)
@@ -698,7 +708,7 @@ class TestLayerSources:
     def test_synthetic_layers_that_overflow_float32_fail(self, profile):
         source = SyntheticSource(profile, self.SHAPE)
         with pytest.raises(TraceFormatError, match="NaN/Inf"):
-            next(source.layers())
+            self.heads(source)
         # pieces feed `gen` and are checked as each is drawn
         with pytest.raises(TraceFormatError, match="NaN/Inf"):
             write_trace(source, io.BytesIO())
@@ -713,11 +723,12 @@ class TestLayerSources:
 
 class TestPageGiveBack:
     """A mapped trace's pages leave the process once the pass that reads
-    them moves on: `each_head` gives each head's whole block back when its
-    caller asks for the next one or stops, after a run's one visit of the
-    head and after `score_layer` scores it, whether the decode rows are the
-    window's or not; the reader gives back each of its Q, K and V once
-    checked."""
+    them moves on: a run gives each head's whole block back once its one
+    visit is done, and so does the scoring of saved plans, whether the
+    decode rows are the window's or not, and whether the pass ends or
+    stops at an error; the reader gives back each of its Q, K and V once
+    checked, and the pages before each block it gives, so no block edge's
+    page stays behind a pass."""
 
     SHAPE = (2, 2, 16384, 128)  # each head's Q, K and V are 8 MiB
     WINDOW = 32
@@ -728,61 +739,81 @@ class TestPageGiveBack:
         write_trace(SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE), path)
         return path
 
+    def slack(self) -> int:
+        """The page slack of one layer's head blocks' edges."""
+        return self.SHAPE[1] * PAGE_SLACK_PER_HEAD
+
     @pytest.mark.parametrize("decode_queries", [WINDOW, 64], ids=["window-rows", "decode-64"])
     def test_head_blocks_leave_once_read(self, path, monkeypatch, decode_queries):
         source = SyntheticSource(SyntheticProfile("uniform-random", seed=61), self.SHAPE)
-        _, n, seq_len, _ = self.SHAPE
-        slack = n * PAGE_SLACK_PER_HEAD
+        slack = self.slack()
         config = RunConfig(
             trace_path=str(path), policies=(PolicyKind.TASK_KV, PolicyKind.COMPRESSED_CACHE),
             budget_ratios=(0.6,), beta=0.5, top_m=1, window_len=self.WINDOW,
             decode_queries=decode_queries,
         )
-        visit, visited = harness._visit_head, []
+        visited = []
 
-        def sampled(*args):
-            # the blocks before this one left when it was asked for
-            assert mapped_rss(path) <= slack
-            visited.append(args[-1].shape)
-            return visit(*args)
+        def sampled(visit):
+            def sample(*args):
+                # the blocks before this one left once they were visited
+                assert mapped_rss(path) <= slack
+                visited.append(args[-1].shape)
+                return visit(*args)
+            return sample
 
-        monkeypatch.setattr(harness, "_visit_head", sampled)
+        for name in ("_visit_head", "_score_head"):
+            monkeypatch.setattr(harness, name, sampled(getattr(harness, name)))
         with TraceReader(path) as reader:
             result = harness.start_run(config, reader.header)
-            for r, (layer, drawn) in enumerate(zip(reader.layers(), source.layers())):
-                # checked: no page of the layer is resident
+            # each head's one visit reads its Q and K, then its V
+            for _ in harness.run_steps(config, result, reader, keep_plans=True):
                 assert mapped_rss(path) <= slack
-                # each head's one visit reads its Q and K, then its V
-                plans = harness.layer_step(config, result, r, layer)
-                assert mapped_rss(path) <= slack
-                # scoring saved plans reads each head's K and V again, and
-                # gives them back head by head
-                score_layer(layer, list(plans.values()), decode_queries)
-                assert mapped_rss(path) <= slack
-                # what left comes back from the page cache when read
-                assert np.array_equal(layer, drawn)
-        assert len(visited) == self.SHAPE[0] * n
-
-    def test_a_pass_that_breaks_gives_its_block_back(self, path):
-        slack = self.SHAPE[1] * PAGE_SLACK_PER_HEAD
-        with TraceReader(path) as reader:
-            layer = next(reader.layers())
-            for block in each_head(layer):
-                block.sum()  # faults the whole block in
-                assert mapped_rss(path) > slack
-                break
+            # scoring saved plans reads each head's K and V again, and
+            # gives them back head by head
+            score_plans(reader, list(result.plans.values()), decode_queries)
             assert mapped_rss(path) <= slack
+            # what left comes back from the page cache when read
+            with source.head_reader() as drawn:
+                for r, h in np.ndindex(self.SHAPE[:2]):
+                    assert np.array_equal(reader.head(r, h), drawn(r, h))
+        assert len(visited) == 2 * self.SHAPE[0] * self.SHAPE[1]
+
+    @staticmethod
+    def faulted(layer, head, block):
+        """A visit that faults a head's whole block in."""
+        return float(block.sum())
+
+    def test_a_pass_stopped_after_a_layer_gives_its_blocks_back(self, path):
+        with TraceReader(path) as reader:
+            with harness._each_layer(reader, self.faulted) as layers:
+                assert len(next(layers)) == self.SHAPE[1]
+            assert mapped_rss(path) <= self.slack()
 
     def test_a_pass_that_raises_mid_layer_gives_its_block_back(self, path):
-        slack = self.SHAPE[1] * PAGE_SLACK_PER_HEAD
+        def failing(layer, head, block):
+            self.faulted(layer, head, block)
+            assert mapped_rss(path) > self.slack()
+            raise ZeroDivisionError
+
         with TraceReader(path) as reader:
-            layer = next(reader.layers())
             with pytest.raises(ZeroDivisionError):
-                for h, block in enumerate(each_head(layer)):
-                    block.sum()
-                    if h == 0:
-                        raise ZeroDivisionError
-            assert mapped_rss(path) <= slack
+                with harness._each_layer(reader, failing) as layers:
+                    next(layers)
+            assert mapped_rss(path) <= self.slack()
+
+    def test_a_whole_pass_keeps_no_block_edges_behind(self, tmp_path):
+        # 2048 blocks of 12 KiB, none page-aligned after the 24-byte header:
+        # the page across each block's edge lies wholly in neither block,
+        # so without the reader's drop of the pages before each block read,
+        # a pass would end holding 8 MiB of them
+        shape = (256, 8, 128, 8)
+        path = tmp_path / "many.tkv"
+        write_trace(SyntheticSource(SyntheticProfile("uniform-random", seed=63), shape), path)
+        with TraceReader(path) as reader:
+            with harness._each_layer(reader, self.faulted) as layers:
+                assert sum(map(len, layers)) == shape[0] * shape[1]
+            assert mapped_rss(path) <= 2 * PAGE_SLACK_PER_HEAD
 
     def test_arrays_in_memory_are_left_alone(self):
         trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=62), (1, 1, 4096, 8))
