@@ -17,6 +17,8 @@ from semkv import (
     read_trace,
     write_trace,
 )
+from semkv.linalg import causal_numerators, causal_scores
+from semkv.separator import column_scores
 
 shape = (2, 8, 256, 16)  # layers, heads, sequence, head_dim
 profiles = [
@@ -46,12 +48,11 @@ clustered = profiles[1]
 print("clustered-heads ground truth (planted head indices per layer):")
 print(" ", clustered_planted_heads(clustered, shape[0], shape[1]))
 
+# the needle head's window scores: the column means of the causal softmax of
+# its last 32 query rows, by the library's kernels
 needle = profiles[2]
-trace = gen_synthetic_trace(needle, shape)
-inputs = trace.head_inputs(0, 0)
-from semkv import window_column_scores
-
-scores = window_column_scores(inputs, 32)
+q, k, _ = gen_synthetic_trace(needle, shape).data[0, 0]
+scores = column_scores(causal_numerators(*causal_scores(q[-32:], k)))
 print(f"\nplanted-needle: window scores peak at position "
       f"{int(np.argmax(scores))} (planted at {needle.needle_position}), "
       f"holding {scores.max():.1%} of the window mass")

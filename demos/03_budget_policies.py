@@ -1,22 +1,19 @@
 """Budget policies side by side: what each one keeps, and what it costs.
 
-Builds one layer's plans under every policy at a 40% budget and prints the
+Plans one layer under every policy at a 50% budget and prints the
 [start, stop) runs each head keeps plus the memory accounting. Also shows the
 middle-activation arithmetic at the reference operating point.
 """
 
-import numpy as np
-
 from semkv import (
     HeadClass,
     PolicyKind,
+    RunConfig,
     SyntheticProfile,
-    apply_policy,
     clustered_planted_heads,
+    compress_run,
     gen_synthetic_trace,
     middle_activation_count,
-    pool_scores,
-    window_column_scores,
 )
 
 print("middle activations at the reference point "
@@ -26,20 +23,17 @@ print(f"  k = {res.k} per non-heterogeneous head (clamped: {res.clamped})\n")
 
 shape = (1, 8, 256, 16)
 profile = SyntheticProfile("clustered-heads", seed=23, planted=2)
-trace = gen_synthetic_trace(profile, shape)
-planted = set(clustered_planted_heads(profile, 1, 8)[0])
-classes = [
-    HeadClass.HETEROGENEOUS if h in planted else HeadClass.NON_HETEROGENEOUS
-    for h in range(8)
-]
-sinks, recents, window, kernel = 4, 16, 16, 7
-pooled = [
-    pool_scores(window_column_scores(h, window), kernel)
-    for h in (trace.head_inputs(0, i) for i in range(8))
-]
-budget = int(np.floor(0.4 * 256 * 8))
-print(f"one layer, n=8, N=256, planted heads {sorted(planted)} heterogeneous, "
-      f"budget 40% -> B={budget}\n")
+planted = clustered_planted_heads(profile, 1, 8)[0]
+# f = 3: the two planted heads and the one closest to the layer's center
+config = RunConfig(
+    profile=profile, shape=shape, policies=tuple(PolicyKind), budget_ratios=(0.5,),
+    beta=3 / 8, top_m=3, window_len=16, kernel=7, sinks=4, recents=16,
+)
+result = compress_run(config, gen_synthetic_trace(profile, shape))
+classes = result.classes[0]
+het = [h for h, c in enumerate(classes) if c == HeadClass.HETEROGENEOUS]
+print(f"one layer, n=8, N=256, planted heads {planted}; heterogeneous {het}; "
+      f"budget 50% -> B={result.plans[('full', 0.5)][0].total_budget}\n")
 
 
 def describe(plan, head):
@@ -53,12 +47,13 @@ def describe(plan, head):
 
 
 for policy in PolicyKind:
-    plan = apply_policy(0, classes, policy, 0.4, sinks, recents, window, pooled)
+    cell = (policy.value, 0.5)
+    (plan,) = result.plans[cell]
     # each head's cache rows: its retained K/V rows plus any group means
-    tokens = plan.retained_tokens()
-    print(f"== {policy.value} (retained {tokens} tokens, "
-          f"{tokens * 2 * 16 * 4} bytes of float32 K/V, {tokens / (256 * 8):.1%} of full)")
-    for h in (sorted(planted)[0], [h for h in range(8) if h not in planted][0]):
+    memory = result.memory(cell)
+    print(f"== {policy.value} (retained {memory.tokens_retained} tokens, {memory.bytes} bytes "
+          f"of float32 K/V, {memory.ratio_vs_full:.1%} of full)")
+    for h in (het[0], classes.index(HeadClass.NON_HETEROGENEOUS)):
         kind = "het" if classes[h] == HeadClass.HETEROGENEOUS else "non"
         print(f"   head {h} ({kind}): {describe(plan, h)}")
     print()

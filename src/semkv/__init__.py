@@ -11,7 +11,6 @@ from .allocator import (
     MemoryFootprint,
     MiddleCount,
     PolicyKind,
-    apply_policy,
     check_plans,
     expand_runs,
     middle_activation_count,
@@ -52,12 +51,7 @@ from .harness import (
     open_source,
     run_all,
 )
-from .linalg import (
-    AttentionInputs,
-    attention_weights,
-    pca_2d,
-    spectral_norm,
-)
+from .linalg import pca_2d, spectral_norm
 from .separator import (
     HeadClass,
     HeterogeneitySchedule,
@@ -66,9 +60,7 @@ from .separator import (
     classify_heads,
     head_distances,
     heterogeneous_schedule,
-    semantic_vector_full,
     top_t_indices,
-    window_column_scores,
 )
 from .trace import (
     AttentionTrace,

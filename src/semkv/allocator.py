@@ -8,10 +8,10 @@ B = floor(budget_ratio * N * n) tokens. What a cell fixes for a layer
 before any head is planned (B, k, the clamp, whether every head keeps
 everything) is its `LayerFacts`, and `layer_facts` is the one place that
 decides them and the cell's feasibility there: a run maps it over f(r)
-before any layer is read, and `apply_policy` calls it for its layer. A
-head's keep needs only the facts, its class and its pooled scores, so a
-head can be planned under each class before the layer is classified, and
-`apply_policy` is the loop over heads.
+before any layer is read. A head's keep needs only the facts, its class
+and its pooled scores, so a head can be planned under each class before
+the layer is classified, and a layer's plan is its heads' keeps
+(`LayerFacts.plan`).
 
 A plan holds what each head keeps as ranges: its retained positions as an
 (r, 2) array of maximal [start, stop) runs, and its compressed-cache
@@ -489,25 +489,6 @@ def layer_facts(
     except InfeasibleBudgetError as exc:
         raise InfeasibleBudgetError(f"layer {layer}: {exc}") from exc
     return facts._replace(k=k, clamped=clamped)
-
-
-def apply_policy(
-    layer: int,
-    head_classes: list[HeadClass],
-    policy: PolicyKind,
-    budget_ratio: float,
-    sinks: int,
-    recents: int,
-    window_len: int,
-    pooled: list[np.ndarray],
-) -> BudgetPlan:
-    """Plan one layer under `policy` from its heads' pooled window scores:
-    the layer's facts, then each head's keep."""
-    n, seq_len = len(pooled), len(pooled[0])
-    f_r = sum(1 for c in head_classes if c == HeadClass.HETEROGENEOUS)
-    facts = layer_facts(layer, policy, budget_ratio, seq_len, n, f_r, sinks, recents, window_len)
-    keeps = [facts.keep(c, p) for c, p in zip(head_classes, pooled)]
-    return facts.plan(layer, head_classes, keeps)
 
 
 def _check_groups(bounds: np.ndarray, seq_len: int, where: str, what: str = "group") -> None:

@@ -1,13 +1,14 @@
-"""Dense linear-algebra kernels: masked attention, PCA, spectral norm.
+"""Dense linear-algebra kernels: causal scores and softmax numerators, PCA,
+spectral norm.
 
 Everything computes in float64 regardless of how traces are stored, so
 results do not depend on accumulation order quirks of narrower types.
-Attention inputs may hold a trace's float32 K and V at rest: the kernels
-widen what they read, K one `_KEY_BLOCK` of keys at a time into the score
-matrix. Widening is exact, so the bits are those of a float64 trace of the
-same values. A walk over a mapped trace's rows gives their pages back
-(`give_back_pages`) each `_GIVE_BACK_BYTES` it has read, so it holds that
-much of an array at a time, not all of it.
+The kernels read a trace's float32 rows at rest and widen what they read,
+K one `_KEY_BLOCK` of keys at a time into the score matrix. Widening is
+exact, so the bits are those of a float64 trace of the same values. A
+walk over a mapped trace's rows gives their pages back (`give_back_pages`)
+each `_GIVE_BACK_BYTES` it has read, so it holds that much of an array at
+a time, not all of it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def _require_finite(a: np.ndarray, name: str, error: type[Exception] = ValueErro
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Per-head query/key/value states.
+    """Per-head query/key/value states. No library code builds one: the
+    class stays only because the benchmark's span tracer wraps its
+    constructor, and it goes with that tracer (ROADMAP item 19).
 
     `keys` and `values` have shape (seq_len, head_dim). `queries` holds the
     last rows of the sequence: every row, or only the trailing rows a caller
@@ -189,29 +192,6 @@ def causal_numerators(scores: np.ndarray, shift: np.ndarray) -> np.ndarray:
     np.subtract(scores, shift, out=scores)
     np.copyto(scores[len(scores) - rows :], -np.inf, where=_hidden_keys(rows))
     return np.exp(scores, out=scores)
-
-
-def attention_numerators(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
-    """The causal softmax numerators E, (N, rows), of the last `rows` query
-    rows over every key (`causal_numerators` of `causal_scores`); `rows`
-    defaults to every query row `inputs` holds."""
-    held = len(inputs.queries)
-    rows = held if rows is None else rows
-    if not 1 <= rows <= held:
-        raise DimensionError(f"rows {rows} outside [1, {held}]")
-    return causal_numerators(*causal_scores(inputs.queries[held - rows :], inputs.keys))
-
-
-def attention_weights(inputs: AttentionInputs, rows: int | None = None) -> np.ndarray:
-    """Causal attention softmax(Q K^T / sqrt(d)) of the last `rows` query
-    rows over every key, shape (rows, N); `rows` defaults to every query row
-    `inputs` holds. Row i attends the keys up to its own position.
-
-    The result is the transposed view of the softmax, normalised in place
-    on `attention_numerators`.
-    """
-    numerators = attention_numerators(inputs, rows)
-    return np.divide(numerators, numerators.sum(axis=0), out=numerators).T
 
 
 def _fix_sign(axis: np.ndarray) -> np.ndarray:

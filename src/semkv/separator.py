@@ -1,9 +1,9 @@
 """Semantic vectors, per-layer head distances, and heterogeneity classification.
 
 A head's semantic vector is the column-mean of its causal attention matrix
-weighted into its value states. The production path approximates it from an
-observation window of the last L query rows, keeping only the top-t scoring
-key positions; the exact full-sequence form is kept for verification.
+weighted into its value states. It is approximated from an observation
+window of the last L query rows, keeping only the top-t scoring key
+positions (the exact full-sequence form is the test reference's).
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyInputError, ParameterError
-from .linalg import (
-    AttentionInputs,
-    _rows_per_give_back,
-    attention_numerators,
-    attention_weights,
-    gathered_rows,
-)
+from .linalg import _rows_per_give_back, gathered_rows
 
 
 class HeadClass(str, Enum):
@@ -39,11 +33,6 @@ class HeterogeneitySchedule:
     beta: float
     top_m: int
     per_layer_counts: tuple[int, ...]
-
-
-def semantic_vector_full(inputs: AttentionInputs) -> np.ndarray:
-    """Exact (d,) semantic vector: (column-mean of full causal attention) @ V."""
-    return attention_weights(inputs, inputs.seq_len).mean(axis=0) @ inputs.values
 
 
 def check_window_len(window_len: int, seq_len: int) -> None:
@@ -67,13 +56,6 @@ def column_scores(numerators: np.ndarray) -> np.ndarray:
         keys = slice(a, a + step)
         np.divide(numerators[keys], totals).mean(axis=1, out=scores[keys])
     return scores
-
-
-def window_column_scores(inputs: AttentionInputs, window_len: int) -> np.ndarray:
-    """(N,) per-key attention mass averaged over the last `window_len`
-    query rows: `column_scores` of their softmax numerators."""
-    check_window_len(window_len, inputs.seq_len)
-    return column_scores(attention_numerators(inputs, window_len))
 
 
 def check_top_t(t: int) -> None:
@@ -154,32 +136,42 @@ def heterogeneous_schedule(
     return HeterogeneitySchedule(beta=beta, top_m=m, per_layer_counts=counts)
 
 
-def classify_heads(distances: np.ndarray, f_r: int) -> list[HeadClass]:
+# Distances at most this many float64 epsilons of a layer's longest semantic
+# vector apart are tied: rounding the center moves each distance by about
+# one, so two heads the same distance from it (two heads always are) are
+# told apart by the tie rule, not by rounding.
+_TIE_EPS = 16
+
+
+def classify_heads(distances: np.ndarray, f_r: int, tie: float = 0.0) -> list[HeadClass]:
     """Mark the f_r - 1 farthest-from-center heads plus the single closest one.
 
     The closest head is drawn from the remaining (non-heterogeneous) set so
-    the result always has exactly f_r heterogeneous heads. Distance ties
-    break toward the lower head index.
+    the result always has exactly f_r heterogeneous heads. Distances at
+    most `tie` apart are ties, which break toward the lower head index.
     """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.shape[0]
     if not 1 <= f_r <= n:
         raise ParameterError(f"f_r {f_r} outside [1, {n}]")
-    classes = [HeadClass.NON_HETEROGENEOUS] * n
-    by_far = np.argsort(-distances, kind="stable")
-    chosen = set(by_far[: f_r - 1].tolist())
-    for idx in np.argsort(distances, kind="stable"):
-        if int(idx) not in chosen:
-            chosen.add(int(idx))
-            break
-    for idx in chosen:
-        classes[idx] = HeadClass.HETEROGENEOUS
-    return classes
+    remaining = list(range(n))
+
+    def pick(target: float) -> int:
+        head = min(h for h in remaining if abs(distances[h] - target) <= tie)
+        remaining.remove(head)
+        return head
+
+    chosen = [pick(distances[remaining].max()) for _ in range(f_r - 1)]
+    chosen.append(pick(distances[remaining].min()))
+    return [
+        HeadClass.HETEROGENEOUS if h in chosen else HeadClass.NON_HETEROGENEOUS for h in range(n)
+    ]
 
 
 def build_layer_profiles(vectors: np.ndarray, f_r: int) -> tuple[np.ndarray, list[HeadClass]]:
     """One layer's classification from its (n, d) semantic vectors: each
-    head's distance to the layer's semantic center, and its class.
+    head's distance to the layer's semantic center, and its class, with
+    distances within `_TIE_EPS` epsilons of the longest vector tied.
 
     f_r == 0 marks every head non-heterogeneous without invoking the
     ranking rule.
@@ -187,4 +179,5 @@ def build_layer_profiles(vectors: np.ndarray, f_r: int) -> tuple[np.ndarray, lis
     _, distances = head_distances(vectors)
     if f_r == 0:
         return distances, [HeadClass.NON_HETEROGENEOUS] * len(distances)
-    return distances, classify_heads(distances, f_r)
+    tie = _TIE_EPS * np.finfo(np.float64).eps * np.linalg.norm(vectors, axis=1).max()
+    return distances, classify_heads(distances, f_r, tie)

@@ -63,7 +63,7 @@ from .errors import (
     TraceTruncationError,
     UnsupportedDtypeError,
 )
-from .linalg import AttentionInputs, _require_finite, _rows_per_give_back, give_back_pages
+from .linalg import _require_finite, _rows_per_give_back, give_back_pages
 
 MAGIC = b"TKV1"
 VERSION = 1
@@ -135,9 +135,9 @@ class AttentionTrace:
 
     `data` has shape (R, n, 3, N, d) where axis 2 orders Q, K, V. float32
     input stays float32 (the at-rest form of every file and generator
-    trace); any other dtype is widened to float64. `head_inputs` widens one
-    head to float64 for computation, which is exact, so every result is the
-    same as on a float64 trace of the same values. `data` is a read-only,
+    trace); any other dtype is widened to float64. A head's pass widens what
+    it reads to float64, which is exact, so every result is the same as on
+    a float64 trace of the same values. `data` is a read-only,
     C-contiguous view, so results depend on the values alone, not on the
     caller's memory layout. A C-contiguous float32 or float64 array passed
     in is not copied, and its owner must therefore leave it unchanged. The
@@ -191,28 +191,10 @@ class AttentionTrace:
         for s in _row_slices(len(rows), _piece_rows(self.head_dim)):
             yield s.start, rows[s]
 
-    def head_inputs(self, layer: int, head: int) -> AttentionInputs:
-        """One head's Q/K/V in float64 through `widen_head`."""
-        return widen_head(self.data[layer, head])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
         return self.header == other.header and np.array_equal(self.data, other.data)
-
-
-def widen_head(block: np.ndarray, queries: int | None = None) -> AttentionInputs:
-    """A checked head's (3, N, d) block in float64: K, V and its last
-    `queries` query rows (all N by default).
-
-    float32 rows are copied, float64 rows viewed. The values are not checked
-    again: every trace and layer source checks its data when it is built
-    or read.
-    """
-    q, k, v = block
-    first = 0 if queries is None else len(q) - queries
-    widened = (np.asarray(m, dtype=np.float64) for m in (q[first:], k, v))
-    return AttentionInputs(*widened, checked=True)
 
 
 @dataclass(frozen=True)
@@ -341,7 +323,8 @@ def _clustered_values(
     def fill(part: np.ndarray, rows: slice) -> None:
         if spread > 0:
             rng.standard_normal(out=part)
-            part *= spread
+            with np.errstate(over="ignore"):  # an inf is rejected once drawn
+                part *= spread
             part += 0.0  # a -0.0 product is +0.0, as when the noise is added to zeros
         else:
             part.fill(0.0)

@@ -10,24 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from semkv.allocator import (
-    PolicyKind,
-    apply_policy,
-    middle_activation_count,
-    pool_scores,
-)
+import reference
+from conftest import layer_plan, window_scores
+from semkv.allocator import PolicyKind, middle_activation_count, pool_scores
 from semkv.cli import main as cli_main
 from semkv.errors import InfeasibleBudgetError
 from semkv.harness import RunConfig, compress_run, fidelity_eval
-from semkv.linalg import AttentionInputs
 from semkv.separator import (
     HeadClass,
-    approx_semantic_vector,
     classify_heads,
     head_distances,
     heterogeneous_schedule,
-    semantic_vector_full,
-    window_column_scores,
 )
 from semkv.trace import (
     SyntheticProfile,
@@ -49,14 +42,19 @@ def test_criterion_01_approximation_oracle():
     worst = 0.0
     for i in range(50):
         seq_len, dim = shapes[i % len(shapes)]
-        trace = gen_synthetic_trace(
-            SyntheticProfile("uniform-random", seed=1000 + i), (1, 2, seq_len, dim)
+        config = RunConfig(
+            profile=SyntheticProfile("uniform-random", seed=1000 + i),
+            shape=(1, 2, seq_len, dim),
+            policies=(PolicyKind.FULL,),
+            budget_ratios=(1.0,),
+            top_m=1,
+            top_t=seq_len,
+            window_len=seq_len,
         )
-        for h in range(2):
-            inputs = trace.head_inputs(0, h)
-            exact = semantic_vector_full(inputs)
-            scores = window_column_scores(inputs, seq_len)
-            approx = approx_semantic_vector(scores, inputs.values, seq_len)
+        trace = gen_synthetic_trace(config.profile, config.shape)
+        vectors = compress_run(config, trace).vectors[0]
+        for approx, block in zip(vectors, trace.data[0].astype(np.float64)):
+            exact = reference.exact_semantic_vector(*block)
             rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
             worst = max(worst, rel)
             assert rel <= 1e-9
@@ -132,14 +130,10 @@ def test_criterion_05_budget_soundness():
             HeadClass.HETEROGENEOUS if h < f_r else HeadClass.NON_HETEROGENEOUS
             for h in range(n)
         ]
-        pooled = [
-            pool_scores(window_column_scores(h, min(8, seq)), 3)
-            for h in (trace.head_inputs(0, i) for i in range(n))
-        ]
+        window = min(8, seq)
+        pooled = [pool_scores(window_scores(q, k, window), 3) for q, k, _ in trace.data[0]]
         for policy in policies:
-            plan = apply_policy(
-                0, classes, policy, ratio, sinks, recents, min(8, seq), pooled,
-            )
+            plan = layer_plan(0, classes, policy, ratio, sinks, recents, window, pooled)
             assert plan.retained_tokens() <= budget
             if policy == PolicyKind.TASK_KV:
                 assert not plan.clamped
@@ -157,10 +151,10 @@ def test_criterion_06_classifier_oracle():
             profile = SyntheticProfile(
                 "clustered-heads", seed=3000 + seed, planted=planted
             )
-            trace = gen_synthetic_trace(profile, (2, 8, 64, 8))
+            data = gen_synthetic_trace(profile, (2, 8, 64, 8)).data.astype(np.float64)
             expected = clustered_planted_heads(profile, 2, 8)
             for r in range(2):
-                vecs = [semantic_vector_full(trace.head_inputs(r, h)) for h in range(8)]
+                vecs = [reference.exact_semantic_vector(*block) for block in data[r]]
                 _, dist = head_distances(vecs)
                 classes = classify_heads(dist, planted + 1)
                 het = {h for h, c in enumerate(classes) if c == HeadClass.HETEROGENEOUS}

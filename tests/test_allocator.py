@@ -16,7 +16,6 @@ from semkv.allocator import (
     POLICIES,
     BudgetPlan,
     PolicyKind,
-    apply_policy,
     check_plans,
     expand_runs,
     footprint,
@@ -36,8 +35,8 @@ from semkv.errors import (
     SemkvError,
 )
 from semkv import harness
-from semkv.harness import RunConfig, RunResult, run_steps, start_run
-from semkv.separator import HeadClass, heterogeneous_schedule, window_column_scores
+from semkv.harness import RunConfig, RunResult, fidelity_eval, run_steps, start_run
+from semkv.separator import HeadClass, heterogeneous_schedule
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -46,8 +45,9 @@ from semkv.trace import (
     gen_synthetic_trace,
 )
 
-# the cache oracle: a plan's rows, gathered per head as fidelity scoring sees them
-from test_harness import built_entries
+import reference
+from conftest import layer_plan, window_scores
+from test_reference import assert_scores_match, reference_fidelity
 
 
 def classes_with_het(n, het):
@@ -143,20 +143,17 @@ def small_trace(seed=0, shape=(1, 4, 48, 6), kind="uniform-random", **kw):
 
 def layer_pooled(trace, layer, window, kernel):
     """The layer's per-head pooled window scores, as `compress_run` computes them."""
-    return [
-        pool_scores(window_column_scores(h, window), kernel)
-        for h in (trace.head_inputs(layer, i) for i in range(trace.num_heads))
-    ]
+    return [pool_scores(window_scores(q, k, window), kernel) for q, k, _ in trace.data[layer]]
 
 
 def plan_for(trace, classes, policy, ratio, sinks=2, recents=4, window=8, kernel=3, layer=0):
-    return apply_policy(
+    return layer_plan(
         layer, classes, policy, ratio, sinks, recents, window,
         layer_pooled(trace, layer, window, kernel),
     )
 
 
-class TestApplyPolicy:
+class TestLayerPlans:
     def test_full_keeps_everything(self):
         trace = small_trace()
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
@@ -288,7 +285,7 @@ class TestCellFacts:
             plan_for(trace, classes_with_het(4, {0}), policy, 0.5, sinks=sinks, recents=recents)
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
-    def test_infeasible_layers_match_apply_policy(self, policy):
+    def test_infeasible_layers_match_the_layer_plans(self, policy):
         # f(r) = 1, 2, 3 over three layers; B = 57 holds one heterogeneous head of 48
         config = cell_config([policy, PolicyKind.FULL], [0.3], top_m=3)
         result = start_run(config, TraceHeader(3, 4, 48, 6), score=False)
@@ -410,7 +407,7 @@ class TestPolicyTable:
                     pooled = [pool_scores(m, kernel) for m in means]
                     for policy in PolicyKind:
                         try:
-                            yield apply_policy(
+                            yield layer_plan(
                                 i % 3, classes, policy, ratio, sinks, recents, window, pooled
                             ).to_json_dict()
                         except SemkvError as exc:
@@ -433,8 +430,8 @@ class TestPolicyTable:
         return legacy
 
     def test_frozen_plans_digest(self):
-        # `PLANS_GRID_SHA256` is frozen from the branch-tree `apply_policy`
-        # the policy table replaced, over index lists: the grid's plans keep
+        # `PLANS_GRID_SHA256` is frozen from the branch-tree planner the
+        # policy table replaced, over index lists: the grid's plans keep
         # the same positions and groups as before they were held as runs.
         # `PLANS_RUNS_GRID_SHA256` freezes the records a plans file holds.
         digest, runs_digest = hashlib.sha256(), hashlib.sha256()
@@ -482,7 +479,7 @@ def policy_layers(draw):
 
 
 class TestPlansPassTheirCheck:
-    """Scoring reads the plans `apply_policy` builds without checking them:
+    """Scoring reads the plans the policy table builds without checking them:
     every feasible cell's plans pass `check_plans`, clamped ones too, and
     a cell raises exactly when its policy is head-aware and B < N f(r)."""
 
@@ -502,9 +499,9 @@ class TestPlansPassTheirCheck:
             if policy in HEAD_AWARE_SLOTS and budget < seq_len * f_r:
                 needed = f"budget {budget} < {seq_len * f_r} needed by {f_r} heterogeneous heads"
                 with pytest.raises(InfeasibleBudgetError, match=f"^layer 0: {needed}$"):
-                    apply_policy(0, classes, policy, ratio, sinks, recents, window, pooled)
+                    layer_plan(0, classes, policy, ratio, sinks, recents, window, pooled)
                 continue
-            plan = apply_policy(0, classes, policy, ratio, sinks, recents, window, pooled)
+            plan = layer_plan(0, classes, policy, ratio, sinks, recents, window, pooled)
             assert check_plans(header, [plan]) == [plan]
 
 
@@ -512,15 +509,15 @@ class TestKeepsByClass:
     """A run plans each head under each class before the layer is
     classified (`LayerFacts.keep_by_class`, from the layer's facts, which
     need only the shape and f(r)), then takes each head's keep under its
-    class: whichever f(r) heads turn out heterogeneous, the plan is
-    `apply_policy`'s, bit for bit."""
+    class: whichever f(r) heads turn out heterogeneous, the plan is the one
+    each head's keep under its given class makes, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(policy_layers(), st.randoms(use_true_random=False))
     @example((4, 48, classes_with_het(4, {0}), [np.arange(48.0)] * 4, 0.3, 2, 4, 8), None)
     @example((2, 8, classes_with_het(2, {0, 1}), [np.ones(8)] * 2, 1.0, 0, 0, 1), None)
     @example((3, 40, classes_with_het(3, set()), [np.arange(40.0)] * 3, 0.5, 30, 20, 40), None)
-    def test_keeps_assembled_by_class_are_apply_policys_plans(self, layer, random):
+    def test_keeps_assembled_by_class_are_the_layer_plans(self, layer, random):
         n, seq_len, classes, pooled, ratio, sinks, recents, window = layer
         f_r = classes.count(HeadClass.HETEROGENEOUS)
         # the drawn classes, and another layer of the same f(r)
@@ -534,7 +531,7 @@ class TestKeepsByClass:
             for head_classes in (classes, shuffled):
                 keeps = [keep[c] for keep, c in zip(by_class, head_classes)]
                 plan = facts.plan(0, head_classes, keeps)
-                expected = apply_policy(
+                expected = layer_plan(
                     0, head_classes, policy, ratio, sinks, recents, window, pooled
                 )
                 assert json.dumps(plan.to_json_dict()) == json.dumps(expected.to_json_dict())
@@ -597,97 +594,9 @@ class TestBudgetProperties:
                 np.testing.assert_array_equal(idx, np.arange(48))
 
 
-def built_footprint(trace, plans):
-    """`footprint` of the rows the built cache holds."""
-    entries = built_entries(trace, plans)
-    return footprint(sum(len(e.positions) for layer in entries for e in layer), trace)
-
-
-class TestCompressedCacheBuild:
-    def test_full_policy_copies_trace(self):
-        trace = small_trace(seed=40)
-        plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
-        cache = built_entries(trace, [plan])
-        for h in range(4):
-            entry = cache[0][h]
-            np.testing.assert_array_equal(entry.keys, trace.data[0, h, 1])
-            np.testing.assert_array_equal(entry.values, trace.data[0, h, 2])
-            assert not entry.synthetic.any()
-
-    def test_zero_middle_keeps_sinks_plus_recents(self):
-        trace = small_trace(seed=41, shape=(1, 4, 64, 6))
-        plan = plan_for(
-            trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.3, sinks=4, recents=8
-        )
-        assert plan.middle_k == 0
-        cache = built_entries(trace, [plan])
-        for h in (1, 2, 3):
-            assert len(cache[0][h].positions) == 12
-
-    def test_rows_match_mapped_positions(self):
-        trace = small_trace(seed=42)
-        plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.5)
-        cache = built_entries(trace, [plan])
-        for h in range(4):
-            entry = cache[0][h]
-            for row, pos in enumerate(entry.positions):
-                np.testing.assert_array_equal(entry.keys[row], trace.data[0, h, 1, pos])
-                np.testing.assert_array_equal(entry.values[row], trace.data[0, h, 2, pos])
-
-    def test_synthetic_rows_are_group_means(self):
-        trace = small_trace(seed=43)
-        plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.COMPRESSED_CACHE, 0.5)
-        cache = built_entries(trace, [plan])
-        entry = cache[0][1]
-        assert entry.synthetic.sum() == len(plan.per_head_groups[1])
-        groups = iter(plan.per_head_groups[1])
-        wide = trace.data.astype(np.float64)
-        for row in range(len(entry.positions)):
-            if entry.synthetic[row]:
-                a, b = next(groups)
-                assert entry.positions[row] == a
-                np.testing.assert_allclose(
-                    entry.keys[row], wide[0, 1, 1, a:b].mean(axis=0), rtol=1e-12
-                )
-                np.testing.assert_allclose(
-                    entry.values[row], wide[0, 1, 2, a:b].mean(axis=0), rtol=1e-12
-                )
-
-    def test_positions_strictly_increasing(self):
-        trace = small_trace(seed=44)
-        for policy in TestBudgetProperties.POLICIES:
-            plan = plan_for(trace, classes_with_het(4, {0}), policy, 0.5)
-            cache = built_entries(trace, [plan])
-            for h in range(4):
-                pos = cache[0][h].positions
-                assert (np.diff(pos) > 0).all()
-
-    def test_layer_count_mismatch_rejected(self):
-        trace = small_trace(seed=45, shape=(2, 4, 48, 6))
-        plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
-        with pytest.raises(CacheConsistencyError):
-            built_entries(trace, [plan])
-
-    def test_full_keep_entries_share_trace_rows(self):
-        trace = small_trace(seed=46)
-        plan = plan_for(trace, classes_with_het(4, {0}), PolicyKind.TASK_KV, 0.5)
-        cache = built_entries(trace, [plan])
-        full_keep, partial = cache[0][0], cache[0][1]
-        assert len(full_keep.positions) == 48 and len(partial.positions) < 48
-        for arr in (full_keep.keys, full_keep.values):
-            assert np.shares_memory(arr, trace.data)
-            assert not arr.flags.writeable
-        for arr in (partial.keys, partial.values):
-            assert not np.shares_memory(arr, trace.data)
-
-    def test_sinks_plus_recents_covering_sequence_share_rows(self):
-        trace = small_trace(seed=47, shape=(1, 4, 10, 6))
-        plan = plan_for(
-            trace, classes_with_het(4, set()), PolicyKind.TASK_KV, 0.5, sinks=6, recents=6
-        )
-        cache = built_entries(trace, [plan])
-        for h in range(4):
-            assert np.shares_memory(cache[0][h].keys, trace.data)
+def plans_footprint(trace, plans):
+    """`footprint` of the cache rows the plans hold."""
+    return footprint(sum(plan.retained_tokens() for plan in plans), trace)
 
 
 def _ranges(pairs):
@@ -741,14 +650,10 @@ class TestGroupMeans:
         return AttentionTrace(TraceHeader(r, n, seq_len, d), np.asarray(data, order=order))
 
     def assert_means(self, trace, groups, heads):
-        plan = _plan_with([[]] * heads, [groups] * heads)
-        cache = built_entries(trace, [plan])
+        check_plans(trace, [_plan_with([[]] * heads, [groups] * heads)])
         for h in range(heads):
-            entry = cache[0][h]
-            assert entry.synthetic.all()
-            np.testing.assert_array_equal(entry.positions, [a for a, _ in groups])
-            assert np.array_equal(entry.keys, self.oracle(trace.data[0, h, 1], groups))
-            assert np.array_equal(entry.values, self.oracle(trace.data[0, h, 2], groups))
+            for rows in trace.data[0, h, 1:]:
+                assert np.array_equal(group_means(rows, _ranges(groups)), self.oracle(rows, groups))
 
     @pytest.mark.parametrize("head_dim", [1, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -783,6 +688,20 @@ class TestGroupMeans:
         assert trace.data.flags.c_contiguous
         self.assert_means(trace, self.CASES["many-long"], heads=2)
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_interleaves_with_retained_rows(self, case):
+        # each group's mean row sits at its start, among rows kept outside the
+        # groups, in layouts the allocator never makes
+        groups = self.CASES[case]
+        inside = {p for a, b in groups for p in range(a, b)}
+        plans = [_plan_with([[p for p in range(self.N) if p % 3 and p not in inside]], [groups])]
+        trace = small_trace(seed=73, shape=(1, 1, self.N, 5))
+        check_plans(trace, plans)
+        for decode_queries in (1, 8, self.N):
+            fid = fidelity_eval(trace, plans, decode_queries)
+            expected = reference_fidelity(trace.data[0, 0], decode_queries, plans[0].head_plan(0))
+            assert_scores_match(fid.per_head_l2, fid.per_head_cosine, [[expected]])
+
     @pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9])
     def test_policy_groups_equal_per_group_mean(self, ratio):
         trace = self.float64_trace(74, (1, 4, 300, 6))
@@ -790,28 +709,10 @@ class TestGroupMeans:
             trace, classes_with_het(4, {0}), PolicyKind.COMPRESSED_CACHE, ratio,
             sinks=4, recents=8,
         )
-        cache = built_entries(trace, [plan])
         for h in (1, 2, 3):
             groups = plan.per_head_groups[h]
-            entry = cache[0][h]
-            assert np.array_equal(
-                entry.keys[entry.synthetic], self.oracle(trace.data[0, h, 1], groups)
-            )
-            assert np.array_equal(
-                entry.values[entry.synthetic], self.oracle(trace.data[0, h, 2], groups)
-            )
-
-    def test_interleaves_with_retained_rows(self):
-        trace = small_trace(seed=73, shape=(1, 1, self.N, 5))
-        groups = self.CASES["gapped-long"]
-        plan = _plan_with([[0, 5, 20, 39]], [groups])
-        entry = built_entries(trace, [plan])[0][0]
-        np.testing.assert_array_equal(entry.positions, [0, 1, 5, 10, 20, 25, 31, 39])
-        wide_keys = trace.data[0, 0, 1].astype(np.float64)
-        expected = dict(zip([a for a, _ in groups], self.oracle(wide_keys, groups)))
-        for row, pos in enumerate(entry.positions):
-            want = expected[pos] if entry.synthetic[row] else trace.data[0, 0, 1, pos]
-            assert np.array_equal(entry.keys[row], want)
+            for rows in trace.data[0, h, 1:]:
+                assert np.array_equal(group_means(rows, groups), self.oracle(rows, groups))
 
 
 class TestPlanConsistency:
@@ -888,6 +789,12 @@ class TestPlanConsistency:
         with pytest.raises(CacheConsistencyError, match="head classes cover 3 heads"):
             check_plans(trace, [plan])
 
+    def test_layer_count_mismatch_rejected(self):
+        trace = small_trace(seed=45, shape=(2, 4, 48, 6))
+        plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
+        with pytest.raises(CacheConsistencyError, match="1 plans for 2 layers"):
+            check_plans(trace, [plan])
+
     def test_plan_for_another_layer_rejected(self):
         trace = small_trace(seed=84, shape=(2, 4, 48, 6))
         plans = [_plan_with([[0, 1]] * 4), _plan_with([[0, 1]] * 4)]
@@ -943,7 +850,7 @@ class TestMemoryFootprint:
     def test_full_cache_ratio_one(self):
         trace = small_trace(seed=50)
         plan = plan_for(trace, classes_with_het(4, set()), PolicyKind.FULL, 1.0)
-        mem = built_footprint(trace, [plan])
+        mem = plans_footprint(trace, [plan])
         assert mem.ratio_vs_full == 1.0
         assert mem.tokens_retained == 4 * 48
         assert mem.bytes == 4 * 48 * 2 * 6 * 4
@@ -954,7 +861,7 @@ class TestMemoryFootprint:
             trace, classes_with_het(1, set()), PolicyKind.STREAMING,
             272 / 1024, sinks=16, recents=256,
         )
-        mem = built_footprint(trace, [plan])
+        mem = plans_footprint(trace, [plan])
         assert mem.ratio_vs_full == pytest.approx(272 / 1024)
 
     def test_task_kv_ratio_bounded_by_budget(self):
@@ -964,31 +871,31 @@ class TestMemoryFootprint:
         for r in range(2):
             classes = classes_with_het(8, {0, 1})
             plans.append(
-                apply_policy(
+                layer_plan(
                     r, classes, PolicyKind.TASK_KV, 0.4, 2, 4, 8, layer_pooled(trace, r, 8, 3)
                 )
             )
-        mem = built_footprint(trace, plans)
+        mem = plans_footprint(trace, plans)
         assert mem.ratio_vs_full <= 0.4 + 8 / (128 * 8)
 
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
-    def test_plan_accounting_equals_built_cache_rows(self, policy):
+    def test_plan_accounting_equals_the_reference_cache_rows(self, policy):
         trace = small_trace(seed=53, shape=(2, 8, 128, 8), kind="clustered-heads", planted=2)
         classes = classes_with_het(8, {0, 1})
-        plans = [
-            apply_policy(r, classes, policy, 0.5, 2, 4, 8, layer_pooled(trace, r, 8, 3))
-            for r in range(2)
-        ]
+        pooled = [layer_pooled(trace, r, 8, 3) for r in range(2)]
+        plans = [layer_plan(r, classes, policy, 0.5, 2, 4, 8, pooled[r]) for r in range(2)]
         # the accounting a run reports, gathered layer by layer
         result = RunResult(trace.header, schedule=None, window_len=8)
         for plan in plans:
             result.add_head_tokens({(policy.value, 0.5): plan})
-        assert result.memory((policy.value, 0.5)) == built_footprint(trace, plans)
-        cache = built_entries(trace, plans)
-        for r, plan in enumerate(plans):
-            for h in range(8):
-                assert plan.head_tokens(h) == len(cache[r][h].positions)
+        assert result.memory((policy.value, 0.5)) == plans_footprint(trace, plans)
+        # the rows the reference keeps from the same classes and pooled scores
+        cell = reference.Cell(policy.value, 0.5, 2, 4, 8)
+        het = [c == HeadClass.HETEROGENEOUS for c in classes]
+        for plan, scores in zip(plans, pooled):
+            keeps = cell.keeps(8, 2, het, scores)
+            assert [plan.head_tokens(h) for h in range(8)] == [len(p) + len(g) for p, g in keeps]
 
 
 class TestPlanSerialization:

@@ -1112,6 +1112,10 @@ class TestErrorReporting:
             (["gen", *SMALL, "--spread", "1e300"], "TraceFormatError"),
             (["gen", "--profile", "planted-needle", "--shape", "1,4,64,8",
               "--needle-strength", "1e39"], "TraceFormatError"),
+            # near the float64 maximum, the spread product itself overflows
+            (["gen", *SMALL, "--spread", "1e308"], "TraceFormatError"),
+            (["all", *SMALL, "--spread", "1e308"], "TraceFormatError"),
+            (["compress", *SMALL, "--spread", "1e308"], "TraceFormatError"),
         ],
     )
     def test_non_finite_synthetic_values_are_json_errors(self, tmp_path, capsys, argv, error):

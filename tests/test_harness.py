@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -15,18 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semkv import harness
-from semkv.allocator import (
-    HEAD_AWARE_SLOTS,
-    BudgetPlan,
-    PolicyKind,
-    apply_policy,
-    check_plans,
-    expand_runs,
-    footprint,
-    group_means,
-    pool_scores,
-)
+from semkv.allocator import HEAD_AWARE_SLOTS, BudgetPlan, PolicyKind, check_plans, expand_runs
 from semkv.errors import (
     CacheConsistencyError,
     InfeasibleBudgetError,
@@ -38,7 +26,6 @@ from semkv.harness import (
     _SAFE,
     _HeadNumerators,
     _rows_cosine,
-    build_eval_report,
     check_decode_queries,
     compress_run,
     export_pca_csv,
@@ -48,14 +35,8 @@ from semkv.harness import (
     run_all,
     score_plans,
 )
-from semkv.linalg import _KEY_BLOCK, AttentionInputs, _key_blocks
-from semkv.separator import (
-    HeadClass,
-    approx_semantic_vector,
-    build_layer_profiles,
-    column_scores,
-    top_t_indices,
-)
+from semkv.linalg import _KEY_BLOCK
+from semkv.separator import HeadClass, approx_semantic_vector
 from semkv.trace import (
     AttentionTrace,
     SyntheticProfile,
@@ -63,11 +44,11 @@ from semkv.trace import (
     clustered_planted_heads,
     gen_synthetic_trace,
     read_trace,
-    widen_head,
 )
 
-# the softmax oracles that mask the whole score matrix
-from test_linalg import masked_softmax, row_major_attention_weights
+import reference
+from conftest import window_scores
+from test_reference import assert_run_matches_reference, assert_scores_match, reference_fidelity
 
 ALL_POLICIES = tuple(PolicyKind)
 
@@ -237,136 +218,6 @@ class TestFidelityEval:
             assert np.array_equal(again.per_head_cosine, first.per_head_cosine)
 
 
-@dataclasses.dataclass
-class CacheEntry:
-    """Retained K/V rows for one head, ordered by original position: the
-    cache a plan describes, as the fidelity oracle attends over it.
-
-    `positions[i]` is the original index of row i; synthetic group-mean rows
-    carry their group's start position and are flagged in `synthetic`.
-    """
-
-    keys: np.ndarray
-    values: np.ndarray
-    positions: np.ndarray
-    synthetic: np.ndarray
-
-    def __post_init__(self):
-        if not (
-            len(self.keys) == len(self.values) == len(self.positions) == len(self.synthetic)
-        ):
-            raise CacheConsistencyError("cache entry arrays disagree on row count")
-        if np.any(np.diff(self.positions) <= 0):
-            raise CacheConsistencyError("cache positions must be strictly increasing")
-
-
-def keeps_every_position(plan, head, seq_len) -> bool:
-    """Whether the head's cache is the whole sequence and nothing else: its
-    runs are the one run [0, N) and it has no groups. Scoring branched on
-    it before the full cache was a plan of the block pass."""
-    runs = plan.per_head_runs[head]
-    whole = runs.shape == (1, 2) and runs[0, 0] == 0 and runs[0, 1] == seq_len
-    return bool(whole) and (plan.per_head_groups is None or not len(plan.per_head_groups[head]))
-
-
-def build_head_entry(block, plan, head) -> CacheEntry:
-    """One head's retained K/V rows (plus synthetic group means) out of its
-    (3, N, d) Q/K/V block.
-
-    `plan` is the block's layer plan, already passed through `check_plans`. A
-    head that keeps every position holds read-only views of the block's
-    rows, in its dtype; other heads hold float64 copies of the rows they
-    keep, gathered from the block and then widened.
-    """
-    n_seq = block.shape[1]
-    idx, groups = plan.head_plan(head)
-    keys, values = block[1], block[2]
-    synthetic = np.zeros(idx.size, dtype=bool)
-    if keeps_every_position(plan, head, n_seq):
-        return CacheEntry(keys, values, idx, synthetic)
-    k_rows = np.asarray(keys[idx], dtype=np.float64)
-    v_rows = np.asarray(values[idx], dtype=np.float64)
-    positions = idx
-    if len(groups):
-        k_rows = np.concatenate([k_rows, group_means(keys, groups)])
-        v_rows = np.concatenate([v_rows, group_means(values, groups)])
-        positions = np.concatenate([positions, groups[:, 0]])
-        synthetic = np.concatenate([synthetic, np.ones(len(groups), dtype=bool)])
-        order = np.argsort(positions, kind="stable")
-        k_rows, v_rows = k_rows[order], v_rows[order]
-        positions, synthetic = positions[order], synthetic[order]
-    return CacheEntry(k_rows, v_rows, positions, synthetic)
-
-
-def decode_output(inputs: AttentionInputs, decode_queries: int) -> np.ndarray:
-    """Full-cache attention outputs of the last `decode_queries` query rows,
-    shape (decode_queries, d): one row-major masked softmax over every key,
-    times V."""
-    return row_major_attention_weights(inputs, decode_queries) @ inputs.values
-
-
-def decode_outputs(layer, decode_queries):
-    """`decode_output` of every head of a checked (n, 3, N, d) layer, shape
-    (n, decode_queries, d)."""
-    return np.stack(
-        [decode_output(widen_head(block, decode_queries), decode_queries) for block in layer]
-    )
-
-
-def built_entries(trace, plans):
-    """Every head's `build_head_entry`, [layer][head]: the whole cache the
-    plans describe, built at once, once they pass `check_plans`."""
-    return [
-        [build_head_entry(trace.data[r, h], plan, h) for h in range(trace.num_heads)]
-        for r, plan in enumerate(check_plans(trace, plans))
-    ]
-
-
-def cache_oracle_fidelity(trace, plans, decode_queries):
-    """Reference fidelity: build the whole cache, then score every head's
-    entry with its own masked softmax."""
-    cache = built_entries(trace, plans)
-    full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
-    first_row = trace.seq_len - decode_queries
-    l2 = np.empty((trace.num_layers, trace.num_heads))
-    cos = np.empty((trace.num_layers, trace.num_heads))
-    for r in range(trace.num_layers):
-        for h in range(trace.num_heads):
-            inputs = trace.head_inputs(r, h)
-            entry = cache[r][h]
-            q = inputs.queries[first_row:]
-            scores = (q @ entry.keys.T) / np.sqrt(float(trace.head_dim))
-            visible = (
-                entry.positions[None, :] <= (first_row + np.arange(decode_queries))[:, None]
-            )
-            retained_out = masked_softmax(scores, visible) @ entry.values
-            diff = full[r, h] - retained_out
-            l2[r, h] = float(np.linalg.norm(diff, axis=1).mean())
-            cos[r, h] = float(_rows_cosine(full[r, h], retained_out).mean())
-    return l2, cos
-
-
-# How far head-major scoring may move from the cache oracle: it sums the
-# softmax in another order, under a shared shift. Measured maxima over the
-# `TestFidelityFromPlans` traces: L2 4.5e-13 relative, 1.7e-15 of the
-# head's mean full-output norm (an L2 the oracle scores exactly 0), and
-# cosine 1.7e-16 absolute.
-ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-14
-
-
-def assert_matches_cache_oracle(trace, plans, decode_queries):
-    """`fidelity_eval` of `plans` agrees with `cache_oracle_fidelity`: per
-    head within ORACLE_RTOL relative plus ORACLE_ATOL of the head's mean
-    full-output norm (L2), or ORACLE_ATOL absolute (cosine)."""
-    fid = fidelity_eval(trace, plans, decode_queries)
-    l2, cos = cache_oracle_fidelity(trace, plans, decode_queries)
-    full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
-    scale = np.linalg.norm(full, axis=-1).mean(axis=-1)
-    assert np.all(np.abs(fid.per_head_l2 - l2) <= ORACLE_RTOL * l2 + ORACLE_ATOL * scale)
-    assert np.all(np.abs(fid.per_head_cosine - cos) <= ORACLE_RTOL * np.abs(cos) + ORACLE_ATOL)
-    return fid
-
-
 def fortran_float64_trace(seed, shape):
     """Fortran-ordered float64 trace with magnitudes spread over six decades."""
     rng = np.random.default_rng(seed)
@@ -428,23 +279,25 @@ class TestFidelityFromPlans:
     }
 
     @pytest.mark.parametrize("name", sorted(TRACES))
-    def test_matches_whole_cache_oracle(self, name):
+    def test_matches_the_reference(self, name):
         trace = self.TRACES[name]()
         cfg = clustered_config(policies=ALL_POLICIES, budget_ratios=(0.4, 0.7, 1.0))
-        result = compress_run(cfg, trace)
-        assert len(result.plans) == 18
-        for plans in result.plans.values():
-            assert_matches_cache_oracle(trace, plans, 8)
+        plans = list(compress_run(cfg, trace).plans.values())
+        assert len(plans) == 18
+        TestBlockPass.assert_matches_reference(trace, plans, 8)
 
     def test_rows_whose_retained_keys_underflow_are_rescored(self):
         trace = underflow_trace()
         for groups in (None, [[4, 20], [20, 56]]):
-            fid = assert_matches_cache_oracle(trace, [head_plan([[0, 4], [56, 64]], groups)], 8)
+            plan = head_plan([[0, 4], [56, 64]], groups)
+            fid = fidelity_eval(trace, [plan], 8)
+            expected = reference_fidelity(trace.data[0, 0], 8, plan.head_plan(0))
+            assert_scores_match(fid.per_head_l2, fid.per_head_cosine, [[expected]])
             assert np.isfinite(fid.per_head_l2).all() and np.isfinite(fid.per_head_cosine).all()
             # a blind row would score cosine 0 and L2 ||o||; these rows see
             # retained keys, whose values point the way the full output does
             assert fid.per_head_cosine[0, 0] > 0.9
-            full_norm = np.linalg.norm(decode_outputs(trace.data[0], 8)[0], axis=1).mean()
+            full_norm = np.linalg.norm(reference_outputs(trace.data[0, 0], 8), axis=1).mean()
             assert fid.per_head_l2[0, 0] < full_norm / 2
 
     def test_layer_count_mismatch_rejected(self):
@@ -455,29 +308,31 @@ class TestFidelityFromPlans:
             fidelity_eval(trace, plans[:1], 8)
 
 
-# How far `_HeadNumerators.full` may move from the `decode_output` oracle,
+def reference_outputs(block, decode_queries):
+    """The reference's full-cache decode outputs of a (3, N, d) block, (decode_queries, d)."""
+    q, k, v = block.astype(np.float64)
+    rows = np.arange(len(k) - decode_queries, len(k))
+    return reference.attention(q[rows], rows, k, np.arange(len(k))) @ v
+
+
+# How far `_HeadNumerators`' full outputs may move from the reference's,
 # per head, as a fraction of the head's largest |o|: it sums the softmax
 # and its V product in blocks of keys under the same row max, and divides
-# after the V product. Measured maxima: 2.5e-15 over the
-# `TestFidelityFromPlans` traces at every decode count below, 1.2e-15 on
-# the benchmark's two traces (1.2e-14 with `PreChangeFull`'s denominator).
+# after the V product.
 FULL_OUTPUT_TOL = 5e-14
 
 
 class TestFullOutputs:
-    """The full-cache decode outputs have one home, `_HeadNumerators`; the
-    one masked softmax per head they replaced is the oracle."""
+    """The full-cache decode outputs have one home, `_HeadNumerators`."""
 
     @pytest.mark.parametrize("decode_queries", [1, 5, 16, 128])  # 16 is the window, 128 N
     @pytest.mark.parametrize("name", sorted(TestFidelityFromPlans.TRACES))
-    def test_full_outputs_match_decode_output_oracle(self, name, decode_queries):
+    def test_full_outputs_match_the_reference(self, name, decode_queries):
         trace = TestFidelityFromPlans.TRACES[name]()
-        for layer in trace.data:
-            expected = decode_outputs(layer, decode_queries)
-            for h, block in enumerate(layer):
-                full = full_outputs(block, decode_queries)
-                scale = np.abs(expected[h]).max()
-                assert np.all(np.abs(full - expected[h]) <= FULL_OUTPUT_TOL * scale)
+        for block in trace.data.reshape(-1, *trace.data.shape[2:]):
+            expected = reference_outputs(block, decode_queries)
+            full = full_outputs(block, decode_queries)
+            assert np.all(np.abs(full - expected) <= FULL_OUTPUT_TOL * np.abs(expected).max())
 
     @pytest.mark.parametrize("count", [0, 129])
     def test_decode_count_outside_one_to_n_rejected(self, count):
@@ -493,16 +348,6 @@ class TestFullOutputs:
         assert check_decode_queries(128, 128) == 128
 
 
-def score_layer(data, plans, decode_queries):
-    """Per plan, the (n,) L2 and cosine arrays of one layer's (n, 3, N, d)
-    `data` under `plans`, each head scored once in turn by the run's
-    per-head scorer, `_score_head`."""
-    plan_sets = [[plan] for plan in plans]
-    return harness._layer_scores([
-        harness._score_head(plan_sets, decode_queries, 0, h, block) for h, block in enumerate(data)
-    ])
-
-
 def full_outputs(block, decode_queries):
     """A head's full-cache decode outputs, the first of `_HeadNumerators.outputs`."""
     return _HeadNumerators(block, decode_queries).outputs()[0]
@@ -515,105 +360,6 @@ def head_outputs(block, decode_queries, heads):
     numerators = _HeadNumerators(block, decode_queries, [head.groups for head in heads])
     full, *retained = numerators.outputs(heads)
     return numerators, full, retained
-
-
-def oracle_retained_output(head, values, plan) -> np.ndarray:
-    """Decode outputs over a checked plan's `HeadPlan`'s retained rows and
-    group means, (decode_queries, d), from `head`'s numerators (a
-    `_HeadNumerators`), with every retained V row gathered and widened and
-    one product over all of them: the per-cell scoring the block pass
-    replaced, kept bit for bit. The first cache position is the first of
-    the sorted positions of its cache rows."""
-    out = np.zeros((len(head.rows), values.shape[1]))
-    positions = np.sort(np.concatenate([plan.retained, plan.groups[:, 0]]))
-    first = int(positions[0]) if positions.size else int(head.rows[-1]) + 1
-    blind = min(max(first - int(head.rows[0]), 0), len(head.rows))
-    if blind == len(head.rows):
-        return out
-    idx, groups, rows = plan.retained, plan.groups, head.rows[blind:]
-    starts = groups[:, 0]
-    group_scores = np.empty((0, len(rows)))
-    weights = head.numerators[idx, blind:]
-    v = np.asarray(values[idx], dtype=np.float64)
-    if len(groups):
-        group_scores = group_means(head.scores(), groups)[:, blind:]
-        with np.errstate(over="ignore"):
-            group_weights = np.exp(group_scores - head.shift[blind:])
-        group_weights[starts[:, None] > rows] = 0.0
-        weights = np.concatenate([weights, group_weights])
-        v = np.concatenate([v, group_means(values, groups)])
-    total = weights.sum(axis=0)
-    rescue = ~((total >= 1 / _SAFE) & (total <= _SAFE))
-    if rescue.any():
-        own = np.concatenate([head.scores()[idx, blind:][:, rescue], group_scores[:, rescue]])
-        own[np.concatenate([idx, starts])[:, None] > rows[rescue]] = -np.inf
-        weights[:, rescue] = np.exp(own - own.max(axis=0))
-        total[rescue] = weights[:, rescue].sum(axis=0)
-    out[blind:] = (weights.T @ v) / total[:, None]
-    return out
-
-
-class PreChangeFull(_HeadNumerators):
-    """Numerators whose full-cache outputs are summed as they were before
-    the full cache was a plan of the block pass: each key block's
-    E[b]^T V[b] added up, then divided by one sum of every numerator,
-    E^T V / sum E, where the block pass adds up each block's row sums."""
-
-    def outputs(self, heads=()):
-        outputs = super().outputs(heads)
-        full = np.zeros_like(outputs[0])
-        for at, rows in _key_blocks(self._block[2]):
-            full += self.numerators[at].T @ rows
-        full /= self.numerators.sum(axis=0)[:, None]
-        outputs[0] = full
-        return outputs
-
-
-def pre_change_score_layer(data, plans, decode_queries):
-    """`score_layer` as it was before the full cache was a plan of the
-    block pass, kept bit for bit: `PreChangeFull`'s full outputs, and a
-    head that keeps every position scored L2 0 and their self-cosine
-    without a pass of its own."""
-    n_heads, _, seq_len, _ = data.shape
-    scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
-    for h, block in enumerate(data):
-        cells = {
-            c: plan.head_plan(h)
-            for c, plan in enumerate(plans)
-            if not keeps_every_position(plan, h, seq_len)
-        }
-        heads = list(cells.values())
-        head = PreChangeFull(block, decode_queries, [c.groups for c in heads])
-        full, *retained = head.outputs(heads)
-        retained = dict(zip(cells, retained))
-        self_cosine = float(_rows_cosine(full, full).mean())
-        for c, (l2, cos) in enumerate(scores):
-            if c not in retained:
-                l2[h], cos[h] = 0.0, self_cosine
-                continue
-            l2[h] = float(np.linalg.norm(full - retained[c], axis=1).mean())
-            cos[h] = float(_rows_cosine(full, retained[c]).mean())
-    return scores
-
-
-def oracle_score_layer(data, plans, decode_queries, numerators=PreChangeFull):
-    """`score_layer` as it was before the block pass: each head's full
-    outputs from `numerators(block, decode_queries).outputs()`, and each
-    cell's retained outputs from `oracle_retained_output`."""
-    n_heads, _, seq_len, _ = data.shape
-    scores = [(np.empty(n_heads), np.empty(n_heads)) for _ in plans]
-    for h, block in enumerate(data):
-        head = numerators(block, decode_queries)
-        full = head.outputs()[0]
-        self_cosine = float(_rows_cosine(full, full).mean())
-        for (l2, cos), plan in zip(scores, plans):
-            if keeps_every_position(plan, h, seq_len):
-                l2[h], cos[h] = 0.0, self_cosine
-                continue
-            retained_out = oracle_retained_output(head, block[2], plan.head_plan(h))
-            l2[h] = float(np.linalg.norm(full - retained_out, axis=1).mean())
-            cos[h] = float(_rows_cosine(full, retained_out).mean())
-    return scores
 
 
 def underflow_trace(seq_len=64, head_dim=4):
@@ -641,54 +387,47 @@ def head_plan(runs, groups=None, heads=1):
     )
 
 
-# How far the block pass's retained outputs may move from
-# `oracle_retained_output`, per head, as a fraction of the head's largest
-# |o|: it adds each key block's product and row sums in turn (a whole-kept
-# block's are the full outputs' own) where the oracle makes one product
-# over every retained row. Measured maxima over `TestBlockPass`: outputs
-# 2.2e-15, L2 1.5e-16 of sqrt(d) times the layer's largest |o| (the bound an
-# output move puts on it), cosine 1.1e-16 absolute.
-BLOCK_PASS_TOL = 2e-14
+# How far the block pass's retained outputs may move from the reference's,
+# per head, as a fraction of the head's largest full |o|: 4.8e-14 at
+# decode = N over the Fortran float64 trace's hand-made plans, at most
+# 3e-15 elsewhere.
+RETAINED_OUTPUT_TOL = 1e-13
 
 
 class TestBlockPass:
     """One pass over each head's V key blocks gives the full outputs and
-    every cell's retained outputs; the per-cell gather is the oracle."""
+    every cell's retained outputs, whatever whole, partial and grouped key
+    blocks the cells keep, within the reference's bounds."""
 
     @staticmethod
-    def assert_matches_oracle(trace, plans, decode_queries):
+    def assert_matches_reference(trace, plans, decode_queries):
         """Every head of every plan: the block pass's retained outputs
-        against `oracle_retained_output` within BLOCK_PASS_TOL, and
-        `score_plans` against `oracle_score_layer` on the same scale.
-        Returns how many (head, key block) pairs a cell keeps whole and in
-        part."""
+        against the reference's within RETAINED_OUTPUT_TOL, and
+        `score_plans` against the reference's scores; the full outputs are
+        the same bits whatever plans are scored beside them. Returns how
+        many (head, key block) pairs a cell keeps whole and in part."""
         for plan in plans:
             check_plans(trace, plan)  # hand-made plans too
         whole = partial = 0
         sizes = np.bincount(np.arange(trace.seq_len) // _KEY_BLOCK)  # each key block's length
+        reports = score_plans(trace, plans, decode_queries)
         for r, layer in enumerate(trace.data):
             for h, block in enumerate(layer):
                 heads = [plan[r].head_plan(h) for plan in plans]
-                _, full, retained_outputs = head_outputs(block, decode_queries, heads)
-                oracle = _HeadNumerators(block, decode_queries)
-                assert np.array_equal(full, oracle.outputs()[0])
-                scale = np.abs(full).max()
-                for plan, retained in zip(heads, retained_outputs):
-                    expected = oracle_retained_output(oracle, block[2], plan)
-                    assert np.all(np.abs(retained - expected) <= BLOCK_PASS_TOL * scale)
-                    counts = np.bincount(plan.retained // _KEY_BLOCK, minlength=len(sizes))
+                _, full, retained = head_outputs(block, decode_queries, heads)
+                assert np.array_equal(full, full_outputs(block, decode_queries))
+                for head, out, report in zip(heads, retained, reports):
+                    groups = [(a, b) for a, b in head.groups.tolist()]
+                    want_full, want = reference.outputs(
+                        block.astype(np.float64), decode_queries, head.retained, groups
+                    )
+                    assert np.all(np.abs(out - want) <= RETAINED_OUTPUT_TOL * np.abs(want_full).max())
+                    expected = reference_fidelity(block, decode_queries, head)
+                    scored = report.per_head_l2[r, h], report.per_head_cosine[r, h]
+                    assert_scores_match(*scored, expected)
+                    counts = np.bincount(head.retained // _KEY_BLOCK, minlength=len(sizes))
                     whole += int(np.sum(counts == sizes))
                     partial += int(np.sum((counts > 0) & (counts < sizes)))
-        # the scores: full outputs are equal, so each L2 moves by at most
-        # sqrt(d) of the outputs' largest move
-        full = np.stack([decode_outputs(layer, decode_queries) for layer in trace.data])
-        scale = np.sqrt(trace.head_dim) * np.abs(full).max(axis=(-2, -1))
-        reports = score_plans(trace, plans, decode_queries)
-        for r, layer in enumerate(trace.data):
-            expected = oracle_score_layer(layer, [plan[r] for plan in plans], decode_queries)
-            for report, (l2_oracle, cos_oracle) in zip(reports, expected):
-                assert np.all(np.abs(report.per_head_l2[r] - l2_oracle) <= BLOCK_PASS_TOL * scale[r])
-                assert np.all(np.abs(report.per_head_cosine[r] - cos_oracle) <= BLOCK_PASS_TOL)
         return whole, partial
 
     @pytest.mark.parametrize("decode_queries", [1, 16, _KEY_BLOCK + 40])  # 16 is the window, N
@@ -701,7 +440,7 @@ class TestBlockPass:
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = list(compress_run(cfg, trace).plans.values())
         assert any(plan[0].per_head_groups is not None for plan in plans)
-        whole, partial = self.assert_matches_oracle(trace, plans, decode_queries)
+        whole, partial = self.assert_matches_reference(trace, plans, decode_queries)
         assert whole and partial
 
     def test_hand_made_plans_cover_whole_partial_and_grouped_blocks(self):
@@ -714,7 +453,7 @@ class TestBlockPass:
             [head_plan([[0, _KEY_BLOCK + 1]], [[_KEY_BLOCK + 1, seq_len]], heads=2)],
         ]
         for decode_queries in (1, 16, seq_len):
-            self.assert_matches_oracle(trace, plans, decode_queries)
+            self.assert_matches_reference(trace, plans, decode_queries)
 
     def test_head_dim_one(self):
         cfg = clustered_config(
@@ -722,7 +461,7 @@ class TestBlockPass:
             beta=2 / 4, top_m=2, policies=ALL_POLICIES, budget_ratios=(0.3, 0.95),
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-        self.assert_matches_oracle(trace, list(compress_run(cfg, trace).plans.values()), 8)
+        self.assert_matches_reference(trace, list(compress_run(cfg, trace).plans.values()), 8)
 
     def test_blind_decode_rows(self):
         # decode rows 544..551 see nothing before position 549 (or group start 547)
@@ -732,7 +471,7 @@ class TestBlockPass:
             [head_plan([[seq_len - 3, seq_len]], heads=2)],
             [head_plan([[seq_len - 3, seq_len]], [[seq_len - 5, seq_len - 3]], heads=2)],
         ]
-        self.assert_matches_oracle(trace, plans, 8)
+        self.assert_matches_reference(trace, plans, 8)
         for plan in plans:
             head = plan[0].head_plan(0)
             out = head_outputs(trace.data[0, 0], 8, [head])[2][0]
@@ -749,82 +488,23 @@ class TestBlockPass:
             head = _HeadNumerators(trace.data[0, 0], 8)
             total = head.numerators[plan[0].head_plan(0).retained].sum(axis=0)
             assert np.all(total < 1 / _SAFE)  # every decode row is rescued
-        self.assert_matches_oracle(trace, plans, 8)
-
-
-def head_window_scores(block, window_len):
-    """One head's (N,) window scores as the run's head visit takes them:
-    `column_scores` of the window rows' numerators, formed over K."""
-    return column_scores(_HeadNumerators(block, window_len).numerators)
-
-
-def two_pass_run(cfg, trace, window_scores=head_window_scores, score=score_layer):
-    """`run_all(cfg, trace, return_result=True)` as it ran before each head
-    was visited once, a loop over the layers of `trace.data` with two
-    passes over each layer's heads: each head's window scores
-    (`window_scores(block, window_len)`) and semantic vector, the layer's
-    classes, `apply_policy` of every cell from the pooled scores, then
-    `score(data, plans, decode_queries)`. With the defaults it is the
-    oracle of the one visit; with the oracles of earlier steps it is their
-    report's path."""
-    result = harness.start_run(cfg, trace.header)
-    window_len, cells = result.window_len, result.facts
-    for layer, data in enumerate(trace.data):
-        scores = [window_scores(block, window_len) for block in data]
-        pooled = [pool_scores(score, cfg.kernel) for score in scores] if cells else []
-        vectors = np.array([
-            approx_semantic_vector(score, block[2], cfg.top_t)
-            for score, block in zip(scores, data)
-        ])
-        f_r = result.schedule.per_layer_counts[layer]
-        distances, classes = build_layer_profiles(vectors, f_r)
-        plans = {
-            cell: apply_policy(layer, classes, *cell, cfg.sinks, cfg.recents, window_len, pooled)
-            for cell in cells
-        }
-        result.vectors.append(vectors)
-        result.distances.append(distances)
-        result.classes.append(classes)
-        result.add_head_tokens(plans)
-        for cell, plan in plans.items():
-            result.plans.setdefault(cell, []).append(plan)
-        scored = score(data, list(plans.values()), result.decode_queries)
-        for cell, cell_scores in zip(plans, scored):
-            result.scores.setdefault(cell, []).append(cell_scores)
-    return build_eval_report(cfg, result, harness.bound_suite(cfg)), result
-
-
-def report_and_plans(cfg, trace, run=functools.partial(run_all, return_result=True)):
-    """The report bytes and every plan, as JSON, of `run(cfg, trace)`, a
-    (report, result) pair: by default `run_all`'s."""
-    report, result = run(cfg, trace)
-    buf = io.BytesIO()
-    export_report(report, "json", buf)
-    plans = {
-        cell: [json.dumps(p.to_json_dict()) for p in kept] for cell, kept in result.plans.items()
-    }
-    return buf.getvalue(), plans
+        self.assert_matches_reference(trace, plans, 8)
 
 
 class TestOneVisit:
     """A run visits each head once: it plans the head under each class,
     scores each distinct keep, and `layer_step` picks the keeps and scores
-    of the head's class once the layer is classified. Its reports and
-    plans are those of the two-pass run, bit for bit, and no layer-wide
-    buffer is alive while a head's V is read."""
-
-    @staticmethod
-    def assert_one_visit_is_two_passes(cfg, trace):
-        assert report_and_plans(cfg, trace) == report_and_plans(cfg, trace, two_pass_run)
+    of the head's class once the layer is classified. Its classes, plans
+    and scores are the reference's, and no layer-wide buffer is alive
+    while a head's V is read."""
 
     @pytest.mark.parametrize("decode_queries", [16, 5, _KEY_BLOCK + 40])  # the window, N
-    def test_every_policy_gets_the_bits_of_two_passes(self, decode_queries):
+    def test_every_policy_matches_the_reference(self, decode_queries):
         cfg = clustered_config(
             seed=47, shape=(2, 4, _KEY_BLOCK + 40, 8), planted=1, beta=2 / 4, top_m=2,
             policies=ALL_POLICIES, budget_ratios=(0.3, 0.6, 0.95), decode_queries=decode_queries,
         )
-        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-        self.assert_one_visit_is_two_passes(cfg, trace)
+        assert_run_matches_reference(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
 
     def test_a_layer_of_heterogeneous_heads(self):
         # f(0) = n: every head of layer 0 keeps everything
@@ -835,7 +515,7 @@ class TestOneVisit:
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = compress_run(cfg, trace).plans[("task-kv", 1.0)]
         assert plans[0].head_classes == [HeadClass.HETEROGENEOUS] * 4
-        self.assert_one_visit_is_two_passes(cfg, trace)
+        assert_run_matches_reference(cfg, trace)
 
     def test_a_clamped_layer(self):
         # layer 0: k = (281 - 2 * 128) // 2 - 4 - 16 < 0
@@ -846,9 +526,9 @@ class TestOneVisit:
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
         plans = compress_run(cfg, trace).plans[("task-kv", 0.55)]
         assert [plan.clamped for plan in plans] == [True, False]
-        self.assert_one_visit_is_two_passes(cfg, trace)
+        assert_run_matches_reference(cfg, trace)
 
-    def test_rescued_rows_get_the_bits_of_two_passes(self):
+    def test_rescued_rows_match_the_reference(self):
         # streaming keeps [0, 4) and [52, 64) of `underflow_trace`, not key 10
         trace = underflow_trace()
         cfg = clustered_config(
@@ -860,7 +540,7 @@ class TestOneVisit:
         head = _HeadNumerators(trace.data[0, 0], 8)
         total = head.numerators[plan.head_plan(0).retained].sum(axis=0)
         assert np.all(total < 1 / _SAFE)  # every decode row is rescued
-        self.assert_one_visit_is_two_passes(cfg, trace)
+        assert_run_matches_reference(cfg, trace)
 
     @pytest.mark.parametrize("decode_queries", [32, 8])  # the window, other rows
     def test_the_run_holds_one_heads_numerators(self, monkeypatch, decode_queries):
@@ -927,28 +607,24 @@ class TestKeepAllHeads:
                 checked += 1
         assert checked or policy in (PolicyKind.STREAMING, PolicyKind.UNIFORM_TOPK)
 
-
-class TestPlanMemory:
-    def test_memory_tokens_equal_built_cache_rows(self):
+    def test_sinks_plus_recents_covering_the_sequence(self):
+        # f(0) = 2 of 4 heads at B = N f: k = 0, and 6 + 6 slots cover N = 10
         cfg = clustered_config(
-            seed=24, policies=ALL_POLICIES, budget_ratios=(0.4, 0.7, 1.0)
+            seed=47, planted=1, shape=(1, 4, 10, 6), sinks=6, recents=6, budget_ratios=(0.5,),
+            policies=(PolicyKind.TASK_KV, PolicyKind.NO_CACHE, PolicyKind.COMPRESSED_CACHE),
         )
         trace = gen_synthetic_trace(cfg.profile, cfg.shape)
-        report, result = run_all(cfg, trace, return_result=True)
-        assert len(report["policies"]) == 18
-        for entry in report["policies"]:
-            plans = result.plans[(entry["policy"], entry["budget_ratio"])]
-            cache = built_entries(trace, plans)
-            mem = footprint(sum(len(e.positions) for layer in cache for e in layer), trace)
-            assert entry["memory"] == {
-                "tokens_retained": mem.tokens_retained,
-                "bytes": mem.bytes,
-                "ratio_vs_full": mem.ratio_vs_full,
-            }
-            for r, layer in enumerate(entry["fidelity"]["per_head"]):
-                rows = [len(e.positions) for e in cache[r]]
-                assert [cell["retained_tokens"] for cell in layer] == rows
+        _, result = run_all(cfg, trace, return_result=True)
+        assert len(result.plans) == 3
+        full = [full_outputs(block, 8) for block in trace.data[0]]
+        for cell, (plan,) in result.plans.items():
+            assert [runs.tolist() for runs in plan.per_head_runs] == [[[0, 10]]] * 4
+            fid = result.fidelity(cell)
+            assert fid.per_head_l2.tolist() == [[0.0] * 4]
+            assert fid.per_head_cosine.tolist() == [[_rows_cosine(o, o).mean() for o in full]]
 
+
+class TestPlanMemory:
     @pytest.mark.parametrize("decode_queries", [8, 16])  # 16 is the window
     def test_run_all_holds_one_head_entry_at_a_time(self, decode_queries):
         shape = (2, 16, 256, 128)
@@ -972,13 +648,14 @@ class TestPlanMemory:
         head_kv_bytes = 2 * shape[2] * shape[3] * 8
         allowance = 4 * head_kv_bytes
         assert peak - held <= allowance
-        # and far below the rows any single cell other than full copies
+        # and far below the float64 K and V rows that any single cell but
+        # full's would copy, had it gathered its cache whole
         for (policy, _), plans in kept[1].plans.items():
-            entries = [e for layer in built_entries(trace, plans) for e in layer]
             owned = sum(
-                e.keys.nbytes + e.values.nbytes
-                for e in entries
-                if not np.shares_memory(e.keys, trace.data)
+                2 * plan.head_tokens(h) * shape[3] * 8
+                for plan in plans
+                for h, runs in enumerate(plan.per_head_runs)
+                if runs.tolist() != [[0, shape[2]]]
             )
             assert policy == "full" or allowance < owned / 2
 
@@ -1143,39 +820,23 @@ class TestFloat32Storage:
         assert peak - held <= 4 * (2 * shape[2] * shape[3] * 8)
 
 
-def whole_window_scores(block, window_len):
-    """The window scores of the head pass that widens the whole head:
-    `widen_head`'s float64 K and V and one row-major masked softmax under
-    the full (window, N) causal mask; these are the head pass's bits before
-    `causal_scores`."""
-    inputs = widen_head(block, window_len)
-    return row_major_attention_weights(inputs, window_len).mean(axis=0)
-
-
-def whole_head_pass(block, window_len, top_t):
-    """`whole_window_scores` and the semantic vector from the top-t rows of
-    the widened V."""
-    column_means = whole_window_scores(block, window_len)
-    selected = top_t_indices(column_means, top_t)
-    return column_means, column_means[selected] @ widen_head(block).values[selected]
-
-
 def head_pass(block, window_len, top_t):
     """The head pass of one head: its window scores and its top-t semantic
     vector."""
-    scores = head_window_scores(block, window_len)
+    scores = window_scores(block[0], block[1], window_len)
     return scores, approx_semantic_vector(scores, block[2], top_t)
 
 
-# How far the head pass may move from `whole_head_pass`: its key-major
-# scores scale Q before the product and sum each row's exponentials down a
-# column. Measured maxima over the cases below: 5.9e-15 relative on window
-# scores, 2.3e-15 of the largest semantic-vector entry.
+# How far the head pass may move from the reference's row-major softmax:
+# its key-major scores scale Q before the product and sum each row's
+# exponentials down a column.
 HEAD_PASS_RTOL, HEAD_PASS_TOL = 1e-13, 1e-13
 
 
-def assert_near_whole_head_pass(block, window_len, top_t, scores, vector):
-    column_means, semantic = whole_head_pass(block, window_len, top_t)
+def assert_near_the_reference(block, window_len, top_t, scores, vector):
+    q, k, v = block.astype(np.float64)
+    column_means = reference.window_scores(q, k, window_len)
+    semantic = reference.semantic_vector(column_means, v, top_t)
     assert np.all(np.abs(scores - column_means) <= HEAD_PASS_RTOL * column_means)
     assert np.all(np.abs(vector - semantic) <= HEAD_PASS_TOL * np.abs(semantic).max())
 
@@ -1184,7 +845,7 @@ class TestLeanHeadPass:
     """The head pass widens K one key block at a time and V only at its
     top-t rows, and masks only the window's causal tail: every layout of a
     head gives the bits of its float32 form, within HEAD_PASS_RTOL and
-    HEAD_PASS_TOL of the whole-head pass."""
+    HEAD_PASS_TOL of the reference."""
 
     LAYOUTS = {
         "float32": lambda block: block,
@@ -1205,16 +866,16 @@ class TestLeanHeadPass:
             (96, 8, 16, 500),  # top-t past N
         ],
     )
-    def test_equals_the_whole_head_pass(self, layout, seq_len, head_dim, window_len, top_t):
+    def test_layouts_give_the_same_bits(self, layout, seq_len, head_dim, window_len, top_t):
         rng = np.random.default_rng(seq_len * head_dim + window_len)
         raw = 3 * rng.standard_normal((3, seq_len, head_dim)).astype(np.float32)
         scores, vector = head_pass(self.LAYOUTS[layout](raw), window_len, top_t)
         narrow_scores, narrow_vector = head_pass(raw, window_len, top_t)
         assert scores.tobytes() == narrow_scores.tobytes()
         assert vector.tobytes() == narrow_vector.tobytes()
-        assert_near_whole_head_pass(raw, window_len, top_t, scores, vector)
+        assert_near_the_reference(raw, window_len, top_t, scores, vector)
 
-    def test_trace_heads_equal_the_whole_head_pass(self):
+    def test_trace_heads_give_the_same_bits(self):
         # every head of a float32 trace, of its float64 copy and of a trace
         # built from a Fortran-order array
         cfg = clustered_config(seed=34, shape=(2, 4, _KEY_BLOCK + 40, 16))
@@ -1226,7 +887,7 @@ class TestLeanHeadPass:
                 again = head_pass(same, 16, 64)
                 assert scores.tobytes() == again[0].tobytes()
                 assert vector.tobytes() == again[1].tobytes()
-            assert_near_whole_head_pass(block, 16, 64, scores, vector)
+            assert_near_the_reference(block, 16, 64, scores, vector)
 
 
 class TestEvalReport:
@@ -1314,190 +975,7 @@ class TestReportFixture:
         digest = hashlib.sha256(buf.getvalue()).hexdigest()
         assert digest == REPORT_FIXTURE_SHA256
 
-    class OracleFull(_HeadNumerators):
-        """Numerators whose full-cache outputs come from the `decode_output`
-        oracle, one masked softmax per head."""
 
-        def outputs(self, heads=()):
-            outputs = super().outputs(heads)
-            outputs[0] = decode_output(widen_head(self._block, len(self.rows)), len(self.rows))
-            return outputs
-
-    def two_pass_report(self, **passes):
-        """The fixture report of `two_pass_run(**passes)`, and its SHA-256."""
-        cfg = RunConfig(**self.FIXTURE_CONFIG)
-        report, _ = two_pass_run(cfg, gen_synthetic_trace(cfg.profile, cfg.shape), **passes)
-        return report, self.report_hash(report)
-
-    def oracle_reports(self):
-        """The fixture report scored by `oracle_score_layer` (the per-cell
-        gather the block pass replaced), then by it with `OracleFull`
-        numerators as well (the masked softmax `_HeadNumerators` replaced),
-        each with its SHA-256. Both take their window scores from
-        `whole_window_scores`, as the head pass did before `causal_scores`."""
-        return [
-            self.two_pass_report(
-                window_scores=whole_window_scores,
-                score=functools.partial(oracle_score_layer, numerators=numerators),
-            )
-            for numerators in (PreChangeFull, self.OracleFull)
-        ]
-
-    def before_one_kernel(self):
-        """The fixture report with the window scores of `whole_window_scores`, the
-        row-major softmax `causal_scores` replaced, scored by
-        `pre_change_score_layer`, and its SHA-256."""
-        return self.two_pass_report(
-            window_scores=whole_window_scores, score=pre_change_score_layer
-        )
-
-    def before_full_plan(self):
-        """The fixture report scored by `pre_change_score_layer`, before the
-        full cache was a plan of the block pass, and its SHA-256."""
-        return self.two_pass_report(score=pre_change_score_layer)
-
-    @staticmethod
-    def report_hash(report):
-        buf = io.BytesIO()
-        export_report(report, "json", buf)
-        return hashlib.sha256(buf.getvalue()).hexdigest()
-
-    @staticmethod
-    def moved_floats(old, new, bounds) -> list:
-        """Every value of the two reports is equal but the floats under the
-        keys of `bounds`, each of which moves by at most its key's
-        rtol * |old| + atol; returns, for each of those floats, whether it
-        moved."""
-        moved = []
-
-        def compare(a, b, key=None):
-            assert type(a) is type(b), key
-            if isinstance(a, dict):
-                assert list(a) == list(b)
-                for k in a:
-                    compare(a[k], b[k], k)
-            elif isinstance(a, list):
-                assert len(a) == len(b)
-                for x, y in zip(a, b):
-                    compare(x, y, key)
-            elif key in bounds and isinstance(a, float):
-                rtol, atol = bounds[key]
-                assert abs(a - b) <= rtol * abs(a) + atol, (key, a, b)
-                moved.append(a != b)
-            else:
-                assert a == b, key
-
-        compare(json.loads(json.dumps(old)), json.loads(json.dumps(new)))
-        return moved
-
-    def assert_only_fidelity_floats_moved(self, old, new, rtol, atol) -> int:
-        """Every key of the two reports but `l2_error` and `mean_l2` (within
-        `rtol` relative) and `cosine_similarity` and `mean_cosine` (within
-        `atol`) is equal; returns how many of those four moved."""
-        l2, cosine = (rtol, 0.0), (0.0, atol)
-        bounds = {"l2_error": l2, "mean_l2": l2, "cosine_similarity": cosine, "mean_cosine": cosine}
-        moved = self.moved_floats(old, new, bounds)
-        assert len(moved) == 2 * (2 + 2 * 8 * 2)  # means and per-head cells of 2 cells
-        return sum(moved)
-
-    def test_oracle_paths_reproduce_the_earlier_fixtures(self):
-        # the two-pass step with today's window scores and scoring is the fixture
-        assert self.two_pass_report()[1] == REPORT_FIXTURE_SHA256
-        (_, before_block_pass), (_, before_one_home) = self.oracle_reports()
-        assert before_block_pass == REPORT_BEFORE_BLOCK_PASS_SHA256
-        assert before_one_home == REPORT_BEFORE_ONE_HOME_SHA256
-        assert self.before_one_kernel()[1] == REPORT_BEFORE_ONE_KERNEL_SHA256
-        assert self.before_full_plan()[1] == REPORT_BEFORE_FULL_PLAN_SHA256
-
-    def test_one_home_moved_only_fidelity_floats(self):
-        """The parse-compare behind the re-freeze that gave the full-cache
-        outputs one home: against the report whose full outputs came from
-        one masked softmax per head, moving them into `_HeadNumerators`
-        moved only the four fidelity floats, each within FIXTURE_RTOL (L2)
-        or FIXTURE_ATOL (cosine)."""
-        (after, _), (before, _) = self.oracle_reports()
-        assert self.assert_only_fidelity_floats_moved(before, after, FIXTURE_RTOL, FIXTURE_ATOL)
-
-    def test_block_pass_moved_only_fidelity_floats(self):
-        """The parse-compare behind the block pass's re-freeze: against the
-        report scored by the per-cell gather, the block pass moves only the
-        four fidelity floats, each within BLOCK_FIXTURE_RTOL (L2) or
-        FIXTURE_ATOL (cosine)."""
-        (before, _), _ = self.oracle_reports()
-        after, _ = self.before_one_kernel()
-        moved = self.assert_only_fidelity_floats_moved(
-            before, after, BLOCK_FIXTURE_RTOL, FIXTURE_ATOL
-        )
-        assert moved == 37
-
-    def test_one_kernel_moved_only_distances_and_pca(self):
-        """The parse-compare behind the re-freeze before last: against the
-        report whose window scores came from the row-major softmax, the head
-        pass through `causal_scores` moves only `distances` (within
-        KERNEL_FIXTURE_RTOL) and the pca `x` and `y` (within
-        KERNEL_FIXTURE_ATOL); plans, classes and fidelity keep their bits."""
-        before, _ = self.before_one_kernel()
-        after, _ = self.before_full_plan()
-        coordinate = (0.0, KERNEL_FIXTURE_ATOL)
-        bounds = {"distances": (KERNEL_FIXTURE_RTOL, 0.0), "x": coordinate, "y": coordinate}
-        moved = self.moved_floats(before, after, bounds)
-        assert len(moved) == 2 * 8 * 3  # each head's distance and two coordinates
-        assert any(moved)
-
-    def test_full_plan_moved_only_fidelity_floats(self):
-        """The parse-compare behind the last re-freeze: against the report
-        scored by `pre_change_score_layer`, scoring the full cache as a plan
-        of the block pass moves only the four fidelity floats, each within
-        BLOCK_FIXTURE_RTOL (L2) or FIXTURE_ATOL (cosine)."""
-        before, _ = self.before_full_plan()
-        cfg = RunConfig(**self.FIXTURE_CONFIG)
-        after = run_all(cfg, gen_synthetic_trace(cfg.profile, cfg.shape))
-        moved = self.assert_only_fidelity_floats_moved(
-            before, after, BLOCK_FIXTURE_RTOL, FIXTURE_ATOL
-        )
-        assert moved == 19
-
-
-# The fidelity floats this pins score the full cache as one more plan of
-# the block pass: its denominator is the sum of each key block's row sums,
-# and a head that keeps every position adds the same products and sums.
-# Against the report whose full outputs divided by one sum of every
-# numerator, with keep-all heads scored apart
-# (`REPORT_BEFORE_FULL_PLAN_SHA256`, reproduced through
-# `pre_change_score_layer`), only `l2_error`, `cosine_similarity`,
-# `mean_l2` and `mean_cosine` moved (19 of their 68 values): L2 by at most
-# 3.5e-16 relative, cosine by at most 1.1e-16 absolute. On the benchmark's
-# two traces (seeds 606 and 7) L2 moved by up to 1.4e-13 relative and
-# cosine by 2.2e-16 absolute, within BLOCK_FIXTURE_RTOL and FIXTURE_ATOL.
-#
-# The `pca` block agrees with the power-iteration oracle to 3.0e-10 of the
-# largest coordinate (tests/test_linalg.py::TestPCAOracle). Its window
-# scores come from `causal_scores`, the key-major product that fidelity
-# scoring shares. Against the report whose head pass took the
-# row-major softmax (`REPORT_BEFORE_ONE_KERNEL_SHA256`, reproduced through
-# `whole_window_scores`), only `distances` and the pca `x` and `y` moved:
-# distances by at most 6.1e-16 relative, coordinates by 1.0e-16 absolute
-# (of coordinates up to 0.076); every class, plan and fidelity float kept
-# its bits. On the benchmark's two traces (seed 606) distances moved by up
-# to 6.1e-15 relative, so KERNEL_FIXTURE_RTOL is 1e-13.
-#
-# Before that, the fidelity floats came from the block pass: one pass over
-# each head's V key blocks gives the full-cache outputs and every cell's
-# retained outputs. Against the report scored by the per-cell gather of
-# every retained V row (`REPORT_BEFORE_BLOCK_PASS_SHA256`, reproduced
-# through `oracle_score_layer`), only `l2_error`, `cosine_similarity`,
-# `mean_l2` and `mean_cosine` moved (37 of their 68 values): L2 by at most
-# 5.5e-16 relative, cosine by at most 2.2e-16 absolute. On the benchmark's
-# two traces (seed 606) L2 moved by up to 5.3e-14 relative and cosine by
-# 1.1e-16 absolute, so BLOCK_FIXTURE_RTOL is 1e-12. The report before that
-# had moved from `REPORT_BEFORE_ONE_HOME_SHA256`, whose full outputs came
-# from one masked softmax per head, by at most 7.0e-16 relative (L2) and
-# 2.2e-16 absolute (cosine): FIXTURE_RTOL and FIXTURE_ATOL.
+# The SHA-256 of the fixture config's `report.json`. It pins the bits of
+# every float; `test_reference.py` pins what they mean.
 REPORT_FIXTURE_SHA256 = "7792533c10621c73af23c88009a04b324696aecc96d5a97ac38f4d6f481822dc"
-REPORT_BEFORE_FULL_PLAN_SHA256 = "4005cac7e6bdbebce33248b451837041a7db5049a7bc722870894bbde94d03f0"
-REPORT_BEFORE_ONE_KERNEL_SHA256 = "31306f77d6c0bbba1c30d8100938442ccf6fed02c876852aa69f13ffe9cbb937"
-REPORT_BEFORE_BLOCK_PASS_SHA256 = "439b2eb471f7a74b048fafeebca7dbd34cb75308e140b20d0af644d14fc064c7"
-REPORT_BEFORE_ONE_HOME_SHA256 = "b35e6fd206825a517f36a25bdc98d54b5623812277acb3dee47f65f8668a9eed"
-FIXTURE_RTOL, FIXTURE_ATOL = 1e-14, 1e-15
-BLOCK_FIXTURE_RTOL = 1e-12
-KERNEL_FIXTURE_RTOL, KERNEL_FIXTURE_ATOL = 1e-13, 1e-15

@@ -1,4 +1,4 @@
-"""Kernel tests: masked attention, PCA, spectral norm against independent oracles."""
+"""Kernel tests: causal scores and numerators, PCA, spectral norm against independent oracles."""
 
 import math
 import tracemalloc
@@ -15,41 +15,28 @@ from semkv.linalg import (
     _KEY_BLOCK,
     AttentionInputs,
     _fix_sign,
-    attention_numerators,
-    attention_weights,
     causal_numerators,
     causal_scores,
     pca_2d,
     spectral_norm,
 )
 
-
-def masked_softmax(scores, allowed):
-    """Row-wise softmax over the `allowed` entries of a whole score matrix,
-    blocked entries exactly 0: the oracle `attention_weights`, which masks
-    only the window's causal tail, is held to.
-
-    Row-major, as `attention_weights` computed it before `causal_scores`:
-    each row shifted by its max, exponentiated, divided by its sum."""
-    out = np.where(allowed, np.asarray(scores, dtype=np.float64), -np.inf)
-    out -= np.max(out, axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=1, keepdims=True)
-    assert np.all(np.isfinite(out))
-    return out
+import reference
 
 
-def row_major_attention_weights(inputs, rows):
-    """`attention_weights` as it was before `causal_scores`: the whole
-    (rows, N) product Q K^T, then the scale, then `masked_softmax` under the
-    full causal mask. Widened inputs give its bits."""
-    n = inputs.seq_len
-    queries = np.asarray(inputs.queries[len(inputs.queries) - rows :], dtype=np.float64)
-    scores = (queries @ np.asarray(inputs.keys, dtype=np.float64).T) / np.sqrt(
-        float(inputs.head_dim)
-    )
-    allowed = np.arange(n)[None, :] <= np.arange(n - rows, n)[:, None]
-    return masked_softmax(scores, allowed)
+def causal_weights(q, k, rows=None):
+    """Causal attention of the last `rows` query rows over every key,
+    (rows, N): `causal_numerators` of `causal_scores`, over their column
+    sums."""
+    rows = len(q) if rows is None else rows
+    numerators = causal_numerators(*causal_scores(q[len(q) - rows :], k))
+    return (numerators / numerators.sum(axis=0)).T
+
+
+def reference_weights(q, k, rows=None):
+    """The same rows of the reference's row-major softmax."""
+    n, rows = len(k), len(q) if rows is None else rows
+    return reference.attention(q[len(q) - rows :], np.arange(n - rows, n), k, np.arange(n))
 
 
 def naive_attention_weights(q, k, offset):
@@ -69,94 +56,55 @@ def naive_attention_weights(q, k, offset):
     return np.array(out)
 
 
-def make_inputs(rng, n, d):
-    return AttentionInputs(
-        queries=rng.standard_normal((n, d)),
-        keys=rng.standard_normal((n, d)),
-        values=rng.standard_normal((n, d)),
-    )
-
-
 class TestAttentionWeights:
     def test_single_token(self):
-        rng = np.random.default_rng(0)
-        inputs = make_inputs(rng, 1, 3)
-        w = attention_weights(inputs)
+        q, k = np.random.default_rng(0).standard_normal((2, 1, 3))
+        w = causal_weights(q, k)
         assert w.shape == (1, 1)
         assert w[0, 0] == 1.0
 
     def test_zero_queries_uniform_causal(self):
-        inputs = AttentionInputs(
-            queries=np.zeros((2, 3)),
-            keys=np.arange(6.0).reshape(2, 3),
-            values=np.ones((2, 3)),
-        )
-        w = attention_weights(inputs)
+        w = causal_weights(np.zeros((2, 3)), np.arange(6.0).reshape(2, 3))
         np.testing.assert_allclose(w, [[1.0, 0.0], [0.5, 0.5]], atol=1e-15)
 
     def test_matches_direct_formula(self):
-        rng = np.random.default_rng(42)
-        inputs = make_inputs(rng, 8, 4)
-        w = attention_weights(inputs)
-        expected = naive_attention_weights(inputs.queries, inputs.keys, offset=0)
-        np.testing.assert_allclose(w, expected, rtol=1e-12, atol=1e-15)
+        q, k = np.random.default_rng(42).standard_normal((2, 8, 4))
+        expected = naive_attention_weights(q, k, offset=0)
+        np.testing.assert_allclose(causal_weights(q, k), expected, rtol=1e-12, atol=1e-15)
 
     def test_window_matches_direct_formula(self):
-        rng = np.random.default_rng(7)
-        inputs = make_inputs(rng, 10, 4)
-        w = attention_weights(inputs, 3)
-        expected = naive_attention_weights(
-            inputs.queries[7:], inputs.keys, offset=7
-        )
-        np.testing.assert_allclose(w, expected, rtol=1e-12, atol=1e-15)
+        q, k = np.random.default_rng(7).standard_normal((2, 10, 4))
+        expected = naive_attention_weights(q[7:], k, offset=7)
+        np.testing.assert_allclose(causal_weights(q, k, 3), expected, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_stochastic_and_causal(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 20))
-        inputs = make_inputs(rng, n, 5)
-        w = attention_weights(inputs)
+        w = causal_weights(*rng.standard_normal((2, n, 5)))
         np.testing.assert_allclose(w.sum(axis=1), np.ones(n), atol=1e-9)
         assert (w >= 0).all()
         blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
         assert (w[blocked] == 0.0).all()
 
-    def test_softmax_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        scores = rng.standard_normal((4, 6))
-        allowed = np.arange(6)[None, :] <= np.arange(2, 6)[:, None]
-        base = masked_softmax(scores, allowed)
-        shifted = masked_softmax(scores + 123.456, allowed)
-        np.testing.assert_allclose(base, shifted, atol=1e-9)
+    @pytest.mark.parametrize("weights", [causal_weights, reference_weights])
+    def test_softmax_shift_invariance(self, weights):
+        # c added to every key entry adds c sum(q) / sqrt(d) to each of q's scores,
+        # which then leave exp's range unless each row is shifted by its max
+        q, k = np.random.default_rng(3).standard_normal((2, 6, 4))
+        np.testing.assert_allclose(weights(q, k, 4), weights(q, k + 1234.56, 4), atol=1e-9)
 
-    def test_large_scores_do_not_overflow(self):
-        scores = np.array([[1e4, 9.9e3, -1e4]])
-        w = masked_softmax(scores, np.ones((1, 3), dtype=bool))
+    @pytest.mark.parametrize("weights", [causal_weights, reference_weights])
+    def test_large_scores_do_not_overflow(self, weights):
+        w = weights(np.ones((3, 1)), np.array([[1e4], [9.9e3], [-1e4]]), 1)
         assert np.isfinite(w).all()
         assert abs(w.sum() - 1) < 1e-9
-
-    @pytest.mark.parametrize("rows", [0, -1, 5])
-    def test_rows_outside_the_held_queries_rejected(self, rows):
-        rng = np.random.default_rng(0)
-        inputs = make_inputs(rng, 4, 2)
-        with pytest.raises(DimensionError):
-            attention_weights(inputs, rows)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInputError):
             AttentionInputs(
                 queries=np.zeros((0, 2)), keys=np.zeros((0, 2)), values=np.zeros((0, 2))
             )
-
-    def test_trailing_query_rows_attend_like_the_full_inputs(self):
-        rng = np.random.default_rng(3)
-        inputs = make_inputs(rng, 10, 4)
-        tail = AttentionInputs(inputs.queries[6:], inputs.keys, inputs.values)
-        assert tail.seq_len == 10 and len(tail.queries) == 4
-        assert np.array_equal(attention_weights(tail), attention_weights(inputs, 4))
-        assert np.array_equal(attention_weights(tail, 2), attention_weights(inputs, 2))
-        with pytest.raises(DimensionError):
-            attention_weights(tail, 5)
 
     def test_queries_are_the_trailing_rows(self):
         inputs = AttentionInputs(np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((5, 2)))
@@ -244,52 +192,40 @@ class TestCausalScores:
             assert narrow[0].tobytes() == wide[0].tobytes()
             assert narrow[1].tobytes() == wide[1].tobytes()
 
-    def test_attention_weights_finish_the_softmax_on_the_scores(self):
-        queries, keys = self.draw(_KEY_BLOCK + 40, 16, seed=2)
-        inputs = AttentionInputs(queries, keys, keys)
-        scores, shift = causal_scores(queries, keys)
-        seen = np.arange(len(keys))[:, None] <= np.arange(len(keys) - 16, len(keys))
-        numerators = np.where(seen, np.exp(np.minimum(scores - shift, 0)), 0.0)
-        expected = (numerators / numerators.sum(axis=0)).T
-        assert attention_weights(inputs).tobytes() == expected.tobytes()
-        oracle = row_major_attention_weights(inputs, 16)
-        np.testing.assert_allclose(attention_weights(inputs), oracle, rtol=1e-13, atol=1e-300)
-
     @pytest.mark.parametrize("seq_len, rows", [(_KEY_BLOCK + 40, 16), (96, 96)])
-    def test_numerators_are_the_weights_before_their_sums(self, seq_len, rows):
+    def test_numerators_are_exp_of_the_shifted_scores(self, seq_len, rows):
         queries, keys = self.draw(seq_len, rows, seed=4)
-        inputs = AttentionInputs(queries, keys, keys)
-        numerators = attention_numerators(inputs, rows)
         scores, shift = causal_scores(queries, keys)
         # exactly exp(S - m) where a row sees the key, exactly 0 elsewhere
         seen = np.arange(seq_len)[:, None] <= np.arange(seq_len - rows, seq_len)
         with np.errstate(over="ignore"):  # a hidden key's exponential is discarded
             expected = np.where(seen, np.exp(scores - shift), 0.0)
-        assert numerators.tobytes() == expected.tobytes()
-        assert np.array_equal(causal_numerators(scores, shift), expected)
-        weights = (numerators / numerators.sum(axis=0)).T
-        assert attention_weights(inputs, rows).tobytes() == weights.tobytes()
+        assert causal_numerators(scores, shift).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seq_len, rows", [(_KEY_BLOCK + 40, 16), (96, 96)])
+    def test_weights_finish_the_softmax_of_the_reference(self, seq_len, rows):
+        queries, keys = self.draw(seq_len, rows, seed=2)
+        expected = reference_weights(queries.astype(np.float64), keys.astype(np.float64))
+        np.testing.assert_allclose(causal_weights(queries, keys), expected, rtol=1e-13, atol=1e-300)
 
     def test_every_row_holds_one_score_matrix(self):
         # the scores, finished in place, plus two (N, N) bool masks of the
         # causal triangle: no float copy of it
         queries, keys = self.draw(1024, 1024, seed=3)
-        inputs = AttentionInputs(queries, keys, keys)
-        attention_weights(inputs, 8)
+        causal_numerators(*causal_scores(queries[-8:], keys))
         tracemalloc.start()
         try:
-            weights = attention_weights(inputs)
+            numerators = causal_numerators(*causal_scores(queries, keys))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= weights.nbytes + 2 * 1024 * 1024 + (1 << 18)
+        assert peak <= numerators.nbytes + 2 * 1024 * 1024 + (1 << 18)
 
     def test_non_finite_row_max_rejected(self):
         keys = np.ones((4, 2))
-        keys[1, 0] = np.inf  # seen by both rows; `checked` skips the input check
-        inputs = AttentionInputs(np.ones((2, 2)), keys, keys, checked=True)
+        keys[1, 0] = np.inf  # seen by both rows
         with pytest.raises(ValueError, match="attention row max"):
-            attention_weights(inputs)
+            causal_numerators(*causal_scores(np.ones((2, 2)), keys))
 
 
 def _dominant_eigpair(sym, need_vector=False):

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
+from conftest import window_scores
 from semkv.errors import EmptyInputError, ParameterError
-from semkv.linalg import AttentionInputs
 from semkv.separator import (
     HeadClass,
     approx_semantic_vector,
+    build_layer_profiles,
+    check_window_len,
     classify_heads,
     head_distances,
     heterogeneous_schedule,
-    semantic_vector_full,
     top_t_indices,
-    window_column_scores,
 )
 from semkv.trace import SyntheticProfile, clustered_planted_heads, gen_synthetic_trace
 
@@ -37,74 +38,54 @@ def naive_semantic_vector(q, k, v):
     return col_means @ v
 
 
-def make_inputs(rng, n, d):
-    return AttentionInputs(
-        queries=rng.standard_normal((n, d)),
-        keys=rng.standard_normal((n, d)),
-        values=rng.standard_normal((n, d)),
-    )
+class TestReferenceSemanticVector:
+    """The test reference's exact semantic vector, which the windowed one is held to."""
 
-
-class TestSemanticVectorFull:
     def test_single_token_returns_first_value_row(self):
-        rng = np.random.default_rng(0)
-        inputs = make_inputs(rng, 1, 4)
-        vec = semantic_vector_full(inputs)
-        np.testing.assert_array_equal(vec, inputs.values[0])
+        q, k, v = np.random.default_rng(0).standard_normal((3, 1, 4))
+        np.testing.assert_array_equal(reference.exact_semantic_vector(q, k, v), v[0])
 
     def test_two_tokens_zero_queries(self):
         rng = np.random.default_rng(1)
-        v = rng.standard_normal((2, 3))
-        inputs = AttentionInputs(queries=np.zeros((2, 3)), keys=rng.standard_normal((2, 3)), values=v)
-        vec = semantic_vector_full(inputs)
+        k, v = rng.standard_normal((2, 2, 3))
+        vec = reference.exact_semantic_vector(np.zeros((2, 3)), k, v)
         np.testing.assert_allclose(vec, 0.75 * v[0] + 0.25 * v[1], rtol=1e-12)
 
     def test_matches_direct_formula(self):
-        rng = np.random.default_rng(16)
-        inputs = make_inputs(rng, 16, 8)
-        vec = semantic_vector_full(inputs)
-        expected = naive_semantic_vector(inputs.queries, inputs.keys, inputs.values)
-        np.testing.assert_allclose(vec, expected, rtol=1e-12)
+        q, k, v = np.random.default_rng(16).standard_normal((3, 16, 8))
+        expected = naive_semantic_vector(q, k, v)
+        np.testing.assert_allclose(reference.exact_semantic_vector(q, k, v), expected, rtol=1e-12)
 
 
 class TestWindowColumnScores:
     def test_full_window_equals_full_column_means(self):
-        rng = np.random.default_rng(2)
-        inputs = make_inputs(rng, 12, 4)
-        scores = window_column_scores(inputs, 12)
-        full = semantic_vector_full(inputs)
-        np.testing.assert_allclose(scores @ inputs.values, full, rtol=1e-12)
+        q, k, v = np.random.default_rng(2).standard_normal((3, 12, 4))
+        scores = window_scores(q, k, 12)
+        exact = reference.exact_semantic_vector(q, k, v)
+        np.testing.assert_allclose(scores @ v, exact, rtol=1e-12)
 
     def test_window_one_is_last_query_row(self):
-        rng = np.random.default_rng(3)
-        inputs = make_inputs(rng, 9, 4)
-        scores = window_column_scores(inputs, 1)
-        from semkv.linalg import attention_weights
-
-        last = attention_weights(inputs, 1)[0]
-        np.testing.assert_allclose(scores, last, rtol=1e-12)
+        q, k = np.random.default_rng(3).standard_normal((2, 9, 4))
+        last = reference.attention(q[-1:], np.array([8]), k, np.arange(9))[0]
+        np.testing.assert_allclose(window_scores(q, k, 1), last, rtol=1e-12)
 
     def test_mass_sums_to_one(self):
-        rng = np.random.default_rng(4)
-        inputs = make_inputs(rng, 20, 4)
-        scores = window_column_scores(inputs, 5)
+        q, k = np.random.default_rng(4).standard_normal((2, 20, 4))
+        scores = window_scores(q, k, 5)
         assert scores.sum() == pytest.approx(1.0, abs=1e-9)
         assert (scores >= 0).all()
 
     def test_needle_is_argmax(self):
         profile = SyntheticProfile("planted-needle", seed=5, needle_position=11, tail_len=8)
         trace = gen_synthetic_trace(profile, (1, 3, 48, 4))
-        for h in range(3):
-            scores = window_column_scores(trace.head_inputs(0, h), 8)
-            assert int(np.argmax(scores)) == 11
+        for q, k, _ in trace.data[0]:
+            assert int(np.argmax(window_scores(q, k, 8))) == 11
 
     def test_window_out_of_range(self):
-        rng = np.random.default_rng(6)
-        inputs = make_inputs(rng, 4, 2)
         with pytest.raises(ParameterError):
-            window_column_scores(inputs, 5)
+            check_window_len(5, 4)
         with pytest.raises(ParameterError):
-            window_column_scores(inputs, 0)
+            check_window_len(0, 4)
 
 
 class TestTopTSelection:
@@ -134,9 +115,7 @@ class TestTopTSelection:
         np.testing.assert_array_equal(top_t_indices(values, t), expected)
 
     def test_selected_mass_monotone_in_t(self):
-        rng = np.random.default_rng(7)
-        inputs = make_inputs(rng, 64, 4)
-        c = window_column_scores(inputs, 16)
+        c = window_scores(*np.random.default_rng(7).standard_normal((2, 64, 4)), 16)
         masses = [c[top_t_indices(c, t)].sum() for t in (1, 4, 16, 64)]
         assert all(a <= b + 1e-12 for a, b in zip(masses, masses[1:]))
         assert masses[-1] == pytest.approx(c.sum(), abs=1e-12)
@@ -144,32 +123,26 @@ class TestTopTSelection:
 
 class TestApproxSemanticVector:
     def test_full_selection_collapses_to_exact(self):
-        rng = np.random.default_rng(8)
-        inputs = make_inputs(rng, 32, 8)
-        scores = window_column_scores(inputs, 32)
-        approx = approx_semantic_vector(scores, inputs.values, 32)
-        exact = semantic_vector_full(inputs)
+        q, k, v = np.random.default_rng(8).standard_normal((3, 32, 8))
+        approx = approx_semantic_vector(window_scores(q, k, 32), v, 32)
+        exact = reference.exact_semantic_vector(q, k, v)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-9
 
     def test_t_one_is_single_weighted_row(self):
-        rng = np.random.default_rng(9)
-        inputs = make_inputs(rng, 10, 4)
-        scores = window_column_scores(inputs, 4)
+        q, k, v = np.random.default_rng(9).standard_normal((3, 10, 4))
+        scores = window_scores(q, k, 4)
         best = int(np.argmax(scores))
-        approx = approx_semantic_vector(scores, inputs.values, 1)
-        np.testing.assert_allclose(
-            approx, scores[best] * inputs.values[best], rtol=1e-12
-        )
+        approx = approx_semantic_vector(scores, v, 1)
+        np.testing.assert_allclose(approx, scores[best] * v[best], rtol=1e-12)
 
     def test_error_decreases_with_t(self):
-        rng = np.random.default_rng(512)
-        inputs = make_inputs(rng, 512, 16)
-        scores = window_column_scores(inputs, 512)
-        exact = semantic_vector_full(inputs)
+        q, k, v = np.random.default_rng(512).standard_normal((3, 512, 16))
+        scores = window_scores(q, k, 512)
+        exact = reference.exact_semantic_vector(q, k, v)
         errs = []
         for t in (16, 64, 256, 512):
-            approx = approx_semantic_vector(scores, inputs.values, t)
+            approx = approx_semantic_vector(scores, v, t)
             errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         assert errs[0] > errs[1] > errs[2] > errs[3]
         assert errs[3] <= 1e-12
@@ -293,6 +266,23 @@ class TestClassifyHeads:
         het = {i for i, c in enumerate(classes) if c == HeadClass.HETEROGENEOUS}
         assert het == {0, 3}  # farthest tie -> head 0, closest tie -> head 3
 
+    def test_distances_within_the_tie_are_tied(self):
+        dist = np.array([3.0, 1.0 + 4e-16, 3.0 - 4e-16, 1.0])
+        het = HeadClass.HETEROGENEOUS
+        untied = classify_heads(dist, 2)
+        tied = classify_heads(dist, 2, tie=1e-15)
+        assert [i for i, c in enumerate(untied) if c == het] == [0, 3]
+        assert [i for i, c in enumerate(tied) if c == het] == [0, 1]
+        tied = classify_heads(dist, 3, tie=1e-15)
+        assert [i for i, c in enumerate(tied) if c == het] == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_two_heads_are_equidistant_so_head_0_is_the_closer(self, seed):
+        # rounding the center alone sets the two distances apart
+        vectors = np.random.default_rng(seed).standard_normal((2, 5)) * 10.0 ** seed
+        _, classes = build_layer_profiles(vectors, 1)
+        assert classes == [HeadClass.HETEROGENEOUS, HeadClass.NON_HETEROGENEOUS]
+
     def test_permutation_consistency(self):
         rng = np.random.default_rng(12)
         dist = rng.uniform(0.1, 9.0, size=7)  # distinct distances
@@ -311,10 +301,10 @@ class TestClassifyHeads:
     @pytest.mark.parametrize("planted", [1, 2, 4])
     def test_recovers_planted_heads_on_clean_clusters(self, planted):
         profile = SyntheticProfile("clustered-heads", seed=100 + planted, planted=planted)
-        trace = gen_synthetic_trace(profile, (2, 8, 64, 8))
+        data = gen_synthetic_trace(profile, (2, 8, 64, 8)).data.astype(np.float64)
         expected = clustered_planted_heads(profile, 2, 8)
         for r in range(2):
-            vecs = [semantic_vector_full(trace.head_inputs(r, h)) for h in range(8)]
+            vecs = [reference.exact_semantic_vector(*block) for block in data[r]]
             _, dist = head_distances(vecs)
             classes = classify_heads(dist, planted + 1)
             het = {i for i, c in enumerate(classes) if c == HeadClass.HETEROGENEOUS}

@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import hashlib
 import io
-import mmap
 import os
 import tracemalloc
 
@@ -21,13 +20,7 @@ from semkv.errors import (
 from semkv import harness
 from semkv.allocator import PolicyKind
 from semkv.harness import _HeadNumerators, RunConfig, score_plans
-from semkv.separator import (
-    approx_semantic_vector,
-    column_scores,
-    head_distances,
-    semantic_vector_full,
-    window_column_scores,
-)
+from semkv.separator import approx_semantic_vector, column_scores, head_distances
 from semkv.trace import (
     _STREAM_CHUNK,
     HEADER_BYTES,
@@ -42,9 +35,10 @@ from semkv.trace import (
     given_back,
     read_trace,
     seeded_rng,
-    widen_head,
     write_trace,
 )
+
+import reference
 
 
 def trace_bytes(trace):
@@ -131,15 +125,12 @@ class TestFileFormat:
         assert again == trace
         assert trace_bytes(again) == trace_bytes(trace)
 
-    def test_read_widens_to_float64(self):
-        # the trace holds the file's float32 values; head inputs widen them
+    def test_read_keeps_float32(self):
+        # the trace holds the file's float32 values
         trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=5), (1, 1, 3, 2))
         again = read_trace(trace_bytes(trace))
         assert again.data.dtype == np.float32
-        inputs = again.head_inputs(0, 0)
-        for i, tensor in enumerate((inputs.queries, inputs.keys, inputs.values)):
-            assert tensor.dtype == np.float64
-            assert np.array_equal(tensor, again.data[0, 0, i])
+        assert np.array_equal(again.data, trace.data)
 
     def test_bad_magic(self):
         data = bytearray(
@@ -373,10 +364,10 @@ class TestBoundedMemory:
 class TestClusteredHeads:
     def test_planted_heads_are_farthest(self):
         profile = SyntheticProfile("clustered-heads", seed=31, planted=2)
-        trace = gen_synthetic_trace(profile, (3, 8, 64, 8))
+        data = gen_synthetic_trace(profile, (3, 8, 64, 8)).data.astype(np.float64)
         planted = clustered_planted_heads(profile, 3, 8)
         for r in range(3):
-            vecs = [semantic_vector_full(trace.head_inputs(r, h)) for h in range(8)]
+            vecs = [reference.exact_semantic_vector(*block) for block in data[r]]
             _, dist = head_distances(vecs)
             farthest_two = set(np.argsort(-dist)[:2].tolist())
             assert farthest_two == set(planted[r])
@@ -402,10 +393,9 @@ class TestPlantedNeedle:
             "planted-needle", seed=17, needle_position=7, tail_len=16
         )
         trace = gen_synthetic_trace(profile, (2, 4, 64, 8))
-        for r in range(2):
-            for h in range(4):
-                scores = window_column_scores(trace.head_inputs(r, h), 16)
-                assert int(np.argmax(scores)) == 7
+        for block in trace.data.reshape(-1, 3, 64, 8):
+            scores = column_scores(_HeadNumerators(block, 16).numerators)
+            assert int(np.argmax(scores)) == 7
 
     def test_needle_visibility_validated(self):
         profile = SyntheticProfile("planted-needle", seed=0, needle_position=60, tail_len=16)
@@ -418,10 +408,10 @@ class TestPlantedNeedle:
 
 
 class TestAttentionTraceContainer:
-    def test_head_inputs_shape(self):
+    def test_head_block_shape(self):
         trace = gen_synthetic_trace(SyntheticProfile("uniform-random", seed=12), (2, 3, 5, 4))
-        inputs = trace.head_inputs(1, 2)
-        assert inputs.seq_len == 5 and inputs.head_dim == 4
+        with trace.head_reader() as heads:
+            assert heads(1, 2).shape == (3, 5, 4)
 
     def test_shape_mismatch_rejected(self):
         header = TraceHeader(1, 1, 2, 2)
@@ -460,36 +450,26 @@ class TestSharedDerivedData:
         assert not np.shares_memory(trace.data, fortran)
         np.testing.assert_array_equal(trace.data, data)
 
-    def test_head_inputs_widen_float32_and_share_float64(self):
+    def test_head_blocks_share_float32_and_float64_data(self):
+        # a head's pass widens what it reads, so its block is the trace's own memory
         trace = self.make()
         wide = AttentionTrace(trace.header, trace.data.astype(np.float64))
-        for h in range(3):
-            inputs = trace.head_inputs(1, h)
-            assert inputs.keys.dtype == np.float64
-            assert not np.shares_memory(inputs.keys, trace.data)
-            np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
-            inputs = wide.head_inputs(1, h)
-            assert np.shares_memory(inputs.keys, wide.data)
-            np.testing.assert_array_equal(inputs.values, trace.data[1, h, 2])
+        for source in (trace, wide):
+            with source.head_reader() as heads:
+                for h in range(3):
+                    block = heads(1, h)
+                    assert block.dtype == source.data.dtype and not block.flags.writeable
+                    assert np.shares_memory(block, source.data)
+                    np.testing.assert_array_equal(block, trace.data[1, h])
 
 
 class TestFloat32AtRest:
-    """Files and generators keep float32 values; heads widen them exactly."""
-
-    @staticmethod
-    def assert_heads_widen(trace):
-        assert trace.data.dtype == np.float32
-        for r in range(trace.num_layers):
-            for h in range(trace.num_heads):
-                inputs = trace.head_inputs(r, h)
-                for i, tensor in enumerate((inputs.queries, inputs.keys, inputs.values)):
-                    assert tensor.dtype == np.float64
-                    assert np.array_equal(tensor, trace.data[r, h, i])
+    """Files and generators keep float32 values."""
 
     @pytest.mark.parametrize("kind", ["uniform-random", "clustered-heads", "planted-needle"])
     def test_generator_stores_float32(self, kind):
         profile = SyntheticProfile(kind, seed=41, spread=0.1, tail_len=8)
-        self.assert_heads_widen(gen_synthetic_trace(profile, (2, 3, 24, 4)))
+        assert gen_synthetic_trace(profile, (2, 3, 24, 4)).data.dtype == np.float32
 
     @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, TrickleStream, "path"])
     def test_reader_stores_float32(self, wrap, tmp_path):
@@ -501,7 +481,7 @@ class TestFloat32AtRest:
         else:
             source = wrap(data)
         again = read_trace(source)
-        self.assert_heads_widen(again)
+        assert again.data.dtype == np.float32
         assert again == trace
 
     def test_float32_shared_other_dtypes_widened(self):
@@ -549,6 +529,13 @@ class TestLayerSources:
     @staticmethod
     def profile(kind):
         return SyntheticProfile(kind, seed=51, planted=1, spread=0.1, tail_len=8)
+
+    def test_a_head_pass_reads_only_the_trailing_query_rows(self):
+        block = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE).data[2, 1].copy()
+        numerators = _HeadNumerators(block, 5).numerators
+        assert numerators.shape == (40, 5)
+        block[0, :35] = np.nan
+        assert _HeadNumerators(block, 5).numerators.tobytes() == numerators.tobytes()
 
     @staticmethod
     def heads(source):
@@ -712,13 +699,6 @@ class TestLayerSources:
         # pieces feed `gen` and are checked as each is drawn
         with pytest.raises(TraceFormatError, match="NaN/Inf"):
             write_trace(source, io.BytesIO())
-
-    def test_widen_head_widens_only_the_trailing_query_rows(self):
-        trace = gen_synthetic_trace(self.profile("uniform-random"), self.SHAPE)
-        inputs = widen_head(trace.data[2, 1], 5)
-        assert inputs.seq_len == 40 and inputs.queries.shape == (5, 6)
-        assert np.array_equal(inputs.queries, trace.data[2, 1, 0, 35:])
-        assert np.array_equal(inputs.keys, trace.data[2, 1, 1])
 
 
 class TestPageGiveBack:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +50,75 @@ CLASSIFY = ["--beta", "0.5", "--m-top", "2", "--top-t", "64"]
 PLANS = ["plans_task-kv_0.6.json", "plans_streaming_0.3.json", "plans_compressed-cache_0.6.json"]
 
 
-# This process's OS threads just after each fork, counted in the parent, where
-# Python 3.12 warns of a fork from a multi-threaded process. OpenBLAS ends its
-# own threads in its fork handler, so at any BLAS setting this is 1.
-FORKED_FROM_THREADS = []
-os.register_at_fork(
-    after_in_parent=lambda: FORKED_FROM_THREADS.append(len(os.listdir("/proc/self/task")))
-)
+# The threads that ran beside each fork, found in the parent just after it,
+# where Python 3.12 warns of a fork from a multi-threaded process. OpenBLAS
+# ends its own threads in its fork handler, at any BLAS setting, but one of
+# them can still be listed, exiting, just after the fork.
+FORKED_BESIDE = []
+
+
+def threads_beside_fork(wait=1.0) -> set[int]:
+    """The ids of this process's threads but the main one: every Python
+    thread, and every OS thread still listed `wait` seconds from now."""
+    main = threading.main_thread().native_id
+    python = {t.native_id for t in threading.enumerate()} - {main}
+    deadline = time.monotonic() + wait
+    while not python and (others := {int(t) for t in os.listdir("/proc/self/task")} - {main}):
+        if time.monotonic() >= deadline:
+            return others
+        time.sleep(0.01)
+    return python
+
+
+os.register_at_fork(after_in_parent=lambda: FORKED_BESIDE.append(threads_beside_fork()))
 
 
 @pytest.fixture(autouse=True)
 def _forks_from_one_thread():
-    FORKED_FROM_THREADS.clear()
+    FORKED_BESIDE.clear()
     yield
-    assert set(FORKED_FROM_THREADS) <= {1}
+    assert not any(FORKED_BESIDE), f"threads {FORKED_BESIDE} ran beside a fork"
+
+
+class TestForkCheck:
+    @staticmethod
+    def running_thread():
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        return thread, done
+
+    def test_a_python_thread_fails_at_once(self):
+        thread, done = self.running_thread()
+        try:
+            assert threads_beside_fork(wait=0) == {thread.native_id}
+        finally:
+            done.set()
+            thread.join()
+
+    def test_an_os_thread_still_listed_after_the_wait_fails(self, monkeypatch):
+        # as if Python did not know of it, as of a BLAS thread; BLAS's own
+        # threads run too, away from a fork
+        thread, done = self.running_thread()
+        monkeypatch.setattr(threading, "enumerate", lambda: [threading.main_thread()])
+        try:
+            assert thread.native_id in threads_beside_fork(wait=0.05)
+        finally:
+            done.set()
+            thread.join()
+
+    def test_a_thread_joined_after_the_fork_fails(self):
+        thread, done = self.running_thread()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12's
+            pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        done.set()
+        thread.join()
+        os.waitpid(pid, 0)
+        assert FORKED_BESIDE == [{thread.native_id}]
+        FORKED_BESIDE.clear()
 
 
 def force_workers(monkeypatch, count):
