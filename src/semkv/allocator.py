@@ -223,16 +223,16 @@ class BudgetPlan:
     def retained_tokens(self) -> int:
         return sum(self.head_tokens(h) for h in range(len(self.per_head_runs)))
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, ranges=np.ndarray.tolist) -> dict:
         """The plan's fields by name, what a plans file holds of each layer:
-        runs and groups as lists of [start, stop] pairs, and
-        `per_head_groups` only when the plan has groups."""
+        runs and groups as lists of [start, stop] pairs (`ranges` of each
+        head's array), and `per_head_groups` only when the plan has groups."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["per_head_runs"] = [r.tolist() for r in self.per_head_runs]
+        out["per_head_runs"] = [ranges(r) for r in self.per_head_runs]
         if self.per_head_groups is None:
             del out["per_head_groups"]
         else:
-            out["per_head_groups"] = [g.tolist() for g in self.per_head_groups]
+            out["per_head_groups"] = [ranges(g) for g in self.per_head_groups]
         return out
 
     @classmethod

@@ -24,6 +24,7 @@ from .errors import CacheConsistencyError, ParameterError, PlanFormatError, Semk
 from .harness import (
     RunConfig,
     RunResult,
+    TextOutput,
     build_eval_report,
     decode_count,
     export_pca_csv,
@@ -368,8 +369,8 @@ def _plan_filenames(cells) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    # compact, one line: json.dumps runs the C encoder, json.dump(indent=...) does not
-    with open(path, "w") as f:
+    # compact, one line: json.dumps runs the C encoder, json.dump does not
+    with TextOutput(path) as f:
         f.write(json.dumps(payload) + "\n")
 
 
@@ -387,8 +388,33 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# The plan fields that hold one (r, 2) array of [start, stop) ranges per head.
+_RANGE_LISTS = ("per_head_runs", "per_head_groups")
+
+
+def _write_plan(f, plan: BudgetPlan) -> None:
+    """Writes `json.dumps(plan.to_json_dict())` to `f` a field at a time,
+    each range list one head's ranges at a time: an array that several
+    heads hold, like compressed-cache's groups, is encoded once."""
+    encoded = {}  # each distinct array's JSON, by its bytes
+    for i, (name, value) in enumerate(plan.to_json_dict(ranges=lambda array: array).items()):
+        f.write(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
+        if name not in _RANGE_LISTS:
+            f.write(json.dumps(value))
+            continue
+        f.write("[")
+        for h, ranges in enumerate(value):
+            key = (ranges.dtype.str, ranges.tobytes())
+            if key not in encoded:
+                encoded[key] = json.dumps(ranges.tolist())
+            f.write((", " if h else "") + encoded[key])
+        f.write("]")
+    f.write("}")
+
+
 class _PlansFiles:
-    """One plans file per cell, each appended one layer's plan at a time.
+    """One plans file per cell, each appended one layer's plan at a time
+    (`_write_plan`).
 
     A finished file holds exactly `json.dumps(payload) + "\n"` of the whole
     payload: its head up to the opening of the `layers` list, each layer's
@@ -398,7 +424,7 @@ class _PlansFiles:
     def __init__(self, files: contextlib.ExitStack, outputs: _Outputs, header, names: dict):
         self._files = {}
         for (policy, ratio), name in names.items():
-            f = self._files[(policy, ratio)] = files.enter_context(open(outputs.path(name), "w"))
+            f = self._files[(policy, ratio)] = files.enter_context(TextOutput(outputs.path(name)))
             payload = {
                 "policy": policy,
                 "budget_ratio": ratio,
@@ -411,7 +437,9 @@ class _PlansFiles:
 
     def add(self, plans: dict) -> None:
         for cell, plan in plans.items():
-            self._files[cell].write(self._separator + json.dumps(plan.to_json_dict()))
+            f = self._files[cell]
+            f.write(self._separator)
+            _write_plan(f, plan)
         self._separator = ", "
 
     def finish(self) -> None:

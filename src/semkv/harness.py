@@ -868,28 +868,70 @@ def _csv_rows(report: dict) -> Iterator[list]:
                 yield [entry["policy"], entry["budget_ratio"], r, h, head_class, *cell.values()]
 
 
-def _write_bytes(destination, payload: bytes) -> int:
-    if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "wb") as f:
-            return f.write(payload)
-    return destination.write(payload)
+class _ByteCount(io.RawIOBase):
+    """A raw stream that passes what it is given on to a binary sink and
+    counts the bytes."""
+
+    def __init__(self, sink):
+        self.sink, self.count = sink, 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        written = self.sink.write(data)
+        self.count += written
+        return written
+
+
+class TextOutput(contextlib.AbstractContextManager):
+    """UTF-8 text written to `destination` as it is given: a path, created
+    or truncated, or a binary sink such as BytesIO, which stays open.
+    Entered, it gives its text stream; once closed, `written` is the
+    number of bytes the destination got."""
+
+    def __init__(self, destination):
+        self._files = contextlib.ExitStack()
+        sink = destination
+        if isinstance(destination, (str, os.PathLike)):
+            sink = self._files.enter_context(open(destination, "wb"))
+        self._bytes = _ByteCount(sink)
+        self._text = self._files.enter_context(
+            io.TextIOWrapper(self._bytes, encoding="utf-8", newline="\n")
+        )
+
+    @property
+    def written(self) -> int:
+        return self._bytes.count
+
+    def __enter__(self) -> io.TextIOWrapper:
+        return self._text
+
+    def __exit__(self, *exc) -> None:
+        self._files.close()
 
 
 def _write_csv(destination, header: list[str], rows) -> int:
     """`header`, then `rows`, as CSV: each row ends in a bare newline and
     each float is written as its `repr`. Returns the bytes written."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
-    return _write_bytes(destination, buf.getvalue().encode())
+    output = TextOutput(destination)
+    with output as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
+    return output.written
 
 
 def export_report(report: dict, fmt: str, destination) -> int:
-    """Serialize a report as canonical JSON or flat CSV; returns bytes written."""
+    """Serialize a report as canonical JSON or flat CSV, written as it is
+    encoded; returns bytes written."""
     if fmt == "json":
-        return _write_bytes(destination, (json.dumps(report, indent=2) + "\n").encode())
+        output = TextOutput(destination)
+        with output as f:
+            json.dump(report, f, indent=2)  # the text of json.dumps(report, indent=2)
+            f.write("\n")
+        return output.written
     if fmt == "csv":
         return _write_csv(destination, CSV_HEADER, _csv_rows(report))
     raise ParameterError(f"unknown report format {fmt!r}")

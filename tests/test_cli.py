@@ -10,6 +10,7 @@ import re
 import tempfile
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -435,7 +436,8 @@ class TestContrib:
                 raise OSError(28, "No space left on device")
             return f
 
-        monkeypatch.setattr("semkv.cli.open", full_disk, raising=False)
+        # every output is opened by the one text writer, `harness.TextOutput`
+        monkeypatch.setattr("semkv.harness.open", full_disk, raising=False)
         code, _, err = run_cli(capsys, *argv[:2], "4", *argv[3:])
         assert code == 1
         assert json.loads(err)["error"] == "OSError"
@@ -1346,6 +1348,57 @@ class TestLayerStreaming:
         assert os.listdir(out) == []
 
 
+class TestPlansFiles:
+    """Plans files are written one head's ranges at a time, each distinct
+    range list encoded once; a file's bytes are still one `json.dumps` of
+    its whole payload, each layer as `to_json_dict` gives it
+    (`in_memory_outputs`), for every policy."""
+
+    SLOTS = ["--sinks", "4", "--recents", "8", "--window", "16", "--kernel", "3"]
+    CASES = {
+        # 18 and 20 of 24 heads share one compressed-cache groups list, and
+        # the planted heterogeneous heads keep [[0, N]]
+        "shared": ["--profile", "clustered-heads", "--shape", "2,24,512,8", "--planted", "4",
+                   "--seed", "6", *SLOTS],
+        "infeasible": NEEDLE,  # every head-aware cell at 0.4
+        "one-head": ["--profile", "uniform-random", "--shape", "2,1,256,8", "--seed", "6",
+                     "--beta", "0.4", "--m-top", "0", *SLOTS],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_plans_file_is_one_json_dumps_of_its_payload(self, tmp_path, capsys, case):
+        argv = [*self.CASES[case], "--policy", ALL_POLICIES, "--budget", "0.4,0.8"]
+        cfg = _config_from(build_parser().parse_args(["compress", *argv]))
+        trace = gen_synthetic_trace(cfg.profile, cfg.shape)
+        for command in ("compress", "all"):
+            out = tmp_path / command
+            code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+            assert code == 0, err
+            assert_outputs(out, in_memory_outputs(command, argv, trace))
+
+        result = compress_run(cfg, trace)
+        assert {policy for policy, _ in result.plans} == {p.value for p in PolicyKind}
+        plans = [plan for layers in result.plans.values() for plan in layers]
+        if case == "shared":
+            shared = max(
+                max(Counter(g.tobytes() for g in plan.per_head_groups if len(g)).values())
+                for plan in plans if plan.per_head_groups is not None and plan.middle_k
+            )
+            assert shared >= 16
+            everything = [[0, trace.seq_len]]
+            assert any(
+                head_class == HeadClass.HETEROGENEOUS and runs.tolist() == everything
+                for plan in plans if plan.policy == PolicyKind.TASK_KV
+                for head_class, runs in zip(plan.head_classes, plan.per_head_runs)
+            )
+        elif case == "infeasible":
+            assert {(c["policy"], c["budget_ratio"]) for c in result.infeasible} == {
+                ("task-kv", 0.4), ("no-cache", 0.4), ("compressed-cache", 0.4)
+            }
+        else:
+            assert {len(plan.per_head_runs) for plan in plans} == {1}
+
+
 def _traced_peak(argv):
     tracemalloc.start()
     try:
@@ -1555,6 +1608,33 @@ class TestLayerMemory:
         assert peak <= head
         # which is far below the payload a whole-trace read would hold
         assert head < self.PAYLOAD_BYTES / 2
+
+    def test_plans_are_written_one_heads_ranges_at_a_time(self, trace_path, tmp_path, capsys):
+        # many heads over a short d, so the plans outweigh a head's visit;
+        # trace_path has warmed the modules up
+        shape, window = (1, 32, 4096, 8), self.WINDOW
+        many = tmp_path / "many.tkv"
+        gen = ["gen", "--profile", "clustered-heads", "--planted", "1", "--seed", "8"]
+        assert main([*gen, "--shape", ",".join(map(str, shape)), "--out", str(many)]) == 0
+        argv = ["--trace", str(many), "--policy", "compressed-cache,uniform-topk", "--budget", "0.7"]
+        code, peak = _traced_peak(["compress", *argv, "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        cfg = _config_from(build_parser().parse_args(["compress", *argv]))
+        cells = compress_run(cfg, read_trace(many)).plans
+        plan_bytes = sum(
+            ranges.nbytes
+            for (plan,) in cells.values()
+            for ranges in [*plan.per_head_runs, *(plan.per_head_groups or [])]
+        )
+        _, _, seq, dim = shape
+        # one head's visit, the layer's plans as arrays, and a MiB for the
+        # encoded text of one plan's distinct range lists and small change;
+        # not each plan's whole payload as lists before it is encoded
+        head = 2 * seq * dim * 8 + 2 * window * seq * 8
+        assert peak <= head + plan_bytes + 2**20
+        # compressed-cache's 32 heads share one groups list of most of the sequence
+        groups = cells[("compressed-cache", 0.7)][0].per_head_groups
+        assert len({g.tobytes() for g in groups}) <= 2 and len(groups[-1]) > seq // 2
 
     def test_gen_peak_is_one_head_block_plus_its_scratch(self, trace_path, tmp_path, capsys):
         code, peak = _traced_peak([

@@ -936,10 +936,31 @@ class TestEvalReport:
         assert len(lines) == 1 + trace.num_layers * trace.num_heads
         assert lines[0] == "layer,head,x,y,class"
 
-    def test_unknown_format_rejected(self):
+    @pytest.mark.parametrize(
+        "export, fmt",
+        [(export_report, ("json",)), (export_report, ("csv",)), (export_pca_csv, ())],
+        ids=["json", "csv", "pca"],
+    )
+    def test_a_path_and_a_binary_sink_get_the_same_bytes_and_count(self, tmp_path, export, fmt):
+        report, _, _ = self.make_report(seed=17)
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 10**6)  # truncated
+        sink = io.BytesIO()
+        sink.write(b"held")  # kept, and not counted
+        written = export(report, *fmt, str(path))
+        assert export(report, *fmt, sink) == written == path.stat().st_size
+        assert sink.getvalue() == b"held" + path.read_bytes()
+        assert not sink.closed
+        if fmt == ("json",):
+            assert path.read_text() == json.dumps(report, indent=2) + "\n"
+
+    def test_unknown_format_rejected(self, tmp_path):
         report, _, _ = self.make_report(seed=15)
         with pytest.raises(ParameterError):
             export_report(report, "xml", io.BytesIO())
+        with pytest.raises(ParameterError):
+            export_report(report, "xml", tmp_path / "report.xml")
+        assert not (tmp_path / "report.xml").exists()
 
     def test_memory_counts_match_plan_accounting(self):
         report, cfg, trace = self.make_report(seed=16)
